@@ -46,10 +46,10 @@ fn bench_trace_vs_schedule(c: &mut Criterion) {
     let sim = Scenario::new(&model, &sys)
         .plan(plan)
         .workload(Workload::pretrain());
-    c.bench_function("gpt3_trace_build", |b| {
-        b.iter(|| black_box(sim.build_trace().unwrap()));
+    c.bench_function("gpt3_run_with_trace", |b| {
+        b.iter(|| black_box(sim.run_with_trace().unwrap()));
     });
-    let trace = sim.build_trace().unwrap();
+    let (_, trace, _) = sim.run_with_trace().unwrap();
     c.bench_function("gpt3_schedule", |b| {
         b.iter(|| black_box(madmax_core::schedule(black_box(&trace))));
     });

@@ -549,19 +549,21 @@ fn run_goodput(
         g.mtbf
     );
     const REPLAY_SEGMENTS: usize = 200_000;
-    let replayed = replay_goodput(
+    match replay_goodput(
         g.checkpoint_write,
         g.restart,
         g.mtbf,
         g.interval,
         fault.seed,
         REPLAY_SEGMENTS,
-    );
-    println!(
-        "replay check:    {:.2}% goodput over {REPLAY_SEGMENTS} replayed segments (seed {})",
-        replayed * 100.0,
-        fault.seed
-    );
+    ) {
+        Ok(replayed) => println!(
+            "replay check:    {:.2}% goodput over {REPLAY_SEGMENTS} replayed segments (seed {})",
+            replayed * 100.0,
+            fault.seed
+        ),
+        Err(why) => println!("replay check:    skipped, not replayable: {why}"),
+    }
     if args.is_set("verify") {
         finish_verify(&madmax_verify::verify_goodput(g))?;
     }

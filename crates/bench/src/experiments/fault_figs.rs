@@ -104,7 +104,8 @@ pub fn fig_fault(hooks: &crate::SearchHooks) -> String {
             g.interval,
             7,
             REPLAY_SEGMENTS,
-        );
+        )
+        .expect("the Young/Daly point at MTBF 3600 s replays");
         out.push_str(&format!(
             "\n--- replay cross-check: {} at MTBF {:.0} s, Young/Daly interval {:.1} s ---\n\
              closed form {:.3}% | replay {:.3}% over {REPLAY_SEGMENTS} segments | \
@@ -273,7 +274,8 @@ mod tests {
             g.interval,
             7,
             REPLAY_SEGMENTS,
-        );
+        )
+        .unwrap();
         assert!(
             (g.goodput_fraction - replayed).abs() < REPLAY_TOLERANCE,
             "closed form {} vs replay {replayed}",

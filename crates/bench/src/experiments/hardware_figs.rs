@@ -6,7 +6,7 @@
 use madmax_cloud::{frontier, sweep as cloud_sweep};
 use madmax_core::IterationReport;
 use madmax_dse::{scaling_study, Explorer, ScalingAxis};
-use madmax_engine::{simulate, Scenario};
+use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{LayerClass, ModelId};
 use madmax_parallel::{HierStrategy, Plan, Strategy, Workload};
@@ -110,13 +110,7 @@ pub fn fig17() -> String {
         HierStrategy::two_level(Strategy::Fsdp, Strategy::Ddp),
         HierStrategy::two_level(Strategy::Tp, Strategy::Fsdp),
     ];
-    let a100_fsdp = simulate(
-        &model,
-        &systems[0].1,
-        &Plan::fsdp_baseline(&model),
-        Workload::pretrain(),
-    )
-    .unwrap();
+    let a100_fsdp = Scenario::new(&model, &systems[0].1).run().unwrap();
 
     let mut t = Table::new(["Dense strategy", "A100", "H100", "H100 SuperPOD"]);
     let mut best: Vec<f64> = vec![0.0; 3];
@@ -124,7 +118,7 @@ pub fn fig17() -> String {
         let mut cells = vec![strat.to_string()];
         for (i, (_, sys)) in systems.iter().enumerate() {
             let plan = Plan::fsdp_baseline(&model).with_strategy(LayerClass::Dense, strat);
-            match simulate(&model, sys, &plan, Workload::pretrain()) {
+            match Scenario::new(&model, sys).plan(plan).run() {
                 Ok(r) => {
                     let x = r.samples_per_sec() / a100_fsdp.samples_per_sec();
                     best[i] = best[i].max(x);

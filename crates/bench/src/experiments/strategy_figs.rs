@@ -4,7 +4,7 @@
 use madmax_dse::{
     best_point, pareto_frontier, sweep_class, Explorer, ParetoPoint, SearchSpace, SweepPoint,
 };
-use madmax_engine::simulate;
+use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{DlrmVariant, LayerClass, ModelId};
 use madmax_parallel::{memory_per_device, HierStrategy, Plan, Strategy, Workload};
@@ -91,7 +91,7 @@ pub fn fig11() -> String {
     let model = ModelId::DlrmA.build();
     let sys = catalog::zionex_dlrm_system();
     let base = Plan::fsdp_baseline(&model);
-    let baseline = simulate(&model, &sys, &base, Workload::pretrain()).unwrap();
+    let baseline = Scenario::new(&model, &sys).run().unwrap();
     let points = sweep_class(
         &model,
         &sys,
@@ -133,8 +133,7 @@ pub fn fig12() -> String {
             LayerClass::Dense,
             HierStrategy::two_level(Strategy::Tp, Strategy::Ddp),
         );
-        let fsdp = Plan::fsdp_baseline(&model);
-        let baseline = simulate(&model, &sys, &fsdp, Workload::pretrain()).unwrap();
+        let baseline = Scenario::new(&model, &sys).run().unwrap();
         let points = sweep_class(&model, &sys, &base, class, &Workload::pretrain());
         out.push_str(&format!("\n{id} (sweeping {class} layers):\n"));
         out.push_str(&render_sweep(&points, baseline.samples_per_sec()));
@@ -238,10 +237,10 @@ pub fn fig14() -> String {
     for strat in strategies {
         let mut cells = vec![strat.to_string()];
         for (_, task) in &tasks {
-            let base = Plan::fsdp_baseline(&model);
-            let baseline = simulate(&model, &sys, &base, task.clone()).unwrap();
-            let plan = base.clone().with_strategy(LayerClass::Dense, strat);
-            cells.push(match simulate(&model, &sys, &plan, task.clone()) {
+            let scenario = Scenario::new(&model, &sys).workload_ref(task);
+            let baseline = scenario.run().unwrap();
+            let plan = Plan::fsdp_baseline(&model).with_strategy(LayerClass::Dense, strat);
+            cells.push(match scenario.plan(plan).run() {
                 Ok(r) => format!("{:.2}x", r.samples_per_sec() / baseline.samples_per_sec()),
                 Err(_) => "OOM".to_owned(),
             });

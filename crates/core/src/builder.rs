@@ -1,81 +1,40 @@
-//! Trace construction: turns (model, system, plan, workload) into
-//! per-device compute + communication streams with explicit data
-//! dependencies (Section IV-C: "Piecing Together Computation and Comm.
+//! Structural tests of trace assembly ([`CostTable::assemble_into`]):
+//! the op streams, dependencies, and phases the priced layer groups
+//! compose into (Section IV-C: "Piecing Together Computation and Comm.
 //! Streams").
-//!
-//! Construction runs in two phases (see [`crate::costs`]):
-//!
-//! 1. **Pricing** — every per-(group, strategy, phase) compute duration
-//!    and collective cost is evaluated once into a [`CostTable`];
-//! 2. **Assembly** — [`CostTable::assemble_into`] walks the model's layer
-//!    groups in execution order for the forward pass and in reverse for
-//!    the backward pass, composing cached costs into ops. Serve
-//!    workloads with decode steps append one single-token pass per
-//!    generated token, chained autoregressively.
-//!
-//! Embedding groups form a side chain (their blocking All2All joins the
-//! dense chain at the feature-combination stage, exactly as in the paper's
-//! Fig. 6), FSDP AllGathers are issued eagerly when prefetching is enabled
-//! (Fig. 9), and weight-gradient collectives land on a separate
-//! lower-priority stream so they drain behind blocking traffic.
-//!
-//! [`TraceBuilder`] performs both phases for one plan; design-space
-//! searches build the [`CostTable`] once and assemble every candidate from
-//! it.
 
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{Plan, Workload};
 
-use crate::collective::CollectiveModel;
+use crate::collective::HierarchicalNccl;
 use crate::compute::UtilizationModel;
 use crate::costs::CostTable;
 use crate::trace::Trace;
 
-/// Inputs to trace construction.
-#[derive(Debug)]
-pub struct TraceBuilder<'a> {
-    /// Model architecture.
-    pub model: &'a ModelArch,
-    /// Target system.
-    pub cluster: &'a ClusterSpec,
-    /// Workload-to-system mapping.
-    pub plan: &'a Plan,
-    /// What the model executes (pre-training / fine-tuning / serving).
-    pub workload: &'a Workload,
-    /// Collective cost model.
-    pub collective_model: &'a dyn CollectiveModel,
-    /// Compute-utilization model.
-    pub utilization: UtilizationModel,
+/// Prices `plan` into a one-plan table and assembles its full trace.
+fn assembled_trace(
+    model: &ModelArch,
+    cluster: &ClusterSpec,
+    plan: &Plan,
+    workload: &Workload,
+) -> Trace {
+    let mut table = CostTable::new(
+        model,
+        cluster,
+        workload.clone(),
+        plan.options,
+        &HierarchicalNccl,
+        UtilizationModel::Constant,
+    );
+    table.ensure_plan(plan);
+    let mut trace = Trace::new();
+    table.assemble_into(plan, &mut trace);
+    trace
 }
 
-impl<'a> TraceBuilder<'a> {
-    /// Prices this builder's plan into a fresh [`CostTable`].
-    pub fn price(&self) -> CostTable<'a> {
-        let mut table = CostTable::new(
-            self.model,
-            self.cluster,
-            self.workload.clone(),
-            self.plan.options,
-            self.collective_model,
-            self.utilization,
-        );
-        table.ensure_plan(self.plan);
-        table
-    }
-
-    /// Builds the full per-iteration trace (price + assemble).
-    pub fn build(&self) -> Trace {
-        let mut trace = Trace::new();
-        self.price().assemble_into(self.plan, &mut trace);
-        trace
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::HierarchicalNccl;
     use crate::trace::{OpId, OpKind, Phase, StreamId};
     use madmax_model::ModelId;
     use madmax_parallel::CollectiveKind;
@@ -83,15 +42,7 @@ mod tests {
     fn build(model: &ModelArch, workload: &Workload) -> Trace {
         let cluster = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(model);
-        TraceBuilder {
-            model,
-            cluster: &cluster,
-            plan: &plan,
-            workload,
-            collective_model: &HierarchicalNccl,
-            utilization: UtilizationModel::Constant,
-        }
-        .build()
+        assembled_trace(model, &cluster, &plan, workload)
     }
 
     use madmax_hw::catalog;
@@ -185,15 +136,7 @@ mod tests {
         let cluster = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
         let workload = Workload::pretrain();
-        let trace = TraceBuilder {
-            model: &model,
-            cluster: &cluster,
-            plan: &plan,
-            workload: &workload,
-            collective_model: &HierarchicalNccl,
-            utilization: UtilizationModel::Constant,
-        }
-        .build();
+        let trace = assembled_trace(&model, &cluster, &plan, &workload);
         let fwd_blocks = trace
             .ops()
             .iter()
@@ -224,25 +167,9 @@ mod tests {
         let mut plan = Plan::fsdp_baseline(&model);
         let workload = Workload::pretrain();
         plan.options.fsdp_prefetch = true;
-        let with = TraceBuilder {
-            model: &model,
-            cluster: &cluster,
-            plan: &plan,
-            workload: &workload,
-            collective_model: &HierarchicalNccl,
-            utilization: UtilizationModel::Constant,
-        }
-        .build();
+        let with = assembled_trace(&model, &cluster, &plan, &workload);
         plan.options.fsdp_prefetch = false;
-        let without = TraceBuilder {
-            model: &model,
-            cluster: &cluster,
-            plan: &plan,
-            workload: &workload,
-            collective_model: &HierarchicalNccl,
-            utilization: UtilizationModel::Constant,
-        }
-        .build();
+        let without = assembled_trace(&model, &cluster, &plan, &workload);
         let dep_count = |t: &Trace| -> usize {
             t.ops()
                 .iter()
@@ -259,15 +186,7 @@ mod tests {
         let cluster = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
         let workload = Workload::serve(madmax_parallel::ServeConfig::new(256, 3));
-        let trace = TraceBuilder {
-            model: &model,
-            cluster: &cluster,
-            plan: &plan,
-            workload: &workload,
-            collective_model: &HierarchicalNccl,
-            utilization: UtilizationModel::Constant,
-        }
-        .build();
+        let trace = assembled_trace(&model, &cluster, &plan, &workload);
         // Every decode step's first compute transitively follows the
         // previous step: the trace stays topologically ordered, and step
         // boundaries appear in step order.

@@ -275,13 +275,18 @@ mod tests {
         let cfg = sample();
         let js = cfg.to_json().unwrap();
         let cfg = SimulationConfig::from_json(&js).unwrap();
-        let report = crate::perf::run_flat_default(
+        let plan = &cfg.experiment.plan;
+        let mut table = crate::CostTable::new(
             &cfg.model,
             &cfg.system,
-            &cfg.experiment.plan,
-            &cfg.experiment.workload,
-        )
-        .unwrap();
+            cfg.experiment.workload.clone(),
+            plan.options,
+            &crate::HierarchicalNccl,
+            crate::UtilizationModel::Constant,
+        );
+        table.ensure_plan(plan);
+        let report =
+            crate::run_flat_cached(&table, plan, &mut crate::EngineScratch::new()).unwrap();
         assert!(report.iteration_time.as_ms() > 0.0);
     }
 }

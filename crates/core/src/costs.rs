@@ -26,7 +26,19 @@
 //! `madmax-dse` computes one table per search and shares it read-only
 //! across all worker threads (the table is `Sync`); each candidate's
 //! evaluation then assembles a trace from cached costs without touching
-//! the collective model or allocating op names.
+//! the collective model or allocating op names. A single run
+//! (`madmax_engine::Scenario::run`) prices a one-plan table the same way.
+//!
+//! # Assembly
+//!
+//! [`CostTable::assemble_into`] walks the model's layer groups in
+//! execution order for the forward pass and in reverse for the backward
+//! pass (Section IV-C: "Piecing Together Computation and Comm.
+//! Streams"). Embedding groups form a side chain whose blocking All2All
+//! joins the dense chain at the feature-combination stage (the paper's
+//! Fig. 6), FSDP AllGathers are issued eagerly when prefetching is
+//! enabled (Fig. 9), and weight-gradient collectives land on a separate
+//! lower-priority stream so they drain behind blocking traffic.
 //!
 //! # Sharing contract
 //!
@@ -83,8 +95,8 @@ pub struct PricedComm {
 /// Priced collectives of one layer group under one strategy, split by
 /// pass exactly like `madmax_parallel::LayerCommPlan`, plus the group's
 /// memory-footprint contributions under that strategy. Zero-payload
-/// requirements are dropped at pricing time (the trace builder always
-/// skipped them).
+/// requirements are dropped at pricing time (assembly would skip
+/// them).
 #[derive(Debug, Clone, Default)]
 pub struct StrategyCosts {
     /// Forward-pass collectives (per layer instance).
@@ -352,9 +364,9 @@ impl<'a> CostTable<'a> {
         self.analytic_serve
     }
 
-    /// Enables or disables the closed-form serve path for cached
-    /// evaluations through this table. One-shot runs ([`crate::run_flat`])
-    /// always simulate in full regardless.
+    /// Enables or disables the closed-form serve path for evaluations
+    /// through this table (on by default). With it off, every serve
+    /// evaluation assembles and schedules the full trace.
     pub fn set_analytic_serve(&mut self, on: bool) {
         self.analytic_serve = on;
     }
@@ -639,9 +651,9 @@ impl<'a> CostTable<'a> {
     /// The assembly phase: builds the full per-iteration trace for `plan`
     /// into `trace` (cleared first), composing cached costs.
     ///
-    /// Training and prefill-only workloads reproduce `TraceBuilder`'s op
-    /// stream exactly — same ops, same order, same durations, same
-    /// dependencies. Serve workloads with decode steps append
+    /// Training and prefill-only workloads emit one forward (and, when
+    /// training, backward and update) pass. Serve workloads with decode
+    /// steps append
     /// `decode_len` autoregressive single-token passes after the prefill,
     /// each chained on the previous step's output and stretched by the
     /// KV-cache read at its token position.

@@ -9,10 +9,10 @@
 //! collective breakdowns (Section IV of the paper).
 //!
 //! The unified front door to the performance model is
-//! `madmax_engine::Scenario`, which dispatches between this crate's flat
-//! engine ([`run_flat`]) and `madmax-pipeline`'s stage engine. The
-//! `validation` module holds the paper's Table I / Fig. 7-9 reference
-//! experiments.
+//! `madmax_engine::Scenario`, which prices a [`CostTable`] and dispatches
+//! between this crate's flat engine ([`run_flat_cached`]) and
+//! `madmax-pipeline`'s stage engine. The `validation` module holds the
+//! paper's Table I / Fig. 7-9 reference experiments.
 //!
 //! # The two-phase engine: price, then assemble
 //!
@@ -31,19 +31,21 @@
 //!    schedule, and stream-slot table ([`sim::EngineScratch`]) are
 //!    recycled across candidates.
 //!
-//! **CostTable sharing contract**: `madmax-dse` builds one table per
-//! search (`CostTable::ensure_plan` for every candidate, before spawning
-//! workers) and shares it read-only (`&CostTable` is `Sync`) across the
-//! worker pool; each worker owns an `EngineScratch` and evaluates
-//! candidates through [`run_flat_cached`]. A table must only be used with
-//! plans whose pricing-relevant options (`activation_checkpointing`,
-//! `collective_dtype`) match its context — this is asserted — and
-//! produces reports byte-identical to the one-shot [`run_flat`] path.
+//! **CostTable sharing contract**: a single run prices a one-plan table;
+//! `madmax-dse` builds one table per search (`CostTable::ensure_plan` for
+//! every candidate, before spawning workers) and shares it read-only
+//! (`&CostTable` is `Sync`) across the worker pool. Either way each
+//! evaluation goes through [`run_flat_cached`] with an `EngineScratch`,
+//! and a shared table produces reports byte-identical to a one-plan
+//! table's. A table must only be used with plans whose pricing-relevant
+//! options (`activation_checkpointing`, `collective_dtype`) match its
+//! context — this is asserted.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod builder;
+#[cfg(test)]
+mod builder;
 pub mod collective;
 pub mod compute;
 pub mod config;
@@ -62,7 +64,7 @@ pub use compute::UtilizationModel;
 pub use costs::{CostTable, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
-pub use perf::{build_flat_trace, run_flat, run_flat_cached, run_flat_default};
+pub use perf::run_flat_cached;
 pub use sim::{
     debug_check_schedule, merged, merged_into, schedule, schedule_into, single_difference_measure,
     EngineScratch, OpWindow, ReportMemo, Schedule, StreamTable,
@@ -77,35 +79,39 @@ pub use trace::{
 
 #[cfg(test)]
 mod cross_module_tests {
-    use crate::perf::run_flat_default;
-    use crate::{IterationReport, Schedule, Trace, UtilizationModel};
+    use crate::{CostTable, EngineScratch, HierarchicalNccl, IterationReport, UtilizationModel};
     use madmax_hw::{catalog, ClusterSpec};
     use madmax_model::{ModelArch, ModelId};
     use madmax_parallel::{Plan, PlanError, Workload};
 
-    fn simulate(
+    /// Runs `plan` on a one-plan table; `scratch` keeps the assembled
+    /// trace and schedule.
+    fn evaluate_in(
+        model: &ModelArch,
+        cluster: &ClusterSpec,
+        plan: &Plan,
+        workload: Workload,
+        scratch: &mut EngineScratch,
+    ) -> Result<IterationReport, PlanError> {
+        let mut table = CostTable::new(
+            model,
+            cluster,
+            workload,
+            plan.options,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+        );
+        table.ensure_plan(plan);
+        crate::run_flat_cached(&table, plan, scratch)
+    }
+
+    fn evaluate(
         model: &ModelArch,
         cluster: &ClusterSpec,
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        run_flat_default(model, cluster, plan, &workload)
-    }
-
-    fn run_with_trace(
-        model: &ModelArch,
-        cluster: &ClusterSpec,
-        plan: &Plan,
-        workload: Workload,
-    ) -> Result<(IterationReport, Trace, Schedule), PlanError> {
-        crate::run_flat(
-            model,
-            cluster,
-            plan,
-            &workload,
-            &crate::HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
+        evaluate_in(model, cluster, plan, workload, &mut EngineScratch::new())
     }
 
     #[test]
@@ -113,7 +119,7 @@ mod cross_module_tests {
         let model = ModelId::DlrmB.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let r = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let r = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         let js = serde_json::to_string(&r).unwrap();
         let back: crate::IterationReport = serde_json::from_str(&js).unwrap();
         assert_eq!(r, back);
@@ -124,7 +130,9 @@ mod cross_module_tests {
         let model = ModelId::DlrmB.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (_, trace, _) = run_with_trace(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let mut scratch = EngineScratch::new();
+        evaluate_in(&model, &sys, &plan, Workload::pretrain(), &mut scratch).unwrap();
+        let trace = scratch.trace;
         let js = serde_json::to_string(&trace).unwrap();
         let back: crate::Trace = serde_json::from_str(&js).unwrap();
         assert_eq!(trace, back);
@@ -137,8 +145,8 @@ mod cross_module_tests {
         let sys = catalog::zionex_dlrm_system();
         let fast = sys.scaled(&DeviceScaling::compute_only(10.0));
         let plan = Plan::fsdp_baseline(&model);
-        let base = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-        let scaled = simulate(&model, &fast, &plan, Workload::pretrain()).unwrap();
+        let base = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let scaled = evaluate(&model, &fast, &plan, Workload::pretrain()).unwrap();
         assert!((scaled.gemm_time.as_secs() - base.gemm_time.as_secs() / 10.0).abs() < 1e-9);
         assert_eq!(scaled.lookup_time, base.lookup_time);
         assert_eq!(scaled.comm_time, base.comm_time);
@@ -151,8 +159,8 @@ mod cross_module_tests {
         let sys = catalog::zionex_dlrm_system();
         let fast = sys.scaled(&DeviceScaling::mem_bw_only(10.0));
         let plan = Plan::fsdp_baseline(&model);
-        let base = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-        let scaled = simulate(&model, &fast, &plan, Workload::pretrain()).unwrap();
+        let base = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let scaled = evaluate(&model, &fast, &plan, Workload::pretrain()).unwrap();
         assert!(scaled.lookup_time < base.lookup_time);
         assert_eq!(scaled.gemm_time, base.gemm_time);
     }
@@ -164,9 +172,9 @@ mod cross_module_tests {
         let mut model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let r1 = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let r1 = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         model.global_batch *= 2;
-        let r2 = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let r2 = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         assert!(r2.iteration_time > r1.iteration_time);
         assert!(r2.iteration_time.as_secs() < 2.0 * r1.iteration_time.as_secs());
         assert!(r2.samples_per_sec() > r1.samples_per_sec());
@@ -177,8 +185,8 @@ mod cross_module_tests {
         let model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let train = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-        let infer = simulate(&model, &sys, &plan, Workload::inference()).unwrap();
+        let train = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let infer = evaluate(&model, &sys, &plan, Workload::inference()).unwrap();
         use madmax_parallel::CollectiveKind;
         // No gradient reduce-scatter at inference.
         assert!(!infer

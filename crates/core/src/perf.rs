@@ -1,9 +1,10 @@
-//! The flat-SPMD execution engine: turns one (model, system, plan,
-//! workload) combination into an [`IterationReport`].
+//! The flat-SPMD execution engine: evaluates one plan against a priced
+//! [`CostTable`] and produces its [`IterationReport`].
 //!
-//! [`run_flat`] is the low-level entry point behind the unified
-//! `madmax_engine::Scenario` front door. New code should go through
-//! `Scenario`, which also dispatches pipelined plans.
+//! [`run_flat_cached`] is the engine's only evaluator. The unified
+//! `madmax_engine::Scenario` front door prices the table (one plan for a
+//! single run, every candidate for a search) and dispatches pipelined
+//! plans to `madmax-pipeline`'s stage engine instead.
 //!
 //! Serve workloads run their prefill and decode phases through the same
 //! trace machinery: the prefill is the familiar forward-only pass (over
@@ -13,27 +14,17 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule this engine assembles — one-shot and cached paths
-//! alike — is cross-checked by [`crate::sim::debug_check_schedule`] in
-//! debug builds (causality, per-stream exclusivity, non-negative
-//! durations, makespan consistency). Release builds skip the check
-//! entirely; the full structural rule set with non-panicking diagnostics
-//! is `madmax-verify`.
+//! Every schedule this engine assembles is cross-checked by
+//! [`crate::sim::debug_check_schedule`] in debug builds (causality,
+//! per-stream exclusivity, non-negative durations, makespan
+//! consistency). Release builds skip the check entirely; the full
+//! structural rule set with non-panicking diagnostics is `madmax-verify`.
 
-use madmax_hw::ClusterSpec;
-use madmax_model::ModelArch;
-use madmax_parallel::{check_memory, Plan, PlanError, Workload};
+use madmax_parallel::{Plan, PlanError};
 
-use crate::builder::TraceBuilder;
-use crate::collective::{CollectiveModel, HierarchicalNccl};
-use crate::compute::UtilizationModel;
 use crate::costs::CostTable;
 use crate::metrics::IterationReport;
-use crate::sim::{schedule, schedule_into, EngineScratch, Schedule};
-use crate::trace::Trace;
-
-/// The default collective model instance.
-static DEFAULT_COLLECTIVES: HierarchicalNccl = HierarchicalNccl;
+use crate::sim::{schedule_into, EngineScratch};
 
 /// This engine executes the flat SPMD mapping only; plans that configure
 /// pipeline parallelism must go through `madmax-pipeline`'s stage engine
@@ -45,110 +36,23 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
     }
 }
 
-/// The shared front half of the flat engine: validate, check memory, and
-/// price + build the trace. Both trace-only inspection and the full run
-/// go through here so the two views can never drift.
-fn prepare_flat<'a>(
-    model: &'a ModelArch,
-    cluster: &'a ClusterSpec,
-    plan: &'a Plan,
-    workload: &'a Workload,
-    collective_model: &'a dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<(CostTable<'a>, Trace, madmax_parallel::MemoryBreakdown), PlanError> {
-    reject_pipelined(plan)?;
-    let memory = check_memory(model, cluster, plan, workload)?;
-    let table = TraceBuilder {
-        model,
-        cluster,
-        plan,
-        workload,
-        collective_model,
-        utilization,
-    }
-    .price();
-    let mut trace = Trace::new();
-    table.assemble_into(plan, &mut trace);
-    Ok((table, trace, memory))
-}
-
-/// Builds the flat-SPMD trace without scheduling it (for inspection /
-/// Fig. 6 timelines).
+/// The flat engine: evaluates `plan` against a pre-priced [`CostTable`]
+/// using caller-owned buffers.
+///
+/// No compute or collective cost model is invoked (costs come from the
+/// table) and the trace arena, schedule, and stream-slot table in
+/// `scratch` are recycled across calls. Serve workloads with long decode
+/// streams take the closed-form path of [`crate::steady`] when the table
+/// allows it ([`CostTable::analytic_serve`]); otherwise — and always for
+/// training — `scratch` holds the fully assembled trace and its schedule
+/// afterwards.
 ///
 /// # Errors
 ///
-/// Fails when the plan is pipelined ([`PlanError::PipelinedPlan`]),
-/// invalid ([`PlanError::InvalidStrategy`]), or the mapping does not fit
-/// in device memory ([`PlanError::OutOfMemory`]).
-pub fn build_flat_trace(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<Trace, PlanError> {
-    prepare_flat(
-        model,
-        cluster,
-        plan,
-        workload,
-        collective_model,
-        utilization,
-    )
-    .map(|(_, trace, _)| trace)
-}
-
-/// Runs the flat-SPMD engine end to end, returning the report plus the
-/// trace and schedule for timeline rendering.
-///
-/// # Errors
-///
-/// Same conditions as [`build_flat_trace`].
-pub fn run_flat(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<(IterationReport, Trace, Schedule), PlanError> {
-    let (table, trace, memory) = {
-        let _span = crate::prof::span("price.flat");
-        prepare_flat(
-            model,
-            cluster,
-            plan,
-            workload,
-            collective_model,
-            utilization,
-        )?
-    };
-    let sched = {
-        let _span = crate::prof::span("assemble.flat");
-        schedule(&trace)
-    };
-    if cfg!(debug_assertions) {
-        crate::sim::debug_check_schedule(&trace, &sched);
-    }
-    let _span = crate::prof::span("report.flat");
-    let mut report = IterationReport::from_schedule(&trace, &sched, table.report_model(), memory);
-    report.serve = table.serve_stats(&trace, &sched);
-    Ok((report, trace, sched))
-}
-
-/// The flat engine's allocation-free fast path: evaluates `plan` against
-/// a shared, pre-priced [`CostTable`] using caller-owned buffers.
-///
-/// This is the design-space-exploration hot path — the report is
-/// byte-identical to [`run_flat`] with the same inputs, but no compute or
-/// collective cost model is invoked (costs come from the table) and the
-/// trace arena, schedule, and stream-slot table in `scratch` are recycled
-/// across calls.
-///
-/// # Errors
-///
-/// Same conditions as [`run_flat`].
+/// [`PlanError::PipelinedPlan`] for a pipelined plan,
+/// [`PlanError::InvalidStrategy`] for a strategy its class cannot use,
+/// and [`PlanError::OutOfMemory`] when the mapping does not fit in device
+/// memory.
 ///
 /// # Panics
 ///
@@ -212,36 +116,37 @@ pub fn run_flat_cached(
     Ok(report)
 }
 
-/// Runs the flat engine with the default cost models (the non-pipelined
-/// half of `madmax_engine::Scenario`).
-///
-/// # Errors
-///
-/// Same conditions as [`run_flat`].
-pub fn run_flat_default(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-) -> Result<IterationReport, PlanError> {
-    run_flat(
-        model,
-        cluster,
-        plan,
-        workload,
-        &DEFAULT_COLLECTIVES,
-        UtilizationModel::Constant,
-    )
-    .map(|(report, _, _)| report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::FlatWorstLink;
-    use madmax_hw::catalog;
-    use madmax_model::{LayerClass, ModelId};
-    use madmax_parallel::{HierStrategy, ServeConfig, Strategy};
+    use crate::collective::{CollectiveModel, FlatWorstLink, HierarchicalNccl};
+    use crate::compute::UtilizationModel;
+    use madmax_hw::{catalog, ClusterSpec};
+    use madmax_model::{LayerClass, ModelArch, ModelId};
+    use madmax_parallel::{HierStrategy, ServeConfig, Strategy, Workload};
+
+    /// Evaluates `plan` on a one-plan table priced with `collectives`,
+    /// simulating serve decodes in full; `scratch` keeps the trace.
+    fn run_on(
+        model: &ModelArch,
+        cluster: &ClusterSpec,
+        plan: &Plan,
+        workload: Workload,
+        collectives: &dyn CollectiveModel,
+        scratch: &mut EngineScratch,
+    ) -> Result<IterationReport, PlanError> {
+        let mut table = CostTable::new(
+            model,
+            cluster,
+            workload,
+            plan.options,
+            collectives,
+            UtilizationModel::Constant,
+        );
+        table.set_analytic_serve(false);
+        table.ensure_plan(plan);
+        run_flat_cached(&table, plan, scratch)
+    }
 
     fn run(
         model: &ModelArch,
@@ -249,7 +154,14 @@ mod tests {
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        run_flat_default(model, cluster, plan, &workload)
+        run_on(
+            model,
+            cluster,
+            plan,
+            workload,
+            &HierarchicalNccl,
+            &mut EngineScratch::new(),
+        )
     }
 
     #[test]
@@ -293,22 +205,14 @@ mod tests {
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (hier, _, _) = run_flat(
+        let hier = run(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let flat = run_on(
             &model,
             &sys,
             &plan,
-            &Workload::pretrain(),
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        let (flat, _, _) = run_flat(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
+            Workload::pretrain(),
             &FlatWorstLink,
-            UtilizationModel::Constant,
+            &mut EngineScratch::new(),
         )
         .unwrap();
         assert!(flat.comm_time > hier.comm_time);
@@ -319,15 +223,17 @@ mod tests {
         let model = ModelId::DlrmB.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (report, trace, sched) = run_flat(
+        let mut scratch = EngineScratch::new();
+        let report = run_on(
             &model,
             &sys,
             &plan,
-            &Workload::pretrain(),
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
+            Workload::pretrain(),
+            &HierarchicalNccl,
+            &mut scratch,
         )
         .unwrap();
+        let (trace, sched) = (&scratch.trace, &scratch.sched);
         assert_eq!(trace.len(), sched.windows.len());
         assert!((trace.serialized_time() / report.serialized_time - 1.0).abs() < 1e-12);
     }

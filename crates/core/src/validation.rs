@@ -7,13 +7,32 @@
 //! reproduces the *model* side and reports prediction accuracy the same
 //! way the paper does: `accuracy = 1 - |measured - predicted| / measured`.
 
-use madmax_hw::catalog;
 use madmax_hw::units::Seconds;
+use madmax_hw::{catalog, ClusterSpec};
 use madmax_model::{ModelArch, ModelId};
 use madmax_parallel::{Plan, PlanError, Workload};
 
+use crate::collective::HierarchicalNccl;
+use crate::compute::UtilizationModel;
+use crate::costs::CostTable;
 use crate::metrics::IterationReport;
-use crate::perf::run_flat_default;
+use crate::perf::run_flat_cached;
+use crate::sim::EngineScratch;
+
+/// Pre-trains `model`'s FSDP baseline on `sys` through a one-plan table.
+fn pretrain_baseline(model: &ModelArch, sys: &ClusterSpec) -> Result<IterationReport, PlanError> {
+    let plan = Plan::fsdp_baseline(model);
+    let mut table = CostTable::new(
+        model,
+        sys,
+        Workload::pretrain(),
+        plan.options,
+        &HierarchicalNccl,
+        UtilizationModel::Constant,
+    );
+    table.ensure_plan(&plan);
+    run_flat_cached(&table, &plan, &mut EngineScratch::new())
+}
 
 /// Prediction accuracy as the paper reports it (in percent).
 pub fn accuracy_pct(measured: f64, predicted: f64) -> f64 {
@@ -88,9 +107,7 @@ pub mod reference {
 /// (it is not).
 pub fn dlrm_a_production_report() -> Result<IterationReport, PlanError> {
     let model = ModelId::DlrmA.build();
-    let sys = catalog::zionex_dlrm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    run_flat_default(&model, &sys, &plan, &Workload::pretrain())
+    pretrain_baseline(&model, &catalog::zionex_dlrm_system())
 }
 
 /// Simulates DLRM-B pre-training on the same platform.
@@ -100,9 +117,7 @@ pub fn dlrm_a_production_report() -> Result<IterationReport, PlanError> {
 /// Propagates [`PlanError`] if the baseline mapping were infeasible.
 pub fn dlrm_b_production_report() -> Result<IterationReport, PlanError> {
     let model = ModelId::DlrmB.build();
-    let sys = catalog::zionex_dlrm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    run_flat_default(&model, &sys, &plan, &Workload::pretrain())
+    pretrain_baseline(&model, &catalog::zionex_dlrm_system())
 }
 
 /// Simulates LLaMA-70B pre-training on the 2048-GPU A100-80GB system.
@@ -112,9 +127,7 @@ pub fn dlrm_b_production_report() -> Result<IterationReport, PlanError> {
 /// Propagates [`PlanError`] if the baseline mapping were infeasible.
 pub fn llama_70b_report() -> Result<(ModelArch, IterationReport), PlanError> {
     let model = ModelId::Llama2.build();
-    let sys = catalog::llama_llm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    let r = run_flat_default(&model, &sys, &plan, &Workload::pretrain())?;
+    let r = pretrain_baseline(&model, &catalog::llama_llm_system())?;
     Ok((model, r))
 }
 

@@ -323,7 +323,8 @@ impl<'a> Explorer<'a> {
     }
 
     /// Enables or disables the closed-form steady-state decode path for
-    /// serve candidates (`madmax_core::steady`; on by default). The
+    /// serve candidates and the baseline (`madmax_core::steady`; on by
+    /// default). The
     /// closed form is byte-identical to full simulation — searches return
     /// the same winners and reports either way — so this knob exists for
     /// A/B validation and as an escape hatch.
@@ -672,6 +673,7 @@ impl<'a> Explorer<'a> {
         let baseline = Scenario::new(self.model, self.system)
             .plan_ref(&base_plan)
             .workload_ref(&base_workload)
+            .analytic_serve(self.analytic_serve)
             .run()?;
         let serve_ranked = variants.len() > 1
             || (self.space.serve.is_some() && self.workload.serve_config().is_some());

@@ -4,17 +4,17 @@
 //!
 //! [`Explorer::explore_goodput`] sweeps the space's (plan, workload)
 //! candidates against a [`FaultAxes`]: each candidate runs its
-//! fault-free simulation once, prices a checkpoint write/restart from
-//! its per-device memory breakdown (replicated plans carry fat
-//! checkpoints, sharded plans thin ones), then evaluates the closed-form
-//! Young/Daly expected goodput at every checkpoint interval on the
-//! axes. The headline result is [`GoodputSearchOutcome::plan_flip`]:
+//! fault-free simulation once — through the explorer's shared cost
+//! tables and worker pool — prices a checkpoint write/restart from its
+//! per-device memory breakdown (replicated plans carry fat checkpoints,
+//! sharded plans thin ones), then evaluates the closed-form Young/Daly
+//! expected goodput at every checkpoint interval on the axes. The
+//! headline result is [`GoodputSearchOutcome::plan_flip`]:
 //! as the fleet MTBF shrinks, the goodput-optimal plan diverges from
 //! the latency-optimal one — exactly the failure-awareness the
 //! fault-free explorer cannot see.
 
 use madmax_engine::{EngineError, FaultSpec, GoodputReport, Scenario};
-use madmax_fault::{expected_goodput, young_daly_interval};
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{Plan, Workload};
@@ -108,8 +108,10 @@ pub struct GoodputSearchOutcome {
     pub fault_free_best: usize,
     /// Goodput evaluations executed (points across all candidates).
     pub evaluated: usize,
-    /// Search counters ([`SearchTelemetry::goodput_evals`] carries
-    /// `evaluated`; outcome counters reconcile as in the plain search).
+    /// Search counters, as [`Explorer::evaluate_with_telemetry`] reports
+    /// them for the fault-free simulations (one per candidate; outcome
+    /// counters reconcile, cache and per-worker stats included), plus
+    /// [`SearchTelemetry::goodput_evals`] carrying `evaluated`.
     pub telemetry: SearchTelemetry,
 }
 
@@ -141,10 +143,12 @@ impl Explorer<'_> {
     /// **failure-aware goodput** under `axes`' fault process.
     ///
     /// Candidates are the same (plan, workload-variant) combinations
-    /// [`Explorer::explore`] evaluates. Each runs its fault-free
-    /// simulation and prices its checkpoint once
-    /// ([`Scenario::goodput`]); the remaining interval points reuse that
-    /// report and checkpoint through the closed form, so a k-interval
+    /// [`Explorer::explore`] evaluates, and they run the same way: each
+    /// workload variant's candidates go through
+    /// [`Explorer::evaluate_with_telemetry`] (shared cost tables, the
+    /// worker pool, the attached progress sink). Each simulated report
+    /// then prices its checkpoint once and evaluates every swept interval
+    /// in closed form ([`Scenario::goodput_points`]), so a k-interval
     /// sweep costs one simulation, not k.
     ///
     /// Ranking: highest [`GoodputCandidate::score`] — effective
@@ -152,6 +156,7 @@ impl Explorer<'_> {
     /// [`GoodputSearchOutcome::fault_free_best`] records what a
     /// fault-blind ranking would have picked, so
     /// [`GoodputSearchOutcome::plan_flip`] exposes divergence directly.
+    /// Results are identical at any thread count.
     ///
     /// # Errors
     ///
@@ -176,72 +181,45 @@ impl Explorer<'_> {
         }
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
+        let plans = self.candidates();
         let mut candidates = Vec::new();
         let mut evaluated = 0usize;
         let mut telemetry = SearchTelemetry::default();
         for workload in self.workload_variants() {
-            for plan in self.candidates() {
-                let scenario = Scenario::new(self.model_arch(), self.cluster())
-                    .plan_ref(&plan)
-                    .workload_ref(&workload);
-                // One simulation + one checkpoint pricing per candidate;
-                // every interval point is closed-form on top of it.
-                telemetry.candidates += 1;
-                let base = match scenario.goodput(&sweep[0]) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        if e.is_oom() {
-                            telemetry.oom += 1;
-                        } else if e.is_unmappable_pipeline() {
-                            telemetry.unmappable += 1;
-                        } else {
-                            telemetry.invalid += 1;
-                        }
-                        candidates.push(GoodputCandidate {
+            let (results, batch) = self.evaluate_with_telemetry(&workload, &plans);
+            telemetry.absorb(&batch);
+            let scenario = Scenario::new(self.model_arch(), self.cluster()).workload_ref(&workload);
+            for (plan, result) in plans.iter().zip(results) {
+                let candidate = match result {
+                    Ok(report) => {
+                        let (_, points) = scenario.goodput_points(&report, mtbf, &sweep);
+                        evaluated += points.len();
+                        let best_point = points
+                            .iter()
+                            .enumerate()
+                            .max_by(|(_, a), (_, b)| {
+                                a.effective_throughput.total_cmp(&b.effective_throughput)
+                            })
+                            .map(|(i, _)| i);
+                        GoodputCandidate {
                             plan: plan.clone(),
                             workload: workload.clone(),
-                            points: Vec::new(),
-                            best_point: None,
-                            iteration_time: None,
-                            error: Some(e),
-                        });
-                        continue;
+                            points,
+                            best_point,
+                            iteration_time: Some(report.iteration_time),
+                            error: None,
+                        }
                     }
+                    Err(e) => GoodputCandidate {
+                        plan: plan.clone(),
+                        workload: workload.clone(),
+                        points: Vec::new(),
+                        best_point: None,
+                        iteration_time: None,
+                        error: Some(e),
+                    },
                 };
-                telemetry.ok += 1;
-                evaluated += 1;
-                let iter_time = base.report.iteration_time;
-                let write = base.ckpt.write.as_secs();
-                let restart = base.ckpt.restart.as_secs();
-                let mut points = vec![base.goodput];
-                for spec in &sweep[1..] {
-                    let interval = spec
-                        .checkpoint_interval
-                        .unwrap_or_else(|| young_daly_interval(write, mtbf));
-                    points.push(expected_goodput(
-                        iter_time.as_secs(),
-                        write,
-                        restart + spec.recovery,
-                        mtbf,
-                        interval,
-                    ));
-                    evaluated += 1;
-                }
-                let best_point = points
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| {
-                        a.effective_throughput.total_cmp(&b.effective_throughput)
-                    })
-                    .map(|(i, _)| i);
-                candidates.push(GoodputCandidate {
-                    plan: plan.clone(),
-                    workload: workload.clone(),
-                    points,
-                    best_point,
-                    iteration_time: Some(iter_time),
-                    error: None,
-                });
+                candidates.push(candidate);
             }
         }
 

@@ -25,9 +25,10 @@ pub enum EngineError {
     /// strategy/class combination, an unmappable pipeline, or a pipelined
     /// plan handed to the flat engine.
     InvalidPlan(PlanError),
-    /// A continuous-batching load run cannot be set up or executed: an
-    /// invalid [`madmax_parallel::LoadSpec`], a non-serve workload, or a
-    /// run leaving the exact duration grid.
+    /// A serve workload or a continuous-batching load run cannot be set
+    /// up or executed: a zero prompt or decode batch, an invalid
+    /// [`madmax_parallel::LoadSpec`], a non-serve workload, or a run
+    /// leaving the exact duration grid.
     InvalidLoad {
         /// What went wrong.
         reason: String,

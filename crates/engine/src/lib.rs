@@ -55,7 +55,7 @@ pub mod error;
 pub mod scenario;
 
 pub use error::EngineError;
-pub use scenario::{simulate, GoodputOutcome, Scenario};
+pub use scenario::{GoodputOutcome, Scenario};
 
 // Re-exported so engine consumers (the explorer, benches) can name the
 // fast-path types without a direct `madmax-core` / `madmax-pipeline`

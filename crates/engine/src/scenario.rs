@@ -12,7 +12,7 @@ use madmax_fault::{
 };
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
-use madmax_parallel::{LoadSpec, Plan, Workload};
+use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
 use madmax_pipeline::PipelineCostTable;
 use madmax_serve::{LoadOutcome, SimMode, StepCostModel};
 
@@ -34,10 +34,10 @@ pub struct GoodputOutcome {
 /// executing a workload.
 ///
 /// `Scenario` is the single front door to the MAD-Max performance model.
-/// [`Scenario::run`] inspects the plan's
-/// [`madmax_parallel::PipelineConfig`] and dispatches to the flat SPMD
-/// engine (`madmax_core::run_flat`) or the pipeline engine
-/// (`madmax_pipeline::run_pipelined`), returning the same
+/// [`Scenario::run_in`] — behind every other entry point — inspects the
+/// plan's [`madmax_parallel::PipelineConfig`] and dispatches to the flat
+/// SPMD engine (`madmax_core::run_flat_cached`) or the pipeline engine
+/// (`madmax_pipeline::run_pipelined_cached`), returning the same
 /// [`IterationReport`] either way and one [`EngineError`] on failure.
 ///
 /// The workload axis spans training and serving:
@@ -115,11 +115,12 @@ impl<'a> Scenario<'a> {
     /// Enables or disables the closed-form steady-state decode path
     /// (`madmax_core::steady`) on every cost table this scenario *builds*
     /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`], and
-    /// the inline table of [`Scenario::run_in`]). On by default; the
-    /// closed form is byte-identical to full simulation, so this knob
-    /// exists for A/B validation and as an escape hatch. Tables attached
-    /// via [`Scenario::costs`] / [`Scenario::pipeline_costs`] keep their
-    /// own setting.
+    /// the one-plan tables of [`Scenario::run_in`], [`Scenario::run`], and
+    /// [`Scenario::price_load`]'s probes). On by default; the closed form
+    /// is byte-identical to full simulation, so this knob exists for A/B
+    /// validation and as an escape hatch. Tables attached via
+    /// [`Scenario::costs`] / [`Scenario::pipeline_costs`] keep their own
+    /// setting, and [`Scenario::run_with_trace`] always simulates in full.
     #[must_use]
     pub fn analytic_serve(mut self, on: bool) -> Self {
         self.analytic_serve = on;
@@ -277,104 +278,130 @@ impl<'a> Scenario<'a> {
         table
     }
 
-    /// Runs the scenario through caller-owned buffers — the evaluation
-    /// fast path. Flat plans with an attached [`CostTable`]
-    /// (see [`Scenario::costs`]) are assembled from cached costs; all
-    /// paths recycle `scratch`'s trace arena, schedule, and stream table.
-    /// The report is byte-identical to [`Scenario::run`].
+    /// This scenario with `workload` and the given closed-form setting,
+    /// detached from any attached tables (so [`Scenario::run_in`] prices
+    /// one-plan tables of its own).
+    fn detached<'s>(&'s self, workload: Cow<'s, Workload>, analytic_serve: bool) -> Scenario<'s> {
+        Scenario {
+            model: self.model,
+            system: self.system,
+            plan: self.plan.as_deref().map(Cow::Borrowed),
+            workload,
+            collectives: self.collectives,
+            utilization: self.utilization,
+            costs: None,
+            pipeline_costs: None,
+            analytic_serve,
+        }
+    }
+
+    /// Rejects serve workloads the engines cannot price: a zero prompt
+    /// or a zero decode batch.
+    fn check_workload(&self) -> Result<(), EngineError> {
+        let Some(cfg) = self.workload.serve_config() else {
+            return Ok(());
+        };
+        let zero = if cfg.prompt_len == Some(0) {
+            "prompt_len"
+        } else if cfg.decode_batch == Some(0) {
+            "decode_batch"
+        } else {
+            return Ok(());
+        };
+        Err(EngineError::InvalidLoad {
+            reason: format!("serve workload `{}` needs {zero} >= 1", self.workload),
+        })
+    }
+
+    /// Runs the scenario through caller-owned buffers: the one evaluation
+    /// door behind every other entry point. It picks the engine from the
+    /// plan and evaluates against the attached [`CostTable`] /
+    /// [`PipelineCostTable`] (see [`Scenario::costs`]), or else against a
+    /// one-plan table it prices itself; `scratch`'s trace arena,
+    /// schedule, and stream table are recycled either way. Attached and
+    /// one-plan tables produce byte-identical reports.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn run_in(&self, scratch: &mut EngineScratch) -> Result<IterationReport, EngineError> {
+        self.check_workload()?;
         self.with_plan(|plan| {
-            if Self::is_pipelined(plan) {
-                if let Some(table) = self.pipeline_costs {
-                    debug_assert!(
-                        std::ptr::eq(table.model(), self.model)
-                            && std::ptr::eq(table.cluster(), self.system)
-                            && table.workload() == self.workload.as_ref(),
-                        "pipeline cost table priced for a different scenario"
-                    );
-                    return madmax_pipeline::run_pipelined_cached(table, plan, scratch)
-                        .map_err(EngineError::from);
-                }
-                return madmax_pipeline::run_pipelined_scratch(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                    scratch,
-                )
-                .map_err(EngineError::from);
-            }
-            if let Some(table) = self.costs {
-                debug_assert!(
-                    std::ptr::eq(table.model(), self.model)
-                        && std::ptr::eq(table.cluster(), self.system)
-                        && table.workload() == self.workload.as_ref(),
-                    "cost table priced for a different scenario"
-                );
-                return madmax_core::run_flat_cached(table, plan, scratch)
-                    .map_err(EngineError::from);
-            }
-            let mut table = CostTable::new(
-                self.model,
-                self.system,
-                self.workload.as_ref().clone(),
-                plan.options,
-                self.collectives,
-                self.utilization,
-            );
-            table.set_analytic_serve(self.analytic_serve);
-            table.ensure_plan(plan);
-            madmax_core::run_flat_cached(&table, plan, scratch).map_err(EngineError::from)
+            let one_plan = std::slice::from_ref(plan);
+            let report = if Self::is_pipelined(plan) {
+                let priced;
+                let table = match self.pipeline_costs {
+                    Some(table) => {
+                        debug_assert!(
+                            std::ptr::eq(table.model(), self.model)
+                                && std::ptr::eq(table.cluster(), self.system)
+                                && table.workload() == self.workload.as_ref(),
+                            "pipeline cost table priced for a different scenario"
+                        );
+                        table
+                    }
+                    None => {
+                        priced = self.price_pipeline_plans(one_plan);
+                        &priced
+                    }
+                };
+                madmax_pipeline::run_pipelined_cached(table, plan, scratch)
+            } else {
+                let priced;
+                let table = match self.costs {
+                    Some(table) => {
+                        debug_assert!(
+                            std::ptr::eq(table.model(), self.model)
+                                && std::ptr::eq(table.cluster(), self.system)
+                                && table.workload() == self.workload.as_ref(),
+                            "cost table priced for a different scenario"
+                        );
+                        table
+                    }
+                    None => {
+                        priced = self.price_plans(one_plan);
+                        &priced
+                    }
+                };
+                madmax_core::run_flat_cached(table, plan, scratch)
+            };
+            report.map_err(EngineError::from)
         })
     }
 
-    /// Runs the scenario end to end.
+    /// Runs the scenario end to end: [`Scenario::run_in`] on fresh
+    /// buffers. Serve workloads with long decode streams take the
+    /// closed-form steady-state path unless
+    /// [`Scenario::analytic_serve`] is off — the report is byte-identical
+    /// either way.
     ///
     /// # Errors
     ///
     /// [`EngineError::OutOfMemory`] when the mapping does not fit in
-    /// device memory, [`EngineError::InvalidPlan`] for everything else
-    /// (invalid strategy/class combinations, unmappable pipelines, ...).
+    /// device memory, [`EngineError::InvalidLoad`] for a serve workload
+    /// with a zero prompt or decode batch, [`EngineError::InvalidPlan`]
+    /// for everything else (invalid strategy/class combinations,
+    /// unmappable pipelines, ...).
     pub fn run(&self) -> Result<IterationReport, EngineError> {
-        let (report, _, _) = self.run_with_trace()?;
-        Ok(report)
+        self.run_in(&mut EngineScratch::new())
     }
 
     /// Runs the scenario, also returning the trace and schedule for
-    /// timeline rendering.
+    /// timeline rendering and verification (for pipelined plans, the
+    /// multi-stream stage trace). This always assembles and schedules the
+    /// full trace: it ignores attached tables and
+    /// [`Scenario::analytic_serve`], so it costs a full simulation even
+    /// for long serve decodes. The report equals [`Scenario::run`]'s.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn run_with_trace(&self) -> Result<(IterationReport, Trace, Schedule), EngineError> {
-        self.with_plan(|plan| {
-            let result = if Self::is_pipelined(plan) {
-                madmax_pipeline::run_pipelined(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-            } else {
-                madmax_core::run_flat(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-            };
-            result.map_err(EngineError::from)
-        })
+        let mut scratch = EngineScratch::new();
+        let report = self
+            .detached(Cow::Borrowed(&self.workload), false)
+            .run_in(&mut scratch)?;
+        Ok((report, scratch.trace, scratch.sched))
     }
 
     /// The serve config this scenario's workload carries, or the
@@ -389,8 +416,9 @@ impl<'a> Scenario<'a> {
 
     /// Prices a per-step cost model ([`madmax_serve::StepCostModel`]) of
     /// this scenario's plan for the request shapes in `spec` — the slow
-    /// part of a load run (a handful of engine probes), reusable across
-    /// simulations via [`Scenario::serve_load_priced`].
+    /// part of a load run (a handful of engine probes, each a
+    /// [`Scenario::run_in`] of one synchronized serve wave), reusable
+    /// across simulations via [`Scenario::serve_load_priced`].
     ///
     /// The in-flight slot count is `spec.slots`, defaulting to the serve
     /// config's decode batch.
@@ -407,19 +435,12 @@ impl<'a> Scenario<'a> {
         let slots = spec
             .slots
             .unwrap_or_else(|| serve.effective_batch(self.model));
-        self.with_plan(|plan| {
-            StepCostModel::price(
-                self.model,
-                self.system,
-                plan,
-                serve,
-                slots,
-                &arrivals,
-                self.collectives,
-                self.utilization,
-            )
-            .map_err(EngineError::from)
-        })
+        let mut scratch = EngineScratch::new();
+        let probe = |cfg: ServeConfig| {
+            self.detached(Cow::Owned(Workload::serve(cfg)), self.analytic_serve)
+                .run_in(&mut scratch)
+        };
+        self.with_plan(|plan| StepCostModel::price(plan, serve, slots, &arrivals, probe))
     }
 
     /// Runs the continuous-batching load simulator against this
@@ -512,78 +533,48 @@ impl<'a> Scenario<'a> {
             });
         };
         let report = self.run()?;
-        let ckpt = CheckpointModel::price(&report.memory, self.system, self.collectives);
-        let write = ckpt.write.as_secs();
-        // A restart reloads the checkpoint and waits out capacity
-        // recovery (node replacement / reschedule) before resuming.
-        let restart = ckpt.restart.as_secs() + spec.recovery;
-        let interval = spec
-            .checkpoint_interval
-            .unwrap_or_else(|| young_daly_interval(write, mtbf));
-        let goodput = expected_goodput(
-            report.iteration_time.as_secs(),
-            write,
-            restart,
-            mtbf,
-            interval,
-        );
+        let (ckpt, points) = self.goodput_points(&report, mtbf, std::slice::from_ref(spec));
         Ok(GoodputOutcome {
             report,
             ckpt,
-            goodput,
+            goodput: points[0],
         })
     }
 
-    /// Builds the scenario's trace without scheduling it (for inspection /
-    /// Fig. 6 timelines). For pipelined plans this is the multi-stream
-    /// stage trace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::run`].
-    pub fn build_trace(&self) -> Result<Trace, EngineError> {
-        self.with_plan(|plan| {
-            if Self::is_pipelined(plan) {
-                madmax_pipeline::build_pipelined_trace(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
+    /// The goodput half of [`Scenario::goodput`] for an already-simulated
+    /// fault-free `report` of this scenario: prices the checkpoint once
+    /// from the report's memory breakdown, then evaluates the closed-form
+    /// expected goodput at fleet MTBF `mtbf` for each of `specs` (their
+    /// checkpoint interval, defaulting to the Young/Daly optimum, and
+    /// their recovery time). A k-interval sweep therefore costs one
+    /// simulation, not k.
+    pub fn goodput_points(
+        &self,
+        report: &IterationReport,
+        mtbf: f64,
+        specs: &[FaultSpec],
+    ) -> (CheckpointModel, Vec<GoodputReport>) {
+        let ckpt = CheckpointModel::price(&report.memory, self.system, self.collectives);
+        let write = ckpt.write.as_secs();
+        let points = specs
+            .iter()
+            .map(|spec| {
+                let interval = spec
+                    .checkpoint_interval
+                    .unwrap_or_else(|| young_daly_interval(write, mtbf));
+                // A restart reloads the checkpoint and waits out capacity
+                // recovery (node replacement / reschedule) before resuming.
+                expected_goodput(
+                    report.iteration_time.as_secs(),
+                    write,
+                    ckpt.restart.as_secs() + spec.recovery,
+                    mtbf,
+                    interval,
                 )
-                .map_err(EngineError::from)
-            } else {
-                madmax_core::build_flat_trace(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-                .map_err(EngineError::from)
-            }
-        })
+            })
+            .collect();
+        (ckpt, points)
     }
-}
-
-/// One-shot convenience wrapper: runs a [`Scenario`] with an explicit
-/// plan and workload.
-///
-/// # Errors
-///
-/// Same conditions as [`Scenario::run`].
-pub fn simulate(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    workload: Workload,
-) -> Result<IterationReport, EngineError> {
-    Scenario::new(model, system)
-        .plan(plan.clone())
-        .workload(workload)
-        .run()
 }
 
 #[cfg(test)]
@@ -665,22 +656,103 @@ mod tests {
         let (report, trace, sched) = scenario.run_with_trace().unwrap();
         assert_eq!(trace.len(), sched.windows.len());
         assert!((trace.serialized_time() / report.serialized_time - 1.0).abs() < 1e-12);
-        let inspect = scenario.build_trace().unwrap();
-        assert_eq!(trace, inspect);
+        assert_eq!(report, scenario.run().unwrap());
     }
 
     #[test]
-    fn one_shot_wrapper_matches_builder() {
+    fn non_pipelined_plan_delegates_to_flat_engine() {
         let model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let a = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-        let b = Scenario::new(&model, &sys)
-            .plan(plan)
-            .workload(Workload::pretrain())
-            .run()
+        let mut table = CostTable::new(
+            &model,
+            &sys,
+            Workload::pretrain(),
+            plan.options,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+        );
+        table.ensure_plan(&plan);
+        let flat = madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new()).unwrap();
+        let dispatched = Scenario::new(&model, &sys).plan(plan).run().unwrap();
+        assert_eq!(flat, dispatched);
+        assert!(dispatched.bubble_fraction.is_none());
+    }
+
+    #[test]
+    fn zero_prompt_or_decode_batch_is_rejected() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let piped = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
+        for cfg in [
+            ServeConfig::new(512, 16).with_decode_batch(0),
+            ServeConfig::new(0, 16),
+        ] {
+            for plan in [Plan::fsdp_baseline(&model), piped.clone()] {
+                let scenario = Scenario::new(&model, &sys)
+                    .workload(Workload::serve(cfg))
+                    .plan(plan);
+                let err = scenario.run().unwrap_err();
+                assert!(matches!(err, EngineError::InvalidLoad { .. }), "{err}");
+                assert!(scenario.run_with_trace().is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn price_load_predicts_engine_step_differences() {
+        use madmax_core::steady::grid_units;
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let slots = 8usize;
+        let scenario = Scenario::new(&model, &sys).workload(Workload::serve(
+            ServeConfig::new(256, 64).with_decode_batch(slots),
+        ));
+        let m = scenario
+            .price_load(&madmax_parallel::LoadSpec::poisson(200.0, 4, 7))
             .unwrap();
-        assert_eq!(a, b);
+        assert!(m.step_rate >= 0);
+        assert!(m.prefill_slope >= 0);
+        // Held-out check: the model's step cost reproduces the engine's
+        // first difference at an unprobed decode length.
+        let run = |d: usize| {
+            let r = Scenario::new(&model, &sys)
+                .workload(Workload::serve(
+                    ServeConfig::new(256, d).with_decode_batch(slots),
+                ))
+                .run()
+                .unwrap();
+            grid_units(r.iteration_time).unwrap()
+        };
+        let actual = run(73) - run(72);
+        let predicted = m
+            .step_units(slots as u64, slots as i64 * (256 + 72))
+            .unwrap();
+        let rel = (predicted - actual).abs() as f64 / actual as f64;
+        assert!(rel < 1e-3, "predicted {predicted} vs actual {actual}");
+    }
+
+    #[test]
+    fn price_load_prices_pipelined_plans_and_surfaces_oom_probes() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
+        let m = Scenario::new(&model, &sys)
+            .workload(Workload::serve(
+                ServeConfig::new(128, 32).with_decode_batch(4),
+            ))
+            .plan(plan)
+            .price_load(&madmax_parallel::LoadSpec::poisson(200.0, 2, 7))
+            .unwrap();
+        assert!(m.prefill_units(160).unwrap() >= m.prefill_units(128).unwrap());
+
+        let err = Scenario::new(&model, &sys)
+            .workload(Workload::serve(
+                ServeConfig::new(4096, 2_000_000).with_decode_batch(1 << 14),
+            ))
+            .price_load(&madmax_parallel::LoadSpec::poisson(200.0, 1, 7))
+            .unwrap_err();
+        assert!(err.is_oom(), "{err}");
     }
 
     #[test]

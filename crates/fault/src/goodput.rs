@@ -153,12 +153,24 @@ fn uniform_01(state: &mut u64) -> f64 {
     (bits + 1) as f64 / (1u64 << 53) as f64
 }
 
+/// The most exponential draws one [`replay_goodput`] call may make.
+/// A segment retries until a failure-free draw, which takes
+/// `e^{(interval + write) / mtbf}` draws on average, so a span many MTBFs
+/// long cannot be replayed in bounded time.
+pub const MAX_REPLAY_DRAWS: u64 = 50_000_000;
+
 /// Cross-checks [`expected_goodput`] by seeded discrete-event replay:
 /// simulates `segments` checkpoint segments under the same exponential
 /// failure process (draw time-to-failure; a failure inside the segment
 /// pays the elapsed time plus the restart and re-runs the segment from
 /// the checkpoint) and returns the measured goodput fraction
 /// `useful / wall`. Deterministic for a fixed seed.
+///
+/// # Errors
+///
+/// Returns why the process is not replayable when the replay would need
+/// more than [`MAX_REPLAY_DRAWS`] draws — expectedly, judged up front
+/// from the segment span and MTBF, or actually, counted as it runs.
 pub fn replay_goodput(
     write: f64,
     restart: f64,
@@ -166,19 +178,35 @@ pub fn replay_goodput(
     interval: f64,
     seed: u64,
     segments: usize,
-) -> f64 {
+) -> Result<f64, String> {
+    let span = interval + write;
+    let per_segment = (span / mtbf).exp();
+    let not_replayable = || {
+        format!(
+            "a {span:.0} s checkpoint segment at MTBF {mtbf:.0} s takes ~{per_segment:.3e} \
+             failure draws to complete; {segments} segments exceed the budget of \
+             {MAX_REPLAY_DRAWS} draws"
+        )
+    };
+    if per_segment * segments as f64 > MAX_REPLAY_DRAWS as f64 {
+        return Err(not_replayable());
+    }
     let mut state = if seed == 0 {
         0x9E37_79B9_7F4A_7C15
     } else {
         seed
     };
-    let span = interval + write;
+    let mut draws = 0u64;
     let mut wall = 0.0f64;
     let mut useful = 0.0f64;
     for _ in 0..segments {
         // Memoryless failures: each attempt draws a fresh exponential
         // time-to-failure.
         loop {
+            draws += 1;
+            if draws > MAX_REPLAY_DRAWS {
+                return Err(not_replayable());
+            }
             let ttf = -uniform_01(&mut state).ln() * mtbf;
             if ttf >= span {
                 wall += span;
@@ -188,11 +216,7 @@ pub fn replay_goodput(
             wall += ttf + restart;
         }
     }
-    if wall > 0.0 {
-        useful / wall
-    } else {
-        0.0
-    }
+    Ok(if wall > 0.0 { useful / wall } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -256,7 +280,7 @@ mod tests {
             (5.0, 5.0, 120.0, 34.0),
         ] {
             let closed = expected_goodput(1.0, write, restart, mtbf, interval).goodput_fraction;
-            let replayed = replay_goodput(write, restart, mtbf, interval, 42, 200_000);
+            let replayed = replay_goodput(write, restart, mtbf, interval, 42, 200_000).unwrap();
             let rel = (closed - replayed).abs() / closed;
             assert!(
                 rel < 0.02,
@@ -267,10 +291,23 @@ mod tests {
 
     #[test]
     fn replay_is_seed_deterministic() {
-        let a = replay_goodput(10.0, 10.0, 600.0, 100.0, 7, 10_000);
-        let b = replay_goodput(10.0, 10.0, 600.0, 100.0, 7, 10_000);
+        let a = replay_goodput(10.0, 10.0, 600.0, 100.0, 7, 10_000).unwrap();
+        let b = replay_goodput(10.0, 10.0, 600.0, 100.0, 7, 10_000).unwrap();
         assert_eq!(a, b);
-        let c = replay_goodput(10.0, 10.0, 600.0, 100.0, 8, 10_000);
+        let c = replay_goodput(10.0, 10.0, 600.0, 100.0, 8, 10_000).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn spans_many_mtbfs_long_are_not_replayable() {
+        // A 600 s interval at MTBF 60 s needs ~e^10 draws per segment and
+        // at MTBF 10 s ~e^60: both are refused up front instead of
+        // spinning. The closed form still evaluates them.
+        for mtbf in [60.0, 10.0] {
+            let err = replay_goodput(30.0, 30.0, mtbf, 600.0, 7, 200_000).unwrap_err();
+            assert!(err.contains("budget"), "{err}");
+            let closed = expected_goodput(1.0, 30.0, 30.0, mtbf, 600.0);
+            assert!(closed.goodput_fraction >= 0.0 && closed.goodput_fraction < 1e-3);
+        }
     }
 }

@@ -164,9 +164,9 @@ pub fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch 
     }
 }
 
-/// The error [`stage_costs`] reports for a microbatch count that is zero
-/// or exceeds the global batch (shared with the cached path so the error
-/// value cannot drift).
+/// The error [`stage_costs_in`] reports for a microbatch count that is
+/// zero or exceeds the global batch (shared with the cost table's
+/// evaluation-time check so the error value cannot drift).
 pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), PlanError> {
     if microbatches == 0 || microbatches > model.global_batch {
         return Err(PlanError::InvalidPipeline {
@@ -179,45 +179,6 @@ pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), P
     Ok(())
 }
 
-/// Derives per-stage costs for `stages` of `model` under `plan`, with the
-/// global batch split into `microbatches`.
-///
-/// Derives the stage sub-cluster and per-stage sub-models itself; the
-/// evaluation hot path goes through [`stage_costs_in`] with cached ones
-/// instead.
-///
-/// # Errors
-///
-/// Returns [`PlanError::InvalidPipeline`] for indivisible device counts or
-/// a microbatch count exceeding the global batch.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by sim + benches
-pub fn stage_costs(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    stages: &[Stage],
-    microbatches: usize,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<Vec<StageCosts>, PlanError> {
-    microbatch_bounds(model, microbatches)?;
-    let sub = stage_cluster(cluster, stages.len())?;
-    let models = stage_models(model, stages);
-    stage_costs_in(
-        model,
-        cluster,
-        &sub,
-        &models,
-        plan,
-        workload,
-        stages,
-        microbatches,
-        collective_model,
-        utilization,
-    )
-}
-
 /// Builds every stage's sub-[`ModelArch`] (see [`stage_model`]).
 pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
     stages
@@ -227,14 +188,18 @@ pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
         .collect()
 }
 
-/// [`stage_costs`] against a pre-derived stage sub-cluster and pre-built
-/// per-stage sub-models, so repeated pricing (one call per search key
-/// instead of one per candidate) clones no `ClusterSpec` or `ModelArch`.
+/// Derives per-stage costs for `stages` of `model` under `plan`, with the
+/// global batch split into `microbatches`, against a pre-derived stage
+/// sub-cluster (`sub`, see [`stage_cluster`]) and pre-built per-stage
+/// sub-models (see [`stage_models`]), so repeated pricing (one call per
+/// search key instead of one per candidate) clones no `ClusterSpec` or
+/// `ModelArch`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`stage_costs`].
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by sim + the cost table
+/// Returns [`PlanError::InvalidPipeline`] for a microbatch count that is
+/// zero or exceeds the global batch.
+#[allow(clippy::too_many_arguments)] // internal plumbing of the cost table
 pub fn stage_costs_in(
     model: &ModelArch,
     cluster: &ClusterSpec,
@@ -403,16 +368,35 @@ fn boundary_input_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_model;
-    use madmax_core::HierarchicalNccl;
+    use crate::table::tests::one_plan_table;
     use madmax_hw::catalog;
     use madmax_model::ModelId;
+    use madmax_parallel::PipelineConfig;
 
     fn llm_setup() -> (ModelArch, ClusterSpec, Plan) {
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system();
-        let plan = Plan::fsdp_baseline(&model);
+        // Stage costs do not depend on the memory check.
+        let mut plan = Plan::fsdp_baseline(&model);
+        plan.options.ignore_memory_limits = true;
         (model, sys, plan)
+    }
+
+    /// Primary-phase stage costs of `plan` pipelined `p` x `m`, priced
+    /// through a one-plan table.
+    fn priced_stages(
+        model: &ModelArch,
+        sys: &ClusterSpec,
+        plan: &Plan,
+        workload: Workload,
+        p: usize,
+        m: usize,
+    ) -> Result<Vec<StageCosts>, PlanError> {
+        let plan = plan.clone().with_pipeline(PipelineConfig::gpipe(p, m));
+        let table = one_plan_table(model, sys, &plan, workload);
+        table
+            .priced_for(&plan)
+            .map(|priced| priced.primary.to_vec())
     }
 
     #[test]
@@ -431,29 +415,8 @@ mod tests {
     #[test]
     fn costs_scale_with_microbatches() {
         let (model, sys, plan) = llm_setup();
-        let stages = partition_model(&model, &sys, 8).unwrap();
-        let c8 = stage_costs(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            8,
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        let c32 = stage_costs(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            32,
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
+        let c8 = priced_stages(&model, &sys, &plan, Workload::pretrain(), 8, 8).unwrap();
+        let c32 = priced_stages(&model, &sys, &plan, Workload::pretrain(), 8, 32).unwrap();
         for (a, b) in c8.iter().zip(&c32) {
             // Per-microbatch compute shrinks 4x with 4x the microbatches.
             assert!((a.fwd_compute.as_secs() / b.fwd_compute.as_secs() - 4.0).abs() < 1e-9);
@@ -467,18 +430,7 @@ mod tests {
     #[test]
     fn interior_stages_send_both_ways() {
         let (model, sys, plan) = llm_setup();
-        let stages = partition_model(&model, &sys, 4).unwrap();
-        let costs = stage_costs(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            16,
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
+        let costs = priced_stages(&model, &sys, &plan, Workload::pretrain(), 4, 16).unwrap();
         assert!(costs[0].send_fwd > Seconds::ZERO);
         assert_eq!(costs[0].send_bwd, Seconds::ZERO);
         assert!(costs[1].send_fwd > Seconds::ZERO);
@@ -487,17 +439,7 @@ mod tests {
         assert_eq!(last.send_fwd, Seconds::ZERO);
         assert!(last.send_bwd > Seconds::ZERO);
         // Inference ships no gradients.
-        let infer = stage_costs(
-            &model,
-            &sys,
-            &plan,
-            &Workload::inference(),
-            &stages,
-            16,
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
+        let infer = priced_stages(&model, &sys, &plan, Workload::inference(), 4, 16).unwrap();
         assert!(infer.iter().all(|c| c.send_bwd.is_zero()));
         assert!(infer.iter().all(|c| c.bwd_compute.is_zero()));
     }
@@ -505,19 +447,8 @@ mod tests {
     #[test]
     fn microbatch_bounds_checked() {
         let (model, sys, plan) = llm_setup();
-        let stages = partition_model(&model, &sys, 4).unwrap();
         for bad in [0usize, model.global_batch + 1] {
-            let err = stage_costs(
-                &model,
-                &sys,
-                &plan,
-                &Workload::pretrain(),
-                &stages,
-                bad,
-                &HierarchicalNccl,
-                UtilizationModel::Constant,
-            )
-            .unwrap_err();
+            let err = priced_stages(&model, &sys, &plan, Workload::pretrain(), 4, bad).unwrap_err();
             assert!(matches!(err, PlanError::InvalidPipeline { .. }));
         }
     }

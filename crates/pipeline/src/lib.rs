@@ -10,7 +10,7 @@
 //! and PipeDream-Flush).
 //!
 //! The flat SPMD engine in `madmax-core` rejects pipelined plans;
-//! [`run_pipelined`] is the pipeline-aware engine, and the unified
+//! [`run_pipelined_cached`] is the pipeline-aware engine, and the unified
 //! `madmax_engine::Scenario` front door dispatches between the two based
 //! on the plan's `PipelineConfig`.
 //!
@@ -62,28 +62,39 @@
 //! from cached [`StageCosts`]. `Scenario::analytic_serve(false)` opts a
 //! caller out entirely.
 //!
-//! **PipelineCostTable sharing contract**: `madmax-dse` builds one table
-//! per search (`PipelineCostTable::ensure_plan` for every candidate,
-//! before spawning workers) and shares it read-only (`&PipelineCostTable`
-//! is `Sync`) across the worker pool. A table is priced for one
-//! `(model, cluster, workload)` combination and one set of
-//! pricing-relevant plan options (asserted), and produces reports
-//! byte-identical to the one-shot [`run_pipelined`] path — error shapes
-//! included.
+//! **PipelineCostTable sharing contract**: a single run prices a
+//! one-plan table; `madmax-dse` builds one table per search
+//! (`PipelineCostTable::ensure_plan` for every candidate, before spawning
+//! workers) and shares it read-only (`&PipelineCostTable` is `Sync`)
+//! across the worker pool. A table is priced for one `(model, cluster,
+//! workload)` combination and one set of pricing-relevant plan options
+//! (asserted), and a shared table produces reports byte-identical to a
+//! one-plan table's — error shapes included.
 //!
 //! # Example
 //!
 //! ```
+//! use madmax_core::{EngineScratch, HierarchicalNccl, UtilizationModel};
 //! use madmax_hw::catalog;
 //! use madmax_model::ModelId;
 //! use madmax_parallel::{PipelineConfig, Plan, Workload};
+//! use madmax_pipeline::{run_pipelined_cached, PipelineCostTable};
 //!
 //! let model = ModelId::Llama2.build();
 //! let system = catalog::llama_llm_system();
 //! let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::one_f_one_b(8, 32));
-//! let report =
-//!     madmax_pipeline::run_pipelined_default(&model, &system, &plan, &Workload::pretrain())
-//!         .unwrap();
+//! // Price the plan once, then evaluate it (a search prices every
+//! // candidate into one table and evaluates each against it).
+//! let mut table = PipelineCostTable::new(
+//!     &model,
+//!     &system,
+//!     Workload::pretrain(),
+//!     plan.options,
+//!     &HierarchicalNccl,
+//!     UtilizationModel::Constant,
+//! );
+//! table.ensure_plan(&plan);
+//! let report = run_pipelined_cached(&table, &plan, &mut EngineScratch::new()).unwrap();
 //! let bubble = report.bubble_fraction.unwrap();
 //! assert!(bubble > 0.0 && bubble < 0.5, "{bubble}");
 //! ```
@@ -98,14 +109,11 @@ pub mod schedule;
 pub mod sim;
 pub mod table;
 
-pub use cost::{stage_cluster, stage_costs, stage_costs_in, stage_models, StageCosts};
-pub use memory::{fold_pipeline_memory, pipeline_memory, stage_memory};
+pub use cost::{stage_cluster, stage_costs_in, stage_models, StageCosts};
+pub use memory::{fold_pipeline_memory, stage_memory};
 pub use partition::{partition_model, Stage, StageUnit};
 pub use schedule::{build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into};
-pub use sim::{
-    build_pipelined_trace, run_pipelined, run_pipelined_cached, run_pipelined_default,
-    run_pipelined_scratch,
-};
+pub use sim::run_pipelined_cached;
 pub use table::{PipelineCostTable, PricedPipelineRef};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`

@@ -9,40 +9,6 @@ use madmax_parallel::{
     memory_per_device, MemoryBreakdown, PipelineSchedule, Plan, PlanError, Workload,
 };
 
-use crate::cost::{stage_cluster, stage_models};
-use crate::partition::Stage;
-
-/// Computes the worst-stage per-device footprint of a pipelined mapping and
-/// checks it against usable HBM.
-///
-/// Composed of [`stage_memory`] (the per-stage raw footprints, which do
-/// not depend on the microbatch count or schedule) and
-/// [`fold_pipeline_memory`] (the schedule-aware worst-stage fold); the
-/// shared `PipelineCostTable` caches the former and re-runs only the
-/// latter per candidate.
-///
-/// # Errors
-///
-/// [`PlanError::InvalidStrategy`] for class/strategy mismatches,
-/// [`PlanError::InvalidPipeline`] for indivisible device counts, and
-/// [`PlanError::OutOfMemory`] when the worst stage exceeds usable HBM
-/// (unless the plan ignores memory limits).
-pub fn pipeline_memory(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    stages: &[Stage],
-    microbatches: usize,
-    schedule: PipelineSchedule,
-) -> Result<MemoryBreakdown, PlanError> {
-    plan.validate_strategies(model)?;
-    let sub = stage_cluster(cluster, stages.len())?;
-    let models = stage_models(model, stages);
-    let per_stage = stage_memory(&models, &sub, plan, workload);
-    fold_pipeline_memory(&per_stage, microbatches, schedule, workload, plan, cluster)
-}
-
 /// The raw per-stage footprints of a pipelined mapping: each stage holds
 /// its own sub-model's parameters/gradients/optimizer state on the stage
 /// sub-cluster. Schedule-independent (activations are the full-retention
@@ -62,6 +28,11 @@ pub fn stage_memory(
 
 /// Folds raw per-stage footprints into the worst-stage breakdown for one
 /// `(microbatches, schedule)` candidate and checks it against usable HBM.
+///
+/// Together with [`stage_memory`] this is the worst-stage per-device
+/// footprint of a pipelined mapping; the shared `PipelineCostTable`
+/// caches the per-stage footprints and re-runs only this fold per
+/// candidate.
 ///
 /// # Errors
 ///
@@ -109,9 +80,27 @@ pub fn fold_pipeline_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_model;
-    use madmax_hw::catalog;
-    use madmax_model::ModelId;
+    use crate::table::tests::one_plan_table;
+    use madmax_hw::{catalog, ClusterSpec};
+    use madmax_model::{ModelArch, ModelId};
+    use madmax_parallel::PipelineConfig;
+
+    /// The worst-stage footprint of `plan` pipelined 8 x 32 under
+    /// `schedule`, priced through a one-plan table.
+    fn pipeline_footprint(
+        model: &ModelArch,
+        sys: &ClusterSpec,
+        plan: &Plan,
+        schedule: PipelineSchedule,
+    ) -> MemoryBreakdown {
+        let plan = plan.clone().with_pipeline(PipelineConfig {
+            stages: 8,
+            microbatches: 32,
+            schedule,
+        });
+        let table = one_plan_table(model, sys, &plan, Workload::pretrain());
+        table.priced_for(&plan).unwrap().memory
+    }
 
     #[test]
     fn one_f_one_b_retains_less_than_gpipe() {
@@ -119,27 +108,8 @@ mod tests {
         let sys = catalog::llama_llm_system();
         let mut plan = Plan::fsdp_baseline(&model);
         plan.options.ignore_memory_limits = true;
-        let stages = partition_model(&model, &sys, 8).unwrap();
-        let gpipe = pipeline_memory(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            32,
-            PipelineSchedule::GPipe,
-        )
-        .unwrap();
-        let fb = pipeline_memory(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            32,
-            PipelineSchedule::OneFOneB,
-        )
-        .unwrap();
+        let gpipe = pipeline_footprint(&model, &sys, &plan, PipelineSchedule::GPipe);
+        let fb = pipeline_footprint(&model, &sys, &plan, PipelineSchedule::OneFOneB);
         assert!(fb.activations < gpipe.activations);
         assert_eq!(fb.params, gpipe.params);
         // 8 in-flight of 32 microbatches -> 1/4 the activations.
@@ -154,17 +124,7 @@ mod tests {
         let mut plan = Plan::fsdp_baseline(&model);
         plan.options.ignore_memory_limits = true;
         let flat = memory_per_device(&model, &sys, &plan, &Workload::pretrain());
-        let stages = partition_model(&model, &sys, 8).unwrap();
-        let piped = pipeline_memory(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            32,
-            PipelineSchedule::OneFOneB,
-        )
-        .unwrap();
+        let piped = pipeline_footprint(&model, &sys, &plan, PipelineSchedule::OneFOneB);
         // Each stage's FSDP group is 8x smaller but owns 1/8 of the layers:
         // the sharded parameter bytes stay comparable, while the transient
         // unsharded gather buffer is unchanged. The pipelined footprint must

@@ -1,9 +1,11 @@
-//! The pipeline-aware execution engine: partitions, prices, builds the
-//! schedule trace, and replays it on `madmax-core`'s list scheduler.
+//! The pipeline-aware execution engine: expands a candidate's cached
+//! stage costs into its schedule's trace and replays it on
+//! `madmax-core`'s list scheduler.
 //!
-//! [`run_pipelined`] is the low-level entry point behind the unified
-//! `madmax_engine::Scenario` front door, which dispatches between this
-//! engine and the flat one.
+//! [`run_pipelined_cached`] is the engine's only evaluator. The unified
+//! `madmax_engine::Scenario` front door prices the [`PipelineCostTable`]
+//! (one plan for a single run, every candidate for a search) and
+//! dispatches flat plans to the flat engine instead.
 //!
 //! Serve workloads pipeline the decode stream itself: the prompt's
 //! prefill runs as a forward-only pipeline, then every decode step flows
@@ -13,236 +15,33 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule this engine assembles — the one-shot, scratch, and
-//! cached paths — is cross-checked by `madmax_core::debug_check_schedule`
-//! in debug builds (causality, per-stream exclusivity, non-negative
-//! durations, makespan consistency). The cached path checks only fresh
-//! assemblies: a memo hit returns a report whose schedule was already
+//! Every schedule this engine assembles is cross-checked by
+//! `madmax_core::debug_check_schedule` in debug builds (causality,
+//! per-stream exclusivity, non-negative durations, makespan
+//! consistency). A memo hit returns a report whose schedule was already
 //! checked when it was produced. Release builds skip the check entirely;
 //! the full rule set (stage adjacency, 1F1B in-flight bound, GPipe bubble
 //! floor) lives in `madmax-verify`.
 
-use madmax_hw::ClusterSpec;
-use madmax_model::ModelArch;
-use madmax_parallel::{Plan, PlanError, Workload};
+use madmax_parallel::{Plan, PlanError};
 
-use madmax_core::collective::{CollectiveModel, HierarchicalNccl};
-use madmax_core::compute::UtilizationModel;
-use madmax_core::{
-    schedule, schedule_into, serve_stats_from, EngineScratch, IterationReport, Schedule, Trace,
-};
+use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport};
 
-use crate::cost::{stage_costs, StageCosts};
-use crate::memory::pipeline_memory;
-use crate::partition::partition_model;
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
 use crate::table::PipelineCostTable;
 
-static DEFAULT_COLLECTIVES: HierarchicalNccl = HierarchicalNccl;
-
-/// Everything the pricing half derives for one pipelined run.
-struct PricedPipeline {
-    /// Per-stage costs of the primary phase (training fwd+bwd, or the
-    /// serve prefill).
-    primary: Vec<StageCosts>,
-    /// Per-stage decode costs plus the decode length (serve workloads
-    /// with decode steps).
-    decode: Option<(Vec<StageCosts>, usize)>,
-    cfg: madmax_parallel::PipelineConfig,
-    /// Resolved prompt length (KV tokens cached before decode step 0).
-    prompt_len: usize,
-    memory: madmax_parallel::MemoryBreakdown,
-}
-
-/// The pricing half of the pipeline engine: validate, partition, check
-/// memory, and derive the per-stage costs (per workload phase) the
-/// schedule builders expand. `model` must already be the workload's
-/// effective primary-phase model.
-fn price_pipelined(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<PricedPipeline, PlanError> {
-    let Some(cfg) = plan.pipeline.filter(|c| c.is_pipelined()) else {
-        return Err(PlanError::InvalidPipeline {
-            reason: "plan has no active pipeline config (use the flat engine)".to_owned(),
-        });
-    };
-
-    plan.validate_strategies(model)?;
-    let stages = partition_model(model, cluster, cfg.stages)?;
-    let memory = pipeline_memory(
-        model,
-        cluster,
-        plan,
-        workload,
-        &stages,
-        cfg.microbatches,
-        cfg.schedule,
-    )?;
-    let primary = stage_costs(
-        model,
-        cluster,
-        plan,
-        workload,
-        &stages,
-        cfg.microbatches,
-        collective_model,
-        utilization,
-    )?;
-    let decode = match workload.decode_model(model) {
-        Some(decode_model) => {
-            let costs = stage_costs(
-                &decode_model,
-                cluster,
-                plan,
-                workload,
-                &stages,
-                cfg.microbatches,
-                collective_model,
-                utilization,
-            )?;
-            let decode_len = workload
-                .serve_config()
-                .expect("decode model implies serve")
-                .decode_len;
-            Some((costs, decode_len))
-        }
-        None => None,
-    };
-    Ok(PricedPipeline {
-        primary,
-        decode,
-        cfg,
-        prompt_len: model.context_length,
-        memory,
-    })
-}
-
-fn build_into(priced: &PricedPipeline, workload: &Workload, trace: &mut Trace) {
-    match &priced.decode {
-        Some((decode, decode_len)) => build_serve_trace_into(
-            &priced.primary,
-            decode,
-            &priced.cfg,
-            *decode_len,
-            priced.prompt_len,
-            trace,
-        ),
-        None => {
-            build_pipeline_trace_into(&priced.primary, &priced.cfg, workload.has_backward(), trace);
-        }
-    }
-}
-
-fn attach_serve_stats(
-    report: &mut IterationReport,
-    priced: &PricedPipeline,
-    model: &ModelArch,
-    trace: &Trace,
-    sched: &Schedule,
-) {
-    if let Some((_, decode_len)) = &priced.decode {
-        report.serve = Some(serve_stats_from(
-            trace,
-            sched,
-            priced.prompt_len,
-            *decode_len,
-            model.global_batch,
-        ));
-    }
-}
-
-/// Runs the pipeline engine end to end on a plan whose
-/// [`madmax_parallel::PipelineConfig`] is active: the model is split into
-/// balanced contiguous stages, the global batch into microbatches, and the
-/// chosen schedule (GPipe or 1F1B) is replayed on per-stage streams.
-/// Serve workloads run prefill waves followed by the pipelined decode
-/// stream.
+/// The pipeline engine: evaluates `plan` against a pre-priced
+/// [`PipelineCostTable`] using caller-owned buffers. The plan's
+/// [`madmax_parallel::PipelineConfig`] must be active: the model is split
+/// into balanced contiguous stages, the global batch into microbatches,
+/// and the chosen schedule (GPipe or 1F1B) is replayed on per-stage
+/// streams. Serve workloads run prefill waves followed by the pipelined
+/// decode stream.
 ///
-/// # Errors
-///
-/// [`PlanError::InvalidPipeline`] when the plan has no active pipeline
-/// config or the pipeline cannot be mapped (too few layers, indivisible
-/// devices, bad microbatch count); [`PlanError::InvalidStrategy`] /
-/// [`PlanError::OutOfMemory`] as in the flat engine.
-pub fn run_pipelined(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<(IterationReport, Trace, Schedule), PlanError> {
-    let eff = workload.effective_model(model);
-    let priced = {
-        let _span = madmax_core::prof::span("price.pipeline");
-        price_pipelined(&eff, cluster, plan, workload, collective_model, utilization)?
-    };
-    let mut trace = Trace::new();
-    let sched = {
-        let _span = madmax_core::prof::span("assemble.pipeline");
-        build_into(&priced, workload, &mut trace);
-        schedule(&trace)
-    };
-    if cfg!(debug_assertions) {
-        madmax_core::debug_check_schedule(&trace, &sched);
-    }
-    let _span = madmax_core::prof::span("report.pipeline");
-    let mut report = IterationReport::from_schedule(&trace, &sched, &eff, priced.memory);
-    attach_serve_stats(&mut report, &priced, &eff, &trace, &sched);
-    Ok((report, trace, sched))
-}
-
-/// The pipeline engine's buffer-recycling path: like [`run_pipelined`]
-/// but expanding the schedule into caller-owned buffers, so a
-/// design-space-exploration worker reuses one trace arena, schedule, and
-/// stream-slot table across candidates. The report is byte-identical to
-/// [`run_pipelined`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_pipelined`].
-pub fn run_pipelined_scratch(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-    scratch: &mut EngineScratch,
-) -> Result<IterationReport, PlanError> {
-    let eff = workload.effective_model(model);
-    let priced = price_pipelined(&eff, cluster, plan, workload, collective_model, utilization)?;
-    build_into(&priced, workload, &mut scratch.trace);
-    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
-    if cfg!(debug_assertions) {
-        madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
-    }
-    let mut report = IterationReport::from_schedule_in(
-        &scratch.trace,
-        &scratch.sched,
-        &eff,
-        priced.memory,
-        &mut scratch.report,
-    );
-    attach_serve_stats(&mut report, &priced, &eff, &scratch.trace, &scratch.sched);
-    Ok(report)
-}
-
-/// The pipeline engine's allocation-free fast path: evaluates `plan`
-/// against a shared, pre-priced [`PipelineCostTable`] using caller-owned
-/// buffers.
-///
-/// This is the joint-search hot path — the report is byte-identical to
-/// [`run_pipelined`] with the same inputs, but no partitioning, memory
-/// derivation, or cost-model pricing runs per candidate (everything comes
-/// from the table) and the trace arena, schedule, and stream-slot table in
-/// `scratch` are recycled across calls. Two layers collapse repeated
-/// work further:
+/// No partitioning, memory derivation, or cost-model pricing runs per
+/// call (everything comes from the table) and the trace arena, schedule,
+/// and stream-slot table in `scratch` are recycled across calls. Two
+/// layers collapse repeated work further:
 ///
 /// - a candidate whose assembly inputs were already evaluated through
 ///   this table — by *any* worker; the memo store is shared — returns the
@@ -256,9 +55,16 @@ pub fn run_pipelined_scratch(
 ///   synthesized report is byte-identical to full simulation (automatic
 ///   fallback when the exactness conditions fail).
 ///
+/// When neither the memo nor the closed form answers — always the case
+/// on a fresh table with [`PipelineCostTable::set_analytic_serve`] off —
+/// `scratch` holds the fully assembled trace and its schedule afterwards.
+///
 /// # Errors
 ///
-/// Same conditions as [`run_pipelined`].
+/// [`PlanError::InvalidPipeline`] when the plan has no active pipeline
+/// config or the pipeline cannot be mapped (too few layers, indivisible
+/// devices, bad microbatch count); [`PlanError::InvalidStrategy`] /
+/// [`PlanError::OutOfMemory`] as in the flat engine.
 ///
 /// # Panics
 ///
@@ -357,69 +163,25 @@ pub fn run_pipelined_cached(
     Ok(report)
 }
 
-/// Builds the pipelined stage trace without scheduling it (for
-/// inspection / timeline rendering).
-///
-/// # Errors
-///
-/// Same conditions as [`run_pipelined`].
-pub fn build_pipelined_trace(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<Trace, PlanError> {
-    let eff = workload.effective_model(model);
-    let priced = price_pipelined(&eff, cluster, plan, workload, collective_model, utilization)?;
-    let mut trace = Trace::new();
-    build_into(&priced, workload, &mut trace);
-    Ok(trace)
-}
-
-/// Runs the pipeline engine with the default cost models, falling back to
-/// the flat engine for non-pipelined plans (the pipelined half of
-/// `madmax_engine::Scenario`).
-///
-/// # Errors
-///
-/// Same conditions as [`run_pipelined`] / `madmax_core::run_flat`.
-pub fn run_pipelined_default(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-) -> Result<IterationReport, PlanError> {
-    if plan.pipeline.is_some_and(|c| c.is_pipelined()) {
-        run_pipelined(
-            model,
-            cluster,
-            plan,
-            workload,
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .map(|(report, _, _)| report)
-    } else {
-        madmax_core::run_flat_default(model, cluster, plan, workload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madmax_hw::catalog;
-    use madmax_model::ModelId;
-    use madmax_parallel::{PipelineConfig, ServeConfig};
+    use crate::table::tests::one_plan_table;
+    use madmax_core::{HierarchicalNccl, UtilizationModel};
+    use madmax_hw::{catalog, ClusterSpec};
+    use madmax_model::{ModelArch, ModelId};
+    use madmax_parallel::{PipelineConfig, ServeConfig, Workload};
 
-    fn simulate(
+    /// Runs `plan` on a one-plan table, simulating serve decodes in full.
+    fn evaluate(
         model: &ModelArch,
         cluster: &ClusterSpec,
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        run_pipelined_default(model, cluster, plan, &workload)
+        let mut table = one_plan_table(model, cluster, plan, workload);
+        table.set_analytic_serve(false);
+        run_pipelined_cached(&table, plan, &mut EngineScratch::new())
     }
 
     #[test]
@@ -427,7 +189,7 @@ mod tests {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 16));
-        let r = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let r = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         let bubble = r.bubble_fraction.expect("pipelined run reports bubble");
         // Fill/drain overhead plus transfer/parameter-fetch slack: at least
         // the analytic floor, and well below 1.
@@ -440,24 +202,21 @@ mod tests {
     }
 
     #[test]
-    fn non_pipelined_plan_delegates_to_flat_engine() {
-        let model = ModelId::DlrmA.build();
-        let sys = catalog::zionex_dlrm_system();
-        let plan = Plan::fsdp_baseline(&model);
-        let flat =
-            madmax_core::run_flat_default(&model, &sys, &plan, &Workload::pretrain()).unwrap();
-        let piped = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-        assert_eq!(flat, piped);
-        assert!(piped.bubble_fraction.is_none());
-    }
-
-    #[test]
     fn flat_engine_rejects_pipelined_plans() {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 16));
+        let mut table = madmax_core::CostTable::new(
+            &model,
+            &sys,
+            Workload::pretrain(),
+            plan.options,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+        );
+        table.ensure_plan(&plan);
         let err =
-            madmax_core::run_flat_default(&model, &sys, &plan, &Workload::pretrain()).unwrap_err();
+            madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new()).unwrap_err();
         assert!(
             matches!(err, PlanError::PipelinedPlan { stages: 8 }),
             "{err}"
@@ -469,15 +228,7 @@ mod tests {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let err = run_pipelined(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .unwrap_err();
+        let err = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap_err();
         assert!(matches!(err, PlanError::InvalidPipeline { .. }), "{err}");
     }
 
@@ -488,7 +239,7 @@ mod tests {
         let mut last = f64::INFINITY;
         for m in [4usize, 16, 64] {
             let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::one_f_one_b(8, m));
-            let r = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+            let r = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
             let bubble = r.bubble_fraction.unwrap();
             assert!(bubble < last, "m={m}: {bubble} vs {last}");
             last = bubble;
@@ -500,7 +251,7 @@ mod tests {
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system(); // 256 nodes
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(7, 8));
-        let err = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap_err();
+        let err = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap_err();
         assert!(matches!(err, PlanError::InvalidPipeline { .. }), "{err}");
     }
 
@@ -509,8 +260,8 @@ mod tests {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 16));
-        let infer = simulate(&model, &sys, &plan, Workload::inference()).unwrap();
-        let train = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let infer = evaluate(&model, &sys, &plan, Workload::inference()).unwrap();
+        let train = evaluate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         assert!(infer.iteration_time < train.iteration_time);
         use madmax_parallel::CollectiveKind;
         assert!(!infer
@@ -525,7 +276,7 @@ mod tests {
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 16));
         let workload = Workload::serve(ServeConfig::new(1024, 32));
-        let r = simulate(&model, &sys, &plan, workload).unwrap();
+        let r = evaluate(&model, &sys, &plan, workload).unwrap();
         let s = r.serve.expect("decode run reports serve stats");
         assert_eq!(s.prompt_len, 1024);
         assert_eq!(s.decode_len, 32);
@@ -534,34 +285,5 @@ mod tests {
         // The decode stream dominates iteration time here, and throughput
         // accounting follows the serve batch.
         assert!(r.serve_tokens_per_sec().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn scratch_path_matches_one_shot_for_serve() {
-        let model = ModelId::Llama2.build();
-        let sys = catalog::llama_llm_system();
-        let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::one_f_one_b(8, 8));
-        let workload = Workload::serve(ServeConfig::new(512, 16).with_decode_batch(512));
-        let (one_shot, _, _) = run_pipelined(
-            &model,
-            &sys,
-            &plan,
-            &workload,
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        let mut scratch = EngineScratch::new();
-        let recycled = run_pipelined_scratch(
-            &model,
-            &sys,
-            &plan,
-            &workload,
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(one_shot, recycled);
     }
 }

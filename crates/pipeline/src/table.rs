@@ -39,8 +39,8 @@
 //! across worker threads (it is `Sync`). Assembling a plan whose depth,
 //! assignment, or microbatch count was never priced panics; error-shaped
 //! candidates (invalid strategies, unmappable depths, OOM folds, bad
-//! microbatch counts) are *not* priced and instead reproduce
-//! `price_pipelined`'s exact error at evaluation time.
+//! microbatch counts) are *not* priced and instead report their error at
+//! evaluation time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -433,9 +433,8 @@ impl<'a> PipelineCostTable<'a> {
         };
         let ae = &mut entry.assignments[ai].1;
 
-        // Mirror the uncached path's work exactly: candidates that fail
-        // the memory fold or the microbatch bounds are never priced there
-        // either (they error out first).
+        // Candidates that fail the memory fold or the microbatch bounds
+        // are never priced: `priced_for` reports their error first.
         if fold_pipeline_memory(
             &ae.per_stage_memory,
             cfg.microbatches,
@@ -528,14 +527,14 @@ impl<'a> PipelineCostTable<'a> {
     }
 
     /// Resolves one candidate against the table: borrowed priced stages
-    /// plus the candidate's memory fold — or exactly the error
-    /// `price_pipelined` would produce, in exactly its order (invalid
-    /// strategies, then unmappable partition/sub-cluster, then the memory
-    /// fold incl. OOM, then microbatch bounds per phase).
+    /// plus the candidate's memory fold — or the candidate's error, checked
+    /// in a fixed order (no active pipeline config, invalid strategies,
+    /// then unmappable partition/sub-cluster, then the memory fold incl.
+    /// OOM, then microbatch bounds per phase).
     ///
     /// # Errors
     ///
-    /// Same conditions as `run_pipelined`.
+    /// Same conditions as [`crate::run_pipelined_cached`].
     ///
     /// # Panics
     ///
@@ -630,14 +629,14 @@ impl<'a> PipelineCostTable<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use madmax_core::HierarchicalNccl;
     use madmax_hw::catalog;
     use madmax_model::ModelId;
     use madmax_parallel::{PipelineSchedule, ServeConfig, Strategy};
 
-    fn table_for<'a>(
+    pub(crate) fn table_for<'a>(
         model: &'a ModelArch,
         sys: &'a ClusterSpec,
         workload: Workload,
@@ -651,6 +650,18 @@ mod tests {
             &HierarchicalNccl,
             UtilizationModel::Constant,
         )
+    }
+
+    /// A table priced for `plan` alone.
+    pub(crate) fn one_plan_table<'a>(
+        model: &'a ModelArch,
+        sys: &'a ClusterSpec,
+        plan: &Plan,
+        workload: Workload,
+    ) -> PipelineCostTable<'a> {
+        let mut table = table_for(model, sys, workload, plan.options);
+        table.ensure_plan(plan);
+        table
     }
 
     #[test]
@@ -685,10 +696,16 @@ mod tests {
         let mut table = table_for(&model, &sys, Workload::pretrain(), base.options);
         table.ensure_plan(&plan);
         let priced = table.priced_for(&plan).unwrap();
+        // Derive the same key from scratch: partition, sub-cluster,
+        // sub-models, stage costs, and the memory fold.
         let stages = partition_model(&model, &sys, 8).unwrap();
-        let fresh = crate::cost::stage_costs(
+        let sub = stage_cluster(&sys, 8).unwrap();
+        let models = stage_models(&model, &stages);
+        let fresh = stage_costs_in(
             &model,
             &sys,
+            &sub,
+            &models,
             &plan,
             &Workload::pretrain(),
             &stages,
@@ -698,14 +715,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(priced.primary, fresh.as_slice());
-        let fresh_mem = crate::memory::pipeline_memory(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
+        let fresh_mem = fold_pipeline_memory(
+            &stage_memory(&models, &sub, &plan, &Workload::pretrain()),
             32,
             PipelineSchedule::OneFOneB,
+            &Workload::pretrain(),
+            &plan,
+            &sys,
         )
         .unwrap();
         assert_eq!(priced.memory, fresh_mem);

@@ -23,14 +23,9 @@
 //! coefficients), affine everywhere else — exactly the structure the
 //! event layer's closed-form jumps require.
 
-use madmax_core::collective::CollectiveModel;
-use madmax_core::compute::UtilizationModel;
 use madmax_core::steady::grid_units;
-use madmax_core::{CostTable, EngineScratch, IterationReport};
-use madmax_hw::ClusterSpec;
-use madmax_model::ModelArch;
-use madmax_parallel::{Plan, PlanError, ServeConfig, Workload};
-use madmax_pipeline::PipelineCostTable;
+use madmax_core::IterationReport;
+use madmax_parallel::{Plan, ServeConfig};
 
 use crate::arrival::ArrivalEvent;
 use crate::LoadError;
@@ -81,45 +76,6 @@ fn div_round(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Runs one probe scenario through the matching engine and returns its
-/// report.
-fn probe(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    cfg: ServeConfig,
-    collectives: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-    scratch: &mut EngineScratch,
-) -> Result<IterationReport, PlanError> {
-    let workload = Workload::serve(cfg);
-    if plan.pipeline.is_some_and(|c| c.is_pipelined()) {
-        let mut table = PipelineCostTable::new(
-            model,
-            system,
-            workload,
-            plan.options,
-            collectives,
-            utilization,
-        );
-        table.set_analytic_serve(true);
-        table.ensure_plan(plan);
-        madmax_pipeline::run_pipelined_cached(&table, plan, scratch)
-    } else {
-        let mut table = CostTable::new(
-            model,
-            system,
-            workload,
-            plan.options,
-            collectives,
-            utilization,
-        );
-        table.set_analytic_serve(true);
-        table.ensure_plan(plan);
-        madmax_core::run_flat_cached(&table, plan, scratch)
-    }
-}
-
 /// The exact grid-unit count of a probed duration.
 fn units(d: madmax_hw::units::Seconds, what: &str) -> Result<i64, LoadError> {
     grid_units(d).ok_or_else(|| LoadError::GridRange(format!("probed {what} {d:?} off-grid")))
@@ -131,29 +87,28 @@ impl StepCostModel {
     /// in `arrivals` (their prompt/decode extremes pick the probe
     /// anchors and the worst-case feasibility check).
     ///
+    /// `probe` evaluates `plan` on one synchronized serve wave of the
+    /// given shape (`madmax_engine::Scenario::price_load` passes the
+    /// engine's evaluator); its errors pass through unchanged.
+    ///
     /// # Errors
     ///
-    /// [`LoadError::Plan`] when any probe fails (OOM holding `slots`
-    /// sequences at the worst-case context, unmappable pipeline, ...);
-    /// [`LoadError::GridRange`] when probed durations are off-grid or
-    /// degenerate; [`LoadError::Spec`] for an empty arrival set or zero
-    /// `slots`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn price(
-        model: &ModelArch,
-        system: &ClusterSpec,
+    /// Any probe error (OOM holding `slots` sequences at the worst-case
+    /// context, unmappable pipeline, ...); [`LoadError::GridRange`] when
+    /// probed durations are off-grid or degenerate; [`LoadError::Spec`]
+    /// for an empty arrival set or zero `slots`.
+    pub fn price<E: From<LoadError>>(
         plan: &Plan,
         serve: &ServeConfig,
         slots: usize,
         arrivals: &[ArrivalEvent],
-        collectives: &dyn CollectiveModel,
-        utilization: UtilizationModel,
-    ) -> Result<Self, LoadError> {
+        mut probe: impl FnMut(ServeConfig) -> Result<IterationReport, E>,
+    ) -> Result<Self, E> {
         if slots == 0 {
-            return Err(LoadError::Spec("slots must be >= 1".to_owned()));
+            return Err(LoadError::Spec("slots must be >= 1".to_owned()).into());
         }
         let Some(first) = arrivals.first() else {
-            return Err(LoadError::Spec("no arrivals to price against".to_owned()));
+            return Err(LoadError::Spec("no arrivals to price against".to_owned()).into());
         };
         let (mut p_lo, mut p_hi, mut d_max) = (first.prompt_len, first.prompt_len, 0usize);
         for a in arrivals {
@@ -176,19 +131,8 @@ impl StepCostModel {
             decode_batch: Some(batch),
             kv_cache: serve.kv_cache,
         };
-        let mut scratch = EngineScratch::new();
-        let mut run = |prompt: usize, decode: usize, batch: usize| {
-            probe(
-                model,
-                system,
-                plan,
-                cfg(prompt, decode, batch),
-                collectives,
-                utilization,
-                &mut scratch,
-            )
-            .map_err(LoadError::from)
-        };
+        let mut run =
+            |prompt: usize, decode: usize, batch: usize| probe(cfg(prompt, decode, batch));
 
         // Worst-case feasibility: `slots` sequences at the largest
         // context must fit device memory (the paged-block budget is a
@@ -213,7 +157,8 @@ impl StepCostModel {
         if p_cap <= 0 {
             return Err(LoadError::GridRange(format!(
                 "degenerate decode-step probe: step cost {p_cap} units"
-            )));
+            ))
+            .into());
         }
         let step_rate = div_round(r_cap.max(0), slots as i64);
 
@@ -235,7 +180,8 @@ impl StepCostModel {
         if p_one <= 0 {
             return Err(LoadError::GridRange(format!(
                 "degenerate decode-step probe: step cost {p_one} units at batch {b_lo}"
-            )));
+            ))
+            .into());
         }
 
         // Prefill slope: the second anchor sits at the largest context a
@@ -318,10 +264,11 @@ impl StepCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madmax_core::collective::HierarchicalNccl;
-    use madmax_hw::catalog;
-    use madmax_model::ModelId;
-    use madmax_parallel::PipelineConfig;
+    use madmax_core::steady::grid_seconds;
+    use madmax_core::ServeStats;
+    use madmax_hw::units::Seconds;
+    use madmax_model::{BatchUnit, ModelId};
+    use madmax_parallel::{MemoryBreakdown, PipelineConfig, PlanError};
 
     fn arrivals(prompt: usize, decode: usize, n: usize) -> Vec<ArrivalEvent> {
         (0..n)
@@ -333,68 +280,85 @@ mod tests {
             .collect()
     }
 
+    /// A synthetic engine with exactly the affine structure the model
+    /// fits, in grid units: one request's prefill costs
+    /// `PREFILL.0 + PREFILL.1 * ctx`, and decode step `j` of a
+    /// `batch`-sequence wave reads `ctx + j` cached tokens per sequence
+    /// and costs `STEP.0 + STEP.1 * batch + STEP.2 * batch * (ctx + j)`.
+    const PREFILL: (i64, i64) = (40_000, 300);
+    const STEP: (i64, i64, i64) = (9_000, 700, 3);
+
+    fn wave(cfg: ServeConfig) -> Result<IterationReport, LoadError> {
+        let ctx = cfg.prompt_len.expect("probes pin the prompt") as i64;
+        let batch = cfg.decode_batch.expect("probes pin the batch") as i64;
+        let ttft = PREFILL.0 + PREFILL.1 * ctx;
+        let decode: i64 = (0..cfg.decode_len as i64)
+            .map(|j| STEP.0 + STEP.1 * batch + STEP.2 * batch * (ctx + j))
+            .sum();
+        let iteration = grid_seconds(ttft + decode);
+        Ok(IterationReport {
+            iteration_time: iteration,
+            serialized_time: iteration,
+            gemm_time: Seconds::ZERO,
+            lookup_time: Seconds::ZERO,
+            optimizer_time: Seconds::ZERO,
+            comm_time: Seconds::ZERO,
+            comm_by_collective: Default::default(),
+            gemm_by_class: Default::default(),
+            exposed_comm: Seconds::ZERO,
+            exposed_by_collective: Default::default(),
+            bubble_fraction: None,
+            memory: MemoryBreakdown::default(),
+            serve: Some(ServeStats {
+                prompt_len: ctx as usize,
+                decode_len: cfg.decode_len,
+                decode_batch: batch as usize,
+                ttft: grid_seconds(ttft),
+                tpot: grid_seconds(decode / (cfg.decode_len as i64).max(1)),
+            }),
+            global_batch: batch as usize,
+            tokens_per_iteration: 0.0,
+            batch_unit: BatchUnit::Tokens,
+        })
+    }
+
     #[test]
     fn priced_models_predict_probe_differences() {
         let model = ModelId::Llama2.build();
-        let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let slots = 8usize;
-        let m = StepCostModel::price(
-            &model,
-            &sys,
-            &plan,
-            &serve,
-            slots,
-            &arrivals(256, 64, 4),
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        assert!(m.step_rate >= 0);
-        assert!(m.prefill_slope >= 0);
+        let m = StepCostModel::price(&plan, &serve, slots, &arrivals(256, 64, 4), wave).unwrap();
+        // Every coefficient of an exactly affine engine is recovered.
+        assert_eq!((m.prefill_base, m.prefill_slope), PREFILL);
+        assert_eq!((m.step_base, m.step_seq, m.step_rate), STEP);
         // Held-out check: the model's step cost reproduces the engine's
         // first difference at an unprobed decode length.
-        let mut scratch = EngineScratch::new();
-        let run = |d: usize, scratch: &mut EngineScratch| {
-            probe(
-                &model,
-                &sys,
-                &plan,
-                ServeConfig::new(256, d).with_decode_batch(slots),
-                &HierarchicalNccl,
-                UtilizationModel::Constant,
-                scratch,
-            )
-            .unwrap()
+        let run = |d: usize| {
+            let cfg = ServeConfig::new(256, d).with_decode_batch(slots);
+            grid_units(wave(cfg).unwrap().iteration_time).unwrap()
         };
-        let a = grid_units(run(72, &mut scratch).iteration_time).unwrap();
-        let b = grid_units(run(73, &mut scratch).iteration_time).unwrap();
-        let actual = b - a;
+        let actual = run(73) - run(72);
         let predicted = m
             .step_units(slots as u64, slots as i64 * (256 + 72))
             .unwrap();
-        let rel = (predicted - actual).abs() as f64 / actual as f64;
-        assert!(rel < 1e-3, "predicted {predicted} vs actual {actual}");
+        assert_eq!(predicted, actual);
     }
 
     #[test]
     fn prefill_scales_with_context_and_pipelined_plans_price() {
         let model = ModelId::Llama2.build();
-        let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
         let serve = ServeConfig::new(128, 32).with_decode_batch(4);
-        let m = StepCostModel::price(
-            &model,
-            &sys,
-            &plan,
-            &serve,
-            4,
-            &arrivals(128, 32, 2),
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
+        // A pipelined plan is never probed below its microbatch count.
+        let probe = |cfg: ServeConfig| {
+            assert!(
+                cfg.decode_batch.unwrap() >= 4,
+                "probed below the microbatches"
+            );
+            wave(cfg)
+        };
+        let m = StepCostModel::price(&plan, &serve, 4, &arrivals(128, 32, 2), probe).unwrap();
         let short = m.prefill_units(128).unwrap();
         let long = m.prefill_units(160).unwrap();
         assert!(long >= short);
@@ -404,20 +368,16 @@ mod tests {
     #[test]
     fn oom_probes_surface_as_plan_errors() {
         let model = ModelId::Llama2.build();
-        let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
         let serve = ServeConfig::new(4096, 2_000_000).with_decode_batch(1 << 14);
-        let err = StepCostModel::price(
-            &model,
-            &sys,
-            &plan,
-            &serve,
-            1 << 14,
-            &arrivals(4096, 2_000_000, 1),
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap_err();
+        let oom = |_: ServeConfig| -> Result<IterationReport, LoadError> {
+            Err(LoadError::Plan(PlanError::OutOfMemory {
+                required: madmax_hw::units::ByteCount::from_gb(2.0),
+                usable: madmax_hw::units::ByteCount::from_gb(1.0),
+            }))
+        };
+        let err = StepCostModel::price(&plan, &serve, 1 << 14, &arrivals(4096, 2_000_000, 1), oom)
+            .unwrap_err();
         assert!(err.is_oom(), "{err}");
     }
 }

@@ -61,15 +61,11 @@
 //! let workload = Workload::pretrain();
 //! assert!(lint_plan(&model, &system, &plan, &workload).is_clean());
 //!
-//! let (_, trace, sched) = madmax_core::run_flat(
-//!     &model,
-//!     &system,
-//!     &plan,
-//!     &workload,
-//!     &madmax_core::HierarchicalNccl,
-//!     madmax_core::UtilizationModel::Constant,
-//! )
-//! .unwrap();
+//! let (_, trace, sched) = madmax_engine::Scenario::new(&model, &system)
+//!     .plan_ref(&plan)
+//!     .workload_ref(&workload)
+//!     .run_with_trace()
+//!     .unwrap();
 //! let report = Verifier::for_plan(&plan, &workload).verify(&trace, &sched);
 //! assert!(report.is_clean(), "{report}");
 //! let cp = report.critical_path.unwrap();

@@ -7,7 +7,7 @@
 //! ```
 
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
-use madmax_engine::simulate;
+use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{LayerClass, ModelId};
 use madmax_parallel::{HierStrategy, Plan, Strategy, Workload};
@@ -43,12 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dir.join("system.json"),
         dir.join("experiment.json"),
     )?;
-    let report = simulate(
-        &loaded.model,
-        &loaded.system,
-        &loaded.experiment.plan,
-        loaded.experiment.workload,
-    )?;
+    let report = Scenario::new(&loaded.model, &loaded.system)
+        .plan(loaded.experiment.plan)
+        .workload(loaded.experiment.workload)
+        .run()?;
     println!(
         "{} on {}: {:.2} MQPS, {:.2} ms/iteration, {:.1}% comm exposed",
         loaded.model.name,

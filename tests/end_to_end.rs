@@ -3,10 +3,23 @@
 
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::StreamId;
-use madmax_engine::{simulate, Scenario};
+use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{LayerClass, ModelId};
-use madmax_parallel::{HierStrategy, Plan, Strategy, Workload};
+use madmax_parallel::{HierStrategy, Plan, ServeConfig, Strategy, Workload};
+
+/// Runs `plan` on `workload` through the engine's front door.
+fn run_plan(
+    model: &madmax_model::ModelArch,
+    system: &madmax_hw::ClusterSpec,
+    plan: &Plan,
+    workload: Workload,
+) -> Result<madmax_core::IterationReport, madmax_engine::EngineError> {
+    Scenario::new(model, system)
+        .plan_ref(plan)
+        .workload(workload)
+        .run()
+}
 
 #[test]
 fn json_round_trip_preserves_simulation_results() {
@@ -18,7 +31,7 @@ fn json_round_trip_preserves_simulation_results() {
             catalog::llama_llm_system()
         };
         let plan = Plan::fsdp_baseline(&model);
-        let direct = simulate(&model, &system, &plan, Workload::pretrain()).unwrap();
+        let direct = run_plan(&model, &system, &plan, Workload::pretrain()).unwrap();
 
         let cfg = SimulationConfig {
             model,
@@ -30,7 +43,7 @@ fn json_round_trip_preserves_simulation_results() {
         };
         let json = cfg.to_json().unwrap();
         let loaded = SimulationConfig::from_json(&json).unwrap();
-        let reloaded = simulate(
+        let reloaded = run_plan(
             &loaded.model,
             &loaded.system,
             &loaded.experiment.plan,
@@ -46,8 +59,8 @@ fn simulation_is_deterministic() {
     let model = ModelId::DlrmATransformer.build();
     let sys = catalog::zionex_dlrm_system();
     let plan = Plan::fsdp_baseline(&model);
-    let a = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
-    let b = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+    let a = run_plan(&model, &sys, &plan, Workload::pretrain()).unwrap();
+    let b = run_plan(&model, &sys, &plan, Workload::pretrain()).unwrap();
     assert_eq!(a, b);
 }
 
@@ -99,7 +112,7 @@ fn accounting_identities_hold_across_suite() {
         };
         let plan = Plan::fsdp_baseline(&model);
         for task in [Workload::pretrain(), Workload::inference()] {
-            let r = simulate(&model, &sys, &plan, task).unwrap();
+            let r = run_plan(&model, &sys, &plan, task).unwrap();
             // Serialized >= overlapped; exposed <= total comm; category sums
             // match totals.
             assert!(r.serialized_time >= r.iteration_time, "{id}");
@@ -134,7 +147,7 @@ fn more_nodes_increase_throughput_but_sublinearly_for_dlrm() {
         scaled.global_batch = 512 * sys.total_devices();
         let mut plan = Plan::fsdp_baseline(&scaled);
         plan.options.ignore_memory_limits = true; // isolate network scaling
-        let r = simulate(&scaled, &sys, &plan, Workload::pretrain()).unwrap();
+        let r = run_plan(&scaled, &sys, &plan, Workload::pretrain()).unwrap();
         throughputs.push(r.samples_per_sec());
     }
     assert!(throughputs[1] > throughputs[0]);
@@ -151,9 +164,9 @@ fn collective_dtype_halves_fsdp_traffic() {
     let sys = catalog::zionex_dlrm_system();
     let mut plan = Plan::fsdp_baseline(&model);
     plan.options.collective_dtype = madmax_hw::DType::Bf16;
-    let bf16 = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+    let bf16 = run_plan(&model, &sys, &plan, Workload::pretrain()).unwrap();
     plan.options.collective_dtype = madmax_hw::DType::Fp32;
-    let fp32 = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+    let fp32 = run_plan(&model, &sys, &plan, Workload::pretrain()).unwrap();
     // FSDP AllGather/ReduceScatter payloads double at fp32 on the wire;
     // All2All (activation) payloads are unchanged.
     let ag16 = bf16.comm_by_collective[&madmax_parallel::CollectiveKind::AllGather];
@@ -173,8 +186,8 @@ fn single_node_dlrm_has_no_internode_bottleneck() {
     m1.global_batch = 2048 * 8;
     let mut plan = Plan::fsdp_baseline(&m1);
     plan.options.ignore_memory_limits = true;
-    let r1 = simulate(&m1, &one, &plan, Workload::pretrain()).unwrap();
-    let r16 = simulate(
+    let r1 = run_plan(&m1, &one, &plan, Workload::pretrain()).unwrap();
+    let r16 = run_plan(
         &model,
         &sixteen,
         &Plan::fsdp_baseline(&model),
@@ -192,10 +205,116 @@ fn moe_expert_parallelism_creates_blocking_a2a() {
     let sys = catalog::llama_llm_system();
     let plan = Plan::fsdp_baseline(&model)
         .with_strategy(LayerClass::Moe, HierStrategy::flat(Strategy::Shard));
-    let r = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+    let r = run_plan(&model, &sys, &plan, Workload::pretrain()).unwrap();
     let a2a = r.comm_by_collective[&madmax_parallel::CollectiveKind::AllToAll];
     assert!(a2a.as_secs() > 0.0);
     // MoE A2A is on the critical path: some of it must be exposed.
     let exposed_a2a = r.exposed_by_collective[&madmax_parallel::CollectiveKind::AllToAll];
     assert!(exposed_a2a.as_secs() > 0.0);
+}
+
+/// Runs the `madmax` CLI, failing the test instead of hanging when it
+/// does not finish within a minute.
+fn madmax(args: &[&str]) -> std::process::Output {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_madmax"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("madmax binary starts");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("madmax is waitable").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("`madmax {}` did not finish within 60 s", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("madmax output")
+}
+
+#[test]
+fn cli_rejects_zero_decode_batch_and_prompt() {
+    for (flag, value, field) in [
+        ("--decode-batch", "0", "decode_batch"),
+        ("--prompt", "0", "prompt_len"),
+    ] {
+        let mut args = vec![
+            "simulate", "--model", "llama2", "--system", "llama", "--task", "serve", "--prompt",
+            "512", "--decode", "16",
+        ];
+        args.extend([flag, value]);
+        let out = madmax(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} must fail: {stderr}");
+        assert!(stderr.contains(field), "{stderr}");
+    }
+}
+
+#[test]
+fn json_configs_with_zero_decode_batch_or_prompt_are_rejected() {
+    let model = ModelId::Llama2.build();
+    let cfg = SimulationConfig {
+        experiment: ExperimentSpec {
+            workload: Workload::serve(ServeConfig::new(512, 16).with_decode_batch(8)),
+            plan: Plan::fsdp_baseline(&model),
+        },
+        model,
+        system: catalog::llama_llm_system(),
+    };
+    let json = cfg.to_json().unwrap();
+    for (from, to, field) in [
+        ("\"decode_batch\": 8", "\"decode_batch\": 0", "decode_batch"),
+        ("\"prompt_len\": 512", "\"prompt_len\": 0", "prompt_len"),
+    ] {
+        let edited = json.replace(from, to);
+        assert_ne!(edited, json, "substitution must have applied");
+        let loaded = SimulationConfig::from_json(&edited).unwrap();
+        let err = run_plan(
+            &loaded.model,
+            &loaded.system,
+            &loaded.experiment.plan,
+            loaded.experiment.workload.clone(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, madmax_engine::EngineError::InvalidLoad { .. }),
+            "{err}"
+        );
+
+        // The same config through the CLI's `--config-dir` path.
+        let dir = std::env::temp_dir().join(format!("madmax-zero-{field}-{}", std::process::id()));
+        loaded.write_split(&dir).unwrap();
+        let out = madmax(&["simulate", "--config-dir", dir.to_str().unwrap()]);
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{stderr}");
+        assert!(stderr.contains(field), "{stderr}");
+    }
+}
+
+#[test]
+fn cli_skips_unreplayable_goodput_instead_of_hanging() {
+    for mtbf in ["60", "10"] {
+        let out = madmax(&[
+            "simulate",
+            "--model",
+            "llama2",
+            "--system",
+            "llama",
+            "--mtbf",
+            mtbf,
+            "--checkpoint-interval",
+            "600",
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        assert!(stdout.contains("goodput:"), "{stdout}");
+        assert!(
+            stdout.contains("replay check:    skipped, not replayable"),
+            "{stdout}"
+        );
+    }
 }

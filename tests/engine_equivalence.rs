@@ -576,7 +576,7 @@ fn op_names_render_todays_exact_strings() {
     // decode names.
     let dlrm = ModelId::DlrmA.build();
     let dlrm_sys = catalog::zionex_dlrm_system();
-    let trace = Scenario::new(&dlrm, &dlrm_sys).build_trace().unwrap();
+    let trace = Scenario::new(&dlrm, &dlrm_sys).run_with_trace().unwrap().1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "fwd.embedding_tables.lookup",
@@ -593,7 +593,7 @@ fn op_names_render_todays_exact_strings() {
 
     let llm = ModelId::Gpt3.build();
     let llm_sys = catalog::llama_llm_system();
-    let trace = Scenario::new(&llm, &llm_sys).build_trace().unwrap();
+    let trace = Scenario::new(&llm, &llm_sys).run_with_trace().unwrap().1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "fwd[0].transformer_blocks",
@@ -606,8 +606,9 @@ fn op_names_render_todays_exact_strings() {
     let plan = Plan::fsdp_baseline(&llm).with_pipeline(PipelineConfig::gpipe(8, 16));
     let trace = Scenario::new(&llm, &llm_sys)
         .plan(plan.clone())
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "stage0.param.AllGather",
@@ -625,8 +626,9 @@ fn op_names_render_todays_exact_strings() {
     let serve = Workload::serve(ServeConfig::new(512, 2));
     let trace = Scenario::new(&llm, &llm_sys)
         .workload(serve.clone())
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "dec[0].word_embedding.lookup",
@@ -638,8 +640,9 @@ fn op_names_render_todays_exact_strings() {
     let trace = Scenario::new(&llm, &llm_sys)
         .workload(serve)
         .plan(plan)
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in ["stage0.dec[0]", "stage7.dec[31]", "stage0.send_tok[31]"] {
         assert!(names.iter().any(|n| n == expected), "missing {expected}");

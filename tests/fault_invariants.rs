@@ -338,7 +338,9 @@ fn corrupted_goodput_reports_are_flagged() {
 
 /// A fixed fault seed reproduces bitwise-identical goodput rankings at
 /// any worker-pool size: the goodput search is one deterministic
-/// simulation plus closed-form arithmetic per candidate.
+/// simulation per candidate, run on the explorer's shared-table pool,
+/// plus closed-form arithmetic. The pool's telemetry reconciles and
+/// records one evaluation latency per candidate.
 #[test]
 fn goodput_search_is_deterministic_across_thread_counts() {
     let model = ModelId::Llama2.build();
@@ -352,19 +354,33 @@ fn goodput_search_is_deterministic_across_thread_counts() {
             .unwrap()
     };
     let one = run(1);
-    let four = run(4);
-    assert_eq!(one.best_candidate, four.best_candidate);
-    assert_eq!(one.fault_free_best, four.fault_free_best);
-    assert_eq!(one.evaluated, four.evaluated);
-    for (a, b) in one.candidates.iter().zip(&four.candidates) {
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.points.len(), b.points.len());
-        for (pa, pb) in a.points.iter().zip(&b.points) {
-            assert_eq!(pa.goodput_fraction.to_bits(), pb.goodput_fraction.to_bits());
-            assert_eq!(
-                pa.effective_throughput.to_bits(),
-                pb.effective_throughput.to_bits()
-            );
+    for threads in [1, 2, 4] {
+        let other = run(threads);
+        assert_eq!(one.best_candidate, other.best_candidate);
+        assert_eq!(one.fault_free_best, other.fault_free_best);
+        assert_eq!(one.evaluated, other.evaluated);
+        assert_eq!(one.candidates.len(), other.candidates.len());
+        for (a, b) in one.candidates.iter().zip(&other.candidates) {
+            assert_eq!(a.plan, b.plan);
+            assert_eq!(a.error, b.error);
+            assert_eq!(a.points.len(), b.points.len());
+            for (pa, pb) in a.points.iter().zip(&b.points) {
+                assert_eq!(pa.goodput_fraction.to_bits(), pb.goodput_fraction.to_bits());
+                assert_eq!(
+                    pa.effective_throughput.to_bits(),
+                    pb.effective_throughput.to_bits()
+                );
+            }
         }
+        let t = &other.telemetry;
+        assert!(t.reconciles(), "{t:?}");
+        assert_eq!(t.candidates, other.candidates.len() as u64);
+        assert!(t.oom > 0, "some strategy mappings must be infeasible");
+        assert_eq!(t.eval_latency.count, t.candidates);
+        assert_eq!(t.workers.len(), threads);
+        let per_worker: u64 = t.workers.iter().map(|w| w.candidates).sum();
+        assert_eq!(per_worker, t.candidates);
+        assert!(t.flat_cache.hits > 0, "candidates share one cost table");
+        assert_eq!(t.goodput_evals, other.evaluated as u64);
     }
 }

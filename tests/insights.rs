@@ -3,10 +3,23 @@
 //! absolute numbers.
 
 use madmax_dse::{best_point, scaling_study, sweep_class, Explorer, ScalingAxis, SearchSpace};
-use madmax_engine::{simulate, Scenario};
+use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{LayerClass, ModelId};
 use madmax_parallel::{HierStrategy, Plan, Strategy, Workload};
+
+/// Runs `plan` on `workload` through the engine's front door.
+fn run_plan(
+    model: &madmax_model::ModelArch,
+    system: &madmax_hw::ClusterSpec,
+    plan: &Plan,
+    workload: Workload,
+) -> Result<madmax_core::IterationReport, madmax_engine::EngineError> {
+    Scenario::new(model, system)
+        .plan_ref(plan)
+        .workload(workload)
+        .run()
+}
 
 fn zionex() -> madmax_hw::ClusterSpec {
     catalog::zionex_dlrm_system()
@@ -24,7 +37,7 @@ fn insight1_dlrm_embeddings_force_sharding_and_tp_ddp_wins_dense() {
     // viable: DDP replication of 3.17 TB per device is absurd and must OOM.
     let plan = Plan::fsdp_baseline(&model)
         .with_strategy(LayerClass::Embedding, HierStrategy::flat(Strategy::Ddp));
-    assert!(simulate(&model, &sys, &plan, Workload::pretrain()).is_err_and(|e| e.is_oom()));
+    assert!(run_plan(&model, &sys, &plan, Workload::pretrain()).is_err_and(|e| e.is_oom()));
 
     // With embeddings pinned to sharding, the dense sweep puts (TP, DDP)
     // on top and flat DDP out of memory (Fig. 11).
@@ -55,7 +68,7 @@ fn insight2_llm_word_embeddings_replicate_but_compute_layers_cannot() {
     // GPT-3 word embeddings (<2 GB) replicate fine via DDP.
     let plan = Plan::fsdp_baseline(&model)
         .with_strategy(LayerClass::Embedding, HierStrategy::flat(Strategy::Ddp));
-    assert!(simulate(&model, &sys, &plan, Workload::pretrain()).is_ok());
+    assert!(run_plan(&model, &sys, &plan, Workload::pretrain()).is_ok());
 
     // Any replication of the transformer stack across nodes OOMs.
     for strat in [
@@ -65,7 +78,7 @@ fn insight2_llm_word_embeddings_replicate_but_compute_layers_cannot() {
     ] {
         let plan = Plan::fsdp_baseline(&model).with_strategy(LayerClass::Transformer, strat);
         assert!(
-            simulate(&model, &sys, &plan, Workload::pretrain()).is_err_and(|e| e.is_oom()),
+            run_plan(&model, &sys, &plan, Workload::pretrain()).is_err_and(|e| e.is_oom()),
             "{strat} should OOM"
         );
     }
@@ -93,8 +106,8 @@ fn insight3_hierarchy_ordering_matters() {
         LayerClass::Dense,
         HierStrategy::two_level(Strategy::Ddp, Strategy::Tp),
     );
-    let a = simulate(&model, &sys, &tp_ddp, Workload::pretrain()).unwrap();
-    let b = simulate(&model, &sys, &ddp_tp, Workload::pretrain()).unwrap();
+    let a = run_plan(&model, &sys, &tp_ddp, Workload::pretrain()).unwrap();
+    let b = run_plan(&model, &sys, &ddp_tp, Workload::pretrain()).unwrap();
     // (TP, DDP) reduces activations over NVLink; (DDP, TP) pushes them over
     // RoCE and is much slower.
     assert!(a.iteration_time < b.iteration_time);
@@ -136,9 +149,9 @@ fn insight5_task_diversity() {
         .with_strategy(LayerClass::Dense, HierStrategy::flat(Strategy::Ddp));
     // DDP dense: infeasible for pre-training, fine for inference and
     // embedding-only fine-tuning.
-    assert!(simulate(&model, &sys, &ddp_dense, Workload::pretrain()).is_err());
-    assert!(simulate(&model, &sys, &ddp_dense, Workload::inference()).is_ok());
-    assert!(simulate(
+    assert!(run_plan(&model, &sys, &ddp_dense, Workload::pretrain()).is_err());
+    assert!(run_plan(&model, &sys, &ddp_dense, Workload::inference()).is_ok());
+    assert!(run_plan(
         &model,
         &sys,
         &ddp_dense,
@@ -193,15 +206,15 @@ fn insight6_context_length_diminishing_returns() {
 fn insight8_gpu_generations_and_superpod() {
     let model = ModelId::DlrmA.build();
     let plan = Plan::fsdp_baseline(&model);
-    let a100 = simulate(&model, &zionex(), &plan, Workload::pretrain()).unwrap();
-    let h100 = simulate(
+    let a100 = run_plan(&model, &zionex(), &plan, Workload::pretrain()).unwrap();
+    let h100 = run_plan(
         &model,
         &catalog::h100_cluster(16),
         &plan,
         Workload::pretrain(),
     )
     .unwrap();
-    let superpod = simulate(
+    let superpod = run_plan(
         &model,
         &catalog::h100_superpod_cluster(16),
         &plan,

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 
 use madmax_core::{schedule, IterationReport, StreamId};
-use madmax_engine::simulate;
+use madmax_engine::Scenario;
 use madmax_hw::units::Seconds;
 use madmax_model::ModelId;
-use madmax_parallel::{MemoryBreakdown, PipelineConfig, PipelineSchedule, Plan, Workload};
+use madmax_parallel::{MemoryBreakdown, PipelineConfig, PipelineSchedule, Plan};
 use madmax_pipeline::gpipe_bubble_fraction;
 use madmax_pipeline::schedule::{build_pipeline_trace, uniform_costs};
 
@@ -198,7 +198,7 @@ proptest! {
             microbatches: m,
             schedule: sched_kind,
         });
-        let r = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let r = Scenario::new(&model, &sys).plan(plan).run().unwrap();
         let bubble = r.bubble_fraction.expect("bubble reported");
         prop_assert!((0.0..1.0).contains(&bubble), "bubble {bubble}");
         // The fill/drain overhead can never beat the analytic floor.

@@ -13,7 +13,9 @@
 //!   produces reports byte-identical to full simulation, across
 //!   randomized depths, microbatch counts, decode lengths (spanning the
 //!   fallback boundary at `MIN_ANALYTIC_DECODE`), batches, and KV
-//!   settings, in both engines.
+//!   settings, in both engines — and the one-shot `Scenario::run`
+//!   (closed form) matches `Scenario::analytic_serve(false).run()` (full
+//!   simulation) on both sides of `MIN_ANALYTIC_DECODE`.
 
 use proptest::prelude::*;
 
@@ -47,15 +49,17 @@ proptest! {
         // Flat engine.
         let flat = Scenario::new(&model, &sys)
             .workload(workload.clone())
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         // Pipelined engine (decode step as the microbatch unit).
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
         let piped = Scenario::new(&model, &sys)
             .workload(workload)
             .plan(plan)
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         for trace in [&flat, &piped] {
             for op in trace.ops() {
                 prop_assert!(
@@ -140,8 +144,9 @@ proptest! {
         // 1-token pass; the prefill covers the whole prompt).
         let trace = Scenario::new(&model, &sys)
             .workload(workload)
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         let prefill_compute: Seconds = trace
             .ops()
             .iter()
@@ -233,6 +238,52 @@ proptest! {
         let full = off.pipeline_costs(&table_off).run_in(&mut scratch).unwrap();
         prop_assert_eq!(table_off.analytic_stats().hits, 0);
         prop_assert_eq!(fast, full);
+    }
+
+    #[test]
+    fn scenario_run_is_byte_identical_to_full_simulation(
+        pipelined in 0usize..2,
+        decode in 24usize..44,
+        per_group in 8usize..48,
+        kv in 0usize..2,
+    ) {
+        use madmax_core::steady::MIN_ANALYTIC_DECODE;
+
+        // The one-shot front door takes the closed form for long decodes
+        // (`decode` spans MIN_ANALYTIC_DECODE); full simulation is the
+        // reference on both engines.
+        prop_assert!((25..44).contains(&MIN_ANALYTIC_DECODE), "the decode range must straddle it");
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let base = Plan::fsdp_baseline(&model);
+        let plan = if pipelined == 1 {
+            base.with_pipeline(PipelineConfig::gpipe(4, 4))
+        } else {
+            base
+        };
+        let workload = Workload::serve(ServeConfig {
+            prompt_len: Some(256),
+            decode_len: decode,
+            decode_batch: Some(per_group * 4),
+            kv_cache: kv == 1,
+        });
+        let scenario = Scenario::new(&model, &sys)
+            .workload_ref(&workload)
+            .plan_ref(&plan);
+        let closed = scenario.run().unwrap();
+        let full = Scenario::new(&model, &sys)
+            .workload_ref(&workload)
+            .plan_ref(&plan)
+            .analytic_serve(false)
+            .run()
+            .unwrap();
+        prop_assert_eq!(&closed, &full);
+        // The traced run always assembles every decode step and agrees.
+        let (traced, trace, sched) = scenario.run_with_trace().unwrap();
+        prop_assert_eq!(&traced, &full);
+        prop_assert_eq!(trace.len(), sched.windows.len());
+        let decode_ops = trace.ops().iter().filter(|o| o.phase == Phase::Decode).count();
+        prop_assert!(decode_ops >= decode, "{decode_ops} decode ops for {decode} steps");
     }
 
     #[test]
