@@ -70,9 +70,9 @@
 //!   `search` exports its winner's schedule; built with the
 //!   `self-profile` feature, the explorer's own price/assemble/report
 //!   spans land in the same file as a second process.
-//! - `--telemetry PATH` (search): write the search's
-//!   [`madmax_obs::SearchTelemetry`] (outcome counters, cache hit rates,
-//!   per-worker throughput, latency histogram) as JSON.
+//! - `--telemetry PATH` (search, in plan, goodput and load mode): write
+//!   the search's [`madmax_obs::SearchTelemetry`] (outcome counters,
+//!   cache hit rates, per-worker throughput, latency histogram) as JSON.
 //! - `--progress N` (search): print a progress line every N candidates.
 //! - `--verify` (simulate, search): run the full `madmax-verify` rule
 //!   set on the produced (simulate) or winning (search) schedule; any
@@ -95,7 +95,9 @@ use madmax_fault::{materialize_faults, replay_goodput};
 use madmax_hw::units::Seconds;
 use madmax_hw::{catalog, ClusterSpec};
 use madmax_model::{LayerClass, ModelArch, ModelId};
-use madmax_obs::{forward_to_sink, ChromeTrace, LoadTelemetry, ProgressSink, StderrTicker};
+use madmax_obs::{
+    forward_to_sink, ChromeTrace, LoadTelemetry, ProgressSink, SearchTelemetry, StderrTicker,
+};
 use madmax_parallel::{HierStrategy, LoadSpec, Plan, ServeConfig, Workload};
 use madmax_serve::parse_request_jsonl;
 
@@ -673,6 +675,19 @@ fn finish_verify(report: &madmax_verify::VerifyReport) -> Result<(), String> {
     }
 }
 
+/// Prints a search's `telemetry:` summary line and, when `--telemetry
+/// PATH` was given, writes the full telemetry there as JSON.
+fn report_telemetry(telemetry: &SearchTelemetry, path: Option<&str>) -> Result<(), String> {
+    println!("telemetry: {}", telemetry.summary());
+    if let Some(path) = path {
+        let js = serde_json::to_string_pretty(telemetry)
+            .map_err(|e| format!("telemetry does not serialize: {e}"))?;
+        std::fs::write(path, js).map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
+        eprintln!("telemetry written to {path}");
+    }
+    Ok(())
+}
+
 fn print_report(
     model: &ModelArch,
     system: &ClusterSpec,
@@ -859,14 +874,7 @@ fn run() -> Result<(), String> {
                     r.candidates.len(),
                     r.evaluated
                 );
-                println!("telemetry: {}", r.telemetry.summary());
-                if let Some(path) = args.get("telemetry") {
-                    let js = serde_json::to_string_pretty(&r.telemetry)
-                        .map_err(|e| format!("telemetry does not serialize: {e}"))?;
-                    std::fs::write(path, js)
-                        .map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
-                    eprintln!("telemetry written to {path}");
-                }
+                report_telemetry(&r.telemetry, args.get("telemetry"))?;
                 let best = r.best();
                 println!("goodput-best: {}", best.plan.summary());
                 if let Some(i) = best.best_point {
@@ -902,6 +910,7 @@ fn run() -> Result<(), String> {
                     r.candidates.len(),
                     r.evaluated
                 );
+                report_telemetry(&r.telemetry, args.get("telemetry"))?;
                 let best = r.best();
                 println!("best plan: {}", best.plan.summary());
                 match best.best_point {
@@ -928,14 +937,7 @@ fn run() -> Result<(), String> {
             }
             let r = explorer.explore().map_err(|e| e.to_string())?;
             println!("evaluated {} plans ({} OOM)", r.evaluated, r.oom);
-            println!("telemetry: {}", r.telemetry.summary());
-            if let Some(path) = args.get("telemetry") {
-                let js = serde_json::to_string_pretty(&r.telemetry)
-                    .map_err(|e| format!("telemetry does not serialize: {e}"))?;
-                std::fs::write(path, js)
-                    .map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
-                eprintln!("telemetry written to {path}");
-            }
+            report_telemetry(&r.telemetry, args.get("telemetry"))?;
             if let Some(path) = args.get("emit-trace") {
                 emit_trace(&model, &system, &r.best_plan, &r.best_workload, path)?;
             }

@@ -102,6 +102,7 @@ pub fn fig_serve_load(hooks: &crate::SearchHooks) -> String {
     );
     match explorer.explore_load(&axes) {
         Ok(r) => {
+            hooks.record("fig_serve_load/search", &r.telemetry);
             out.push_str(&format!(
                 "{} candidates, {} load simulations\n",
                 r.candidates.len(),

@@ -24,9 +24,9 @@
 //! `--baseline` (a report produced by the same bin on an older commit)
 //! adds `pre_pr_wall_ms` and `speedup` per record, so the committed file
 //! is a self-contained before/after comparison. PRs claiming a hot-path
-//! win re-run the bin and commit the new `BENCH_PR<n>.json` point; the
-//! criterion groups under `benches/` (kept compiling by CI's
-//! `cargo bench --no-run`) cover the finer-grained kernels.
+//! win re-run the bin and commit the new `BENCH_PR<n>.json` point. The
+//! standalone `perfbench/` package measures the searches end to end and
+//! per layer (price, assemble, schedule, report, load simulation).
 
 #![warn(missing_docs)]
 

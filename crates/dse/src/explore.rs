@@ -3,43 +3,24 @@
 //! `(stages, microbatches, schedule)`, and the optional serve axes
 //! (decode batch), and one [`Explorer`] that evaluates every candidate
 //! through `madmax_engine::Scenario` — in parallel on a scoped worker
-//! pool — and returns a single [`SearchOutcome`].
+//! pool. [`Explorer::explore`] ranks by iteration time (or serve
+//! tokens/s) and returns a [`SearchOutcome`]; the goodput and load
+//! objectives (`crate::fault`, `crate::load`) run on the same candidate
+//! driver with their own per-candidate step and ranking.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use madmax_core::IterationReport;
-use madmax_engine::{EngineError, Scenario};
+use madmax_engine::{EngineError, EngineScratch, Scenario};
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
-use madmax_obs::{
-    CandidateEvent, CandidateOutcome, LatencyHistogram, NullSink, ProgressSink, SearchTelemetry,
-    WorkerStats,
-};
+use madmax_obs::{ProgressSink, SearchTelemetry};
 use madmax_parallel::{HierStrategy, PipelineConfig, PipelineSchedule, Plan, Workload};
 
-/// Fallback sink when no [`ProgressSink`] is attached.
-static NULL_SINK: NullSink = NullSink;
+mod driver;
 
-/// Classifies one evaluation result for telemetry and progress events.
-fn classify(result: &Result<IterationReport, EngineError>) -> CandidateOutcome {
-    match result {
-        Ok(_) => CandidateOutcome::Ok,
-        Err(e) if e.is_oom() => CandidateOutcome::OutOfMemory,
-        Err(e) if e.is_unmappable_pipeline() => CandidateOutcome::Unmappable,
-        Err(_) => CandidateOutcome::Invalid,
-    }
-}
-
-/// One worker's locally-accumulated telemetry (merged after the pool
-/// joins, so the hot loop never contends on a lock).
-#[derive(Debug, Default)]
-struct WorkerLocal {
-    stats: WorkerStats,
-    latency: LatencyHistogram,
-}
+pub(crate) use driver::{Evaluated, Objective};
 
 /// Distinct layer classes present in a model, in first-appearance order.
 pub(crate) fn classes_in(model: &ModelArch) -> Vec<LayerClass> {
@@ -323,11 +304,11 @@ impl<'a> Explorer<'a> {
     }
 
     /// Enables or disables the closed-form steady-state decode path for
-    /// serve candidates and the baseline (`madmax_core::steady`; on by
-    /// default). The
-    /// closed form is byte-identical to full simulation — searches return
-    /// the same winners and reports either way — so this knob exists for
-    /// A/B validation and as an escape hatch.
+    /// serve candidates, the baseline, and the load search's cost-model
+    /// probes (`madmax_core::steady`; on by default). The closed form is
+    /// byte-identical to full simulation — searches return the same
+    /// winners and reports either way — so this knob exists for A/B
+    /// validation and as an escape hatch.
     #[must_use]
     pub fn analytic_serve(mut self, on: bool) -> Self {
         self.analytic_serve = on;
@@ -349,10 +330,11 @@ impl<'a> Explorer<'a> {
     }
 
     /// Attaches a [`ProgressSink`] receiving one
-    /// [`CandidateEvent`] per evaluated candidate, live from whichever
-    /// worker completes it, plus a summary per evaluation batch. The sink
-    /// observes the search; it cannot change its outcome — reports are
-    /// byte-identical with and without one attached.
+    /// [`CandidateEvent`](madmax_obs::CandidateEvent) per evaluated
+    /// candidate, live from whichever worker completes it, plus a summary
+    /// per evaluation batch. The sink observes the search; it cannot
+    /// change its outcome — reports are byte-identical with and without
+    /// one attached.
     #[must_use]
     pub fn progress(mut self, sink: &'a dyn ProgressSink) -> Self {
         self.progress = Some(sink);
@@ -397,26 +379,6 @@ impl<'a> Explorer<'a> {
         let mut plan = Plan::fsdp_baseline(self.model);
         plan.options.ignore_memory_limits = self.space.ignore_memory_limits;
         plan
-    }
-
-    /// The model this explorer searches over (for the load search).
-    pub(crate) fn model_arch(&self) -> &'a ModelArch {
-        self.model
-    }
-
-    /// The system this explorer searches over (for the load search).
-    pub(crate) fn cluster(&self) -> &'a ClusterSpec {
-        self.system
-    }
-
-    /// The configured workload (for the load search).
-    pub(crate) fn base_workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The configured space (for the load search).
-    pub(crate) fn search_space(&self) -> &SearchSpace {
-        &self.space
     }
 
     /// The workload variants the serve axes induce (the configured
@@ -465,180 +427,6 @@ impl<'a> Explorer<'a> {
         candidates
     }
 
-    /// Evaluates an explicit list of plans through the engine against
-    /// this explorer's workload, preserving order. See
-    /// [`Explorer::evaluate_with`].
-    pub fn evaluate(&self, plans: &[Plan]) -> Vec<Result<IterationReport, EngineError>> {
-        self.evaluate_with(&self.workload, plans)
-    }
-
-    /// Evaluates an explicit list of plans against one workload, in
-    /// order. Plans are distributed over the worker pool; the result at
-    /// index `i` is always plan `i`'s, so the output is deterministic
-    /// regardless of the thread count.
-    ///
-    /// This is the search hot path: when every plan shares one set of
-    /// options (always true for [`Explorer::candidates`]), one
-    /// [`madmax_engine::CostTable`] is priced up front and shared
-    /// read-only across the workers, and each worker recycles one
-    /// [`madmax_engine::EngineScratch`] (trace arena, schedule, stream
-    /// table) across the candidates it evaluates — so per-candidate work
-    /// is assembly and simulation, not pricing and allocation.
-    pub fn evaluate_with(
-        &self,
-        workload: &Workload,
-        plans: &[Plan],
-    ) -> Vec<Result<IterationReport, EngineError>> {
-        self.evaluate_with_telemetry(workload, plans).0
-    }
-
-    /// [`Explorer::evaluate_with`], additionally returning the batch's
-    /// [`SearchTelemetry`]: outcome counters tallied from the results,
-    /// cache hit/miss snapshots taken from the shared cost tables after
-    /// the pool joins, per-worker throughput, and the evaluation-latency
-    /// histogram. The attached [`ProgressSink`] (if any) receives one
-    /// event per candidate while the batch runs and the telemetry once it
-    /// finishes.
-    pub fn evaluate_with_telemetry(
-        &self,
-        workload: &Workload,
-        plans: &[Plan],
-    ) -> (Vec<Result<IterationReport, EngineError>>, SearchTelemetry) {
-        let started = Instant::now();
-        let workers = self.worker_count(plans.len());
-        let scenario = Scenario::new(self.model, self.system)
-            .workload_ref(workload)
-            .analytic_serve(self.analytic_serve);
-        // Mixed-option plan lists (e.g. ablating prefetch on/off) cannot
-        // share a pricing context; they fall back to per-plan pricing.
-        let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
-        let table = uniform_options.then(|| scenario.price_plans(plans));
-        let has_pipelined = plans
-            .iter()
-            .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined()));
-        let pipeline_table =
-            (uniform_options && has_pipelined).then(|| scenario.price_pipeline_plans(plans));
-        let sink: &dyn ProgressSink = self.progress.unwrap_or(&NULL_SINK);
-        let total = plans.len();
-        let run = |plan: &Plan, scratch: &mut madmax_engine::EngineScratch| {
-            let mut s = Scenario::new(self.model, self.system)
-                .plan_ref(plan)
-                .workload_ref(workload)
-                .analytic_serve(self.analytic_serve);
-            if let Some(t) = &table {
-                s = s.costs(t);
-            }
-            if let Some(t) = &pipeline_table {
-                s = s.pipeline_costs(t);
-            }
-            s.run_in(scratch)
-        };
-        // Evaluates plan `i`, accounting it worker-locally and firing the
-        // progress event from the evaluating thread.
-        let evaluate_one =
-            |i: usize, scratch: &mut madmax_engine::EngineScratch, local: &mut WorkerLocal| {
-                let t0 = Instant::now();
-                let result = run(&plans[i], scratch);
-                let eval_us = t0.elapsed().as_secs_f64() * 1e6;
-                local.stats.candidates += 1;
-                local.stats.busy_ms += eval_us / 1e3;
-                local.latency.record(eval_us);
-                sink.candidate_completed(&CandidateEvent {
-                    index: i,
-                    total,
-                    outcome: classify(&result),
-                    eval_us,
-                    iteration_ms: result.as_ref().ok().map(|r| r.iteration_time.as_ms()),
-                });
-                result
-            };
-
-        let mut telemetry = SearchTelemetry::default();
-        let results: Vec<Result<IterationReport, EngineError>> = if workers <= 1 {
-            let mut scratch = madmax_engine::EngineScratch::new();
-            let mut local = WorkerLocal::default();
-            let results = (0..plans.len())
-                .map(|i| evaluate_one(i, &mut scratch, &mut local))
-                .collect();
-            telemetry.eval_latency = local.latency;
-            telemetry.workers.push(local.stats);
-            results
-        } else {
-            let next = AtomicUsize::new(0);
-            let locals: Mutex<Vec<WorkerLocal>> = Mutex::new(Vec::with_capacity(workers));
-            let (tx, rx) = mpsc::channel();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let locals = &locals;
-                    let evaluate_one = &evaluate_one;
-                    s.spawn(move || {
-                        let mut scratch = madmax_engine::EngineScratch::new();
-                        let mut local = WorkerLocal {
-                            stats: WorkerStats {
-                                worker: w,
-                                ..WorkerStats::default()
-                            },
-                            latency: LatencyHistogram::default(),
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= plans.len() {
-                                break;
-                            }
-                            if tx
-                                .send((i, evaluate_one(i, &mut scratch, &mut local)))
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        locals.lock().unwrap().push(local);
-                    });
-                }
-            });
-            drop(tx);
-            let mut slots: Vec<Option<Result<IterationReport, EngineError>>> =
-                (0..plans.len()).map(|_| None).collect();
-            for (i, r) in rx {
-                slots[i] = Some(r);
-            }
-            let mut locals = locals.into_inner().unwrap();
-            locals.sort_by_key(|l| l.stats.worker);
-            for local in locals {
-                telemetry.eval_latency.absorb(&local.latency);
-                telemetry.workers.push(local.stats);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every plan index was evaluated"))
-                .collect()
-        };
-
-        telemetry.candidates = results.len() as u64;
-        for result in &results {
-            match classify(result) {
-                CandidateOutcome::Ok => telemetry.ok += 1,
-                CandidateOutcome::OutOfMemory => telemetry.oom += 1,
-                CandidateOutcome::Unmappable => telemetry.unmappable += 1,
-                CandidateOutcome::Invalid => telemetry.invalid += 1,
-            }
-        }
-        if let Some(t) = &table {
-            telemetry.flat_cache = t.stats();
-            telemetry.steady_analytic.absorb(t.analytic_stats());
-        }
-        if let Some(t) = &pipeline_table {
-            telemetry.pipeline_cache = t.stats();
-            telemetry.report_memo = t.memo_stats();
-            telemetry.steady_analytic.absorb(t.analytic_stats());
-        }
-        telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        sink.search_finished(&telemetry);
-        (results, telemetry)
-    }
-
     /// Exhaustively explores the space for the throughput-optimal
     /// (plan, workload-variant) combination.
     ///
@@ -660,80 +448,47 @@ impl<'a> Explorer<'a> {
     /// not [`Workload::Serve`] — the axis would otherwise be silently
     /// ignored.
     pub fn explore(&self) -> Result<SearchOutcome, EngineError> {
-        assert!(
-            self.space.serve.is_none() || self.workload.serve_config().is_some(),
-            "SearchSpace has serve axes but the explorer's workload is `{}`; \
-             set Explorer::workload(Workload::serve(..))",
-            self.workload
-        );
         let started = Instant::now();
         let base_plan = self.base_plan();
-        let variants = self.workload_variants();
-        let base_workload = variants[0].clone();
+        let base_workload = self.workload_variants().swap_remove(0);
         let baseline = Scenario::new(self.model, self.system)
             .plan_ref(&base_plan)
             .workload_ref(&base_workload)
             .analytic_serve(self.analytic_serve)
             .run()?;
-        let serve_ranked = variants.len() > 1
-            || (self.space.serve.is_some() && self.workload.serve_config().is_some());
+        // The baseline combo re-appears among the candidates; the driver
+        // counts it `ok` instead of simulating it again.
+        let (driven, mut telemetry) = self.drive(&Objective {
+            shared_tables: true,
+            known: Some((&base_workload, &base_plan)),
+            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
+            iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
+        });
+
+        // The first best wins: the baseline, then candidates in
+        // enumeration order, each replacing it only when strictly better.
+        let serve_ranked = self.space.serve.is_some() && self.workload.serve_config().is_some();
         let score = |r: &IterationReport| -> f64 {
             r.serve_tokens_per_sec()
                 .unwrap_or_else(|| r.samples_per_sec())
         };
-
-        let mut best_plan = base_plan.clone();
-        let mut best_workload = base_workload.clone();
-        let mut best = baseline.clone();
-        let mut evaluated = 0usize;
-        let (mut oom, mut unmappable, mut invalid) = (0usize, 0usize, 0usize);
-        let mut telemetry = SearchTelemetry::default();
-        for workload in &variants {
-            let candidates = self.candidates();
-            let candidate_count = candidates.len();
-            evaluated += candidate_count;
-            // The baseline combo re-appears among the candidates; reuse
-            // its report instead of simulating it again. Candidates
-            // inherit the baseline's options, so comparing assignments
-            // and pipeline suffices.
-            let to_run: Vec<Plan> = if *workload == base_workload {
-                candidates
-                    .into_iter()
-                    .filter(|p| {
-                        p.assignments != base_plan.assignments || p.pipeline != base_plan.pipeline
-                    })
-                    .collect()
+        let better = |r: &IterationReport, best: &IterationReport| {
+            if serve_ranked {
+                score(r) > score(best)
             } else {
-                candidates
-            };
-            let (results, mut variant_telemetry) = self.evaluate_with_telemetry(workload, &to_run);
-            // Candidates resolved against the cached baseline report (no
-            // fresh evaluation) still count toward the reconciliation
-            // invariant: they are `ok` by construction.
-            let skipped = (candidate_count - to_run.len()) as u64;
-            variant_telemetry.candidates += skipped;
-            variant_telemetry.ok += skipped;
-            telemetry.absorb(&variant_telemetry);
-            for (plan, result) in to_run.into_iter().zip(results) {
-                match result {
-                    Ok(r) => {
-                        let better = if serve_ranked {
-                            score(&r) > score(&best)
-                        } else {
-                            r.iteration_time < best.iteration_time
-                        };
-                        if better {
-                            best = r;
-                            best_plan = plan;
-                            best_workload = workload.clone();
-                        }
-                    }
-                    Err(e) if e.is_oom() => oom += 1,
-                    Err(e) if e.is_unmappable_pipeline() => unmappable += 1,
-                    Err(_) => invalid += 1,
-                }
+                r.iteration_time < best.iteration_time
             }
-        }
+        };
+        let (best_plan, best_workload, best) = driven
+            .into_candidates()
+            .filter_map(|c| Some((c.plan, c.workload, c.result.ok()?)))
+            .fold((base_plan, base_workload, baseline.clone()), |best, c| {
+                if better(&c.2, &best.2) {
+                    c
+                } else {
+                    best
+                }
+            });
 
         let verify = if self.verify_winner {
             let (_, trace, sched) = Scenario::new(self.model, self.system)
@@ -757,10 +512,10 @@ impl<'a> Explorer<'a> {
             best_workload,
             best,
             baseline,
-            evaluated,
-            oom,
-            unmappable,
-            invalid,
+            evaluated: telemetry.candidates as usize,
+            oom: telemetry.oom as usize,
+            unmappable: telemetry.unmappable as usize,
+            invalid: telemetry.invalid as usize,
             telemetry,
             verify,
         })
@@ -1021,7 +776,8 @@ mod tests {
 
     #[test]
     fn progress_sink_sees_every_candidate_at_any_thread_count() {
-        use std::sync::atomic::AtomicU64;
+        use madmax_obs::{CandidateEvent, CandidateOutcome};
+        use std::sync::atomic::{AtomicU64, Ordering};
 
         #[derive(Debug, Default)]
         struct CountingSink {

@@ -4,22 +4,22 @@
 //!
 //! [`Explorer::explore_goodput`] sweeps the space's (plan, workload)
 //! candidates against a [`FaultAxes`]: each candidate runs its
-//! fault-free simulation once — through the explorer's shared cost
-//! tables and worker pool — prices a checkpoint write/restart from its
-//! per-device memory breakdown (replicated plans carry fat checkpoints,
-//! sharded plans thin ones), then evaluates the closed-form Young/Daly
-//! expected goodput at every checkpoint interval on the axes. The
-//! headline result is [`GoodputSearchOutcome::plan_flip`]:
-//! as the fleet MTBF shrinks, the goodput-optimal plan diverges from
-//! the latency-optimal one — exactly the failure-awareness the
-//! fault-free explorer cannot see.
+//! fault-free simulation once — on the explorer's candidate driver, with
+//! its shared cost tables and worker pool — prices a checkpoint
+//! write/restart from its per-device memory breakdown (replicated plans
+//! carry fat checkpoints, sharded plans thin ones), then evaluates the
+//! closed-form Young/Daly expected goodput at every checkpoint interval
+//! on the axes. The headline result is
+//! [`GoodputSearchOutcome::plan_flip`]: as the fleet MTBF shrinks, the
+//! goodput-optimal plan diverges from the latency-optimal one — exactly
+//! the failure-awareness the fault-free explorer cannot see.
 
-use madmax_engine::{EngineError, FaultSpec, GoodputReport, Scenario};
+use madmax_engine::{EngineError, EngineScratch, FaultSpec, GoodputReport, Scenario};
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{Plan, Workload};
 
-use crate::explore::Explorer;
+use crate::explore::{Evaluated, Explorer, Objective};
 
 /// The fault dimensions of a goodput search: one fault process (the
 /// fleet MTBF must be set) and the checkpoint intervals to sweep.
@@ -92,6 +92,28 @@ impl GoodputCandidate {
         self.best_point
             .map_or(0.0, |i| self.points[i].effective_throughput)
     }
+
+    /// A driven candidate with its best swept interval picked (the last
+    /// maximum wins).
+    fn from_evaluated(c: Evaluated<(Seconds, Vec<GoodputReport>)>) -> Self {
+        let (iteration_time, points, error) = match c.result {
+            Ok((t, points)) => (Some(t), points, None),
+            Err(e) => (None, Vec::new(), Some(e)),
+        };
+        let best_point = points
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.effective_throughput.total_cmp(&b.effective_throughput))
+            .map(|(i, _)| i);
+        Self {
+            plan: c.plan,
+            workload: c.workload,
+            points,
+            best_point,
+            iteration_time,
+            error,
+        }
+    }
 }
 
 /// Result of one [`Explorer::explore_goodput`] run.
@@ -108,10 +130,10 @@ pub struct GoodputSearchOutcome {
     pub fault_free_best: usize,
     /// Goodput evaluations executed (points across all candidates).
     pub evaluated: usize,
-    /// Search counters, as [`Explorer::evaluate_with_telemetry`] reports
-    /// them for the fault-free simulations (one per candidate; outcome
-    /// counters reconcile, cache and per-worker stats included), plus
-    /// [`SearchTelemetry::goodput_evals`] carrying `evaluated`.
+    /// Search counters for the fault-free simulations (one per
+    /// candidate; outcome counters reconcile, cache and per-worker stats
+    /// included), plus [`SearchTelemetry::goodput_evals`] carrying
+    /// `evaluated`.
     pub telemetry: SearchTelemetry,
 }
 
@@ -143,13 +165,12 @@ impl Explorer<'_> {
     /// **failure-aware goodput** under `axes`' fault process.
     ///
     /// Candidates are the same (plan, workload-variant) combinations
-    /// [`Explorer::explore`] evaluates, and they run the same way: each
-    /// workload variant's candidates go through
-    /// [`Explorer::evaluate_with_telemetry`] (shared cost tables, the
-    /// worker pool, the attached progress sink). Each simulated report
-    /// then prices its checkpoint once and evaluates every swept interval
-    /// in closed form ([`Scenario::goodput_points`]), so a k-interval
-    /// sweep costs one simulation, not k.
+    /// [`Explorer::explore`] evaluates, and they run on the same driver
+    /// (shared cost tables, the worker pool, the attached progress sink,
+    /// per-worker telemetry). Each candidate's step simulates it once,
+    /// prices its checkpoint from the report, and evaluates every swept
+    /// interval in closed form ([`Scenario::goodput_points`]), so a
+    /// k-interval sweep costs one simulation, not k.
     ///
     /// Ranking: highest [`GoodputCandidate::score`] — effective
     /// iterations/second at the best swept checkpoint interval.
@@ -181,79 +202,48 @@ impl Explorer<'_> {
         }
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
-        let plans = self.candidates();
-        let mut candidates = Vec::new();
-        let mut evaluated = 0usize;
-        let mut telemetry = SearchTelemetry::default();
-        for workload in self.workload_variants() {
-            let (results, batch) = self.evaluate_with_telemetry(&workload, &plans);
-            telemetry.absorb(&batch);
-            let scenario = Scenario::new(self.model_arch(), self.cluster()).workload_ref(&workload);
-            for (plan, result) in plans.iter().zip(results) {
-                let candidate = match result {
-                    Ok(report) => {
-                        let (_, points) = scenario.goodput_points(&report, mtbf, &sweep);
-                        evaluated += points.len();
-                        let best_point = points
-                            .iter()
-                            .enumerate()
-                            .max_by(|(_, a), (_, b)| {
-                                a.effective_throughput.total_cmp(&b.effective_throughput)
-                            })
-                            .map(|(i, _)| i);
-                        GoodputCandidate {
-                            plan: plan.clone(),
-                            workload: workload.clone(),
-                            points,
-                            best_point,
-                            iteration_time: Some(report.iteration_time),
-                            error: None,
-                        }
-                    }
-                    Err(e) => GoodputCandidate {
-                        plan: plan.clone(),
-                        workload: workload.clone(),
-                        points: Vec::new(),
-                        best_point: None,
-                        iteration_time: None,
-                        error: Some(e),
-                    },
-                };
-                candidates.push(candidate);
-            }
-        }
+        let (driven, mut telemetry) = self.drive(&Objective {
+            shared_tables: true,
+            known: None,
+            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
+                let report = s.run_in(scratch)?;
+                let (_, points) = s.goodput_points(&report, mtbf, &sweep);
+                Ok((report.iteration_time, points))
+            },
+            iteration_ms: |(iteration_time, _): &(Seconds, Vec<GoodputReport>)| {
+                Some(iteration_time.as_ms())
+            },
+        });
+        let candidates: Vec<GoodputCandidate> = driven
+            .any_success(|| EngineError::InvalidFault {
+                reason: "the search space is empty".to_owned(),
+            })?
+            .into_candidates()
+            .map(GoodputCandidate::from_evaluated)
+            .collect();
+        let evaluated = candidates.iter().map(|c| c.points.len()).sum();
 
+        // The last maximum wins (`Iterator::max_by`); `any_success`
+        // guarantees a simulated candidate to rank.
         let ranked = |key: fn(&GoodputCandidate) -> f64| {
             candidates
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| !c.points.is_empty())
                 .max_by(|(_, a), (_, b)| key(a).total_cmp(&key(b)))
-                .map(|(i, _)| i)
+                .map_or(0, |(i, _)| i)
         };
         let best_candidate = ranked(GoodputCandidate::score);
         let fault_free_best = ranked(|c| c.points.first().map_or(0.0, |p| p.fault_free_throughput));
         telemetry.goodput_evals = evaluated as u64;
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        match (best_candidate, fault_free_best) {
-            (Some(best_candidate), Some(fault_free_best)) => Ok(GoodputSearchOutcome {
-                candidates,
-                best_candidate,
-                fault_free_best,
-                evaluated,
-                telemetry,
-            }),
-            _ => {
-                // Every candidate failed to simulate.
-                Err(candidates
-                    .into_iter()
-                    .next()
-                    .and_then(|c| c.error)
-                    .unwrap_or(EngineError::InvalidFault {
-                        reason: "the search space is empty".to_owned(),
-                    }))
-            }
-        }
+        Ok(GoodputSearchOutcome {
+            candidates,
+            best_candidate,
+            fault_free_best,
+            evaluated,
+            telemetry,
+        })
     }
 }
 

@@ -13,6 +13,15 @@
 //! batch) to the space and the explorer ranks (plan, batch) combinations
 //! by output tokens per second.
 //!
+//! Every search objective — latency or serve tokens/s
+//! ([`Explorer::explore`]), failure-aware goodput
+//! ([`Explorer::explore_goodput`]) and the SLO-constrained load search
+//! ([`Explorer::explore_load`]) — runs on one candidate driver: the
+//! worker pool, the shared cost tables where the objective prices them,
+//! the [`ProgressSink`] events and the per-worker [`SearchTelemetry`].
+//! An objective contributes only its per-candidate step and its ranking,
+//! so results are identical at any thread count.
+//!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
 //! been removed after their deprecation release; `Explorer` over the
 //! matching `SearchSpace` is the single search API.

@@ -3,20 +3,22 @@
 //! without violating a tail-latency SLO.
 //!
 //! [`Explorer::explore_load`] sweeps the space's (plan, workload)
-//! candidates against a ladder of arrival rates. Each candidate prices
-//! its per-step cost model once (a handful of engine probes), then
-//! simulates every rate through `madmax_serve`'s event-driven simulator.
+//! candidates against a ladder of arrival rates, on the explorer's
+//! candidate driver and worker pool. Each candidate prices its per-step
+//! cost model once (a handful of engine probes), then simulates every
+//! rate through `madmax_serve`'s event-driven simulator.
 //! A rate point is *feasible* when its p99 TTFT meets the SLO; a
 //! candidate's score is the best feasible throughput, and the winner's
 //! rate sweep is the latency-vs-throughput frontier (the serving
 //! counterpart of the paper's iteration-time sweeps).
 
-use madmax_engine::{EngineError, Scenario, SimMode};
+use madmax_engine::{EngineError, EngineScratch, Scenario, SimMode};
 use madmax_hw::units::Seconds;
+use madmax_obs::SearchTelemetry;
 use madmax_parallel::{ArrivalSpec, LoadSpec, Plan, Workload};
 use madmax_serve::LoadReport;
 
-use crate::explore::Explorer;
+use crate::explore::{Evaluated, Explorer, Objective};
 
 /// The load dimensions of a search: a base [`LoadSpec`] (queue, paging,
 /// horizon knobs), the arrival rates to sweep, and the TTFT SLO.
@@ -49,6 +51,29 @@ impl LoadAxes {
     pub fn with_slo_ttft_p99(mut self, slo: Seconds) -> Self {
         self.slo_ttft_p99 = Some(slo);
         self
+    }
+
+    /// Validates the base spec and rates up front so an invalid spec
+    /// fails once with a clear error instead of once per candidate.
+    fn validate(&self) -> Result<(), EngineError> {
+        self.spec
+            .validate()
+            .map_err(|reason| EngineError::InvalidLoad { reason })?;
+        if let ArrivalSpec::Poisson { .. } | ArrivalSpec::Bursty { .. } = &self.spec.arrivals {
+            if self.rates.is_empty() {
+                return Err(EngineError::InvalidLoad {
+                    reason: "Poisson/bursty load axes need at least one arrival rate".to_owned(),
+                });
+            }
+            for &r in &self.rates {
+                if !(r.is_finite() && r > 0.0) {
+                    return Err(EngineError::InvalidLoad {
+                        reason: format!("arrival rate {r} must be finite and positive"),
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The spec at one sweep rate (Poisson/bursty re-rated; traces
@@ -96,12 +121,12 @@ pub struct LoadCandidate {
     /// The workload variant it served.
     pub workload: Workload,
     /// One point per swept rate, in rate order. Empty when the candidate
-    /// failed to price.
+    /// failed to price or simulate.
     pub points: Vec<LoadPoint>,
     /// Index into [`LoadCandidate::points`] of the best feasible point
     /// (highest throughput meeting the SLO), if any.
     pub best_point: Option<usize>,
-    /// Why the candidate failed to price, when it did.
+    /// Why the candidate failed to price or simulate, when it did.
     pub error: Option<EngineError>,
 }
 
@@ -111,6 +136,28 @@ impl LoadCandidate {
     pub fn score(&self) -> f64 {
         self.best_point
             .map_or(0.0, |i| self.points[i].report.tokens_per_sec)
+    }
+
+    /// A driven candidate with its best feasible point picked (the last
+    /// maximum wins).
+    fn from_evaluated(c: Evaluated<Vec<LoadPoint>>) -> Self {
+        let (points, error) = match c.result {
+            Ok(points) => (points, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        let best_point = points
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.feasible)
+            .max_by(|(_, a), (_, b)| a.report.tokens_per_sec.total_cmp(&b.report.tokens_per_sec))
+            .map(|(i, _)| i);
+        Self {
+            plan: c.plan,
+            workload: c.workload,
+            points,
+            best_point,
+            error,
+        }
     }
 }
 
@@ -125,6 +172,12 @@ pub struct LoadSearchOutcome {
     pub slo_ttft_p99: Option<Seconds>,
     /// Load simulations executed (points across all candidates).
     pub evaluated: usize,
+    /// Search counters: one candidate per (plan, workload variant),
+    /// outcome counters reconciling with
+    /// [`LoadSearchOutcome::candidates`], per-worker throughput and the
+    /// evaluation-latency histogram. The load steps price no shared cost
+    /// tables, so the cache snapshots stay empty.
+    pub telemetry: SearchTelemetry,
 }
 
 impl LoadSearchOutcome {
@@ -158,156 +211,95 @@ impl Explorer<'_> {
     /// continuous-batching throughput under `axes`' TTFT SLO.
     ///
     /// Candidates are the same (plan, workload-variant) combinations
-    /// [`Explorer::explore`] evaluates; each prices one per-step cost
-    /// model and simulates every arrival rate in event mode (serially —
-    /// one load run is itself a full request-stream simulation).
-    /// Candidates whose pricing fails (OOM at the worst-case context,
-    /// unmappable pipeline, ...) stay in the outcome with their error.
+    /// [`Explorer::explore`] evaluates, and they run on the same driver
+    /// (the worker pool, the attached progress sink, per-worker
+    /// telemetry, the [`Explorer::analytic_serve`] setting). Each
+    /// candidate's step prices one per-step cost model (engine probes of
+    /// the candidate's own one-plan tables: the probes evaluate other
+    /// shapes than the candidate's workload, so no tables are shared) and
+    /// simulates every arrival rate in event mode. Candidates whose
+    /// pricing or simulation fails (OOM at the worst-case context,
+    /// unmappable pipeline, a clock beyond the grid, ...) stay in the
+    /// outcome with their error.
     ///
     /// Ranking: highest [`LoadCandidate::score`] — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
     /// rate, the search falls back to the lowest achieved p99 TTFT so a
-    /// winner (and its frontier) still comes back.
+    /// winner (and its frontier) still comes back. Results are identical
+    /// at any thread count.
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidLoad`] when the workload is not serve or
-    /// the spec is invalid; the first candidate's error when every
-    /// candidate failed to price.
+    /// [`EngineError::InvalidLoad`] when the spec is invalid; the first
+    /// candidate's error when every candidate failed (for a workload
+    /// that is not serve, that is [`EngineError::InvalidLoad`] too).
     ///
     /// # Panics
     ///
     /// Panics when the space carries serve axes but the workload is not
     /// serve (matching [`Explorer::explore`]).
     pub fn explore_load(&self, axes: &LoadAxes) -> Result<LoadSearchOutcome, EngineError> {
-        assert!(
-            self.search_space().serve.is_none() || self.base_workload().serve_config().is_some(),
-            "SearchSpace has serve axes but the explorer's workload is `{}`; \
-             set Explorer::workload(Workload::serve(..))",
-            self.base_workload()
-        );
-        if self.base_workload().serve_config().is_none() {
-            return Err(EngineError::InvalidLoad {
-                reason: "load search needs a serve workload".to_owned(),
-            });
-        }
-        self.base_spec_check(axes)?;
+        axes.validate()?;
+        let started = std::time::Instant::now();
         let sweep = axes.sweep();
-        let mut candidates = Vec::new();
-        let mut evaluated = 0usize;
-        for workload in self.workload_variants() {
-            for plan in self.candidates() {
-                let scenario = Scenario::new(self.model_arch(), self.cluster())
-                    .plan_ref(&plan)
-                    .workload_ref(&workload)
-                    .analytic_serve(true);
-                // Request shapes are rate-independent, so one cost model
-                // serves the whole sweep.
-                let costs = match scenario.price_load(&sweep[0].1) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        candidates.push(LoadCandidate {
-                            plan: plan.clone(),
-                            workload: workload.clone(),
-                            points: Vec::new(),
-                            best_point: None,
-                            error: Some(e),
-                        });
-                        continue;
-                    }
-                };
-                let mut points = Vec::with_capacity(sweep.len());
-                for (rate, spec) in &sweep {
-                    let outcome = scenario.serve_load_priced(spec, &costs, SimMode::Event, None)?;
-                    evaluated += 1;
-                    let feasible = axes
-                        .slo_ttft_p99
-                        .is_none_or(|slo| outcome.report.meets_ttft_slo(slo));
-                    points.push(LoadPoint {
-                        rate: *rate,
-                        report: outcome.report,
-                        feasible,
-                    });
-                }
-                let best_point = points
+        let (driven, mut telemetry) = self.drive(&Objective {
+            shared_tables: false,
+            known: None,
+            step: |s: &Scenario<'_>, _: &mut EngineScratch| {
+                // Request shapes are rate-independent, so one cost
+                // model serves the whole sweep.
+                let costs = s.price_load(&sweep[0].1)?;
+                sweep
                     .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.feasible)
-                    .max_by(|(_, a), (_, b)| {
-                        a.report.tokens_per_sec.total_cmp(&b.report.tokens_per_sec)
+                    .map(|(rate, spec)| {
+                        let outcome = s.serve_load_priced(spec, &costs, SimMode::Event, None)?;
+                        let feasible = axes
+                            .slo_ttft_p99
+                            .is_none_or(|slo| outcome.report.meets_ttft_slo(slo));
+                        Ok(LoadPoint {
+                            rate: *rate,
+                            report: outcome.report,
+                            feasible,
+                        })
                     })
-                    .map(|(i, _)| i);
-                candidates.push(LoadCandidate {
-                    plan: plan.clone(),
-                    workload: workload.clone(),
-                    points,
-                    best_point,
-                    error: None,
-                });
-            }
-        }
+                    .collect()
+            },
+            iteration_ms: |_: &Vec<LoadPoint>| None,
+        });
+        let candidates: Vec<LoadCandidate> = driven
+            .any_success(|| EngineError::InvalidLoad {
+                reason: "the search space is empty".to_owned(),
+            })?
+            .into_candidates()
+            .map(LoadCandidate::from_evaluated)
+            .collect();
+        let evaluated = candidates.iter().map(|c| c.points.len()).sum();
 
-        let scored = candidates
+        // The last maximum wins (`Iterator::max_by`); when nothing met
+        // the SLO, fall back to the lowest achieved p99 TTFT among
+        // candidates that simulated (the first minimum, `min_by`), of
+        // which `any_success` guarantees one.
+        let best_candidate = candidates
             .iter()
             .enumerate()
             .filter(|(_, c)| c.best_point.is_some())
             .max_by(|(_, a), (_, b)| a.score().total_cmp(&b.score()))
-            .map(|(i, _)| i);
-        let best_candidate = match scored {
-            Some(i) => i,
-            None => {
-                // Nothing met the SLO: fall back to the lowest achieved
-                // p99 TTFT among candidates that simulated at all.
-                let fallback = candidates
+            .or_else(|| {
+                candidates
                     .iter()
                     .enumerate()
                     .filter(|(_, c)| !c.points.is_empty())
                     .min_by(|(_, a), (_, b)| min_ttft(a).total_cmp(&min_ttft(b)))
-                    .map(|(i, _)| i);
-                match fallback {
-                    Some(i) => i,
-                    None => {
-                        // Every candidate failed to price.
-                        return Err(candidates
-                            .into_iter()
-                            .next()
-                            .and_then(|c| c.error)
-                            .unwrap_or(EngineError::InvalidLoad {
-                                reason: "the search space is empty".to_owned(),
-                            }));
-                    }
-                }
-            }
-        };
+            })
+            .map_or(0, |(i, _)| i);
+        telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(LoadSearchOutcome {
             candidates,
             best_candidate,
             slo_ttft_p99: axes.slo_ttft_p99,
             evaluated,
+            telemetry,
         })
-    }
-
-    /// Validates the axes' base spec up front so an invalid spec fails
-    /// once with a clear error instead of once per candidate.
-    fn base_spec_check(&self, axes: &LoadAxes) -> Result<(), EngineError> {
-        axes.spec
-            .validate()
-            .map_err(|reason| EngineError::InvalidLoad { reason })?;
-        if let ArrivalSpec::Poisson { .. } | ArrivalSpec::Bursty { .. } = &axes.spec.arrivals {
-            if axes.rates.is_empty() {
-                return Err(EngineError::InvalidLoad {
-                    reason: "Poisson/bursty load axes need at least one arrival rate".to_owned(),
-                });
-            }
-            for &r in &axes.rates {
-                if !(r.is_finite() && r > 0.0) {
-                    return Err(EngineError::InvalidLoad {
-                        reason: format!("arrival rate {r} must be finite and positive"),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -325,7 +317,7 @@ mod tests {
     use super::*;
     use crate::explore::{PipelineAxes, SearchSpace};
     use madmax_hw::catalog;
-    use madmax_model::ModelId;
+    use madmax_model::{LayerClass, ModelId};
     use madmax_parallel::{PipelineSchedule, ServeConfig};
 
     /// A Llama2 prefill at 256 tokens costs ~10 s on this system, so the
@@ -407,6 +399,46 @@ mod tests {
             assert!(c.error.is_some() || c.points.len() == 2);
         }
         assert!(r.best().best_point.is_some());
+    }
+
+    #[test]
+    fn a_failing_candidate_simulation_does_not_abort_the_search() {
+        // 400 requests of 2048-token prompts at 50 req/s: the
+        // (DDP, FSDP) transformer mapping falls so far behind that its
+        // simulated clock leaves the 2^52-unit grid. That candidate
+        // carries its error; the others still rank.
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let r = Explorer::new(&model, &sys)
+            .workload(Workload::serve(
+                ServeConfig::new(2048, 64).with_decode_batch(8),
+            ))
+            .space(SearchSpace::strategies().with_classes(vec![LayerClass::Transformer]))
+            .explore_load(&LoadAxes::new(LoadSpec::poisson(50.0, 400, 42), [50.0]))
+            .unwrap();
+        let overflowed: Vec<_> = r
+            .candidates
+            .iter()
+            .filter(|c| {
+                matches!(&c.error, Some(EngineError::InvalidLoad { reason }) if reason.contains("2^52"))
+            })
+            .collect();
+        assert_eq!(overflowed.len(), 1, "{:?}", r.candidates);
+        assert!(overflowed[0].points.is_empty());
+        assert!(r.best().error.is_none());
+        assert!(r.best_tokens_per_sec() > 0.0);
+        let t = &r.telemetry;
+        assert!(t.reconciles(), "{t:?}");
+        assert_eq!(t.candidates, r.candidates.len() as u64);
+        assert_eq!(t.invalid, 1, "the overflow counts as invalid");
+        assert_eq!(
+            t.ok as usize,
+            r.candidates.iter().filter(|c| c.error.is_none()).count()
+        );
+        assert_eq!(
+            r.evaluated, t.ok as usize,
+            "one rate per simulated candidate"
+        );
     }
 
     #[test]

@@ -48,7 +48,10 @@ pub struct CandidateEvent {
     pub outcome: CandidateOutcome,
     /// Evaluation latency in microseconds.
     pub eval_us: f64,
-    /// Simulated iteration time in milliseconds, for `Ok` outcomes.
+    /// Simulated iteration time in milliseconds, for `Ok` outcomes of
+    /// searches that simulate one iteration per candidate (`explore`,
+    /// and `explore_goodput`'s fault-free run). Load-search candidates
+    /// simulate request streams, not an iteration, and carry `None`.
     pub iteration_ms: Option<f64>,
 }
 

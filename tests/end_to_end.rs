@@ -318,3 +318,44 @@ fn cli_skips_unreplayable_goodput_instead_of_hanging() {
         );
     }
 }
+
+#[test]
+fn cli_load_search_writes_reconciling_telemetry() {
+    let path =
+        std::env::temp_dir().join(format!("madmax-load-telemetry-{}.json", std::process::id()));
+    let out = madmax(&[
+        "search",
+        "--model",
+        "llama2",
+        "--system",
+        "llama",
+        "--task",
+        "serve",
+        "--prompt",
+        "256",
+        "--decode",
+        "64",
+        "--decode-batch",
+        "8",
+        "--arrival-rate",
+        "0.02,0.2",
+        "--arrival-count",
+        "8",
+        "--threads",
+        "2",
+        "--telemetry",
+        path.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("load search:"), "{stdout}");
+    assert!(stdout.contains("telemetry:"), "{stdout}");
+    let json = std::fs::read_to_string(&path).expect("telemetry file written");
+    std::fs::remove_file(&path).ok();
+    let t: madmax_obs::SearchTelemetry = serde_json::from_str(&json).unwrap();
+    assert!(t.reconciles(), "{t:?}");
+    assert!(t.candidates > 0 && t.ok > 0, "{t:?}");
+    assert_eq!(t.eval_latency.count, t.candidates);
+    let per_worker: u64 = t.workers.iter().map(|w| w.candidates).sum();
+    assert_eq!(per_worker, t.candidates);
+}

@@ -14,17 +14,28 @@
 //!   percentiles up;
 //! - **Mode equivalence**: the event-driven series-jump mode produces a
 //!   [`LoadReport`] and per-request records byte-identical to the naive
-//!   per-token reference — the speedup is purely wall-clock.
+//!   per-token reference — the speedup is purely wall-clock;
+//! - **Load-search determinism and references**: `Explorer::explore_load`
+//!   returns the same candidates, errors and reports at any thread
+//!   count, with reconciling telemetry and one progress event per
+//!   candidate, and its closed-form probes match full simulation.
 //!
 //! [`StepCostModel`]: madmax_serve::StepCostModel
 //! [`LoadReport`]: madmax_serve::LoadReport
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 
+use madmax_dse::{
+    CandidateEvent, Explorer, LoadAxes, LoadSearchOutcome, PipelineAxes, ProgressSink, SearchSpace,
+    SearchTelemetry, ServeAxes,
+};
 use madmax_engine::{Scenario, SimMode};
 use madmax_hw::catalog;
-use madmax_model::ModelId;
-use madmax_parallel::{LoadSpec, ServeConfig, Workload};
+use madmax_hw::units::Seconds;
+use madmax_model::{LayerClass, ModelId};
+use madmax_parallel::{LoadSpec, PipelineSchedule, ServeConfig, Workload};
 use madmax_serve::{LoadOutcome, StepCostModel};
 
 /// A randomized but always-valid Poisson load spec: `paged = 0` leaves
@@ -190,4 +201,131 @@ proptest! {
         prop_assert_eq!(&event.report, &naive.report);
         prop_assert_eq!(&event.trace.records, &naive.trace.records);
     }
+}
+
+/// A Llama2 load search over the transformer strategies × pp {1, 8}
+/// (24 candidates, some out of memory), two rates, a 60 s p99 TTFT SLO.
+fn load_search(explorer: Explorer<'_>) -> LoadSearchOutcome {
+    explorer
+        .workload(Workload::serve(
+            ServeConfig::new(256, 64).with_decode_batch(8),
+        ))
+        .space(
+            SearchSpace::strategies()
+                .with_classes(vec![LayerClass::Transformer])
+                .with_pipeline(PipelineAxes {
+                    stages: vec![1, 8],
+                    microbatches: vec![8],
+                    schedules: vec![PipelineSchedule::GPipe],
+                }),
+        )
+        .explore_load(
+            &LoadAxes::new(LoadSpec::poisson(0.02, 12, 11), [0.02, 0.2])
+                .with_slo_ttft_p99(Seconds::new(60.0)),
+        )
+        .unwrap()
+}
+
+/// Asserts two load searches returned the same candidates, errors and
+/// serialized points, and the same winner.
+fn assert_same_search(a: &LoadSearchOutcome, b: &LoadSearchOutcome) {
+    assert_eq!(a.best_candidate, b.best_candidate);
+    assert_eq!(a.evaluated, b.evaluated);
+    assert_eq!(a.candidates.len(), b.candidates.len());
+    for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
+        assert_eq!(ca.plan, cb.plan);
+        assert_eq!(ca.workload, cb.workload);
+        assert_eq!(ca.error, cb.error);
+        assert_eq!(ca.best_point, cb.best_point);
+        assert_eq!(ca.points.len(), cb.points.len());
+        for (pa, pb) in ca.points.iter().zip(&cb.points) {
+            assert_eq!(pa.rate.to_bits(), pb.rate.to_bits());
+            assert_eq!(pa.feasible, pb.feasible);
+            assert_eq!(
+                serde_json::to_string(&pa.report).unwrap(),
+                serde_json::to_string(&pb.report).unwrap()
+            );
+        }
+    }
+}
+
+#[test]
+fn load_search_is_deterministic_across_thread_counts() {
+    #[derive(Debug, Default)]
+    struct CountingSink {
+        events: AtomicU64,
+        finished: AtomicU64,
+    }
+    impl ProgressSink for CountingSink {
+        fn candidate_completed(&self, event: &CandidateEvent) {
+            assert!(event.index < event.total);
+            assert!(event.iteration_ms.is_none(), "load candidates carry none");
+            self.events.fetch_add(1, Ordering::Relaxed);
+        }
+        fn search_finished(&self, telemetry: &SearchTelemetry) {
+            assert!(telemetry.reconciles());
+            self.finished.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let one = load_search(Explorer::new(&model, &sys).threads(1));
+    assert!(one.best().best_point.is_some(), "some rate meets the SLO");
+    for threads in [1, 2, 4] {
+        let sink = CountingSink::default();
+        let other = load_search(Explorer::new(&model, &sys).threads(threads).progress(&sink));
+        assert_same_search(&one, &other);
+        let t = &other.telemetry;
+        assert!(t.reconciles(), "{t:?}");
+        assert_eq!(t.candidates, other.candidates.len() as u64);
+        assert!(t.oom > 0, "some strategy mappings must be infeasible");
+        assert!(t.ok > 0);
+        assert_eq!(t.eval_latency.count, t.candidates);
+        assert_eq!(t.workers.len(), threads);
+        let per_worker: u64 = t.workers.iter().map(|w| w.candidates).sum();
+        assert_eq!(per_worker, t.candidates);
+        assert_eq!(
+            sink.events.load(Ordering::Relaxed),
+            other.candidates.len() as u64
+        );
+        assert_eq!(
+            sink.finished.load(Ordering::Relaxed),
+            1,
+            "one workload variant"
+        );
+    }
+}
+
+#[test]
+fn load_search_without_the_closed_form_is_byte_identical() {
+    // The full-simulation reference for the load-probe path: every probe
+    // decodes at least 48 tokens, past the closed form's threshold, so
+    // `analytic_serve(false)` simulates each one step by step. Serve axes
+    // add a second workload variant.
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let search = |analytic: bool| {
+        Explorer::new(&model, &sys)
+            .analytic_serve(analytic)
+            .workload(Workload::serve(
+                ServeConfig::new(256, 64).with_decode_batch(8),
+            ))
+            .space(
+                SearchSpace::default()
+                    .with_serve(ServeAxes::batches([4, 8]))
+                    .with_pipeline(PipelineAxes {
+                        stages: vec![1, 8],
+                        microbatches: vec![4],
+                        schedules: vec![PipelineSchedule::GPipe],
+                    }),
+            )
+            .explore_load(&LoadAxes::new(LoadSpec::poisson(0.05, 12, 5), [0.05, 0.5]))
+            .unwrap()
+    };
+    let closed_form = search(true);
+    let full = search(false);
+    assert_eq!(closed_form.candidates.len(), 4);
+    assert!(closed_form.candidates.iter().any(|c| c.error.is_none()));
+    assert_same_search(&closed_form, &full);
 }
