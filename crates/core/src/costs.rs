@@ -472,6 +472,21 @@ impl<'a> CostTable<'a> {
         }
     }
 
+    /// Whether `plan` can be evaluated against this table as priced: its
+    /// options match the pricing context and every strategy it assigns
+    /// was priced by [`CostTable::ensure_plan`] (for `plan` or any other
+    /// candidate). Evaluating a covered plan never panics.
+    pub fn covers(&self, plan: &Plan) -> bool {
+        pricing_options_match(&self.options, &plan.options)
+            && self.class_groups.iter().all(|(class, groups)| {
+                let strategy = plan.strategy_for(*class);
+                self.groups[groups[0]]
+                    .by_strategy
+                    .iter()
+                    .any(|(s, _)| *s == strategy)
+            })
+    }
+
     /// Prices one layer group under one strategy (collectives + memory
     /// contributions), mirroring `madmax_parallel::memory_per_device`
     /// exactly. With `decode` the group is priced in the decode-phase
@@ -1086,6 +1101,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn covers_exactly_the_priced_strategies_and_options() {
+        let model = ModelId::DlrmA.build();
+        let sys = catalog::zionex_dlrm_system();
+        let base = Plan::fsdp_baseline(&model);
+        let mut table = CostTable::new(
+            &model,
+            &sys,
+            Workload::pretrain(),
+            base.options,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+        );
+        assert!(!table.covers(&base));
+        table.ensure_plan(&base);
+        assert!(table.covers(&base));
+        let other = base.clone().with_strategy(
+            madmax_model::LayerClass::Dense,
+            HierStrategy::two_level(Strategy::Tp, Strategy::Ddp),
+        );
+        assert!(!table.covers(&other));
+        table.ensure_plan(&other);
+        assert!(table.covers(&other));
+        let mut diverged = base;
+        diverged.options.activation_checkpointing = !diverged.options.activation_checkpointing;
+        assert!(!table.covers(&diverged));
     }
 
     #[test]

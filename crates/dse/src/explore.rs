@@ -20,7 +20,7 @@ use madmax_parallel::{HierStrategy, PipelineConfig, PipelineSchedule, Plan, Work
 
 mod driver;
 
-pub(crate) use driver::{Evaluated, Objective};
+pub(crate) use driver::{Evaluated, Objective, Pricing};
 
 /// Distinct layer classes present in a model, in first-appearance order.
 pub(crate) fn classes_in(model: &ModelArch) -> Vec<LayerClass> {
@@ -459,7 +459,7 @@ impl<'a> Explorer<'a> {
         // The baseline combo re-appears among the candidates; the driver
         // counts it `ok` instead of simulating it again.
         let (driven, mut telemetry) = self.drive(&Objective {
-            shared_tables: true,
+            pricing: Pricing::Variant,
             known: Some((&base_workload, &base_plan)),
             step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
             iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),

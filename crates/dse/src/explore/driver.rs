@@ -3,11 +3,13 @@
 //! [`Explorer::explore`], [`Explorer::explore_goodput`] and
 //! [`Explorer::explore_load`] differ only in what they do with one
 //! candidate and how they rank the results. Everything else lives here:
-//! for each workload variant × candidate plan the driver builds the
-//! candidate's [`Scenario`] (shared cost tables attached when the
-//! objective prices them), evaluates it on the scoped worker pool, tallies
-//! the outcome with [`classify`], fires the [`ProgressSink`] events, and
-//! merges the per-variant [`SearchTelemetry`]. Results come back in
+//! for each workload variant the driver prices the shared tables the
+//! objective names ([`Pricing`]), then, per candidate plan, builds the
+//! candidate's [`Scenario`] with those tables attached, evaluates it on
+//! the scoped worker pool, tallies the outcome with [`classify`], fires
+//! the [`ProgressSink`] events, and merges the per-variant
+//! [`SearchTelemetry`] (cache snapshots taken from the shared tables). The
+//! tables are dropped once the variant's pool joins. Results come back in
 //! enumeration order, so every objective is deterministic at any thread
 //! count.
 
@@ -21,7 +23,7 @@ use madmax_obs::{
     CandidateEvent, CandidateOutcome, LatencyHistogram, NullSink, ProgressSink, SearchTelemetry,
     WorkerStats,
 };
-use madmax_parallel::{Plan, Workload};
+use madmax_parallel::{LoadSpec, Plan, Workload};
 
 use super::Explorer;
 
@@ -46,13 +48,25 @@ struct WorkerLocal {
     latency: LatencyHistogram,
 }
 
+/// The shared tables an objective has priced once per workload variant,
+/// before the variant's pool runs, and attached to every candidate's
+/// scenario. Plan lists with mixed pricing options get none: each
+/// candidate then prices one-plan tables of its own.
+pub(crate) enum Pricing<'o> {
+    /// The variant's own flat and pipeline cost tables
+    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`]):
+    /// the step evaluates the candidate's own workload.
+    Variant,
+    /// The load-probe tables of the variant's plans for this spec
+    /// ([`Scenario::price_load_probes`]): the step prices the candidate's
+    /// load cost model ([`Scenario::price_load`]).
+    LoadProbes(&'o LoadSpec),
+}
+
 /// What a search objective does with one candidate.
 pub(crate) struct Objective<'o, T, F> {
-    /// Price one flat and one pipeline cost table per workload variant
-    /// and attach them to every candidate's scenario. Objectives whose
-    /// step evaluates other shapes than the candidate's own leave this
-    /// off: the tables would be priced and never read.
-    pub(crate) shared_tables: bool,
+    /// The tables to price per workload variant.
+    pub(crate) pricing: Pricing<'o>,
     /// A (workload, plan) combination the objective already evaluated
     /// itself (the explorer's baseline). Candidates matching it count as
     /// `ok` but are neither evaluated, returned, nor reported to the
@@ -168,7 +182,7 @@ impl Explorer<'_> {
             workload,
             plans,
             &Objective {
-                shared_tables: true,
+                pricing: Pricing::Variant,
                 known: None,
                 step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
                 iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
@@ -249,14 +263,23 @@ impl Explorer<'_> {
             .analytic_serve(self.analytic_serve);
         // Mixed-option plan lists (e.g. ablating prefetch on/off) cannot
         // share a pricing context; they fall back to per-plan pricing.
-        let uniform_options =
-            objective.shared_tables && plans.windows(2).all(|w| w[0].options == w[1].options);
-        let table = uniform_options.then(|| scenario.price_plans(plans));
+        let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
+        let variant_tables = uniform_options && matches!(objective.pricing, Pricing::Variant);
+        let table = variant_tables.then(|| scenario.price_plans(plans));
         let has_pipelined = plans
             .iter()
             .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined()));
         let pipeline_table =
-            (uniform_options && has_pipelined).then(|| scenario.price_pipeline_plans(plans));
+            (variant_tables && has_pipelined).then(|| scenario.price_pipeline_plans(plans));
+        // A spec the probe tables cannot be priced for fails every
+        // candidate's `price_load` with the same error, which the
+        // candidates then report themselves.
+        let probe_tables = match objective.pricing {
+            Pricing::LoadProbes(spec) if uniform_options => {
+                scenario.price_load_probes(spec, plans).ok()
+            }
+            _ => None,
+        };
         let sink: &dyn ProgressSink = self.progress.unwrap_or(&NULL_SINK);
         let total = plans.len();
         // Evaluates plan `i`, accounting it worker-locally and firing the
@@ -272,6 +295,9 @@ impl Explorer<'_> {
             }
             if let Some(t) = &pipeline_table {
                 s = s.pipeline_costs(t);
+            }
+            if let Some(t) = &probe_tables {
+                s = s.load_probes(t);
             }
             let result = (objective.step)(&s, scratch);
             let eval_us = t0.elapsed().as_secs_f64() * 1e6;
@@ -373,6 +399,12 @@ impl Explorer<'_> {
             telemetry.pipeline_cache = t.stats();
             telemetry.report_memo = t.memo_stats();
             telemetry.steady_analytic.absorb(t.analytic_stats());
+        }
+        if let Some(t) = &probe_tables {
+            telemetry.flat_cache = t.flat_stats();
+            telemetry.pipeline_cache = t.pipeline_stats();
+            telemetry.report_memo = t.memo_stats();
+            telemetry.steady_analytic = t.analytic_stats();
         }
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         sink.search_finished(&telemetry);

@@ -19,7 +19,7 @@ use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{Plan, Workload};
 
-use crate::explore::{Evaluated, Explorer, Objective};
+use crate::explore::{Evaluated, Explorer, Objective, Pricing};
 
 /// The fault dimensions of a goodput search: one fault process (the
 /// fleet MTBF must be set) and the checkpoint intervals to sweep.
@@ -203,7 +203,7 @@ impl Explorer<'_> {
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
         let (driven, mut telemetry) = self.drive(&Objective {
-            shared_tables: true,
+            pricing: Pricing::Variant,
             known: None,
             step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
                 let report = s.run_in(scratch)?;

@@ -17,10 +17,13 @@
 //! ([`Explorer::explore`]), failure-aware goodput
 //! ([`Explorer::explore_goodput`]) and the SLO-constrained load search
 //! ([`Explorer::explore_load`]) — runs on one candidate driver: the
-//! worker pool, the shared cost tables where the objective prices them,
-//! the [`ProgressSink`] events and the per-worker [`SearchTelemetry`].
-//! An objective contributes only its per-candidate step and its ranking,
-//! so results are identical at any thread count.
+//! worker pool, the shared tables each objective has priced once per
+//! workload variant (the variant's own cost tables for `explore` and
+//! `explore_goodput`, one cost table per load-probe shape for
+//! `explore_load`), the [`ProgressSink`] events and the per-worker
+//! [`SearchTelemetry`]. An objective contributes only its per-candidate
+//! step, the tables it needs and its ranking, so results are identical
+//! at any thread count.
 //!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
 //! been removed after their deprecation release; `Explorer` over the

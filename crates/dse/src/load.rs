@@ -5,8 +5,9 @@
 //! [`Explorer::explore_load`] sweeps the space's (plan, workload)
 //! candidates against a ladder of arrival rates, on the explorer's
 //! candidate driver and worker pool. Each candidate prices its per-step
-//! cost model once (a handful of engine probes), then simulates every
-//! rate through `madmax_serve`'s event-driven simulator.
+//! cost model once (a handful of engine probes, evaluated against cost
+//! tables shared by every candidate of the workload variant), then
+//! simulates every rate through `madmax_serve`'s event-driven simulator.
 //! A rate point is *feasible* when its p99 TTFT meets the SLO; a
 //! candidate's score is the best feasible throughput, and the winner's
 //! rate sweep is the latency-vs-throughput frontier (the serving
@@ -18,7 +19,7 @@ use madmax_obs::SearchTelemetry;
 use madmax_parallel::{ArrivalSpec, LoadSpec, Plan, Workload};
 use madmax_serve::LoadReport;
 
-use crate::explore::{Evaluated, Explorer, Objective};
+use crate::explore::{Evaluated, Explorer, Objective, Pricing};
 
 /// The load dimensions of a search: a base [`LoadSpec`] (queue, paging,
 /// horizon knobs), the arrival rates to sweep, and the TTFT SLO.
@@ -175,8 +176,10 @@ pub struct LoadSearchOutcome {
     /// Search counters: one candidate per (plan, workload variant),
     /// outcome counters reconciling with
     /// [`LoadSearchOutcome::candidates`], per-worker throughput and the
-    /// evaluation-latency histogram. The load steps price no shared cost
-    /// tables, so the cache snapshots stay empty.
+    /// evaluation-latency histogram. The cache snapshots (`flat_cache`,
+    /// `pipeline_cache`, `report_memo`, `steady_analytic`) come from the
+    /// shared load-probe tables, summed over their shapes and workload
+    /// variants.
     pub telemetry: SearchTelemetry,
 }
 
@@ -213,12 +216,15 @@ impl Explorer<'_> {
     /// Candidates are the same (plan, workload-variant) combinations
     /// [`Explorer::explore`] evaluates, and they run on the same driver
     /// (the worker pool, the attached progress sink, per-worker
-    /// telemetry, the [`Explorer::analytic_serve`] setting). Each
-    /// candidate's step prices one per-step cost model (engine probes of
-    /// the candidate's own one-plan tables: the probes evaluate other
-    /// shapes than the candidate's workload, so no tables are shared) and
-    /// simulates every arrival rate in event mode. Candidates whose
-    /// pricing or simulation fails (OOM at the worst-case context,
+    /// telemetry, the [`Explorer::analytic_serve`] setting). Before a
+    /// workload variant's candidates run, the driver prices its load-probe
+    /// tables ([`Scenario::price_load_probes`]): one flat and one pipeline
+    /// cost table per distinct probe shape, covering the candidates that
+    /// probe it, dropped once the variant is done. Each candidate's step
+    /// then prices one per-step cost model, its engine probes evaluated
+    /// against those shared tables (byte-identical to one-plan tables per
+    /// probe), and simulates every arrival rate in event mode. Candidates
+    /// whose pricing or simulation fails (OOM at the worst-case context,
     /// unmappable pipeline, a clock beyond the grid, ...) stay in the
     /// outcome with their error.
     ///
@@ -243,7 +249,7 @@ impl Explorer<'_> {
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
         let (driven, mut telemetry) = self.drive(&Objective {
-            shared_tables: false,
+            pricing: Pricing::LoadProbes(&sweep[0].1),
             known: None,
             step: |s: &Scenario<'_>, _: &mut EngineScratch| {
                 // Request shapes are rate-independent, so one cost

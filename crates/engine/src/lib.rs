@@ -52,9 +52,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod error;
+pub mod probes;
 pub mod scenario;
 
 pub use error::EngineError;
+pub use probes::LoadProbeTables;
 pub use scenario::{GoodputOutcome, Scenario};
 
 // Re-exported so engine consumers (the explorer, benches) can name the

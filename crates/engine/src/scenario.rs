@@ -17,6 +17,7 @@ use madmax_pipeline::PipelineCostTable;
 use madmax_serve::{LoadOutcome, SimMode, StepCostModel};
 
 use crate::error::EngineError;
+use crate::probes::LoadProbeTables;
 
 /// Everything a failure-aware training-goodput evaluation produces.
 #[derive(Debug, Clone)]
@@ -91,6 +92,7 @@ pub struct Scenario<'a> {
     utilization: UtilizationModel,
     costs: Option<&'a CostTable<'a>>,
     pipeline_costs: Option<&'a PipelineCostTable<'a>>,
+    load_probes: Option<&'a LoadProbeTables<'a>>,
     analytic_serve: bool,
 }
 
@@ -108,19 +110,23 @@ impl<'a> Scenario<'a> {
             utilization: UtilizationModel::Constant,
             costs: None,
             pipeline_costs: None,
+            load_probes: None,
             analytic_serve: true,
         }
     }
 
     /// Enables or disables the closed-form steady-state decode path
     /// (`madmax_core::steady`) on every cost table this scenario *builds*
-    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`], and
-    /// the one-plan tables of [`Scenario::run_in`], [`Scenario::run`], and
+    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`],
+    /// [`Scenario::price_load_probes`], and the one-plan tables of
+    /// [`Scenario::run_in`], [`Scenario::run`], and
     /// [`Scenario::price_load`]'s probes). On by default; the closed form
     /// is byte-identical to full simulation, so this knob exists for A/B
     /// validation and as an escape hatch. Tables attached via
     /// [`Scenario::costs`] / [`Scenario::pipeline_costs`] keep their own
-    /// setting, and [`Scenario::run_with_trace`] always simulates in full.
+    /// setting; attached [`Scenario::load_probes`] tables priced with the
+    /// other setting are not used. [`Scenario::run_with_trace`] always
+    /// simulates in full.
     #[must_use]
     pub fn analytic_serve(mut self, on: bool) -> Self {
         self.analytic_serve = on;
@@ -185,6 +191,22 @@ impl<'a> Scenario<'a> {
         self
     }
 
+    /// Attaches shared load-probe tables (see
+    /// [`Scenario::price_load_probes`]): [`Scenario::price_load`] then
+    /// evaluates each probe through [`Scenario::run_in`] against the
+    /// tables of the probe's shape instead of pricing one-plan tables per
+    /// probe. Probes of a shape the tables do not hold, of a plan the
+    /// shape's table does not cover ([`CostTable::covers`],
+    /// [`PipelineCostTable::covers`]), or against tables priced with
+    /// another [`Scenario::analytic_serve`] setting fall back to one-plan
+    /// tables; the cost model is byte-identical either way. The tables must have
+    /// been priced for this scenario's model, system, and cost models.
+    #[must_use]
+    pub fn load_probes(mut self, tables: &'a LoadProbeTables<'a>) -> Self {
+        self.load_probes = Some(tables);
+        self
+    }
+
     /// Replaces the collective cost model (ablation studies).
     #[must_use]
     pub fn collectives(mut self, m: &'a dyn CollectiveModel) -> Self {
@@ -231,9 +253,15 @@ impl<'a> Scenario<'a> {
     /// All plans must share the same pricing-relevant options
     /// (`activation_checkpointing`, `collective_dtype`); this is asserted.
     pub fn price_plans(&self, plans: &[Plan]) -> CostTable<'a> {
+        self.price_flat(plans.iter())
+    }
+
+    /// [`Scenario::price_plans`] over any plan sequence.
+    fn price_flat<'p>(&self, plans: impl Iterator<Item = &'p Plan>) -> CostTable<'a> {
         let _span = madmax_core::prof::span("price.flat");
+        let mut plans = plans.peekable();
         let options = plans
-            .first()
+            .peek()
             .map_or_else(|| self.effective_plan().options, |p| p.options);
         let mut table = CostTable::new(
             self.model,
@@ -244,7 +272,7 @@ impl<'a> Scenario<'a> {
             self.utilization,
         );
         table.set_analytic_serve(self.analytic_serve);
-        for plan in plans.iter().filter(|p| !Self::is_pipelined(p)) {
+        for plan in plans.filter(|p| !Self::is_pipelined(p)) {
             table.ensure_plan(plan);
         }
         table
@@ -259,9 +287,15 @@ impl<'a> Scenario<'a> {
     /// All plans must share the same pricing-relevant options; this is
     /// asserted.
     pub fn price_pipeline_plans(&self, plans: &[Plan]) -> PipelineCostTable<'a> {
+        self.price_pipeline(plans.iter())
+    }
+
+    /// [`Scenario::price_pipeline_plans`] over any plan sequence.
+    fn price_pipeline<'p>(&self, plans: impl Iterator<Item = &'p Plan>) -> PipelineCostTable<'a> {
         let _span = madmax_core::prof::span("price.pipeline");
+        let mut plans = plans.peekable();
         let options = plans
-            .first()
+            .peek()
             .map_or_else(|| self.effective_plan().options, |p| p.options);
         let mut table = PipelineCostTable::new(
             self.model,
@@ -272,7 +306,7 @@ impl<'a> Scenario<'a> {
             self.utilization,
         );
         table.set_analytic_serve(self.analytic_serve);
-        for plan in plans.iter().filter(|p| Self::is_pipelined(p)) {
+        for plan in plans.filter(|p| Self::is_pipelined(p)) {
             table.ensure_plan(plan);
         }
         table
@@ -291,6 +325,7 @@ impl<'a> Scenario<'a> {
             utilization: self.utilization,
             costs: None,
             pipeline_costs: None,
+            load_probes: None,
             analytic_serve,
         }
     }
@@ -417,8 +452,9 @@ impl<'a> Scenario<'a> {
     /// Prices a per-step cost model ([`madmax_serve::StepCostModel`]) of
     /// this scenario's plan for the request shapes in `spec` — the slow
     /// part of a load run (a handful of engine probes, each a
-    /// [`Scenario::run_in`] of one synchronized serve wave), reusable
-    /// across simulations via [`Scenario::serve_load_priced`].
+    /// [`Scenario::run_in`] of one synchronized serve wave against the
+    /// attached [`Scenario::load_probes`] tables or a one-plan table),
+    /// reusable across simulations via [`Scenario::serve_load_priced`].
     ///
     /// The in-flight slot count is `spec.slots`, defaulting to the serve
     /// config's decode batch.
@@ -428,6 +464,31 @@ impl<'a> Scenario<'a> {
     /// [`EngineError::InvalidLoad`] for invalid specs or a non-serve
     /// workload; probe failures as in [`Scenario::run`].
     pub fn price_load(&self, spec: &LoadSpec) -> Result<StepCostModel, EngineError> {
+        let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
+        let mut scratch = EngineScratch::new();
+        self.with_plan(|plan| {
+            let probe = |cfg: ServeConfig| {
+                let shared = self.load_probes.and_then(|t| t.shape(&cfg));
+                let Some(shape) = shared.filter(|s| s.covers(plan, self.analytic_serve)) else {
+                    return self
+                        .detached(Cow::Owned(Workload::serve(cfg)), self.analytic_serve)
+                        .run_in(&mut scratch);
+                };
+                let mut s = self.detached(Cow::Borrowed(&shape.workload), self.analytic_serve);
+                s.costs = shape.flat.as_ref();
+                s.pipeline_costs = shape.pipeline.as_ref();
+                s.run_in(&mut scratch)
+            };
+            StepCostModel::price(plan, serve, slots, &arrivals, probe)
+        })
+    }
+
+    /// What [`Scenario::price_load`] prices against: the serve config,
+    /// `spec`'s materialized arrivals, and the in-flight slot count.
+    fn load_probe_inputs(
+        &self,
+        spec: &LoadSpec,
+    ) -> Result<(&ServeConfig, Vec<madmax_serve::ArrivalEvent>, usize), EngineError> {
         let serve = self.load_serve_config()?;
         spec.validate()
             .map_err(|reason| EngineError::InvalidLoad { reason })?;
@@ -435,12 +496,53 @@ impl<'a> Scenario<'a> {
         let slots = spec
             .slots
             .unwrap_or_else(|| serve.effective_batch(self.model));
-        let mut scratch = EngineScratch::new();
-        let probe = |cfg: ServeConfig| {
-            self.detached(Cow::Owned(Workload::serve(cfg)), self.analytic_serve)
-                .run_in(&mut scratch)
-        };
-        self.with_plan(|plan| StepCostModel::price(plan, serve, slots, &arrivals, probe))
+        Ok((serve, arrivals, slots))
+    }
+
+    /// Prices the load-probe tables of `plans` for `spec` on this
+    /// scenario's serve workload: every probe shape
+    /// ([`StepCostModel::probe_shapes`]) any of the plans would run in
+    /// [`Scenario::price_load`], each with one flat [`CostTable`] and one
+    /// [`PipelineCostTable`] priced for the plans that probe it, and
+    /// the arrivals materialized once. Attach the result with
+    /// [`Scenario::load_probes`] to every plan's scenario: a load search
+    /// then prices a few tables per search instead of one per probe. The
+    /// tables inherit this scenario's model, system, cost models, and
+    /// [`Scenario::analytic_serve`] setting, and are `Sync`.
+    ///
+    /// All plans must share the same pricing-relevant options; this is
+    /// asserted.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`Scenario::price_load`] reports before its first
+    /// probe: [`EngineError::InvalidLoad`] for invalid specs or a
+    /// non-serve workload.
+    pub fn price_load_probes(
+        &self,
+        spec: &LoadSpec,
+        plans: &[Plan],
+    ) -> Result<LoadProbeTables<'a>, EngineError> {
+        let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
+        Ok(LoadProbeTables::new(
+            plans,
+            |plan| StepCostModel::probe_shapes(plan, serve, slots, &arrivals),
+            |workload, covered| {
+                let probe = Scenario::new(self.model, self.system)
+                    .workload(workload.clone())
+                    .collectives(self.collectives)
+                    .utilization(self.utilization)
+                    .analytic_serve(self.analytic_serve);
+                let covered = || covered.iter().copied();
+                let flat = covered()
+                    .any(|p| !Self::is_pipelined(p))
+                    .then(|| probe.price_flat(covered()));
+                let pipeline = covered()
+                    .any(Self::is_pipelined)
+                    .then(|| probe.price_pipeline(covered()));
+                (flat, pipeline)
+            },
+        ))
     }
 
     /// Runs the continuous-batching load simulator against this

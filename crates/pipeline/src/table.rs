@@ -542,70 +542,71 @@ impl<'a> PipelineCostTable<'a> {
     /// was not priced via [`PipelineCostTable::ensure_plan`]; debug builds
     /// also assert that `plan`'s options match the pricing context.
     pub fn priced_for(&self, plan: &Plan) -> Result<PricedPipelineRef<'_>, PlanError> {
+        self.resolve(plan).unwrap_or_else(|missing| {
+            panic!(
+                "pipeline cost table has no entry for {missing}; \
+                 call PipelineCostTable::ensure_plan for every plan first"
+            )
+        })
+    }
+
+    /// Whether `plan` can be evaluated against this table as priced: its
+    /// options match the pricing context and [`PipelineCostTable::priced_for`]
+    /// answers it (stages or the plan's error) without a missing key.
+    /// Evaluating a covered plan never panics.
+    pub fn covers(&self, plan: &Plan) -> bool {
+        pricing_options_match(&self.options, &plan.options) && self.resolve(plan).is_ok()
+    }
+
+    /// [`PipelineCostTable::priced_for`], with `Err` naming the key
+    /// [`PipelineCostTable::ensure_plan`] never priced.
+    fn resolve(&self, plan: &Plan) -> Result<Result<PricedPipelineRef<'_>, PlanError>, String> {
         debug_assert!(
             pricing_options_match(&self.options, &plan.options),
             "plan options diverge from the pipeline cost table's pricing context"
         );
         let Some(cfg) = plan.pipeline.filter(|c| c.is_pipelined()) else {
-            return Err(PlanError::InvalidPipeline {
+            return Ok(Err(PlanError::InvalidPipeline {
                 reason: "plan has no active pipeline config (use the flat engine)".to_owned(),
-            });
+            }));
         };
         let primary = self.report_model();
-        plan.validate_strategies(primary)?;
-        let depth = self
-            .depths
-            .iter()
-            .find(|(p, _)| *p == cfg.stages)
-            .unwrap_or_else(|| {
-                panic!(
-                    "pipeline cost table has no entry for depth {}; \
-                     call PipelineCostTable::ensure_plan for every plan first",
-                    cfg.stages
-                )
-            });
-        let entry = depth.1.as_ref().map_err(Clone::clone)?;
+        if let Err(e) = plan.validate_strategies(primary) {
+            return Ok(Err(e));
+        }
+        let Some((_, depth)) = self.depths.iter().find(|(p, _)| *p == cfg.stages) else {
+            return Err(format!("depth {}", cfg.stages));
+        };
+        let entry = match depth {
+            Ok(entry) => entry,
+            Err(e) => return Ok(Err(e.clone())),
+        };
         let key = self.assign_key(plan);
-        let ae = entry
-            .assignments
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or_else(
-                || {
-                    panic!(
-                        "pipeline cost table has no entry for {}; \
-                         call PipelineCostTable::ensure_plan for every plan first",
-                        plan.summary()
-                    )
-                },
-                |(_, e)| e,
-            );
-        let memory = fold_pipeline_memory(
+        let Some((_, ae)) = entry.assignments.iter().find(|(k, _)| *k == key) else {
+            return Err(plan.summary());
+        };
+        let checked = fold_pipeline_memory(
             &ae.per_stage_memory,
             cfg.microbatches,
             cfg.schedule,
             &self.workload,
             plan,
             self.cluster,
-        )?;
-        microbatch_bounds(primary, cfg.microbatches)?;
-        if let Some(dm) = self.decode_model.as_deref() {
-            microbatch_bounds(dm, cfg.microbatches)?;
-        }
-        let pc = ae
-            .by_m
-            .iter()
-            .find(|(m, _)| *m == cfg.microbatches)
-            .map_or_else(
-                || {
-                    panic!(
-                        "pipeline cost table has no entry for {} microbatches; \
-                         call PipelineCostTable::ensure_plan for every plan first",
-                        cfg.microbatches
-                    )
-                },
-                |(_, c)| c,
-            );
+        )
+        .and_then(|memory| {
+            microbatch_bounds(primary, cfg.microbatches)?;
+            if let Some(dm) = self.decode_model.as_deref() {
+                microbatch_bounds(dm, cfg.microbatches)?;
+            }
+            Ok(memory)
+        });
+        let memory = match checked {
+            Ok(memory) => memory,
+            Err(e) => return Ok(Err(e)),
+        };
+        let Some((_, pc)) = ae.by_m.iter().find(|(m, _)| *m == cfg.microbatches) else {
+            return Err(format!("{} microbatches", cfg.microbatches));
+        };
         // Training traces depend on the schedule; serve traces do not (the
         // decode stream is forward-only), so all schedules share one tag
         // and the scratch memo collapses the schedule axis.
@@ -617,14 +618,14 @@ impl<'a> PipelineCostTable<'a> {
         } else {
             2
         };
-        Ok(PricedPipelineRef {
+        Ok(Ok(PricedPipelineRef {
             primary: &pc.primary,
             decode: pc.decode.as_deref().map(|costs| (costs, self.decode_len)),
             cfg,
             prompt_len: primary.context_length,
             memory,
             memo_key: (self.generation, pc.id, sched_tag),
-        })
+        }))
     }
 }
 
@@ -781,6 +782,31 @@ pub(crate) mod tests {
         table.ensure_plan(&zero_m);
         let err = table.priced_for(&zero_m).unwrap_err();
         assert!(matches!(err, PlanError::InvalidPipeline { .. }), "{err}");
+    }
+
+    #[test]
+    fn covers_exactly_the_keys_priced_for_answers() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let base = Plan::fsdp_baseline(&model);
+        let plan = base.clone().with_pipeline(PipelineConfig::gpipe(8, 16));
+        let mut table = table_for(&model, &sys, Workload::pretrain(), base.options);
+        assert!(!table.covers(&plan));
+        table.ensure_plan(&plan);
+        assert!(table.covers(&plan));
+        // An unpriced depth or microbatch count is not covered.
+        assert!(!table.covers(&base.clone().with_pipeline(PipelineConfig::gpipe(4, 16))));
+        assert!(!table.covers(&base.clone().with_pipeline(PipelineConfig::gpipe(8, 32))));
+        // Candidates whose error the table answers are covered.
+        let over = base
+            .clone()
+            .with_pipeline(PipelineConfig::gpipe(8, 1 << 20));
+        table.ensure_plan(&over);
+        assert!(table.priced_for(&over).is_err());
+        assert!(table.covers(&over));
+        let mut diverged = plan;
+        diverged.options.activation_checkpointing = !diverged.options.activation_checkpointing;
+        assert!(!table.covers(&diverged));
     }
 
     #[test]

@@ -81,7 +81,113 @@ fn units(d: madmax_hw::units::Seconds, what: &str) -> Result<i64, LoadError> {
     grid_units(d).ok_or_else(|| LoadError::GridRange(format!("probed {what} {d:?} off-grid")))
 }
 
+/// The anchors of one pricing, read off the request shapes and the
+/// plan: the shortest and longest prompt, the longest decode, and the
+/// low-batch anchor `b_lo`.
+struct Anchors {
+    p_lo: usize,
+    p_hi: usize,
+    d_max: usize,
+    b_lo: usize,
+}
+
+impl Anchors {
+    /// The anchors of `plan` against `arrivals` with up to `slots` in
+    /// flight; `None` without arrivals.
+    fn new(plan: &Plan, slots: usize, arrivals: &[ArrivalEvent]) -> Option<Self> {
+        let first = arrivals.first()?;
+        let (mut p_lo, mut p_hi, mut d_max) = (first.prompt_len, first.prompt_len, 0usize);
+        for a in arrivals {
+            p_lo = p_lo.min(a.prompt_len);
+            p_hi = p_hi.max(a.prompt_len);
+            d_max = d_max.max(a.decode_len);
+        }
+        // A pipelined plan cannot run a batch smaller than its
+        // microbatch count, so the low-batch anchor (and the prefill
+        // probes) sit at the plan's minimum feasible batch; batches
+        // below it are priced by affine extrapolation.
+        let b_lo = plan
+            .pipeline
+            .filter(|c| c.is_pipelined())
+            .map_or(1, |c| c.microbatches.max(1))
+            .min(slots);
+        Some(Self {
+            p_lo,
+            p_hi,
+            d_max,
+            b_lo,
+        })
+    }
+
+    /// The prefill-slope anchor: the largest context a recomputed
+    /// prefill can see (prompt + generated tokens).
+    fn ctx_hi(&self) -> usize {
+        self.p_hi.saturating_add(self.d_max)
+    }
+
+    /// The probe shapes, in the order [`StepCostModel::price`] runs them.
+    fn shapes(&self, serve: &ServeConfig, slots: usize) -> Vec<ServeConfig> {
+        let cfg = |prompt: usize, decode: usize, batch: usize| ServeConfig {
+            prompt_len: Some(prompt),
+            decode_len: decode,
+            decode_batch: Some(batch),
+            kv_cache: serve.kv_cache,
+        };
+        let (p_lo, b_lo) = (self.p_lo, self.b_lo);
+        let mut shapes = vec![
+            // Worst-case feasibility: `slots` sequences at the largest
+            // context.
+            cfg(self.p_hi, self.d_max.max(PROBE_DECODE + 2), slots),
+            // Batch = slots at three consecutive decode lengths.
+            cfg(p_lo, PROBE_DECODE, slots),
+            cfg(p_lo, PROBE_DECODE + 1, slots),
+            cfg(p_lo, PROBE_DECODE + 2, slots),
+        ];
+        // Batch = b_lo at two decode lengths; at b_lo == slots the first
+        // batch = slots probe already is the first of them, and the
+        // second is not needed.
+        if b_lo != slots {
+            shapes.push(cfg(p_lo, PROBE_DECODE, b_lo));
+            shapes.push(cfg(p_lo, PROBE_DECODE + 1, b_lo));
+        }
+        // The prefill-slope anchor.
+        shapes.push(cfg(self.ctx_hi(), PROBE_DECODE, b_lo));
+        shapes
+    }
+}
+
+/// A serve probe's TTFT in grid units.
+fn ttft_units(report: &IterationReport) -> Result<i64, LoadError> {
+    let stats = report.serve.expect("serve probe reports serve stats");
+    units(stats.ttft, "ttft")
+}
+
 impl StepCostModel {
+    /// The serve waves [`StepCostModel::price`] probes to price `plan`
+    /// for `serve`-shaped requests with up to `slots` in flight against
+    /// `arrivals`, in probe order: the worst-case feasibility probe,
+    /// three decode lengths at batch `slots`, two at the plan's low-batch
+    /// anchor `b_lo` (only when `b_lo != slots`), and the prefill-slope
+    /// probe. `price` stops at the first failing probe, so it may run
+    /// only a prefix of this list. Empty when `price` fails before
+    /// probing (zero `slots`, no arrivals).
+    ///
+    /// Pricing several plans against one request set probes few distinct
+    /// shapes (the list depends on the plan only through `b_lo`), so a
+    /// caller can price one engine cost table per shape and share it
+    /// across the plans (`madmax_engine::Scenario::price_load_probes`).
+    pub fn probe_shapes(
+        plan: &Plan,
+        serve: &ServeConfig,
+        slots: usize,
+        arrivals: &[ArrivalEvent],
+    ) -> Vec<ServeConfig> {
+        match Anchors::new(plan, slots, arrivals) {
+            Some(anchors) if slots > 0 => anchors.shapes(serve, slots),
+            _ => Vec::new(),
+        }
+    }
+
     /// Prices a step cost model for `plan` serving `serve`-shaped
     /// requests with up to `slots` in flight, against the request shapes
     /// in `arrivals` (their prompt/decode extremes pick the probe
@@ -89,7 +195,9 @@ impl StepCostModel {
     ///
     /// `probe` evaluates `plan` on one synchronized serve wave of the
     /// given shape (`madmax_engine::Scenario::price_load` passes the
-    /// engine's evaluator); its errors pass through unchanged.
+    /// engine's evaluator); its errors pass through unchanged. It is
+    /// called with the shapes of [`StepCostModel::probe_shapes`], in
+    /// order, until one fails.
     ///
     /// # Errors
     ///
@@ -107,51 +215,25 @@ impl StepCostModel {
         if slots == 0 {
             return Err(LoadError::Spec("slots must be >= 1".to_owned()).into());
         }
-        let Some(first) = arrivals.first() else {
+        let Some(anchors) = Anchors::new(plan, slots, arrivals) else {
             return Err(LoadError::Spec("no arrivals to price against".to_owned()).into());
         };
-        let (mut p_lo, mut p_hi, mut d_max) = (first.prompt_len, first.prompt_len, 0usize);
-        for a in arrivals {
-            p_lo = p_lo.min(a.prompt_len);
-            p_hi = p_hi.max(a.prompt_len);
-            d_max = d_max.max(a.decode_len);
-        }
-        // A pipelined plan cannot run a batch smaller than its
-        // microbatch count, so the low-batch anchor (and the prefill
-        // probes) sit at the plan's minimum feasible batch; batches
-        // below it are priced by affine extrapolation.
-        let b_lo = plan
-            .pipeline
-            .filter(|c| c.is_pipelined())
-            .map_or(1, |c| c.microbatches.max(1))
-            .min(slots);
-        let cfg = |prompt: usize, decode: usize, batch: usize| ServeConfig {
-            prompt_len: Some(prompt),
-            decode_len: decode,
-            decode_batch: Some(batch),
-            kv_cache: serve.kv_cache,
-        };
-        let mut run =
-            |prompt: usize, decode: usize, batch: usize| probe(cfg(prompt, decode, batch));
+        let Anchors { p_lo, b_lo, .. } = anchors;
+        let mut probes = anchors.shapes(serve, slots).into_iter().map(&mut probe);
+        let mut next = || probes.next().expect("one probe shape per anchor");
 
         // Worst-case feasibility: `slots` sequences at the largest
         // context must fit device memory (the paged-block budget is a
         // separate, runtime constraint).
-        let d_feas = d_max.max(PROBE_DECODE + 2);
-        run(p_hi, d_feas, slots)?;
+        next()?;
 
         // Batch = slots: three consecutive decode lengths give the last
         // step's cost (first difference) and the per-step KV growth
         // (second difference).
-        let f1 = units(run(p_lo, PROBE_DECODE, slots)?.iteration_time, "iteration")?;
-        let f2 = units(
-            run(p_lo, PROBE_DECODE + 1, slots)?.iteration_time,
-            "iteration",
-        )?;
-        let f3 = units(
-            run(p_lo, PROBE_DECODE + 2, slots)?.iteration_time,
-            "iteration",
-        )?;
+        let f1_report = next()?;
+        let f1 = units(f1_report.iteration_time, "iteration")?;
+        let f2 = units(next()?.iteration_time, "iteration")?;
+        let f3 = units(next()?.iteration_time, "iteration")?;
         let p_cap = f3 - f2;
         let r_cap = (f3 - f2) - (f2 - f1);
         if p_cap <= 0 {
@@ -163,18 +245,16 @@ impl StepCostModel {
         let step_rate = div_round(r_cap.max(0), slots as i64);
 
         // Batch = b_lo: separates the per-sequence term, and its TTFT
-        // prices a request's prefill.
+        // prices a request's prefill. At b_lo == slots the batch = slots
+        // probes already are these.
         let (p_one, ttft_lo) = if slots == b_lo {
-            let g1 = run(p_lo, PROBE_DECODE, b_lo)?;
-            let serve_stats = g1.serve.expect("serve probe reports serve stats");
-            (f2 - f1, units(serve_stats.ttft, "ttft")?)
+            (f2 - f1, ttft_units(&f1_report)?)
         } else {
-            let g1 = run(p_lo, PROBE_DECODE, b_lo)?;
-            let g2 = run(p_lo, PROBE_DECODE + 1, b_lo)?;
-            let serve_stats = g1.serve.expect("serve probe reports serve stats");
+            let g1 = next()?;
+            let g2 = next()?;
             (
                 units(g2.iteration_time, "iteration")? - units(g1.iteration_time, "iteration")?,
-                units(serve_stats.ttft, "ttft")?,
+                ttft_units(&g1)?,
             )
         };
         if p_one <= 0 {
@@ -186,9 +266,9 @@ impl StepCostModel {
 
         // Prefill slope: the second anchor sits at the largest context a
         // recomputed prefill can see (prompt + generated tokens).
-        let ctx_hi = p_hi + d_max;
-        let g_hi = run(ctx_hi, PROBE_DECODE, b_lo)?;
-        let ttft_hi = units(g_hi.serve.expect("serve stats").ttft, "ttft")?;
+        let ttft_hi = ttft_units(&next()?)?;
+        debug_assert!(probes.next().is_none(), "every probe shape was run");
+        let ctx_hi = anchors.ctx_hi();
         let span = (ctx_hi - p_lo) as i64;
         let prefill_slope = div_round((ttft_hi - ttft_lo).max(0), span);
         let prefill_base = ttft_lo - prefill_slope * p_lo as i64;
@@ -363,6 +443,72 @@ mod tests {
         let long = m.prefill_units(160).unwrap();
         assert!(long >= short);
         assert!(short >= 1);
+    }
+
+    #[test]
+    fn price_probes_exactly_the_probe_shapes_in_order() {
+        let model = ModelId::Llama2.build();
+        let flat = Plan::fsdp_baseline(&model);
+        let cases = [
+            // Flat: b_lo = 1 < slots.
+            (flat.clone(), 8usize, 7usize),
+            // Pipelined below the slots: b_lo = microbatches = 2.
+            (
+                flat.clone().with_pipeline(PipelineConfig::gpipe(4, 2)),
+                8,
+                7,
+            ),
+            // Pipelined at or above the slots: b_lo == slots.
+            (
+                flat.clone().with_pipeline(PipelineConfig::gpipe(4, 8)),
+                8,
+                5,
+            ),
+            (flat.with_pipeline(PipelineConfig::gpipe(4, 16)), 8, 5),
+        ];
+        let serve = ServeConfig::new(256, 64).with_decode_batch(8);
+        let mut reqs = arrivals(256, 64, 3);
+        reqs[1].prompt_len = 96;
+        reqs[2].decode_len = 80;
+        for (plan, slots, count) in cases {
+            let mut seen = Vec::new();
+            let probe = |cfg: ServeConfig| {
+                seen.push(cfg);
+                wave(cfg)
+            };
+            StepCostModel::price(&plan, &serve, slots, &reqs, probe).unwrap();
+            let shapes = StepCostModel::probe_shapes(&plan, &serve, slots, &reqs);
+            assert_eq!(seen, shapes, "{}", plan.summary());
+            assert_eq!(shapes.len(), count, "{}", plan.summary());
+            for (i, a) in shapes.iter().enumerate() {
+                assert!(!shapes[..i].contains(a), "{a:?} probed twice");
+            }
+        }
+        // No probe at all when pricing fails up front.
+        let plan = Plan::fsdp_baseline(&model);
+        assert!(StepCostModel::probe_shapes(&plan, &serve, 0, &reqs).is_empty());
+        assert!(StepCostModel::probe_shapes(&plan, &serve, 8, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_failing_probe_stops_pricing() {
+        let model = ModelId::Llama2.build();
+        let plan = Plan::fsdp_baseline(&model);
+        let serve = ServeConfig::new(256, 64).with_decode_batch(8);
+        let reqs = arrivals(256, 64, 2);
+        let shapes = StepCostModel::probe_shapes(&plan, &serve, 8, &reqs);
+        let mut seen = Vec::new();
+        let probe = |cfg: ServeConfig| {
+            seen.push(cfg);
+            if seen.len() == 3 {
+                Err(LoadError::Spec("probe failed".to_owned()))
+            } else {
+                wave(cfg)
+            }
+        };
+        let err = StepCostModel::price(&plan, &serve, 8, &reqs, probe).unwrap_err();
+        assert!(err.to_string().contains("probe failed"), "{err}");
+        assert_eq!(seen, shapes[..3]);
     }
 
     #[test]

@@ -358,4 +358,6 @@ fn cli_load_search_writes_reconciling_telemetry() {
     assert_eq!(t.eval_latency.count, t.candidates);
     let per_worker: u64 = t.workers.iter().map(|w| w.candidates).sum();
     assert_eq!(per_worker, t.candidates);
+    // The candidates share the load-probe tables.
+    assert!(t.flat_cache.hits > 0, "{t:?}");
 }

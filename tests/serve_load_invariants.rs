@@ -18,7 +18,11 @@
 //! - **Load-search determinism and references**: `Explorer::explore_load`
 //!   returns the same candidates, errors and reports at any thread
 //!   count, with reconciling telemetry and one progress event per
-//!   candidate, and its closed-form probes match full simulation.
+//!   candidate, and its closed-form probes match full simulation;
+//! - **Shared probe tables**: pricing a plan's step cost model against
+//!   the load-probe tables shared across a search's plans
+//!   (`Scenario::price_load_probes`) is byte-identical to pricing it on
+//!   its own one-plan tables, model or error.
 //!
 //! [`StepCostModel`]: madmax_serve::StepCostModel
 //! [`LoadReport`]: madmax_serve::LoadReport
@@ -31,12 +35,13 @@ use madmax_dse::{
     CandidateEvent, Explorer, LoadAxes, LoadSearchOutcome, PipelineAxes, ProgressSink, SearchSpace,
     SearchTelemetry, ServeAxes,
 };
-use madmax_engine::{Scenario, SimMode};
+use madmax_engine::{EngineError, Scenario, SimMode};
 use madmax_hw::catalog;
 use madmax_hw::units::Seconds;
 use madmax_model::{LayerClass, ModelId};
+use madmax_parallel::{HierStrategy, Plan, Strategy};
 use madmax_parallel::{LoadSpec, PipelineSchedule, ServeConfig, Workload};
-use madmax_serve::{LoadOutcome, StepCostModel};
+use madmax_serve::{parse_request_jsonl, LoadOutcome, StepCostModel};
 
 /// A randomized but always-valid Poisson load spec: `paged = 0` leaves
 /// the KV budget unbounded, anything else pages it down to a tight
@@ -278,6 +283,15 @@ fn load_search_is_deterministic_across_thread_counts() {
         assert_same_search(&one, &other);
         let t = &other.telemetry;
         assert!(t.reconciles(), "{t:?}");
+        // The shared load-probe tables fill the cache snapshots, and
+        // every thread count prices the same tables.
+        assert!(
+            t.flat_cache.hits > 0 && t.pipeline_cache.total() > 0,
+            "{t:?}"
+        );
+        assert!(t.steady_analytic.hits > 0, "{t:?}");
+        assert_eq!(t.flat_cache, one.telemetry.flat_cache);
+        assert_eq!(t.pipeline_cache, one.telemetry.pipeline_cache);
         assert_eq!(t.candidates, other.candidates.len() as u64);
         assert!(t.oom > 0, "some strategy mappings must be infeasible");
         assert!(t.ok > 0);
@@ -328,4 +342,163 @@ fn load_search_without_the_closed_form_is_byte_identical() {
     assert_eq!(closed_form.candidates.len(), 4);
     assert!(closed_form.candidates.iter().any(|c| c.error.is_none()));
     assert_same_search(&closed_form, &full);
+}
+
+/// A step cost model or its error, comparable byte for byte.
+fn priced(result: Result<StepCostModel, EngineError>) -> Result<StepCostModel, String> {
+    result.map_err(|e| e.to_string())
+}
+
+/// The load specs the probe-table differential covers: Poisson, bursty,
+/// and a JSONL trace with mixed prompt and decode lengths, each also with
+/// a `slots` override.
+fn probe_specs() -> Vec<LoadSpec> {
+    let trace = parse_request_jsonl(
+        "{\"arrival\": 0.0, \"prompt_len\": 96, \"decode_len\": 40}\n\
+         {\"arrival\": 0.5, \"prompt_len\": 320, \"decode_len\": 8}\n\
+         {\"arrival\": 2.0, \"prompt_len\": 200, \"decode_len\": 72}\n",
+    )
+    .unwrap();
+    let specs = [
+        LoadSpec::poisson(0.1, 6, 3),
+        LoadSpec::bursty(0.4, 20.0, 10.0, 6, 9),
+        LoadSpec::trace(trace),
+    ];
+    specs
+        .iter()
+        .flat_map(|s| [s.clone(), s.clone().with_slots(4)])
+        .collect()
+}
+
+#[test]
+fn shared_probe_tables_price_exactly_the_one_plan_models() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let workload = Workload::serve(ServeConfig::new(256, 64).with_decode_batch(8));
+    // Flat plans and pp {2, 4, 8} with microbatches below (4) and above
+    // (16) the 8 decode slots.
+    let explorer = Explorer::new(&model, &sys).space(
+        SearchSpace::strategies()
+            .with_classes(vec![LayerClass::Transformer])
+            .with_pipeline(PipelineAxes {
+                stages: vec![1, 2, 4, 8],
+                microbatches: vec![4, 16],
+                schedules: vec![PipelineSchedule::GPipe],
+            }),
+    );
+    let mut plans = explorer.candidates();
+    // Three transformer mappings (one of them out of memory under some
+    // probes) keep the suite fast in debug builds.
+    let keep: Vec<_> =
+        plans
+            .iter()
+            .map(|p| p.assignments.clone())
+            .fold(Vec::new(), |mut seen, a| {
+                if !seen.contains(&a) && seen.len() < 3 {
+                    seen.push(a);
+                }
+                seen
+            });
+    plans.retain(|p| keep.contains(&p.assignments));
+    assert_eq!(plans.len(), 21);
+    let mut errors = 0;
+    for analytic in [true, false] {
+        for spec in probe_specs() {
+            let scenario = Scenario::new(&model, &sys)
+                .workload_ref(&workload)
+                .analytic_serve(analytic);
+            let tables = scenario.price_load_probes(&spec, &plans).unwrap();
+            assert!(tables.table_count() <= 2 * tables.shape_count());
+            for plan in &plans {
+                let alone = Scenario::new(&model, &sys)
+                    .workload_ref(&workload)
+                    .plan_ref(plan)
+                    .analytic_serve(analytic);
+                let one_plan = priced(alone.price_load(&spec));
+                let shared = priced(alone.load_probes(&tables).price_load(&spec));
+                assert_eq!(shared, one_plan, "{} under {spec:?}", plan.summary());
+                errors += usize::from(one_plan.is_err());
+            }
+        }
+    }
+    assert!(errors > 0, "some plan must fail a probe");
+}
+
+#[test]
+fn probe_tables_priced_for_another_setting_or_plan_fall_back() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let workload = Workload::serve(ServeConfig::new(256, 64).with_decode_batch(8));
+    let spec = LoadSpec::poisson(0.1, 6, 3);
+    let flat = Plan::fsdp_baseline(&model);
+    let piped = flat
+        .clone()
+        .with_pipeline(madmax_parallel::PipelineConfig::gpipe(4, 4));
+    let other = flat.clone().with_strategy(
+        LayerClass::Transformer,
+        HierStrategy::two_level(Strategy::Tp, Strategy::Fsdp),
+    );
+    let scenario = Scenario::new(&model, &sys).workload_ref(&workload);
+    let tables = scenario
+        .price_load_probes(&spec, std::slice::from_ref(&flat))
+        .unwrap();
+    // Flat at b_lo = 1 < slots: seven shapes, flat tables only.
+    assert_eq!((tables.shape_count(), tables.table_count()), (7, 7));
+    // Only an equal plan at the tables' setting probes the shared tables
+    // (each probe counts one serve evaluation); the pipelined plan, the
+    // unpriced strategy and the other setting fall back.
+    let equal = flat.clone();
+    for (plan, analytic, shared_probes) in [
+        (&equal, true, 7),
+        (&flat, false, 0),
+        (&piped, true, 0),
+        (&piped, false, 0),
+        (&other, true, 0),
+    ] {
+        let alone = Scenario::new(&model, &sys)
+            .workload_ref(&workload)
+            .plan_ref(plan)
+            .analytic_serve(analytic);
+        let one_plan = priced(alone.price_load(&spec));
+        let before = tables.analytic_stats().total();
+        let shared = priced(alone.load_probes(&tables).price_load(&spec));
+        assert_eq!(shared, one_plan, "{}", plan.summary());
+        let probed = tables.analytic_stats().total() - before;
+        assert_eq!(
+            probed,
+            shared_probes,
+            "{} analytic {analytic}",
+            plan.summary()
+        );
+    }
+}
+
+#[test]
+fn load_search_on_shared_probe_tables_matches_one_plan_pricing() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let one = load_search(Explorer::new(&model, &sys).threads(1));
+    let axes = LoadAxes::new(LoadSpec::poisson(0.02, 12, 11), [0.02, 0.2])
+        .with_slo_ttft_p99(Seconds::new(60.0));
+    for c in &one.candidates {
+        let scenario = Scenario::new(&model, &sys)
+            .plan_ref(&c.plan)
+            .workload_ref(&c.workload);
+        match scenario.price_load(&axes.spec) {
+            Err(e) => assert_eq!(c.error.as_ref(), Some(&e), "{}", c.plan.summary()),
+            Ok(costs) => {
+                assert!(c.error.is_none(), "{}", c.plan.summary());
+                for (p, rate) in c.points.iter().zip(&axes.rates) {
+                    let spec = LoadSpec::poisson(*rate, 12, 11);
+                    let alone = scenario
+                        .serve_load_priced(&spec, &costs, SimMode::Event, None)
+                        .unwrap();
+                    assert_eq!(
+                        serde_json::to_string(&alone.report).unwrap(),
+                        serde_json::to_string(&p.report).unwrap()
+                    );
+                }
+            }
+        }
+    }
 }
