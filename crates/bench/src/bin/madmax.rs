@@ -91,7 +91,7 @@ use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::steady::grid_units_round;
 use madmax_dse::{Explorer, FaultAxes, LoadAxes, SearchSpace};
 use madmax_engine::{FaultSpec, RetryPolicy, Scenario, SimMode};
-use madmax_fault::{materialize_faults, replay_goodput};
+use madmax_fault::{format_secs, materialize_faults, replay_goodput};
 use madmax_hw::units::Seconds;
 use madmax_hw::{catalog, ClusterSpec};
 use madmax_model::{LayerClass, ModelArch, ModelId};
@@ -533,10 +533,10 @@ fn run_goodput(
         outcome.ckpt.state_bytes.as_gb()
     );
     println!(
-        "checkpoint:      write {:.2} s | restart {:.2} s | interval {:.1} s{}",
+        "checkpoint:      write {:.2} s | restart {:.2} s | interval {} s{}",
         g.checkpoint_write,
         g.restart,
-        g.interval,
+        format_secs(g.interval),
         if fault.checkpoint_interval.is_some() {
             ""
         } else {
@@ -544,11 +544,11 @@ fn run_goodput(
         }
     );
     println!(
-        "goodput:         {:.2}% of {:.4} iter/s fault-free -> {:.4} iter/s at MTBF {:.0} s",
+        "goodput:         {:.2}% of {:.4} iter/s fault-free -> {:.4} iter/s at MTBF {} s",
         g.goodput_fraction * 100.0,
         g.fault_free_throughput,
         g.effective_throughput,
-        g.mtbf
+        format_secs(g.mtbf)
     );
     const REPLAY_SEGMENTS: usize = 200_000;
     match replay_goodput(
@@ -880,12 +880,12 @@ fn run() -> Result<(), String> {
                 if let Some(i) = best.best_point {
                     let p = &best.points[i];
                     println!(
-                        "best point:   interval {:.1} s -> {:.2}% goodput, {:.4} iter/s \
-                         effective (MTBF {:.0} s)",
-                        p.interval,
+                        "best point:   interval {} s -> {:.2}% goodput, {:.4} iter/s \
+                         effective (MTBF {} s)",
+                        format_secs(p.interval),
                         p.goodput_fraction * 100.0,
                         p.effective_throughput,
-                        p.mtbf
+                        format_secs(p.mtbf)
                     );
                 }
                 println!("latency-best: {}", r.fault_free().plan.summary());

@@ -695,6 +695,123 @@ impl<'a> CostTable<'a> {
         self.assemble_capped_into(plan, trace, max_decode_tokens);
     }
 
+    /// A sound lower bound on the iteration time of `plan`, computed from
+    /// the priced costs without assembling or scheduling: the largest
+    /// per-stream sum of the op durations [`CostTable::assemble_into`]
+    /// emits. Each stream runs one op at a time (the verifier's
+    /// stream-exclusivity rule), so no schedule of the trace finishes
+    /// before its busiest stream has drained.
+    ///
+    /// The sums follow each stream's issue order, so each equals the
+    /// sequential `f64` sum the scheduler's finish times dominate, bit for
+    /// bit. Serve traces with decode steps live on the duration grid
+    /// ([`crate::steady`]), where sums are exact in any order: their
+    /// stream totals are computed in grid units instead (the decode
+    /// compute as an arithmetic series over the steps), falling back to
+    /// the issue-order walk when a total leaves the grid's exact range.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`CostTable::assemble_into`].
+    pub fn busy_lower_bound(&self, plan: &Plan) -> Seconds {
+        debug_assert!(
+            pricing_options_match(&self.options, &plan.options),
+            "plan options diverge from the cost table's pricing context"
+        );
+        self.decode
+            .as_ref()
+            .and_then(|dec| self.serve_busy_in_grid_units(plan, dec))
+            .unwrap_or_else(|| self.busy_in_issue_order(plan))
+    }
+
+    /// [`CostTable::busy_lower_bound`] by walking the ops of
+    /// [`CostTable::assemble_into`] stream by stream, without emitting
+    /// them.
+    fn busy_in_issue_order(&self, plan: &Plan) -> Seconds {
+        // Serve traces are quantized onto the duration grid once
+        // assembled; other traces keep their priced durations.
+        let emitted: fn(Seconds) -> Seconds = if self.decode.is_some() {
+            crate::steady::quantize
+        } else {
+            |d| d
+        };
+        let mut busy = StreamBusy::default();
+        busy.add_forward_sweep(&self.groups, plan, emitted, |g, _| g.fwd_compute);
+        let forward_emitted = self.groups.iter().any(|g| g.repeat > 0);
+        if self.workload.has_backward() && forward_emitted {
+            for g in self.groups.iter().rev().filter(|g| g.trains) {
+                let sc = g.costs_for(plan.strategy_for(g.class));
+                for _ in 0..g.repeat {
+                    if g.is_embedding {
+                        busy.add_grad_comm(&sc.grad, emitted);
+                        busy.compute += emitted(g.fwd_compute);
+                        continue;
+                    }
+                    busy.add_comm(&sc.backward, CommPosition::BeforeCompute, emitted);
+                    busy.compute += emitted(g.bwd_compute);
+                    busy.add_comm(&sc.backward, CommPosition::AfterCompute, emitted);
+                    busy.add_grad_comm(&sc.grad, emitted);
+                }
+            }
+            let opt_dur = optimizer_time(self.report_model(), self.cluster, plan, &self.workload);
+            if opt_dur > Seconds::ZERO {
+                busy.compute += emitted(opt_dur);
+            }
+        }
+        if let Some(dec) = &self.decode {
+            let kv_start = dec.prompt_len as f64;
+            for step in 0..dec.decode_len {
+                busy.add_forward_sweep(&dec.groups, plan, emitted, |g, sc| {
+                    crate::steady::decode_compute_duration(
+                        g.fwd_compute,
+                        sc.kv_read_per_token,
+                        kv_start,
+                        step as u32,
+                    )
+                });
+            }
+        }
+        busy.compute.max(busy.comm).max(busy.grad)
+    }
+
+    /// [`CostTable::busy_lower_bound`] of a serve trace with decode steps
+    /// in exact grid units, or `None` when a duration or a stream total
+    /// leaves the grid's exact range.
+    fn serve_busy_in_grid_units(&self, plan: &Plan, dec: &DecodePhase) -> Option<Seconds> {
+        let units =
+            |d: Seconds| crate::steady::grid_units(crate::steady::quantize(d)).map(i128::from);
+        let (mut compute, mut comm) = (0i128, 0i128);
+        for g in &self.groups {
+            let sc = g.costs_for(plan.strategy_for(g.class));
+            let repeat = g.repeat as i128;
+            compute += repeat * units(g.fwd_compute)?;
+            for c in &sc.forward {
+                comm += repeat * units(c.duration)?;
+            }
+        }
+        let steps = dec.decode_len as i128;
+        for g in &dec.groups {
+            let sc = g.costs_for(plan.strategy_for(g.class));
+            let repeat = g.repeat as i128;
+            // Step `t` computes for `first + per_token * t` units
+            // (`decode_compute_duration`'s exact series).
+            let first = units(crate::steady::decode_compute_duration(
+                g.fwd_compute,
+                sc.kv_read_per_token,
+                dec.prompt_len as f64,
+                0,
+            ))?;
+            let per_token = units(sc.kv_read_per_token)?;
+            compute += repeat * (steps * first + per_token * steps * (steps - 1) / 2);
+            for c in &sc.forward {
+                comm += repeat * steps * units(c.duration)?;
+            }
+        }
+        let busiest = compute.max(comm);
+        (busiest < i128::from(crate::steady::MAX_UNITS))
+            .then(|| crate::steady::grid_seconds(busiest as i64))
+    }
+
     fn assemble_capped_into(&self, plan: &Plan, trace: &mut Trace, max_decode_tokens: usize) {
         debug_assert!(
             pricing_options_match(&self.options, &plan.options),
@@ -1026,6 +1143,57 @@ struct DecodeCtx {
     kv_len: f64,
     /// The previous step's (or the prefill's) final output op.
     seed: Option<OpId>,
+}
+
+/// Per-stream op-duration sums of a flat trace, accumulated in issue
+/// order (see [`CostTable::busy_lower_bound`]).
+#[derive(Debug, Default)]
+struct StreamBusy {
+    compute: Seconds,
+    comm: Seconds,
+    grad: Seconds,
+}
+
+impl StreamBusy {
+    /// Adds the collectives of `comms` at `position` to the comm stream.
+    fn add_comm(
+        &mut self,
+        comms: &[PricedComm],
+        position: CommPosition,
+        emitted: fn(Seconds) -> Seconds,
+    ) {
+        for c in comms.iter().filter(|c| c.position == position) {
+            self.comm += emitted(c.duration);
+        }
+    }
+
+    /// Adds weight-gradient collectives to the gradient-comm stream.
+    fn add_grad_comm(&mut self, comms: &[PricedComm], emitted: fn(Seconds) -> Seconds) {
+        for c in comms {
+            self.grad += emitted(c.duration);
+        }
+    }
+
+    /// Adds one forward sweep over `groups` (the training/prefill forward
+    /// pass or one decode step), `compute_of` giving each group's compute
+    /// duration, as `CostTable::assemble_forward` issues it.
+    fn add_forward_sweep(
+        &mut self,
+        groups: &[GroupCosts],
+        plan: &Plan,
+        emitted: fn(Seconds) -> Seconds,
+        compute_of: impl Fn(&GroupCosts, &StrategyCosts) -> Seconds,
+    ) {
+        for g in groups {
+            let sc = g.costs_for(plan.strategy_for(g.class));
+            let compute = emitted(compute_of(g, sc));
+            for _ in 0..g.repeat {
+                self.add_comm(&sc.forward, CommPosition::BeforeCompute, emitted);
+                self.compute += compute;
+                self.add_comm(&sc.forward, CommPosition::AfterCompute, emitted);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ pub const GRID_BITS: u32 = 38;
 
 /// Largest exactly-safe magnitude in grid units: below `2^52` units every
 /// value (and every pairwise sum) stays exactly representable in `f64`.
-const MAX_UNITS: i64 = 1 << 52;
+pub(crate) const MAX_UNITS: i64 = 1 << 52;
 
 /// Decode length below which the engines skip the closed-form path: the
 /// explicit transient prefix would cover most of the stream anyway, so

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use madmax_core::IterationReport;
 use madmax_engine::{EngineError, EngineScratch, Scenario};
+use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_obs::{ProgressSink, SearchTelemetry};
@@ -21,6 +22,12 @@ use madmax_parallel::{HierStrategy, PipelineConfig, PipelineSchedule, Plan, Work
 mod driver;
 
 pub(crate) use driver::{Evaluated, Objective, Pricing};
+
+/// Relative float margin of [`Explorer::explore`]'s pruning rule: a
+/// candidate is skipped only when its bound clears the baseline by more
+/// than this fraction, so rounding in the bound arithmetic can never skip
+/// a candidate that ties or beats the baseline.
+const PRUNE_MARGIN: f64 = 1e-9;
 
 /// Distinct layer classes present in a model, in first-appearance order.
 pub(crate) fn classes_in(model: &ModelArch) -> Vec<LayerClass> {
@@ -208,7 +215,12 @@ pub struct SearchOutcome {
     /// serve-axis variant when serve axes are present).
     pub baseline: IterationReport,
     /// Candidate (plan, workload) combinations accounted for (simulated,
-    /// OOM, unmappable, or invalid — nothing is silently dropped).
+    /// pruned, OOM, unmappable, or invalid — nothing is silently
+    /// dropped). Pruned candidates passed every feasibility check but
+    /// were not simulated: their iteration-time lower bound proves they
+    /// cannot beat the baseline. They count as `ok` in the telemetry, are
+    /// tallied in [`SearchTelemetry::pruned`], and their progress events
+    /// carry `iteration_ms: None`.
     pub evaluated: usize,
     /// Candidates rejected for memory infeasibility.
     pub oom: usize,
@@ -437,6 +449,13 @@ impl<'a> Explorer<'a> {
     /// The baseline itself is always part of the outcome, so a feasible
     /// baseline guarantees a result and `speedup() >= 1`.
     ///
+    /// The search is an exact branch-and-bound: the baseline is simulated
+    /// first, and every candidate whose iteration-time lower bound
+    /// ([`Scenario::lower_bound`]) proves it cannot be strictly better
+    /// than the baseline is skipped instead of simulated (see
+    /// [`SearchOutcome::evaluated`]). The winner, its report and every
+    /// outcome counter are those of simulating every candidate.
+    ///
     /// # Errors
     ///
     /// Returns the baseline's error if even the flat FSDP baseline is
@@ -456,15 +475,6 @@ impl<'a> Explorer<'a> {
             .workload_ref(&base_workload)
             .analytic_serve(self.analytic_serve)
             .run()?;
-        // The baseline combo re-appears among the candidates; the driver
-        // counts it `ok` instead of simulating it again.
-        let (driven, mut telemetry) = self.drive(&Objective {
-            pricing: Pricing::Variant,
-            known: Some((&base_workload, &base_plan)),
-            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
-            iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
-        });
-
         // The first best wins: the baseline, then candidates in
         // enumeration order, each replacing it only when strictly better.
         let serve_ranked = self.space.serve.is_some() && self.workload.serve_config().is_some();
@@ -479,9 +489,42 @@ impl<'a> Explorer<'a> {
                 r.iteration_time < best.iteration_time
             }
         };
+        // Whether a candidate whose iteration time is at least `bound`
+        // provably cannot be strictly better than the baseline (and so
+        // than any best the fold can hold).
+        let (base_time, base_score) = (baseline.iteration_time.as_secs(), score(&baseline));
+        let cannot_win = |s: &Scenario<'_>, bound: Seconds| {
+            if serve_ranked {
+                s.serve_tokens_per_iteration().is_some_and(|tokens| {
+                    tokens / bound.as_secs() * (1.0 + PRUNE_MARGIN) < base_score
+                })
+            } else {
+                bound.as_secs() > base_time * (1.0 + PRUNE_MARGIN)
+            }
+        };
+        // The baseline combo re-appears among the candidates; the driver
+        // counts it `ok` instead of simulating it again. A candidate the
+        // bound rules out stays `ok` but is not simulated (`None`).
+        let (driven, mut telemetry) = self.drive(&Objective {
+            pricing: Pricing::Variant,
+            known: Some((&base_workload, &base_plan)),
+            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
+                if let Some(bound) = s.lower_bound()? {
+                    if cannot_win(s, bound) {
+                        return Ok(None);
+                    }
+                }
+                s.run_in(scratch).map(Some)
+            },
+            iteration_ms: |r: &Option<IterationReport>| {
+                r.as_ref().map(|r| r.iteration_time.as_ms())
+            },
+            pruned: Option::is_none,
+        });
+
         let (best_plan, best_workload, best) = driven
             .into_candidates()
-            .filter_map(|c| Some((c.plan, c.workload, c.result.ok()?)))
+            .filter_map(|c| Some((c.plan, c.workload, c.result.ok()??)))
             .fold((base_plan, base_workload, baseline.clone()), |best, c| {
                 if better(&c.2, &best.2) {
                     c
@@ -778,19 +821,25 @@ mod tests {
     fn progress_sink_sees_every_candidate_at_any_thread_count() {
         use madmax_obs::{CandidateEvent, CandidateOutcome};
         use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Mutex;
 
         #[derive(Debug, Default)]
         struct CountingSink {
             events: AtomicU64,
             ok: AtomicU64,
+            unsimulated: Mutex<Vec<usize>>,
             finished: AtomicU64,
         }
         impl ProgressSink for CountingSink {
             fn candidate_completed(&self, event: &CandidateEvent) {
                 self.events.fetch_add(1, Ordering::Relaxed);
                 if event.outcome == CandidateOutcome::Ok {
-                    assert!(event.iteration_ms.is_some());
+                    if event.iteration_ms.is_none() {
+                        self.unsimulated.lock().unwrap().push(event.index);
+                    }
                     self.ok.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    assert!(event.iteration_ms.is_none());
                 }
                 assert!(event.index < event.total);
                 assert!(event.eval_us >= 0.0);
@@ -804,6 +853,12 @@ mod tests {
         let model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let quiet = Explorer::new(&model, &sys).threads(1).explore().unwrap();
+        assert!(quiet.telemetry.pruned > 0, "{:?}", quiet.telemetry);
+        // Event indices are positions in the candidate list minus the
+        // baseline duplicate, which the driver resolves without an event.
+        let mut evaluated = Explorer::new(&model, &sys).candidates();
+        let baseline_plan = Plan::fsdp_baseline(&model);
+        evaluated.retain(|p| *p != baseline_plan);
         for threads in [1, 4] {
             let sink = CountingSink::default();
             let r = Explorer::new(&model, &sys)
@@ -818,6 +873,18 @@ mod tests {
             assert_eq!(fired, r.evaluated as u64 - 1);
             assert_eq!(sink.ok.load(Ordering::Relaxed), r.telemetry.ok - 1);
             assert_eq!(sink.finished.load(Ordering::Relaxed), 1);
+            // `ok` events carry no iteration time exactly for the pruned
+            // candidates, each of which provably loses to the baseline.
+            let unsimulated = sink.unsimulated.into_inner().unwrap();
+            assert_eq!(unsimulated.len() as u64, r.telemetry.pruned);
+            assert_eq!(r.telemetry.pruned, quiet.telemetry.pruned);
+            for i in unsimulated {
+                let report = Scenario::new(&model, &sys)
+                    .plan_ref(&evaluated[i])
+                    .run()
+                    .unwrap();
+                assert!(report.iteration_time > r.baseline.iteration_time);
+            }
             // Attaching a sink must not perturb the search result.
             assert_eq!(r.best_plan, quiet.best_plan);
             assert_eq!(r.best, quiet.best);

@@ -12,6 +12,19 @@
 //! tables are dropped once the variant's pool joins. Results come back in
 //! enumeration order, so every objective is deterministic at any thread
 //! count.
+//!
+//! A step may also resolve a feasible candidate without simulating it:
+//! [`Explorer::explore`]'s step prunes a candidate whose
+//! `Scenario::lower_bound` proves it cannot be strictly better than the
+//! baseline evaluated before the pool started. The bound is sound (no
+//! schedule finishes before its busiest stream has drained), the fold
+//! keeps the first strictly-best candidate, and the best only improves
+//! from the baseline, so pruning never changes the winner; and since the
+//! rule reads nothing but the candidate and the baseline, the pruned set
+//! is the same at any thread count. The objective names pruned results
+//! ([`Objective::pruned`]); the driver counts them as `ok` and in
+//! [`SearchTelemetry::pruned`], and their progress events carry no
+//! iteration time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -78,6 +91,9 @@ pub(crate) struct Objective<'o, T, F> {
     /// The iteration time a successful candidate's progress event
     /// carries.
     pub(crate) iteration_ms: fn(&T) -> Option<f64>,
+    /// Whether the step skipped a successful candidate without simulating
+    /// it (counted in [`SearchTelemetry::pruned`]).
+    pub(crate) pruned: fn(&T) -> bool,
 }
 
 /// One evaluated candidate.
@@ -186,6 +202,7 @@ impl Explorer<'_> {
                 known: None,
                 step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
                 iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
+                pruned: |_| false,
             },
         )
     }
@@ -384,6 +401,9 @@ impl Explorer<'_> {
 
         telemetry.candidates = results.len() as u64;
         for result in &results {
+            if result.as_ref().is_ok_and(objective.pruned) {
+                telemetry.pruned += 1;
+            }
             match classify(result) {
                 CandidateOutcome::Ok => telemetry.ok += 1,
                 CandidateOutcome::OutOfMemory => telemetry.oom += 1,

@@ -25,6 +25,23 @@
 //! step, the tables it needs and its ranking, so results are identical
 //! at any thread count.
 //!
+//! [`Explorer::explore`] is an exact branch-and-bound. It simulates the
+//! FSDP baseline before the pool starts; its step then asks each
+//! candidate for `Scenario::lower_bound` (the busiest stream's summed op
+//! durations, read off the priced tables) and skips the simulation when
+//! that bound proves the candidate cannot be strictly better than the
+//! baseline: the bound exceeds the baseline's iteration time, or, when
+//! ranking serve tokens/s, `tokens per iteration / bound` falls below the
+//! baseline's rate (both with a 1e-9 relative float margin). Every stream
+//! runs one op at a time, so no schedule beats its busiest stream and the
+//! bound never exceeds the simulated iteration time; the best only
+//! improves from the baseline, so a skipped candidate could never have
+//! replaced it. The winner and its report are those of simulating every
+//! candidate, and the skipped set is fixed by the baseline alone, so it
+//! is the same at any thread count. Skipped candidates count as `ok` and
+//! in [`SearchTelemetry::pruned`]. The goodput and load searches return
+//! every candidate's result, so they never prune.
+//!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
 //! been removed after their deprecation release; `Explorer` over the
 //! matching `SearchSpace` is the single search API.

@@ -271,6 +271,7 @@ impl Explorer<'_> {
                     .collect()
             },
             iteration_ms: |_: &Vec<LoadPoint>| None,
+            pruned: |_| false,
         });
         let candidates: Vec<LoadCandidate> = driven
             .any_success(|| EngineError::InvalidLoad {

@@ -10,6 +10,7 @@ use madmax_fault::{
     expected_goodput, young_daly_interval, CheckpointModel, FaultEvent, FaultSpec, GoodputReport,
     RetryPolicy,
 };
+use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
@@ -29,6 +30,24 @@ pub struct GoodputOutcome {
     pub ckpt: CheckpointModel,
     /// The closed-form expected-goodput evaluation.
     pub goodput: GoodputReport,
+}
+
+/// A cost table a plan evaluates against: one attached to the scenario
+/// and shared across candidates, or a one-plan table priced for the call.
+enum Table<'t, T> {
+    Attached(&'t T),
+    Priced(T),
+}
+
+impl<T> std::ops::Deref for Table<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Table::Attached(table) => table,
+            Table::Priced(table) => table,
+        }
+    }
 }
 
 /// One simulation scenario: a model mapped onto a system by a plan,
@@ -362,46 +381,90 @@ impl<'a> Scenario<'a> {
     pub fn run_in(&self, scratch: &mut EngineScratch) -> Result<IterationReport, EngineError> {
         self.check_workload()?;
         self.with_plan(|plan| {
-            let one_plan = std::slice::from_ref(plan);
             let report = if Self::is_pipelined(plan) {
-                let priced;
-                let table = match self.pipeline_costs {
-                    Some(table) => {
-                        debug_assert!(
-                            std::ptr::eq(table.model(), self.model)
-                                && std::ptr::eq(table.cluster(), self.system)
-                                && table.workload() == self.workload.as_ref(),
-                            "pipeline cost table priced for a different scenario"
-                        );
-                        table
-                    }
-                    None => {
-                        priced = self.price_pipeline_plans(one_plan);
-                        &priced
-                    }
-                };
-                madmax_pipeline::run_pipelined_cached(table, plan, scratch)
+                madmax_pipeline::run_pipelined_cached(&self.pipeline_table(plan), plan, scratch)
             } else {
-                let priced;
-                let table = match self.costs {
-                    Some(table) => {
-                        debug_assert!(
-                            std::ptr::eq(table.model(), self.model)
-                                && std::ptr::eq(table.cluster(), self.system)
-                                && table.workload() == self.workload.as_ref(),
-                            "cost table priced for a different scenario"
-                        );
-                        table
-                    }
-                    None => {
-                        priced = self.price_plans(one_plan);
-                        &priced
-                    }
-                };
-                madmax_core::run_flat_cached(table, plan, scratch)
+                madmax_core::run_flat_cached(&self.flat_table(plan), plan, scratch)
             };
             report.map_err(EngineError::from)
         })
+    }
+
+    /// A sound lower bound on the iteration time [`Scenario::run_in`]
+    /// reports, computed from the priced tables without assembling or
+    /// scheduling a trace: the busiest stream's summed op durations
+    /// ([`CostTable::busy_lower_bound`],
+    /// [`madmax_pipeline::busy_lower_bound`]). Searches use it to skip
+    /// candidates that provably cannot win. `None` for pipelined serve
+    /// plans with decode steps, which get no bound.
+    ///
+    /// It runs the workload check and the memory/pipeline feasibility
+    /// check first, against the same tables as [`Scenario::run_in`], so
+    /// every plan `run_in` rejects is rejected here with the same error.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Scenario::run`].
+    pub fn lower_bound(&self) -> Result<Option<Seconds>, EngineError> {
+        self.check_workload()?;
+        self.with_plan(|plan| {
+            if Self::is_pipelined(plan) {
+                let table = self.pipeline_table(plan);
+                let priced = table.priced_for(plan)?;
+                let train = table.workload().has_backward();
+                Ok(priced
+                    .decode
+                    .is_none()
+                    .then(|| madmax_pipeline::busy_lower_bound(priced.primary, &priced.cfg, train)))
+            } else {
+                let table = self.flat_table(plan);
+                table.memory_for(plan)?;
+                Ok(Some(table.busy_lower_bound(plan)))
+            }
+        })
+    }
+
+    /// Output tokens one iteration of this scenario's serve workload
+    /// generates (decode batch × decode length: the numerator of
+    /// [`IterationReport::serve_tokens_per_sec`]), or `None` without
+    /// decode steps.
+    pub fn serve_tokens_per_iteration(&self) -> Option<f64> {
+        let cfg = self.workload.serve_config().filter(|c| c.has_decode())?;
+        Some((cfg.effective_batch(self.model) * cfg.decode_len) as f64)
+    }
+
+    /// The flat cost table `plan` evaluates against: the attached one, or
+    /// a one-plan table priced here.
+    fn flat_table(&self, plan: &Plan) -> Table<'a, CostTable<'a>> {
+        match self.costs {
+            Some(table) => {
+                debug_assert!(
+                    std::ptr::eq(table.model(), self.model)
+                        && std::ptr::eq(table.cluster(), self.system)
+                        && table.workload() == self.workload.as_ref(),
+                    "cost table priced for a different scenario"
+                );
+                Table::Attached(table)
+            }
+            None => Table::Priced(self.price_plans(std::slice::from_ref(plan))),
+        }
+    }
+
+    /// The pipeline cost table `plan` evaluates against: the attached one,
+    /// or a one-plan table priced here.
+    fn pipeline_table(&self, plan: &Plan) -> Table<'a, PipelineCostTable<'a>> {
+        match self.pipeline_costs {
+            Some(table) => {
+                debug_assert!(
+                    std::ptr::eq(table.model(), self.model)
+                        && std::ptr::eq(table.cluster(), self.system)
+                        && table.workload() == self.workload.as_ref(),
+                    "pipeline cost table priced for a different scenario"
+                );
+                Table::Attached(table)
+            }
+            None => Table::Priced(self.price_pipeline_plans(std::slice::from_ref(plan))),
+        }
     }
 
     /// Runs the scenario end to end: [`Scenario::run_in`] on fresh

@@ -159,6 +159,22 @@ fn uniform_01(state: &mut u64) -> f64 {
 /// long cannot be replayed in bounded time.
 pub const MAX_REPLAY_DRAWS: u64 = 50_000_000;
 
+/// Formats a time in seconds with four significant digits: fixed-point
+/// from 1 ms to 10^6 s (`3600`, `48.30`, `0.005000`), scientific outside
+/// that range (`1.000e-9`), so sub-millisecond times never print as 0.
+pub fn format_secs(secs: f64) -> String {
+    if secs == 0.0 || !secs.is_finite() {
+        return format!("{secs}");
+    }
+    let exponent = secs.abs().log10().floor();
+    if (-3.0..6.0).contains(&exponent) {
+        let decimals = (3.0 - exponent).max(0.0) as usize;
+        format!("{secs:.decimals$}")
+    } else {
+        format!("{secs:.3e}")
+    }
+}
+
 /// Cross-checks [`expected_goodput`] by seeded discrete-event replay:
 /// simulates `segments` checkpoint segments under the same exponential
 /// failure process (draw time-to-failure; a failure inside the segment
@@ -183,9 +199,11 @@ pub fn replay_goodput(
     let per_segment = (span / mtbf).exp();
     let not_replayable = || {
         format!(
-            "a {span:.0} s checkpoint segment at MTBF {mtbf:.0} s takes ~{per_segment:.3e} \
+            "a {} s checkpoint segment at MTBF {} s takes ~{per_segment:.3e} \
              failure draws to complete; {segments} segments exceed the budget of \
-             {MAX_REPLAY_DRAWS} draws"
+             {MAX_REPLAY_DRAWS} draws",
+            format_secs(span),
+            format_secs(mtbf)
         )
     };
     if per_segment * segments as f64 > MAX_REPLAY_DRAWS as f64 {
@@ -222,6 +240,16 @@ pub fn replay_goodput(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn times_keep_four_significant_digits() {
+        assert_eq!(format_secs(3600.0), "3600");
+        assert_eq!(format_secs(48.3), "48.30");
+        assert_eq!(format_secs(0.005), "0.005000");
+        assert_eq!(format_secs(1e-9), "1.000e-9");
+        assert_eq!(format_secs(2.5e7), "2.500e7");
+        assert_eq!(format_secs(0.0), "0");
+    }
     use madmax_core::collective::HierarchicalNccl;
     use madmax_hw::catalog;
     use madmax_model::ModelId;

@@ -40,7 +40,7 @@ mod spec;
 
 pub use events::{materialize_faults, FaultError, FaultEvent, FaultKind};
 pub use goodput::{
-    expected_goodput, replay_goodput, young_daly_interval, CheckpointModel, GoodputReport,
-    MAX_REPLAY_DRAWS,
+    expected_goodput, format_secs, replay_goodput, young_daly_interval, CheckpointModel,
+    GoodputReport, MAX_REPLAY_DRAWS,
 };
 pub use spec::{FaultSpec, MaintenanceWindow, RetryPolicy};

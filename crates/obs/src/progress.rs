@@ -51,7 +51,9 @@ pub struct CandidateEvent {
     /// Simulated iteration time in milliseconds, for `Ok` outcomes of
     /// searches that simulate one iteration per candidate (`explore`,
     /// and `explore_goodput`'s fault-free run). Load-search candidates
-    /// simulate request streams, not an iteration, and carry `None`.
+    /// simulate request streams, not an iteration, and carry `None`; so
+    /// do the candidates `explore` pruned without simulating
+    /// ([`crate::SearchTelemetry::pruned`]).
     pub iteration_ms: Option<f64>,
 }
 

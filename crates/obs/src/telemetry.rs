@@ -84,8 +84,15 @@ pub struct SearchTelemetry {
     /// Candidates considered (including ones the explorer resolved
     /// without a fresh evaluation, e.g. baseline-identical plans).
     pub candidates: u64,
-    /// Candidates that produced a report.
+    /// Candidates that passed every feasibility check: the ones that
+    /// produced a report plus the [`SearchTelemetry::pruned`] ones.
     pub ok: u64,
+    /// Feasible candidates `Explorer::explore` skipped without simulating
+    /// because their iteration-time lower bound proves they cannot beat
+    /// the baseline. Counted in `ok`; their progress events carry no
+    /// `iteration_ms`. Zero for every other search.
+    #[serde(default)]
+    pub pruned: u64,
     /// Candidates rejected for device memory.
     pub oom: u64,
     /// Candidates whose pipeline depth cannot partition the model or map
@@ -144,6 +151,7 @@ impl SearchTelemetry {
     pub fn absorb(&mut self, other: &SearchTelemetry) {
         self.candidates += other.candidates;
         self.ok += other.ok;
+        self.pruned += other.pruned;
         self.oom += other.oom;
         self.unmappable += other.unmappable;
         self.invalid += other.invalid;
@@ -176,11 +184,12 @@ impl SearchTelemetry {
             None => "-".to_owned(),
         };
         let mut line = format!(
-            "{} candidates in {:.0} ms ({} ok, {} oom, {} unmappable, {} invalid); \
+            "{} candidates in {:.0} ms ({} ok of which {} pruned, {} oom, {} unmappable, {} invalid); \
              cache hit rates: flat {}, pipeline {}, memo {}",
             self.candidates,
             self.wall_ms,
             self.ok,
+            self.pruned,
             self.oom,
             self.unmappable,
             self.invalid,
@@ -287,6 +296,7 @@ mod tests {
         let mut a = SearchTelemetry {
             candidates: 4,
             ok: 3,
+            pruned: 1,
             oom: 1,
             workers: vec![WorkerStats {
                 worker: 0,
@@ -298,6 +308,7 @@ mod tests {
         let b = SearchTelemetry {
             candidates: 2,
             ok: 2,
+            pruned: 2,
             workers: vec![
                 WorkerStats {
                     worker: 0,
@@ -324,6 +335,8 @@ mod tests {
         assert_eq!(a.verify_warnings, 3);
         assert_eq!(a.goodput_evals, 2);
         assert_eq!(a.fault_events, 5);
+        assert_eq!(a.pruned, 3);
+        assert!(a.summary().contains("5 ok of which 3 pruned"));
         assert!(a.summary().contains("verify: 0 errors, 3 warnings"));
         assert!(a.summary().contains("2 goodput evals, 5 fault events"));
         assert!(!SearchTelemetry::default().summary().contains("verify:"));

@@ -117,6 +117,53 @@ pub fn build_pipeline_trace_into(
     let _ = build_main_into(costs, cfg, train, trace);
 }
 
+/// A sound lower bound on the makespan of [`build_pipeline_trace_into`]'s
+/// trace for the same arguments, without building it: the largest
+/// per-stream sum of the op durations the builder emits. Each stage's
+/// compute stream runs its microbatch passes (plus the optimizer), its
+/// comm stream the parameter gathers, blocking collectives and activation
+/// sends, and its gradient-comm stream the gradient sends and
+/// weight-gradient collectives; one op at a time each, so no schedule
+/// finishes before the busiest of them has drained.
+///
+/// The sums follow each stream's issue order (the schedule's per-stage
+/// local order), so each equals the sequential `f64` sum the scheduler's
+/// finish times dominate, bit for bit.
+pub fn busy_lower_bound(costs: &[StageCosts], cfg: &PipelineConfig, train: bool) -> Seconds {
+    let p = costs.len();
+    let mut busiest = Seconds::ZERO;
+    for (s, c) in costs.iter().enumerate() {
+        let (mut compute, mut comm, mut grad) = (Seconds::ZERO, Seconds::ZERO, Seconds::ZERO);
+        c.param_comm.iter().for_each(|&(_, d)| comm += d);
+        for ev in local_order(cfg.schedule, s, p, cfg.microbatches, train) {
+            match ev {
+                Ev::F(_) => {
+                    compute += c.fwd_compute;
+                    c.fwd_comm.iter().for_each(|&(_, d)| comm += d);
+                    if s + 1 < p {
+                        comm += c.send_fwd;
+                    }
+                }
+                Ev::B(_) => {
+                    compute += c.bwd_compute;
+                    c.bwd_comm.iter().for_each(|&(_, d)| comm += d);
+                    if s > 0 {
+                        grad += c.send_bwd;
+                    }
+                }
+            }
+        }
+        if train && cfg.microbatches > 0 {
+            c.grad_comm.iter().for_each(|&(_, d)| grad += d);
+            if !c.optimizer.is_zero() {
+                compute += c.optimizer;
+            }
+        }
+        busiest = busiest.max(compute).max(comm).max(grad);
+    }
+    busiest
+}
+
 /// The shared schedule expansion behind [`build_pipeline_trace_into`] and
 /// the serve builder: emits the (training or forward-only) schedule and
 /// returns each stage's per-microbatch forward-completion ops, which the

@@ -320,6 +320,25 @@ fn cli_skips_unreplayable_goodput_instead_of_hanging() {
 }
 
 #[test]
+fn cli_prints_tiny_fault_times_with_significant_digits() {
+    let out = madmax(&[
+        "simulate", "--model", "llama2", "--system", "llama", "--mtbf", "1e-9",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("at MTBF 1.000e-9 s"), "{stdout}");
+    assert!(!stdout.contains("MTBF 0 s"), "{stdout}");
+    let interval = stdout
+        .lines()
+        .find(|l| l.starts_with("checkpoint:"))
+        .and_then(|l| l.split("interval ").nth(1))
+        .and_then(|rest| rest.split(' ').next())
+        .expect("the checkpoint line prints the interval");
+    let secs: f64 = interval.parse().expect("the interval is a number");
+    assert!(secs > 0.0, "interval printed as {interval}: {stdout}");
+}
+
+#[test]
 fn cli_load_search_writes_reconciling_telemetry() {
     let path =
         std::env::temp_dir().join(format!("madmax-load-telemetry-{}.json", std::process::id()));
