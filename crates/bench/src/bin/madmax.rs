@@ -67,9 +67,9 @@
 //!
 //! - `--emit-trace PATH` (simulate, search): write the simulated schedule
 //!   as Chrome trace-event JSON — open it at <https://ui.perfetto.dev>.
-//!   `search` exports its winner's schedule; built with the
-//!   `self-profile` feature, the explorer's own price/assemble/report
-//!   spans land in the same file as a second process.
+//!   `search` exports its winner's schedule, byte for byte the file
+//!   `simulate` writes for that plan. The search's own wall time is in
+//!   `--telemetry`; perfbench (`perfbench/`) times it layer by layer.
 //! - `--telemetry PATH` (search, in plan, goodput and load mode): write
 //!   the search's [`madmax_obs::SearchTelemetry`] (outcome counters,
 //!   cache hit rates, per-worker throughput, latency histogram) as JSON.
@@ -131,6 +131,53 @@ fn systems() -> BTreeMap<&'static str, fn() -> ClusterSpec> {
 /// Flags that take no value (presence alone means `true`).
 const BOOL_FLAGS: &[&str] = &["verify", "eviction"];
 
+/// Flags that take a value. Together with [`BOOL_FLAGS`] these are every
+/// flag any subcommand reads; anything else is a typo and an error.
+const VALUE_FLAGS: &[&str] = &[
+    // scenario
+    "model",
+    "system",
+    "config-dir",
+    "task",
+    "prompt",
+    "decode",
+    "decode-batch",
+    "kv",
+    "embedding",
+    "dense",
+    "transformer",
+    "moe",
+    // load
+    "arrival-rate",
+    "arrival-count",
+    "arrival-seed",
+    "arrival-trace",
+    "burst-on",
+    "burst-off",
+    "kv-blocks",
+    "queue-cap",
+    "horizon",
+    "slo-ttft-p99",
+    // faults
+    "mtbf",
+    "checkpoint-interval",
+    "recovery",
+    "slots-lost",
+    "retry",
+    "retry-backoff",
+    "retry-timeout",
+    "fault-seed",
+    "fault-horizon",
+    // search, output and the other subcommands
+    "threads",
+    "unconstrained",
+    "progress",
+    "telemetry",
+    "emit-trace",
+    "only",
+    "out",
+];
+
 struct Args {
     flags: BTreeMap<String, String>,
 }
@@ -146,6 +193,9 @@ impl Args {
             if BOOL_FLAGS.contains(&key) {
                 flags.insert(key.to_owned(), "true".to_owned());
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&key) {
+                return Err(format!("unknown flag `{a}`"));
             }
             let value = it
                 .next()
@@ -604,8 +654,7 @@ fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
     Ok(plan)
 }
 
-/// Exports a scenario's schedule (plus any recorded self-profile spans)
-/// as Chrome trace-event JSON.
+/// Exports a scenario's schedule as Chrome trace-event JSON.
 fn emit_trace(
     model: &ModelArch,
     system: &ClusterSpec,
@@ -613,19 +662,12 @@ fn emit_trace(
     workload: &Workload,
     path: &str,
 ) -> Result<(), String> {
-    // Idempotent: the search arm switches recording on before exploring
-    // so the whole search is profiled; for a bare `simulate` this at
-    // least captures the export run itself. No-op without the
-    // `self-profile` feature.
-    madmax_core::prof::set_recording(true);
     let (_, trace, sched) = Scenario::new(model, system)
         .plan(plan.clone())
         .workload(workload.clone())
         .run_with_trace()
         .map_err(|e| e.to_string())?;
-    let mut chrome = ChromeTrace::from_schedule(&trace, &sched);
-    chrome.add_spans(&madmax_core::prof::take());
-    chrome
+    ChromeTrace::from_schedule(&trace, &sched)
         .write(path)
         .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
     eprintln!("trace written to {path} (open at https://ui.perfetto.dev)");
@@ -839,11 +881,6 @@ fn run() -> Result<(), String> {
                         .map_err(|_| "--progress expects a number")
                 })
                 .transpose()?;
-            if args.get("emit-trace").is_some() {
-                // With the `self-profile` feature compiled in, record the
-                // engine's price/assemble/report spans into the trace.
-                madmax_core::prof::set_recording(true);
-            }
             let mut explorer = Explorer::new(&model, &system)
                 .workload(workload)
                 .space(space)

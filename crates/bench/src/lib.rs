@@ -7,26 +7,23 @@
 //! per-experiment elapsed-time summary, so hot-path regressions are
 //! visible straight from the tier-1 artifact run.
 //!
-//! ## Tracking explorer performance: `bench_report`
+//! ## Tracking explorer performance
 //!
-//! The `bench_report` bin is the repository's perf trajectory: it times
-//! `madmax_dse::Explorer::explore()` on every fig10-style joint strategy
-//! search (each model, memory-constrained and unconstrained) and writes a
-//! `BENCH_PR<n>.json` at the repository root:
+//! The standalone `perfbench/` package is the one timing tool. It runs
+//! the train, serve and SLO/fault searches single-threaded with
+//! host-calibrated times, end to end (`search_p50_ms`,
+//! `candidates_per_s`, `peak_rss_mb`, ...) and, with `--trace 1`, per
+//! layer (price, assemble, schedule, report, load simulation). A speed
+//! claim is a paired run of two commits on one host:
 //!
 //! ```text
-//! cargo run --release -p madmax-bench --bin bench_report -- \
-//!     --threads 1 --reps 5 --out BENCH_PR3.json [--baseline PRE.json]
+//! python3 scripts/pair.py --parent HEAD~1 --change HEAD \
+//!     --workloads train_search --pairs 10
 //! ```
 //!
-//! Each record is `{"search", "candidates", "wall_ms", "threads"}`;
-//! `wall_ms` is the best of `--reps` runs after a warm-up. Passing
-//! `--baseline` (a report produced by the same bin on an older commit)
-//! adds `pre_pr_wall_ms` and `speedup` per record, so the committed file
-//! is a self-contained before/after comparison. PRs claiming a hot-path
-//! win re-run the bin and commit the new `BENCH_PR<n>.json` point. The
-//! standalone `perfbench/` package measures the searches end to end and
-//! per layer (price, assemble, schedule, report, load simulation).
+//! `scripts/pair.py` builds each commit once, alternates their perfbench
+//! runs on shared seeds, and prints each `BENCHMARK.json` metric's
+//! medians, spread, wins and verdict against its bound.
 
 #![warn(missing_docs)]
 

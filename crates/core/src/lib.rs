@@ -53,7 +53,6 @@ pub mod costs;
 pub mod counters;
 pub mod metrics;
 pub mod perf;
-pub mod prof;
 pub mod sim;
 pub mod steady;
 pub mod trace;

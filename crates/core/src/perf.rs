@@ -73,7 +73,6 @@ pub fn run_flat_cached(
     if table.analytic_serve() {
         if let Some(dims) = table.serve_dims() {
             if dims.decode_len >= crate::steady::MIN_ANALYTIC_DECODE {
-                let _span = crate::prof::span("steady.flat");
                 table.assemble_serve_prefix_into(
                     plan,
                     &mut scratch.trace,
@@ -96,15 +95,11 @@ pub fn run_flat_cached(
     if table.serve_dims().is_some() {
         table.analytic_counters().miss();
     }
-    {
-        let _span = crate::prof::span("assemble.flat");
-        table.assemble_into(plan, &mut scratch.trace);
-        schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
-    }
+    table.assemble_into(plan, &mut scratch.trace);
+    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
     if cfg!(debug_assertions) {
         crate::sim::debug_check_schedule(&scratch.trace, &scratch.sched);
     }
-    let _span = crate::prof::span("report.flat");
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,
         &scratch.sched,

@@ -277,7 +277,6 @@ impl<'a> Scenario<'a> {
 
     /// [`Scenario::price_plans`] over any plan sequence.
     fn price_flat<'p>(&self, plans: impl Iterator<Item = &'p Plan>) -> CostTable<'a> {
-        let _span = madmax_core::prof::span("price.flat");
         let mut plans = plans.peekable();
         let options = plans
             .peek()
@@ -311,7 +310,6 @@ impl<'a> Scenario<'a> {
 
     /// [`Scenario::price_pipeline_plans`] over any plan sequence.
     fn price_pipeline<'p>(&self, plans: impl Iterator<Item = &'p Plan>) -> PipelineCostTable<'a> {
-        let _span = madmax_core::prof::span("price.pipeline");
         let mut plans = plans.peekable();
         let options = plans
             .peek()

@@ -48,7 +48,6 @@ pub mod telemetry;
 
 pub use load::{forward_to_sink, LoadTelemetry, RequestEvent};
 pub use madmax_core::counters::CacheStats;
-pub use madmax_core::prof::SpanRecord;
 pub use perfetto::{ChromeTrace, TraceEvent};
 pub use progress::{
     CandidateEvent, CandidateOutcome, ElapsedSummary, JsonlSink, NullSink, ProgressSink,

@@ -16,7 +16,8 @@ use crate::perfetto::{ChromeTrace, TraceEvent};
 use crate::progress::ProgressSink;
 
 /// Process id of load-simulator events in exported traces (the simulated
-/// schedule is pid 0, self-profiling pid 1).
+/// schedule is pid 0; pid 1 stays unused so exported files keep their
+/// bytes).
 pub const LOAD_PID: u64 = 2;
 
 /// Request tracks exported to Perfetto before the exporter stops adding

@@ -87,7 +87,6 @@ pub fn run_pipelined_cached(
     if let Some((decode, decode_len)) = priced.decode {
         if table.analytic_serve() && decode_len >= madmax_core::steady::MIN_ANALYTIC_DECODE {
             let explicit = madmax_core::steady::EXPLICIT_TOKENS;
-            let _span = madmax_core::prof::span("steady.pipeline");
             build_serve_trace_into(
                 priced.primary,
                 decode,
@@ -117,30 +116,26 @@ pub fn run_pipelined_cached(
         }
     }
 
-    {
-        let _span = madmax_core::prof::span("assemble.pipeline");
-        match priced.decode {
-            Some((decode, decode_len)) => build_serve_trace_into(
-                priced.primary,
-                decode,
-                &priced.cfg,
-                decode_len,
-                priced.prompt_len,
-                &mut scratch.trace,
-            ),
-            None => build_pipeline_trace_into(
-                priced.primary,
-                &priced.cfg,
-                table.workload().has_backward(),
-                &mut scratch.trace,
-            ),
-        }
-        schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
+    match priced.decode {
+        Some((decode, decode_len)) => build_serve_trace_into(
+            priced.primary,
+            decode,
+            &priced.cfg,
+            decode_len,
+            priced.prompt_len,
+            &mut scratch.trace,
+        ),
+        None => build_pipeline_trace_into(
+            priced.primary,
+            &priced.cfg,
+            table.workload().has_backward(),
+            &mut scratch.trace,
+        ),
     }
+    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
     if cfg!(debug_assertions) {
         madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
     }
-    let _span = madmax_core::prof::span("report.pipeline");
     let model = table.report_model();
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,

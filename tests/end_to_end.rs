@@ -380,3 +380,99 @@ fn cli_load_search_writes_reconciling_telemetry() {
     // The candidates share the load-probe tables.
     assert!(t.flat_cache.hits > 0, "{t:?}");
 }
+
+#[test]
+fn cli_rejects_unknown_flags() {
+    for (args, flag) in [
+        (
+            &[
+                "search",
+                "--model",
+                "llama2",
+                "--system",
+                "llama",
+                "--threds",
+                "1",
+                "--unconstraned",
+                "true",
+            ][..],
+            "--threds",
+        ),
+        (
+            &[
+                "simulate", "--model", "llama2", "--system", "llama", "--verfy",
+            ][..],
+            "--verfy",
+        ),
+    ] {
+        let out = madmax(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing runs on a typo");
+    }
+}
+
+#[test]
+fn search_emit_trace_is_the_winners_simulate_trace() {
+    let dir = std::env::temp_dir();
+    let (a, b) = (
+        dir.join(format!("madmax-search-trace-{}.json", std::process::id())),
+        dir.join(format!("madmax-simulate-trace-{}.json", std::process::id())),
+    );
+    let scenario = ["--model", "llama2", "--system", "llama"];
+    let mut search = vec!["search"];
+    search.extend(scenario);
+    search.extend(["--emit-trace", a.to_str().unwrap()]);
+    let out = madmax(&search);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    // `best: ... with embedding=(MP, FSDP) transformer=(FSDP)`: one
+    // `--class strategy` pair per layer class.
+    let winner = stdout
+        .lines()
+        .find(|l| l.starts_with("best:"))
+        .and_then(|l| l.split(" with ").nth(1))
+        .expect("search prints its winner");
+    let strategies: Vec<(String, String)> = winner
+        .split_inclusive(')')
+        .map(|part| {
+            let (class, strategy) = part.trim().split_once('=').expect("class=strategy");
+            (format!("--{class}"), strategy.to_owned())
+        })
+        .collect();
+    assert!(!strategies.is_empty(), "{winner}");
+    let mut simulate = vec!["simulate"];
+    simulate.extend(scenario);
+    for (class, strategy) in &strategies {
+        simulate.extend([class.as_str(), strategy.as_str()]);
+    }
+    simulate.extend(["--emit-trace", b.to_str().unwrap()]);
+    let out = madmax(&simulate);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let (a_json, b_json) = (
+        std::fs::read_to_string(&a).expect("search wrote its trace"),
+        std::fs::read_to_string(&b).expect("simulate wrote its trace"),
+    );
+    std::fs::remove_file(&a).ok();
+    std::fs::remove_file(&b).ok();
+    assert!(a_json == b_json, "search and simulate traces differ");
+    let trace: serde::Value = serde_json::from_str(&a_json).unwrap();
+    let events = serde::field(trace.as_map().unwrap(), "traceEvents")
+        .unwrap()
+        .as_seq()
+        .expect("traceEvents is an array");
+    assert!(!events.is_empty());
+    for e in events {
+        let pid = serde::field(e.as_map().unwrap(), "pid").unwrap().as_u64();
+        assert_eq!(pid, Some(0), "every event is on the simulation process");
+    }
+}
