@@ -331,9 +331,14 @@ fn parse_load_spec(args: &Args) -> Result<Option<LoadSpec>, String> {
     Ok(Some(spec))
 }
 
-/// Parses `--slo-ttft-p99` (seconds).
+/// Parses `--slo-ttft-p99` (seconds, finite and positive).
 fn parse_slo(args: &Args) -> Result<Option<Seconds>, String> {
-    Ok(parse_num::<f64>(args, "slo-ttft-p99")?.map(Seconds::new))
+    match parse_num::<f64>(args, "slo-ttft-p99")? {
+        Some(slo) if !(slo.is_finite() && slo > 0.0) => {
+            Err(format!("--slo-ttft-p99: {slo} must be finite and positive"))
+        }
+        slo => Ok(slo.map(Seconds::new)),
+    }
 }
 
 /// Parses `--checkpoint-interval`: one interval for `simulate`, a
@@ -416,6 +421,7 @@ fn run_load_simulation(
     let scenario = Scenario::new(model, system)
         .plan_ref(plan)
         .workload_ref(workload);
+    let slo = parse_slo(args)?;
     let costs = scenario.price_load(spec).map_err(|e| e.to_string())?;
     let ticker = parse_num::<u64>(args, "progress")?.map(StderrTicker::every);
     let (events, retry) = match fault {
@@ -436,28 +442,17 @@ fn run_load_simulation(
         None => (Vec::new(), RetryPolicy::default()),
     };
     let started = std::time::Instant::now();
-    let outcome = match (fault.is_some(), &ticker) {
-        (true, Some(t)) => {
-            let mut hook = forward_to_sink(t);
-            scenario.serve_load_faulty(
-                spec,
-                &costs,
-                SimMode::Event,
-                &events,
-                &retry,
-                Some(&mut hook),
-            )
-        }
-        (true, None) => {
-            scenario.serve_load_faulty(spec, &costs, SimMode::Event, &events, &retry, None)
-        }
-        (false, Some(t)) => {
-            let mut hook = forward_to_sink(t);
-            scenario.serve_load_priced(spec, &costs, SimMode::Event, Some(&mut hook))
-        }
-        (false, None) => scenario.serve_load_priced(spec, &costs, SimMode::Event, None),
-    }
-    .map_err(|e| e.to_string())?;
+    let mut hook = ticker.as_ref().map(|t| forward_to_sink(t));
+    let outcome = scenario
+        .serve_load_faulty(
+            spec,
+            &costs,
+            SimMode::Event,
+            &events,
+            &retry,
+            hook.as_mut().map(|h| h as &mut dyn FnMut(&_)),
+        )
+        .map_err(|e| e.to_string())?;
     let telemetry = LoadTelemetry::from_outcome(
         &outcome,
         SimMode::Event,
@@ -505,7 +500,7 @@ fn run_load_simulation(
         r.tokens_per_sec,
         r.makespan.as_secs()
     );
-    if let Some(slo) = parse_slo(args)? {
+    if let Some(slo) = slo {
         let verdict = if r.meets_ttft_slo(slo) {
             "met"
         } else {

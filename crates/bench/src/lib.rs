@@ -56,7 +56,3 @@ pub fn emit(name: &str, content: &str) {
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
-
-// `--threads` parsing used to live here as `threads_from_args`; the
-// DSE-heavy binaries now share the richer [`cli::BenchCli`] parser
-// (threads, progress, telemetry) instead.

@@ -286,7 +286,7 @@ mod tests {
         );
         table.ensure_plan(plan);
         let report =
-            crate::run_flat_cached(&table, plan, &mut crate::EngineScratch::new()).unwrap();
+            crate::run_flat_cached(&table, plan, &mut crate::EngineScratch::new(), true).unwrap();
         assert!(report.iteration_time.as_ms() > 0.0);
     }
 }

@@ -207,10 +207,6 @@ pub struct CostTable<'a> {
     /// groups (first-appearance order).
     class_groups: Vec<(LayerClass, Vec<usize>)>,
     decode: Option<Box<DecodePhase>>,
-    /// Whether cached serve evaluations may take the closed-form
-    /// steady-state path (see [`crate::steady`]); on by default, an
-    /// opt-out knob for A/B validation.
-    analytic_serve: bool,
     /// Price-vs-reuse telemetry: one hit per `ensure_plan` (class,
     /// strategy) already priced, one miss per fresh pricing.
     counters: CacheCounters,
@@ -352,23 +348,9 @@ impl<'a> CostTable<'a> {
             groups,
             class_groups,
             decode,
-            analytic_serve: true,
             counters: CacheCounters::new(),
             analytic_counters: CacheCounters::new(),
         }
-    }
-
-    /// Whether cached serve evaluations may use the closed-form
-    /// steady-state decode path.
-    pub fn analytic_serve(&self) -> bool {
-        self.analytic_serve
-    }
-
-    /// Enables or disables the closed-form serve path for evaluations
-    /// through this table (on by default). With it off, every serve
-    /// evaluation assembles and schedules the full trace.
-    pub fn set_analytic_serve(&mut self, on: bool) {
-        self.analytic_serve = on;
     }
 
     /// The serve-stream dimensions of the workload's decode phase, or

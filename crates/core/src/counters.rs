@@ -1,7 +1,7 @@
 //! Cache hit/miss counters shared across the search worker pool.
 //!
 //! The price→assemble fast paths ([`crate::costs::CostTable`], the
-//! pipeline table, and the per-scratch report memo) are the levers that
+//! pipeline table, and its report memo) are the levers that
 //! make design-space searches cheap — and, until now, were invisible:
 //! there was no way to tell whether a slow search was re-pricing
 //! candidates or reusing the table as intended. [`CacheCounters`] is the

@@ -66,11 +66,11 @@ pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
 pub use perf::run_flat_cached;
 pub use sim::{
     debug_check_schedule, merged, merged_into, schedule, schedule_into, single_difference_measure,
-    EngineScratch, OpWindow, ReportMemo, Schedule, StreamTable,
+    EngineScratch, OpWindow, Schedule, StreamTable,
 };
 pub use steady::{
-    affine_series_units, decode_compute_duration, evaluate_serve_prefix, first_series_crossing,
-    grid_seconds, grid_units, grid_units_round, quantize, ServeDims, SteadyScratch,
+    affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds, grid_units,
+    grid_units_round, quantize, ServeDims, SteadyScratch,
 };
 pub use trace::{
     intern_label, Deps, OpId, OpKind, OpName, PassDir, Phase, StreamId, Trace, TraceOp,
@@ -101,7 +101,7 @@ mod cross_module_tests {
             UtilizationModel::Constant,
         );
         table.ensure_plan(plan);
-        crate::run_flat_cached(&table, plan, scratch)
+        crate::run_flat_cached(&table, plan, scratch, true)
     }
 
     fn evaluate(

@@ -41,11 +41,11 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
 ///
 /// No compute or collective cost model is invoked (costs come from the
 /// table) and the trace arena, schedule, and stream-slot table in
-/// `scratch` are recycled across calls. Serve workloads with long decode
-/// streams take the closed-form path of [`crate::steady`] when the table
-/// allows it ([`CostTable::analytic_serve`]); otherwise — and always for
-/// training — `scratch` holds the fully assembled trace and its schedule
-/// afterwards.
+/// `scratch` are recycled across calls. Serve workloads go through the
+/// closed-form gate [`crate::steady::closed_form_serve`], which
+/// `analytic_serve` can switch off; when the gate declines — and always
+/// for training — `scratch` holds the fully assembled trace and its
+/// schedule afterwards.
 ///
 /// # Errors
 ///
@@ -63,37 +63,20 @@ pub fn run_flat_cached(
     table: &CostTable,
     plan: &Plan,
     scratch: &mut EngineScratch,
+    analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
     reject_pipelined(plan)?;
     let memory = table.memory_for(plan)?;
-    // Closed-form serve path: assemble only the prefill + transient
-    // tokens and synthesize the report (bit-identical to the full
-    // simulation below; see `crate::steady`). Falls through on any
-    // structural condition the closed form does not cover.
-    if table.analytic_serve() {
-        if let Some(dims) = table.serve_dims() {
-            if dims.decode_len >= crate::steady::MIN_ANALYTIC_DECODE {
-                table.assemble_serve_prefix_into(
-                    plan,
-                    &mut scratch.trace,
-                    crate::steady::EXPLICIT_TOKENS,
-                );
-                if let Some(report) = crate::steady::evaluate_serve_prefix(
-                    &scratch.trace,
-                    crate::steady::EXPLICIT_TOKENS,
-                    &dims,
-                    table.report_model(),
-                    memory,
-                    &mut scratch.steady,
-                ) {
-                    table.analytic_counters().hit();
-                    return Ok(report);
-                }
-            }
-        }
-    }
-    if table.serve_dims().is_some() {
-        table.analytic_counters().miss();
+    if let Some(report) = crate::steady::closed_form_serve(
+        analytic_serve,
+        table.serve_dims(),
+        table.analytic_counters(),
+        table.report_model(),
+        memory,
+        scratch,
+        |tokens, trace| table.assemble_serve_prefix_into(plan, trace, tokens),
+    ) {
+        return Ok(report);
     }
     table.assemble_into(plan, &mut scratch.trace);
     schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
@@ -138,9 +121,8 @@ mod tests {
             collectives,
             UtilizationModel::Constant,
         );
-        table.set_analytic_serve(false);
         table.ensure_plan(plan);
-        run_flat_cached(&table, plan, scratch)
+        run_flat_cached(&table, plan, scratch, false)
     }
 
     fn run(

@@ -180,22 +180,6 @@ pub fn debug_check_schedule(trace: &Trace, sched: &Schedule) {
     );
 }
 
-/// A memoized engine result: the opaque key of one assembly's inputs and
-/// the report they produced. The pipeline engine's cached path keeps a
-/// keyed store of these on the shared pricing table to skip
-/// re-assembling, re-scheduling, and re-sweeping a trace whose inputs are
-/// identical to an already-evaluated candidate's — notably the schedule
-/// axis of serve searches, whose decode stream is schedule-independent.
-/// Keys are minted by the pricing table (a table generation plus an entry
-/// id), so results can never leak across tables or entries.
-#[derive(Debug)]
-pub struct ReportMemo {
-    /// Opaque assembly-input key, minted by the pricing layer.
-    pub key: (u64, usize, u8),
-    /// The report those inputs produced.
-    pub report: crate::metrics::IterationReport,
-}
-
 /// Reusable evaluation buffers: one trace arena, one schedule, and one
 /// stream-slot table. A design-space-exploration worker thread keeps one
 /// `EngineScratch` and evaluates every candidate through it, so the

@@ -85,8 +85,8 @@
 //!
 //! # Exactness conditions and fallback
 //!
-//! [`evaluate_serve_prefix`] returns `None` — and the engines fall back
-//! to full assembly + simulation — when any of these fail:
+//! [`closed_form_serve`] declines — and the engines fall back to full
+//! assembly + simulation — when any of these fail:
 //!
 //! - every duration of the prefix trace is a non-negative grid multiple
 //!   below `2^52` units (assembly guarantees this for engine-built serve
@@ -115,10 +115,12 @@ use madmax_hw::units::Seconds;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::MemoryBreakdown;
 
+use crate::counters::CacheCounters;
 use crate::metrics::{
     class_idx, comm_stream_device, device_slot, kind_idx, to_map, IterationReport, ServeStats,
     COLLECTIVES,
 };
+use crate::sim::EngineScratch;
 use crate::trace::{OpKind, Phase, StreamId, Trace};
 
 /// Grid resolution: durations are multiples of `2^-GRID_BITS` seconds.
@@ -130,7 +132,7 @@ pub const GRID_BITS: u32 = 38;
 /// value (and every pairwise sum) stays exactly representable in `f64`.
 pub(crate) const MAX_UNITS: i64 = 1 << 52;
 
-/// Decode length below which the engines skip the closed-form path: the
+/// Decode length below which [`closed_form_serve`] declines: the
 /// explicit transient prefix would cover most of the stream anyway, so
 /// full simulation is just as fast.
 pub const MIN_ANALYTIC_DECODE: usize = 32;
@@ -141,7 +143,7 @@ pub const MIN_ANALYTIC_DECODE: usize = 32;
 /// templates are anchored on). Pipeline-fill transients longer than
 /// this are handled by the stepping loop — the jump certificate simply
 /// fails until the binding settles.
-pub const EXPLICIT_TOKENS: usize = 4;
+const EXPLICIT_TOKENS: usize = 4;
 
 /// Grid units per second, as the exact `f64` `2^GRID_BITS`.
 fn unit_scale() -> f64 {
@@ -379,8 +381,8 @@ struct DevState {
     token_comm: bool,
 }
 
-/// Reusable buffers for [`evaluate_serve_prefix`]; keep one per worker
-/// thread alongside the engine scratch.
+/// Reusable buffers for the closed-form evaluator
+/// ([`closed_form_serve`]), part of every `EngineScratch`.
 #[derive(Debug, Default)]
 pub struct SteadyScratch {
     /// Per-op finish times of the explicit prefix, by op index.
@@ -1194,13 +1196,52 @@ fn certify_and_jump(
     JumpOutcome::Jumped(ni as i64)
 }
 
+/// The closed-form gate of both engines: evaluates a serve candidate in
+/// closed form when `analytic` allows it and its decode stream is at
+/// least [`MIN_ANALYTIC_DECODE`] tokens long. `assemble_prefix` builds
+/// the engine's prefill plus the given number of explicit decode tokens
+/// into the trace, from which the full report is synthesized. `dims` is `None` for workloads without decode steps.
+///
+/// Records one `counters` hit per synthesized report and one miss per
+/// serve candidate it declines (opt-out, short decode, or a failed
+/// exactness condition); the caller then simulates that candidate in
+/// full. Workloads without decode steps count as neither.
+pub fn closed_form_serve(
+    analytic: bool,
+    dims: Option<ServeDims>,
+    counters: &CacheCounters,
+    model: &ModelArch,
+    memory: MemoryBreakdown,
+    scratch: &mut EngineScratch,
+    assemble_prefix: impl FnOnce(usize, &mut Trace),
+) -> Option<IterationReport> {
+    let dims = dims?;
+    if analytic && dims.decode_len >= MIN_ANALYTIC_DECODE {
+        assemble_prefix(EXPLICIT_TOKENS, &mut scratch.trace);
+        let report = evaluate_serve_prefix(
+            &scratch.trace,
+            EXPLICIT_TOKENS,
+            &dims,
+            model,
+            memory,
+            &mut scratch.steady,
+        );
+        if report.is_some() {
+            counters.hit();
+            return report;
+        }
+    }
+    counters.miss();
+    None
+}
+
 /// Evaluates a serve candidate from its explicit prefix trace (prefill +
 /// `explicit_tokens` decode tokens, built by the regular assembly with a
 /// capped decode loop), synthesizing the [`IterationReport`] the full
 /// simulation of all `dims.decode_len` tokens would produce — bit for
 /// bit. Returns `None` when any exactness condition fails (see the
 /// module docs); callers then fall back to full assembly.
-pub fn evaluate_serve_prefix(
+fn evaluate_serve_prefix(
     trace: &Trace,
     explicit_tokens: usize,
     dims: &ServeDims,

@@ -31,7 +31,7 @@ fn pretrain_baseline(model: &ModelArch, sys: &ClusterSpec) -> Result<IterationRe
         UtilizationModel::Constant,
     );
     table.ensure_plan(&plan);
-    run_flat_cached(&table, &plan, &mut EngineScratch::new())
+    run_flat_cached(&table, &plan, &mut EngineScratch::new(), true)
 }
 
 /// Prediction accuracy as the paper reports it (in percent).

@@ -275,9 +275,7 @@ impl Explorer<'_> {
     {
         let started = Instant::now();
         let workers = self.worker_count(plans.len());
-        let scenario = Scenario::new(self.model, self.system)
-            .workload_ref(workload)
-            .analytic_serve(self.analytic_serve);
+        let scenario = Scenario::new(self.model, self.system).workload_ref(workload);
         // Mixed-option plan lists (e.g. ablating prefetch on/off) cannot
         // share a pricing context; they fall back to per-plan pricing.
         let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
@@ -305,8 +303,7 @@ impl Explorer<'_> {
             let t0 = Instant::now();
             let mut s = Scenario::new(self.model, self.system)
                 .plan_ref(&plans[i])
-                .workload_ref(workload)
-                .analytic_serve(self.analytic_serve);
+                .workload_ref(workload);
             if let Some(t) = &table {
                 s = s.costs(t);
             }

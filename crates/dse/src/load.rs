@@ -54,12 +54,24 @@ impl LoadAxes {
         self
     }
 
-    /// Validates the base spec and rates up front so an invalid spec
-    /// fails once with a clear error instead of once per candidate.
+    /// Validates the base spec, the SLO and the rates up front so an
+    /// invalid input fails once with a clear error instead of once per
+    /// candidate.
     fn validate(&self) -> Result<(), EngineError> {
         self.spec
             .validate()
             .map_err(|reason| EngineError::InvalidLoad { reason })?;
+        if let Some(slo) = self
+            .slo_ttft_p99
+            .filter(|s| !(s.is_finite() && s.as_secs() > 0.0))
+        {
+            return Err(EngineError::InvalidLoad {
+                reason: format!(
+                    "p99 TTFT SLO {} s must be finite and positive",
+                    slo.as_secs()
+                ),
+            });
+        }
         if let ArrivalSpec::Poisson { .. } | ArrivalSpec::Bursty { .. } = &self.spec.arrivals {
             if self.rates.is_empty() {
                 return Err(EngineError::InvalidLoad {
@@ -216,17 +228,16 @@ impl Explorer<'_> {
     /// Candidates are the same (plan, workload-variant) combinations
     /// [`Explorer::explore`] evaluates, and they run on the same driver
     /// (the worker pool, the attached progress sink, per-worker
-    /// telemetry, the [`Explorer::analytic_serve`] setting). Before a
-    /// workload variant's candidates run, the driver prices its load-probe
-    /// tables ([`Scenario::price_load_probes`]): one flat and one pipeline
-    /// cost table per distinct probe shape, covering the candidates that
-    /// probe it, dropped once the variant is done. Each candidate's step
-    /// then prices one per-step cost model, its engine probes evaluated
-    /// against those shared tables (byte-identical to one-plan tables per
-    /// probe), and simulates every arrival rate in event mode. Candidates
-    /// whose pricing or simulation fails (OOM at the worst-case context,
-    /// unmappable pipeline, a clock beyond the grid, ...) stay in the
-    /// outcome with their error.
+    /// telemetry). Before a workload variant's candidates run, the driver
+    /// prices its load-probe tables ([`Scenario::price_load_probes`]): one
+    /// flat and one pipeline cost table per distinct probe shape, covering
+    /// the candidates that probe it, dropped once the variant is done.
+    /// Each candidate's step then prices one per-step cost model, its
+    /// engine probes evaluated against those shared tables (byte-identical
+    /// to one-plan tables per probe), and simulates every arrival rate in
+    /// event mode. Candidates whose pricing or simulation fails (OOM at
+    /// the worst-case context, unmappable pipeline, a clock beyond the
+    /// grid, ...) stay in the outcome with their error.
     ///
     /// Ranking: highest [`LoadCandidate::score`] — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
@@ -446,6 +457,23 @@ mod tests {
             r.evaluated, t.ok as usize,
             "one rate per simulated candidate"
         );
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_slos_are_rejected() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let explorer = Explorer::new(&model, &sys).workload(Workload::serve(
+            ServeConfig::new(256, 16).with_decode_batch(4),
+        ));
+        for slo in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = explorer.explore_load(&axes(&[0.1], slo)).unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidLoad { .. }),
+                "{slo}: {err}"
+            );
+            assert!(err.to_string().contains("SLO"), "{err}");
+        }
     }
 
     #[test]

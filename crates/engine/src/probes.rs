@@ -128,18 +128,14 @@ impl<'a> LoadProbeTables<'a> {
 }
 
 impl ProbeShape<'_> {
-    /// Whether the shape's table for `plan`'s engine was priced with the
-    /// `analytic_serve` setting and covers `plan`, so a probe of `plan`
-    /// evaluates against it exactly as against a one-plan table.
-    pub(crate) fn covers(&self, plan: &Plan, analytic_serve: bool) -> bool {
+    /// Whether the shape's table for `plan`'s engine covers `plan`, so a
+    /// probe of `plan` evaluates against it exactly as against a one-plan
+    /// table.
+    pub(crate) fn covers(&self, plan: &Plan) -> bool {
         if plan.pipeline.is_some_and(|c| c.is_pipelined()) {
-            self.pipeline
-                .as_ref()
-                .is_some_and(|t| t.analytic_serve() == analytic_serve && t.covers(plan))
+            self.pipeline.as_ref().is_some_and(|t| t.covers(plan))
         } else {
-            self.flat
-                .as_ref()
-                .is_some_and(|t| t.analytic_serve() == analytic_serve && t.covers(plan))
+            self.flat.as_ref().is_some_and(|t| t.covers(plan))
         }
     }
 }

@@ -135,17 +135,16 @@ impl<'a> Scenario<'a> {
     }
 
     /// Enables or disables the closed-form steady-state decode path
-    /// (`madmax_core::steady`) on every cost table this scenario *builds*
-    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`],
-    /// [`Scenario::price_load_probes`], and the one-plan tables of
-    /// [`Scenario::run_in`], [`Scenario::run`], and
-    /// [`Scenario::price_load`]'s probes). On by default; the closed form
-    /// is byte-identical to full simulation, so this knob exists for A/B
-    /// validation and as an escape hatch. Tables attached via
-    /// [`Scenario::costs`] / [`Scenario::pipeline_costs`] keep their own
-    /// setting; attached [`Scenario::load_probes`] tables priced with the
-    /// other setting are not used. [`Scenario::run_with_trace`] always
-    /// simulates in full.
+    /// (`madmax_core::steady`) for every evaluation of this scenario:
+    /// [`Scenario::run_in`], [`Scenario::run`] and [`Scenario::price_load`]'s
+    /// probes, against one-plan tables and attached ones
+    /// ([`Scenario::costs`], [`Scenario::pipeline_costs`],
+    /// [`Scenario::load_probes`]) alike. On by default; the closed form is
+    /// byte-identical to full simulation, so this is the switch for A/B
+    /// validation and an escape hatch. An attached pipeline table returns
+    /// the report it already memoized for a forward-only candidate's
+    /// entry, whichever setting produced it. [`Scenario::run_with_trace`]
+    /// always simulates in full.
     #[must_use]
     pub fn analytic_serve(mut self, on: bool) -> Self {
         self.analytic_serve = on;
@@ -216,10 +215,9 @@ impl<'a> Scenario<'a> {
     /// tables of the probe's shape instead of pricing one-plan tables per
     /// probe. Probes of a shape the tables do not hold, of a plan the
     /// shape's table does not cover ([`CostTable::covers`],
-    /// [`PipelineCostTable::covers`]), or against tables priced with
-    /// another [`Scenario::analytic_serve`] setting fall back to one-plan
-    /// tables; the cost model is byte-identical either way. The tables must have
-    /// been priced for this scenario's model, system, and cost models.
+    /// [`PipelineCostTable::covers`]) fall back to one-plan tables; the
+    /// cost model is byte-identical either way. The tables must have been
+    /// priced for this scenario's model, system, and cost models.
     #[must_use]
     pub fn load_probes(mut self, tables: &'a LoadProbeTables<'a>) -> Self {
         self.load_probes = Some(tables);
@@ -289,7 +287,6 @@ impl<'a> Scenario<'a> {
             self.collectives,
             self.utilization,
         );
-        table.set_analytic_serve(self.analytic_serve);
         for plan in plans.filter(|p| !Self::is_pipelined(p)) {
             table.ensure_plan(plan);
         }
@@ -322,17 +319,15 @@ impl<'a> Scenario<'a> {
             self.collectives,
             self.utilization,
         );
-        table.set_analytic_serve(self.analytic_serve);
         for plan in plans.filter(|p| Self::is_pipelined(p)) {
             table.ensure_plan(plan);
         }
         table
     }
 
-    /// This scenario with `workload` and the given closed-form setting,
-    /// detached from any attached tables (so [`Scenario::run_in`] prices
-    /// one-plan tables of its own).
-    fn detached<'s>(&'s self, workload: Cow<'s, Workload>, analytic_serve: bool) -> Scenario<'s> {
+    /// This scenario with `workload`, detached from any attached tables
+    /// (so [`Scenario::run_in`] prices one-plan tables of its own).
+    fn detached<'s>(&'s self, workload: Cow<'s, Workload>) -> Scenario<'s> {
         Scenario {
             model: self.model,
             system: self.system,
@@ -343,7 +338,7 @@ impl<'a> Scenario<'a> {
             costs: None,
             pipeline_costs: None,
             load_probes: None,
-            analytic_serve,
+            analytic_serve: self.analytic_serve,
         }
     }
 
@@ -380,9 +375,11 @@ impl<'a> Scenario<'a> {
         self.check_workload()?;
         self.with_plan(|plan| {
             let report = if Self::is_pipelined(plan) {
-                madmax_pipeline::run_pipelined_cached(&self.pipeline_table(plan), plan, scratch)
+                let table = self.pipeline_table(plan);
+                madmax_pipeline::run_pipelined_cached(&table, plan, scratch, self.analytic_serve)
             } else {
-                madmax_core::run_flat_cached(&self.flat_table(plan), plan, scratch)
+                let table = self.flat_table(plan);
+                madmax_core::run_flat_cached(&table, plan, scratch, self.analytic_serve)
             };
             report.map_err(EngineError::from)
         })
@@ -495,7 +492,8 @@ impl<'a> Scenario<'a> {
     pub fn run_with_trace(&self) -> Result<(IterationReport, Trace, Schedule), EngineError> {
         let mut scratch = EngineScratch::new();
         let report = self
-            .detached(Cow::Borrowed(&self.workload), false)
+            .detached(Cow::Borrowed(&self.workload))
+            .analytic_serve(false)
             .run_in(&mut scratch)?;
         Ok((report, scratch.trace, scratch.sched))
     }
@@ -530,12 +528,12 @@ impl<'a> Scenario<'a> {
         self.with_plan(|plan| {
             let probe = |cfg: ServeConfig| {
                 let shared = self.load_probes.and_then(|t| t.shape(&cfg));
-                let Some(shape) = shared.filter(|s| s.covers(plan, self.analytic_serve)) else {
+                let Some(shape) = shared.filter(|s| s.covers(plan)) else {
                     return self
-                        .detached(Cow::Owned(Workload::serve(cfg)), self.analytic_serve)
+                        .detached(Cow::Owned(Workload::serve(cfg)))
                         .run_in(&mut scratch);
                 };
-                let mut s = self.detached(Cow::Borrowed(&shape.workload), self.analytic_serve);
+                let mut s = self.detached(Cow::Borrowed(&shape.workload));
                 s.costs = shape.flat.as_ref();
                 s.pipeline_costs = shape.pipeline.as_ref();
                 s.run_in(&mut scratch)
@@ -568,8 +566,8 @@ impl<'a> Scenario<'a> {
     /// the arrivals materialized once. Attach the result with
     /// [`Scenario::load_probes`] to every plan's scenario: a load search
     /// then prices a few tables per search instead of one per probe. The
-    /// tables inherit this scenario's model, system, cost models, and
-    /// [`Scenario::analytic_serve`] setting, and are `Sync`.
+    /// tables inherit this scenario's model, system, and cost models, and
+    /// are `Sync`.
     ///
     /// All plans must share the same pricing-relevant options; this is
     /// asserted.
@@ -592,8 +590,7 @@ impl<'a> Scenario<'a> {
                 let probe = Scenario::new(self.model, self.system)
                     .workload(workload.clone())
                     .collectives(self.collectives)
-                    .utilization(self.utilization)
-                    .analytic_serve(self.analytic_serve);
+                    .utilization(self.utilization);
                 let covered = || covered.iter().copied();
                 let flat = covered()
                     .any(|p| !Self::is_pipelined(p))
@@ -836,7 +833,8 @@ mod tests {
             UtilizationModel::Constant,
         );
         table.ensure_plan(&plan);
-        let flat = madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new()).unwrap();
+        let flat =
+            madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new(), true).unwrap();
         let dispatched = Scenario::new(&model, &sys).plan(plan).run().unwrap();
         assert_eq!(flat, dispatched);
         assert!(dispatched.bubble_fraction.is_none());

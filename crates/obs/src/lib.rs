@@ -13,7 +13,7 @@
 //!   per-stream timelines, Fig. 20 breakdowns) are exactly this view.
 //! - [`telemetry`] — [`SearchTelemetry`]: per-outcome candidate counters,
 //!   cache hit/miss snapshots from the price→assemble fast paths
-//!   (`CostTable`, `PipelineCostTable`, the per-scratch report memo),
+//!   (`CostTable`, `PipelineCostTable` and its report memo),
 //!   per-worker throughput, and an evaluation-latency histogram,
 //!   populated by `madmax_dse::Explorer` on every search.
 //! - [`progress`] — the [`ProgressSink`] trait: live candidate-completed

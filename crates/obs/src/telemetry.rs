@@ -106,9 +106,9 @@ pub struct SearchTelemetry {
     /// `PipelineCostTable` price-vs-reuse snapshot (one event per
     /// priceable pipelined candidate ensured).
     pub pipeline_cache: CacheStats,
-    /// Shared report-memo snapshot (one event per pipelined evaluation
-    /// reaching the memo lookup; hits are reports served without
-    /// re-assembly, across all workers).
+    /// Shared report-memo snapshot (one event per pipelined evaluation of
+    /// a workload without a backward pass; hits are reports served
+    /// without re-assembly, across all workers; training records none).
     pub report_memo: CacheStats,
     /// Closed-form steady-state serve snapshot (one hit per report
     /// synthesized analytically by `madmax_core::steady`, one miss per

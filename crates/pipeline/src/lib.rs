@@ -35,9 +35,10 @@
 //!    `madmax_core::EngineScratch` — no `partition_model` run, no
 //!    `ModelArch`/`ClusterSpec` clone, and no collective-model invocation
 //!    per candidate. The `(microbatches × schedule × decode batch)` axes
-//!    only affect assembly; for serve workloads the decode stream is
-//!    schedule-independent, so the scratch memoizes the last report and
-//!    collapses the schedule axis entirely.
+//!    only affect assembly; for workloads without a backward pass the
+//!    trace is schedule-independent, so the table memoizes one report per
+//!    (depth, assignment, microbatches) entry and collapses the schedule
+//!    axis entirely.
 //!
 //! # Closed-form serve: collapsing the token axis
 //!
@@ -94,7 +95,7 @@
 //!     UtilizationModel::Constant,
 //! );
 //! table.ensure_plan(&plan);
-//! let report = run_pipelined_cached(&table, &plan, &mut EngineScratch::new()).unwrap();
+//! let report = run_pipelined_cached(&table, &plan, &mut EngineScratch::new(), true).unwrap();
 //! let bubble = report.bubble_fraction.unwrap();
 //! assert!(bubble > 0.0 && bubble < 0.5, "{bubble}");
 //! ```

@@ -25,10 +25,10 @@
 
 use madmax_parallel::{Plan, PlanError};
 
-use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport};
+use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport, Trace};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
-use crate::table::PipelineCostTable;
+use crate::table::{PipelineCostTable, PricedPipelineRef};
 
 /// The pipeline engine: evaluates `plan` against a pre-priced
 /// [`PipelineCostTable`] using caller-owned buffers. The plan's
@@ -43,21 +43,20 @@ use crate::table::PipelineCostTable;
 /// and stream-slot table in `scratch` are recycled across calls. Two
 /// layers collapse repeated work further:
 ///
-/// - a candidate whose assembly inputs were already evaluated through
-///   this table — by *any* worker; the memo store is shared — returns the
-///   memoized report without re-assembling (for serve workloads the
-///   decode stream is schedule-independent, so the GPipe/1F1B pair of a
-///   sweep shares one entry);
-/// - serve candidates with long decode streams are evaluated by the
-///   closed-form steady-state path (`madmax_core::steady`): only the
-///   prefill and a short transient token prefix are assembled, the
-///   remaining tokens advance in exact integer arithmetic, and the
-///   synthesized report is byte-identical to full simulation (automatic
-///   fallback when the exactness conditions fail).
+/// - for workloads without a backward pass, whose traces do not depend
+///   on the schedule, each `(depth, assignment, microbatches)` entry of
+///   the table is evaluated once — by whichever worker gets there first —
+///   and every later candidate at that entry (the GPipe/1F1B pair of a
+///   sweep) returns the memoized report;
+/// - serve candidates go through the closed-form gate
+///   [`madmax_core::steady::closed_form_serve`], which `analytic_serve`
+///   can switch off: only the prefill and a short transient token prefix
+///   are assembled, the remaining tokens advance in exact integer
+///   arithmetic, and the synthesized report is byte-identical to full
+///   simulation (automatic fallback when the exactness conditions fail).
 ///
-/// When neither the memo nor the closed form answers — always the case
-/// on a fresh table with [`PipelineCostTable::set_analytic_serve`] off —
-/// `scratch` holds the fully assembled trace and its schedule afterwards.
+/// When the engine evaluates a candidate and the gate declines, `scratch`
+/// holds the fully assembled trace and its schedule afterwards.
 ///
 /// # Errors
 ///
@@ -74,57 +73,62 @@ pub fn run_pipelined_cached(
     table: &PipelineCostTable,
     plan: &Plan,
     scratch: &mut EngineScratch,
+    analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
     let priced = table.priced_for(plan)?;
-    if let Some(report) = table.memo_lookup(priced.memo_key) {
+    let Some(memo) = priced.memo else {
+        return Ok(evaluate(table, &priced, scratch, analytic_serve));
+    };
+    let mut fresh = false;
+    let report = memo.get_or_init(|| {
+        fresh = true;
+        evaluate(table, &priced, scratch, analytic_serve)
+    });
+    if fresh {
+        table.memo_counters().miss();
+    } else {
         table.memo_counters().hit();
-        return Ok(report);
     }
-    table.memo_counters().miss();
+    Ok(report.clone())
+}
 
-    // Closed-form steady-state path: assemble only prefill + transient
-    // tokens, advance the rest analytically (byte-identical or fallback).
-    if let Some((decode, decode_len)) = priced.decode {
-        if table.analytic_serve() && decode_len >= madmax_core::steady::MIN_ANALYTIC_DECODE {
-            let explicit = madmax_core::steady::EXPLICIT_TOKENS;
-            build_serve_trace_into(
-                priced.primary,
-                decode,
-                &priced.cfg,
-                explicit,
-                priced.prompt_len,
-                &mut scratch.trace,
-            );
-            let model = table.report_model();
-            let dims = madmax_core::ServeDims {
-                prompt_len: priced.prompt_len,
-                decode_len,
-                decode_batch: model.global_batch,
-            };
-            if let Some(report) = madmax_core::evaluate_serve_prefix(
-                &scratch.trace,
-                explicit,
-                &dims,
-                model,
-                priced.memory,
-                &mut scratch.steady,
-            ) {
-                table.analytic_counters().hit();
-                table.memo_insert(priced.memo_key, &report);
-                return Ok(report);
-            }
-        }
-    }
-
-    match priced.decode {
-        Some((decode, decode_len)) => build_serve_trace_into(
+/// Evaluates one priced candidate: through the closed-form gate, else by
+/// full assembly and simulation.
+fn evaluate(
+    table: &PipelineCostTable,
+    priced: &PricedPipelineRef,
+    scratch: &mut EngineScratch,
+    analytic_serve: bool,
+) -> IterationReport {
+    let model = table.report_model();
+    let dims = table.serve_dims();
+    let serve_trace = |tokens: usize, trace: &mut Trace| {
+        let (decode, dims) = priced
+            .decode
+            .zip(dims)
+            .expect("serve dims imply decode costs");
+        build_serve_trace_into(
             priced.primary,
             decode,
             &priced.cfg,
-            decode_len,
-            priced.prompt_len,
-            &mut scratch.trace,
-        ),
+            tokens,
+            dims.prompt_len,
+            trace,
+        );
+    };
+    if let Some(report) = madmax_core::steady::closed_form_serve(
+        analytic_serve,
+        dims,
+        table.analytic_counters(),
+        model,
+        priced.memory,
+        scratch,
+        serve_trace,
+    ) {
+        return report;
+    }
+    match dims {
+        Some(d) => serve_trace(d.decode_len, &mut scratch.trace),
         None => build_pipeline_trace_into(
             priced.primary,
             &priced.cfg,
@@ -136,7 +140,6 @@ pub fn run_pipelined_cached(
     if cfg!(debug_assertions) {
         madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
     }
-    let model = table.report_model();
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,
         &scratch.sched,
@@ -144,18 +147,16 @@ pub fn run_pipelined_cached(
         priced.memory,
         &mut scratch.report,
     );
-    if let Some((_, decode_len)) = priced.decode {
-        table.analytic_counters().miss();
-        report.serve = Some(serve_stats_from(
+    report.serve = dims.map(|d| {
+        serve_stats_from(
             &scratch.trace,
             &scratch.sched,
-            priced.prompt_len,
-            decode_len,
-            model.global_batch,
-        ));
-    }
-    table.memo_insert(priced.memo_key, &report);
-    Ok(report)
+            d.prompt_len,
+            d.decode_len,
+            d.decode_batch,
+        )
+    });
+    report
 }
 
 #[cfg(test)]
@@ -174,9 +175,8 @@ mod tests {
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        let mut table = one_plan_table(model, cluster, plan, workload);
-        table.set_analytic_serve(false);
-        run_pipelined_cached(&table, plan, &mut EngineScratch::new())
+        let table = one_plan_table(model, cluster, plan, workload);
+        run_pipelined_cached(&table, plan, &mut EngineScratch::new(), false)
     }
 
     #[test]
@@ -210,8 +210,8 @@ mod tests {
             UtilizationModel::Constant,
         );
         table.ensure_plan(&plan);
-        let err =
-            madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new()).unwrap_err();
+        let err = madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new(), true)
+            .unwrap_err();
         assert!(
             matches!(err, PlanError::PipelinedPlan { stages: 8 }),
             "{err}"

@@ -42,12 +42,9 @@
 //! microbatch counts) are *not* priced and instead report their error at
 //! evaluation time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-use madmax_core::{
-    CacheCounters, CacheStats, CollectiveModel, IterationReport, ReportMemo, UtilizationModel,
-};
+use madmax_core::{CacheCounters, CacheStats, CollectiveModel, IterationReport, UtilizationModel};
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::{
@@ -57,11 +54,6 @@ use madmax_parallel::{
 use crate::cost::{microbatch_bounds, stage_cluster, stage_costs_in, stage_models, StageCosts};
 use crate::memory::{fold_pipeline_memory, stage_memory};
 use crate::partition::{partition_model, Stage};
-
-/// Monotone stamp distinguishing tables, so a recycled `EngineScratch`
-/// memo can never confuse entries of a dropped table with a new one that
-/// happens to live at the same address.
-static TABLE_GENERATION: AtomicU64 = AtomicU64::new(0);
 
 /// Every pipeline-depth-independent context of one depth `p`.
 #[derive(Debug)]
@@ -91,34 +83,34 @@ struct AssignEntry {
 /// `(depth, assignment, microbatches)` key.
 #[derive(Debug)]
 struct PhaseCosts {
-    /// Table-unique id, part of the `EngineScratch` memo key.
-    id: usize,
     primary: Vec<StageCosts>,
     decode: Option<Vec<StageCosts>>,
+    /// The report of every candidate at this key, for workloads without a
+    /// backward pass: their traces do not depend on the schedule, so the
+    /// GPipe/1F1B pair of a search shares it. Set by the first worker to
+    /// evaluate the key.
+    report: OnceLock<IterationReport>,
 }
 
 /// Everything [`crate::run_pipelined_cached`] needs to assemble one
 /// candidate: borrowed priced stages, the candidate's pipeline config and
-/// memory fold, and the memo key identifying the assembly inputs.
+/// memory fold, and the report memo slot it shares with its schedule
+/// siblings.
 #[derive(Debug)]
 pub struct PricedPipelineRef<'t> {
     /// Primary-phase stage costs (training fwd+bwd, or the serve prefill).
     pub primary: &'t [StageCosts],
-    /// Decode-phase stage costs plus the decode length, for serve
-    /// workloads with decode steps.
-    pub decode: Option<(&'t [StageCosts], usize)>,
+    /// Decode-phase stage costs, for serve workloads with decode steps
+    /// (their dimensions are [`PipelineCostTable::serve_dims`]).
+    pub decode: Option<&'t [StageCosts]>,
     /// The candidate's pipeline configuration.
     pub cfg: PipelineConfig,
-    /// Resolved prompt length (KV tokens cached before decode step 0).
-    pub prompt_len: usize,
     /// The candidate's worst-stage memory breakdown.
     pub memory: MemoryBreakdown,
-    /// Key identifying the assembly inputs: `(table generation, phase-cost
-    /// entry, schedule tag)`. Two candidates with equal keys build
-    /// byte-identical traces, schedules, and reports — the scratch memo
-    /// exploits this for the schedule axis of serve searches, whose decode
-    /// stream is schedule-independent.
-    pub memo_key: (u64, usize, u8),
+    /// The report memo of the candidate's `(depth, assignment,
+    /// microbatches)` entry, for workloads without a backward pass (whose
+    /// traces are schedule-independent); `None` for training.
+    pub memo: Option<&'t OnceLock<IterationReport>>,
 }
 
 /// Every option except `ignore_memory_limits` (which only gates the
@@ -155,37 +147,19 @@ pub struct PipelineCostTable<'a> {
     /// Layer classes present in the model, in first-appearance order (the
     /// assignment-key dimensions).
     classes: Vec<LayerClass>,
-    generation: u64,
-    /// Whether `run_pipelined_cached` may use the closed-form steady-state
-    /// decode evaluator (`madmax_core::steady`) for serve candidates.
-    analytic_serve: bool,
-    /// Running phase-cost entry counter (memo ids).
-    entries: usize,
     depths: Vec<(usize, Result<DepthEntry, PlanError>)>,
     /// Price-vs-reuse telemetry: one hit per `ensure_plan` candidate whose
     /// `(depth, assignment, microbatches)` key was already priced, one
     /// miss per fresh phase-cost entry.
     counters: CacheCounters,
-    /// Report-memo telemetry, bumped by `run_pipelined_cached`.
+    /// Report-memo telemetry, bumped by `run_pipelined_cached` for
+    /// workloads without a backward pass.
     memo_counters: CacheCounters,
     /// Closed-form-vs-fallback telemetry for serve evaluations (one hit
     /// per report synthesized by the steady-state evaluator, one miss per
     /// serve candidate that fell back to full simulation).
     analytic_counters: CacheCounters,
-    /// Keyed most-recently-used store of memoized reports, shared across
-    /// every worker evaluating through this table: two candidates with
-    /// equal memo keys (e.g. the GPipe/1F1B pair of a serve search, whose
-    /// decode stream is schedule-independent) build byte-identical
-    /// reports, so whichever worker assembles first saves everyone else
-    /// the work — regardless of candidate order or worker assignment.
-    memo: Mutex<Vec<ReportMemo>>,
 }
-
-/// Retained [`ReportMemo`] entries: enough to cover every live
-/// (depth, assignment, microbatches) key of a typical joint-search sweep
-/// between revisits, small enough that lookup stays a cache-friendly
-/// linear scan.
-const MEMO_CAPACITY: usize = 64;
 
 impl<'a> PipelineCostTable<'a> {
     /// Creates an empty table for one `(model, cluster, workload)`
@@ -231,14 +205,10 @@ impl<'a> PipelineCostTable<'a> {
             collectives,
             utilization,
             classes,
-            generation: TABLE_GENERATION.fetch_add(1, Ordering::Relaxed) + 1,
-            analytic_serve: true,
-            entries: 0,
             depths: Vec::new(),
             counters: CacheCounters::new(),
             memo_counters: CacheCounters::new(),
             analytic_counters: CacheCounters::new(),
-            memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -251,16 +221,16 @@ impl<'a> PipelineCostTable<'a> {
         self.counters.snapshot()
     }
 
-    /// Snapshot of the per-scratch report-memo counters, accumulated
-    /// across every worker that evaluated candidates through this table
-    /// (`run_pipelined_cached` records one hit per memoized report served
-    /// and one miss per trace assembled fresh).
+    /// Snapshot of the report-memo counters, accumulated across every
+    /// worker that evaluated candidates through this table
+    /// (`run_pipelined_cached` records one miss per `(depth, assignment,
+    /// microbatches)` entry it evaluates and one hit per later candidate
+    /// served from it; training evaluations record neither).
     pub fn memo_stats(&self) -> CacheStats {
         self.memo_counters.snapshot()
     }
 
-    /// The report-memo counter pair (crate-internal: `run_pipelined_cached`
-    /// bumps it from `&self`).
+    /// The report-memo counter pair (crate-internal).
     pub(crate) fn memo_counters(&self) -> &CacheCounters {
         &self.memo_counters
     }
@@ -276,46 +246,6 @@ impl<'a> PipelineCostTable<'a> {
     /// The closed-form-vs-fallback counter pair (crate-internal).
     pub(crate) fn analytic_counters(&self) -> &CacheCounters {
         &self.analytic_counters
-    }
-
-    /// Looks up a memoized report by its assembly-input key, refreshing
-    /// its recency on a hit.
-    pub(crate) fn memo_lookup(&self, key: (u64, usize, u8)) -> Option<IterationReport> {
-        let mut memo = self.memo.lock().expect("memo lock poisoned");
-        let i = memo.iter().position(|m| m.key == key)?;
-        memo[..=i].rotate_right(1);
-        Some(memo[0].report.clone())
-    }
-
-    /// Stores a freshly evaluated report under its assembly-input key.
-    /// Reports for equal keys are byte-identical by construction, so a
-    /// racing duplicate from another worker is simply kept (it refreshes
-    /// recency either way); the least-recently-used entry is evicted past
-    /// capacity.
-    pub(crate) fn memo_insert(&self, key: (u64, usize, u8), report: &IterationReport) {
-        let mut memo = self.memo.lock().expect("memo lock poisoned");
-        match memo.iter().position(|m| m.key == key) {
-            Some(i) => memo[..=i].rotate_right(1),
-            None => {
-                memo.truncate(MEMO_CAPACITY - 1);
-                memo.insert(
-                    0,
-                    ReportMemo {
-                        key,
-                        report: report.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Drops every memoized report (counters are untouched). Evaluation
-    /// is memo-transparent — reports for equal keys are byte-identical —
-    /// so this only affects *cost*: benchmarks and A/B validation call it
-    /// between iterations to measure the assembly or closed-form path
-    /// itself rather than a memo hit.
-    pub fn clear_memo(&self) {
-        self.memo.lock().expect("memo lock poisoned").clear();
     }
 
     /// The model this table was priced for (the caller's handle, used for
@@ -340,19 +270,6 @@ impl<'a> PipelineCostTable<'a> {
     /// The workload this table was priced for.
     pub fn workload(&self) -> &Workload {
         &self.workload
-    }
-
-    /// Whether the closed-form steady-state decode evaluator is enabled
-    /// for serve candidates assembled through this table (on by default;
-    /// it is byte-identical to full simulation, the knob exists for A/B
-    /// validation and as an escape hatch).
-    pub fn analytic_serve(&self) -> bool {
-        self.analytic_serve
-    }
-
-    /// Enables or disables the closed-form steady-state decode path.
-    pub fn set_analytic_serve(&mut self, on: bool) {
-        self.analytic_serve = on;
     }
 
     /// The serve-stream dimensions of this table's workload, when it has
@@ -493,14 +410,12 @@ impl<'a> PipelineCostTable<'a> {
             None => None,
         };
         self.counters.miss();
-        let id = self.entries;
-        self.entries += 1;
         ae.by_m.push((
             cfg.microbatches,
             PhaseCosts {
-                id,
                 primary: primary_costs,
                 decode: decode_costs,
+                report: OnceLock::new(),
             },
         ));
     }
@@ -607,24 +522,12 @@ impl<'a> PipelineCostTable<'a> {
         let Some((_, pc)) = ae.by_m.iter().find(|(m, _)| *m == cfg.microbatches) else {
             return Err(format!("{} microbatches", cfg.microbatches));
         };
-        // Training traces depend on the schedule; serve traces do not (the
-        // decode stream is forward-only), so all schedules share one tag
-        // and the scratch memo collapses the schedule axis.
-        let sched_tag = if self.workload.has_backward() {
-            match cfg.schedule {
-                madmax_parallel::PipelineSchedule::GPipe => 0,
-                madmax_parallel::PipelineSchedule::OneFOneB => 1,
-            }
-        } else {
-            2
-        };
         Ok(Ok(PricedPipelineRef {
             primary: &pc.primary,
-            decode: pc.decode.as_deref().map(|costs| (costs, self.decode_len)),
+            decode: pc.decode.as_deref(),
             cfg,
-            prompt_len: primary.context_length,
             memory,
-            memo_key: (self.generation, pc.id, sched_tag),
+            memo: (!self.workload.has_backward()).then_some(&pc.report),
         }))
     }
 }
@@ -680,10 +583,10 @@ pub(crate) mod tests {
             table.ensure_plan(&plan);
         }
         // Both schedules share one (depth, assignment, m) entry.
-        assert_eq!(table.entries, 1);
+        assert_eq!(table.stats().misses, 1);
         assert_eq!(table.depths.len(), 1);
         table.ensure_plan(&base.clone().with_pipeline(PipelineConfig::gpipe(8, 32)));
-        assert_eq!(table.entries, 2, "new microbatch count prices once");
+        assert_eq!(table.stats().misses, 2, "new microbatch count prices once");
     }
 
     #[test]
@@ -727,6 +630,10 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(priced.memory, fresh_mem);
         assert!(priced.decode.is_none());
+        assert!(
+            priced.memo.is_none(),
+            "training traces depend on the schedule"
+        );
     }
 
     #[test]
@@ -745,9 +652,9 @@ pub(crate) mod tests {
         let a = table.priced_for(&gpipe).unwrap();
         let b = table.priced_for(&fb).unwrap();
         assert!(a.decode.is_some());
-        // Serve traces are schedule-independent: both candidates resolve
-        // to the same memo key, so a recycled scratch skips re-assembly.
-        assert_eq!(a.memo_key, b.memo_key);
+        // Serve traces are schedule-independent: both candidates share
+        // one memo slot, so the second skips re-assembly.
+        assert!(std::ptr::eq(a.memo.unwrap(), b.memo.unwrap()));
     }
 
     #[test]

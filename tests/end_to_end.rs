@@ -254,6 +254,25 @@ fn cli_rejects_zero_decode_batch_and_prompt() {
 }
 
 #[test]
+fn cli_rejects_non_finite_or_non_positive_slos() {
+    let load = "--model llama2 --system llama --task serve --prompt 256 --decode 16 \
+                --arrival-rate 0.1 --arrival-count 4 --slo-ttft-p99";
+    for command in ["simulate", "search"] {
+        for slo in ["nan", "inf", "0", "-5"] {
+            let mut args = vec![command];
+            args.extend(load.split_whitespace());
+            args.push(slo);
+            let out = madmax(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {slo}: {stderr}");
+            assert!(stderr.contains("--slo-ttft-p99"), "{stderr}");
+            assert!(stderr.contains("finite and positive"), "{stderr}");
+            assert!(out.stdout.is_empty(), "{command} {slo}: nothing runs");
+        }
+    }
+}
+
+#[test]
 fn json_configs_with_zero_decode_batch_or_prompt_are_rejected() {
     let model = ModelId::Llama2.build();
     let cfg = SimulationConfig {

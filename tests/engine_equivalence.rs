@@ -295,10 +295,10 @@ fn cached_fast_path_is_byte_identical_across_the_zoo() {
             Workload::pretrain(),
             Workload::inference(),
             Workload::serve(ServeConfig::new(256, 8)),
-            // Long enough decode for the closed-form steady-state path:
-            // the cached run takes it (tables default analytic-on) while
-            // `Scenario::run` always simulates in full, so this pins the
-            // analytic reports byte-for-byte across the zoo.
+            // Long enough decode for the closed-form steady-state path,
+            // which both runs take by default (the full-simulation
+            // reference is `analytic_serve_toggle_is_report_invisible_
+            // across_the_zoo`).
             Workload::serve(ServeConfig::new(256, 48)),
         ] {
             for plan in &plans {
@@ -411,10 +411,10 @@ fn analytic_serve_toggle_is_report_invisible_across_the_zoo() {
 #[test]
 fn serve_report_memo_is_shared_across_schedules_and_scratches() {
     // The report memo lives on the `PipelineCostTable`, not the worker
-    // scratch: whichever worker evaluates a memo key first saves every
-    // other worker the assembly, and a serve decode stream is
-    // schedule-independent, so the GPipe/1F1B pair of a joint search
-    // shares one key. Evaluate the pair through one table with two
+    // scratch: whichever worker evaluates a (depth, assignment,
+    // microbatches) entry first saves every other worker the assembly,
+    // and a serve decode stream is schedule-independent, so the
+    // GPipe/1F1B pair of a joint search shares one entry. Evaluate the pair through one table with two
     // separate scratches (distinct workers) and watch the counters.
     let model = ModelId::Llama2.build();
     let sys = system_for(ModelId::Llama2);
@@ -464,6 +464,25 @@ fn serve_report_memo_is_shared_across_schedules_and_scratches() {
         .unwrap();
     let third = table.memo_stats();
     assert_eq!((third.hits, third.misses), (2, 1), "revisit");
+
+    // Training traces depend on the schedule: the pair never touches the
+    // memo, and each schedule still matches a fresh run.
+    let train = Workload::pretrain();
+    let table = pricer.workload_ref(&train).price_pipeline_plans(&plans);
+    for plan in &plans {
+        let scenario = || {
+            Scenario::new(&model, &sys)
+                .workload_ref(&train)
+                .plan_ref(plan)
+        };
+        let cached = scenario()
+            .pipeline_costs(&table)
+            .run_in(&mut scratch_a)
+            .unwrap();
+        assert_eq!(cached, scenario().run().unwrap(), "{}", plan.summary());
+    }
+    let trained = table.memo_stats();
+    assert_eq!((trained.hits, trained.misses), (0, 0), "training memo");
 }
 
 #[test]

@@ -33,7 +33,7 @@ use proptest::prelude::*;
 
 use madmax_dse::{
     CandidateEvent, Explorer, LoadAxes, LoadSearchOutcome, PipelineAxes, ProgressSink, SearchSpace,
-    SearchTelemetry, ServeAxes,
+    SearchTelemetry,
 };
 use madmax_engine::{EngineError, Scenario, SimMode};
 use madmax_hw::catalog;
@@ -311,39 +311,6 @@ fn load_search_is_deterministic_across_thread_counts() {
     }
 }
 
-#[test]
-fn load_search_without_the_closed_form_is_byte_identical() {
-    // The full-simulation reference for the load-probe path: every probe
-    // decodes at least 48 tokens, past the closed form's threshold, so
-    // `analytic_serve(false)` simulates each one step by step. Serve axes
-    // add a second workload variant.
-    let model = ModelId::Llama2.build();
-    let sys = catalog::llama_llm_system();
-    let search = |analytic: bool| {
-        Explorer::new(&model, &sys)
-            .analytic_serve(analytic)
-            .workload(Workload::serve(
-                ServeConfig::new(256, 64).with_decode_batch(8),
-            ))
-            .space(
-                SearchSpace::default()
-                    .with_serve(ServeAxes::batches([4, 8]))
-                    .with_pipeline(PipelineAxes {
-                        stages: vec![1, 8],
-                        microbatches: vec![4],
-                        schedules: vec![PipelineSchedule::GPipe],
-                    }),
-            )
-            .explore_load(&LoadAxes::new(LoadSpec::poisson(0.05, 12, 5), [0.05, 0.5]))
-            .unwrap()
-    };
-    let closed_form = search(true);
-    let full = search(false);
-    assert_eq!(closed_form.candidates.len(), 4);
-    assert!(closed_form.candidates.iter().any(|c| c.error.is_none()));
-    assert_same_search(&closed_form, &full);
-}
-
 /// A step cost model or its error, comparable byte for byte.
 fn priced(result: Result<StepCostModel, EngineError>) -> Result<StepCostModel, String> {
     result.map_err(|e| e.to_string())
@@ -425,7 +392,7 @@ fn shared_probe_tables_price_exactly_the_one_plan_models() {
 }
 
 #[test]
-fn probe_tables_priced_for_another_setting_or_plan_fall_back() {
+fn probe_tables_priced_for_another_plan_fall_back() {
     let model = ModelId::Llama2.build();
     let sys = catalog::llama_llm_system();
     let workload = Workload::serve(ServeConfig::new(256, 64).with_decode_batch(8));
@@ -444,59 +411,57 @@ fn probe_tables_priced_for_another_setting_or_plan_fall_back() {
         .unwrap();
     // Flat at b_lo = 1 < slots: seven shapes, flat tables only.
     assert_eq!((tables.shape_count(), tables.table_count()), (7, 7));
-    // Only an equal plan at the tables' setting probes the shared tables
-    // (each probe counts one serve evaluation); the pipelined plan, the
-    // unpriced strategy and the other setting fall back.
+    // Only an equal plan probes the shared tables (each probe counts one
+    // serve evaluation); the pipelined plan and the unpriced strategy
+    // fall back.
     let equal = flat.clone();
-    for (plan, analytic, shared_probes) in [
-        (&equal, true, 7),
-        (&flat, false, 0),
-        (&piped, true, 0),
-        (&piped, false, 0),
-        (&other, true, 0),
-    ] {
+    for (plan, shared_probes) in [(&equal, 7), (&piped, 0), (&other, 0)] {
         let alone = Scenario::new(&model, &sys)
             .workload_ref(&workload)
-            .plan_ref(plan)
-            .analytic_serve(analytic);
+            .plan_ref(plan);
         let one_plan = priced(alone.price_load(&spec));
         let before = tables.analytic_stats().total();
         let shared = priced(alone.load_probes(&tables).price_load(&spec));
         assert_eq!(shared, one_plan, "{}", plan.summary());
         let probed = tables.analytic_stats().total() - before;
-        assert_eq!(
-            probed,
-            shared_probes,
-            "{} analytic {analytic}",
-            plan.summary()
-        );
+        assert_eq!(probed, shared_probes, "{}", plan.summary());
     }
 }
 
 #[test]
 fn load_search_on_shared_probe_tables_matches_one_plan_pricing() {
+    // The search prices its probes on shared tables through the closed
+    // form; the reference prices each candidate alone, once through the
+    // closed form and once simulating every probe in full (every probe
+    // decodes at least 48 tokens, past the closed form's threshold).
     let model = ModelId::Llama2.build();
     let sys = catalog::llama_llm_system();
     let one = load_search(Explorer::new(&model, &sys).threads(1));
     let axes = LoadAxes::new(LoadSpec::poisson(0.02, 12, 11), [0.02, 0.2])
         .with_slo_ttft_p99(Seconds::new(60.0));
-    for c in &one.candidates {
-        let scenario = Scenario::new(&model, &sys)
-            .plan_ref(&c.plan)
-            .workload_ref(&c.workload);
-        match scenario.price_load(&axes.spec) {
-            Err(e) => assert_eq!(c.error.as_ref(), Some(&e), "{}", c.plan.summary()),
-            Ok(costs) => {
-                assert!(c.error.is_none(), "{}", c.plan.summary());
-                for (p, rate) in c.points.iter().zip(&axes.rates) {
-                    let spec = LoadSpec::poisson(*rate, 12, 11);
-                    let alone = scenario
-                        .serve_load_priced(&spec, &costs, SimMode::Event, None)
-                        .unwrap();
-                    assert_eq!(
-                        serde_json::to_string(&alone.report).unwrap(),
-                        serde_json::to_string(&p.report).unwrap()
-                    );
+    assert!(one.candidates.iter().any(|c| c.error.is_none()));
+    for analytic in [true, false] {
+        for c in &one.candidates {
+            let scenario = Scenario::new(&model, &sys)
+                .plan_ref(&c.plan)
+                .workload_ref(&c.workload)
+                .analytic_serve(analytic);
+            match scenario.price_load(&axes.spec) {
+                Err(e) => assert_eq!(c.error.as_ref(), Some(&e), "{}", c.plan.summary()),
+                Ok(costs) => {
+                    assert!(c.error.is_none(), "{}", c.plan.summary());
+                    for (p, rate) in c.points.iter().zip(&axes.rates) {
+                        let spec = LoadSpec::poisson(*rate, 12, 11);
+                        let alone = scenario
+                            .serve_load_priced(&spec, &costs, SimMode::Event, None)
+                            .unwrap();
+                        assert_eq!(
+                            serde_json::to_string(&alone.report).unwrap(),
+                            serde_json::to_string(&p.report).unwrap(),
+                            "{} analytic {analytic}",
+                            c.plan.summary()
+                        );
+                    }
                 }
             }
         }
