@@ -789,9 +789,7 @@ impl<'a> CostTable<'a> {
                 comm += repeat * steps * units(c.duration)?;
             }
         }
-        let busiest = compute.max(comm);
-        (busiest < i128::from(crate::steady::MAX_UNITS))
-            .then(|| crate::steady::grid_seconds(busiest as i64))
+        crate::steady::grid_total_seconds(compute.max(comm))
     }
 
     fn assemble_capped_into(&self, plan: &Plan, trace: &mut Trace, max_decode_tokens: usize) {

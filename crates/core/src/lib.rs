@@ -69,8 +69,8 @@ pub use sim::{
     EngineScratch, OpWindow, Schedule, StreamTable,
 };
 pub use steady::{
-    affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds, grid_units,
-    grid_units_round, quantize, ServeDims, SteadyScratch,
+    affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds,
+    grid_total_seconds, grid_units, grid_units_round, quantize, ServeDims, SteadyScratch,
 };
 pub use trace::{
     intern_label, Deps, OpId, OpKind, OpName, PassDir, Phase, StreamId, Trace, TraceOp,

@@ -233,6 +233,15 @@ pub fn grid_seconds(u: i64) -> Seconds {
     secs_of(u)
 }
 
+/// Converts an exact grid-unit total (a sum of [`grid_units`] counts)
+/// back to seconds, or `None` when it is negative or leaves the exact grid
+/// range.
+pub fn grid_total_seconds(u: i128) -> Option<Seconds> {
+    (0..i128::from(MAX_UNITS))
+        .contains(&u)
+        .then(|| secs_of(u as i64))
+}
+
 /// Rounds an arbitrary non-negative duration to the nearest on-grid unit
 /// count, clamping into the exact range. The trace/Poisson arrival clocks
 /// of the load simulator snap to the grid through this, so every event

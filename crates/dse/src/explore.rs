@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use madmax_core::IterationReport;
 use madmax_engine::{EngineError, EngineScratch, Scenario};
-use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_obs::{ProgressSink, SearchTelemetry};
@@ -21,13 +20,7 @@ use madmax_parallel::{HierStrategy, PipelineConfig, PipelineSchedule, Plan, Work
 
 mod driver;
 
-pub(crate) use driver::{Evaluated, Objective, Pricing};
-
-/// Relative float margin of [`Explorer::explore`]'s pruning rule: a
-/// candidate is skipped only when its bound clears the baseline by more
-/// than this fraction, so rounding in the bound arithmetic can never skip
-/// a candidate that ties or beats the baseline.
-const PRUNE_MARGIN: f64 = 1e-9;
+pub(crate) use driver::{Evaluated, Objective, Pricing, Prune};
 
 /// Distinct layer classes present in a model, in first-appearance order.
 pub(crate) fn classes_in(model: &ModelArch) -> Vec<LayerClass> {
@@ -218,7 +211,9 @@ pub struct SearchOutcome {
     /// pruned, OOM, unmappable, or invalid — nothing is silently
     /// dropped). Pruned candidates passed every feasibility check but
     /// were not simulated: their iteration-time lower bound proves they
-    /// cannot beat the baseline. They count as `ok` in the telemetry, are
+    /// cannot beat the incumbent of [`Explorer::explore`]'s
+    /// branch-and-bound, so they score strictly below the winner. They
+    /// count as `ok` in the telemetry, are
     /// tallied in [`SearchTelemetry::pruned`], and their progress events
     /// carry `iteration_ms: None`.
     pub evaluated: usize,
@@ -435,12 +430,17 @@ impl<'a> Explorer<'a> {
     /// The baseline itself is always part of the outcome, so a feasible
     /// baseline guarantees a result and `speedup() >= 1`.
     ///
-    /// The search is an exact branch-and-bound: the baseline is simulated
-    /// first, and every candidate whose iteration-time lower bound
-    /// ([`Scenario::lower_bound`]) proves it cannot be strictly better
-    /// than the baseline is skipped instead of simulated (see
+    /// The search is an exact, best-first branch-and-bound. The baseline
+    /// is simulated first. Per workload variant, every candidate's
+    /// iteration-time lower bound ([`Scenario::lower_bound`]) gives an
+    /// optimistic score, and the four most promising candidates are
+    /// simulated as a fixed first wave. The incumbent is the best of the
+    /// baseline, the earlier variants and that wave; every other
+    /// candidate whose bound proves it cannot be strictly better than the
+    /// incumbent is skipped instead of simulated (see
     /// [`SearchOutcome::evaluated`]). The winner, its report and every
-    /// outcome counter are those of simulating every candidate.
+    /// outcome counter are those of simulating every candidate, and the
+    /// skipped set is the same at any thread count.
     ///
     /// # Errors
     ///
@@ -474,37 +474,44 @@ impl<'a> Explorer<'a> {
                 r.iteration_time < best.iteration_time
             }
         };
-        // Whether a candidate whose iteration time is at least `bound`
-        // provably cannot be strictly better than the baseline (and so
-        // than any best the fold can hold).
-        let (base_time, base_score) = (baseline.iteration_time.as_secs(), score(&baseline));
-        let cannot_win = |s: &Scenario<'_>, bound: Seconds| {
+        // The branch-and-bound ranks by the same order on a positive
+        // scale: tokens/s when serve-ranked, else reciprocal iteration
+        // time. A candidate's iteration time is at least its lower bound,
+        // so its score is at most the bound's.
+        let rank = |r: &IterationReport| {
             if serve_ranked {
-                s.serve_tokens_per_iteration().is_some_and(|tokens| {
-                    tokens / bound.as_secs() * (1.0 + PRUNE_MARGIN) < base_score
-                })
+                score(r)
             } else {
-                bound.as_secs() > base_time * (1.0 + PRUNE_MARGIN)
+                1.0 / r.iteration_time.as_secs()
             }
         };
+        let optimistic = |s: &Scenario<'_>| -> Result<Option<f64>, EngineError> {
+            Ok(s.lower_bound()?.and_then(|bound| {
+                if serve_ranked {
+                    s.serve_tokens_per_iteration()
+                        .map(|tokens| tokens / bound.as_secs())
+                } else {
+                    Some(1.0 / bound.as_secs())
+                }
+            }))
+        };
+        let scored = |r: &Option<IterationReport>| r.as_ref().map(rank);
         // The baseline combo re-appears among the candidates; the driver
-        // counts it `ok` instead of simulating it again. A candidate the
-        // bound rules out stays `ok` but is not simulated (`None`).
+        // counts it `ok` instead of simulating it again. A pruned
+        // candidate stays `ok` but is not simulated (`None`).
         let (driven, mut telemetry) = self.drive(&Objective {
             pricing: Pricing::Variant,
             known: Some((&base_workload, &base_plan)),
-            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
-                if let Some(bound) = s.lower_bound()? {
-                    if cannot_win(s, bound) {
-                        return Ok(None);
-                    }
-                }
-                s.run_in(scratch).map(Some)
-            },
+            step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch).map(Some),
             iteration_ms: |r: &Option<IterationReport>| {
                 r.as_ref().map(|r| r.iteration_time.as_ms())
             },
-            pruned: Option::is_none,
+            prune: Some(Prune {
+                optimistic: &optimistic,
+                score: &scored,
+                pruned: || None,
+                floor: rank(&baseline),
+            }),
         });
 
         let (best_plan, best_workload, best) = driven
@@ -859,7 +866,7 @@ mod tests {
             assert_eq!(sink.ok.load(Ordering::Relaxed), r.telemetry.ok - 1);
             assert_eq!(sink.finished.load(Ordering::Relaxed), 1);
             // `ok` events carry no iteration time exactly for the pruned
-            // candidates, each of which provably loses to the baseline.
+            // candidates, each of which provably loses to the winner.
             let unsimulated = sink.unsimulated.into_inner().unwrap();
             assert_eq!(unsimulated.len() as u64, r.telemetry.pruned);
             assert_eq!(r.telemetry.pruned, quiet.telemetry.pruned);
@@ -868,7 +875,7 @@ mod tests {
                     .plan_ref(&evaluated[i])
                     .run()
                     .unwrap();
-                assert!(report.iteration_time > r.baseline.iteration_time);
+                assert!(report.iteration_time > r.best.iteration_time);
             }
             // Attaching a sink must not perturb the search result.
             assert_eq!(r.best_plan, quiet.best_plan);

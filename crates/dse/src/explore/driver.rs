@@ -13,21 +13,27 @@
 //! enumeration order, so every objective is deterministic at any thread
 //! count.
 //!
-//! A step may also resolve a feasible candidate without simulating it:
-//! [`Explorer::explore`]'s step prunes a candidate whose
-//! `Scenario::lower_bound` proves it cannot be strictly better than the
-//! baseline evaluated before the pool started. The bound is sound (no
-//! schedule finishes before its busiest stream has drained), the fold
-//! keeps the first strictly-best candidate, and the best only improves
-//! from the baseline, so pruning never changes the winner; and since the
-//! rule reads nothing but the candidate and the baseline, the pruned set
-//! is the same at any thread count. The objective names pruned results
-//! ([`Objective::pruned`]); the driver counts them as `ok` and in
+//! An objective may also prune ([`Prune`]): [`Explorer::explore`] runs
+//! each variant as an exact, best-first branch-and-bound. The driver
+//! computes every candidate's optimistic score once (an upper bound on the
+//! score its simulation can reach, from `Scenario::lower_bound`;
+//! infeasible candidates resolve there with their error), simulates a
+//! fixed first wave of the [`FIRST_WAVE`] candidates with the best
+//! optimistic scores (ties to the earlier candidate), and takes the
+//! incumbent: the best score among the baseline, every earlier variant
+//! and this wave. Every remaining candidate whose optimistic score cannot
+//! strictly beat the incumbent ([`PRUNE_MARGIN`]) is pruned; the rest are
+//! simulated on the pool. A pruned candidate scores strictly below the
+//! incumbent, hence below the winner, so dropping it cannot change the
+//! first strictly-best candidate the objective's fold keeps. The wave, the
+//! incumbent and so the pruned set depend only on the candidates and the
+//! simulated results in enumeration order, never on which worker
+//! finished first: winners, reports and pruned counts are the same at any
+//! thread count. Pruned candidates count as `ok` and in
 //! [`SearchTelemetry::pruned`], and their progress events carry no
 //! iteration time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use madmax_core::IterationReport;
@@ -43,6 +49,16 @@ use super::Explorer;
 /// Fallback sink when no [`ProgressSink`] is attached.
 static NULL_SINK: NullSink = NullSink;
 
+/// Candidates a branch-and-bound simulates per workload variant before it
+/// fixes the incumbent (see the module docs).
+const FIRST_WAVE: usize = 4;
+
+/// Relative float margin of the pruning rule: a candidate is pruned only
+/// when the incumbent beats its optimistic score by more than this
+/// fraction, so rounding in the bound arithmetic can never prune a
+/// candidate that ties or beats the incumbent.
+const PRUNE_MARGIN: f64 = 1e-9;
+
 /// Classifies one evaluation result for telemetry and progress events.
 fn classify<T>(result: &Result<T, EngineError>) -> CandidateOutcome {
     match result {
@@ -53,12 +69,75 @@ fn classify<T>(result: &Result<T, EngineError>) -> CandidateOutcome {
     }
 }
 
-/// One worker's locally-accumulated telemetry (merged after the pool
-/// joins, so the hot loop never contends on a lock).
+/// One pool worker: its recycled scratch and its locally-accumulated
+/// telemetry (merged after the variant's rounds, so the hot loop never
+/// contends on a lock).
 #[derive(Debug, Default)]
-struct WorkerLocal {
+struct Worker {
+    scratch: EngineScratch,
     stats: WorkerStats,
     latency: LatencyHistogram,
+}
+
+/// Runs `job` on every candidate index of `jobs` across `workers`, each
+/// claiming the next unclaimed index, and stores each result in `slots`
+/// at its candidate index.
+fn run_pool<R, J>(workers: &mut [Worker], jobs: &[usize], slots: &mut [Option<R>], job: &J)
+where
+    R: Send,
+    J: Fn(usize, &mut Worker) -> R + Sync,
+{
+    if workers.len() == 1 || jobs.len() <= 1 {
+        for &i in jobs {
+            slots[i] = Some(job(i, &mut workers[0]));
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .take(jobs.len())
+            .map(|worker| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    while let Some(&i) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, job(i, worker)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+}
+
+/// The first wave of a branch-and-bound: the [`FIRST_WAVE`] candidates
+/// with the highest optimistic scores (fewer when fewer are bounded),
+/// ties going to the earlier candidate, in enumeration order.
+fn first_wave(optimistic: &[Option<f64>]) -> Vec<usize> {
+    let mut ranked: Vec<(usize, f64)> = optimistic
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| Some((i, (*o)?)))
+        .collect();
+    // Stable: tied scores keep enumeration order.
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let mut wave: Vec<usize> = ranked
+        .into_iter()
+        .take(FIRST_WAVE)
+        .map(|(i, _)| i)
+        .collect();
+    wave.sort_unstable();
+    wave
 }
 
 /// The shared tables an objective has priced once per workload variant,
@@ -91,9 +170,25 @@ pub(crate) struct Objective<'o, T, F> {
     /// The iteration time a successful candidate's progress event
     /// carries.
     pub(crate) iteration_ms: fn(&T) -> Option<f64>,
-    /// Whether the step skipped a successful candidate without simulating
-    /// it (counted in [`SearchTelemetry::pruned`]).
-    pub(crate) pruned: fn(&T) -> bool,
+    /// Branch-and-bound pruning (see the module docs); `None` runs the
+    /// step on every candidate.
+    pub(crate) prune: Option<Prune<'o, T>>,
+}
+
+/// How an objective ranks candidates for the driver's branch-and-bound.
+/// Scores are positive and higher is better.
+pub(crate) struct Prune<'o, T> {
+    /// A candidate's optimistic score: no result of the step on it scores
+    /// higher. `Ok(None)` leaves the candidate unbounded (it is always
+    /// simulated); an error resolves it without running the step.
+    pub(crate) optimistic: &'o (dyn Fn(&Scenario<'_>) -> Result<Option<f64>, EngineError> + Sync),
+    /// The score of a step's result (`None` for a pruned one).
+    pub(crate) score: &'o (dyn Fn(&T) -> Option<f64> + Sync),
+    /// The result a pruned candidate resolves to; its progress event
+    /// carries no iteration time.
+    pub(crate) pruned: fn() -> T,
+    /// The score to beat before the first variant runs (the baseline's).
+    pub(crate) floor: f64,
 }
 
 /// One evaluated candidate.
@@ -202,8 +297,9 @@ impl Explorer<'_> {
                 known: None,
                 step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
                 iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
-                pruned: |_| false,
+                prune: None,
             },
+            f64::NEG_INFINITY,
         )
     }
 
@@ -233,6 +329,10 @@ impl Explorer<'_> {
             batches: Vec::new(),
         };
         let mut telemetry = SearchTelemetry::default();
+        let mut incumbent = objective
+            .prune
+            .as_ref()
+            .map_or(f64::NEG_INFINITY, |p| p.floor);
         for workload in self.workload_variants() {
             let mut plans = self.candidates();
             let enumerated = plans.len();
@@ -245,7 +345,14 @@ impl Explorer<'_> {
                     });
                 }
             }
-            let (results, mut batch) = self.evaluate_pooled(&workload, &plans, objective);
+            let (results, mut batch) =
+                self.evaluate_pooled(&workload, &plans, objective, incumbent);
+            if let Some(prune) = &objective.prune {
+                incumbent = results
+                    .iter()
+                    .filter_map(|r| (prune.score)(r.as_ref().ok()?))
+                    .fold(incumbent, f64::max);
+            }
             let resolved = (enumerated - plans.len()) as u64;
             batch.candidates += resolved;
             batch.ok += resolved;
@@ -259,15 +366,18 @@ impl Explorer<'_> {
         (driven, telemetry)
     }
 
-    /// The worker pool: evaluates the objective's step on each of `plans`
-    /// against `workload`, in order, with the batch's telemetry (see
-    /// [`Explorer::evaluate_with_telemetry`]). `objective.known` is the
-    /// caller's to apply.
+    /// The worker pool: resolves each of `plans` against `workload`, in
+    /// order, with the batch's telemetry (see
+    /// [`Explorer::evaluate_with_telemetry`]): by the objective's step, or,
+    /// when it prunes, by the branch-and-bound of the module docs against
+    /// `incumbent`, the best score of the earlier variants.
+    /// `objective.known` is the caller's to apply.
     fn evaluate_pooled<T, F>(
         &self,
         workload: &Workload,
         plans: &[Plan],
         objective: &Objective<'_, T, F>,
+        incumbent: f64,
     ) -> (Vec<Result<T, EngineError>>, SearchTelemetry)
     where
         T: Send,
@@ -297,10 +407,7 @@ impl Explorer<'_> {
         };
         let sink: &dyn ProgressSink = self.progress.unwrap_or(&NULL_SINK);
         let total = plans.len();
-        // Evaluates plan `i`, accounting it worker-locally and firing the
-        // progress event from the evaluating thread.
-        let evaluate_one = |i: usize, scratch: &mut EngineScratch, local: &mut WorkerLocal| {
-            let t0 = Instant::now();
+        let candidate = |i: usize| {
             let mut s = Scenario::new(self.model, self.system)
                 .plan_ref(&plans[i])
                 .workload_ref(workload);
@@ -313,94 +420,113 @@ impl Explorer<'_> {
             if let Some(t) = &probe_tables {
                 s = s.load_probes(t);
             }
-            let result = (objective.step)(&s, scratch);
-            let eval_us = t0.elapsed().as_secs_f64() * 1e6;
-            local.stats.candidates += 1;
-            local.stats.busy_ms += eval_us / 1e3;
-            local.latency.record(eval_us);
+            s
+        };
+        // Accounts resolved candidate `i` worker-locally and fires its
+        // progress event from the resolving thread.
+        let resolve = |i: usize,
+                       outcome: CandidateOutcome,
+                       iteration_ms: Option<f64>,
+                       eval_us: f64,
+                       worker: &mut Worker| {
+            worker.stats.candidates += 1;
+            worker.latency.record(eval_us);
             sink.candidate_completed(&CandidateEvent {
                 index: i,
                 total,
-                outcome: classify(&result),
+                outcome,
                 eval_us,
-                iteration_ms: result.as_ref().ok().and_then(objective.iteration_ms),
+                iteration_ms,
             });
+        };
+        // Resolves plan `i` by the step, after `prior_us` spent bounding
+        // it.
+        let step = |i: usize, prior_us: f64, worker: &mut Worker| {
+            let t0 = Instant::now();
+            let result = (objective.step)(&candidate(i), &mut worker.scratch);
+            let eval_us = t0.elapsed().as_secs_f64() * 1e6;
+            worker.stats.busy_ms += eval_us / 1e3;
+            let iteration_ms = result.as_ref().ok().and_then(objective.iteration_ms);
+            let outcome = classify(&result);
+            resolve(i, outcome, iteration_ms, prior_us + eval_us, worker);
             result
         };
 
-        let mut telemetry = SearchTelemetry::default();
-        let results: Vec<Result<T, EngineError>> = if workers <= 1 {
-            let mut scratch = EngineScratch::new();
-            let mut local = WorkerLocal::default();
-            let results = (0..plans.len())
-                .map(|i| evaluate_one(i, &mut scratch, &mut local))
-                .collect();
-            telemetry.eval_latency = local.latency;
-            telemetry.workers.push(local.stats);
-            results
-        } else {
-            let next = AtomicUsize::new(0);
-            let locals: Mutex<Vec<WorkerLocal>> = Mutex::new(Vec::with_capacity(workers));
-            let (tx, rx) = mpsc::channel();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let locals = &locals;
-                    let evaluate_one = &evaluate_one;
-                    s.spawn(move || {
-                        let mut scratch = EngineScratch::new();
-                        let mut local = WorkerLocal {
-                            stats: WorkerStats {
-                                worker: w,
-                                ..WorkerStats::default()
-                            },
-                            latency: LatencyHistogram::default(),
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= plans.len() {
-                                break;
-                            }
-                            if tx
-                                .send((i, evaluate_one(i, &mut scratch, &mut local)))
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        locals
-                            .lock()
-                            .expect("no worker panics while holding the lock")
-                            .push(local);
-                    });
+        let mut pool: Vec<Worker> = (0..workers)
+            .map(|w| Worker {
+                stats: WorkerStats {
+                    worker: w,
+                    ..WorkerStats::default()
+                },
+                ..Worker::default()
+            })
+            .collect();
+        let all: Vec<usize> = (0..plans.len()).collect();
+        let mut slots: Vec<Option<Result<T, EngineError>>> = plans.iter().map(|_| None).collect();
+        let mut pruned = 0;
+        match &objective.prune {
+            None => run_pool(&mut pool, &all, &mut slots, &|i, worker| {
+                step(i, 0.0, worker)
+            }),
+            Some(prune) => {
+                // Every candidate's optimistic score, once; infeasible
+                // candidates resolve here.
+                let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
+                run_pool(&mut pool, &all, &mut bounds, &|i, worker: &mut Worker| {
+                    let t0 = Instant::now();
+                    let bound = (prune.optimistic)(&candidate(i));
+                    let us = t0.elapsed().as_secs_f64() * 1e6;
+                    worker.stats.busy_ms += us / 1e3;
+                    if bound.is_err() {
+                        resolve(i, classify(&bound), None, us, worker);
+                    }
+                    (bound, us)
+                });
+                let mut optimistic = Vec::with_capacity(plans.len());
+                let mut bound_us = Vec::with_capacity(plans.len());
+                for (slot, bound) in slots.iter_mut().zip(bounds) {
+                    let (bound, us) = bound.expect("every candidate was bounded");
+                    optimistic.push(bound.as_ref().ok().copied().flatten());
+                    bound_us.push(us);
+                    *slot = bound.err().map(Err);
                 }
-            });
-            drop(tx);
-            let mut slots: Vec<Option<Result<T, EngineError>>> =
-                (0..plans.len()).map(|_| None).collect();
-            for (i, r) in rx {
-                slots[i] = Some(r);
+                // The fixed first wave sets the incumbent; the rest is
+                // pruned against it or simulated.
+                let wave = first_wave(&optimistic);
+                run_pool(&mut pool, &wave, &mut slots, &|i, worker| {
+                    step(i, bound_us[i], worker)
+                });
+                let incumbent = wave
+                    .iter()
+                    .filter_map(|&i| slots[i].as_ref()?.as_ref().ok().and_then(prune.score))
+                    .fold(incumbent, f64::max);
+                let cannot_win =
+                    |i: usize| optimistic[i].is_some_and(|o| o * (1.0 + PRUNE_MARGIN) < incumbent);
+                let rest: Vec<usize> = all.into_iter().filter(|&i| slots[i].is_none()).collect();
+                pruned = rest.iter().filter(|&&i| cannot_win(i)).count() as u64;
+                run_pool(&mut pool, &rest, &mut slots, &|i, worker: &mut Worker| {
+                    if cannot_win(i) {
+                        resolve(i, CandidateOutcome::Ok, None, bound_us[i], worker);
+                        Ok((prune.pruned)())
+                    } else {
+                        step(i, bound_us[i], worker)
+                    }
+                });
             }
-            let mut locals = locals
-                .into_inner()
-                .expect("no worker panics while holding the lock");
-            locals.sort_by_key(|l| l.stats.worker);
-            for local in locals {
-                telemetry.eval_latency.absorb(&local.latency);
-                telemetry.workers.push(local.stats);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every plan index was evaluated"))
-                .collect()
-        };
+        }
+        let results: Vec<Result<T, EngineError>> = slots
+            .into_iter()
+            .map(|r| r.expect("every candidate resolved"))
+            .collect();
 
+        let mut telemetry = SearchTelemetry::default();
+        for worker in pool {
+            telemetry.eval_latency.absorb(&worker.latency);
+            telemetry.workers.push(worker.stats);
+        }
         telemetry.candidates = results.len() as u64;
+        telemetry.pruned = pruned;
         for result in &results {
-            if result.as_ref().is_ok_and(objective.pruned) {
-                telemetry.pruned += 1;
-            }
             match classify(result) {
                 CandidateOutcome::Ok => telemetry.ok += 1,
                 CandidateOutcome::OutOfMemory => telemetry.oom += 1,
@@ -426,5 +552,30 @@ impl Explorer<'_> {
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         sink.search_finished(&telemetry);
         (results, telemetry)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn first_wave_takes_the_best_scores_and_breaks_ties_to_the_earlier() {
+        // Candidates 1, 3, 4 and 6 tie for the wave's last three slots:
+        // the earliest three join, and the wave comes back in enumeration
+        // order. Unbounded candidates never join.
+        let optimistic = [
+            Some(1.0),
+            Some(5.0),
+            None,
+            Some(5.0),
+            Some(5.0),
+            Some(9.0),
+            Some(5.0),
+        ];
+        assert_eq!(first_wave(&optimistic), vec![1, 3, 4, 5]);
+        // Fewer bounded candidates than the wave: all of them.
+        assert_eq!(first_wave(&[None, Some(2.0), Some(2.0)]), vec![1, 2]);
+        assert!(first_wave(&[None, None]).is_empty());
     }
 }

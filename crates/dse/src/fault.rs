@@ -213,7 +213,7 @@ impl Explorer<'_> {
             iteration_ms: |(iteration_time, _): &(Seconds, Vec<GoodputReport>)| {
                 Some(iteration_time.as_ms())
             },
-            pruned: |_| false,
+            prune: None,
         });
         let candidates: Vec<GoodputCandidate> = driven
             .any_success(|| EngineError::InvalidFault {

@@ -25,21 +25,24 @@
 //! step, the tables it needs and its ranking, so results are identical
 //! at any thread count.
 //!
-//! [`Explorer::explore`] is an exact branch-and-bound. It simulates the
-//! FSDP baseline before the pool starts; its step then asks each
-//! candidate for `Scenario::lower_bound` (the busiest stream's summed op
-//! durations, read off the priced tables) and skips the simulation when
-//! that bound proves the candidate cannot be strictly better than the
-//! baseline: the bound exceeds the baseline's iteration time, or, when
-//! ranking serve tokens/s, `tokens per iteration / bound` falls below the
-//! baseline's rate (both with a 1e-9 relative float margin). Every stream
-//! runs one op at a time, so no schedule beats its busiest stream and the
-//! bound never exceeds the simulated iteration time; the best only
-//! improves from the baseline, so a skipped candidate could never have
-//! replaced it. The winner and its report are those of simulating every
-//! candidate, and the skipped set is fixed by the baseline alone, so it
-//! is the same at any thread count. Skipped candidates count as `ok` and
-//! in [`SearchTelemetry::pruned`]. The goodput and load searches return
+//! [`Explorer::explore`] is an exact, best-first branch-and-bound. It
+//! simulates the FSDP baseline before the pool starts. Per workload
+//! variant the driver then asks each candidate once for
+//! `Scenario::lower_bound` (the busiest stream's summed op durations,
+//! read off the priced tables) and turns it into an optimistic score:
+//! `tokens per iteration / bound` when ranking serve tokens/s, else
+//! `1 / bound`. It simulates a fixed first wave, the four best optimistic
+//! scores (ties to the earlier candidate), and skips the simulation of
+//! every other candidate whose optimistic score cannot strictly beat the
+//! incumbent, the best score of the baseline, the earlier variants and
+//! that wave (with a 1e-9 relative float margin). Every stream runs one
+//! op at a time, so no schedule beats its busiest stream and a skipped
+//! candidate scores strictly below the incumbent, hence below the
+//! winner: the winner and its report are those of simulating every
+//! candidate. The wave and the incumbent depend only on the candidates
+//! and their simulated results, so the skipped set is the same at any
+//! thread count. Skipped candidates count as `ok` and in
+//! [`SearchTelemetry::pruned`]. The goodput and load searches return
 //! every candidate's result, so they never prune.
 //!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have

@@ -282,7 +282,7 @@ impl Explorer<'_> {
                     .collect()
             },
             iteration_ms: |_: &Vec<LoadPoint>| None,
-            pruned: |_| false,
+            prune: None,
         });
         let candidates: Vec<LoadCandidate> = driven
             .any_success(|| EngineError::InvalidLoad {

@@ -390,8 +390,10 @@ impl<'a> Scenario<'a> {
     /// scheduling a trace: the busiest stream's summed op durations
     /// ([`CostTable::busy_lower_bound`],
     /// [`madmax_pipeline::busy_lower_bound`]). Searches use it to skip
-    /// candidates that provably cannot win. `None` for pipelined serve
-    /// plans with decode steps, which get no bound.
+    /// candidates that provably cannot win. `None` only for a pipelined
+    /// serve plan with decode steps whose busiest stream total leaves the
+    /// duration grid's exact range (flat serve plans then sum in issue
+    /// order instead).
     ///
     /// It runs the workload check and the memory/pipeline feasibility
     /// check first, against the same tables as [`Scenario::run_in`], so
@@ -406,11 +408,12 @@ impl<'a> Scenario<'a> {
             if Self::is_pipelined(plan) {
                 let table = self.pipeline_table(plan);
                 let priced = table.priced_for(plan)?;
-                let train = table.workload().has_backward();
-                Ok(priced
-                    .decode
-                    .is_none()
-                    .then(|| madmax_pipeline::busy_lower_bound(priced.primary, &priced.cfg, train)))
+                Ok(madmax_pipeline::busy_lower_bound(
+                    priced.primary,
+                    &priced.cfg,
+                    table.workload().has_backward(),
+                    priced.decode.zip(table.serve_dims()),
+                ))
             } else {
                 let table = self.flat_table(plan);
                 table.memory_for(plan)?;

@@ -89,8 +89,10 @@ pub struct SearchTelemetry {
     pub ok: u64,
     /// Feasible candidates `Explorer::explore` skipped without simulating
     /// because their iteration-time lower bound proves they cannot beat
-    /// the baseline. Counted in `ok`; their progress events carry no
-    /// `iteration_ms`. Zero for every other search.
+    /// the incumbent: the best of the baseline, the earlier workload
+    /// variants and a fixed first wave of the most promising candidates.
+    /// Counted in `ok`; their progress events carry no `iteration_ms`.
+    /// The same at any thread count; zero for every other search.
     #[serde(default)]
     pub pruned: u64,
     /// Candidates rejected for device memory.

@@ -17,7 +17,10 @@ use std::collections::VecDeque;
 use madmax_hw::units::Seconds;
 use madmax_parallel::{CollectiveKind, PipelineConfig, PipelineSchedule};
 
-use madmax_core::{Deps, OpId, OpKind, OpName, PassDir, Phase, StreamId, Trace, TraceOp};
+use madmax_core::{
+    affine_series_units, decode_compute_duration, grid_total_seconds, grid_units, quantize, Deps,
+    OpId, OpKind, OpName, PassDir, Phase, ServeDims, StreamId, Trace, TraceOp,
+};
 
 use crate::cost::StageCosts;
 
@@ -117,19 +120,35 @@ pub fn build_pipeline_trace_into(
     let _ = build_main_into(costs, cfg, train, trace);
 }
 
-/// A sound lower bound on the makespan of [`build_pipeline_trace_into`]'s
-/// trace for the same arguments, without building it: the largest
-/// per-stream sum of the op durations the builder emits. Each stage's
-/// compute stream runs its microbatch passes (plus the optimizer), its
-/// comm stream the parameter gathers, blocking collectives and activation
-/// sends, and its gradient-comm stream the gradient sends and
-/// weight-gradient collectives; one op at a time each, so no schedule
-/// finishes before the busiest of them has drained.
+/// A sound lower bound on the makespan of the trace
+/// [`build_pipeline_trace_into`] builds for `(costs, cfg, train)`, or,
+/// with `decode` set to the decode-phase stage costs and the serve
+/// dimensions, of the trace [`build_serve_trace_into`] builds for the
+/// same prefill: the largest per-stream sum of the op durations the
+/// builder emits. Each stage's compute stream runs its microbatch passes
+/// (plus the optimizer, or the decode units), its comm stream the
+/// parameter gathers, blocking collectives and activation sends, and its
+/// gradient-comm stream the gradient sends and weight-gradient
+/// collectives; one op at a time each, so no schedule finishes before
+/// the busiest of them has drained.
 ///
-/// The sums follow each stream's issue order (the schedule's per-stage
-/// local order), so each equals the sequential `f64` sum the scheduler's
-/// finish times dominate, bit for bit.
-pub fn busy_lower_bound(costs: &[StageCosts], cfg: &PipelineConfig, train: bool) -> Seconds {
+/// Without decode steps the sums follow each stream's issue order (the
+/// schedule's per-stage local order), so each equals the sequential
+/// `f64` sum the scheduler's finish times dominate, bit for bit. Serve
+/// traces live on the duration grid (`madmax_core::steady`), where sums
+/// are exact in any order: their stream totals are computed in grid units
+/// instead, the KV-stretched decode compute as an arithmetic series over
+/// the steps, and there is no bound (`None`) when a duration or a stream
+/// total leaves the grid's exact range.
+pub fn busy_lower_bound(
+    costs: &[StageCosts],
+    cfg: &PipelineConfig,
+    train: bool,
+    decode: Option<(&[StageCosts], ServeDims)>,
+) -> Option<Seconds> {
+    if let Some((decode, dims)) = decode {
+        return serve_busy_in_grid_units(costs, decode, cfg, dims);
+    }
     let p = costs.len();
     let mut busiest = Seconds::ZERO;
     for (s, c) in costs.iter().enumerate() {
@@ -161,7 +180,53 @@ pub fn busy_lower_bound(costs: &[StageCosts], cfg: &PipelineConfig, train: bool)
         }
         busiest = busiest.max(compute).max(comm).max(grad);
     }
-    busiest
+    Some(busiest)
+}
+
+/// [`busy_lower_bound`] of a serve trace with decode steps, in exact grid
+/// units: per stage, `m` prefill waves and `m * decode_len` decode units
+/// on the compute and comm streams (the gradient-comm streams stay
+/// empty). `None` when a duration or a stream total leaves the grid's
+/// exact range.
+fn serve_busy_in_grid_units(
+    prefill: &[StageCosts],
+    decode: &[StageCosts],
+    cfg: &PipelineConfig,
+    dims: ServeDims,
+) -> Option<Seconds> {
+    let units = |d: Seconds| grid_units(quantize(d));
+    let p = prefill.len();
+    let waves = cfg.microbatches as i128;
+    let steps = dims.decode_len as i128;
+    let mut busiest = 0i128;
+    for (s, (pre, dec)) in prefill.iter().zip(decode).enumerate() {
+        // One wave's comm-stream ops: its blocking collectives, then the
+        // activation send to the next stage.
+        let wave_comm = |c: &StageCosts| -> Option<i128> {
+            let mut sum = if s + 1 < p { units(c.send_fwd)? } else { 0 };
+            for &(_, d) in &c.fwd_comm {
+                sum += units(d)?;
+            }
+            Some(i128::from(sum))
+        };
+        let mut comm = waves * (wave_comm(pre)? + steps * wave_comm(dec)?);
+        for &(_, d) in &pre.param_comm {
+            comm += i128::from(units(d)?);
+        }
+        // Step `t` computes for `first + per_token * t` units
+        // (`decode_compute_duration`'s exact series), once per wave.
+        let first = units(decode_compute_duration(
+            dec.fwd_compute,
+            dec.kv_read_per_token,
+            dims.prompt_len as f64,
+            0,
+        ))?;
+        let per_token = units(dec.kv_read_per_token)?;
+        let series = affine_series_units(first, per_token, 0, dims.decode_len as i64)?;
+        let compute = waves * i128::from(units(pre.fwd_compute)? + series);
+        busiest = busiest.max(compute).max(comm);
+    }
+    grid_total_seconds(busiest)
 }
 
 /// The shared schedule expansion behind [`build_pipeline_trace_into`] and
@@ -450,7 +515,7 @@ pub fn build_serve_trace_into(
                     stream: StreamId::StageCompute(stage),
                     kind,
                     phase: Phase::Decode,
-                    duration: madmax_core::decode_compute_duration(
+                    duration: decode_compute_duration(
                         c.fwd_compute,
                         c.kv_read_per_token,
                         kv_start as f64,
@@ -490,7 +555,7 @@ pub fn build_serve_trace_into(
     // quantizing every duration — prefill and decode alike — makes all
     // scheduled times exact, which is what lets the closed-form decode
     // evaluator reproduce the full simulation bit for bit.
-    trace.map_durations_from(0, madmax_core::quantize);
+    trace.map_durations_from(0, quantize);
 }
 
 /// Builds uniform synthetic stage costs — handy for schedule-shape tests
@@ -638,6 +703,54 @@ mod tests {
                 .sum()
         };
         assert!(wave_cost(3) > wave_cost(0));
+    }
+
+    #[test]
+    fn serve_bound_is_the_busiest_stream_of_the_serve_trace() {
+        let prefill = uniform_costs(3, Seconds::new(1.0), Seconds::ZERO, Seconds::new(0.1));
+        let busiest = |decode: &[StageCosts], cfg: &PipelineConfig| {
+            let mut trace = Trace::new();
+            build_serve_trace_into(&prefill, decode, cfg, 40, 64, &mut trace);
+            let mut sums = std::collections::HashMap::new();
+            for op in trace.ops() {
+                *sums.entry(op.stream).or_insert(Seconds::ZERO) += op.duration;
+            }
+            let busiest = sums.into_values().fold(Seconds::ZERO, Seconds::max);
+            (busiest, schedule(&trace).makespan)
+        };
+        let dims = ServeDims {
+            prompt_len: 64,
+            decode_len: 40,
+            decode_batch: 8,
+        };
+        for (send, kv) in [(0.01, 0.0), (0.5, 1e-3)] {
+            let decode: Vec<StageCosts> =
+                uniform_costs(3, Seconds::new(0.2), Seconds::ZERO, Seconds::new(send))
+                    .into_iter()
+                    .map(|c| StageCosts {
+                        kv_read_per_token: Seconds::new(kv),
+                        fwd_comm: vec![(CollectiveKind::AllReduce, Seconds::new(0.05))],
+                        ..c
+                    })
+                    .collect();
+            for cfg in [
+                PipelineConfig::gpipe(3, 2),
+                PipelineConfig::one_f_one_b(3, 4),
+            ] {
+                let bound = busy_lower_bound(&prefill, &cfg, false, Some((&decode, dims)))
+                    .expect("in the grid's range");
+                let (busiest, makespan) = busiest(&decode, &cfg);
+                assert_eq!(bound, busiest, "send {send}, kv {kv}, {cfg:?}");
+                assert!(bound <= makespan);
+            }
+        }
+        // A stream total past the grid's exact range has no bound.
+        let huge = uniform_costs(3, Seconds::new(1e4), Seconds::ZERO, Seconds::ZERO);
+        let cfg = PipelineConfig::gpipe(3, 2);
+        assert_eq!(
+            busy_lower_bound(&prefill, &cfg, false, Some((&huge, dims))),
+            None
+        );
     }
 
     #[test]

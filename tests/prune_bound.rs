@@ -1,25 +1,31 @@
 //! The branch-and-bound of `Explorer::explore` on generated scenarios.
 //!
 //! A seeded sweep over zoo models × device-scaling draws × pre-training
-//! and serve workloads (short decodes below the closed-form threshold and
-//! decode 1024, with pipeline axes) checks that:
+//! and serve workloads (decodes below and above the closed-form threshold
+//! and decode 1024, flat and pipelined at depths 2–8 under GPipe and
+//! 1F1B) checks that:
 //!
 //! - `Scenario::lower_bound` is sound: never above the fully simulated
 //!   iteration time;
 //! - it is exactly its definition: the busiest stream's summed op
 //!   durations of the trace the engine builds for the candidate;
-//! - it rejects every infeasible candidate with `run`'s own error, and
-//!   only pipelined serve plans with decode steps go without a bound;
+//! - it fails exactly when `run` does, with `run`'s own error (so the
+//!   same outcome class), and only pipelined serve plans whose busiest
+//!   stream leaves the duration grid's exact range go without a bound;
 //! - pruning never changes the answer: `explore`'s winner plan, workload
 //!   and report are byte-identical to a first-strictly-best fold over
-//!   `evaluate` results, at 1 and 4 threads.
+//!   `evaluate` results, every pruned candidate scores strictly below the
+//!   winner, and the pruned set is exactly the one the best-first rule
+//!   predicts (a fixed first wave of the four best optimistic scores,
+//!   ties to the earlier candidate), at 1 and 4 threads.
 //!
 //! Every failure message names the scenario's seed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use madmax_core::{steady::MIN_ANALYTIC_DECODE, IterationReport, StreamId, Trace};
+use madmax_core::steady::{fits_grid_range, MIN_ANALYTIC_DECODE};
+use madmax_core::{IterationReport, StreamId, Trace};
 use madmax_dse::{
     CandidateEvent, CandidateOutcome, Explorer, PipelineAxes, ProgressSink, SearchSpace,
     SearchTelemetry, ServeAxes,
@@ -104,7 +110,8 @@ fn system_for(id: ModelId, rng: &mut Rng, slow: f64, fast: f64) -> ClusterSpec {
     })
 }
 
-/// Pre-training and short-decode serve searches for `seed`.
+/// Pre-training and serve searches for `seed`: Llama2 serves a decode
+/// below the closed-form threshold, GPT-3 one above it.
 fn cases(seed: u64) -> Vec<Case> {
     let mut rng = Rng(seed);
     let mut out = Vec::new();
@@ -118,13 +125,18 @@ fn cases(seed: u64) -> Vec<Case> {
             space: SearchSpace::strategies().with_pipeline(PipelineAxes {
                 stages: vec![1, 8],
                 microbatches: vec![4, 16],
-                schedules: both,
+                schedules: both.clone(),
             }),
         });
         if id.is_dlrm() {
             continue; // no decode stream to serve
         }
-        let serve = ServeConfig::new(64 + rng.below(449), 2 + rng.below(MIN_ANALYTIC_DECODE - 2));
+        let decode = if id == ModelId::Llama2 {
+            2 + rng.below(MIN_ANALYTIC_DECODE - 2)
+        } else {
+            MIN_ANALYTIC_DECODE + rng.below(MIN_ANALYTIC_DECODE)
+        };
+        let serve = ServeConfig::new(64 + rng.below(449), decode);
         out.push(Case {
             seed,
             model: id.build(),
@@ -136,9 +148,9 @@ fn cases(seed: u64) -> Vec<Case> {
             space: SearchSpace::strategies()
                 .with_serve(ServeAxes::batches([8 << rng.below(4)]))
                 .with_pipeline(PipelineAxes {
-                    stages: vec![1, 4],
+                    stages: vec![1, 2 << rng.below(3)],
                     microbatches: vec![8],
-                    schedules: vec![PipelineSchedule::GPipe],
+                    schedules: both,
                 })
                 .unconstrained(),
         });
@@ -177,11 +189,14 @@ fn check_bounds(case: &Case) -> usize {
                 Err(e) => assert_eq!(scenario.run().unwrap_err(), e, "{ctx}"),
                 Ok(None) => {
                     assert!(plan.pipeline_stages() > 1 && decodes, "{ctx}: no bound");
-                    assert!(scenario.run().is_ok(), "{ctx}");
+                    let (_, trace, _) = scenario
+                        .run_with_trace()
+                        .unwrap_or_else(|e| panic!("{ctx}: feasible but fails: {e}"));
+                    let busiest = busiest_stream(&trace);
+                    assert!(!fits_grid_range(busiest), "{ctx}: no bound for {busiest}");
                 }
                 Ok(Some(bound)) => {
                     let (full, trace, _) = scenario
-                        .analytic_serve(false)
                         .run_with_trace()
                         .unwrap_or_else(|e| panic!("{ctx}: bounded but fails: {e}"));
                     assert!(
@@ -223,11 +238,74 @@ impl ProgressSink for PrunedSink {
     }
 }
 
+/// The pruned set `explore`'s best-first rule predicts from the bounds
+/// and the fully simulated `results`: per variant, the four candidates
+/// with the best optimistic scores (ties to the earlier) are simulated,
+/// the incumbent is the best score of the baseline, the earlier variants
+/// and that wave, and every other candidate whose optimistic score
+/// cannot strictly beat it is pruned. Scores are tokens/s for
+/// serve-ranked searches and reciprocal iteration times otherwise.
+/// Returns `(variant, plan index)` pairs, sorted.
+fn predicted_pruned(
+    case: &Case,
+    variants: &[Workload],
+    plans: &[Plan],
+    results: &[Vec<Result<IterationReport, madmax_engine::EngineError>>],
+    base_plan: &Plan,
+    baseline: &IterationReport,
+) -> Vec<(usize, usize)> {
+    let serve_ranked = case.space.serve.is_some();
+    let rank = |r: &IterationReport| {
+        if serve_ranked {
+            r.serve_tokens_per_sec().unwrap()
+        } else {
+            1.0 / r.iteration_time.as_secs()
+        }
+    };
+    let mut incumbent = rank(baseline);
+    let mut pruned = Vec::new();
+    for (v, workload) in variants.iter().enumerate() {
+        let mut optimistic: Vec<(usize, f64)> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            if v == 0 && plan == base_plan {
+                continue; // resolved from the baseline run
+            }
+            let s = Scenario::new(&case.model, &case.system)
+                .plan_ref(plan)
+                .workload_ref(workload);
+            if let Ok(Some(bound)) = s.lower_bound() {
+                let score = if serve_ranked {
+                    s.serve_tokens_per_iteration().unwrap() / bound.as_secs()
+                } else {
+                    1.0 / bound.as_secs()
+                };
+                optimistic.push((i, score));
+            }
+        }
+        let mut ranked = optimistic.clone();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let wave: Vec<usize> = ranked.iter().take(4).map(|&(i, _)| i).collect();
+        for &i in &wave {
+            incumbent = incumbent.max(rank(results[v][i].as_ref().unwrap()));
+        }
+        for &(i, score) in &optimistic {
+            if !wave.contains(&i) && score * (1.0 + 1e-9) < incumbent {
+                pruned.push((v, i));
+            }
+        }
+        for report in results[v].iter().flatten() {
+            incumbent = incumbent.max(rank(report));
+        }
+    }
+    pruned
+}
+
 /// Checks `explore` at 1 and 4 threads against simulating every
 /// candidate: the same winner as the first-strictly-best fold (the
 /// baseline, then every candidate in enumeration order replacing the best
-/// only when strictly better), and no pruned candidate that beats the
-/// baseline. Returns the number of candidates pruned.
+/// only when strictly better), every pruned candidate scoring strictly
+/// below the winner, and exactly [`predicted_pruned`]'s pruned set.
+/// Returns the number of candidates pruned.
 fn check_winner(case: &Case) -> u64 {
     let ctx = case.context(&case.workload);
     let variants = case.variants();
@@ -265,12 +343,12 @@ fn check_winner(case: &Case) -> u64 {
             }
         }
     }
+    let predicted = predicted_pruned(case, &variants, &plans, &results, &base_plan, &baseline);
     // The first batch skips the baseline's own plan without an event.
     let first_batch: Vec<usize> = (0..plans.len())
         .filter(|&i| plans[i] != base_plan)
         .collect();
 
-    let mut pruned_count = None;
     for threads in [1, 4] {
         let ctx = format!("{ctx} at {threads} threads");
         let sink = PrunedSink::default();
@@ -289,22 +367,29 @@ fn check_winner(case: &Case) -> u64 {
         );
         let t = &outcome.telemetry;
         assert!(t.reconciles(), "{ctx}: {t:?}");
-        let pruned = sink.pruned.into_inner().unwrap();
+        let mut pruned: Vec<(usize, usize)> = sink
+            .pruned
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|(batch, i)| (batch, if batch == 0 { first_batch[i] } else { i }))
+            .collect();
+        pruned.sort_unstable();
         assert_eq!(pruned.len() as u64, t.pruned, "{ctx}");
-        for (batch, i) in pruned {
-            let plan = if batch == 0 { first_batch[i] } else { i };
+        for &(batch, plan) in &pruned {
             let report = results[batch][plan]
                 .as_ref()
                 .expect("pruned plans are feasible");
             assert!(
-                !beats(report, &baseline),
-                "{ctx}: pruned {} beats the baseline",
+                beats(best.2, report),
+                "{ctx}: pruned {} does not score below the winner",
                 plans[plan].summary()
             );
         }
-        assert_eq!(*pruned_count.get_or_insert(t.pruned), t.pruned, "{ctx}");
+        // The same pruned set at every thread count: the predicted one.
+        assert_eq!(pruned, predicted, "{ctx}");
     }
-    pruned_count.unwrap_or(0)
+    predicted.len() as u64
 }
 
 #[test]
@@ -324,7 +409,8 @@ fn bounds_are_sound_and_pruning_keeps_the_winner() {
 fn decode_1024_bounds_match_full_simulation() {
     // Long decodes take the closed-form path in the search but are
     // simulated in full here; the flat (DDP, FSDP) plans run past the
-    // duration grid's exact range and exercise the issue-order sums.
+    // duration grid's exact range and exercise the issue-order sums, the
+    // pipelined plans the grid-unit decode series of both schedules.
     let mut rng = Rng(41);
     let id = ModelId::Llama2;
     let case = Case {
@@ -337,9 +423,9 @@ fn decode_1024_bounds_match_full_simulation() {
             .with_classes(vec![LayerClass::Transformer])
             .with_serve(ServeAxes::batches([256]))
             .with_pipeline(PipelineAxes {
-                stages: vec![1, 4],
+                stages: vec![1, 2, 8],
                 microbatches: vec![8],
-                schedules: vec![PipelineSchedule::GPipe],
+                schedules: vec![PipelineSchedule::GPipe, PipelineSchedule::OneFOneB],
             }),
     };
     assert!(check_bounds(&case) > 0);
