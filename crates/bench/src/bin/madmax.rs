@@ -232,11 +232,7 @@ fn parse_workload(args: &Args) -> Result<Workload, String> {
         "finetune-dense" | "finetune-mlp" => Ok(Workload::finetune_only(LayerClass::Dense)),
         "finetune-embedding" | "finetune-emb" => Ok(Workload::finetune_only(LayerClass::Embedding)),
         "serve" => {
-            let kv_cache = match args.get("kv") {
-                None | Some("true") => true,
-                Some("false") => false,
-                Some(other) => return Err(format!("--kv expects true or false, got `{other}`")),
-            };
+            let kv_cache = parse_bool(args, "kv", true)?;
             let cfg = ServeConfig {
                 prompt_len: parse_flag("prompt")?,
                 decode_len: parse_flag("decode")?.unwrap_or(0),
@@ -246,6 +242,16 @@ fn parse_workload(args: &Args) -> Result<Workload, String> {
             Ok(Workload::serve(cfg))
         }
         other => Err(format!("unknown task `{other}`")),
+    }
+}
+
+/// Parses an optional `true`/`false` flag, `default` when absent.
+fn parse_bool(args: &Args, key: &str, default: bool) -> Result<bool, String> {
+    match args.get(key) {
+        None => Ok(default),
+        Some("true") => Ok(true),
+        Some("false") => Ok(false),
+        Some(other) => Err(format!("--{key} expects true or false, got `{other}`")),
     }
 }
 
@@ -867,7 +873,7 @@ fn run() -> Result<(), String> {
             let system = lookup_system(&args)?;
             let workload = parse_workload(&args)?;
             let mut space = SearchSpace::strategies();
-            space.ignore_memory_limits = args.get("unconstrained") == Some("true");
+            space.ignore_memory_limits = parse_bool(&args, "unconstrained", false)?;
             let ticker = args
                 .get("progress")
                 .map(|n| {

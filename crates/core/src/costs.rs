@@ -14,8 +14,9 @@
 //!   backward time with the recompute factor applied, single-token decode
 //!   time), and
 //! - per-strategy priced collectives ([`PricedComm`]) with pre-rendered
-//!   interned labels, memory-footprint terms, and — for decode — the
-//!   per-token KV-cache read coefficient.
+//!   interned labels, the primary phase's memory-footprint terms
+//!   ([`madmax_parallel::group_memory`]), and — for decode — the per-token
+//!   KV-cache read coefficient.
 //!
 //! Training and prefill-only workloads have one phase; serve workloads
 //! with decode steps carry a second phase context (the model at a
@@ -50,18 +51,19 @@
 //! feasibility check — [`CostTable::ensure_plan`],
 //! [`CostTable::assemble_into`], and [`CostTable::memory_for`] assert
 //! this — and must only use strategies previously priced with
-//! `ensure_plan`. Memory feasibility is part of the table too:
-//! [`CostTable::memory_for`] folds cached per-(group, strategy) footprint
-//! contributions into exactly `madmax_parallel::memory_per_device`'s
-//! breakdown (KV-cache term included).
+//! `ensure_plan`. Memory feasibility is part of the table too: it caches
+//! the footprint terms of `madmax_parallel::group_memory` per (group,
+//! strategy), and [`CostTable::memory_for`] folds them with the fold and
+//! HBM gate that `madmax_parallel::memory` shares with
+//! `madmax_parallel::check_memory`.
 
-use madmax_hw::units::{ByteCount, Seconds};
+use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, LayerKind, ModelArch};
 use madmax_parallel::comm::CommPosition;
 use madmax_parallel::{
-    derive_layer_comm, CollectiveKind, CommReq, HierStrategy, MemoryBreakdown, Plan, PlanError,
-    PlanOptions, Urgency, Workload,
+    check_hbm, derive_layer_comm, group_memory, CollectiveKind, CommReq, GroupMemory, HierStrategy,
+    MemoryBreakdown, Plan, PlanError, PlanOptions, Urgency, Workload,
 };
 
 use crate::collective::CollectiveModel;
@@ -94,9 +96,9 @@ pub struct PricedComm {
 
 /// Priced collectives of one layer group under one strategy, split by
 /// pass exactly like `madmax_parallel::LayerCommPlan`, plus the group's
-/// memory-footprint contributions under that strategy. Zero-payload
-/// requirements are dropped at pricing time (assembly would skip
-/// them).
+/// footprint terms under that strategy as `madmax_parallel::group_memory`
+/// computes them. Zero-payload requirements are dropped at pricing time
+/// (assembly would skip them).
 #[derive(Debug, Clone, Default)]
 pub struct StrategyCosts {
     /// Forward-pass collectives (per layer instance).
@@ -105,19 +107,9 @@ pub struct StrategyCosts {
     pub backward: Vec<PricedComm>,
     /// Deferred weight-gradient collectives.
     pub grad: Vec<PricedComm>,
-    /// Sharded/replicated parameter bytes of the whole group.
-    pub mem_params: ByteCount,
-    /// Gradient-buffer bytes when the group trains (zero for sparse
-    /// embedding gradients).
-    pub mem_grads: ByteCount,
-    /// Optimizer-state bytes when the group trains.
-    pub mem_optimizer: ByteCount,
-    /// Transient FSDP gather buffer (zero when the strategy has no FSDP
-    /// level; folded with `max` across groups).
-    pub mem_fsdp_transient: ByteCount,
-    /// KV-cache bytes at maximum length for the group's attention layers
-    /// (serve workloads with `kv_cache` modeling; zero otherwise).
-    pub mem_kv_cache: ByteCount,
+    /// The group's footprint terms (primary-phase entries only; zero in
+    /// decode-phase entries, which never fold memory).
+    pub memory: GroupMemory,
     /// Per-token KV-cache read time of one layer instance (decode-phase
     /// entries only): a decode step at cache length `L` spends
     /// `kv_read_per_token * L` reading keys/values from HBM.
@@ -149,9 +141,6 @@ struct GroupCosts {
     /// Per-instance backward compute with the recompute factor applied
     /// (unused for embedding groups).
     bwd_compute: Seconds,
-    /// Retained/working-set activation bytes of one instance
-    /// (strategy-independent).
-    mem_activations: ByteCount,
     by_strategy: Vec<(HierStrategy, StrategyCosts)>,
 }
 
@@ -215,18 +204,6 @@ pub struct CostTable<'a> {
     analytic_counters: CacheCounters,
 }
 
-/// Every option except `ignore_memory_limits` (which only gates the
-/// feasibility check, read per plan) must match between the table and
-/// every plan priced or assembled through it.
-fn pricing_options_match(a: &PlanOptions, b: &PlanOptions) -> bool {
-    let neutral = |o: &PlanOptions| {
-        let mut o = *o;
-        o.ignore_memory_limits = false;
-        o
-    };
-    neutral(a) == neutral(b)
-}
-
 /// Prices the strategy-independent costs of every layer group of one
 /// phase's effective model.
 fn price_phase_groups(
@@ -265,11 +242,6 @@ fn price_phase_groups(
                     ),
                 )
             };
-            let mem_activations = group.kind.activation_bytes_per_sample(
-                model.context_length,
-                model.compute_dtype,
-                options.activation_checkpointing,
-            ) * local_batch;
             GroupCosts {
                 class: group.class,
                 repeat: group.repeat,
@@ -281,7 +253,6 @@ fn price_phase_groups(
                 scatter_label: intern_label(&format!("{}.grad_scatter", group.name)),
                 fwd_compute,
                 bwd_compute,
-                mem_activations,
                 by_strategy: Vec::new(),
             }
         })
@@ -421,7 +392,7 @@ impl<'a> CostTable<'a> {
     /// table's (see the module docs).
     pub fn ensure_plan(&mut self, plan: &Plan) {
         assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the cost table's pricing context"
         );
         for ci in 0..self.class_groups.len() {
@@ -459,7 +430,7 @@ impl<'a> CostTable<'a> {
     /// was priced by [`CostTable::ensure_plan`] (for `plan` or any other
     /// candidate). Evaluating a covered plan never panics.
     pub fn covers(&self, plan: &Plan) -> bool {
-        pricing_options_match(&self.options, &plan.options)
+        self.options.prices_like(&plan.options)
             && self.class_groups.iter().all(|(class, groups)| {
                 let strategy = plan.strategy_for(*class);
                 self.groups[groups[0]]
@@ -469,10 +440,10 @@ impl<'a> CostTable<'a> {
             })
     }
 
-    /// Prices one layer group under one strategy (collectives + memory
-    /// contributions), mirroring `madmax_parallel::memory_per_device`
-    /// exactly. With `decode` the group is priced in the decode-phase
-    /// context (single-token payloads, KV-read coefficient).
+    /// Prices one layer group under one strategy: its collectives, plus
+    /// its footprint terms from `madmax_parallel::group_memory`. With
+    /// `decode` the group is priced in the decode-phase context
+    /// (single-token payloads, KV-read coefficient, no footprint).
     fn price_group(
         &self,
         gi: usize,
@@ -508,78 +479,46 @@ impl<'a> CostTable<'a> {
                 .collect()
         };
 
-        // Memory contributions, mirroring
-        // `madmax_parallel::memory_per_device`'s per-group terms.
-        let shard = strategy.param_shard_factor(self.cluster);
-        let p_inst = madmax_parallel::comm::instance_param_bytes(group, phase_model);
-        let p_group = p_inst * group.repeat as f64;
-        let sparse = matches!(group.kind, LayerKind::EmbeddingBag(_));
-        let opt = self.options.optimizer_for(group.class);
-        let mem_optimizer = ByteCount::new(opt.state_bytes(group.kind.params(), &group.kind))
-            * group.repeat as f64
-            / shard;
-        let tp_part = strategy.compute_shard_factor(self.cluster);
-        let has_fsdp = strategy
-            .levels(self.cluster)
-            .iter()
-            .any(|l| l.strategy == madmax_parallel::Strategy::Fsdp);
-        let mem_fsdp_transient = if has_fsdp {
-            // FSDP's gather unit is the largest parameter tensor it
-            // materializes at once: a whole dense layer, but only one
-            // expert for MoE layers.
-            let unit = match &group.kind {
-                LayerKind::Moe(m) => p_inst / m.num_experts as f64,
-                _ => p_inst,
-            };
-            let buffers = if self.options.fsdp_prefetch { 2.0 } else { 1.0 };
-            unit / tp_part * buffers
-        } else {
-            ByteCount::ZERO
-        };
-
-        // KV-cache terms (serve workloads with cache modeling only): the
-        // maximum-length footprint charged to the primary phase's memory
-        // fold, and the per-token read coefficient driving decode steps.
-        let kv_cfg = self.workload.serve_config().filter(|c| c.kv_cache);
+        // The per-token KV-cache read coefficient driving decode steps
+        // (serve workloads with cache modeling only).
         let per_token = group
             .kind
             .kv_cache_bytes_per_token(phase_model.compute_dtype);
-        let mem_kv_cache = match kv_cfg {
-            Some(cfg) if !decode && !per_token.is_zero() => {
-                let kv_len = cfg.max_kv_len(phase_model.context_length) as f64;
-                per_token * kv_len * local_batch * group.repeat as f64 / tp_part
-            }
-            _ => ByteCount::ZERO,
+        let kv_cache = self.workload.serve_config().is_some_and(|c| c.kv_cache);
+        let kv_read_per_token = if decode && kv_cache && !per_token.is_zero() {
+            let tp_part = strategy.compute_shard_factor(self.cluster);
+            lookup_time(per_token * local_batch / tp_part, self.cluster)
+        } else {
+            Seconds::ZERO
         };
-        let kv_read_per_token = match kv_cfg {
-            Some(_) if decode && !per_token.is_zero() => {
-                lookup_time(per_token * local_batch / tp_part, self.cluster)
-            }
-            _ => Seconds::ZERO,
+        let memory = if decode {
+            GroupMemory::default()
+        } else {
+            group_memory(
+                group,
+                phase_model,
+                self.cluster,
+                strategy,
+                &self.options,
+                &self.workload,
+            )
         };
 
         StrategyCosts {
             forward: price(&comm.forward),
             backward: price(&comm.backward),
             grad: price(&comm.grad),
-            mem_params: p_group / shard,
-            mem_grads: if sparse {
-                ByteCount::ZERO
-            } else {
-                p_group / shard
-            },
-            mem_optimizer,
-            mem_fsdp_transient,
-            mem_kv_cache,
+            memory,
             kv_read_per_token,
             allowed: strategy.allowed_for(group.class),
         }
     }
 
-    /// Validates `plan`'s memory feasibility from cached per-(group,
-    /// strategy) footprint contributions, reproducing
-    /// `madmax_parallel::check_memory`'s breakdown and error values
-    /// exactly without re-deriving any footprint.
+    /// Validates `plan`'s memory feasibility in one pass over the cached
+    /// per-(group, strategy) footprint terms: the same fold
+    /// ([`MemoryBreakdown::add_group`]) and HBM gate
+    /// ([`madmax_parallel::check_hbm`]) as `madmax_parallel::check_memory`,
+    /// without re-deriving any footprint.
     ///
     /// # Errors
     ///
@@ -593,10 +532,9 @@ impl<'a> CostTable<'a> {
     /// Same conditions as [`CostTable::assemble_into`].
     pub fn memory_for(&self, plan: &Plan) -> Result<MemoryBreakdown, PlanError> {
         debug_assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the cost table's pricing context"
         );
-        let training = self.workload.has_backward();
         let mut out = MemoryBreakdown::default();
         for g in &self.groups {
             let sc = g.costs_for(plan.strategy_for(g.class));
@@ -608,28 +546,9 @@ impl<'a> CostTable<'a> {
                     strategy: plan.strategy_for(g.class),
                 });
             }
-            out.params += sc.mem_params;
-            if training && g.trains {
-                out.grads += sc.mem_grads;
-                out.optimizer += sc.mem_optimizer;
-                out.activations += g.mem_activations * g.repeat as f64;
-            } else {
-                out.activations = out.activations.max(g.mem_activations);
-            }
-            out.kv_cache += sc.mem_kv_cache;
-            out.fsdp_transient = out.fsdp_transient.max(sc.mem_fsdp_transient);
+            out.add_group(&sc.memory);
         }
-        if plan.options.ignore_memory_limits {
-            return Ok(out);
-        }
-        let usable = plan.options.memory.usable(self.cluster.device.hbm_capacity);
-        if out.total() > usable {
-            return Err(PlanError::OutOfMemory {
-                required: out.total(),
-                usable,
-            });
-        }
-        Ok(out)
+        check_hbm(out, self.cluster, &plan.options)
     }
 
     /// The serve metrics of a scheduled trace assembled from this table,
@@ -697,7 +616,7 @@ impl<'a> CostTable<'a> {
     /// Same conditions as [`CostTable::assemble_into`].
     pub fn busy_lower_bound(&self, plan: &Plan) -> Seconds {
         debug_assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the cost table's pricing context"
         );
         self.decode
@@ -794,7 +713,7 @@ impl<'a> CostTable<'a> {
 
     fn assemble_capped_into(&self, plan: &Plan, trace: &mut Trace, max_decode_tokens: usize) {
         debug_assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the cost table's pricing context"
         );
         trace.clear();
@@ -1209,9 +1128,16 @@ mod tests {
     fn cached_memory_fold_matches_memory_per_device() {
         // Byte-for-byte: the cached per-(group, strategy) fold must equal
         // the reference footprint for every strategy combination — for
-        // training and for a KV-cache-carrying serve workload.
-        let serve = Workload::serve(ServeConfig::new(1024, 128));
-        for workload in [Workload::pretrain(), serve] {
+        // training, for fine-tuning only the dense layers (frozen groups
+        // take the activation max while the rest train), and for a
+        // KV-cache-carrying serve workload, under the default options,
+        // with activation checkpointing and without FSDP prefetch.
+        let workloads = [
+            Workload::pretrain(),
+            Workload::finetune_only(madmax_model::LayerClass::Dense),
+            Workload::serve(ServeConfig::new(1024, 128)),
+        ];
+        for workload in workloads {
             for id in [ModelId::DlrmA, ModelId::Gpt3] {
                 let model = id.build();
                 let sys = if id.is_dlrm() {
@@ -1219,32 +1145,47 @@ mod tests {
                 } else {
                     catalog::llama_llm_system()
                 };
-                let base = Plan::fsdp_baseline(&model);
-                let mut table = CostTable::new(
-                    &model,
-                    &sys,
-                    workload.clone(),
-                    base.options,
-                    &HierarchicalNccl,
-                    UtilizationModel::Constant,
-                );
-                let classes: Vec<_> = model.groups.iter().map(|g| g.class).collect();
-                for class in classes {
-                    for strategy in HierStrategy::enumerate_for(class) {
-                        let plan = base.clone().with_strategy(class, strategy);
-                        table.ensure_plan(&plan);
-                        let reference = memory_per_device(&model, &sys, &plan, &workload);
-                        let cached = match table.memory_for(&plan) {
-                            Ok(m) => m,
-                            Err(PlanError::OutOfMemory { required, usable }) => {
-                                let u = plan.options.memory.usable(sys.device.hbm_capacity);
-                                assert_eq!(usable, u);
-                                assert_eq!(required, reference.total());
-                                continue;
-                            }
-                            Err(e) => panic!("unexpected error {e}"),
-                        };
-                        assert_eq!(cached, reference, "{id} {class} {strategy} {workload}");
+                let default = Plan::fsdp_baseline(&model).options;
+                let checkpointed = PlanOptions {
+                    activation_checkpointing: true,
+                    ..default
+                };
+                let no_prefetch = PlanOptions {
+                    fsdp_prefetch: false,
+                    ..default
+                };
+                for options in [default, checkpointed, no_prefetch] {
+                    let mut base = Plan::fsdp_baseline(&model);
+                    base.options = options;
+                    let mut table = CostTable::new(
+                        &model,
+                        &sys,
+                        workload.clone(),
+                        options,
+                        &HierarchicalNccl,
+                        UtilizationModel::Constant,
+                    );
+                    let classes: Vec<_> = model.groups.iter().map(|g| g.class).collect();
+                    for class in classes {
+                        for strategy in HierStrategy::enumerate_for(class) {
+                            let plan = base.clone().with_strategy(class, strategy);
+                            table.ensure_plan(&plan);
+                            let reference = memory_per_device(&model, &sys, &plan, &workload);
+                            let cached = match table.memory_for(&plan) {
+                                Ok(m) => m,
+                                Err(PlanError::OutOfMemory { required, usable }) => {
+                                    let u = plan.options.memory.usable(sys.device.hbm_capacity);
+                                    assert_eq!(usable, u);
+                                    assert_eq!(required, reference.total());
+                                    continue;
+                                }
+                                Err(e) => panic!("unexpected error {e}"),
+                            };
+                            assert_eq!(
+                                cached, reference,
+                                "{id} {class} {strategy} {workload} {options:?}"
+                            );
+                        }
                     }
                 }
             }

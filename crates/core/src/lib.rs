@@ -65,8 +65,8 @@ pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
 pub use perf::run_flat_cached;
 pub use sim::{
-    debug_check_schedule, merged, merged_into, schedule, schedule_into, single_difference_measure,
-    EngineScratch, OpWindow, Schedule, StreamTable,
+    debug_check_schedule, merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule,
+    StreamTable,
 };
 pub use steady::{
     affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds,

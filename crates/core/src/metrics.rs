@@ -267,10 +267,9 @@ impl Iterator for UnionSegments<'_> {
     }
 }
 
-/// [`crate::sim::difference_measure`] for a sorted-by-start `a` against an
-/// already-merged `b` — allocation-free and sort-free, producing exactly
-/// the general measure's result (same union segments, same accumulation
-/// order).
+/// Measures `|a \ b|`, the time covered by the union of `a` but not by
+/// `b`, for a sorted-by-start `a` against an already-merged `b` (see
+/// [`crate::sim::merged_into`]) — allocation-free and sort-free.
 fn difference_measure_presorted(a_sorted: &[(f64, f64)], b_merged: &[(f64, f64)]) -> f64 {
     let segments = |list| UnionSegments { list, i: 0 };
     let a_measure: f64 = segments(a_sorted).map(|(s, e)| e - s).sum();

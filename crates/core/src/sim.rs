@@ -205,98 +205,10 @@ impl EngineScratch {
     }
 }
 
-/// Measures the total time in `intervals` (a possibly-overlapping set)
-/// covered by their union.
-pub fn union_measure(intervals: &mut [(f64, f64)]) -> f64 {
-    if intervals.is_empty() {
-        return 0.0;
-    }
-    intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite interval bounds"));
-    let mut total = 0.0;
-    let (mut cur_s, mut cur_e) = intervals[0];
-    for &(s, e) in intervals.iter().skip(1) {
-        if s > cur_e {
-            total += cur_e - cur_s;
-            (cur_s, cur_e) = (s, e);
-        } else {
-            cur_e = cur_e.max(e);
-        }
-    }
-    total + (cur_e - cur_s)
-}
-
-/// Measures `|a \ b|`: time covered by union(`a`) but not union(`b`).
-/// `b` must be in non-decreasing start order (a single stream's busy
-/// intervals in issue order qualify).
-pub fn difference_measure(a: &mut [(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let a_measure = union_measure(a);
-    if b.is_empty() {
-        return a_measure;
-    }
-    // |a \ b| = |a| - |a ∩ b|; compute the intersection by sweeping the two
-    // (now sorted, disjoint) unions.
-    let a_merged = merged(a);
-    let b_merged = merged(b);
-    let mut inter = 0.0;
-    let (mut i, mut j) = (0, 0);
-    while i < a_merged.len() && j < b_merged.len() {
-        let (as_, ae) = a_merged[i];
-        let (bs, be) = b_merged[j];
-        let lo = as_.max(bs);
-        let hi = ae.min(be);
-        if hi > lo {
-            inter += hi - lo;
-        }
-        if ae < be {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    a_measure - inter
-}
-
-/// Measures `|a \ b|` for a single interval `a` against a pre-merged,
-/// sorted, disjoint interval set `b_merged` (see [`merged`]) — the
-/// allocation-free special case behind per-collective exposure
-/// accounting. Produces exactly [`difference_measure`]'s result for
-/// `a = [span]`.
-pub fn single_difference_measure(span: (f64, f64), b_merged: &[(f64, f64)]) -> f64 {
-    let (a_start, a_end) = span;
-    let a_measure = a_end - a_start;
-    if b_merged.is_empty() {
-        return a_measure;
-    }
-    let mut inter = 0.0;
-    // Intervals ending at or before `a_start` cannot intersect; skip them
-    // in one binary search instead of sweeping from the front.
-    let mut j = b_merged.partition_point(|&(_, b_end)| b_end <= a_start);
-    while j < b_merged.len() {
-        let (b_start, b_end) = b_merged[j];
-        let lo = a_start.max(b_start);
-        let hi = a_end.min(b_end);
-        if hi > lo {
-            inter += hi - lo;
-        }
-        if a_end < b_end {
-            break;
-        }
-        j += 1;
-    }
-    a_measure - inter
-}
-
 /// Merges a non-decreasing-start interval list into a sorted, disjoint
-/// union (inputs out of order are not detected; callers pass per-stream
-/// busy intervals, which are in issue order).
-pub fn merged(sorted: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut out = Vec::with_capacity(sorted.len());
-    merged_into(sorted, &mut out);
-    out
-}
-
-/// [`merged`], writing into a caller-owned buffer (cleared first,
-/// capacity retained).
+/// union written into a caller-owned buffer (cleared first, capacity
+/// retained). Inputs out of order are not detected; callers pass
+/// per-stream busy intervals, which are in issue order.
 pub fn merged_into(sorted: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
     out.clear();
     for &(s, e) in sorted {
@@ -371,33 +283,6 @@ mod tests {
         // d waits for the slower branch (b finishes at 10).
         assert!((s.windows[3].start.as_ms() - 10.0).abs() < 1e-9);
         assert!((s.makespan.as_ms() - 11.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn union_and_difference_measures() {
-        let mut a = vec![(0.0, 5.0), (3.0, 8.0), (10.0, 12.0)];
-        assert!((union_measure(&mut a.clone()) - 10.0).abs() < 1e-12);
-        let b = vec![(4.0, 11.0)];
-        // a \ b = [0,4) + [11,12) = 5.
-        assert!((difference_measure(&mut a, &b) - 5.0).abs() < 1e-12);
-        // Empty cases.
-        assert_eq!(union_measure(&mut []), 0.0);
-        assert_eq!(difference_measure(&mut [], &[(0.0, 1.0)]), 0.0);
-        assert!((difference_measure(&mut [(0.0, 2.0)], &[]) - 2.0).abs() < 1e-12);
-        // The single-interval fast path matches the general measure.
-        let merged_b = merged(&b);
-        for span in [
-            (0.0, 3.0),
-            (4.5, 10.0),
-            (3.0, 12.0),
-            (11.0, 11.0),
-            (12.0, 20.0),
-        ] {
-            let general = difference_measure(&mut [span], &b);
-            let fast = single_difference_measure(span, &merged_b);
-            assert_eq!(general, fast, "{span:?}");
-        }
-        assert_eq!(single_difference_measure((1.0, 2.0), &[]), 1.0);
     }
 
     #[test]

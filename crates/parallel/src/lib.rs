@@ -65,7 +65,9 @@ pub mod workload;
 
 pub use comm::{derive_layer_comm, CollectiveKind, CommPosition, CommReq, LayerCommPlan, Urgency};
 pub use load::{ArrivalSpec, LoadSpec, RequestSpec, DEFAULT_BLOCK_TOKENS};
-pub use memory::{check_memory, memory_per_device, MemoryBreakdown};
+pub use memory::{
+    check_hbm, check_memory, group_memory, memory_per_device, GroupMemory, MemoryBreakdown,
+};
 pub use plan::{
     MemoryConfig, OptimizerKind, PipelineConfig, PipelineSchedule, Plan, PlanError, PlanOptions,
 };

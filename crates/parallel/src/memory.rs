@@ -9,15 +9,29 @@
 //! transient working set, and — when the serve config models it — the
 //! KV-cache at its maximum length (`prompt + decode_len` tokens per
 //! in-flight sequence), so decode-heavy configurations OOM honestly.
+//!
+//! Every evaluator shares the three pieces of the model defined here:
+//!
+//! - **the formula**, [`group_memory`]: the footprint terms of one layer
+//!   group under one strategy. The flat engine's `CostTable` caches it per
+//!   (group, strategy); the pipeline engine prices each stage's groups
+//!   through [`memory_per_device`];
+//! - **the fold**, [`MemoryBreakdown::add_group`]: how group terms combine
+//!   into a per-device breakdown ([`memory_per_device`] and
+//!   `CostTable::memory_for` both fold with it);
+//! - **the gate**, [`check_hbm`]: the capacity check against usable HBM
+//!   ([`check_memory`], `CostTable::memory_for` and the pipeline engine's
+//!   worst-stage fold all end in it).
 
 use serde::{Deserialize, Serialize};
 
 use madmax_hw::units::ByteCount;
 use madmax_hw::ClusterSpec;
-use madmax_model::{LayerKind, ModelArch};
+use madmax_model::{LayerGroup, LayerKind, ModelArch};
 
 use crate::comm::instance_param_bytes;
-use crate::plan::{Plan, PlanError};
+use crate::plan::{Plan, PlanError, PlanOptions};
+use crate::strategy::{HierStrategy, Strategy};
 use crate::workload::Workload;
 
 /// Per-device memory footprint, itemized.
@@ -49,10 +63,131 @@ impl MemoryBreakdown {
             + self.fsdp_transient
             + self.kv_cache
     }
+
+    /// Folds one group's terms into the breakdown: trained groups retain
+    /// every instance's activations through backward (summed), while
+    /// frozen groups need only a transient working set (the largest
+    /// layer's, maxed); the FSDP gather buffer is reused across groups
+    /// (maxed); every other term is summed.
+    #[inline]
+    pub fn add_group(&mut self, group: &GroupMemory) {
+        self.params += group.params;
+        self.grads += group.grads;
+        self.optimizer += group.optimizer;
+        if group.trains {
+            self.activations += group.activations * group.repeat as f64;
+        } else {
+            self.activations = self.activations.max(group.activations);
+        }
+        self.fsdp_transient = self.fsdp_transient.max(group.fsdp_transient);
+        self.kv_cache += group.kv_cache;
+    }
+}
+
+/// The footprint terms of one layer group under one strategy (see
+/// [`group_memory`]), folded into a [`MemoryBreakdown`] by
+/// [`MemoryBreakdown::add_group`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GroupMemory {
+    /// Sharded/replicated parameter bytes of the whole group.
+    pub params: ByteCount,
+    /// Gradient-buffer bytes (zero unless the group trains, and for
+    /// sparse embedding gradients).
+    pub grads: ByteCount,
+    /// Optimizer-state bytes (zero unless the group trains).
+    pub optimizer: ByteCount,
+    /// Retained/working-set activation bytes of one layer instance.
+    pub activations: ByteCount,
+    /// Transient FSDP gather buffer (zero without an FSDP level).
+    pub fsdp_transient: ByteCount,
+    /// KV-cache bytes at maximum length for the group's attention layers
+    /// (serve workloads with `kv_cache` modeling; zero otherwise).
+    pub kv_cache: ByteCount,
+    /// Layer instances in the group.
+    pub repeat: usize,
+    /// Whether the workload trains the group (retaining activations
+    /// through backward).
+    pub trains: bool,
+}
+
+/// The footprint terms of `group` mapped onto `cluster` with `strategy`
+/// for `workload`. `model` is the phase's effective model
+/// ([`Workload::effective_model`]) that `group` belongs to.
+pub fn group_memory(
+    group: &LayerGroup,
+    model: &ModelArch,
+    cluster: &ClusterSpec,
+    strategy: HierStrategy,
+    options: &PlanOptions,
+    workload: &Workload,
+) -> GroupMemory {
+    let local_batch = model.global_batch as f64 / cluster.total_devices() as f64;
+    let shard = strategy.param_shard_factor(cluster);
+    let tp_part = strategy.compute_shard_factor(cluster);
+    let p_inst = instance_param_bytes(group, model);
+    let p_group = p_inst * group.repeat as f64;
+    let trains = workload.has_backward() && workload.trains(group.class);
+    let mut out = GroupMemory {
+        params: p_group / shard,
+        repeat: group.repeat,
+        trains,
+        ..GroupMemory::default()
+    };
+
+    if trains {
+        // Dense gradients mirror the parameter sharding; sparse
+        // embedding gradients only touch looked-up rows (negligible).
+        if !matches!(group.kind, LayerKind::EmbeddingBag(_)) {
+            out.grads = p_group / shard;
+        }
+        let opt = options.optimizer_for(group.class);
+        out.optimizer = ByteCount::new(opt.state_bytes(group.kind.params(), &group.kind))
+            * group.repeat as f64
+            / shard;
+    }
+
+    // Activations: retained through backward for trainable layers;
+    // inference needs only a transient working set (largest layer).
+    out.activations = group.kind.activation_bytes_per_sample(
+        model.context_length,
+        model.compute_dtype,
+        options.activation_checkpointing,
+    ) * local_batch;
+
+    // KV-cache: each attention layer retains keys/values for every
+    // in-flight token of the local batch share, split over the
+    // tensor-parallel heads.
+    if let Some(cfg) = workload.serve_config().filter(|cfg| cfg.kv_cache) {
+        let per_token = group.kind.kv_cache_bytes_per_token(model.compute_dtype);
+        if !per_token.is_zero() {
+            let kv_len = cfg.max_kv_len(model.context_length) as f64;
+            out.kv_cache = per_token * kv_len * local_batch * group.repeat as f64 / tp_part;
+        }
+    }
+
+    // FSDP transiently materializes one full (modulo TP sharding)
+    // instance during compute; prefetch double-buffers it.
+    if strategy
+        .levels(cluster)
+        .iter()
+        .any(|l| l.strategy == Strategy::Fsdp)
+    {
+        // FSDP's gather unit is the largest parameter tensor it
+        // materializes at once: a whole dense layer, but only one
+        // expert for MoE layers.
+        let unit = match &group.kind {
+            LayerKind::Moe(m) => p_inst / m.num_experts as f64,
+            _ => p_inst,
+        };
+        let buffers = if options.fsdp_prefetch { 2.0 } else { 1.0 };
+        out.fsdp_transient = unit / tp_part * buffers;
+    }
+    out
 }
 
 /// Computes the itemized per-device footprint of `model` mapped onto
-/// `cluster` with `plan` for `workload`.
+/// `cluster` with `plan` for `workload`: [`group_memory`] of every group,
+/// folded with [`MemoryBreakdown::add_group`].
 ///
 /// Serving workloads are resolved through
 /// [`Workload::effective_model`] first (prompt length and serving batch
@@ -66,103 +201,38 @@ pub fn memory_per_device(
 ) -> MemoryBreakdown {
     let model = workload.effective_model(model);
     let model = model.as_ref();
-    let devices = cluster.total_devices() as f64;
-    let local_batch = model.global_batch as f64 / devices;
-    let training = workload.has_backward();
-    let kv_len = workload
-        .serve_config()
-        .filter(|cfg| cfg.kv_cache)
-        .map(|cfg| cfg.max_kv_len(model.context_length) as f64);
     let mut out = MemoryBreakdown::default();
-
     for group in &model.groups {
         let strategy = plan.strategy_for(group.class);
-        let shard = strategy.param_shard_factor(cluster);
-        let p_inst = instance_param_bytes(group, model);
-        let p_group = p_inst * group.repeat as f64;
-
-        out.params += p_group / shard;
-
-        let trains = workload.trains(group.class);
-        if training && trains {
-            // Dense gradients mirror the parameter sharding; sparse
-            // embedding gradients only touch looked-up rows (negligible).
-            let sparse = matches!(group.kind, LayerKind::EmbeddingBag(_));
-            if !sparse {
-                out.grads += p_group / shard;
-            }
-            let opt = plan.options.optimizer_for(group.class);
-            out.optimizer += ByteCount::new(opt.state_bytes(group.kind.params(), &group.kind))
-                * group.repeat as f64
-                / shard;
-        }
-
-        // Activations: retained through backward for trainable layers;
-        // inference needs only a transient working set (largest layer).
-        let act_inst = group.kind.activation_bytes_per_sample(
-            model.context_length,
-            model.compute_dtype,
-            plan.options.activation_checkpointing,
-        ) * local_batch;
-        if training && trains {
-            out.activations += act_inst * group.repeat as f64;
-        } else {
-            out.activations = out.activations.max(act_inst);
-        }
-
-        // KV-cache: each attention layer retains keys/values for every
-        // in-flight token of the local batch share, split over the
-        // tensor-parallel heads.
-        if let Some(kv_len) = kv_len {
-            let per_token = group.kind.kv_cache_bytes_per_token(model.compute_dtype);
-            if !per_token.is_zero() {
-                let tp_part = strategy.compute_shard_factor(cluster);
-                out.kv_cache += per_token * kv_len * local_batch * group.repeat as f64 / tp_part;
-            }
-        }
-
-        // FSDP transiently materializes one full (modulo TP sharding)
-        // instance during compute; prefetch double-buffers it.
-        let has_fsdp = strategy
-            .levels(cluster)
-            .iter()
-            .any(|l| l.strategy == crate::strategy::Strategy::Fsdp);
-        if has_fsdp {
-            let tp_part = strategy.compute_shard_factor(cluster);
-            // FSDP's gather unit is the largest parameter tensor it
-            // materializes at once: a whole dense layer, but only one
-            // expert for MoE layers.
-            let unit = match &group.kind {
-                LayerKind::Moe(m) => p_inst / m.num_experts as f64,
-                _ => p_inst,
-            };
-            let buffers = if plan.options.fsdp_prefetch { 2.0 } else { 1.0 };
-            out.fsdp_transient = out.fsdp_transient.max(unit / tp_part * buffers);
-        }
+        out.add_group(&group_memory(
+            group,
+            model,
+            cluster,
+            strategy,
+            &plan.options,
+            workload,
+        ));
     }
     out
 }
 
-/// Validates strategies and memory, returning the footprint on success.
+/// The HBM capacity gate: admits `breakdown` when `options` ignore
+/// memory limits (the unconstrained analysis of Fig. 10's orange bars) or
+/// when its total fits the usable share of `cluster`'s HBM.
 ///
 /// # Errors
 ///
-/// [`PlanError::InvalidStrategy`] for class/strategy mismatches;
-/// [`PlanError::OutOfMemory`] when the footprint exceeds usable HBM (unless
-/// the plan opts into `ignore_memory_limits`, the unconstrained analysis of
-/// Fig. 10's orange bars).
-pub fn check_memory(
-    model: &ModelArch,
+/// [`PlanError::OutOfMemory`] when the total exceeds usable HBM.
+#[inline]
+pub fn check_hbm(
+    breakdown: MemoryBreakdown,
     cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
+    options: &PlanOptions,
 ) -> Result<MemoryBreakdown, PlanError> {
-    plan.validate_strategies(model)?;
-    let breakdown = memory_per_device(model, cluster, plan, workload);
-    if plan.options.ignore_memory_limits {
+    if options.ignore_memory_limits {
         return Ok(breakdown);
     }
-    let usable = plan.options.memory.usable(cluster.device.hbm_capacity);
+    let usable = options.memory.usable(cluster.device.hbm_capacity);
     if breakdown.total() > usable {
         return Err(PlanError::OutOfMemory {
             required: breakdown.total(),
@@ -172,10 +242,29 @@ pub fn check_memory(
     Ok(breakdown)
 }
 
+/// Validates strategies and memory, returning the footprint on success.
+///
+/// # Errors
+///
+/// [`PlanError::InvalidStrategy`] for class/strategy mismatches;
+/// [`PlanError::OutOfMemory`] when the footprint fails [`check_hbm`].
+pub fn check_memory(
+    model: &ModelArch,
+    cluster: &ClusterSpec,
+    plan: &Plan,
+    workload: &Workload,
+) -> Result<MemoryBreakdown, PlanError> {
+    plan.validate_strategies(model)?;
+    check_hbm(
+        memory_per_device(model, cluster, plan, workload),
+        cluster,
+        &plan.options,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{HierStrategy, Strategy};
     use crate::workload::ServeConfig;
     use madmax_hw::catalog;
     use madmax_model::{LayerClass, ModelId};
@@ -260,6 +349,33 @@ mod tests {
         let (model, sys, mut plan) = dlrm_plan(HierStrategy::flat(Strategy::Ddp));
         plan.options.ignore_memory_limits = true;
         assert!(check_memory(&model, &sys, &plan, &Workload::pretrain()).is_ok());
+    }
+
+    #[test]
+    fn hbm_gate_admits_exactly_usable_hbm() {
+        let sys = catalog::zionex_dlrm_system();
+        let mut options = PlanOptions::default();
+        let usable = options.memory.usable(sys.device.hbm_capacity);
+        let at = MemoryBreakdown {
+            params: usable * 0.5,
+            optimizer: usable * 0.5,
+            ..MemoryBreakdown::default()
+        };
+        assert_eq!(at.total(), usable);
+        assert_eq!(check_hbm(at, &sys, &options), Ok(at));
+        let over = MemoryBreakdown {
+            kv_cache: ByteCount::new(1.0),
+            ..at
+        };
+        assert_eq!(
+            check_hbm(over, &sys, &options),
+            Err(PlanError::OutOfMemory {
+                required: over.total(),
+                usable,
+            })
+        );
+        options.ignore_memory_limits = true;
+        assert_eq!(check_hbm(over, &sys, &options), Ok(over));
     }
 
     #[test]

@@ -110,6 +110,19 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
+    /// Whether `self` and `other` agree on every option except
+    /// `ignore_memory_limits`, which only the HBM gate
+    /// ([`crate::memory::check_hbm`]) reads: plans that agree may share one
+    /// cost table's priced costs and footprint terms.
+    #[inline]
+    pub fn prices_like(&self, other: &PlanOptions) -> bool {
+        let neutral = |o: &PlanOptions| PlanOptions {
+            ignore_memory_limits: false,
+            ..*o
+        };
+        neutral(self) == neutral(other)
+    }
+
     /// The optimizer used for a layer class.
     pub fn optimizer_for(&self, class: LayerClass) -> OptimizerKind {
         if class == LayerClass::Embedding {

@@ -4,35 +4,18 @@
 //! the pipeline depth under 1F1B (its raison d'être).
 
 use madmax_hw::ClusterSpec;
-use madmax_model::ModelArch;
-use madmax_parallel::{
-    memory_per_device, MemoryBreakdown, PipelineSchedule, Plan, PlanError, Workload,
-};
-
-/// The raw per-stage footprints of a pipelined mapping: each stage holds
-/// its own sub-model's parameters/gradients/optimizer state on the stage
-/// sub-cluster. Schedule-independent (activations are the full-retention
-/// GPipe worst case; [`fold_pipeline_memory`] applies 1F1B's in-flight
-/// bound).
-pub fn stage_memory(
-    stage_models: &[ModelArch],
-    sub: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-) -> Vec<MemoryBreakdown> {
-    stage_models
-        .iter()
-        .map(|m| memory_per_device(m, sub, plan, workload))
-        .collect()
-}
+use madmax_parallel::{check_hbm, MemoryBreakdown, PipelineSchedule, Plan, PlanError, Workload};
 
 /// Folds raw per-stage footprints into the worst-stage breakdown for one
-/// `(microbatches, schedule)` candidate and checks it against usable HBM.
+/// `(microbatches, schedule)` candidate and checks it with
+/// `madmax_parallel::check_hbm`.
 ///
-/// Together with [`stage_memory`] this is the worst-stage per-device
-/// footprint of a pipelined mapping; the shared `PipelineCostTable`
-/// caches the per-stage footprints and re-runs only this fold per
-/// candidate.
+/// The raw footprints are `madmax_parallel::memory_per_device` of each
+/// stage's sub-model on the stage sub-cluster: each stage holds its own
+/// layers' parameters/gradients/optimizer state and the full-retention
+/// GPipe worst case of activations, which this fold bounds for 1F1B. The
+/// shared `PipelineCostTable` caches the raw footprints per (depth,
+/// strategy assignment) and re-runs only this fold per candidate.
 ///
 /// # Errors
 ///
@@ -64,17 +47,7 @@ pub fn fold_pipeline_memory(
         }
     }
 
-    if plan.options.ignore_memory_limits {
-        return Ok(worst);
-    }
-    let usable = plan.options.memory.usable(cluster.device.hbm_capacity);
-    if worst.total() > usable {
-        return Err(PlanError::OutOfMemory {
-            required: worst.total(),
-            usable,
-        });
-    }
-    Ok(worst)
+    check_hbm(worst, cluster, &plan.options)
 }
 
 #[cfg(test)]
@@ -83,7 +56,7 @@ mod tests {
     use crate::table::tests::one_plan_table;
     use madmax_hw::{catalog, ClusterSpec};
     use madmax_model::{ModelArch, ModelId};
-    use madmax_parallel::PipelineConfig;
+    use madmax_parallel::{memory_per_device, PipelineConfig};
 
     /// The worst-stage footprint of `plan` pipelined 8 x 32 under
     /// `schedule`, priced through a one-plan table.

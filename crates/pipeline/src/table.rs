@@ -48,11 +48,12 @@ use madmax_core::{CacheCounters, CacheStats, CollectiveModel, IterationReport, U
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::{
-    HierStrategy, MemoryBreakdown, PipelineConfig, Plan, PlanError, PlanOptions, Workload,
+    memory_per_device, HierStrategy, MemoryBreakdown, PipelineConfig, Plan, PlanError, PlanOptions,
+    Workload,
 };
 
 use crate::cost::{microbatch_bounds, stage_cluster, stage_costs_in, stage_models, StageCosts};
-use crate::memory::{fold_pipeline_memory, stage_memory};
+use crate::memory::fold_pipeline_memory;
 use crate::partition::{partition_model, Stage};
 
 /// Every pipeline-depth-independent context of one depth `p`.
@@ -111,19 +112,6 @@ pub struct PricedPipelineRef<'t> {
     /// microbatches)` entry, for workloads without a backward pass (whose
     /// traces are schedule-independent); `None` for training.
     pub memo: Option<&'t OnceLock<IterationReport>>,
-}
-
-/// Every option except `ignore_memory_limits` (which only gates the
-/// feasibility check, read per plan) must match between the table and
-/// every plan priced or assembled through it (mirrors
-/// `madmax_core::CostTable`'s contract).
-fn pricing_options_match(a: &PlanOptions, b: &PlanOptions) -> bool {
-    let neutral = |o: &PlanOptions| {
-        let mut o = *o;
-        o.ignore_memory_limits = false;
-        o
-    };
-    neutral(a) == neutral(b)
 }
 
 /// Shared, read-only cost cache for the pipeline engine (see the module
@@ -303,7 +291,7 @@ impl<'a> PipelineCostTable<'a> {
     /// table's (see the module docs).
     pub fn ensure_plan(&mut self, plan: &Plan) {
         assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the pipeline cost table's pricing context"
         );
         let Some(cfg) = plan.pipeline.filter(|c| c.is_pipelined()) else {
@@ -328,16 +316,18 @@ impl<'a> PipelineCostTable<'a> {
                 self.depths.len() - 1
             }
         };
-        let collectives = self.collectives;
-        let utilization = self.utilization;
-        let (workload, cluster) = (&self.workload, self.cluster);
+        let workload = &self.workload;
         let Ok(entry) = &mut self.depths[di].1 else {
             return; // unmappable depth; candidates reproduce the error
         };
         let ai = match entry.assignments.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
-                let per_stage_memory = stage_memory(&entry.sub_models, &entry.sub, plan, workload);
+                let per_stage_memory = entry
+                    .sub_models
+                    .iter()
+                    .map(|m| memory_per_device(m, &entry.sub, plan, workload))
+                    .collect();
                 entry.assignments.push((
                     key,
                     AssignEntry {
@@ -348,69 +338,51 @@ impl<'a> PipelineCostTable<'a> {
                 entry.assignments.len() - 1
             }
         };
-        let ae = &mut entry.assignments[ai].1;
-
-        // Candidates that fail the memory fold or the microbatch bounds
-        // are never priced: `priced_for` reports their error first.
-        if fold_pipeline_memory(
-            &ae.per_stage_memory,
-            cfg.microbatches,
-            cfg.schedule,
-            workload,
-            plan,
-            cluster,
-        )
-        .is_err()
-            || microbatch_bounds(primary, cfg.microbatches).is_err()
-        {
+        let Ok(entry) = &self.depths[di].1 else {
             return;
-        }
-        if let Some(dm) = self.decode_model.as_deref() {
-            if microbatch_bounds(dm, cfg.microbatches).is_err() {
-                return;
-            }
+        };
+        let ae = &entry.assignments[ai].1;
+
+        // Infeasible candidates are never priced: `priced_for` reports
+        // their error first.
+        if self.feasible(&ae.per_stage_memory, cfg, plan).is_err() {
+            return;
         }
         if ae.by_m.iter().any(|(m, _)| *m == cfg.microbatches) {
             self.counters.hit();
             return;
         }
 
-        let Ok(primary_costs) = stage_costs_in(
-            primary,
-            cluster,
-            &entry.sub,
-            &entry.sub_models,
-            plan,
-            workload,
-            &entry.stages,
-            cfg.microbatches,
-            collectives,
-            utilization,
-        ) else {
+        let price = |model: &ModelArch, sub_models: &[ModelArch]| {
+            stage_costs_in(
+                model,
+                self.cluster,
+                &entry.sub,
+                sub_models,
+                plan,
+                &self.workload,
+                &entry.stages,
+                cfg.microbatches,
+                self.collectives,
+                self.utilization,
+            )
+        };
+        let Ok(primary_costs) = price(primary, &entry.sub_models) else {
             return;
         };
-        let decode_costs = match self.decode_model.as_deref() {
-            Some(dm) => {
-                let Ok(costs) = stage_costs_in(
-                    dm,
-                    cluster,
-                    &entry.sub,
-                    &entry.decode_sub_models,
-                    plan,
-                    workload,
-                    &entry.stages,
-                    cfg.microbatches,
-                    collectives,
-                    utilization,
-                ) else {
-                    return;
-                };
-                Some(costs)
-            }
-            None => None,
+        let Ok(decode_costs) = self
+            .decode_model
+            .as_deref()
+            .map(|dm| price(dm, &entry.decode_sub_models))
+            .transpose()
+        else {
+            return;
         };
         self.counters.miss();
-        ae.by_m.push((
+        let Ok(entry) = &mut self.depths[di].1 else {
+            return;
+        };
+        entry.assignments[ai].1.by_m.push((
             cfg.microbatches,
             PhaseCosts {
                 primary: primary_costs,
@@ -418,6 +390,31 @@ impl<'a> PipelineCostTable<'a> {
                 report: OnceLock::new(),
             },
         ));
+    }
+
+    /// The feasibility chain of one candidate whose assignment has the
+    /// raw per-stage footprints `per_stage`: the worst-stage memory fold
+    /// (ending in the HBM gate), then the microbatch bounds of each
+    /// phase.
+    fn feasible(
+        &self,
+        per_stage: &[MemoryBreakdown],
+        cfg: PipelineConfig,
+        plan: &Plan,
+    ) -> Result<MemoryBreakdown, PlanError> {
+        let memory = fold_pipeline_memory(
+            per_stage,
+            cfg.microbatches,
+            cfg.schedule,
+            &self.workload,
+            plan,
+            self.cluster,
+        )?;
+        microbatch_bounds(self.report_model(), cfg.microbatches)?;
+        if let Some(dm) = self.decode_model.as_deref() {
+            microbatch_bounds(dm, cfg.microbatches)?;
+        }
+        Ok(memory)
     }
 
     /// Builds the depth-level context: partition, sub-cluster, and
@@ -470,14 +467,14 @@ impl<'a> PipelineCostTable<'a> {
     /// answers it (stages or the plan's error) without a missing key.
     /// Evaluating a covered plan never panics.
     pub fn covers(&self, plan: &Plan) -> bool {
-        pricing_options_match(&self.options, &plan.options) && self.resolve(plan).is_ok()
+        self.options.prices_like(&plan.options) && self.resolve(plan).is_ok()
     }
 
     /// [`PipelineCostTable::priced_for`], with `Err` naming the key
     /// [`PipelineCostTable::ensure_plan`] never priced.
     fn resolve(&self, plan: &Plan) -> Result<Result<PricedPipelineRef<'_>, PlanError>, String> {
         debug_assert!(
-            pricing_options_match(&self.options, &plan.options),
+            self.options.prices_like(&plan.options),
             "plan options diverge from the pipeline cost table's pricing context"
         );
         let Some(cfg) = plan.pipeline.filter(|c| c.is_pipelined()) else {
@@ -500,22 +497,7 @@ impl<'a> PipelineCostTable<'a> {
         let Some((_, ae)) = entry.assignments.iter().find(|(k, _)| *k == key) else {
             return Err(plan.summary());
         };
-        let checked = fold_pipeline_memory(
-            &ae.per_stage_memory,
-            cfg.microbatches,
-            cfg.schedule,
-            &self.workload,
-            plan,
-            self.cluster,
-        )
-        .and_then(|memory| {
-            microbatch_bounds(primary, cfg.microbatches)?;
-            if let Some(dm) = self.decode_model.as_deref() {
-                microbatch_bounds(dm, cfg.microbatches)?;
-            }
-            Ok(memory)
-        });
-        let memory = match checked {
+        let memory = match self.feasible(&ae.per_stage_memory, cfg, plan) {
             Ok(memory) => memory,
             Err(e) => return Ok(Err(e)),
         };
@@ -619,8 +601,12 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(priced.primary, fresh.as_slice());
+        let per_stage: Vec<_> = models
+            .iter()
+            .map(|m| memory_per_device(m, &sub, &plan, &Workload::pretrain()))
+            .collect();
         let fresh_mem = fold_pipeline_memory(
-            &stage_memory(&models, &sub, &plan, &Workload::pretrain()),
+            &per_stage,
             32,
             PipelineSchedule::OneFOneB,
             &Workload::pretrain(),

@@ -436,6 +436,34 @@ fn cli_rejects_unknown_flags() {
 }
 
 #[test]
+fn cli_rejects_non_boolean_switches() {
+    for args in [
+        &[
+            "search",
+            "--model",
+            "dlrm-a",
+            "--system",
+            "zionex",
+            "--unconstrained",
+            "yes",
+        ][..],
+        &[
+            "simulate", "--model", "llama2", "--system", "llama", "--task", "serve", "--kv", "yes",
+        ][..],
+    ] {
+        let out = madmax(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("{flag} expects true or false, got `yes`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing runs on a bad switch");
+    }
+}
+
+#[test]
 fn search_emit_trace_is_the_winners_simulate_trace() {
     let dir = std::env::temp_dir();
     let (a, b) = (
