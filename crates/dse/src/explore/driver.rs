@@ -16,8 +16,11 @@
 //! An objective may also prune ([`Prune`]): [`Explorer::explore`] runs
 //! each variant as an exact, best-first branch-and-bound. The driver
 //! computes every candidate's optimistic score once (an upper bound on the
-//! score its simulation can reach, from `Scenario::lower_bound`;
-//! infeasible candidates resolve there with their error), simulates a
+//! score its simulation can reach, from `Scenario::lower_bound`: the
+//! busiest stream's summed op durations, and for a pipelined training or
+//! forward-only plan each stage's compute stream from microbatch 0's fill
+//! chain through its last pass's drain chain; infeasible candidates
+//! resolve there with their error), simulates a
 //! fixed first wave of the [`FIRST_WAVE`] candidates with the best
 //! optimistic scores (ties to the earlier candidate), and takes the
 //! incumbent: the best score among the baseline, every earlier variant

@@ -28,18 +28,23 @@
 //! [`Explorer::explore`] is an exact, best-first branch-and-bound. It
 //! simulates the FSDP baseline before the pool starts. Per workload
 //! variant the driver then asks each candidate once for
-//! `Scenario::lower_bound` (the busiest stream's summed op durations,
-//! read off the priced tables) and turns it into an optimistic score:
+//! `Scenario::lower_bound` (read off the priced tables: the busiest
+//! stream's summed op durations, and for a pipelined training or
+//! forward-only plan each stage's compute stream with its fill and drain)
+//! and turns it into an optimistic score:
 //! `tokens per iteration / bound` when ranking serve tokens/s, else
 //! `1 / bound`. It simulates a fixed first wave, the four best optimistic
 //! scores (ties to the earlier candidate), and skips the simulation of
 //! every other candidate whose optimistic score cannot strictly beat the
 //! incumbent, the best score of the baseline, the earlier variants and
 //! that wave (with a 1e-9 relative float margin). Every stream runs one
-//! op at a time, so no schedule beats its busiest stream and a skipped
-//! candidate scores strictly below the incumbent, hence below the
-//! winner: the winner and its report are those of simulating every
-//! candidate. The wave and the incumbent depend only on the candidates
+//! op at a time in issue order, so no schedule beats its busiest stream;
+//! a pipeline stage's first forward also waits for microbatch 0's
+//! forward chain through the earlier stages (the fill), and its last
+//! pass still has its gradient (or activation) chain to run (the drain).
+//! So a skipped candidate scores strictly below the incumbent, hence
+//! below the winner: the winner and its report are those of simulating
+//! every candidate. The wave and the incumbent depend only on the candidates
 //! and their simulated results, so the skipped set is the same at any
 //! thread count. Skipped candidates count as `ok` and in
 //! [`SearchTelemetry::pruned`]. The goodput and load searches return

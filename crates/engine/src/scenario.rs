@@ -388,12 +388,16 @@ impl<'a> Scenario<'a> {
     /// A sound lower bound on the iteration time [`Scenario::run_in`]
     /// reports, computed from the priced tables without assembling or
     /// scheduling a trace: the busiest stream's summed op durations
-    /// ([`CostTable::busy_lower_bound`],
-    /// [`madmax_pipeline::busy_lower_bound`]). Searches use it to skip
-    /// candidates that provably cannot win. `None` only for a pipelined
-    /// serve plan with decode steps whose busiest stream total leaves the
-    /// duration grid's exact range (flat serve plans then sum in issue
-    /// order instead).
+    /// ([`CostTable::busy_lower_bound`]; streams run one op at a time in
+    /// issue order). A pipelined training or forward-only plan also
+    /// charges each stage's compute stream its fill and drain
+    /// ([`madmax_pipeline::busy_lower_bound`]): its first forward waits for
+    /// microbatch 0's forward chain through the earlier stages, and its
+    /// last pass for the gradient (or activation) chain that follows it.
+    /// Searches use it to skip candidates that provably cannot win. `None`
+    /// only for a pipelined serve plan with decode steps whose busiest
+    /// stream total leaves the duration grid's exact range (flat serve
+    /// plans then sum in issue order instead).
     ///
     /// It runs the workload check and the memory/pipeline feasibility
     /// check first, against the same tables as [`Scenario::run_in`], so

@@ -124,22 +124,42 @@ pub fn build_pipeline_trace_into(
 /// [`build_pipeline_trace_into`] builds for `(costs, cfg, train)`, or,
 /// with `decode` set to the decode-phase stage costs and the serve
 /// dimensions, of the trace [`build_serve_trace_into`] builds for the
-/// same prefill: the largest per-stream sum of the op durations the
-/// builder emits. Each stage's compute stream runs its microbatch passes
-/// (plus the optimizer, or the decode units), its comm stream the
-/// parameter gathers, blocking collectives and activation sends, and its
-/// gradient-comm stream the gradient sends and weight-gradient
-/// collectives; one op at a time each, so no schedule finishes before
-/// the busiest of them has drained.
+/// same prefill.
 ///
-/// Without decode steps the sums follow each stream's issue order (the
-/// schedule's per-stage local order), so each equals the sequential
-/// `f64` sum the scheduler's finish times dominate, bit for bit. Serve
-/// traces live on the duration grid (`madmax_core::steady`), where sums
-/// are exact in any order: their stream totals are computed in grid units
-/// instead, the KV-stretched decode compute as an arithmetic series over
-/// the steps, and there is no bound (`None`) when a duration or a stream
-/// total leaves the grid's exact range.
+/// Without decode steps it is the largest per-stage stream bound. Each
+/// stream runs one op at a time in issue order, so:
+///
+/// - the comm stream (parameter gathers, blocking collectives, activation
+///   sends) and the gradient-comm stream (gradient sends, weight-gradient
+///   collectives) finish no earlier than their summed op durations;
+/// - the compute stream finishes no earlier than `fill + busy + tail`,
+///   which charges the pipeline's fill and drain bubble. `F(0)` is the
+///   first op on every stage's compute stream under both schedules, and
+///   it waits for the stage's parameter prefetch and for microbatch 0's
+///   forward chain through the earlier stages (each one's prefetch,
+///   forward compute, blocking collectives and activation send): the
+///   fill. The stream then runs its microbatch passes back to back: the
+///   busy time, `m·(f + b)` for the stage's forward and backward compute
+///   `f` and `b` (`m·f` forward-only). After its last pass a
+///   dependency chain remains: in training, the last backward's gradient
+///   chain down to stage 0 (collectives, gradient sends and the earlier
+///   stages' backward compute) or the stage's weight-gradient collectives
+///   and optimizer, whichever ends later; forward-only, the last
+///   forward's chain up to the last stage. That is the tail.
+///
+/// For uniform stages with free transfers the bound is the scheduled
+/// makespan, `(m + p − 1)·(f + b)`. Every sum adds in the order the
+/// scheduler's finish times accumulate (a stream's issue order, a chain's
+/// hop order), and `f64` rounding is monotone, so each term is dominated
+/// by the scheduled time it stands for bit for bit. Like the builders,
+/// the bound assumes at least one microbatch.
+///
+/// Serve traces with decode steps live on the duration grid
+/// (`madmax_core::steady`), where sums are exact in any order: their
+/// busiest stream total is computed in grid units instead, the
+/// KV-stretched decode compute as an arithmetic series over the steps,
+/// with no fill or drain term, and there is no bound (`None`) when a
+/// duration or a stream total leaves the grid's exact range.
 pub fn busy_lower_bound(
     costs: &[StageCosts],
     cfg: &PipelineConfig,
@@ -151,36 +171,88 @@ pub fn busy_lower_bound(
     }
     let p = costs.len();
     let mut busiest = Seconds::ZERO;
+    // When microbatch 0's activations reach stage `s`: the end of its
+    // forward chain through the earlier stages.
+    let mut fill = Seconds::ZERO;
     for (s, c) in costs.iter().enumerate() {
-        let (mut compute, mut comm, mut grad) = (Seconds::ZERO, Seconds::ZERO, Seconds::ZERO);
-        c.param_comm.iter().for_each(|&(_, d)| comm += d);
+        let param = chain(Seconds::ZERO, &c.param_comm);
+        let (mut comm, mut grad) = (param, Seconds::ZERO);
+        // `F(0)`'s earliest start, then the compute stream's finish.
+        let first = fill.max(param);
+        let mut compute = first;
         for ev in local_order(cfg.schedule, s, p, cfg.microbatches, train) {
             match ev {
                 Ev::F(_) => {
                     compute += c.fwd_compute;
-                    c.fwd_comm.iter().for_each(|&(_, d)| comm += d);
+                    comm = chain(comm, &c.fwd_comm);
                     if s + 1 < p {
                         comm += c.send_fwd;
                     }
                 }
                 Ev::B(_) => {
                     compute += c.bwd_compute;
-                    c.bwd_comm.iter().for_each(|&(_, d)| comm += d);
+                    comm = chain(comm, &c.bwd_comm);
                     if s > 0 {
                         grad += c.send_bwd;
                     }
                 }
             }
         }
-        if train && cfg.microbatches > 0 {
-            c.grad_comm.iter().for_each(|&(_, d)| grad += d);
-            if !c.optimizer.is_zero() {
-                compute += c.optimizer;
-            }
-        }
+        compute = if train {
+            grad = chain(grad, &c.grad_comm);
+            let update = chain(compute, &c.grad_comm) + c.optimizer;
+            update.max(backward_drain(costs, s, compute))
+        } else {
+            forward_drain(costs, s, compute)
+        };
         busiest = busiest.max(compute).max(comm).max(grad);
+        fill = chain(first + c.fwd_compute, &c.fwd_comm);
+        if s + 1 < p {
+            fill += c.send_fwd;
+        }
     }
     Some(busiest)
+}
+
+/// `start` followed by `comm`'s collectives back to back, summed in issue
+/// order.
+fn chain(start: Seconds, comm: &[(CollectiveKind, Seconds)]) -> Seconds {
+    comm.iter().fold(start, |t, &(_, d)| t + d)
+}
+
+/// The end of the gradient chain that follows a backward on stage `s`
+/// finishing at `t`: its blocking collectives and gradient send, then each
+/// earlier stage's backward compute, collectives and send, down to
+/// stage 0.
+fn backward_drain(costs: &[StageCosts], s: usize, mut t: Seconds) -> Seconds {
+    for (k, c) in costs[..=s].iter().enumerate().rev() {
+        if k < s {
+            t += c.bwd_compute;
+        }
+        t = chain(t, &c.bwd_comm);
+        if k > 0 {
+            t += c.send_bwd;
+        }
+    }
+    t
+}
+
+/// The end of the activation chain that follows a forward on stage `s`
+/// finishing at `t`: its blocking collectives and activation send, then
+/// each later stage's forward compute, collectives and send, up to the
+/// last stage.
+fn forward_drain(costs: &[StageCosts], s: usize, mut t: Seconds) -> Seconds {
+    let p = costs.len();
+    for (k, c) in costs.iter().enumerate().skip(s) {
+        if k > s {
+            t += c.fwd_compute;
+        }
+        t = chain(t, &c.fwd_comm);
+        if k + 1 < p {
+            t += c.send_fwd;
+        }
+    }
+    t
 }
 
 /// [`busy_lower_bound`] of a serve trace with decode steps, in exact grid
@@ -633,6 +705,37 @@ mod tests {
         // transfers on the critical path.
         let makespan = schedule(&trace).makespan.as_secs();
         assert!((makespan - (11.0 + 0.3)).abs() < 1e-9, "{makespan}");
+    }
+
+    #[test]
+    fn bound_is_the_makespan_for_uniform_stages_and_free_transfers() {
+        let (f, b) = (1.0, 2.0);
+        let costs = |p| uniform_costs(p, Seconds::new(f), Seconds::new(b), Seconds::ZERO);
+        for (p, m) in [
+            (1usize, 1usize),
+            (1, 4),
+            (2, 1),
+            (2, 8),
+            (3, 5),
+            (4, 4),
+            (8, 16),
+        ] {
+            for sched in [PipelineSchedule::GPipe, PipelineSchedule::OneFOneB] {
+                let cfg = PipelineConfig {
+                    stages: p,
+                    microbatches: m,
+                    schedule: sched,
+                };
+                for (train, per_mb) in [(true, f + b), (false, f)] {
+                    let trace = build_pipeline_trace(&costs(p), &cfg, train);
+                    let makespan = schedule(&trace).makespan;
+                    let bound = busy_lower_bound(&costs(p), &cfg, train, None).unwrap();
+                    let ctx = format!("p={p} m={m} {sched:?} train={train}");
+                    assert_eq!(makespan.as_secs(), (m + p - 1) as f64 * per_mb, "{ctx}");
+                    assert_eq!(bound, makespan, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

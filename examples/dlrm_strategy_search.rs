@@ -54,8 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .workload(Workload::pretrain())
         .explore()?;
     println!(
-        "Joint search: {} plans evaluated ({} OOM), best = {} at {:.2}x over FSDP",
+        "Joint search: {} plans evaluated ({} pruned by the bound, {} OOM), best = {} at {:.2}x over FSDP",
         result.evaluated,
+        result.telemetry.pruned,
         result.oom,
         result.winning_strategies(),
         result.speedup()

@@ -95,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .explore()?;
     println!("\nServe DSE with 8x slower scale-out links:");
     println!(
-        "  evaluated:  {} (plan x batch) candidates ({} OOM)",
-        search.evaluated, search.oom
+        "  evaluated:  {} (plan x batch) candidates ({} pruned by the bound, {} OOM)",
+        search.evaluated, search.telemetry.pruned, search.oom
     );
     println!(
         "  best flat:  {} @ batch {} -> {:.0} tokens/s out",

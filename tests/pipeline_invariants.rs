@@ -1,16 +1,17 @@
 //! Property-based tests of the pipeline-parallelism subsystem: stream
 //! exclusivity, the analytic GPipe bubble fraction, the 1F1B-vs-GPipe
-//! makespan ordering, and end-to-end pipelined simulation invariants.
+//! makespan ordering, end-to-end pipelined simulation invariants and the
+//! soundness of the search's lower bound.
 
 use proptest::prelude::*;
 
-use madmax_core::{schedule, IterationReport, StreamId};
+use madmax_core::{schedule, IterationReport, StreamId, Trace};
 use madmax_engine::Scenario;
 use madmax_hw::units::Seconds;
 use madmax_model::ModelId;
-use madmax_parallel::{MemoryBreakdown, PipelineConfig, PipelineSchedule, Plan};
-use madmax_pipeline::gpipe_bubble_fraction;
+use madmax_parallel::{CollectiveKind, MemoryBreakdown, PipelineConfig, PipelineSchedule, Plan};
 use madmax_pipeline::schedule::{build_pipeline_trace, uniform_costs};
+use madmax_pipeline::{busy_lower_bound, gpipe_bubble_fraction};
 
 /// Random heterogeneous stage costs: per-stage forward/backward compute and
 /// inter-stage transfer durations.
@@ -178,12 +179,19 @@ proptest! {
     }
 
     // End-to-end: a pipelined LLM simulation is self-consistent for any
-    // valid (p, m, schedule) drawn from the real system's divisors.
+    // valid (p, m, schedule) drawn from the real system's divisors, and
+    // the search's lower bound is sound and at least the busiest stream,
+    // for the real model and for heterogeneous stage costs under both
+    // schedules.
     #[test]
     fn pipelined_simulation_invariants(
         p_pick in 0usize..3,
         m in 2usize..17,
         schedule_pick in 0usize..2,
+        fwd in prop::collection::vec(0.05f64..4.0, 8),
+        bwd in prop::collection::vec(0.05f64..8.0, 8),
+        send in prop::collection::vec(0.0f64..0.8, 8),
+        comm in prop::collection::vec(0.0f64..0.5, 12),
     ) {
         let p = [2usize, 4, 8][p_pick];
         let sched_kind = if schedule_pick == 0 {
@@ -198,7 +206,10 @@ proptest! {
             microbatches: m,
             schedule: sched_kind,
         });
-        let r = Scenario::new(&model, &sys).plan(plan).run().unwrap();
+        let scenario = Scenario::new(&model, &sys).plan(plan);
+        let r = scenario.run().unwrap();
+        let bound = scenario.lower_bound().unwrap().expect("training plans are bounded");
+        prop_assert!(bound <= r.iteration_time, "p={p} m={m}: bound {bound} above {}", r.iteration_time);
         let bubble = r.bubble_fraction.expect("bubble reported");
         prop_assert!((0.0..1.0).contains(&bubble), "bubble {bubble}");
         // The fill/drain overhead can never beat the analytic floor.
@@ -210,7 +221,46 @@ proptest! {
         prop_assert!(r.serialized_time >= r.iteration_time);
         prop_assert!(r.iteration_time.as_secs() > 0.0);
         prop_assert!(r.tokens_per_sec() > 0.0);
+
+        // Heterogeneous stages with every cost term the bound charges.
+        let mut costs = heterogeneous_costs(p, &fwd, &bwd, &send);
+        for (s, c) in costs.iter_mut().enumerate() {
+            let d = |i: usize| Seconds::new(comm[(s + i) % comm.len()]);
+            c.fwd_comm = vec![(CollectiveKind::AllReduce, d(0))];
+            c.bwd_comm = vec![(CollectiveKind::AllReduce, d(1))];
+            c.param_comm = vec![(CollectiveKind::AllGather, d(2)), (CollectiveKind::AllGather, d(3))];
+            c.grad_comm = vec![(CollectiveKind::ReduceScatter, d(4))];
+            c.optimizer = d(5);
+        }
+        for schedule_kind in [PipelineSchedule::GPipe, PipelineSchedule::OneFOneB] {
+            let cfg = PipelineConfig { stages: p, microbatches: m, schedule: schedule_kind };
+            for train in [true, false] {
+                let trace = build_pipeline_trace(&costs, &cfg, train);
+                let makespan = schedule(&trace).makespan;
+                let busiest = busiest_stream(&trace);
+                let bound = busy_lower_bound(&costs, &cfg, train, None).unwrap();
+                prop_assert!(
+                    busiest <= bound && bound <= makespan,
+                    "p={p} m={m} {schedule_kind:?} train={train}: busiest {busiest}, bound {bound}, makespan {makespan}"
+                );
+            }
+        }
     }
+}
+
+/// The largest per-stream sum of `trace`'s op durations, each stream
+/// summed in issue order.
+fn busiest_stream(trace: &Trace) -> Seconds {
+    let mut sums: Vec<(StreamId, Seconds)> = Vec::new();
+    for op in trace.ops() {
+        match sums.iter_mut().find(|(s, _)| *s == op.stream) {
+            Some((_, sum)) => *sum += op.duration,
+            None => sums.push((op.stream, op.duration)),
+        }
+    }
+    sums.into_iter()
+        .map(|(_, s)| s)
+        .fold(Seconds::ZERO, Seconds::max)
 }
 
 #[test]
