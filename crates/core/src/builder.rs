@@ -26,6 +26,7 @@ fn assembled_trace(
         plan.options,
         &HierarchicalNccl,
         UtilizationModel::Constant,
+        1,
     );
     table.ensure_plan(plan);
     let mut trace = Trace::new();

@@ -94,21 +94,6 @@ pub fn compute_time(
     flops / (peak * util)
 }
 
-/// HBM bytes one device touches for one instance of an embedding layer.
-///
-/// Sharded tables serve lookups for the whole global batch over the local
-/// shard; replicated tables serve the local batch over all tables — both
-/// equal `global_batch * lookup_bytes / devices` under the paper's
-/// even-sharding assumption.
-pub fn device_lookup_bytes(
-    group: &LayerGroup,
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-) -> ByteCount {
-    let per_sample = group.kind.lookup_bytes_per_sample(model.context_length);
-    per_sample * (model.global_batch as f64 / cluster.total_devices() as f64)
-}
-
 /// Lookup time of an embedding bag:
 /// `lookup_bytes_per_gpu / (hbm_bw * hbm_utilization)`.
 pub fn lookup_time(bytes: ByteCount, cluster: &ClusterSpec) -> Seconds {
@@ -202,7 +187,9 @@ mod tests {
             .iter()
             .find(|g| g.class == LayerClass::Embedding)
             .unwrap();
-        let bytes = device_lookup_bytes(emb, &model, &sys);
+        // Even sharding: every device touches the local batch's bytes.
+        let local_batch = model.global_batch as f64 / sys.total_devices() as f64;
+        let bytes = emb.kind.lookup_bytes_per_sample(model.context_length) * local_batch;
         assert!((bytes.as_gib() - 10.77).abs() < 0.3, "{}", bytes.as_gib());
         let t = lookup_time(bytes, &sys);
         assert!((t.as_ms() - 9.3).abs() < 0.5, "{}", t.as_ms());

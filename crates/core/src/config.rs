@@ -283,6 +283,7 @@ mod tests {
             plan.options,
             &crate::HierarchicalNccl,
             crate::UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(plan);
         let report =

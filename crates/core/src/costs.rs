@@ -30,6 +30,15 @@
 //! the collective model or allocating op names. A single run
 //! (`madmax_engine::Scenario::run`) prices a one-plan table the same way.
 //!
+//! These per-(group, strategy) entries are the only layer-pricing formula
+//! in the tree. A table is priced at the local batch of one of
+//! `microbatches` slices of the global batch, `(global_batch /
+//! microbatches) / devices`: flat runs pass 1, and the pipeline engine
+//! (`madmax_pipeline::PipelineCostTable`) prices one table per (depth,
+//! microbatch count) on the stage sub-cluster, which the table then owns,
+//! and sums its entries ([`CostTable::group_price`]) into per-stage
+//! costs.
+//!
 //! # Assembly
 //!
 //! [`CostTable::assemble_into`] walks the model's layer groups in
@@ -57,6 +66,8 @@
 //! HBM gate that `madmax_parallel::memory` shares with
 //! `madmax_parallel::check_memory`.
 
+use std::borrow::Cow;
+
 use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, LayerKind, ModelArch};
@@ -68,8 +79,8 @@ use madmax_parallel::{
 
 use crate::collective::CollectiveModel;
 use crate::compute::{
-    backward_flops_factor, compute_time, device_flops_fwd, device_lookup_bytes, lookup_time,
-    optimizer_time, UtilizationModel,
+    backward_flops_factor, compute_time, device_flops_fwd, lookup_time, optimizer_time,
+    UtilizationModel,
 };
 use crate::counters::{CacheCounters, CacheStats};
 use crate::metrics::ServeStats;
@@ -118,6 +129,22 @@ pub struct StrategyCosts {
     /// (`HierStrategy::allowed_for`); checked during the memory fold so
     /// invalid candidates error exactly like `validate_strategies`.
     pub allowed: bool,
+}
+
+/// One layer group's priced entry under one strategy in one workload
+/// phase, per layer instance: the durations a flat trace charges for it.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupPrice<'t> {
+    /// Forward compute: GEMM time, or lookup time for an embedding group.
+    pub forward: Seconds,
+    /// Backward compute: GEMM time with the recompute factor applied, or
+    /// the gradient scatter (the lookup time) for an embedding group; zero
+    /// when the workload has no backward pass or does not train the group.
+    pub backward: Seconds,
+    /// Whether the group is an HBM-bound embedding lookup.
+    pub lookup: bool,
+    /// The group's priced collectives and KV-cache read coefficient.
+    pub costs: &'t StrategyCosts,
 }
 
 /// Cached costs and metadata of one layer group in one workload phase.
@@ -186,7 +213,8 @@ pub struct CostTable<'a> {
     /// The primary-phase effective model, when the workload overrides the
     /// context length (serve prompt) or global batch (serving batch).
     eff: Option<Box<ModelArch>>,
-    cluster: &'a ClusterSpec,
+    /// The caller's system, or a pipeline stage's sub-cluster owned here.
+    cluster: Cow<'a, ClusterSpec>,
     workload: Workload,
     options: PlanOptions,
     collectives: &'a dyn CollectiveModel,
@@ -220,7 +248,12 @@ fn price_phase_groups(
         .map(|group| {
             let is_embedding = group.kind.is_memory_bound();
             let (fwd_compute, bwd_compute) = if is_embedding {
-                let t = lookup_time(device_lookup_bytes(group, model, cluster), cluster);
+                // Sharded tables serve the whole batch from the local
+                // shard, replicated ones the local batch from every
+                // table: under even sharding both touch the local
+                // batch's lookup bytes.
+                let bytes = group.kind.lookup_bytes_per_sample(model.context_length) * local_batch;
+                let t = lookup_time(bytes, cluster);
                 (t, t)
             } else {
                 // `device_flops_fwd` is strategy-independent (balanced
@@ -263,33 +296,42 @@ impl<'a> CostTable<'a> {
     /// Prices the strategy-independent costs of every layer group (for a
     /// serve workload with decode steps: of both phases); call
     /// [`CostTable::ensure_plan`] to add per-strategy collective costs.
+    ///
+    /// Each phase is priced at the local batch of one of `microbatches`
+    /// equal slices of its global batch, `(global_batch / microbatches) /
+    /// devices`: flat runs pass 1, and the pipeline engine prices one
+    /// table per (depth, microbatch count) on the depth's stage
+    /// sub-cluster.
     pub fn new(
         model: &'a ModelArch,
-        cluster: &'a ClusterSpec,
+        cluster: impl Into<Cow<'a, ClusterSpec>>,
         workload: Workload,
         options: PlanOptions,
         collectives: &'a dyn CollectiveModel,
         utilization: UtilizationModel,
+        microbatches: usize,
     ) -> Self {
+        let cluster = cluster.into();
         let eff = match workload.effective_model(model) {
-            std::borrow::Cow::Borrowed(_) => None,
-            std::borrow::Cow::Owned(m) => Some(Box::new(m)),
+            Cow::Borrowed(_) => None,
+            Cow::Owned(m) => Some(Box::new(m)),
         };
         let primary: &ModelArch = eff.as_deref().unwrap_or(model);
         let devices = cluster.total_devices() as f64;
-        let local_batch = primary.global_batch as f64 / devices;
+        let local_batch_of = |m: &ModelArch| m.global_batch as f64 / microbatches as f64 / devices;
+        let local_batch = local_batch_of(primary);
         let groups = price_phase_groups(
             primary,
-            cluster,
+            &cluster,
             &workload,
             &options,
             utilization,
             local_batch,
         );
         let decode = workload.decode_model(primary).map(|dm| {
-            let d_local = dm.global_batch as f64 / devices;
+            let d_local = local_batch_of(&dm);
             let groups =
-                price_phase_groups(&dm, cluster, &workload, &options, utilization, d_local);
+                price_phase_groups(&dm, &cluster, &workload, &options, utilization, d_local);
             let cfg = workload
                 .serve_config()
                 .expect("decode model implies a serve workload");
@@ -372,8 +414,8 @@ impl<'a> CostTable<'a> {
     }
 
     /// The cluster this table was priced for.
-    pub fn cluster(&self) -> &'a ClusterSpec {
-        self.cluster
+    pub fn cluster(&self) -> &ClusterSpec {
+        &self.cluster
     }
 
     /// The workload this table was priced for.
@@ -440,6 +482,58 @@ impl<'a> CostTable<'a> {
             })
     }
 
+    /// The per-device batch each layer's price covers: one microbatch's
+    /// share of the primary phase's global batch, or with `decode` of the
+    /// decode phase's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `decode` is set without a decode phase.
+    pub fn local_batch(&self, decode: bool) -> f64 {
+        match decode {
+            true => {
+                self.decode
+                    .as_ref()
+                    .expect("decode phase priced")
+                    .local_batch
+            }
+            false => self.local_batch,
+        }
+    }
+
+    /// The priced entry of layer group `group` (an index into the phase
+    /// model's groups) under `strategy`, in the decode phase with
+    /// `decode` and in the primary phase otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `strategy` was not priced for the group's class via
+    /// [`CostTable::ensure_plan`], or `decode` is set without a decode
+    /// phase.
+    pub fn group_price(
+        &self,
+        group: usize,
+        strategy: HierStrategy,
+        decode: bool,
+    ) -> GroupPrice<'_> {
+        let g = if decode {
+            &self.decode.as_ref().expect("decode phase priced").groups[group]
+        } else {
+            &self.groups[group]
+        };
+        let backward = match (self.workload.has_backward() && g.trains, g.is_embedding) {
+            (false, _) => Seconds::ZERO,
+            (true, true) => g.fwd_compute,
+            (true, false) => g.bwd_compute,
+        };
+        GroupPrice {
+            forward: g.fwd_compute,
+            backward,
+            lookup: g.is_embedding,
+            costs: g.costs_for(strategy),
+        }
+    }
+
     /// Prices one layer group under one strategy: its collectives, plus
     /// its footprint terms from `madmax_parallel::group_memory`. With
     /// `decode` the group is priced in the decode-phase context
@@ -462,7 +556,7 @@ impl<'a> CostTable<'a> {
             group,
             plan,
             phase_model,
-            self.cluster,
+            &self.cluster,
             &self.workload,
             local_batch,
         );
@@ -473,7 +567,7 @@ impl<'a> CostTable<'a> {
                     kind: r.collective,
                     urgency: r.urgency,
                     position: r.position,
-                    duration: self.collectives.time(r, self.cluster),
+                    duration: self.collectives.time(r, &self.cluster),
                     label: intern_label(&r.label),
                 })
                 .collect()
@@ -486,8 +580,8 @@ impl<'a> CostTable<'a> {
             .kv_cache_bytes_per_token(phase_model.compute_dtype);
         let kv_cache = self.workload.serve_config().is_some_and(|c| c.kv_cache);
         let kv_read_per_token = if decode && kv_cache && !per_token.is_zero() {
-            let tp_part = strategy.compute_shard_factor(self.cluster);
-            lookup_time(per_token * local_batch / tp_part, self.cluster)
+            let tp_part = strategy.compute_shard_factor(&self.cluster);
+            lookup_time(per_token * local_batch / tp_part, &self.cluster)
         } else {
             Seconds::ZERO
         };
@@ -497,7 +591,7 @@ impl<'a> CostTable<'a> {
             group_memory(
                 group,
                 phase_model,
-                self.cluster,
+                &self.cluster,
                 strategy,
                 &self.options,
                 &self.workload,
@@ -548,7 +642,7 @@ impl<'a> CostTable<'a> {
             }
             out.add_group(&sc.memory);
         }
-        check_hbm(out, self.cluster, &plan.options)
+        check_hbm(out, &self.cluster, &plan.options)
     }
 
     /// The serve metrics of a scheduled trace assembled from this table,
@@ -654,7 +748,7 @@ impl<'a> CostTable<'a> {
                     busy.add_grad_comm(&sc.grad, emitted);
                 }
             }
-            let opt_dur = optimizer_time(self.report_model(), self.cluster, plan, &self.workload);
+            let opt_dur = optimizer_time(self.report_model(), &self.cluster, plan, &self.workload);
             if opt_dur > Seconds::ZERO {
                 busy.compute += emitted(opt_dur);
             }
@@ -1019,7 +1113,7 @@ impl<'a> CostTable<'a> {
         let mut deps = grad_ops;
         deps.push(last_bwd);
         deps.sort_dedup();
-        let opt_dur = optimizer_time(self.report_model(), self.cluster, plan, &self.workload);
+        let opt_dur = optimizer_time(self.report_model(), &self.cluster, plan, &self.workload);
         if opt_dur > Seconds::ZERO {
             trace.push(TraceOp {
                 name: OpName::UpdateOptimizer,
@@ -1115,6 +1209,7 @@ mod tests {
             plan.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(&plan);
         let sizes: Vec<usize> = table.groups.iter().map(|g| g.by_strategy.len()).collect();
@@ -1164,6 +1259,7 @@ mod tests {
                         options,
                         &HierarchicalNccl,
                         UtilizationModel::Constant,
+                        1,
                     );
                     let classes: Vec<_> = model.groups.iter().map(|g| g.class).collect();
                     for class in classes {
@@ -1204,6 +1300,7 @@ mod tests {
             base.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         assert!(!table.covers(&base));
         table.ensure_plan(&base);
@@ -1233,6 +1330,7 @@ mod tests {
             base.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(&base);
         let other = base.with_strategy(
@@ -1256,6 +1354,7 @@ mod tests {
             base.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         let mut other = base;
         other.options.activation_checkpointing = !other.options.activation_checkpointing;
@@ -1275,6 +1374,7 @@ mod tests {
             plan.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(&plan);
         let mut trace = Trace::new();

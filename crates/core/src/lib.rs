@@ -60,7 +60,7 @@ pub mod validation;
 
 pub use collective::{CollectiveModel, FlatWorstLink, HierarchicalNccl};
 pub use compute::UtilizationModel;
-pub use costs::{CostTable, PricedComm, StrategyCosts};
+pub use costs::{CostTable, GroupPrice, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
 pub use perf::run_flat_cached;
@@ -99,6 +99,7 @@ mod cross_module_tests {
             plan.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(plan);
         crate::run_flat_cached(&table, plan, scratch, true)

@@ -120,6 +120,7 @@ mod tests {
             plan.options,
             collectives,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(plan);
         run_flat_cached(&table, plan, scratch, false)

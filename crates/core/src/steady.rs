@@ -130,7 +130,9 @@ pub const GRID_BITS: u32 = 38;
 
 /// Largest exactly-safe magnitude in grid units: below `2^52` units every
 /// value (and every pairwise sum) stays exactly representable in `f64`.
-pub(crate) const MAX_UNITS: i64 = 1 << 52;
+/// The load simulator's and the fault streams' timestamps stay below it
+/// too.
+pub const MAX_UNITS: i64 = 1 << 52;
 
 /// Decode length below which [`closed_form_serve`] declines: the
 /// explicit transient prefix would cover most of the stream anyway, so
@@ -176,25 +178,6 @@ pub fn decode_compute_duration(
     quantize(base + rate_per_token * kv_start) + quantize(rate_per_token) * step as f64
 }
 
-/// The exact grid-unit count of a duration, or `None` when it is not a
-/// safe grid multiple (negative, non-finite, fractional, or too large).
-fn units_of(d: Seconds) -> Option<i64> {
-    let s = d.as_secs();
-    if !s.is_finite() || s < 0.0 {
-        return None;
-    }
-    let u = s * unit_scale();
-    if u.fract() != 0.0 || u >= MAX_UNITS as f64 {
-        return None;
-    }
-    Some(u as i64)
-}
-
-/// Converts grid units back to seconds; exact for `|u| < 2^52`.
-fn secs_of(u: i64) -> Seconds {
-    Seconds::new(u as f64 / unit_scale())
-}
-
 /// Whether a time span fits the exact grid range (`< 2^52` grid units,
 /// about 16384 s at the current resolution). The closed form only engages
 /// when every scheduled finish time *and* the serialized total stay in
@@ -225,12 +208,20 @@ pub fn fits_grid_range(t: Seconds) -> bool {
 /// units). Public face of the closed form's unit conversion for the
 /// event-driven serve layer.
 pub fn grid_units(d: Seconds) -> Option<i64> {
-    units_of(d)
+    let s = d.as_secs();
+    if !s.is_finite() || s < 0.0 {
+        return None;
+    }
+    let u = s * unit_scale();
+    if u.fract() != 0.0 || u >= MAX_UNITS as f64 {
+        return None;
+    }
+    Some(u as i64)
 }
 
 /// Converts grid units back to seconds; exact for `|u| < 2^52`.
 pub fn grid_seconds(u: i64) -> Seconds {
-    secs_of(u)
+    Seconds::new(u as f64 / unit_scale())
 }
 
 /// Converts an exact grid-unit total (a sum of [`grid_units`] counts)
@@ -239,7 +230,7 @@ pub fn grid_seconds(u: i64) -> Seconds {
 pub fn grid_total_seconds(u: i128) -> Option<Seconds> {
     (0..i128::from(MAX_UNITS))
         .contains(&u)
-        .then(|| secs_of(u as i64))
+        .then(|| grid_seconds(u as i64))
 }
 
 /// Rounds an arbitrary non-negative duration to the nearest on-grid unit
@@ -512,8 +503,8 @@ fn extract_template(
             return None;
         }
         let acc = classify(op1.stream, op1.kind)?;
-        let d1 = units_of(op1.duration)?;
-        let d2 = units_of(op2.duration)?;
+        let d1 = grid_units(op1.duration)?;
+        let d2 = grid_units(op2.duration)?;
         let rate = d2 - d1;
         let base = d1 - rate;
         if rate < 0 || base < 0 {
@@ -567,7 +558,7 @@ fn extract_template(
             if op.stream != ref_op.stream
                 || op.kind != ref_op.kind
                 || op.phase != Phase::Decode
-                || units_of(op.duration)? != tpl.base + tpl.rate * tok as i64
+                || grid_units(op.duration)? != tpl.base + tpl.rate * tok as i64
                 || op.deps.len() != ref_op.deps.len()
                 || !ref_op
                     .deps
@@ -1288,7 +1279,7 @@ fn evaluate_serve_prefix(
         if (i < prefill_ops) == (op.phase == Phase::Decode) {
             return None; // decode ops must form the trace suffix
         }
-        let dur = units_of(op.duration)?;
+        let dur = grid_units(op.duration)?;
         let acc = classify(op.stream, op.kind)?;
         let slot = op.stream.slot();
         if slot >= avail.len() {
@@ -1468,8 +1459,8 @@ fn evaluate_serve_prefix(
 
     // ---- Synthesize the report ----
     let makespan = avail.iter().copied().max().unwrap_or(0);
-    let makespan_s = secs_of(makespan);
-    let ttft_s = secs_of(ttft);
+    let makespan_s = grid_seconds(makespan);
+    let ttft_s = grid_seconds(ttft);
     let tpot = if dims.decode_len == 0 {
         Seconds::ZERO
     } else {
@@ -1480,7 +1471,7 @@ fn evaluate_serve_prefix(
     for (s, &busy) in stage_busy.iter().enumerate() {
         if device_seen.get(1 + s).copied().unwrap_or(false) {
             stage_count += 1;
-            stage_total += secs_of(busy).as_secs();
+            stage_total += grid_seconds(busy).as_secs();
         }
     }
     let bubble_fraction = if stage_count == 0 || makespan_s.is_zero() {
@@ -1491,26 +1482,26 @@ fn evaluate_serve_prefix(
     };
     Some(IterationReport {
         iteration_time: makespan_s,
-        serialized_time: secs_of(totals.serialized),
-        gemm_time: secs_of(totals.gemm),
-        lookup_time: secs_of(totals.lookup),
-        optimizer_time: secs_of(totals.optimizer),
-        comm_time: secs_of(totals.comm),
+        serialized_time: grid_seconds(totals.serialized),
+        gemm_time: grid_seconds(totals.gemm),
+        lookup_time: grid_seconds(totals.lookup),
+        optimizer_time: grid_seconds(totals.optimizer),
+        comm_time: grid_seconds(totals.comm),
         comm_by_collective: to_map(
             COLLECTIVES,
             totals.comm_touched,
-            totals.comm_by.map(secs_of),
+            totals.comm_by.map(grid_seconds),
         ),
         gemm_by_class: to_map(
             LayerClass::ALL,
             totals.gemm_touched,
-            totals.gemm_by.map(secs_of),
+            totals.gemm_by.map(grid_seconds),
         ),
-        exposed_comm: secs_of(totals.exposed),
+        exposed_comm: grid_seconds(totals.exposed),
         exposed_by_collective: to_map(
             COLLECTIVES,
             totals.exposed_touched,
-            totals.exposed_by.map(secs_of),
+            totals.exposed_by.map(grid_seconds),
         ),
         bubble_fraction,
         memory,
@@ -1538,7 +1529,7 @@ mod tests {
 
     /// One grid unit, in seconds.
     fn grid(units: i64) -> Seconds {
-        secs_of(units)
+        grid_seconds(units)
     }
 
     /// A minimal hand-built serve trace on the grid: one prefill GEMM

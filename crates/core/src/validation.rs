@@ -29,6 +29,7 @@ fn pretrain_baseline(model: &ModelArch, sys: &ClusterSpec) -> Result<IterationRe
         plan.options,
         &HierarchicalNccl,
         UtilizationModel::Constant,
+        1,
     );
     table.ensure_plan(&plan);
     run_flat_cached(&table, &plan, &mut EngineScratch::new(), true)

@@ -184,13 +184,6 @@ impl SearchSpace {
         self.ignore_memory_limits = true;
         self
     }
-
-    /// Enables (or disables) the per-class strategy axes.
-    #[must_use]
-    pub fn with_strategies(mut self, on: bool) -> Self {
-        self.search_strategies = on;
-        self
-    }
 }
 
 /// Result of one [`Explorer::explore`] run.

@@ -2,10 +2,12 @@
 //! Figs. 11, 12, 14, 15, 17).
 
 use madmax_core::IterationReport;
-use madmax_engine::{EngineError, Scenario};
+use madmax_engine::EngineError;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::{HierStrategy, Plan, Workload};
+
+use crate::Explorer;
 
 /// Outcome of evaluating one strategy choice.
 #[derive(Debug, Clone)]
@@ -35,7 +37,8 @@ impl SweepPoint {
 }
 
 /// Evaluates every hierarchical strategy valid for `class`, holding the
-/// rest of `base_plan` fixed.
+/// rest of `base_plan` fixed: one [`Explorer::evaluate`] batch, so the
+/// swept plans share one priced table and the search's worker pool.
 pub fn sweep_class(
     model: &ModelArch,
     cluster: &ClusterSpec,
@@ -43,19 +46,22 @@ pub fn sweep_class(
     class: LayerClass,
     workload: &Workload,
 ) -> Vec<SweepPoint> {
-    HierStrategy::enumerate_for(class)
+    let strategies = HierStrategy::enumerate_for(class);
+    let plans: Vec<Plan> = strategies
+        .iter()
+        .map(|&strategy| base_plan.clone().with_strategy(class, strategy))
+        .collect();
+    let outcomes = Explorer::new(model, cluster)
+        .workload(workload.clone())
+        .evaluate(&plans);
+    strategies
         .into_iter()
-        .map(|strategy| {
-            let plan = base_plan.clone().with_strategy(class, strategy);
-            let outcome = Scenario::new(model, cluster)
-                .plan(plan.clone())
-                .workload_ref(workload)
-                .run();
-            SweepPoint {
-                strategy,
-                plan,
-                outcome,
-            }
+        .zip(plans)
+        .zip(outcomes)
+        .map(|((strategy, plan), outcome)| SweepPoint {
+            strategy,
+            plan,
+            outcome,
         })
         .collect()
 }

@@ -286,6 +286,7 @@ impl<'a> Scenario<'a> {
             options,
             self.collectives,
             self.utilization,
+            1,
         );
         for plan in plans.filter(|p| !Self::is_pipelined(p)) {
             table.ensure_plan(plan);
@@ -838,6 +839,7 @@ mod tests {
             plan.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(&plan);
         let flat =

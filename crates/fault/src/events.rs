@@ -8,14 +8,11 @@
 //! grid units — so the same [`FaultSpec`](crate::FaultSpec) and seed
 //! produce the same event stream on any platform at any thread count.
 
-use madmax_core::steady::grid_units_round;
+use madmax_core::steady::{grid_units_round, MAX_UNITS};
 use madmax_hw::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::spec::FaultSpec;
-
-/// Timestamps must stay below `2^52` grid units (the exact-`f64` range).
-const MAX_UNITS: i64 = 1 << 52;
 
 /// What a fault event does to the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,5 +1,7 @@
 //! Multi-node distributed-system specifications.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::device::{DeviceScaling, DeviceSpec};
@@ -163,20 +165,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Replaces the utilization factors (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any factor is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_utilization(mut self, utilization: Utilization) -> Self {
-        utilization
-            .validate()
-            .expect("utilization factors in range");
-        self.utilization = utilization;
-        self
-    }
-
     /// Replaces the node count (builder-style), e.g. to compare 8- vs
     /// 128-GPU deployments of the same platform (Fig. 7).
     #[must_use]
@@ -243,6 +231,14 @@ impl ClusterSpec {
     /// Whether the whole system is a single node (no inter-node traffic).
     pub fn is_single_node(&self) -> bool {
         self.num_nodes == 1
+    }
+}
+
+/// A borrowed cluster, for cost tables priced on the caller's system (a
+/// pipeline stage's table owns its sub-cluster instead).
+impl<'a> From<&'a ClusterSpec> for Cow<'a, ClusterSpec> {
+    fn from(cluster: &'a ClusterSpec) -> Self {
+        Cow::Borrowed(cluster)
     }
 }
 

@@ -1,7 +1,12 @@
-//! Per-stage cost derivation: turns a stage partition into the
-//! per-microbatch compute/communication durations the schedule builders
-//! consume, pricing intra-stage collectives and inter-stage P2P transfers
-//! with the existing `madmax-core` cost models.
+//! Per-stage costs: the per-microbatch compute/communication durations
+//! the schedule builders consume ([`StageCosts`]), and the stage-level
+//! pieces of their pricing — the stage sub-cluster, the stage sub-models
+//! and the inter-stage P2P transfers.
+//!
+//! The layers themselves are priced by `madmax_core::CostTable` alone:
+//! [`crate::PipelineCostTable`] builds one flat table per (depth,
+//! microbatch count) on the stage sub-cluster and sums each stage's
+//! cached per-(group, strategy) entries (see [`crate::table`]).
 
 use std::borrow::Cow;
 
@@ -9,12 +14,9 @@ use madmax_hw::units::{ByteCount, Seconds};
 use madmax_hw::{ClusterSpec, CommLevel, DType};
 use madmax_model::{LayerClass, LayerKind, ModelArch};
 use madmax_parallel::comm::CommPosition;
-use madmax_parallel::{
-    derive_layer_comm, CollectiveKind, CommReq, CommScope, Plan, PlanError, Urgency, Workload,
-};
+use madmax_parallel::{CollectiveKind, CommReq, CommScope, PlanError, Urgency};
 
-use madmax_core::compute::{backward_flops_factor, compute_time, lookup_time, optimizer_time};
-use madmax_core::{CollectiveModel, UtilizationModel};
+use madmax_core::CollectiveModel;
 
 use crate::partition::Stage;
 
@@ -115,7 +117,12 @@ pub fn boundary_bytes_per_sample(kind: &LayerKind, tokens: usize, act_dtype: DTy
     ByteCount::new(b)
 }
 
-fn add_comm(bucket: &mut Vec<(CollectiveKind, Seconds)>, kind: CollectiveKind, t: Seconds) {
+/// Adds `t` to `kind`'s total in `bucket` (zero durations add nothing).
+pub(crate) fn add_comm(
+    bucket: &mut Vec<(CollectiveKind, Seconds)>,
+    kind: CollectiveKind,
+    t: Seconds,
+) {
     if t.is_zero() {
         return;
     }
@@ -125,7 +132,9 @@ fn add_comm(bucket: &mut Vec<(CollectiveKind, Seconds)>, kind: CollectiveKind, t
     }
 }
 
-fn p2p_time(
+/// One inter-stage P2P transfer of `payload` bytes across `cluster`'s
+/// stage boundaries.
+pub(crate) fn p2p_time(
     payload: ByteCount,
     cluster: &ClusterSpec,
     collective_model: &dyn CollectiveModel,
@@ -164,9 +173,8 @@ pub fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch 
     }
 }
 
-/// The error [`stage_costs_in`] reports for a microbatch count that is
-/// zero or exceeds the global batch (shared with the cost table's
-/// evaluation-time check so the error value cannot drift).
+/// The error a pipeline candidate reports for a microbatch count that is
+/// zero or exceeds the global batch.
 pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), PlanError> {
     if microbatches == 0 || microbatches > model.global_batch {
         return Err(PlanError::InvalidPipeline {
@@ -188,190 +196,13 @@ pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
         .collect()
 }
 
-/// Derives per-stage costs for `stages` of `model` under `plan`, with the
-/// global batch split into `microbatches`, against a pre-derived stage
-/// sub-cluster (`sub`, see [`stage_cluster`]) and pre-built per-stage
-/// sub-models (see [`stage_models`]), so repeated pricing (one call per
-/// search key instead of one per candidate) clones no `ClusterSpec` or
-/// `ModelArch`.
-///
-/// # Errors
-///
-/// Returns [`PlanError::InvalidPipeline`] for a microbatch count that is
-/// zero or exceeds the global batch.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the cost table
-pub fn stage_costs_in(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    sub: &ClusterSpec,
-    stage_models: &[ModelArch],
-    plan: &Plan,
-    workload: &Workload,
-    stages: &[Stage],
-    microbatches: usize,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<Vec<StageCosts>, PlanError> {
-    let p = stages.len();
-    microbatch_bounds(model, microbatches)?;
-    let stage_devices = sub.total_devices() as f64;
-    let micro_global = model.global_batch as f64 / microbatches as f64;
-    let local_micro = micro_global / stage_devices;
-    let tokens = model.context_length;
-
-    let mut out = Vec::with_capacity(p);
-    for (si, stage) in stages.iter().enumerate() {
-        let mut costs = StageCosts {
-            fwd_compute: Seconds::ZERO,
-            bwd_compute: Seconds::ZERO,
-            fwd_comm: Vec::new(),
-            bwd_comm: Vec::new(),
-            send_fwd: Seconds::ZERO,
-            send_bwd: Seconds::ZERO,
-            param_comm: Vec::new(),
-            grad_comm: Vec::new(),
-            optimizer: Seconds::ZERO,
-            dominant_class: LayerClass::Dense,
-            lookup_dominated: false,
-            kv_read_per_token: Seconds::ZERO,
-        };
-        let mut class_weight: Vec<(LayerClass, f64)> = Vec::new();
-        let mut lookup_secs = 0.0;
-        let kv_modeled = workload.serve_config().is_some_and(|c| c.kv_cache);
-
-        for unit in &stage.units {
-            let group = &model.groups[unit.group];
-            let reps = unit.instances as f64;
-
-            // Compute / lookup per microbatch. Under the balanced-work
-            // assumption per-device FLOPs are local_batch x per-sample FLOPs
-            // for every strategy (TP's split and larger group batch cancel).
-            let (fwd, is_lookup) = if group.kind.is_memory_bound() {
-                let bytes = group.kind.lookup_bytes_per_sample(tokens) * local_micro;
-                (lookup_time(bytes, sub), true)
-            } else {
-                let flops = group.kind.flops_fwd_per_sample(tokens) * local_micro;
-                (compute_time(flops, model, sub, &utilization), false)
-            };
-            let fwd = fwd * reps;
-            costs.fwd_compute += fwd;
-            if is_lookup {
-                lookup_secs += fwd.as_secs();
-            }
-            match class_weight.iter_mut().find(|(c, _)| *c == group.class) {
-                Some((_, w)) => *w += fwd.as_secs(),
-                None => class_weight.push((group.class, fwd.as_secs())),
-            }
-
-            if workload.has_backward() && workload.trains(group.class) {
-                let recompute = plan.options.activation_checkpointing
-                    && matches!(
-                        group.kind,
-                        LayerKind::TransformerBlock(_) | LayerKind::Moe(_)
-                    );
-                if is_lookup {
-                    // Gradient scatter back into HBM mirrors the lookup.
-                    costs.bwd_compute += fwd;
-                } else {
-                    costs.bwd_compute += fwd * backward_flops_factor(recompute);
-                }
-            }
-
-            // KV-cache read coefficient: each attention instance re-reads
-            // its cached keys/values (local batch share over the TP heads)
-            // once per token position.
-            if kv_modeled {
-                let per_token = group.kind.kv_cache_bytes_per_token(model.compute_dtype);
-                if !per_token.is_zero() {
-                    let tp_part = plan.strategy_for(group.class).compute_shard_factor(sub);
-                    costs.kv_read_per_token +=
-                        lookup_time(per_token * local_micro / tp_part, sub) * reps;
-                }
-            }
-
-            // Collectives: blocking activation traffic scales with the
-            // microbatch; parameter traffic happens once per iteration.
-            let comm = derive_layer_comm(group, plan, model, sub, workload, local_micro);
-            for req in &comm.forward {
-                let t = collective_model.time(req, sub) * reps;
-                match (req.urgency, req.position) {
-                    (Urgency::Prefetchable, _) => {
-                        add_comm(&mut costs.param_comm, req.collective, t);
-                    }
-                    (_, CommPosition::BeforeCompute | CommPosition::AfterCompute) => {
-                        add_comm(&mut costs.fwd_comm, req.collective, t);
-                    }
-                }
-            }
-            for req in &comm.backward {
-                let t = collective_model.time(req, sub) * reps;
-                if req.urgency == Urgency::Prefetchable {
-                    add_comm(&mut costs.param_comm, req.collective, t);
-                } else {
-                    add_comm(&mut costs.bwd_comm, req.collective, t);
-                }
-            }
-            for req in &comm.grad {
-                let t = collective_model.time(req, sub) * reps;
-                add_comm(&mut costs.grad_comm, req.collective, t);
-            }
-        }
-
-        // Inter-stage transfers: the boundary layer's activations flow
-        // forward; a same-sized gradient flows backward during training.
-        if si + 1 < p {
-            let last = stage.units.last().expect("stages are non-empty");
-            let boundary = boundary_bytes_per_sample(
-                &model.groups[last.group].kind,
-                tokens,
-                model.compute_dtype,
-            ) * local_micro;
-            costs.send_fwd = p2p_time(boundary, cluster, collective_model);
-        }
-        if si > 0 && workload.has_backward() {
-            // The gradient shipped to the previous stage matches that
-            // stage's boundary activations — i.e. this stage's input.
-            let prev_out = boundary_input_bytes(model, stages, si, tokens) * local_micro;
-            costs.send_bwd = p2p_time(prev_out, cluster, collective_model);
-        }
-
-        // Optimizer: streams the stage's parameter/optimizer shard once.
-        costs.optimizer = optimizer_time(&stage_models[si], sub, plan, workload);
-
-        class_weight.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
-        if let Some(&(c, w)) = class_weight.first() {
-            costs.dominant_class = c;
-            costs.lookup_dominated =
-                lookup_secs > w || lookup_secs >= costs.fwd_compute.as_secs() * 0.5;
-        }
-        out.push(costs);
-    }
-    Ok(out)
-}
-
-/// Boundary activation bytes per sample entering stage `si` (the output of
-/// the last layer of stage `si - 1`).
-fn boundary_input_bytes(
-    model: &ModelArch,
-    stages: &[Stage],
-    si: usize,
-    tokens: usize,
-) -> ByteCount {
-    let prev_last = stages[si - 1].units.last().expect("stages are non-empty");
-    boundary_bytes_per_sample(
-        &model.groups[prev_last.group].kind,
-        tokens,
-        model.compute_dtype,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::tests::one_plan_table;
     use madmax_hw::catalog;
     use madmax_model::ModelId;
-    use madmax_parallel::PipelineConfig;
+    use madmax_parallel::{PipelineConfig, Plan, Workload};
 
     fn llm_setup() -> (ModelArch, ClusterSpec, Plan) {
         let model = ModelId::Gpt3.build();

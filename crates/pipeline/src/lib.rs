@@ -30,6 +30,13 @@
 //!    depth), the per-stage sub-models and raw memory footprints (per
 //!    depth × strategy assignment), and the per-stage [`StageCosts`] of
 //!    every workload phase (per depth × assignment × microbatch count).
+//!    The layers are priced by one model only, `madmax_core::CostTable`:
+//!    the table keeps one flat table per (depth, microbatch count), priced
+//!    on the stage sub-cluster at one microbatch's local batch, and a
+//!    stage's costs are its units' cached per-(group, strategy) entries
+//!    times their instances, summed in unit order. Only the inter-stage
+//!    P2P sends, the optimizer step and the stage's dominant-class and
+//!    lookup tags are priced here.
 //! 2. *Assembly* ([`run_pipelined_cached`]) expands cached stage costs
 //!    into the schedule's multi-stream trace inside a recycled
 //!    `madmax_core::EngineScratch` — no `partition_model` run, no
@@ -110,7 +117,7 @@ pub mod schedule;
 pub mod sim;
 pub mod table;
 
-pub use cost::{stage_cluster, stage_costs_in, stage_models, StageCosts};
+pub use cost::{stage_cluster, stage_models, StageCosts};
 pub use memory::fold_pipeline_memory;
 pub use partition::{partition_model, Stage, StageUnit};
 pub use schedule::{

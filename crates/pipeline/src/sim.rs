@@ -208,6 +208,7 @@ mod tests {
             plan.options,
             &HierarchicalNccl,
             UtilizationModel::Constant,
+            1,
         );
         table.ensure_plan(&plan);
         let err = madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new(), true)

@@ -10,17 +10,26 @@
 //! - the balanced stage **partition** and the stage **sub-cluster** depend
 //!   only on the depth `p`;
 //! - the per-stage **sub-models** (for optimizer and memory accounting)
-//!   depend only on `p` and the phase model — one build per depth instead
-//!   of one `ModelArch` clone per stage per candidate;
+//!   depend only on `p` — one build per depth instead of one `ModelArch`
+//!   clone per stage per candidate;
 //! - the raw per-stage **memory footprints** depend on `(p, strategy
 //!   assignment)`; the `(microbatches, schedule)` axes only scale 1F1B's
 //!   in-flight activation bound in the final fold
 //!   ([`crate::fold_pipeline_memory`]);
+//! - every **layer group's price** under one strategy depends only on
+//!   `(p, microbatches)`: a `madmax_core::CostTable` priced on the stage
+//!   sub-cluster at one microbatch's local batch, `(global_batch / m) /
+//!   stage_devices`, holds it for both serve phases, so each `(depth,
+//!   microbatches, phase, group, strategy)` price is computed once however
+//!   many assignments share it;
 //! - the per-stage [`StageCosts`] of each workload phase (training
 //!   fwd+bwd, or serve prefill + decode) depend on `(p, assignment,
-//!   microbatches)` — the **schedule** axis only reorders trace assembly,
-//!   and for serve workloads does not even do that (the decode stream is
-//!   schedule-independent).
+//!   microbatches)`. Each is a sum, in unit order, of the flat table's
+//!   per-instance entries times the unit's instances, plus the
+//!   pipeline's own terms: the inter-stage P2P sends, the optimizer step
+//!   and the dominant-class and lookup tags. The **schedule** axis only
+//!   reorders trace assembly, and for serve workloads does not even do
+//!   that (the decode stream is schedule-independent).
 //!
 //! The table memoizes every level, so a candidate evaluation through
 //! [`crate::run_pipelined_cached`] assembles cached [`StageCosts`] into a
@@ -42,30 +51,40 @@
 //! microbatch counts) are *not* priced and instead report their error at
 //! evaluation time.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use madmax_core::{CacheCounters, CacheStats, CollectiveModel, IterationReport, UtilizationModel};
+use madmax_core::compute::optimizer_time;
+use madmax_core::{
+    CacheCounters, CacheStats, CollectiveModel, CostTable, IterationReport, UtilizationModel,
+};
+use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::{
     memory_per_device, HierStrategy, MemoryBreakdown, PipelineConfig, Plan, PlanError, PlanOptions,
-    Workload,
+    Urgency, Workload,
 };
 
-use crate::cost::{microbatch_bounds, stage_cluster, stage_costs_in, stage_models, StageCosts};
+use crate::cost::{
+    add_comm, boundary_bytes_per_sample, microbatch_bounds, p2p_time, stage_cluster, stage_models,
+    StageCosts,
+};
 use crate::memory::fold_pipeline_memory;
 use crate::partition::{partition_model, Stage};
 
-/// Every pipeline-depth-independent context of one depth `p`.
+/// Every strategy-independent context of one depth `p`.
 #[derive(Debug)]
-struct DepthEntry {
+struct DepthEntry<'a> {
     stages: Vec<Stage>,
     /// The stage sub-cluster (owned once; candidates borrow it).
     sub: ClusterSpec,
-    /// Primary-phase per-stage sub-models.
+    /// Primary-phase per-stage sub-models (memory and optimizer).
     sub_models: Vec<ModelArch>,
-    /// Decode-phase per-stage sub-models (empty without a decode phase).
-    decode_sub_models: Vec<ModelArch>,
+    /// The flat table of each priced microbatch count: every layer
+    /// group's costs on the sub-cluster at one microbatch's local batch,
+    /// per strategy and phase.
+    flat: Vec<(usize, CostTable<'a>)>,
     /// Per-assignment costs, keyed by the strategies of the model's
     /// classes in first-appearance order.
     assignments: Vec<(Vec<HierStrategy>, AssignEntry)>,
@@ -135,7 +154,7 @@ pub struct PipelineCostTable<'a> {
     /// Layer classes present in the model, in first-appearance order (the
     /// assignment-key dimensions).
     classes: Vec<LayerClass>,
-    depths: Vec<(usize, Result<DepthEntry, PlanError>)>,
+    depths: Vec<(usize, Result<DepthEntry<'a>, PlanError>)>,
     /// Price-vs-reuse telemetry: one hit per `ensure_plan` candidate whose
     /// `(depth, assignment, microbatches)` key was already priced, one
     /// miss per fresh phase-cost entry.
@@ -306,12 +325,7 @@ impl<'a> PipelineCostTable<'a> {
         let di = match self.depths.iter().position(|(p, _)| *p == cfg.stages) {
             Some(i) => i,
             None => {
-                let built = Self::build_depth(
-                    primary,
-                    self.decode_model.as_deref(),
-                    self.cluster,
-                    cfg.stages,
-                );
+                let built = Self::build_depth(primary, self.cluster, cfg.stages);
                 self.depths.push((cfg.stages, built));
                 self.depths.len() - 1
             }
@@ -353,43 +367,144 @@ impl<'a> PipelineCostTable<'a> {
             return;
         }
 
-        let price = |model: &ModelArch, sub_models: &[ModelArch]| {
-            stage_costs_in(
-                model,
-                self.cluster,
-                &entry.sub,
-                sub_models,
-                plan,
-                &self.workload,
-                &entry.stages,
-                cfg.microbatches,
-                self.collectives,
-                self.utilization,
-            )
-        };
-        let Ok(primary_costs) = price(primary, &entry.sub_models) else {
+        let m = cfg.microbatches;
+        let Ok(entry) = &mut self.depths[di].1 else {
             return;
         };
-        let Ok(decode_costs) = self
+        let fi = match entry.flat.iter().position(|(fm, _)| *fm == m) {
+            Some(i) => i,
+            None => {
+                let table = CostTable::new(
+                    self.model,
+                    Cow::Owned(entry.sub.clone()),
+                    self.workload.clone(),
+                    self.options,
+                    self.collectives,
+                    self.utilization,
+                    m,
+                );
+                entry.flat.push((m, table));
+                entry.flat.len() - 1
+            }
+        };
+        entry.flat[fi].1.ensure_plan(plan);
+        let Ok(entry) = &self.depths[di].1 else {
+            return;
+        };
+        let flat = &entry.flat[fi].1;
+        let primary = self.sum_stages(entry, flat, plan, false);
+        let decode = self
             .decode_model
-            .as_deref()
-            .map(|dm| price(dm, &entry.decode_sub_models))
-            .transpose()
-        else {
-            return;
-        };
+            .is_some()
+            .then(|| self.sum_stages(entry, flat, plan, true));
         self.counters.miss();
         let Ok(entry) = &mut self.depths[di].1 else {
             return;
         };
         entry.assignments[ai].1.by_m.push((
-            cfg.microbatches,
+            m,
             PhaseCosts {
-                primary: primary_costs,
-                decode: decode_costs,
+                primary,
+                decode,
                 report: OnceLock::new(),
             },
         ));
+    }
+
+    /// One phase's per-stage costs of `plan`, summed from `flat`, the
+    /// depth's flat table at the plan's microbatch count: each stage unit
+    /// adds its group's cached per-instance entry times its instances, in
+    /// unit order. Only the inter-stage P2P sends, the optimizer and the
+    /// dominant-class and lookup tags are priced here.
+    fn sum_stages(
+        &self,
+        depth: &DepthEntry,
+        flat: &CostTable,
+        plan: &Plan,
+        decode: bool,
+    ) -> Vec<StageCosts> {
+        let model = if decode {
+            self.decode_model.as_deref().expect("decode phase priced")
+        } else {
+            self.report_model()
+        };
+        let p = depth.stages.len();
+        let local_micro = flat.local_batch(decode);
+        // A stage ships its last layer's output activations forward, and
+        // the same-sized gradient of its input backward during training.
+        let boundary = |stage: &Stage| {
+            let last = stage.units.last().expect("stages are non-empty");
+            let kind = &model.groups[last.group].kind;
+            boundary_bytes_per_sample(kind, model.context_length, model.compute_dtype) * local_micro
+        };
+        let p2p = |stage: &Stage| p2p_time(boundary(stage), self.cluster, self.collectives);
+        let mut out = Vec::with_capacity(p);
+        for (si, stage) in depth.stages.iter().enumerate() {
+            let mut costs = StageCosts {
+                fwd_compute: Seconds::ZERO,
+                bwd_compute: Seconds::ZERO,
+                fwd_comm: Vec::new(),
+                bwd_comm: Vec::new(),
+                send_fwd: Seconds::ZERO,
+                send_bwd: Seconds::ZERO,
+                param_comm: Vec::new(),
+                grad_comm: Vec::new(),
+                optimizer: optimizer_time(&depth.sub_models[si], &depth.sub, plan, &self.workload),
+                dominant_class: LayerClass::Dense,
+                lookup_dominated: false,
+                kv_read_per_token: Seconds::ZERO,
+            };
+            let mut class_weight: Vec<(LayerClass, f64)> = Vec::new();
+            let mut lookup_secs = 0.0;
+            for unit in &stage.units {
+                let class = model.groups[unit.group].class;
+                let price = flat.group_price(unit.group, plan.strategy_for(class), decode);
+                let reps = unit.instances as f64;
+                let fwd = price.forward * reps;
+                costs.fwd_compute += fwd;
+                if price.lookup {
+                    lookup_secs += fwd.as_secs();
+                }
+                match class_weight.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, w)) => *w += fwd.as_secs(),
+                    None => class_weight.push((class, fwd.as_secs())),
+                }
+                costs.bwd_compute += price.backward * reps;
+                costs.kv_read_per_token += price.costs.kv_read_per_token * reps;
+                // Parameter gathers run once per iteration; blocking
+                // activation traffic once per microbatch.
+                for (comms, blocking) in [
+                    (&price.costs.forward, &mut costs.fwd_comm),
+                    (&price.costs.backward, &mut costs.bwd_comm),
+                ] {
+                    for c in comms {
+                        let bucket = if c.urgency == Urgency::Prefetchable {
+                            &mut costs.param_comm
+                        } else {
+                            &mut *blocking
+                        };
+                        add_comm(bucket, c.kind, c.duration * reps);
+                    }
+                }
+                for c in &price.costs.grad {
+                    add_comm(&mut costs.grad_comm, c.kind, c.duration * reps);
+                }
+            }
+            if si + 1 < p {
+                costs.send_fwd = p2p(stage);
+            }
+            if si > 0 && self.workload.has_backward() {
+                costs.send_bwd = p2p(&depth.stages[si - 1]);
+            }
+            class_weight.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
+            if let Some(&(c, w)) = class_weight.first() {
+                costs.dominant_class = c;
+                costs.lookup_dominated =
+                    lookup_secs > w || lookup_secs >= costs.fwd_compute.as_secs() * 0.5;
+            }
+            out.push(costs);
+        }
+        out
     }
 
     /// The feasibility chain of one candidate whose assignment has the
@@ -418,22 +533,20 @@ impl<'a> PipelineCostTable<'a> {
     }
 
     /// Builds the depth-level context: partition, sub-cluster, and
-    /// per-stage sub-models for both phases.
+    /// per-stage sub-models.
     fn build_depth(
         primary: &ModelArch,
-        decode_model: Option<&ModelArch>,
         cluster: &ClusterSpec,
         p: usize,
-    ) -> Result<DepthEntry, PlanError> {
+    ) -> Result<DepthEntry<'a>, PlanError> {
         let stages = partition_model(primary, cluster, p)?;
         let sub = stage_cluster(cluster, p)?.into_owned();
         let sub_models = stage_models(primary, &stages);
-        let decode_sub_models = decode_model.map_or_else(Vec::new, |dm| stage_models(dm, &stages));
         Ok(DepthEntry {
             stages,
             sub,
             sub_models,
-            decode_sub_models,
+            flat: Vec::new(),
             assignments: Vec::new(),
         })
     }
@@ -517,10 +630,11 @@ impl<'a> PipelineCostTable<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use madmax_core::compute::{backward_flops_factor, compute_time, lookup_time};
     use madmax_core::HierarchicalNccl;
     use madmax_hw::catalog;
     use madmax_model::ModelId;
-    use madmax_parallel::{PipelineSchedule, ServeConfig, Strategy};
+    use madmax_parallel::{derive_layer_comm, PipelineSchedule, ServeConfig, Strategy};
 
     pub(crate) fn table_for<'a>(
         model: &'a ModelArch,
@@ -571,37 +685,202 @@ pub(crate) mod tests {
         assert_eq!(table.stats().misses, 2, "new microbatch count prices once");
     }
 
+    /// The independent oracle: one phase's per-stage costs of `plan`,
+    /// every unit priced straight from the `madmax_core` primitives.
+    fn fresh_stage_costs(
+        model: &ModelArch,
+        sys: &ClusterSpec,
+        plan: &Plan,
+        workload: &Workload,
+        utilization: UtilizationModel,
+        decode: bool,
+    ) -> Vec<StageCosts> {
+        let cfg = plan.pipeline.unwrap();
+        let primary = workload.effective_model(model).into_owned();
+        let phase = match decode {
+            true => workload.decode_model(&primary).unwrap(),
+            false => primary.clone(),
+        };
+        let stages = partition_model(&primary, sys, cfg.stages).unwrap();
+        let sub = stage_cluster(sys, cfg.stages).unwrap();
+        let sub_models = stage_models(&primary, &stages);
+        let local =
+            phase.global_batch as f64 / cfg.microbatches as f64 / sub.total_devices() as f64;
+        let tokens = phase.context_length;
+        let kv_cache = decode && workload.serve_config().is_some_and(|c| c.kv_cache);
+        let p2p = |stage: &Stage| {
+            let last = &phase.groups[stage.units.last().unwrap().group];
+            let bytes = boundary_bytes_per_sample(&last.kind, tokens, phase.compute_dtype) * local;
+            if bytes.is_zero() {
+                return Seconds::ZERO;
+            }
+            let req = madmax_parallel::CommReq {
+                collective: madmax_parallel::CollectiveKind::PointToPoint,
+                scope: madmax_parallel::CommScope::Level(crate::cost::p2p_level(sys)),
+                group_size: 2,
+                payload: bytes,
+                urgency: Urgency::Blocking,
+                position: madmax_parallel::comm::CommPosition::AfterCompute,
+                label: "stage.p2p".to_owned(),
+            };
+            HierarchicalNccl.time(&req, sys)
+        };
+        let mut out = Vec::new();
+        for (si, stage) in stages.iter().enumerate() {
+            let mut c = StageCosts {
+                fwd_compute: Seconds::ZERO,
+                bwd_compute: Seconds::ZERO,
+                fwd_comm: Vec::new(),
+                bwd_comm: Vec::new(),
+                send_fwd: Seconds::ZERO,
+                send_bwd: Seconds::ZERO,
+                param_comm: Vec::new(),
+                grad_comm: Vec::new(),
+                optimizer: optimizer_time(&sub_models[si], &sub, plan, workload),
+                dominant_class: LayerClass::Dense,
+                lookup_dominated: false,
+                kv_read_per_token: Seconds::ZERO,
+            };
+            let (mut weights, mut lookup_secs) = (Vec::<(LayerClass, f64)>::new(), 0.0);
+            for unit in &stage.units {
+                let group = &phase.groups[unit.group];
+                let reps = unit.instances as f64;
+                let lookup = group.kind.is_memory_bound();
+                let flops = group.kind.flops_fwd_per_sample(tokens) * local;
+                let fwd = if lookup {
+                    lookup_time(group.kind.lookup_bytes_per_sample(tokens) * local, &sub)
+                } else {
+                    compute_time(flops, &phase, &sub, &utilization)
+                };
+                c.fwd_compute += fwd * reps;
+                if lookup {
+                    lookup_secs += (fwd * reps).as_secs();
+                }
+                match weights.iter_mut().find(|(k, _)| *k == group.class) {
+                    Some((_, w)) => *w += (fwd * reps).as_secs(),
+                    None => weights.push((group.class, (fwd * reps).as_secs())),
+                }
+                if workload.has_backward() && workload.trains(group.class) {
+                    let recompute = plan.options.activation_checkpointing
+                        && matches!(
+                            group.kind,
+                            madmax_model::LayerKind::TransformerBlock(_)
+                                | madmax_model::LayerKind::Moe(_)
+                        );
+                    let bwd = match lookup {
+                        true => fwd,
+                        false => compute_time(
+                            flops * backward_flops_factor(recompute),
+                            &phase,
+                            &sub,
+                            &utilization,
+                        ),
+                    };
+                    c.bwd_compute += bwd * reps;
+                }
+                let per_token = group.kind.kv_cache_bytes_per_token(phase.compute_dtype);
+                if kv_cache && !per_token.is_zero() {
+                    let tp = plan.strategy_for(group.class).compute_shard_factor(&sub);
+                    c.kv_read_per_token += lookup_time(per_token * local / tp, &sub) * reps;
+                }
+                let comm = derive_layer_comm(group, plan, &phase, &sub, workload, local);
+                let time = |req| HierarchicalNccl.time(req, &sub) * reps;
+                for req in &comm.forward {
+                    let bucket = match req.urgency {
+                        Urgency::Prefetchable => &mut c.param_comm,
+                        _ => &mut c.fwd_comm,
+                    };
+                    add_comm(bucket, req.collective, time(req));
+                }
+                for req in &comm.backward {
+                    let bucket = match req.urgency {
+                        Urgency::Prefetchable => &mut c.param_comm,
+                        _ => &mut c.bwd_comm,
+                    };
+                    add_comm(bucket, req.collective, time(req));
+                }
+                for req in &comm.grad {
+                    add_comm(&mut c.grad_comm, req.collective, time(req));
+                }
+            }
+            if si + 1 < stages.len() {
+                c.send_fwd = p2p(stage);
+            }
+            if si > 0 && workload.has_backward() {
+                c.send_bwd = p2p(&stages[si - 1]);
+            }
+            weights.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            c.dominant_class = weights[0].0;
+            c.lookup_dominated =
+                lookup_secs > weights[0].1 || lookup_secs >= c.fwd_compute.as_secs() * 0.5;
+            out.push(c);
+        }
+        out
+    }
+
     #[test]
     fn cached_pricing_matches_fresh_stage_costs() {
+        // Bit for bit against the oracle: training (with and without
+        // activation checkpointing, under both utilization models),
+        // forward-only inference, and both phases of a serve workload,
+        // on an LLM and on a lookup-heavy DLRM.
+        let llm = ModelId::Gpt3.build();
+        let dlrm = ModelId::DlrmA.build();
+        let llm_sys = catalog::llama_llm_system();
+        let dlrm_sys = catalog::zionex_dlrm_system();
+        let serve = Workload::serve(ServeConfig::new(512, 16).with_decode_batch(512));
+        let cases = [
+            (&llm, &llm_sys, Workload::pretrain(), 8, 32),
+            (&llm, &llm_sys, Workload::inference(), 4, 16),
+            (&llm, &llm_sys, serve, 8, 8),
+            (&dlrm, &dlrm_sys, Workload::pretrain(), 2, 8),
+            (&dlrm, &dlrm_sys, Workload::inference(), 4, 4),
+        ];
+        for (model, sys, workload, p, m) in cases {
+            for checkpointing in [false, true] {
+                for utilization in [UtilizationModel::Constant, UtilizationModel::vit_default()] {
+                    let mut plan =
+                        Plan::fsdp_baseline(model).with_pipeline(PipelineConfig::one_f_one_b(p, m));
+                    plan.options.activation_checkpointing = checkpointing;
+                    plan.options.ignore_memory_limits = true;
+                    let mut table = PipelineCostTable::new(
+                        model,
+                        sys,
+                        workload.clone(),
+                        plan.options,
+                        &HierarchicalNccl,
+                        utilization,
+                    );
+                    table.ensure_plan(&plan);
+                    let priced = table.priced_for(&plan).unwrap();
+                    let fresh = |decode| {
+                        fresh_stage_costs(model, sys, &plan, &workload, utilization, decode)
+                    };
+                    let case = format!(
+                        "{} {workload} {utilization:?} ckpt={checkpointing}",
+                        model.name
+                    );
+                    assert_eq!(priced.primary, fresh(false).as_slice(), "{case}");
+                    let decode = workload.decode_model(table.report_model()).is_some();
+                    assert_eq!(priced.decode.is_some(), decode, "{case}");
+                    if decode {
+                        assert_eq!(priced.decode.unwrap(), fresh(true).as_slice(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_memory_matches_the_fresh_fold() {
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system();
-        let base = Plan::fsdp_baseline(&model);
-        let plan = base
-            .clone()
-            .with_pipeline(PipelineConfig::one_f_one_b(8, 32));
-        let mut table = table_for(&model, &sys, Workload::pretrain(), base.options);
-        table.ensure_plan(&plan);
+        let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::one_f_one_b(8, 32));
+        let table = one_plan_table(&model, &sys, &plan, Workload::pretrain());
         let priced = table.priced_for(&plan).unwrap();
-        // Derive the same key from scratch: partition, sub-cluster,
-        // sub-models, stage costs, and the memory fold.
         let stages = partition_model(&model, &sys, 8).unwrap();
         let sub = stage_cluster(&sys, 8).unwrap();
-        let models = stage_models(&model, &stages);
-        let fresh = stage_costs_in(
-            &model,
-            &sys,
-            &sub,
-            &models,
-            &plan,
-            &Workload::pretrain(),
-            &stages,
-            32,
-            &HierarchicalNccl,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        assert_eq!(priced.primary, fresh.as_slice());
-        let per_stage: Vec<_> = models
+        let per_stage: Vec<_> = stage_models(&model, &stages)
             .iter()
             .map(|m| memory_per_device(m, &sub, &plan, &Workload::pretrain()))
             .collect();
@@ -620,6 +899,108 @@ pub(crate) mod tests {
             priced.memo.is_none(),
             "training traces depend on the schedule"
         );
+    }
+
+    #[test]
+    fn pipelined_backward_sums_the_flat_tables_backward() {
+        // A stage's backward is the sum of its units' flat-engine
+        // backward entries, `compute_time(f * k)` per instance, also when
+        // utilization depends on the FLOPs or checkpointing makes k = 3.
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let (p, m) = (4, 16);
+        for (utilization, checkpointing) in [
+            (UtilizationModel::vit_default(), false),
+            (UtilizationModel::Constant, true),
+        ] {
+            let mut plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(p, m));
+            plan.options.activation_checkpointing = checkpointing;
+            plan.options.ignore_memory_limits = true;
+            let mut table = PipelineCostTable::new(
+                &model,
+                &sys,
+                Workload::pretrain(),
+                plan.options,
+                &HierarchicalNccl,
+                utilization,
+            );
+            table.ensure_plan(&plan);
+            let priced = table.priced_for(&plan).unwrap();
+            let mut flat = CostTable::new(
+                &model,
+                stage_cluster(&sys, p).unwrap(),
+                Workload::pretrain(),
+                plan.options,
+                &HierarchicalNccl,
+                utilization,
+                m,
+            );
+            flat.ensure_plan(&plan);
+            let stages = partition_model(&model, &sys, p).unwrap();
+            for (stage, costs) in stages.iter().zip(priced.primary) {
+                let expected = stage.units.iter().fold(Seconds::ZERO, |sum, u| {
+                    let strategy = plan.strategy_for(model.groups[u.group].class);
+                    sum + flat.group_price(u.group, strategy, false).backward * u.instances as f64
+                });
+                assert_eq!(
+                    costs.bwd_compute, expected,
+                    "{utilization:?} {checkpointing}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn each_group_strategy_is_priced_once_per_depth_and_microbatches() {
+        // Many assignments share a (depth, microbatches) key: its flat
+        // table prices each (class, strategy) pair, for every group of the
+        // class and every phase, exactly once.
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let mut base = Plan::fsdp_baseline(&model);
+        base.options.ignore_memory_limits = true;
+        let serve = Workload::serve(ServeConfig::new(256, 8).with_decode_batch(64));
+        for workload in [Workload::pretrain(), serve] {
+            let mut table = table_for(&model, &sys, workload, base.options);
+            let mut plans = Vec::new();
+            for strategy in HierStrategy::enumerate_for(LayerClass::Transformer) {
+                for (p, m) in [(2, 8), (2, 16), (4, 8)] {
+                    for schedule in [PipelineSchedule::GPipe, PipelineSchedule::OneFOneB] {
+                        let cfg = PipelineConfig {
+                            stages: p,
+                            microbatches: m,
+                            schedule,
+                        };
+                        let plan = base
+                            .clone()
+                            .with_strategy(LayerClass::Transformer, strategy)
+                            .with_pipeline(cfg);
+                        table.ensure_plan(&plan);
+                        plans.push(plan);
+                    }
+                }
+            }
+            let strategies = HierStrategy::enumerate_for(LayerClass::Transformer).len();
+            assert_eq!(table.stats().misses as usize, strategies * 3);
+            assert_eq!(table.stats().hits as usize, strategies * 3);
+            for (p, depth) in &table.depths {
+                for (m, flat) in &depth.as_ref().unwrap().flat {
+                    let mut pairs = Vec::new();
+                    for plan in plans.iter().filter(|pl| {
+                        pl.pipeline
+                            .is_some_and(|c| c.stages == *p && c.microbatches == *m)
+                    }) {
+                        for &class in &table.classes {
+                            let pair = (class, plan.strategy_for(class));
+                            if !pairs.contains(&pair) {
+                                pairs.push(pair);
+                            }
+                        }
+                    }
+                    assert_eq!(flat.stats().misses as usize, pairs.len(), "p{p} m{m}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@
 
 use std::collections::VecDeque;
 
-use madmax_core::steady::{affine_series_units, first_series_crossing, grid_units_round};
+use madmax_core::steady::{
+    affine_series_units, first_series_crossing, grid_units_round, MAX_UNITS,
+};
 use madmax_fault::{FaultEvent, FaultKind, RetryPolicy};
 use madmax_hw::units::Seconds;
 use madmax_model::ModelArch;
@@ -57,9 +59,6 @@ use crate::trace::{
     FaultSpan, LoadTrace, PrefillRun, RejectReason, RequestRecord, ResidencySpan, StepRun, StepSeq,
 };
 use crate::LoadError;
-
-/// Exact-range ceiling: timestamps must stay below `2^52` grid units.
-const MAX_UNITS: i64 = 1 << 52;
 
 /// Queue-depth events recorded before the timeline stops sampling.
 const QUEUE_DEPTH_CAP: usize = 16_384;
