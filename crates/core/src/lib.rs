@@ -62,7 +62,9 @@ pub use collective::{CollectiveModel, FlatWorstLink, HierarchicalNccl};
 pub use compute::UtilizationModel;
 pub use costs::{CostTable, GroupPrice, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
-pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
+pub use metrics::{
+    decode_tail_from, serve_stats_from, DecodeTail, IterationReport, ReportScratch, ServeStats,
+};
 pub use perf::run_flat_cached;
 pub use sim::{
     debug_check_schedule, merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule,

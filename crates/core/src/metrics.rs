@@ -77,6 +77,42 @@ pub fn serve_stats_from(
     }
 }
 
+/// The makespans after the last three decode tokens of an `L`-token
+/// serve run, `[F(L−2), F(L−1), F(L)]`.
+///
+/// Both serve builders emit the decode ops as the trace suffix in `L`
+/// equal per-token runs, each token depending only on earlier ones, so
+/// the first `d` tokens of a run schedule exactly as a separate `d`-token
+/// run: `F(d)` is that run's iteration time, bit for bit, and `F(L)` is
+/// the run's own. Both engines leave the tail of every serve run of at
+/// least three tokens in [`crate::EngineScratch::decode_tail`].
+pub type DecodeTail = [Seconds; 3];
+
+/// The [`DecodeTail`] of a scheduled serve trace of `decode_len` tokens:
+/// the largest finish time before each of the last three token
+/// boundaries. `None` below three tokens, or when the decode suffix does
+/// not split into `decode_len` equal per-token runs.
+pub fn decode_tail_from(
+    trace: &Trace,
+    schedule: &Schedule,
+    decode_len: usize,
+) -> Option<DecodeTail> {
+    let boundary = trace.ops().partition_point(|op| op.phase != Phase::Decode);
+    let decode_ops = trace.len() - boundary;
+    if decode_len < 3 || !decode_ops.is_multiple_of(decode_len) {
+        return None;
+    }
+    let at = |d: usize| boundary + d * (decode_ops / decode_len);
+    let latest = |from: Seconds, windows: &[crate::sim::OpWindow]| {
+        windows.iter().map(|w| w.finish).fold(from, Seconds::max)
+    };
+    let w = &schedule.windows;
+    let f0 = latest(Seconds::ZERO, &w[..at(decode_len - 2)]);
+    let f1 = latest(f0, &w[at(decode_len - 2)..at(decode_len - 1)]);
+    let f2 = latest(f1, &w[at(decode_len - 1)..]);
+    Some([f0, f1, f2])
+}
+
 /// Everything MAD-Max reports about one training/inference iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IterationReport {

@@ -23,7 +23,7 @@
 use madmax_parallel::{Plan, PlanError};
 
 use crate::costs::CostTable;
-use crate::metrics::IterationReport;
+use crate::metrics::{decode_tail_from, IterationReport};
 use crate::sim::{schedule_into, EngineScratch};
 
 /// This engine executes the flat SPMD mapping only; plans that configure
@@ -45,7 +45,8 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
 /// closed-form gate [`crate::steady::closed_form_serve`], which
 /// `analytic_serve` can switch off; when the gate declines — and always
 /// for training — `scratch` holds the fully assembled trace and its
-/// schedule afterwards.
+/// schedule afterwards. Either way a serve run leaves its
+/// [`crate::metrics::DecodeTail`] in `scratch.decode_tail`.
 ///
 /// # Errors
 ///
@@ -65,6 +66,7 @@ pub fn run_flat_cached(
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
+    scratch.decode_tail = None;
     reject_pipelined(plan)?;
     let memory = table.memory_for(plan)?;
     if let Some(report) = crate::steady::closed_form_serve(
@@ -91,6 +93,9 @@ pub fn run_flat_cached(
         &mut scratch.report,
     );
     report.serve = table.serve_stats(&scratch.trace, &scratch.sched);
+    scratch.decode_tail = report
+        .serve
+        .and_then(|s| decode_tail_from(&scratch.trace, &scratch.sched, s.decode_len));
     Ok(report)
 }
 

@@ -196,6 +196,10 @@ pub struct EngineScratch {
     pub report: crate::metrics::ReportScratch,
     /// Closed-form serve evaluation buffers (see [`crate::steady`]).
     pub steady: crate::steady::SteadyScratch,
+    /// The [`crate::metrics::DecodeTail`] of the last run evaluated
+    /// through this scratch: set by both engines on every run, `None`
+    /// unless it was a serve run of at least three decode tokens.
+    pub decode_tail: Option<crate::metrics::DecodeTail>,
 }
 
 impl EngineScratch {

@@ -55,6 +55,16 @@
 //! collapse into a handful of jumps, and per-search wall clock becomes
 //! (near-)independent of `decode_len` whenever certificates land.
 //!
+//! A run also reports its [`crate::metrics::DecodeTail`], the makespans
+//! after `L − 2`, `L − 1` and `L` tokens: read off the live state when
+//! those tokens are stepped, and off the certified quadratics of the
+//! stream availabilities when a jump skips them (the certificate makes
+//! every intermediate state exact, not only the final one). Decode
+//! tokens only depend on earlier ones, so each entry is the iteration
+//! time of a separate run of that length, bit for bit: the load
+//! simulator's cost model (`madmax_serve::StepCostModel`) reads three
+//! decode lengths off one run.
+//!
 //! # The duration grid
 //!
 //! Byte-identical reports require *exact* arithmetic: the full simulator
@@ -117,8 +127,8 @@ use madmax_parallel::MemoryBreakdown;
 
 use crate::counters::CacheCounters;
 use crate::metrics::{
-    class_idx, comm_stream_device, device_slot, kind_idx, to_map, IterationReport, ServeStats,
-    COLLECTIVES,
+    class_idx, comm_stream_device, device_slot, kind_idx, to_map, DecodeTail, IterationReport,
+    ServeStats, COLLECTIVES,
 };
 use crate::sim::EngineScratch;
 use crate::trace::{OpKind, Phase, StreamId, Trace};
@@ -933,8 +943,11 @@ fn sym_finalize_ready(
 enum JumpOutcome {
     /// State and totals were fast-forwarded by this many tokens — the
     /// whole range asked for, or the longest certifiable prefix of it
-    /// when a binding change sits inside (a *partial* jump).
-    Jumped(i64),
+    /// when a binding change sits inside (a *partial* jump). The fits of
+    /// the stream availabilities come along: `fits[slot].eval(u)` is the
+    /// slot's availability after `u` jumped tokens, exactly, for every
+    /// `u` up to the jump length.
+    Jumped(i64, Vec<Quad>),
     /// The certificate failed with no certifiable prefix worth jumping;
     /// explicit stepping continues (still exact).
     NotCertified,
@@ -1193,14 +1206,16 @@ fn certify_and_jump(
         dev.pending.clear();
         dev.pending.extend(fpending[d].iter().copied());
     }
-    JumpOutcome::Jumped(ni as i64)
+    JumpOutcome::Jumped(ni as i64, savail0)
 }
 
 /// The closed-form gate of both engines: evaluates a serve candidate in
 /// closed form when `analytic` allows it and its decode stream is at
 /// least [`MIN_ANALYTIC_DECODE`] tokens long. `assemble_prefix` builds
 /// the engine's prefill plus the given number of explicit decode tokens
-/// into the trace, from which the full report is synthesized. `dims` is `None` for workloads without decode steps.
+/// into the trace, from which the full report is synthesized, and the
+/// run's [`DecodeTail`] is left in `scratch.decode_tail`. `dims` is
+/// `None` for workloads without decode steps.
 ///
 /// Records one `counters` hit per synthesized report and one miss per
 /// serve candidate it declines (opt-out, short decode, or a failed
@@ -1218,17 +1233,17 @@ pub fn closed_form_serve(
     let dims = dims?;
     if analytic && dims.decode_len >= MIN_ANALYTIC_DECODE {
         assemble_prefix(EXPLICIT_TOKENS, &mut scratch.trace);
-        let report = evaluate_serve_prefix(
+        if let Some((report, tail)) = evaluate_serve_prefix(
             &scratch.trace,
             EXPLICIT_TOKENS,
             &dims,
             model,
             memory,
             &mut scratch.steady,
-        );
-        if report.is_some() {
+        ) {
             counters.hit();
-            return report;
+            scratch.decode_tail = Some(tail);
+            return Some(report);
         }
     }
     counters.miss();
@@ -1239,8 +1254,11 @@ pub fn closed_form_serve(
 /// `explicit_tokens` decode tokens, built by the regular assembly with a
 /// capped decode loop), synthesizing the [`IterationReport`] the full
 /// simulation of all `dims.decode_len` tokens would produce — bit for
-/// bit. Returns `None` when any exactness condition fails (see the
-/// module docs); callers then fall back to full assembly.
+/// bit — and its [`DecodeTail`]: the makespans after `L − 2` and
+/// `L − 1` tokens are read off the live state when stepped, or off a
+/// jump's certified fits when it skips them. Returns `None` when any
+/// exactness condition fails (see the module docs); callers then fall
+/// back to full assembly.
 fn evaluate_serve_prefix(
     trace: &Trace,
     explicit_tokens: usize,
@@ -1248,8 +1266,8 @@ fn evaluate_serve_prefix(
     model: &ModelArch,
     memory: MemoryBreakdown,
     scratch: &mut SteadyScratch,
-) -> Option<IterationReport> {
-    if explicit_tokens > dims.decode_len {
+) -> Option<(IterationReport, DecodeTail)> {
+    if explicit_tokens + 2 > dims.decode_len {
         return None;
     }
     let ops = trace.ops();
@@ -1355,7 +1373,15 @@ fn evaluate_serve_prefix(
     let mut attempt_at = explicit_tokens + 3;
     let mut fails = 0u32;
     let mut t = explicit_tokens;
+    // `tail[i]` is the makespan after `decode_len − 2 + i` tokens: read
+    // at the loop head once that many tokens are done, or off the
+    // certified fits of a jump that skips past it.
+    let tail_from = dims.decode_len - 2;
+    let mut tail = [0i64; 3];
     while t < dims.decode_len {
+        if t >= tail_from {
+            tail[t - tail_from] = avail.iter().copied().max().unwrap_or(0);
+        }
         if t == attempt_at && snaps.len() == 3 {
             // One attempt certifies the longest jumpable prefix of the
             // remaining range: a binding change inside it shrinks the
@@ -1377,8 +1403,14 @@ fn evaluate_serve_prefix(
                     stage_busy,
                     &mut totals,
                 ) {
-                    JumpOutcome::Jumped(m) => {
+                    JumpOutcome::Jumped(m, fits) => {
                         jumped = m;
+                        let landed = t + m as usize;
+                        for d in (t + 1).max(tail_from)..landed {
+                            let u = (d - t) as i128;
+                            let peak = fits.iter().map(|q| q.eval(u)).max().unwrap_or(0);
+                            tail[d - tail_from] = peak as i64;
+                        }
                     }
                     JumpOutcome::NotCertified => {}
                     JumpOutcome::OutOfRange => return None,
@@ -1459,6 +1491,7 @@ fn evaluate_serve_prefix(
 
     // ---- Synthesize the report ----
     let makespan = avail.iter().copied().max().unwrap_or(0);
+    tail[2] = makespan;
     let makespan_s = grid_seconds(makespan);
     let ttft_s = grid_seconds(ttft);
     let tpot = if dims.decode_len == 0 {
@@ -1480,7 +1513,7 @@ fn evaluate_serve_prefix(
         let mean_busy = stage_total / stage_count as f64;
         Some(f64::max(1.0 - mean_busy / makespan_s.as_secs(), 0.0))
     };
-    Some(IterationReport {
+    let report = IterationReport {
         iteration_time: makespan_s,
         serialized_time: grid_seconds(totals.serialized),
         gemm_time: grid_seconds(totals.gemm),
@@ -1515,7 +1548,8 @@ fn evaluate_serve_prefix(
         global_batch: model.global_batch,
         tokens_per_iteration: model.tokens_per_iteration(),
         batch_unit: model.batch_unit,
-    })
+    };
+    Some((report, tail.map(grid_seconds)))
 }
 
 #[cfg(test)]
@@ -1582,6 +1616,7 @@ mod tests {
             MemoryBreakdown::default(),
             &mut SteadyScratch::default(),
         )
+        .map(|(report, _)| report)
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Load-probe cost tables shared across the plans of a load search.
 //!
 //! [`Scenario::price_load`](crate::Scenario::price_load) prices a plan's
-//! step cost model from a handful of engine probes, one synchronized
-//! serve wave each ([`madmax_serve::StepCostModel::probe_shapes`]).
-//! Across the candidate plans of one load search only a few distinct
-//! shapes occur: the list depends on the plan only through its low-batch
-//! anchor. [`LoadProbeTables`] prices one flat [`CostTable`] and one
-//! [`PipelineCostTable`] per shape, each for the plans that probe it, so
-//! a search prices a few tables instead of one per probe. A probe runs
-//! against its shape's table whenever that table covers the plan
-//! ([`CostTable::covers`], [`PipelineCostTable::covers`]).
+//! step cost model from a few probe shapes
+//! ([`madmax_serve::StepCostModel::probe_shapes`]): a worst-case shape
+//! it only checks for feasibility, then one synchronized serve wave per
+//! decode ladder (a prompt and a batch), whose decode tail gives the
+//! makespans of its last three decode lengths, and the prefill-slope
+//! wave. Across the candidate plans of one load search only a few
+//! distinct shapes occur: the list depends on the plan only through its
+//! low-batch anchor. [`LoadProbeTables`] prices one flat [`CostTable`]
+//! and one [`PipelineCostTable`] per shape, each for the plans that use
+//! it, so a search prices a few tables instead of one per probe. A probe
+//! — the feasibility check included — runs against its shape's table
+//! whenever that table covers the plan ([`CostTable::covers`],
+//! [`PipelineCostTable::covers`]).
 
 use madmax_core::{CacheStats, CostTable};
 use madmax_parallel::{Plan, ServeConfig, Workload};

@@ -14,8 +14,8 @@ use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
-use madmax_pipeline::PipelineCostTable;
-use madmax_serve::{LoadOutcome, SimMode, StepCostModel};
+use madmax_pipeline::{PipelineCostTable, PricedPipelineRef};
+use madmax_serve::{LoadOutcome, ProbeRun, SimMode, StepCostModel};
 
 use crate::error::EngineError;
 use crate::probes::LoadProbeTables;
@@ -211,9 +211,9 @@ impl<'a> Scenario<'a> {
 
     /// Attaches shared load-probe tables (see
     /// [`Scenario::price_load_probes`]): [`Scenario::price_load`] then
-    /// evaluates each probe through [`Scenario::run_in`] against the
-    /// tables of the probe's shape instead of pricing one-plan tables per
-    /// probe. Probes of a shape the tables do not hold, of a plan the
+    /// checks and runs each probe against the tables of the probe's
+    /// shape instead of pricing one-plan tables per probe. Probes of a
+    /// shape the tables do not hold, of a plan the
     /// shape's table does not cover ([`CostTable::covers`],
     /// [`PipelineCostTable::covers`]) fall back to one-plan tables; the
     /// cost model is byte-identical either way. The tables must have been
@@ -343,21 +343,27 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// Rejects serve workloads the engines cannot price: a zero prompt
-    /// or a zero decode batch.
+    /// Rejects serve workloads the engines cannot price: a zero prompt,
+    /// a zero decode batch, or a KV-cache length (prompt + decode) that
+    /// overflows.
     fn check_workload(&self) -> Result<(), EngineError> {
         let Some(cfg) = self.workload.serve_config() else {
             return Ok(());
         };
-        let zero = if cfg.prompt_len == Some(0) {
-            "prompt_len"
+        let problem = if cfg.prompt_len == Some(0) {
+            "needs prompt_len >= 1"
         } else if cfg.decode_batch == Some(0) {
-            "decode_batch"
+            "needs decode_batch >= 1"
+        } else if cfg
+            .max_kv_len(cfg.effective_prompt_len(self.model))
+            .is_none()
+        {
+            "overflows the KV-cache length prompt_len + decode_len"
         } else {
             return Ok(());
         };
         Err(EngineError::InvalidLoad {
-            reason: format!("serve workload `{}` needs {zero} >= 1", self.workload),
+            reason: format!("serve workload `{}` {problem}", self.workload),
         })
     }
 
@@ -408,21 +414,41 @@ impl<'a> Scenario<'a> {
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn lower_bound(&self) -> Result<Option<Seconds>, EngineError> {
+        self.with_feasible(
+            |table, plan| Some(table.busy_lower_bound(plan)),
+            |table, priced| {
+                madmax_pipeline::busy_lower_bound(
+                    priced.primary,
+                    &priced.cfg,
+                    table.workload().has_backward(),
+                    priced.decode.zip(table.serve_dims()),
+                )
+            },
+        )
+    }
+
+    /// The feasibility half of [`Scenario::lower_bound`]: the workload
+    /// check, then the plan resolved against the tables
+    /// [`Scenario::run_in`] would use (the flat memory fold and HBM gate,
+    /// or the pipeline table's partition, memory and microbatch checks).
+    /// A feasible plan is handed to `flat` or `pipelined` with its
+    /// resolved table. Every plan `run_in` rejects is rejected here with
+    /// the same error, and without assembling or scheduling anything.
+    fn with_feasible<R>(
+        &self,
+        flat: impl FnOnce(&CostTable<'a>, &Plan) -> R,
+        pipelined: impl FnOnce(&PipelineCostTable<'a>, &PricedPipelineRef<'_>) -> R,
+    ) -> Result<R, EngineError> {
         self.check_workload()?;
         self.with_plan(|plan| {
             if Self::is_pipelined(plan) {
                 let table = self.pipeline_table(plan);
                 let priced = table.priced_for(plan)?;
-                Ok(madmax_pipeline::busy_lower_bound(
-                    priced.primary,
-                    &priced.cfg,
-                    table.workload().has_backward(),
-                    priced.decode.zip(table.serve_dims()),
-                ))
+                Ok(pipelined(&table, &priced))
             } else {
                 let table = self.flat_table(plan);
                 table.memory_for(plan)?;
-                Ok(Some(table.busy_lower_bound(plan)))
+                Ok(flat(&table, plan))
             }
         })
     }
@@ -518,10 +544,19 @@ impl<'a> Scenario<'a> {
 
     /// Prices a per-step cost model ([`madmax_serve::StepCostModel`]) of
     /// this scenario's plan for the request shapes in `spec` — the slow
-    /// part of a load run (a handful of engine probes, each a
-    /// [`Scenario::run_in`] of one synchronized serve wave against the
-    /// attached [`Scenario::load_probes`] tables or a one-plan table),
-    /// reusable across simulations via [`Scenario::serve_load_priced`].
+    /// part of a load run — reusable across simulations via
+    /// [`Scenario::serve_load_priced`].
+    ///
+    /// The probe shapes ([`StepCostModel::probe_shapes`]) each evaluate
+    /// against the attached [`Scenario::load_probes`] tables or a
+    /// one-plan table: the worst-case shape only through the feasibility
+    /// half of [`Scenario::lower_bound`] (same tables, same errors as a
+    /// run), every other shape as one [`Scenario::run_in`] of a
+    /// synchronized serve wave, whose decode tail
+    /// ([`madmax_core::DecodeTail`]) yields the makespans of its last
+    /// three decode lengths. A flat plan costs three engine runs and a
+    /// pipelined plan whose low-batch anchor is the slot count two, each
+    /// plus the check.
     ///
     /// The in-flight slot count is `spec.slots`, defaulting to the serve
     /// config's decode batch.
@@ -534,20 +569,32 @@ impl<'a> Scenario<'a> {
         let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
         let mut scratch = EngineScratch::new();
         self.with_plan(|plan| {
-            let probe = |cfg: ServeConfig| {
-                let shared = self.load_probes.and_then(|t| t.shape(&cfg));
-                let Some(shape) = shared.filter(|s| s.covers(plan)) else {
-                    return self
-                        .detached(Cow::Owned(Workload::serve(cfg)))
-                        .run_in(&mut scratch);
-                };
-                let mut s = self.detached(Cow::Borrowed(&shape.workload));
-                s.costs = shape.flat.as_ref();
-                s.pipeline_costs = shape.pipeline.as_ref();
-                s.run_in(&mut scratch)
+            let feasible = |cfg| self.probe(plan, cfg).with_feasible(|_, _| (), |_, _| ());
+            let probe = |cfg| {
+                let report = self.probe(plan, cfg).run_in(&mut scratch)?;
+                Ok(ProbeRun {
+                    ttft: report.serve.expect("probes are serve runs").ttft,
+                    tail: scratch
+                        .decode_tail
+                        .expect("probes decode 48 tokens or more"),
+                })
             };
-            StepCostModel::price(plan, serve, slots, &arrivals, probe)
+            StepCostModel::price(plan, serve, slots, &arrivals, feasible, probe)
         })
+    }
+
+    /// This scenario on the probe shape `cfg` of `plan`: against the
+    /// attached load-probe tables of the shape when they cover `plan`,
+    /// else on one-plan tables.
+    fn probe(&self, plan: &Plan, cfg: ServeConfig) -> Scenario<'_> {
+        let shared = self.load_probes.and_then(|t| t.shape(&cfg));
+        let Some(shape) = shared.filter(|s| s.covers(plan)) else {
+            return self.detached(Cow::Owned(Workload::serve(cfg)));
+        };
+        let mut s = self.detached(Cow::Borrowed(&shape.workload));
+        s.costs = shape.flat.as_ref();
+        s.pipeline_costs = shape.pipeline.as_ref();
+        s
     }
 
     /// What [`Scenario::price_load`] prices against: the serve config,
@@ -568,7 +615,7 @@ impl<'a> Scenario<'a> {
 
     /// Prices the load-probe tables of `plans` for `spec` on this
     /// scenario's serve workload: every probe shape
-    /// ([`StepCostModel::probe_shapes`]) any of the plans would run in
+    /// ([`StepCostModel::probe_shapes`]) any of the plans would use in
     /// [`Scenario::price_load`], each with one flat [`CostTable`] and one
     /// [`PipelineCostTable`] priced for the plans that probe it, and
     /// the arrivals materialized once. Attach the result with

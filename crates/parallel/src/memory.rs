@@ -160,7 +160,8 @@ pub fn group_memory(
     if let Some(cfg) = workload.serve_config().filter(|cfg| cfg.kv_cache) {
         let per_token = group.kind.kv_cache_bytes_per_token(model.compute_dtype);
         if !per_token.is_zero() {
-            let kv_len = cfg.max_kv_len(model.context_length) as f64;
+            // An overflowing length (rejected before any run) saturates.
+            let kv_len = cfg.max_kv_len(model.context_length).unwrap_or(usize::MAX) as f64;
             out.kv_cache = per_token * kv_len * local_batch * group.repeat as f64 / tp_part;
         }
     }

@@ -117,9 +117,10 @@ impl ServeConfig {
     }
 
     /// The KV-cache length after the last decode step (tokens per
-    /// sequence), given the resolved prompt length.
-    pub fn max_kv_len(&self, prompt_len: usize) -> usize {
-        prompt_len + self.decode_len
+    /// sequence), given the resolved prompt length; `None` when
+    /// `prompt_len + decode_len` overflows.
+    pub fn max_kv_len(&self, prompt_len: usize) -> Option<usize> {
+        prompt_len.checked_add(self.decode_len)
     }
 }
 
@@ -378,7 +379,8 @@ mod tests {
         let cfg = ServeConfig::new(100, 28).with_decode_batch(8);
         assert_eq!(cfg.effective_prompt_len(&model), 100);
         assert_eq!(cfg.effective_batch(&model), 8);
-        assert_eq!(cfg.max_kv_len(100), 128);
+        assert_eq!(cfg.max_kv_len(100), Some(128));
+        assert_eq!(ServeConfig::new(1, usize::MAX).max_kv_len(1), None);
         assert!(!ServeConfig::new(1, 1).without_kv_cache().kv_cache);
     }
 }

@@ -124,7 +124,7 @@ pub use schedule::{
     build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into, busy_lower_bound,
 };
 pub use sim::run_pipelined_cached;
-pub use table::{PipelineCostTable, PricedPipelineRef};
+pub use table::{PipelineCostTable, PricedPipelineRef, ReportMemo};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`
 /// microbatches: `(p - 1) / (m + p - 1)` (delegates to

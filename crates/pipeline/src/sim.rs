@@ -25,7 +25,9 @@
 
 use madmax_parallel::{Plan, PlanError};
 
-use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport, Trace};
+use madmax_core::{
+    decode_tail_from, schedule_into, serve_stats_from, EngineScratch, IterationReport, Trace,
+};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
 use crate::table::{PipelineCostTable, PricedPipelineRef};
@@ -55,6 +57,10 @@ use crate::table::{PipelineCostTable, PricedPipelineRef};
 ///   arithmetic, and the synthesized report is byte-identical to full
 ///   simulation (automatic fallback when the exactness conditions fail).
 ///
+/// A serve run leaves its [`madmax_core::DecodeTail`] in
+/// `scratch.decode_tail`; the report memo stores the tail with the
+/// report, so a memo hit returns both.
+///
 /// When the engine evaluates a candidate and the gate declines, `scratch`
 /// holds the fully assembled trace and its schedule afterwards.
 ///
@@ -75,20 +81,23 @@ pub fn run_pipelined_cached(
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
+    scratch.decode_tail = None;
     let priced = table.priced_for(plan)?;
     let Some(memo) = priced.memo else {
         return Ok(evaluate(table, &priced, scratch, analytic_serve));
     };
     let mut fresh = false;
-    let report = memo.get_or_init(|| {
+    let (report, tail) = memo.get_or_init(|| {
         fresh = true;
-        evaluate(table, &priced, scratch, analytic_serve)
+        let report = evaluate(table, &priced, scratch, analytic_serve);
+        (report, scratch.decode_tail)
     });
     if fresh {
         table.memo_counters().miss();
     } else {
         table.memo_counters().hit();
     }
+    scratch.decode_tail = *tail;
     Ok(report.clone())
 }
 
@@ -156,6 +165,8 @@ fn evaluate(
             d.decode_batch,
         )
     });
+    scratch.decode_tail =
+        dims.and_then(|d| decode_tail_from(&scratch.trace, &scratch.sched, d.decode_len));
     report
 }
 

@@ -56,7 +56,8 @@ use std::sync::OnceLock;
 
 use madmax_core::compute::optimizer_time;
 use madmax_core::{
-    CacheCounters, CacheStats, CollectiveModel, CostTable, IterationReport, UtilizationModel,
+    CacheCounters, CacheStats, CollectiveModel, CostTable, DecodeTail, IterationReport,
+    UtilizationModel,
 };
 use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
@@ -105,11 +106,11 @@ struct AssignEntry {
 struct PhaseCosts {
     primary: Vec<StageCosts>,
     decode: Option<Vec<StageCosts>>,
-    /// The report of every candidate at this key, for workloads without a
-    /// backward pass: their traces do not depend on the schedule, so the
-    /// GPipe/1F1B pair of a search shares it. Set by the first worker to
-    /// evaluate the key.
-    report: OnceLock<IterationReport>,
+    /// The report of every candidate at this key, with its decode tail,
+    /// for workloads without a backward pass: their traces do not depend
+    /// on the schedule, so the GPipe/1F1B pair of a search shares it. Set
+    /// by the first worker to evaluate the key.
+    report: ReportMemo,
 }
 
 /// Everything [`crate::run_pipelined_cached`] needs to assemble one
@@ -130,8 +131,12 @@ pub struct PricedPipelineRef<'t> {
     /// The report memo of the candidate's `(depth, assignment,
     /// microbatches)` entry, for workloads without a backward pass (whose
     /// traces are schedule-independent); `None` for training.
-    pub memo: Option<&'t OnceLock<IterationReport>>,
+    pub memo: Option<&'t ReportMemo>,
 }
+
+/// One entry's memoized report and its [`DecodeTail`] (`None` unless a
+/// serve run of at least three decode tokens).
+pub type ReportMemo = OnceLock<(IterationReport, Option<DecodeTail>)>;
 
 /// Shared, read-only cost cache for the pipeline engine (see the module
 /// docs for the sharing contract).

@@ -2,21 +2,29 @@
 //! priced serve scenarios into an integer-grid **step cost model** for
 //! continuous batching.
 //!
-//! The engines guarantee (PR 8, `madmax_core::steady`) that serve
-//! iteration times are exact multiples of the `2^-38` s duration grid
-//! and that decode-step durations are affine in the KV-cache position.
-//! [`StepCostModel::price`] therefore recovers per-step costs from a
-//! handful of *analytic* probe evaluations — O(transient) each — by
-//! finite differences:
+//! The engines guarantee (`madmax_core::steady`) that serve iteration
+//! times are exact multiples of the `2^-38` s duration grid and that
+//! decode-step durations are affine in the KV-cache position.
+//! [`StepCostModel::price`] therefore recovers per-step costs from a few
+//! engine runs — O(transient) each through the closed form — by finite
+//! differences:
 //!
 //! - `F(d)` = iteration time at decode length `d`: the first difference
 //!   `F(d+1) - F(d)` is the cost of one decode step, the second
 //!   difference is the per-step KV growth rate;
-//! - probing at one in-flight sequence and at `slots` sequences
-//!   separates the per-sequence term from the base;
-//! - TTFT at batch 1 prices a single request's prefill, probed at two
-//!   context lengths to fit the affine `prefill(ctx)` used for
-//!   admission and eviction-recompute.
+//! - one run per *decode ladder* (a prompt and a batch) reads every
+//!   `F(d)` it needs: a run of `L` tokens reports its decode tail
+//!   `F(L−2)`, `F(L−1)`, `F(L)` ([`madmax_core::DecodeTail`]), each
+//!   bit-identical to a separate run of that length, so one 50-token
+//!   run at batch `slots` gives `F(48..=50)` and one 49-token run at the
+//!   low-batch anchor gives `F(48)` and `F(49)` there;
+//! - probing at the low-batch anchor and at `slots` sequences separates
+//!   the per-sequence term from the base;
+//! - TTFT at the low-batch anchor prices a single request's prefill,
+//!   probed at two context lengths to fit the affine `prefill(ctx)` used
+//!   for admission and eviction-recompute;
+//! - the worst case (`slots` sequences at the longest prompt and decode)
+//!   is only checked for feasibility, never run.
 //!
 //! The result is a first-order interpolation of the engine's own costs:
 //! exact at the probe anchors (up to integer rounding of the divided
@@ -24,7 +32,8 @@
 //! event layer's closed-form jumps require.
 
 use madmax_core::steady::grid_units;
-use madmax_core::IterationReport;
+use madmax_core::DecodeTail;
+use madmax_hw::units::Seconds;
 use madmax_parallel::{Plan, ServeConfig};
 
 use crate::arrival::ArrivalEvent;
@@ -125,7 +134,7 @@ impl Anchors {
         self.p_hi.saturating_add(self.d_max)
     }
 
-    /// The probe shapes, in the order [`StepCostModel::price`] runs them.
+    /// The probe shapes, in the order [`StepCostModel::price`] uses them.
     fn shapes(&self, serve: &ServeConfig, slots: usize) -> Vec<ServeConfig> {
         let cfg = |prompt: usize, decode: usize, batch: usize| ServeConfig {
             prompt_len: Some(prompt),
@@ -135,19 +144,15 @@ impl Anchors {
         };
         let (p_lo, b_lo) = (self.p_lo, self.b_lo);
         let mut shapes = vec![
-            // Worst-case feasibility: `slots` sequences at the largest
-            // context.
+            // Worst-case feasibility (checked, not run): `slots`
+            // sequences at the largest context.
             cfg(self.p_hi, self.d_max.max(PROBE_DECODE + 2), slots),
-            // Batch = slots at three consecutive decode lengths.
-            cfg(p_lo, PROBE_DECODE, slots),
-            cfg(p_lo, PROBE_DECODE + 1, slots),
+            // Batch = slots: one run whose tail is F(48), F(49), F(50).
             cfg(p_lo, PROBE_DECODE + 2, slots),
         ];
-        // Batch = b_lo at two decode lengths; at b_lo == slots the first
-        // batch = slots probe already is the first of them, and the
-        // second is not needed.
+        // Batch = b_lo: one run whose tail ends in F(48), F(49); at
+        // b_lo == slots the batch = slots run already holds them.
         if b_lo != slots {
-            shapes.push(cfg(p_lo, PROBE_DECODE, b_lo));
             shapes.push(cfg(p_lo, PROBE_DECODE + 1, b_lo));
         }
         // The prefill-slope anchor.
@@ -156,21 +161,35 @@ impl Anchors {
     }
 }
 
-/// A serve probe's TTFT in grid units.
-fn ttft_units(report: &IterationReport) -> Result<i64, LoadError> {
-    let stats = report.serve.expect("serve probe reports serve stats");
-    units(stats.ttft, "ttft")
+/// What one probe run reports to [`StepCostModel::price`]: its TTFT and
+/// its decode tail, the makespans after its last three decode tokens.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeRun {
+    /// Time to first token of the run.
+    pub ttft: Seconds,
+    /// `[F(L−2), F(L−1), F(L)]` of an `L`-token run: each the iteration
+    /// time a separate run of that many tokens reports.
+    pub tail: DecodeTail,
 }
 
 impl StepCostModel {
-    /// The serve waves [`StepCostModel::price`] probes to price `plan`
-    /// for `serve`-shaped requests with up to `slots` in flight against
-    /// `arrivals`, in probe order: the worst-case feasibility probe,
-    /// three decode lengths at batch `slots`, two at the plan's low-batch
-    /// anchor `b_lo` (only when `b_lo != slots`), and the prefill-slope
-    /// probe. `price` stops at the first failing probe, so it may run
-    /// only a prefix of this list. Empty when `price` fails before
-    /// probing (zero `slots`, no arrivals).
+    /// The serve shapes [`StepCostModel::price`] uses to price `plan` for
+    /// `serve`-shaped requests with up to `slots` in flight against
+    /// `arrivals`, in order:
+    ///
+    /// 1. the worst-case shape (`slots` sequences at the longest prompt
+    ///    and decode), only checked for feasibility, never run;
+    /// 2. one 50-token run at batch `slots`, whose decode tail gives
+    ///    F(48), F(49) and F(50);
+    /// 3. one 49-token run at the plan's low-batch anchor `b_lo`, whose
+    ///    tail gives F(48) and F(49) there (only when `b_lo != slots`);
+    /// 4. the prefill-slope run at the longest context, for its TTFT.
+    ///
+    /// A flat plan (`b_lo = 1`) thus costs three engine runs and a
+    /// pipelined one with `b_lo == slots` two, each plus one feasibility
+    /// check. `price` stops at the first failing shape, so it may use only
+    /// a prefix of this list. Empty when `price` fails before probing
+    /// (zero `slots`, no arrivals).
     ///
     /// Pricing several plans against one request set probes few distinct
     /// shapes (the list depends on the plan only through `b_lo`), so a
@@ -193,11 +212,19 @@ impl StepCostModel {
     /// in `arrivals` (their prompt/decode extremes pick the probe
     /// anchors and the worst-case feasibility check).
     ///
-    /// `probe` evaluates `plan` on one synchronized serve wave of the
-    /// given shape (`madmax_engine::Scenario::price_load` passes the
-    /// engine's evaluator); its errors pass through unchanged. It is
-    /// called with the shapes of [`StepCostModel::probe_shapes`], in
-    /// order, until one fails.
+    /// `feasible` checks that `plan` can run one synchronized serve wave
+    /// of the given shape, and `probe` runs it
+    /// (`madmax_engine::Scenario::price_load` passes the engine's
+    /// feasibility check and evaluator); their errors pass through
+    /// unchanged. They are called with the shapes of
+    /// [`StepCostModel::probe_shapes`], in order (`feasible` with the
+    /// first, `probe` with the rest), until one fails.
+    ///
+    /// Each run reports the makespans after its last three decode tokens
+    /// ([`ProbeRun::tail`]), so one run per decode ladder — a prompt and
+    /// a batch — prices what separate runs at each decode length would:
+    /// the model equals the one priced from one run per length, bit for
+    /// bit.
     ///
     /// # Errors
     ///
@@ -210,7 +237,8 @@ impl StepCostModel {
         serve: &ServeConfig,
         slots: usize,
         arrivals: &[ArrivalEvent],
-        mut probe: impl FnMut(ServeConfig) -> Result<IterationReport, E>,
+        feasible: impl FnOnce(ServeConfig) -> Result<(), E>,
+        mut probe: impl FnMut(ServeConfig) -> Result<ProbeRun, E>,
     ) -> Result<Self, E> {
         if slots == 0 {
             return Err(LoadError::Spec("slots must be >= 1".to_owned()).into());
@@ -219,21 +247,21 @@ impl StepCostModel {
             return Err(LoadError::Spec("no arrivals to price against".to_owned()).into());
         };
         let Anchors { p_lo, b_lo, .. } = anchors;
-        let mut probes = anchors.shapes(serve, slots).into_iter().map(&mut probe);
-        let mut next = || probes.next().expect("one probe shape per anchor");
+        let mut shapes = anchors.shapes(serve, slots).into_iter();
+        let mut next = || shapes.next().expect("one probe shape per anchor");
 
         // Worst-case feasibility: `slots` sequences at the largest
         // context must fit device memory (the paged-block budget is a
         // separate, runtime constraint).
-        next()?;
+        feasible(next())?;
 
-        // Batch = slots: three consecutive decode lengths give the last
-        // step's cost (first difference) and the per-step KV growth
-        // (second difference).
-        let f1_report = next()?;
-        let f1 = units(f1_report.iteration_time, "iteration")?;
-        let f2 = units(next()?.iteration_time, "iteration")?;
-        let f3 = units(next()?.iteration_time, "iteration")?;
+        // Batch = slots: the last three decode lengths of one run give
+        // the last step's cost (first difference) and the per-step KV
+        // growth (second difference).
+        let cap = probe(next())?;
+        let f1 = units(cap.tail[0], "iteration")?;
+        let f2 = units(cap.tail[1], "iteration")?;
+        let f3 = units(cap.tail[2], "iteration")?;
         let p_cap = f3 - f2;
         let r_cap = (f3 - f2) - (f2 - f1);
         if p_cap <= 0 {
@@ -246,15 +274,14 @@ impl StepCostModel {
 
         // Batch = b_lo: separates the per-sequence term, and its TTFT
         // prices a request's prefill. At b_lo == slots the batch = slots
-        // probes already are these.
+        // run already is this one.
         let (p_one, ttft_lo) = if slots == b_lo {
-            (f2 - f1, ttft_units(&f1_report)?)
+            (f2 - f1, units(cap.ttft, "ttft")?)
         } else {
-            let g1 = next()?;
-            let g2 = next()?;
+            let low = probe(next())?;
             (
-                units(g2.iteration_time, "iteration")? - units(g1.iteration_time, "iteration")?,
-                ttft_units(&g1)?,
+                units(low.tail[2], "iteration")? - units(low.tail[1], "iteration")?,
+                units(low.ttft, "ttft")?,
             )
         };
         if p_one <= 0 {
@@ -266,8 +293,8 @@ impl StepCostModel {
 
         // Prefill slope: the second anchor sits at the largest context a
         // recomputed prefill can see (prompt + generated tokens).
-        let ttft_hi = ttft_units(&next()?)?;
-        debug_assert!(probes.next().is_none(), "every probe shape was run");
+        let ttft_hi = units(probe(next())?.ttft, "ttft")?;
+        debug_assert!(shapes.next().is_none(), "every probe shape was used");
         let ctx_hi = anchors.ctx_hi();
         let span = (ctx_hi - p_lo) as i64;
         let prefill_slope = div_round((ttft_hi - ttft_lo).max(0), span);
@@ -343,12 +370,12 @@ impl StepCostModel {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use madmax_core::steady::grid_seconds;
-    use madmax_core::ServeStats;
-    use madmax_hw::units::Seconds;
-    use madmax_model::{BatchUnit, ModelId};
-    use madmax_parallel::{MemoryBreakdown, PipelineConfig, PlanError};
+    use madmax_model::ModelId;
+    use madmax_parallel::{PipelineConfig, PlanError};
 
     fn arrivals(prompt: usize, decode: usize, n: usize) -> Vec<ArrivalEvent> {
         (0..n)
@@ -368,38 +395,27 @@ mod tests {
     const PREFILL: (i64, i64) = (40_000, 300);
     const STEP: (i64, i64, i64) = (9_000, 700, 3);
 
-    fn wave(cfg: ServeConfig) -> Result<IterationReport, LoadError> {
+    /// The synthetic wave's makespan after `d` decode tokens of shape
+    /// `cfg`, grid units.
+    fn makespan(cfg: &ServeConfig, d: usize) -> i64 {
         let ctx = cfg.prompt_len.expect("probes pin the prompt") as i64;
         let batch = cfg.decode_batch.expect("probes pin the batch") as i64;
-        let ttft = PREFILL.0 + PREFILL.1 * ctx;
-        let decode: i64 = (0..cfg.decode_len as i64)
+        let decode: i64 = (0..d as i64)
             .map(|j| STEP.0 + STEP.1 * batch + STEP.2 * batch * (ctx + j))
             .sum();
-        let iteration = grid_seconds(ttft + decode);
-        Ok(IterationReport {
-            iteration_time: iteration,
-            serialized_time: iteration,
-            gemm_time: Seconds::ZERO,
-            lookup_time: Seconds::ZERO,
-            optimizer_time: Seconds::ZERO,
-            comm_time: Seconds::ZERO,
-            comm_by_collective: Default::default(),
-            gemm_by_class: Default::default(),
-            exposed_comm: Seconds::ZERO,
-            exposed_by_collective: Default::default(),
-            bubble_fraction: None,
-            memory: MemoryBreakdown::default(),
-            serve: Some(ServeStats {
-                prompt_len: ctx as usize,
-                decode_len: cfg.decode_len,
-                decode_batch: batch as usize,
-                ttft: grid_seconds(ttft),
-                tpot: grid_seconds(decode / (cfg.decode_len as i64).max(1)),
-            }),
-            global_batch: batch as usize,
-            tokens_per_iteration: 0.0,
-            batch_unit: BatchUnit::Tokens,
+        PREFILL.0 + PREFILL.1 * ctx + decode
+    }
+
+    fn wave(cfg: ServeConfig) -> Result<ProbeRun, LoadError> {
+        let l = cfg.decode_len;
+        Ok(ProbeRun {
+            ttft: grid_seconds(makespan(&cfg, 0)),
+            tail: [l - 2, l - 1, l].map(|d| grid_seconds(makespan(&cfg, d))),
         })
+    }
+
+    fn fits(_: ServeConfig) -> Result<(), LoadError> {
+        Ok(())
     }
 
     #[test]
@@ -408,17 +424,15 @@ mod tests {
         let plan = Plan::fsdp_baseline(&model);
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let slots = 8usize;
-        let m = StepCostModel::price(&plan, &serve, slots, &arrivals(256, 64, 4), wave).unwrap();
+        let m =
+            StepCostModel::price(&plan, &serve, slots, &arrivals(256, 64, 4), fits, wave).unwrap();
         // Every coefficient of an exactly affine engine is recovered.
         assert_eq!((m.prefill_base, m.prefill_slope), PREFILL);
         assert_eq!((m.step_base, m.step_seq, m.step_rate), STEP);
         // Held-out check: the model's step cost reproduces the engine's
         // first difference at an unprobed decode length.
-        let run = |d: usize| {
-            let cfg = ServeConfig::new(256, d).with_decode_batch(slots);
-            grid_units(wave(cfg).unwrap().iteration_time).unwrap()
-        };
-        let actual = run(73) - run(72);
+        let cfg = ServeConfig::new(256, 73).with_decode_batch(slots);
+        let actual = makespan(&cfg, 73) - makespan(&cfg, 72);
         let predicted = m
             .step_units(slots as u64, slots as i64 * (256 + 72))
             .unwrap();
@@ -438,7 +452,7 @@ mod tests {
             );
             wave(cfg)
         };
-        let m = StepCostModel::price(&plan, &serve, 4, &arrivals(128, 32, 2), probe).unwrap();
+        let m = StepCostModel::price(&plan, &serve, 4, &arrivals(128, 32, 2), fits, probe).unwrap();
         let short = m.prefill_units(128).unwrap();
         let long = m.prefill_units(160).unwrap();
         assert!(long >= short);
@@ -449,39 +463,58 @@ mod tests {
     fn price_probes_exactly_the_probe_shapes_in_order() {
         let model = ModelId::Llama2.build();
         let flat = Plan::fsdp_baseline(&model);
+        // (plan, slots, shapes used, engine runs among them): the first
+        // shape is only checked for feasibility.
         let cases = [
             // Flat: b_lo = 1 < slots.
-            (flat.clone(), 8usize, 7usize),
+            (flat.clone(), 8usize, 4usize, 3usize),
             // Pipelined below the slots: b_lo = microbatches = 2.
             (
                 flat.clone().with_pipeline(PipelineConfig::gpipe(4, 2)),
                 8,
-                7,
+                4,
+                3,
             ),
             // Pipelined at or above the slots: b_lo == slots.
             (
                 flat.clone().with_pipeline(PipelineConfig::gpipe(4, 8)),
                 8,
-                5,
+                3,
+                2,
             ),
-            (flat.with_pipeline(PipelineConfig::gpipe(4, 16)), 8, 5),
+            (flat.with_pipeline(PipelineConfig::gpipe(4, 16)), 8, 3, 2),
         ];
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let mut reqs = arrivals(256, 64, 3);
         reqs[1].prompt_len = 96;
         reqs[2].decode_len = 80;
-        for (plan, slots, count) in cases {
-            let mut seen = Vec::new();
+        for (plan, slots, count, runs) in cases {
+            let seen = RefCell::new(Vec::new());
+            let checked = |cfg: ServeConfig| {
+                seen.borrow_mut().push(cfg);
+                fits(cfg)
+            };
             let probe = |cfg: ServeConfig| {
-                seen.push(cfg);
+                seen.borrow_mut().push(cfg);
                 wave(cfg)
             };
-            StepCostModel::price(&plan, &serve, slots, &reqs, probe).unwrap();
+            StepCostModel::price(&plan, &serve, slots, &reqs, checked, probe).unwrap();
             let shapes = StepCostModel::probe_shapes(&plan, &serve, slots, &reqs);
-            assert_eq!(seen, shapes, "{}", plan.summary());
+            assert_eq!(seen.into_inner(), shapes, "{}", plan.summary());
             assert_eq!(shapes.len(), count, "{}", plan.summary());
-            for (i, a) in shapes.iter().enumerate() {
-                assert!(!shapes[..i].contains(a), "{a:?} probed twice");
+            assert_eq!(shapes.len() - 1, runs, "{}", plan.summary());
+            // The worst case covers the longest prompt and decode.
+            assert_eq!(shapes[0].prompt_len, Some(256));
+            assert_eq!(shapes[0].decode_len, 80);
+            // One run per decode ladder: no two runs share a prompt and
+            // a batch.
+            for (i, a) in shapes.iter().enumerate().skip(1) {
+                assert!(
+                    !shapes[1..i]
+                        .iter()
+                        .any(|b| (b.prompt_len, b.decode_batch) == (a.prompt_len, a.decode_batch)),
+                    "{a:?} probed twice"
+                );
             }
         }
         // No probe at all when pricing fails up front.
@@ -497,33 +530,42 @@ mod tests {
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let reqs = arrivals(256, 64, 2);
         let shapes = StepCostModel::probe_shapes(&plan, &serve, 8, &reqs);
-        let mut seen = Vec::new();
+        let seen = RefCell::new(Vec::new());
+        let checked = |cfg: ServeConfig| {
+            seen.borrow_mut().push(cfg);
+            fits(cfg)
+        };
+        // The second run (the third shape) fails.
         let probe = |cfg: ServeConfig| {
-            seen.push(cfg);
-            if seen.len() == 3 {
+            seen.borrow_mut().push(cfg);
+            if seen.borrow().len() == 3 {
                 Err(LoadError::Spec("probe failed".to_owned()))
             } else {
                 wave(cfg)
             }
         };
-        let err = StepCostModel::price(&plan, &serve, 8, &reqs, probe).unwrap_err();
+        let err = StepCostModel::price(&plan, &serve, 8, &reqs, checked, probe).unwrap_err();
         assert!(err.to_string().contains("probe failed"), "{err}");
-        assert_eq!(seen, shapes[..3]);
+        assert_eq!(seen.into_inner(), shapes[..3]);
     }
 
     #[test]
     fn oom_probes_surface_as_plan_errors() {
+        // An infeasible worst case stops pricing before any run.
         let model = ModelId::Llama2.build();
         let plan = Plan::fsdp_baseline(&model);
         let serve = ServeConfig::new(4096, 2_000_000).with_decode_batch(1 << 14);
-        let oom = |_: ServeConfig| -> Result<IterationReport, LoadError> {
+        let oom = |_: ServeConfig| -> Result<(), LoadError> {
             Err(LoadError::Plan(PlanError::OutOfMemory {
                 required: madmax_hw::units::ByteCount::from_gb(2.0),
                 usable: madmax_hw::units::ByteCount::from_gb(1.0),
             }))
         };
-        let err = StepCostModel::price(&plan, &serve, 1 << 14, &arrivals(4096, 2_000_000, 1), oom)
-            .unwrap_err();
+        let no_run = |cfg: ServeConfig| -> Result<ProbeRun, LoadError> {
+            panic!("{cfg:?} ran after a failed feasibility check")
+        };
+        let reqs = arrivals(4096, 2_000_000, 1);
+        let err = StepCostModel::price(&plan, &serve, 1 << 14, &reqs, oom, no_run).unwrap_err();
         assert!(err.is_oom(), "{err}");
     }
 }

@@ -15,9 +15,10 @@
 //! grid, and their closed-form steady-state path (`madmax_core::steady`)
 //! guarantees decode-step durations form exact affine series in the
 //! KV-cache position. [`StepCostModel::price`] extracts that affine
-//! structure with a handful of analytic probe evaluations (first/second
-//! differences of consecutive decode lengths, at one and at `slots`
-//! in-flight sequences) into integer grid-unit coefficients:
+//! structure from two or three engine runs (first/second differences of
+//! consecutive decode lengths, read off each run's decode tail, at the
+//! low-batch anchor and at `slots` in-flight sequences) into integer
+//! grid-unit coefficients:
 //!
 //! ```text
 //! prefill(ctx)   = prefill_base + prefill_slope * ctx
@@ -60,7 +61,7 @@ pub mod sim;
 pub mod trace;
 
 pub use arrival::{materialize_arrivals, parse_request_jsonl, ArrivalEvent};
-pub use cost::StepCostModel;
+pub use cost::{ProbeRun, StepCostModel};
 pub use report::{LoadReport, Percentiles, RequestOutcome};
 pub use sim::{simulate_load, simulate_load_faulty, LoadOutcome, SimCounters, SimMode};
 pub use trace::{

@@ -254,6 +254,18 @@ fn cli_rejects_zero_decode_batch_and_prompt() {
 }
 
 #[test]
+fn cli_rejects_a_serve_shape_overflowing_the_kv_cache() {
+    let decode = usize::MAX.to_string();
+    let out = madmax(&[
+        "simulate", "--model", "llama2", "--system", "llama", "--task", "serve", "--prompt", "256",
+        "--decode", &decode,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("overflows the KV-cache length"), "{stderr}");
+}
+
+#[test]
 fn cli_rejects_non_finite_or_non_positive_slos() {
     let load = "--model llama2 --system llama --task serve --prompt 256 --decode 16 \
                 --arrival-rate 0.1 --arrival-count 4 --slo-ttft-p99";

@@ -22,7 +22,15 @@
 //! - **Shared probe tables**: pricing a plan's step cost model against
 //!   the load-probe tables shared across a search's plans
 //!   (`Scenario::price_load_probes`) is byte-identical to pricing it on
-//!   its own one-plan tables, model or error.
+//!   its own one-plan tables, model or error;
+//! - **Decode tails**: every entry of a serve run's decode tail
+//!   (`EngineScratch::decode_tail`) is the iteration time of a separate
+//!   run at that decode length, bit for bit, in both engines, through the
+//!   closed form and full simulation, and through the pipeline report
+//!   memo; its TTFT is theirs too;
+//! - **An independent cost-model oracle**: `Scenario::price_load`, which
+//!   prices one run per decode ladder, equals `StepCostModel::price` fed
+//!   one separate engine run per decode length, field for field.
 //!
 //! [`StepCostModel`]: madmax_serve::StepCostModel
 //! [`LoadReport`]: madmax_serve::LoadReport
@@ -31,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
+use madmax_core::EngineScratch;
 use madmax_dse::{
     CandidateEvent, Explorer, LoadAxes, LoadSearchOutcome, PipelineAxes, ProgressSink, SearchSpace,
     SearchTelemetry,
@@ -39,9 +48,12 @@ use madmax_engine::{EngineError, Scenario, SimMode};
 use madmax_hw::catalog;
 use madmax_hw::units::Seconds;
 use madmax_model::{LayerClass, ModelId};
+use madmax_parallel::PipelineConfig;
 use madmax_parallel::{HierStrategy, Plan, Strategy};
 use madmax_parallel::{LoadSpec, PipelineSchedule, ServeConfig, Workload};
-use madmax_serve::{parse_request_jsonl, LoadOutcome, StepCostModel};
+use madmax_serve::{
+    materialize_arrivals, parse_request_jsonl, LoadOutcome, ProbeRun, StepCostModel,
+};
 
 /// A randomized but always-valid Poisson load spec: `paged = 0` leaves
 /// the KV budget unbounded, anything else pages it down to a tight
@@ -205,6 +217,98 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&event.report, &naive.report);
         prop_assert_eq!(&event.trace.records, &naive.trace.records);
+    }
+
+    /// A serve run's decode tail holds, bit for bit, the iteration times
+    /// of separate runs at its last three decode lengths, and their TTFT
+    /// is the run's: for zoo LLMs, flat and pipelined plans, the closed
+    /// form and full simulation, decode lengths around the explicit
+    /// prefix (4 tokens) and the closed form's threshold (32), and a
+    /// GPipe/1F1B sibling pair whose second run is a report-memo hit.
+    #[test]
+    fn decode_tail_matches_separate_runs(
+        model_ix in 0usize..4,
+        prompt in 16usize..512,
+        decode in prop_oneof![3usize..9, 28usize..37, 47usize..51],
+        batch in 1usize..9,
+        depth_ix in 0usize..3,
+        microbatches_ix in 0usize..3,
+        tp in 0usize..2,
+        analytic in 0usize..2,
+    ) {
+        let id = [ModelId::Llama2, ModelId::Gpt3, ModelId::Llama, ModelId::LlmMoe][model_ix];
+        let model = id.build();
+        let sys = catalog::llama_llm_system();
+        let analytic = analytic == 1;
+        let mut flat = Plan::fsdp_baseline(&model);
+        if tp == 1 {
+            flat = flat.with_strategy(
+                LayerClass::Transformer,
+                HierStrategy::two_level(Strategy::Tp, Strategy::Fsdp),
+            );
+        }
+        let (depth, microbatches) = ([1, 2, 4][depth_ix], [1, 2, 4][microbatches_ix]);
+        let serve = |d: usize| Workload::serve(ServeConfig::new(prompt, d).with_decode_batch(batch));
+        let workload = serve(decode);
+        // Each plan's run on the tables a search would attach, with the
+        // tail it leaves in the scratch.
+        let mut runs = Vec::new();
+        if depth == 1 {
+            let mut scratch = EngineScratch::new();
+            let report = Scenario::new(&model, &sys)
+                .workload_ref(&workload)
+                .plan_ref(&flat)
+                .analytic_serve(analytic)
+                .run_in(&mut scratch);
+            runs.push((flat.clone(), report, scratch.decode_tail));
+        } else {
+            let siblings = [
+                flat.clone().with_pipeline(PipelineConfig::gpipe(depth, microbatches)),
+                flat.clone().with_pipeline(PipelineConfig::one_f_one_b(depth, microbatches)),
+            ];
+            let table = Scenario::new(&model, &sys)
+                .workload_ref(&workload)
+                .price_pipeline_plans(&siblings);
+            for plan in siblings {
+                let mut scratch = EngineScratch::new();
+                let report = Scenario::new(&model, &sys)
+                    .workload_ref(&workload)
+                    .plan_ref(&plan)
+                    .pipeline_costs(&table)
+                    .analytic_serve(analytic)
+                    .run_in(&mut scratch);
+                runs.push((plan, report, scratch.decode_tail));
+            }
+            // A feasible second sibling comes out of the first one's memo
+            // entry.
+            let hits = u64::from(runs[0].1.is_ok());
+            prop_assert_eq!(table.memo_stats().hits, hits);
+        }
+        for (plan, report, tail) in runs {
+            let alone = |d: usize| {
+                Scenario::new(&model, &sys)
+                    .workload(serve(d))
+                    .plan_ref(&plan)
+                    .analytic_serve(analytic)
+                    .run()
+            };
+            let Ok(report) = report else {
+                prop_assert_eq!(report.unwrap_err(), alone(decode).unwrap_err());
+                continue;
+            };
+            let tail = tail.expect("a serve run of at least three tokens has a tail");
+            let ttft = report.serve.unwrap().ttft;
+            for (i, f) in tail.iter().enumerate() {
+                let d = decode - 2 + i;
+                let separate = alone(d).unwrap();
+                prop_assert_eq!(
+                    f.as_secs().to_bits(),
+                    separate.iteration_time.as_secs().to_bits(),
+                    "{} {:?} F({}) analytic {}", plan.summary(), id, d, analytic
+                );
+                prop_assert_eq!(separate.serve.unwrap().ttft, ttft);
+            }
+        }
     }
 }
 
@@ -409,13 +513,14 @@ fn probe_tables_priced_for_another_plan_fall_back() {
     let tables = scenario
         .price_load_probes(&spec, std::slice::from_ref(&flat))
         .unwrap();
-    // Flat at b_lo = 1 < slots: seven shapes, flat tables only.
-    assert_eq!((tables.shape_count(), tables.table_count()), (7, 7));
-    // Only an equal plan probes the shared tables (each probe counts one
-    // serve evaluation); the pipelined plan and the unpriced strategy
-    // fall back.
+    // Flat at b_lo = 1 < slots: four shapes (the worst case, two decode
+    // ladders and the prefill-slope anchor), flat tables only.
+    assert_eq!((tables.shape_count(), tables.table_count()), (4, 4));
+    // Only an equal plan probes the shared tables (each engine run counts
+    // one serve evaluation; the worst case is only checked, not run); the
+    // pipelined plan and the unpriced strategy fall back.
     let equal = flat.clone();
-    for (plan, shared_probes) in [(&equal, 7), (&piped, 0), (&other, 0)] {
+    for (plan, shared_probes) in [(&equal, 3), (&piped, 0), (&other, 0)] {
         let alone = Scenario::new(&model, &sys)
             .workload_ref(&workload)
             .plan_ref(plan);
@@ -465,5 +570,141 @@ fn load_search_on_shared_probe_tables_matches_one_plan_pricing() {
                 }
             }
         }
+    }
+}
+
+/// The cost model `StepCostModel::price` builds from one separate engine
+/// run per decode length, an oracle independent of decode tails: the
+/// worst-case shape is run and its report thrown away, and each probe
+/// shape of `L` tokens runs at `L − 2`, `L − 1` and `L` tokens.
+fn price_one_run_per_length(
+    scenario: impl Fn(ServeConfig) -> Result<madmax_core::IterationReport, EngineError>,
+    plan: &Plan,
+    serve: &ServeConfig,
+    model: &madmax_model::ModelArch,
+    spec: &LoadSpec,
+) -> Result<StepCostModel, EngineError> {
+    let arrivals = materialize_arrivals(&spec.arrivals, serve, model)?;
+    let slots = spec.slots.unwrap_or_else(|| serve.effective_batch(model));
+    let at = |cfg: ServeConfig, d: usize| {
+        scenario(ServeConfig {
+            decode_len: d,
+            ..cfg
+        })
+    };
+    StepCostModel::price(
+        plan,
+        serve,
+        slots,
+        &arrivals,
+        |cfg| scenario(cfg).map(drop),
+        |cfg| {
+            let l = cfg.decode_len;
+            let (f0, f1, last) = (at(cfg, l - 2)?, at(cfg, l - 1)?, at(cfg, l)?);
+            Ok(ProbeRun {
+                ttft: last.serve.unwrap().ttft,
+                tail: [f0.iteration_time, f1.iteration_time, last.iteration_time],
+            })
+        },
+    )
+}
+
+#[test]
+fn price_load_matches_one_run_per_decode_length() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let serve = ServeConfig::new(256, 64).with_decode_batch(8);
+    let workload = Workload::serve(serve);
+    let flat = Plan::fsdp_baseline(&model);
+    // Flat (b_lo = 1), pipelined below the slots (b_lo = 4) and at them
+    // (b_lo == slots).
+    let plans = [
+        flat.clone(),
+        flat.clone().with_pipeline(PipelineConfig::gpipe(2, 4)),
+        flat.with_pipeline(PipelineConfig::gpipe(4, 8)),
+    ];
+    let mut priced_ok = 0;
+    for analytic in [true, false] {
+        for plan in &plans {
+            let run = |cfg: ServeConfig| {
+                Scenario::new(&model, &sys)
+                    .workload(Workload::serve(cfg))
+                    .plan_ref(plan)
+                    .analytic_serve(analytic)
+                    .run()
+            };
+            for spec in probe_specs() {
+                let oracle = priced(price_one_run_per_length(run, plan, &serve, &model, &spec));
+                let tails = priced(
+                    Scenario::new(&model, &sys)
+                        .workload_ref(&workload)
+                        .plan_ref(plan)
+                        .analytic_serve(analytic)
+                        .price_load(&spec),
+                );
+                assert_eq!(tails, oracle, "{} under {spec:?}", plan.summary());
+                priced_ok += usize::from(oracle.is_ok());
+            }
+        }
+    }
+    assert!(priced_ok > 0);
+}
+
+#[test]
+fn price_load_keeps_the_pinned_coefficients() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let workload = Workload::serve(ServeConfig::new(256, 64).with_decode_batch(8));
+    let spec = LoadSpec::poisson(0.1, 6, 3);
+    let flat = Plan::fsdp_baseline(&model);
+    let piped = flat.clone().with_pipeline(PipelineConfig::gpipe(4, 8));
+    // (prefill_base, prefill_slope, step_base, step_seq, step_rate, slots),
+    // as priced from one engine run per decode length.
+    for (plan, pinned) in [
+        (&flat, (372_911_757_713, 1063, 372_911_759_285, 0, 0, 8)),
+        (&piped, (93_593_821_652, 937_307, 673_944, 0, 28, 8)),
+    ] {
+        for analytic in [true, false] {
+            let m = Scenario::new(&model, &sys)
+                .workload_ref(&workload)
+                .plan_ref(plan)
+                .analytic_serve(analytic)
+                .price_load(&spec)
+                .unwrap();
+            let got = (
+                m.prefill_base,
+                m.prefill_slope,
+                m.step_base,
+                m.step_seq,
+                m.step_rate,
+                m.slots,
+            );
+            assert_eq!(got, pinned, "{} analytic {analytic}", plan.summary());
+        }
+    }
+}
+
+#[test]
+fn a_trace_request_overflowing_the_kv_cache_is_rejected() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let trace = parse_request_jsonl(&format!(
+        "{{\"arrival\": 0.0, \"prompt_len\": 256, \"decode_len\": {}}}\n",
+        usize::MAX
+    ))
+    .unwrap();
+    let spec = LoadSpec::trace(trace);
+    let scenario = Scenario::new(&model, &sys).workload(Workload::serve(
+        ServeConfig::new(256, 64).with_decode_batch(8),
+    ));
+    for result in [
+        scenario.price_load(&spec),
+        scenario
+            .price_load_probes(&spec, &[Plan::fsdp_baseline(&model)])
+            .and_then(|tables| scenario.load_probes(&tables).price_load(&spec)),
+    ] {
+        let err = result.unwrap_err();
+        assert!(matches!(err, EngineError::InvalidLoad { .. }), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 }
