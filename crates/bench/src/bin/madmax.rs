@@ -51,7 +51,11 @@
 //!   command reports checkpoint/restart *goodput* (closed-form
 //!   Young/Daly, cross-checked against a seeded discrete-event replay);
 //!   on `search`, candidates are ranked by goodput-optimal effective
-//!   throughput instead of iteration latency.
+//!   throughput instead of iteration latency. The goodput search skips
+//!   the simulation of every candidate whose iteration-time lower bound
+//!   proves it can beat neither the goodput nor the latency winner: the
+//!   `goodput evaluations` it prints count the simulated candidates'
+//!   points only, and `--telemetry` reports the skipped ones as `pruned`.
 //! - `--checkpoint-interval S` — seconds of useful work between
 //!   checkpoint writes (default: the Young/Daly optimum; `search`
 //!   accepts a comma ladder and sweeps it per candidate).

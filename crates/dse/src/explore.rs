@@ -478,17 +478,17 @@ impl<'a> Explorer<'a> {
                 1.0 / r.iteration_time.as_secs()
             }
         };
-        let optimistic = |s: &Scenario<'_>| -> Result<Option<f64>, EngineError> {
+        let optimistic = |s: &Scenario<'_>| -> Result<Option<[f64; 1]>, EngineError> {
             Ok(s.lower_bound()?.and_then(|bound| {
                 if serve_ranked {
                     s.serve_tokens_per_iteration()
-                        .map(|tokens| tokens / bound.as_secs())
+                        .map(|tokens| [tokens / bound.as_secs()])
                 } else {
-                    Some(1.0 / bound.as_secs())
+                    Some([1.0 / bound.as_secs()])
                 }
             }))
         };
-        let scored = |r: &Option<IterationReport>| r.as_ref().map(rank);
+        let scored = |r: &Option<IterationReport>| r.as_ref().map(|r| [rank(r)]);
         // The baseline combo re-appears among the candidates; the driver
         // counts it `ok` instead of simulating it again. A pruned
         // candidate stays `ok` but is not simulated (`None`).
@@ -503,7 +503,7 @@ impl<'a> Explorer<'a> {
                 optimistic: &optimistic,
                 score: &scored,
                 pruned: || None,
-                floor: rank(&baseline),
+                floor: [rank(&baseline)],
             }),
         });
 

@@ -13,28 +13,34 @@
 //! enumeration order, so every objective is deterministic at any thread
 //! count.
 //!
-//! An objective may also prune ([`Prune`]): [`Explorer::explore`] runs
-//! each variant as an exact, best-first branch-and-bound. The driver
-//! computes every candidate's optimistic score once (an upper bound on the
-//! score its simulation can reach, from `Scenario::lower_bound`: the
-//! busiest stream's summed op durations, and for a pipelined training or
+//! An objective may also prune ([`Prune`]): [`Explorer::explore`] and
+//! [`Explorer::explore_goodput`] run each variant as an exact, best-first
+//! branch-and-bound over a fixed-width score vector, one score for
+//! `explore` (tokens/s or reciprocal iteration time) and two for the
+//! goodput search (the best effective throughput and the fault-free
+//! throughput, the two rankings it reports). The driver computes every
+//! candidate's optimistic scores once (upper bounds on the scores its
+//! simulation can reach, from `Scenario::lower_bound`: the busiest
+//! stream's summed op durations, and for a pipelined training or
 //! forward-only plan each stage's compute stream from microbatch 0's fill
 //! chain through its last pass's drain chain; infeasible candidates
-//! resolve there with their error), simulates a
-//! fixed first wave of the [`FIRST_WAVE`] candidates with the best
-//! optimistic scores (ties to the earlier candidate), and takes the
-//! incumbent: the best score among the baseline, every earlier variant
-//! and this wave. Every remaining candidate whose optimistic score cannot
-//! strictly beat the incumbent ([`PRUNE_MARGIN`]) is pruned; the rest are
-//! simulated on the pool. A pruned candidate scores strictly below the
-//! incumbent, hence below the winner, so dropping it cannot change the
-//! first strictly-best candidate the objective's fold keeps. The wave, the
-//! incumbent and so the pruned set depend only on the candidates and the
-//! simulated results in enumeration order, never on which worker
-//! finished first: winners, reports and pruned counts are the same at any
-//! thread count. Pruned candidates count as `ok` and in
-//! [`SearchTelemetry::pruned`], and their progress events carry no
-//! iteration time.
+//! resolve there with their error), simulates a fixed first wave, the
+//! union over the dimensions of the [`FIRST_WAVE`] candidates with the
+//! best optimistic score on that dimension (ties to the earlier
+//! candidate), and takes the incumbent per dimension: the best score
+//! among the floor (the baseline's, for `explore`), every earlier variant
+//! and this wave. Every remaining candidate whose optimistic scores
+//! cannot strictly beat the incumbent on *any* dimension
+//! ([`PRUNE_MARGIN`]) is pruned; the rest are simulated on the pool. A
+//! pruned candidate scores strictly below the incumbent on every
+//! dimension, hence below every dimension's winner, so dropping it cannot
+//! change the first (or last) best candidate any of the objective's
+//! rankings keeps. The wave, the incumbent and so the pruned set depend
+//! only on the candidates and the simulated results in enumeration
+//! order, never on which worker finished first: winners, reports and
+//! pruned counts are the same at any thread count. Pruned candidates
+//! count as `ok` and in [`SearchTelemetry::pruned`], and their progress
+//! events carry no iteration time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -52,8 +58,8 @@ use super::Explorer;
 /// Fallback sink when no [`ProgressSink`] is attached.
 static NULL_SINK: NullSink = NullSink;
 
-/// Candidates a branch-and-bound simulates per workload variant before it
-/// fixes the incumbent (see the module docs).
+/// Candidates per score dimension a branch-and-bound simulates per
+/// workload variant before it fixes the incumbent (see the module docs).
 const FIRST_WAVE: usize = 4;
 
 /// Relative float margin of the pruning rule: a candidate is pruned only
@@ -123,24 +129,39 @@ where
     });
 }
 
-/// The first wave of a branch-and-bound: the [`FIRST_WAVE`] candidates
-/// with the highest optimistic scores (fewer when fewer are bounded),
-/// ties going to the earlier candidate, in enumeration order.
-fn first_wave(optimistic: &[Option<f64>]) -> Vec<usize> {
-    let mut ranked: Vec<(usize, f64)> = optimistic
+/// The first wave of a branch-and-bound: per score dimension, the
+/// [`FIRST_WAVE`] candidates with the highest optimistic scores on it
+/// (fewer when fewer are bounded), ties going to the earlier candidate;
+/// the union, deduplicated, in enumeration order.
+fn first_wave<const N: usize>(optimistic: &[Option<[f64; N]>]) -> Vec<usize> {
+    let bounded: Vec<(usize, [f64; N])> = optimistic
         .iter()
         .enumerate()
         .filter_map(|(i, o)| Some((i, (*o)?)))
         .collect();
-    // Stable: tied scores keep enumeration order.
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut wave: Vec<usize> = ranked
-        .into_iter()
-        .take(FIRST_WAVE)
-        .map(|(i, _)| i)
-        .collect();
+    let mut wave = Vec::with_capacity(N * FIRST_WAVE);
+    for d in 0..N {
+        let mut ranked = bounded.clone();
+        // Stable: tied scores keep enumeration order.
+        ranked.sort_by(|a, b| b.1[d].total_cmp(&a.1[d]));
+        wave.extend(ranked.into_iter().take(FIRST_WAVE).map(|(i, _)| i));
+    }
     wave.sort_unstable();
+    wave.dedup();
     wave
+}
+
+/// Whether optimistic scores `o` prove a candidate cannot strictly beat
+/// `incumbent` on any dimension (the pruning rule, with [`PRUNE_MARGIN`]).
+fn cannot_win<const N: usize>(o: &[f64; N], incumbent: &[f64; N]) -> bool {
+    o.iter()
+        .zip(incumbent)
+        .all(|(o, inc)| o * (1.0 + PRUNE_MARGIN) < *inc)
+}
+
+/// `incumbent` raised, per dimension, to `scores` when they beat it.
+fn raise<const N: usize>(incumbent: [f64; N], scores: [f64; N]) -> [f64; N] {
+    std::array::from_fn(|d| incumbent[d].max(scores[d]))
 }
 
 /// The shared tables an objective has priced once per workload variant,
@@ -158,8 +179,9 @@ pub(crate) enum Pricing<'o> {
     LoadProbes(&'o LoadSpec),
 }
 
-/// What a search objective does with one candidate.
-pub(crate) struct Objective<'o, T, F> {
+/// What a search objective does with one candidate; `N` is the width of
+/// its branch-and-bound score vector ([`Prune`]).
+pub(crate) struct Objective<'o, T, F, const N: usize = 1> {
     /// The tables to price per workload variant.
     pub(crate) pricing: Pricing<'o>,
     /// A (workload, plan) combination the objective already evaluated
@@ -175,23 +197,29 @@ pub(crate) struct Objective<'o, T, F> {
     pub(crate) iteration_ms: fn(&T) -> Option<f64>,
     /// Branch-and-bound pruning (see the module docs); `None` runs the
     /// step on every candidate.
-    pub(crate) prune: Option<Prune<'o, T>>,
+    pub(crate) prune: Option<Prune<'o, T, N>>,
 }
 
-/// How an objective ranks candidates for the driver's branch-and-bound.
-/// Scores are positive and higher is better.
-pub(crate) struct Prune<'o, T> {
-    /// A candidate's optimistic score: no result of the step on it scores
-    /// higher. `Ok(None)` leaves the candidate unbounded (it is always
-    /// simulated); an error resolves it without running the step.
-    pub(crate) optimistic: &'o (dyn Fn(&Scenario<'_>) -> Result<Option<f64>, EngineError> + Sync),
-    /// The score of a step's result (`None` for a pruned one).
-    pub(crate) score: &'o (dyn Fn(&T) -> Option<f64> + Sync),
+/// A candidate's optimistic scores, `None` when it has no bound, or the
+/// error that rules it out.
+type Bounded<const N: usize> = Result<Option<[f64; N]>, EngineError>;
+
+/// How an objective ranks candidates for the driver's branch-and-bound:
+/// `N` scores per candidate, each positive and higher-is-better.
+pub(crate) struct Prune<'o, T, const N: usize> {
+    /// A candidate's optimistic scores: no result of the step on it
+    /// scores higher on any dimension. `Ok(None)` leaves the candidate
+    /// unbounded (it is always simulated); an error resolves it without
+    /// running the step.
+    pub(crate) optimistic: &'o (dyn Fn(&Scenario<'_>) -> Bounded<N> + Sync),
+    /// The scores of a step's result (`None` for a pruned one).
+    pub(crate) score: &'o (dyn Fn(&T) -> Option<[f64; N]> + Sync),
     /// The result a pruned candidate resolves to; its progress event
     /// carries no iteration time.
     pub(crate) pruned: fn() -> T,
-    /// The score to beat before the first variant runs (the baseline's).
-    pub(crate) floor: f64,
+    /// The scores to beat before the first variant runs (the baseline's,
+    /// or `-inf` without one).
+    pub(crate) floor: [f64; N],
 }
 
 /// One evaluated candidate.
@@ -295,14 +323,14 @@ impl Explorer<'_> {
         self.evaluate_pooled(
             workload,
             plans,
-            &Objective {
+            &Objective::<_, _, 1> {
                 pricing: Pricing::Variant,
                 known: None,
                 step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
                 iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
                 prune: None,
             },
-            f64::NEG_INFINITY,
+            [f64::NEG_INFINITY],
         )
     }
 
@@ -314,9 +342,9 @@ impl Explorer<'_> {
     ///
     /// Panics when the space carries serve axes but the workload is not
     /// [`Workload::Serve`] — the axis would otherwise be silently ignored.
-    pub(crate) fn drive<T, F>(
+    pub(crate) fn drive<T, F, const N: usize>(
         &self,
-        objective: &Objective<'_, T, F>,
+        objective: &Objective<'_, T, F, N>,
     ) -> (Driven<T>, SearchTelemetry)
     where
         T: Send,
@@ -335,7 +363,7 @@ impl Explorer<'_> {
         let mut incumbent = objective
             .prune
             .as_ref()
-            .map_or(f64::NEG_INFINITY, |p| p.floor);
+            .map_or([f64::NEG_INFINITY; N], |p| p.floor);
         for workload in self.workload_variants() {
             let mut plans = self.candidates();
             let enumerated = plans.len();
@@ -354,7 +382,7 @@ impl Explorer<'_> {
                 incumbent = results
                     .iter()
                     .filter_map(|r| (prune.score)(r.as_ref().ok()?))
-                    .fold(incumbent, f64::max);
+                    .fold(incumbent, raise);
             }
             let resolved = (enumerated - plans.len()) as u64;
             batch.candidates += resolved;
@@ -373,14 +401,14 @@ impl Explorer<'_> {
     /// order, with the batch's telemetry (see
     /// [`Explorer::evaluate_with_telemetry`]): by the objective's step, or,
     /// when it prunes, by the branch-and-bound of the module docs against
-    /// `incumbent`, the best score of the earlier variants.
+    /// `incumbent`, the best scores of the earlier variants.
     /// `objective.known` is the caller's to apply.
-    fn evaluate_pooled<T, F>(
+    fn evaluate_pooled<T, F, const N: usize>(
         &self,
         workload: &Workload,
         plans: &[Plan],
-        objective: &Objective<'_, T, F>,
-        incumbent: f64,
+        objective: &Objective<'_, T, F, N>,
+        incumbent: [f64; N],
     ) -> (Vec<Result<T, EngineError>>, SearchTelemetry)
     where
         T: Send,
@@ -472,7 +500,7 @@ impl Explorer<'_> {
                 step(i, 0.0, worker)
             }),
             Some(prune) => {
-                // Every candidate's optimistic score, once; infeasible
+                // Every candidate's optimistic scores, once; infeasible
                 // candidates resolve here.
                 let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
                 run_pool(&mut pool, &all, &mut bounds, &|i, worker: &mut Worker| {
@@ -502,13 +530,12 @@ impl Explorer<'_> {
                 let incumbent = wave
                     .iter()
                     .filter_map(|&i| slots[i].as_ref()?.as_ref().ok().and_then(prune.score))
-                    .fold(incumbent, f64::max);
-                let cannot_win =
-                    |i: usize| optimistic[i].is_some_and(|o| o * (1.0 + PRUNE_MARGIN) < incumbent);
+                    .fold(incumbent, raise);
+                let prunable = |i: usize| optimistic[i].is_some_and(|o| cannot_win(&o, &incumbent));
                 let rest: Vec<usize> = all.into_iter().filter(|&i| slots[i].is_none()).collect();
-                pruned = rest.iter().filter(|&&i| cannot_win(i)).count() as u64;
+                pruned = rest.iter().filter(|&&i| prunable(i)).count() as u64;
                 run_pool(&mut pool, &rest, &mut slots, &|i, worker: &mut Worker| {
-                    if cannot_win(i) {
+                    if prunable(i) {
                         resolve(i, CandidateOutcome::Ok, None, bound_us[i], worker);
                         Ok((prune.pruned)())
                     } else {
@@ -568,17 +595,98 @@ mod tests {
         // the earliest three join, and the wave comes back in enumeration
         // order. Unbounded candidates never join.
         let optimistic = [
-            Some(1.0),
-            Some(5.0),
+            Some([1.0]),
+            Some([5.0]),
             None,
-            Some(5.0),
-            Some(5.0),
-            Some(9.0),
-            Some(5.0),
+            Some([5.0]),
+            Some([5.0]),
+            Some([9.0]),
+            Some([5.0]),
         ];
         assert_eq!(first_wave(&optimistic), vec![1, 3, 4, 5]);
         // Fewer bounded candidates than the wave: all of them.
-        assert_eq!(first_wave(&[None, Some(2.0), Some(2.0)]), vec![1, 2]);
-        assert!(first_wave(&[None, None]).is_empty());
+        assert_eq!(first_wave(&[None, Some([2.0]), Some([2.0])]), vec![1, 2]);
+        assert!(first_wave::<1>(&[None, None]).is_empty());
+    }
+
+    /// The single-score wave as it was before scores became vectors:
+    /// the [`FIRST_WAVE`] best bounded candidates, ties to the earlier,
+    /// in enumeration order.
+    fn single_score_wave(optimistic: &[Option<f64>]) -> Vec<usize> {
+        let mut ranked: Vec<(usize, f64)> = optimistic
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| Some((i, (*o)?)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut wave: Vec<usize> = ranked
+            .into_iter()
+            .take(FIRST_WAVE)
+            .map(|(i, _)| i)
+            .collect();
+        wave.sort_unstable();
+        wave
+    }
+
+    #[test]
+    fn one_dimensional_wave_is_the_single_score_wave() {
+        // Seeded score lists with many ties and unbounded candidates.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 0..40 {
+            let scores: Vec<Option<f64>> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (!state.is_multiple_of(5)).then_some((state % 7) as f64)
+                })
+                .collect();
+            let wrapped: Vec<Option<[f64; 1]>> = scores.iter().map(|o| o.map(|o| [o])).collect();
+            assert_eq!(
+                first_wave(&wrapped),
+                single_score_wave(&scores),
+                "{scores:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_dimensional_wave_is_the_per_dimension_union_in_enumeration_order() {
+        // Dimension 0 ranks 6, 5, 4, 3 first; dimension 1 ranks 0, 1, 2
+        // first and ties 3 and 7 for its fourth slot (the earlier, 3,
+        // joins). Candidate 3 is in both tops and joins once.
+        let optimistic = [
+            Some([0.0, 9.0]),
+            Some([1.0, 8.0]),
+            Some([2.0, 7.0]),
+            Some([3.0, 6.0]),
+            Some([4.0, 0.0]),
+            Some([5.0, 0.0]),
+            Some([6.0, 0.0]),
+            Some([0.0, 6.0]),
+            None,
+        ];
+        assert_eq!(first_wave(&optimistic), vec![0, 1, 2, 3, 4, 5, 6]);
+        // The same top on both dimensions: four candidates, not eight.
+        let aligned: Vec<Option<[f64; 2]>> =
+            (0..6).map(|i| Some([f64::from(i), f64::from(i)])).collect();
+        assert_eq!(first_wave(&aligned), vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_candidate_is_pruned_only_when_it_loses_on_every_dimension() {
+        let incumbent = [10.0, 4.0];
+        assert!(cannot_win(&[9.0, 3.0], &incumbent));
+        // Still able to beat (or tie) one incumbent: simulated.
+        assert!(!cannot_win(&[11.0, 3.0], &incumbent));
+        assert!(!cannot_win(&[9.0, 4.0], &incumbent));
+        // Within the float margin of an incumbent counts as a tie.
+        assert!(!cannot_win(&[10.0 * (1.0 - 1e-12), 3.0], &incumbent));
+        // No incumbent yet on a dimension: nothing is pruned.
+        assert!(!cannot_win(&[9.0, 3.0], &[10.0, f64::NEG_INFINITY]));
+        // One dimension is the single-score rule.
+        assert!(cannot_win(&[9.0], &[10.0]));
+        assert!(!cannot_win(&[10.0], &[10.0]));
+        assert_eq!(raise([10.0, 4.0], [9.0, 5.0]), [10.0, 5.0]);
     }
 }

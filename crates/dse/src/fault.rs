@@ -13,13 +13,22 @@
 //! [`GoodputSearchOutcome::plan_flip`]: as the fleet MTBF shrinks, the
 //! goodput-optimal plan diverges from the latency-optimal one — exactly
 //! the failure-awareness the fault-free explorer cannot see.
+//!
+//! The search is an exact branch-and-bound on the driver's two-score
+//! pruning. A goodput fraction depends only on the checkpoint (priced
+//! from the memory breakdown), the MTBF, the restart and the interval,
+//! never on the iteration time; so the same points priced at the
+//! candidate's iteration-time lower bound give optimistic scores for both
+//! rankings before any simulation. A candidate that can beat neither the
+//! goodput incumbent nor the fault-free incumbent is not simulated: it
+//! comes back with no error, no iteration time and no points.
 
 use madmax_engine::{EngineError, EngineScratch, FaultSpec, GoodputReport, Scenario};
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{Plan, Workload};
 
-use crate::explore::{Evaluated, Explorer, Objective, Pricing};
+use crate::explore::{Evaluated, Explorer, Objective, Pricing, Prune};
 
 /// The fault dimensions of a goodput search: one fault process (the
 /// fleet MTBF must be set) and the checkpoint intervals to sweep.
@@ -74,12 +83,13 @@ pub struct GoodputCandidate {
     /// The workload variant it ran.
     pub workload: Workload,
     /// One goodput evaluation per swept interval, in axes order. Empty
-    /// when the candidate failed to simulate.
+    /// when the candidate failed to simulate or was pruned.
     pub points: Vec<GoodputReport>,
     /// Index into [`GoodputCandidate::points`] of the best interval
     /// (highest effective throughput), if any.
     pub best_point: Option<usize>,
-    /// The candidate's fault-free iteration time, when it simulated.
+    /// The candidate's fault-free iteration time, when it simulated
+    /// (`None` when it failed or was pruned).
     pub iteration_time: Option<Seconds>,
     /// Why the candidate failed to simulate, when it did.
     pub error: Option<EngineError>,
@@ -95,9 +105,10 @@ impl GoodputCandidate {
 
     /// A driven candidate with its best swept interval picked (the last
     /// maximum wins).
-    fn from_evaluated(c: Evaluated<(Seconds, Vec<GoodputReport>)>) -> Self {
+    fn from_evaluated(c: Evaluated<Option<(Seconds, Vec<GoodputReport>)>>) -> Self {
         let (iteration_time, points, error) = match c.result {
-            Ok((t, points)) => (Some(t), points, None),
+            Ok(Some((t, points))) => (Some(t), points, None),
+            Ok(None) => (None, Vec::new(), None),
             Err(e) => (None, Vec::new(), Some(e)),
         };
         let best_point = points
@@ -128,12 +139,14 @@ pub struct GoodputSearchOutcome {
     /// with the highest fault-free throughput, i.e. what the plain
     /// explorer would have picked.
     pub fault_free_best: usize,
-    /// Goodput evaluations executed (points across all candidates).
+    /// Goodput evaluations executed: the points of every simulated
+    /// candidate. Pruned candidates contribute none (they are counted in
+    /// [`SearchTelemetry::pruned`]).
     pub evaluated: usize,
     /// Search counters for the fault-free simulations (one per
-    /// candidate; outcome counters reconcile, cache and per-worker stats
-    /// included), plus [`SearchTelemetry::goodput_evals`] carrying
-    /// `evaluated`.
+    /// candidate, pruned ones counted `ok`; outcome counters reconcile,
+    /// cache and per-worker stats included), plus
+    /// [`SearchTelemetry::goodput_evals`] carrying `evaluated`.
     pub telemetry: SearchTelemetry,
 }
 
@@ -167,17 +180,34 @@ impl Explorer<'_> {
     /// Candidates are the same (plan, workload-variant) combinations
     /// [`Explorer::explore`] evaluates, and they run on the same driver
     /// (shared cost tables, the worker pool, the attached progress sink,
-    /// per-worker telemetry). Each candidate's step simulates it once,
-    /// prices its checkpoint from the report, and evaluates every swept
-    /// interval in closed form ([`Scenario::goodput_points`]), so a
-    /// k-interval sweep costs one simulation, not k.
+    /// per-worker telemetry). Each simulated candidate's step runs it
+    /// once, prices its checkpoint from the report's memory breakdown, and
+    /// evaluates every swept interval in closed form
+    /// ([`Scenario::goodput_points`]), so a k-interval sweep costs one
+    /// simulation, not k.
     ///
     /// Ranking: highest [`GoodputCandidate::score`] — effective
     /// iterations/second at the best swept checkpoint interval.
     /// [`GoodputSearchOutcome::fault_free_best`] records what a
     /// fault-blind ranking would have picked, so
     /// [`GoodputSearchOutcome::plan_flip`] exposes divergence directly.
-    /// Results are identical at any thread count.
+    /// Both rankings keep the last maximum.
+    ///
+    /// The search is an exact branch-and-bound with two scores per
+    /// candidate, the best effective throughput and the fault-free
+    /// throughput. Each candidate's optimistic scores are its goodput
+    /// points priced at its iteration-time lower bound
+    /// ([`Scenario::lower_bound_with_memory`]): the fractions are those of
+    /// the simulated points, and the throughputs are at least theirs. Per
+    /// workload variant the four best candidates on each score are
+    /// simulated first; every other candidate whose optimistic scores lie
+    /// strictly below both incumbents is pruned. A pruned
+    /// [`GoodputCandidate`] has no error, no iteration time, no points and
+    /// no best point; it counts `ok` and in [`SearchTelemetry::pruned`].
+    /// Since it scores strictly below both winners, `best_candidate`,
+    /// `fault_free_best` and `plan_flip` are those of simulating every
+    /// candidate. Results, pruned set included, are identical at any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -202,18 +232,33 @@ impl Explorer<'_> {
         }
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
+        let optimistic = |s: &Scenario<'_>| -> Result<Option<[f64; 2]>, EngineError> {
+            Ok(s.lower_bound_with_memory()?.map(|(bound, memory)| {
+                let (_, points) = s.goodput_points(&memory, bound, mtbf, &sweep);
+                scores(&points)
+            }))
+        };
+        let scored = |r: &Option<(Seconds, Vec<GoodputReport>)>| {
+            r.as_ref().map(|(_, points)| scores(points))
+        };
         let (driven, mut telemetry) = self.drive(&Objective {
             pricing: Pricing::Variant,
             known: None,
             step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
                 let report = s.run_in(scratch)?;
-                let (_, points) = s.goodput_points(&report, mtbf, &sweep);
-                Ok((report.iteration_time, points))
+                let (_, points) =
+                    s.goodput_points(&report.memory, report.iteration_time, mtbf, &sweep);
+                Ok(Some((report.iteration_time, points)))
             },
-            iteration_ms: |(iteration_time, _): &(Seconds, Vec<GoodputReport>)| {
-                Some(iteration_time.as_ms())
+            iteration_ms: |r: &Option<(Seconds, Vec<GoodputReport>)>| {
+                r.as_ref().map(|(iteration_time, _)| iteration_time.as_ms())
             },
-            prune: None,
+            prune: Some(Prune {
+                optimistic: &optimistic,
+                score: &scored,
+                pruned: || None,
+                floor: [f64::NEG_INFINITY; 2],
+            }),
         });
         let candidates: Vec<GoodputCandidate> = driven
             .any_success(|| EngineError::InvalidFault {
@@ -225,7 +270,8 @@ impl Explorer<'_> {
         let evaluated = candidates.iter().map(|c| c.points.len()).sum();
 
         // The last maximum wins (`Iterator::max_by`); `any_success`
-        // guarantees a simulated candidate to rank.
+        // guarantees a candidate to rank, and the first wave a simulated
+        // one.
         let ranked = |key: fn(&GoodputCandidate) -> f64| {
             candidates
                 .iter()
@@ -246,6 +292,21 @@ impl Explorer<'_> {
             telemetry,
         })
     }
+}
+
+/// A candidate's two branch-and-bound scores from its goodput points:
+/// the best effective throughput (its [`GoodputCandidate::score`]) and the
+/// fault-free throughput (the fault-blind ranking's key).
+fn scores(points: &[GoodputReport]) -> [f64; 2] {
+    let best = points
+        .iter()
+        .map(|p| p.effective_throughput)
+        .max_by(f64::total_cmp)
+        .unwrap_or(0.0);
+    [
+        best,
+        points.first().map_or(0.0, |p| p.fault_free_throughput),
+    ]
 }
 
 #[cfg(test)]

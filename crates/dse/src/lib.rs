@@ -47,8 +47,22 @@
 //! every candidate. The wave and the incumbent depend only on the candidates
 //! and their simulated results, so the skipped set is the same at any
 //! thread count. Skipped candidates count as `ok` and in
-//! [`SearchTelemetry::pruned`]. The goodput and load searches return
-//! every candidate's result, so they never prune.
+//! [`SearchTelemetry::pruned`].
+//!
+//! [`Explorer::explore_goodput`] runs the same branch-and-bound on two
+//! scores at once: the best effective (goodput-weighted) throughput and
+//! the fault-free throughput, whose winners are the goodput pick and the
+//! fault-blind pick. A goodput fraction depends only on the checkpoint
+//! (priced from the memory breakdown the feasibility check folds), the
+//! MTBF, the restart and the interval; so the candidate's goodput points
+//! priced at its iteration-time lower bound
+//! (`Scenario::lower_bound_with_memory`) bound both scores before any
+//! simulation. The first wave is the union of the four best candidates on
+//! each score, the incumbent is kept per score, and a candidate is skipped
+//! only when it cannot strictly beat either incumbent: it comes back with
+//! no error, no iteration time and no goodput points, and the winners and
+//! the plan flip are those of simulating every candidate. The load search
+//! returns every candidate's result, so it never prunes.
 //!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
 //! been removed after their deprecation release; `Explorer` over the

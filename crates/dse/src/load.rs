@@ -259,7 +259,7 @@ impl Explorer<'_> {
         axes.validate()?;
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
-        let (driven, mut telemetry) = self.drive(&Objective {
+        let (driven, mut telemetry) = self.drive(&Objective::<_, _, 1> {
             pricing: Pricing::LoadProbes(&sweep[0].1),
             known: None,
             step: |s: &Scenario<'_>, _: &mut EngineScratch| {

@@ -13,7 +13,7 @@ use madmax_fault::{
 use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
-use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
+use madmax_parallel::{LoadSpec, MemoryBreakdown, Plan, ServeConfig, Workload};
 use madmax_pipeline::{PipelineCostTable, PricedPipelineRef};
 use madmax_serve::{LoadOutcome, ProbeRun, SimMode, StepCostModel};
 
@@ -414,15 +414,31 @@ impl<'a> Scenario<'a> {
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn lower_bound(&self) -> Result<Option<Seconds>, EngineError> {
+        Ok(self.lower_bound_with_memory()?.map(|(bound, _)| bound))
+    }
+
+    /// [`Scenario::lower_bound`] together with the per-device memory
+    /// breakdown its feasibility check folded: the breakdown
+    /// [`Scenario::run_in`] reports as [`IterationReport::memory`], so a
+    /// search can price the plan's checkpoint
+    /// ([`Scenario::goodput_points`]) before simulating it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Scenario::run`].
+    pub fn lower_bound_with_memory(
+        &self,
+    ) -> Result<Option<(Seconds, MemoryBreakdown)>, EngineError> {
         self.with_feasible(
-            |table, plan| Some(table.busy_lower_bound(plan)),
+            |table, plan, memory| Some((table.busy_lower_bound(plan), memory)),
             |table, priced| {
-                madmax_pipeline::busy_lower_bound(
+                let bound = madmax_pipeline::busy_lower_bound(
                     priced.primary,
                     &priced.cfg,
                     table.workload().has_backward(),
                     priced.decode.zip(table.serve_dims()),
-                )
+                )?;
+                Some((bound, priced.memory))
             },
         )
     }
@@ -431,12 +447,13 @@ impl<'a> Scenario<'a> {
     /// check, then the plan resolved against the tables
     /// [`Scenario::run_in`] would use (the flat memory fold and HBM gate,
     /// or the pipeline table's partition, memory and microbatch checks).
-    /// A feasible plan is handed to `flat` or `pipelined` with its
-    /// resolved table. Every plan `run_in` rejects is rejected here with
-    /// the same error, and without assembling or scheduling anything.
+    /// A feasible plan is handed to `flat` (with its memory breakdown) or
+    /// `pipelined` with its resolved table. Every plan `run_in` rejects is
+    /// rejected here with the same error, and without assembling or
+    /// scheduling anything.
     fn with_feasible<R>(
         &self,
-        flat: impl FnOnce(&CostTable<'a>, &Plan) -> R,
+        flat: impl FnOnce(&CostTable<'a>, &Plan, MemoryBreakdown) -> R,
         pipelined: impl FnOnce(&PipelineCostTable<'a>, &PricedPipelineRef<'_>) -> R,
     ) -> Result<R, EngineError> {
         self.check_workload()?;
@@ -447,8 +464,8 @@ impl<'a> Scenario<'a> {
                 Ok(pipelined(&table, &priced))
             } else {
                 let table = self.flat_table(plan);
-                table.memory_for(plan)?;
-                Ok(flat(&table, plan))
+                let memory = table.memory_for(plan)?;
+                Ok(flat(&table, plan, memory))
             }
         })
     }
@@ -569,7 +586,7 @@ impl<'a> Scenario<'a> {
         let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
         let mut scratch = EngineScratch::new();
         self.with_plan(|plan| {
-            let feasible = |cfg| self.probe(plan, cfg).with_feasible(|_, _| (), |_, _| ());
+            let feasible = |cfg| self.probe(plan, cfg).with_feasible(|_, _, _| (), |_, _| ());
             let probe = |cfg| {
                 let report = self.probe(plan, cfg).run_in(&mut scratch)?;
                 Ok(ProbeRun {
@@ -748,7 +765,12 @@ impl<'a> Scenario<'a> {
             });
         };
         let report = self.run()?;
-        let (ckpt, points) = self.goodput_points(&report, mtbf, std::slice::from_ref(spec));
+        let (ckpt, points) = self.goodput_points(
+            &report.memory,
+            report.iteration_time,
+            mtbf,
+            std::slice::from_ref(spec),
+        );
         Ok(GoodputOutcome {
             report,
             ckpt,
@@ -756,20 +778,26 @@ impl<'a> Scenario<'a> {
         })
     }
 
-    /// The goodput half of [`Scenario::goodput`] for an already-simulated
-    /// fault-free `report` of this scenario: prices the checkpoint once
-    /// from the report's memory breakdown, then evaluates the closed-form
-    /// expected goodput at fleet MTBF `mtbf` for each of `specs` (their
-    /// checkpoint interval, defaulting to the Young/Daly optimum, and
-    /// their recovery time). A k-interval sweep therefore costs one
-    /// simulation, not k.
+    /// The goodput half of [`Scenario::goodput`] for a plan of this
+    /// scenario with per-device `memory` breakdown and fault-free
+    /// `iteration_time`: prices the checkpoint once from the breakdown,
+    /// then evaluates the closed-form expected goodput at fleet MTBF
+    /// `mtbf` for each of `specs` (their checkpoint interval, defaulting
+    /// to the Young/Daly optimum, and their recovery time). A k-interval
+    /// sweep therefore costs one simulation, not k.
+    ///
+    /// The goodput fractions depend on the breakdown alone, and each
+    /// throughput is a fraction times `1 / iteration_time`; so at a lower
+    /// bound on the iteration time ([`Scenario::lower_bound_with_memory`])
+    /// every throughput is at least the simulated one, bit for bit.
     pub fn goodput_points(
         &self,
-        report: &IterationReport,
+        memory: &MemoryBreakdown,
+        iteration_time: Seconds,
         mtbf: f64,
         specs: &[FaultSpec],
     ) -> (CheckpointModel, Vec<GoodputReport>) {
-        let ckpt = CheckpointModel::price(&report.memory, self.system, self.collectives);
+        let ckpt = CheckpointModel::price(memory, self.system, self.collectives);
         let write = ckpt.write.as_secs();
         let points = specs
             .iter()
@@ -780,7 +808,7 @@ impl<'a> Scenario<'a> {
                 // A restart reloads the checkpoint and waits out capacity
                 // recovery (node replacement / reschedule) before resuming.
                 expected_goodput(
-                    report.iteration_time.as_secs(),
+                    iteration_time.as_secs(),
                     write,
                     ckpt.restart.as_secs() + spec.recovery,
                     mtbf,

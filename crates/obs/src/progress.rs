@@ -52,8 +52,8 @@ pub struct CandidateEvent {
     /// searches that simulate one iteration per candidate (`explore`,
     /// and `explore_goodput`'s fault-free run). Load-search candidates
     /// simulate request streams, not an iteration, and carry `None`; so
-    /// do the candidates `explore` pruned without simulating
-    /// ([`crate::SearchTelemetry::pruned`]).
+    /// do the candidates `explore` and `explore_goodput` pruned without
+    /// simulating ([`crate::SearchTelemetry::pruned`]).
     pub iteration_ms: Option<f64>,
 }
 

@@ -87,12 +87,14 @@ pub struct SearchTelemetry {
     /// Candidates that passed every feasibility check: the ones that
     /// produced a report plus the [`SearchTelemetry::pruned`] ones.
     pub ok: u64,
-    /// Feasible candidates `Explorer::explore` skipped without simulating
-    /// because their iteration-time lower bound proves they cannot beat
-    /// the incumbent: the best of the baseline, the earlier workload
-    /// variants and a fixed first wave of the most promising candidates.
-    /// Counted in `ok`; their progress events carry no `iteration_ms`.
-    /// The same at any thread count; zero for every other search.
+    /// Feasible candidates `Explorer::explore` or
+    /// `Explorer::explore_goodput` skipped without simulating because
+    /// their iteration-time lower bound proves they cannot beat the
+    /// incumbent (for the goodput search, neither of its two incumbents):
+    /// the best of the baseline, the earlier workload variants and a fixed
+    /// first wave of the most promising candidates. Counted in `ok`; their
+    /// progress events carry no `iteration_ms`. The same at any thread
+    /// count; zero for every other search.
     #[serde(default)]
     pub pruned: u64,
     /// Candidates rejected for device memory.

@@ -19,18 +19,25 @@
 //!   materialized fault stream;
 //! - **Ledger corruption is caught**: seeded corruptions of a genuine
 //!   faulty trace (reversed spans, phantom interruptions, inflated
-//!   retry counts) trip the verifier's fault-ledger rule.
+//!   retry counts) trip the verifier's fault-ledger rule;
+//! - **The pruned goodput search is exact**: on generated fault
+//!   processes, interval ladders, systems and flat or pipelined spaces,
+//!   `explore_goodput`'s branch-and-bound picks the goodput and
+//!   fault-free winners of an exhaustive reference bit for bit, prunes
+//!   the same candidates at any thread count, and its optimistic scores
+//!   (the goodput points priced at the iteration-time lower bound) bound
+//!   every simulated candidate's, with the same goodput fractions.
 
 use proptest::prelude::*;
 
 use madmax_core::steady::grid_units_round;
-use madmax_dse::{Explorer, FaultAxes, SearchSpace};
-use madmax_engine::{FaultSpec, RetryPolicy, Scenario, SimMode};
+use madmax_dse::{Explorer, FaultAxes, GoodputSearchOutcome, PipelineAxes, SearchSpace};
+use madmax_engine::{EngineError, FaultSpec, GoodputReport, RetryPolicy, Scenario, SimMode};
 use madmax_fault::{expected_goodput, materialize_faults, young_daly_interval, FaultKind};
-use madmax_hw::catalog;
 use madmax_hw::units::Seconds;
-use madmax_model::ModelId;
-use madmax_parallel::{LoadSpec, ServeConfig, Workload};
+use madmax_hw::{catalog, ClusterSpec, DeviceScaling};
+use madmax_model::{LayerClass, ModelArch, ModelId};
+use madmax_parallel::{LoadSpec, PipelineSchedule, Plan, ServeConfig, Workload};
 use madmax_serve::LoadOutcome;
 
 /// Runs a faulty load simulation: Llama2 serving a Poisson stream with a
@@ -248,6 +255,261 @@ proptest! {
         prop_assert_eq!(faulty.report.makespan, plain.report.makespan);
         prop_assert!((faulty.report.availability - 1.0).abs() < f64::EPSILON);
     }
+
+    /// The pruned goodput search against an exhaustive reference: every
+    /// candidate through `Scenario::run` and `goodput_points`, ranked by
+    /// the last maximum. The spaces are Llama2's flat strategies, or its
+    /// transformer strategies with pipelines of depth {1, 2, 4, 8} at {8,
+    /// 16} microbatches; the fault process has a drawn MTBF and recovery
+    /// and either an interval ladder or the Young/Daly interval.
+    #[test]
+    fn pruned_goodput_search_matches_the_exhaustive_reference(
+        log_mtbf in 1.5f64..5.5,
+        recovery in 1.0f64..600.0,
+        ladder in 0usize..4,
+        interval in 10.0f64..900.0,
+        space_seed in 0u64..u64::MAX,
+        compute in 0.5f64..2.0,
+        log_inter_bw in -1.5f64..0.6,
+    ) {
+        // Log-uniform MTBFs (30 s to ~3.2e5 s) and inter-node fabrics
+        // (x0.03 to x4): short MTBFs on slow fabrics make the goodput
+        // ranking flip away from the fault-free one.
+        let (mtbf, inter_bw) = (10f64.powf(log_mtbf), 10f64.powf(log_inter_bw));
+        let model = ModelId::Llama2.build();
+        let system = catalog::llama_llm_system().scaled(&DeviceScaling {
+            compute,
+            inter_bw,
+            ..DeviceScaling::IDENTITY
+        });
+        let space = goodput_space(space_seed);
+        let fault = FaultSpec::fatal(mtbf, recovery, 7);
+        let intervals: Vec<f64> = (0..ladder).map(|k| interval * 6f64.powi(k as i32)).collect();
+        let axes = FaultAxes::new(fault.clone()).with_intervals(intervals.clone());
+        let specs: Vec<FaultSpec> = if intervals.is_empty() {
+            vec![fault]
+        } else {
+            intervals
+                .iter()
+                .map(|&ci| fault.clone().with_checkpoint_interval(ci))
+                .collect()
+        };
+        let ctx = format!("mtbf {mtbf}, recovery {recovery}, intervals {intervals:?}, space {space_seed}");
+        let explorer = |threads| Explorer::new(&model, &system).space(space.clone()).threads(threads);
+        let plans = explorer(1).candidates();
+        let reference = exhaustive_goodput(&model, &system, &plans, mtbf, &specs);
+        let one = explorer(1).explore_goodput(&axes).unwrap();
+        let four = explorer(4).explore_goodput(&axes).unwrap();
+        prop_assert_eq!(one.telemetry.pruned, four.telemetry.pruned, "{}", ctx);
+        for outcome in [&one, &four] {
+            check_against_reference(outcome, &reference).map_err(|e| format!("{ctx}: {e}"))?;
+        }
+    }
+}
+
+/// A goodput-search space drawn from `seed`: Llama2's flat strategies on
+/// every class, or its transformer strategies with pipelines of depth
+/// {1, 2, 4, 8} (1 always, the others each drawn) at {8, 16}
+/// microbatches (at least one) under one schedule.
+fn goodput_space(seed: u64) -> SearchSpace {
+    if seed.is_multiple_of(3) {
+        return SearchSpace::strategies();
+    }
+    let bit = |k: u32| (seed >> k) & 1 == 1;
+    let stages = std::iter::once(1)
+        .chain(
+            [2, 4, 8]
+                .into_iter()
+                .enumerate()
+                .filter(|&(k, _)| bit(2 + k as u32))
+                .map(|(_, p)| p),
+        )
+        .collect();
+    let microbatches = match (seed >> 5) % 3 {
+        0 => vec![8],
+        1 => vec![16],
+        _ => vec![8, 16],
+    };
+    let schedule = if bit(7) {
+        PipelineSchedule::GPipe
+    } else {
+        PipelineSchedule::OneFOneB
+    };
+    SearchSpace::strategies()
+        .with_classes(vec![LayerClass::Transformer])
+        .with_pipeline(PipelineAxes {
+            stages,
+            microbatches,
+            schedules: vec![schedule],
+        })
+}
+
+/// One candidate of the exhaustive reference: its simulation and goodput
+/// points, and the points priced at its iteration-time lower bound.
+struct Reference {
+    plan: Plan,
+    result: Result<(Seconds, Vec<GoodputReport>), EngineError>,
+    bound: Option<Vec<GoodputReport>>,
+}
+
+/// A candidate's two scores from its points: its best effective
+/// throughput and its fault-free throughput.
+fn scores(points: &[GoodputReport]) -> [f64; 2] {
+    [
+        points
+            .iter()
+            .map(|p| p.effective_throughput)
+            .max_by(f64::total_cmp)
+            .unwrap(),
+        points[0].fault_free_throughput,
+    ]
+}
+
+/// Every candidate of `plans`, simulated on fresh scenarios, with its
+/// goodput points at `mtbf` for each of `specs`, and (when it has a
+/// lower bound) the same points priced at the bound.
+fn exhaustive_goodput(
+    model: &ModelArch,
+    system: &ClusterSpec,
+    plans: &[Plan],
+    mtbf: f64,
+    specs: &[FaultSpec],
+) -> Vec<Reference> {
+    plans
+        .iter()
+        .map(|plan| {
+            let s = Scenario::new(model, system).plan_ref(plan);
+            let result = s.run().map(|r| {
+                let (_, points) = s.goodput_points(&r.memory, r.iteration_time, mtbf, specs);
+                (r.iteration_time, points)
+            });
+            let bound = s
+                .lower_bound_with_memory()
+                .ok()
+                .flatten()
+                .map(|(bound, memory)| s.goodput_points(&memory, bound, mtbf, specs).1);
+            Reference {
+                plan: plan.clone(),
+                result,
+                bound,
+            }
+        })
+        .collect()
+}
+
+/// The index of the last candidate with the highest `key` among those
+/// `simulated`.
+fn last_max(reference: &[Reference], key: impl Fn(&[GoodputReport]) -> f64) -> usize {
+    reference
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| Some((i, key(&r.result.as_ref().ok()?.1))))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a feasible candidate")
+        .0
+}
+
+/// Checks one pruned search against the exhaustive reference.
+fn check_against_reference(
+    outcome: &GoodputSearchOutcome,
+    reference: &[Reference],
+) -> Result<(), String> {
+    let bits = |points: &[GoodputReport]| -> Vec<[u64; 3]> {
+        points
+            .iter()
+            .map(|p| {
+                [
+                    p.goodput_fraction.to_bits(),
+                    p.effective_throughput.to_bits(),
+                    p.fault_free_throughput.to_bits(),
+                ]
+            })
+            .collect()
+    };
+    let best = last_max(reference, |p| scores(p)[0]);
+    let fault_free = last_max(reference, |p| scores(p)[1]);
+    if (outcome.best_candidate, outcome.fault_free_best) != (best, fault_free) {
+        return Err(format!(
+            "winners ({}, {}) but the reference picks ({best}, {fault_free})",
+            outcome.best_candidate, outcome.fault_free_best
+        ));
+    }
+    if outcome.plan_flip() != (best != fault_free) {
+        return Err("plan flip differs from the reference".to_owned());
+    }
+    let winners = [scores(&reference[best].result.as_ref().unwrap().1)[0], {
+        scores(&reference[fault_free].result.as_ref().unwrap().1)[1]
+    }];
+    if outcome.candidates.len() != reference.len() {
+        return Err("candidate count differs from the reference".to_owned());
+    }
+    let (mut pruned, mut evaluated) = (0, 0);
+    for (c, r) in outcome.candidates.iter().zip(reference) {
+        let name = c.plan.summary();
+        if c.plan != r.plan {
+            return Err(format!("{name} out of enumeration order"));
+        }
+        let (time, points) = match &r.result {
+            Err(e) => {
+                if c.error.as_ref() != Some(e) {
+                    return Err(format!("{name}: error {:?}, reference {e}", c.error));
+                }
+                continue;
+            }
+            Ok(ok) => ok,
+        };
+        let bound = r
+            .bound
+            .as_ref()
+            .ok_or_else(|| format!("{name}: feasible but unbounded"))?;
+        // The bound's fractions are the simulated ones (the memory
+        // breakdowns agree), and its throughputs are no lower.
+        for (b, p) in bound.iter().zip(points) {
+            if b.goodput_fraction.to_bits() != p.goodput_fraction.to_bits()
+                || b.effective_throughput < p.effective_throughput
+                || b.fault_free_throughput < p.fault_free_throughput
+            {
+                return Err(format!("{name}: bound point {b:?} vs simulated {p:?}"));
+            }
+        }
+        let (o, s) = (scores(bound), scores(points));
+        if o[0] < s[0] || o[1] < s[1] {
+            return Err(format!("{name}: optimistic {o:?} below simulated {s:?}"));
+        }
+        if c.error.is_some() {
+            return Err(format!("{name}: feasible candidate failed"));
+        }
+        if c.points.is_empty() {
+            // Pruned: strictly below both winners.
+            if c.iteration_time.is_some() || c.best_point.is_some() {
+                return Err(format!("{name}: pruned candidate carries results"));
+            }
+            if s[0] >= winners[0] || s[1] >= winners[1] {
+                return Err(format!(
+                    "{name}: pruned but scores {s:?} vs winners {winners:?}"
+                ));
+            }
+            pruned += 1;
+        } else {
+            if c.iteration_time != Some(*time) || bits(&c.points) != bits(points) {
+                return Err(format!(
+                    "{name}: simulated points differ from the reference"
+                ));
+            }
+            evaluated += points.len();
+        }
+    }
+    let t = &outcome.telemetry;
+    if t.pruned != pruned || outcome.evaluated != evaluated || t.goodput_evals != evaluated as u64 {
+        return Err(format!(
+            "pruned {} / evaluated {} but {pruned} / {evaluated} candidates show it",
+            t.pruned, outcome.evaluated
+        ));
+    }
+    if !t.reconciles() {
+        return Err(format!("telemetry does not reconcile: {t:?}"));
+    }
+    Ok(())
 }
 
 /// Seeded corruptions of a genuine faulty trace: each mutation breaks
@@ -337,10 +599,11 @@ fn corrupted_goodput_reports_are_flagged() {
 }
 
 /// A fixed fault seed reproduces bitwise-identical goodput rankings at
-/// any worker-pool size: the goodput search is one deterministic
+/// any worker-pool size: the goodput search is at most one deterministic
 /// simulation per candidate, run on the explorer's shared-table pool,
-/// plus closed-form arithmetic. The pool's telemetry reconciles and
-/// records one evaluation latency per candidate.
+/// plus closed-form arithmetic, and its branch-and-bound prunes the same
+/// candidates at every size. The pool's telemetry reconciles and records
+/// one evaluation latency per candidate, pruned ones included.
 #[test]
 fn goodput_search_is_deterministic_across_thread_counts() {
     let model = ModelId::Llama2.build();
@@ -382,5 +645,7 @@ fn goodput_search_is_deterministic_across_thread_counts() {
         assert_eq!(per_worker, t.candidates);
         assert!(t.flat_cache.hits > 0, "candidates share one cost table");
         assert_eq!(t.goodput_evals, other.evaluated as u64);
+        assert!(t.pruned > 0, "the bound must rule some candidate out");
+        assert_eq!(t.pruned, one.telemetry.pruned);
     }
 }
