@@ -119,8 +119,10 @@ pub fn expected_goodput(
     let lambda = 1.0 / mtbf;
     let span = interval + write;
     // E[T] per segment; e^{λ·span} overflows only for spans thousands of
-    // MTBFs long, where the fraction is indistinguishable from 0.
-    let expected = (mtbf + restart) * ((lambda * span).exp() - 1.0);
+    // MTBFs long, where the fraction is indistinguishable from 0. `exp_m1`
+    // keeps e^{λ·span} − 1 exact when λ·span is tiny (a large MTBF),
+    // where `exp() - 1.0` cancels to 0.
+    let expected = (mtbf + restart) * (lambda * span).exp_m1();
     let fraction = if expected.is_finite() && expected > 0.0 {
         (interval / expected).min(1.0)
     } else {
@@ -285,6 +287,32 @@ mod tests {
         // write: 100 / 110.
         assert!((plentiful - 100.0 / 110.0).abs() < 1e-3, "{plentiful}");
         assert!(scarce > 0.0 && scarce < 1.0);
+    }
+
+    #[test]
+    fn goodput_stays_exact_at_very_large_mtbfs() {
+        // A 30 ms checkpoint write at the Young/Daly interval: at MTBF
+        // 1e40 s the segment is ~1e-21 MTBFs long, and the fraction is
+        // the checkpoint tax alone, not a cancelled 0.
+        let (write, restart) = (0.03, 30.03);
+        let at_young_daly = |mtbf: f64| {
+            expected_goodput(5.58, write, restart, mtbf, young_daly_interval(write, mtbf))
+                .goodput_fraction
+        };
+        assert!(at_young_daly(1e40) > 0.99, "{}", at_young_daly(1e40));
+        // At a fixed interval, goodput never rises as the MTBF shrinks
+        // (up to rounding, as in the MTBF-monotonicity property) and never
+        // reaches 0.
+        let mut previous = f64::INFINITY;
+        for exponent in (3..=300).rev() {
+            let mtbf = 10f64.powi(exponent);
+            let fraction = expected_goodput(5.58, write, restart, mtbf, 600.0).goodput_fraction;
+            assert!(
+                fraction > 0.0 && fraction <= previous + 1e-12,
+                "MTBF {mtbf:e}: {fraction} after {previous}"
+            );
+            previous = fraction;
+        }
     }
 
     #[test]

@@ -370,6 +370,40 @@ fn cli_prints_tiny_fault_times_with_significant_digits() {
 }
 
 #[test]
+fn cli_keeps_goodput_exact_at_huge_mtbfs() {
+    // At MTBF 1e40 s a checkpoint segment is ~1e-21 MTBFs long: the
+    // closed form must report the checkpoint tax alone (100.00% at a 30 ms
+    // write), agree with the replay, and pass the goodput-bound rule.
+    let out = madmax(&[
+        "simulate", "--model", "llama2", "--system", "llama", "--mtbf", "1e40", "--verify",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let line = |prefix: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line: {stdout}"))
+            .to_owned()
+    };
+    assert!(line("goodput:").contains(" 100.00% of "), "{stdout}");
+    assert!(
+        line("replay check:").contains(" 100.00% goodput"),
+        "{stdout}"
+    );
+    assert!(line("verify:").contains("clean"), "{stdout}");
+    // Every candidate of a search at MTBF 1e308 s keeps its throughput
+    // instead of tying at 0, so no plan flip is reported.
+    let out = madmax(&[
+        "search", "--model", "llama2", "--system", "llama", "--mtbf", "1e308",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("-> 100.00% goodput"), "{stdout}");
+    assert!(stdout.contains("no plan flip"), "{stdout}");
+}
+
+#[test]
 fn cli_load_search_writes_reconciling_telemetry() {
     let path =
         std::env::temp_dir().join(format!("madmax-load-telemetry-{}.json", std::process::id()));
