@@ -181,7 +181,7 @@ pub(crate) enum Pricing<'o> {
 
 /// What a search objective does with one candidate; `N` is the width of
 /// its branch-and-bound score vector ([`Prune`]).
-pub(crate) struct Objective<'o, T, F, const N: usize = 1> {
+pub(crate) struct Objective<'o, T, F, const N: usize> {
     /// The tables to price per workload variant.
     pub(crate) pricing: Pricing<'o>,
     /// A (workload, plan) combination the objective already evaluated
