@@ -397,8 +397,8 @@ fn exhaustive_goodput(
         .collect()
 }
 
-/// The index of the last candidate with the highest `key` among those
-/// `simulated`.
+/// The index of the last feasible candidate with the highest `key` of its
+/// simulated points.
 fn last_max(reference: &[Reference], key: impl Fn(&[GoodputReport]) -> f64) -> usize {
     reference
         .iter()
@@ -437,9 +437,8 @@ fn check_against_reference(
     if outcome.plan_flip() != (best != fault_free) {
         return Err("plan flip differs from the reference".to_owned());
     }
-    let winners = [scores(&reference[best].result.as_ref().unwrap().1)[0], {
-        scores(&reference[fault_free].result.as_ref().unwrap().1)[1]
-    }];
+    let score_of = |i: usize| scores(&reference[i].result.as_ref().unwrap().1);
+    let winners = [score_of(best)[0], score_of(fault_free)[1]];
     if outcome.candidates.len() != reference.len() {
         return Err("candidate count differs from the reference".to_owned());
     }
