@@ -386,16 +386,17 @@ impl<'a> CostTable<'a> {
     }
 
     /// Snapshot of the closed-form-vs-fallback counters:
-    /// [`crate::run_flat_cached`] records one hit per serve report
-    /// synthesized by the steady-state evaluator ([`crate::steady`]) and
-    /// one miss per serve candidate simulated in full (fallback, opt-out,
-    /// or short decode).
+    /// [`crate::evaluate_priced`], called by [`crate::run_flat_cached`],
+    /// records one hit per serve report synthesized by the steady-state
+    /// evaluator ([`crate::steady`]) and one miss per serve candidate
+    /// simulated in full (fallback, opt-out, or short decode).
     pub fn analytic_stats(&self) -> CacheStats {
         self.analytic_counters.snapshot()
     }
 
     /// The closed-form-vs-fallback counter pair (crate-internal:
-    /// `run_flat_cached` bumps it from `&self`).
+    /// `run_flat_cached` hands it to `evaluate_priced`, which bumps it
+    /// from `&self`).
     pub(crate) fn analytic_counters(&self) -> &CacheCounters {
         &self.analytic_counters
     }
@@ -677,19 +678,6 @@ impl<'a> CostTable<'a> {
         self.assemble_capped_into(plan, trace, usize::MAX);
     }
 
-    /// [`CostTable::assemble_into`] with the decode loop capped at
-    /// `max_decode_tokens`: the explicit-prefix assembly behind the
-    /// closed-form serve path (see [`crate::steady`]). With a cap at or
-    /// above `decode_len` this is exactly the full assembly.
-    pub fn assemble_serve_prefix_into(
-        &self,
-        plan: &Plan,
-        trace: &mut Trace,
-        max_decode_tokens: usize,
-    ) {
-        self.assemble_capped_into(plan, trace, max_decode_tokens);
-    }
-
     /// A sound lower bound on the iteration time of `plan`, computed from
     /// the priced costs without assembling or scheduling: the largest
     /// per-stream sum of the op durations [`CostTable::assemble_into`]
@@ -805,7 +793,17 @@ impl<'a> CostTable<'a> {
         crate::steady::grid_total_seconds(compute.max(comm))
     }
 
-    fn assemble_capped_into(&self, plan: &Plan, trace: &mut Trace, max_decode_tokens: usize) {
+    /// [`CostTable::assemble_into`] with the decode loop capped at
+    /// `max_decode_tokens`: the flat engine's assembly closure for
+    /// [`crate::evaluate_priced`], which asks for the explicit prefix of
+    /// the closed-form serve path (see [`crate::steady`]) or, with
+    /// `usize::MAX`, the full trace.
+    pub(crate) fn assemble_capped_into(
+        &self,
+        plan: &Plan,
+        trace: &mut Trace,
+        max_decode_tokens: usize,
+    ) {
         debug_assert!(
             self.options.prices_like(&plan.options),
             "plan options diverge from the cost table's pricing context"

@@ -11,8 +11,13 @@
 //! The unified front door to the performance model is
 //! `madmax_engine::Scenario`, which prices a [`CostTable`] and dispatches
 //! between this crate's flat engine ([`run_flat_cached`]) and
-//! `madmax-pipeline`'s stage engine. The `validation` module holds the
-//! paper's Table I / Fig. 7-9 reference experiments.
+//! `madmax-pipeline`'s stage engine. Both engines keep only their
+//! feasibility checks and trace assembly and call one evaluator,
+//! [`evaluate_priced`], for everything from a priced candidate to its
+//! report: the closed-form serve gate ([`steady`]), full assembly,
+//! scheduling, the report sweep, the serve stats and the decode tail.
+//! The `validation` module holds the paper's Table I / Fig. 7-9
+//! reference experiments.
 //!
 //! # The two-phase engine: price, then assemble
 //!
@@ -62,13 +67,10 @@ pub use collective::{CollectiveModel, FlatWorstLink, HierarchicalNccl};
 pub use compute::UtilizationModel;
 pub use costs::{CostTable, GroupPrice, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
-pub use metrics::{
-    decode_tail_from, serve_stats_from, DecodeTail, IterationReport, ReportScratch, ServeStats,
-};
-pub use perf::run_flat_cached;
+pub use metrics::{DecodeTail, IterationReport, ReportScratch, ServeStats};
+pub use perf::{evaluate_priced, run_flat_cached};
 pub use sim::{
-    debug_check_schedule, merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule,
-    StreamTable,
+    merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule, StreamTable,
 };
 pub use steady::{
     affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds,
@@ -125,19 +127,6 @@ mod cross_module_tests {
         let js = serde_json::to_string(&r).unwrap();
         let back: crate::IterationReport = serde_json::from_str(&js).unwrap();
         assert_eq!(r, back);
-    }
-
-    #[test]
-    fn trace_serde_round_trip() {
-        let model = ModelId::DlrmB.build();
-        let sys = catalog::zionex_dlrm_system();
-        let plan = Plan::fsdp_baseline(&model);
-        let mut scratch = EngineScratch::new();
-        evaluate_in(&model, &sys, &plan, Workload::pretrain(), &mut scratch).unwrap();
-        let trace = scratch.trace;
-        let js = serde_json::to_string(&trace).unwrap();
-        let back: crate::Trace = serde_json::from_str(&js).unwrap();
-        assert_eq!(trace, back);
     }
 
     #[test]

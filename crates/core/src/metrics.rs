@@ -45,7 +45,7 @@ impl ServeStats {
 /// Both engines emit every decode op after every prefill op, so the
 /// non-decode prefix is located with one binary search instead of
 /// sweeping the (decode-dominated) trace.
-pub fn serve_stats_from(
+pub(crate) fn serve_stats_from(
     trace: &Trace,
     schedule: &Schedule,
     prompt_len: usize,
@@ -92,7 +92,7 @@ pub type DecodeTail = [Seconds; 3];
 /// the largest finish time before each of the last three token
 /// boundaries. `None` below three tokens, or when the decode suffix does
 /// not split into `decode_len` equal per-token runs.
-pub fn decode_tail_from(
+pub(crate) fn decode_tail_from(
     trace: &Trace,
     schedule: &Schedule,
     decode_len: usize,

@@ -1,10 +1,15 @@
-//! The flat-SPMD execution engine: evaluates one plan against a priced
-//! [`CostTable`] and produces its [`IterationReport`].
+//! The flat-SPMD execution engine, and the evaluator both engines share.
 //!
-//! [`run_flat_cached`] is the engine's only evaluator. The unified
+//! [`run_flat_cached`] is the flat engine's only evaluator. The unified
 //! `madmax_engine::Scenario` front door prices the table (one plan for a
 //! single run, every candidate for a search) and dispatches pipelined
 //! plans to `madmax-pipeline`'s stage engine instead.
+//!
+//! Both engines call [`evaluate_priced`] to turn a priced candidate into
+//! its report: the closed-form serve gate ([`crate::steady`]), else full
+//! assembly, scheduling and the report sweep, plus the serve stats and the
+//! decode tail. An engine keeps only its feasibility checks and its trace
+//! assembly, which it hands over as a closure.
 //!
 //! Serve workloads run their prefill and decode phases through the same
 //! trace machinery: the prefill is the familiar forward-only pass (over
@@ -14,17 +19,21 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule this engine assembles is cross-checked by
-//! [`crate::sim::debug_check_schedule`] in debug builds (causality,
-//! per-stream exclusivity, non-negative durations, makespan
-//! consistency). Release builds skip the check entirely; the full
-//! structural rule set with non-panicking diagnostics is `madmax-verify`.
+//! Every schedule [`evaluate_priced`] assembles is cross-checked in debug
+//! builds (causality, per-stream exclusivity, non-negative durations,
+//! makespan consistency). Release builds skip the check entirely; the
+//! full structural rule set with non-panicking diagnostics is
+//! `madmax-verify`.
 
-use madmax_parallel::{Plan, PlanError};
+use madmax_model::ModelArch;
+use madmax_parallel::{MemoryBreakdown, Plan, PlanError};
 
 use crate::costs::CostTable;
-use crate::metrics::{decode_tail_from, IterationReport};
-use crate::sim::{schedule_into, EngineScratch};
+use crate::counters::CacheCounters;
+use crate::metrics::{decode_tail_from, serve_stats_from, IterationReport};
+use crate::sim::{debug_check_schedule, schedule_into, EngineScratch};
+use crate::steady::{closed_form_serve, ServeDims};
+use crate::trace::Trace;
 
 /// This engine executes the flat SPMD mapping only; plans that configure
 /// pipeline parallelism must go through `madmax-pipeline`'s stage engine
@@ -41,11 +50,11 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
 ///
 /// No compute or collective cost model is invoked (costs come from the
 /// table) and the trace arena, schedule, and stream-slot table in
-/// `scratch` are recycled across calls. Serve workloads go through the
-/// closed-form gate [`crate::steady::closed_form_serve`], which
-/// `analytic_serve` can switch off; when the gate declines — and always
-/// for training — `scratch` holds the fully assembled trace and its
-/// schedule afterwards. Either way a serve run leaves its
+/// `scratch` are recycled across calls. The candidate goes through
+/// [`evaluate_priced`]: serve workloads try the closed form first, which
+/// `analytic_serve` can switch off; when it declines — and always for
+/// training — `scratch` holds the fully assembled trace and its schedule
+/// afterwards. Either way a serve run leaves its
 /// [`crate::metrics::DecodeTail`] in `scratch.decode_tail`.
 ///
 /// # Errors
@@ -66,37 +75,80 @@ pub fn run_flat_cached(
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
-    scratch.decode_tail = None;
     reject_pipelined(plan)?;
     let memory = table.memory_for(plan)?;
-    if let Some(report) = crate::steady::closed_form_serve(
-        analytic_serve,
-        table.serve_dims(),
-        table.analytic_counters(),
+    Ok(evaluate_priced(
         table.report_model(),
         memory,
+        table.serve_dims(),
+        analytic_serve,
+        table.analytic_counters(),
         scratch,
-        |tokens, trace| table.assemble_serve_prefix_into(plan, trace, tokens),
-    ) {
-        return Ok(report);
+        |max_decode_tokens, trace| table.assemble_capped_into(plan, trace, max_decode_tokens),
+    ))
+}
+
+/// Evaluates a priced, feasible candidate into its report: the one step
+/// from costs to report that both engines share.
+///
+/// `assemble(max_decode_tokens, trace)` builds the engine's trace into
+/// `trace` (cleared first) with the decode loop capped at
+/// `max_decode_tokens`; a cap of `usize::MAX` is the full trace. `dims`
+/// is `None` for workloads without decode steps. In order, the evaluator:
+///
+/// 1. clears `scratch.decode_tail`;
+/// 2. offers serve candidates to the closed form, which assembles the
+///    prefill plus a short explicit token prefix and synthesizes the
+///    report — byte-identical to full simulation — when `analytic` allows
+///    it and every exactness condition of [`crate::steady`] holds;
+/// 3. otherwise assembles the full trace, schedules it, cross-checks the
+///    schedule in debug builds and sweeps the report, leaving the trace
+///    and schedule in `scratch`;
+/// 4. attaches the serve stats and the [`crate::metrics::DecodeTail`]
+///    when `dims` is set.
+///
+/// `counters` records one hit per report synthesized in closed form and
+/// one miss per serve candidate simulated in full (opt-out, short decode,
+/// or a failed exactness condition); workloads without decode steps
+/// count as neither.
+pub fn evaluate_priced(
+    model: &ModelArch,
+    memory: MemoryBreakdown,
+    dims: Option<ServeDims>,
+    analytic: bool,
+    counters: &CacheCounters,
+    scratch: &mut EngineScratch,
+    assemble: impl Fn(usize, &mut Trace),
+) -> IterationReport {
+    scratch.decode_tail = None;
+    if let Some(report) =
+        closed_form_serve(analytic, dims, counters, model, memory, scratch, &assemble)
+    {
+        return report;
     }
-    table.assemble_into(plan, &mut scratch.trace);
+    assemble(usize::MAX, &mut scratch.trace);
     schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
     if cfg!(debug_assertions) {
-        crate::sim::debug_check_schedule(&scratch.trace, &scratch.sched);
+        debug_check_schedule(&scratch.trace, &scratch.sched);
     }
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,
         &scratch.sched,
-        table.report_model(),
+        model,
         memory,
         &mut scratch.report,
     );
-    report.serve = table.serve_stats(&scratch.trace, &scratch.sched);
-    scratch.decode_tail = report
-        .serve
-        .and_then(|s| decode_tail_from(&scratch.trace, &scratch.sched, s.decode_len));
-    Ok(report)
+    if let Some(d) = dims {
+        report.serve = Some(serve_stats_from(
+            &scratch.trace,
+            &scratch.sched,
+            d.prompt_len,
+            d.decode_len,
+            d.decode_batch,
+        ));
+        scratch.decode_tail = decode_tail_from(&scratch.trace, &scratch.sched, d.decode_len);
+    }
+    report
 }
 
 #[cfg(test)]

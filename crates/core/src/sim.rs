@@ -113,18 +113,18 @@ pub fn schedule_into(trace: &Trace, sched: &mut Schedule, streams: &mut StreamTa
 /// causality, in-order per-stream exclusivity, and makespan consistency —
 /// one O(ops) pass with no allocation beyond a stream-slot table.
 ///
-/// This is the engines' `debug_assertions` contract: both the flat and
-/// the pipelined engine run it after every fresh assembly (memo hits are
-/// exempt — their schedule was checked when it was first produced), so a
-/// scheduler or builder regression panics in debug test runs instead of
-/// silently skewing reports. Release builds never pay for it. The full
+/// This is the engines' `debug_assertions` contract: the evaluator both
+/// engines share ([`crate::evaluate_priced`]) runs it after every fresh
+/// assembly (memo hits are exempt — their schedule was checked when it
+/// was first produced), so a scheduler or builder regression panics in
+/// debug test runs instead of silently skewing reports. Release builds never pay for it. The full
 /// rule set — pipeline structure, bubble floors, critical-path analysis,
 /// structured diagnostics instead of panics — lives in `madmax-verify`.
 ///
 /// The per-stream check exploits the scheduler's in-order guarantee
 /// (each stream runs its ops in issue order), so it only compares
 /// consecutive windows per slot.
-pub fn debug_check_schedule(trace: &Trace, sched: &Schedule) {
+pub(crate) fn debug_check_schedule(trace: &Trace, sched: &Schedule) {
     assert_eq!(
         sched.windows.len(),
         trace.len(),
@@ -197,8 +197,8 @@ pub struct EngineScratch {
     /// Closed-form serve evaluation buffers (see [`crate::steady`]).
     pub steady: crate::steady::SteadyScratch,
     /// The [`crate::metrics::DecodeTail`] of the last run evaluated
-    /// through this scratch: set by both engines on every run, `None`
-    /// unless it was a serve run of at least three decode tokens.
+    /// through this scratch: set by both engines on every successful run,
+    /// `None` unless it was a serve run of at least three decode tokens.
     pub decode_tail: Option<crate::metrics::DecodeTail>,
 }
 

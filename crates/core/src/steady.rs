@@ -95,8 +95,10 @@
 //!
 //! # Exactness conditions and fallback
 //!
-//! [`closed_form_serve`] declines — and the engines fall back to full
-//! assembly + simulation — when any of these fail:
+//! Both engines call this module through one gate, the shared evaluator
+//! [`crate::evaluate_priced`]. The closed form declines — and the
+//! evaluator falls back to full assembly + simulation — when any of these
+//! fail:
 //!
 //! - every duration of the prefix trace is a non-negative grid multiple
 //!   below `2^52` units (assembly guarantees this for engine-built serve
@@ -144,7 +146,7 @@ pub const GRID_BITS: u32 = 38;
 /// too.
 pub const MAX_UNITS: i64 = 1 << 52;
 
-/// Decode length below which [`closed_form_serve`] declines: the
+/// Decode length below which the closed form declines: the
 /// explicit transient prefix would cover most of the stream anyway, so
 /// full simulation is just as fast.
 pub const MIN_ANALYTIC_DECODE: usize = 32;
@@ -392,7 +394,7 @@ struct DevState {
 }
 
 /// Reusable buffers for the closed-form evaluator
-/// ([`closed_form_serve`]), part of every `EngineScratch`.
+/// (behind [`crate::evaluate_priced`]), part of every `EngineScratch`.
 #[derive(Debug, Default)]
 pub struct SteadyScratch {
     /// Per-op finish times of the explicit prefix, by op index.
@@ -1209,7 +1211,8 @@ fn certify_and_jump(
     JumpOutcome::Jumped(ni as i64, savail0)
 }
 
-/// The closed-form gate of both engines: evaluates a serve candidate in
+/// The closed-form gate of [`crate::evaluate_priced`], the evaluator
+/// both engines call: evaluates a serve candidate in
 /// closed form when `analytic` allows it and its decode stream is at
 /// least [`MIN_ANALYTIC_DECODE`] tokens long. `assemble_prefix` builds
 /// the engine's prefill plus the given number of explicit decode tokens
@@ -1221,7 +1224,7 @@ fn certify_and_jump(
 /// serve candidate it declines (opt-out, short decode, or a failed
 /// exactness condition); the caller then simulates that candidate in
 /// full. Workloads without decode steps count as neither.
-pub fn closed_form_serve(
+pub(crate) fn closed_form_serve(
     analytic: bool,
     dims: Option<ServeDims>,
     counters: &CacheCounters,

@@ -9,8 +9,8 @@
 //! where millions of ops are created and thrown away per search:
 //!
 //! - [`OpName`] is a structured name (shared-label handle or fully inline
-//!   stage coordinates) rendered to a string only for display/serde, so
-//!   naming an op never allocates;
+//!   stage coordinates) rendered to a string only for display, so naming
+//!   an op never allocates;
 //! - [`Deps`] stores up to two dependencies inline (almost every op has at
 //!   most two) and spills to the heap only for join points like the
 //!   feature-interaction and optimizer ops;
@@ -163,9 +163,7 @@ impl std::fmt::Display for PassDir {
 /// `fwd.embedding_tables.a2a`, `bwd[3].blocks.ag_bwd`, `stage0.fwd[2]`,
 /// `update.optimizer`.
 ///
-/// Serialization uses the rendered string (see [`std::fmt::Display`] /
-/// [`std::str::FromStr`]); unrecognized strings deserialize as
-/// [`OpName::Custom`], which also serves ad-hoc traces built by hand.
+/// Hand-built traces name their ops with [`OpName::Custom`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpName {
     /// Flat-trace op: `"{dir}[{inst}].{label}"` (the `[{inst}]` part is
@@ -258,8 +256,7 @@ pub enum OpName {
         /// Pipeline stage.
         stage: u16,
     },
-    /// Free-form name (hand-built traces, unrecognized deserialized
-    /// names).
+    /// Free-form name, for hand-built traces.
     Custom(Arc<str>),
 }
 
@@ -267,14 +264,10 @@ pub enum OpName {
 /// `&'static str` the flat [`OpName`] variants carry. Labels are priced
 /// once per search (layer-group and collective names), so the leaked set
 /// is bounded by the distinct label strings of the process; interning the
-/// same string twice returns the same reference.
-///
-/// Parsing rendered op names ([`OpName`]'s `FromStr`/deserialization)
-/// also interns the labels it recovers: feeding unbounded *distinct*
-/// labels from untrusted serialized traces would grow the registry for
-/// the process lifetime. Engine-generated traces only ever carry the
-/// bounded label set priced from the model, so this is a non-issue on
-/// every in-tree path.
+/// same string twice returns the same reference. Interning unbounded
+/// *distinct* labels would grow the registry for the process lifetime;
+/// engine-generated traces only ever carry the bounded label set priced
+/// from the model.
 pub fn intern_label(s: &str) -> &'static str {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
@@ -358,142 +351,6 @@ impl std::fmt::Display for OpName {
             OpName::StageGrad { stage, kind } => write!(f, "stage{stage}.grad.{kind}"),
             OpName::StageOptimizer { stage } => write!(f, "stage{stage}.optimizer"),
             OpName::Custom(s) => f.write_str(s),
-        }
-    }
-}
-
-/// Splits `"{head}[{n}]{rest}"` into `(n, rest)` when `s` starts with an
-/// index in brackets.
-fn parse_index(s: &str) -> Option<(u32, &str)> {
-    let inner = s.strip_prefix('[')?;
-    let close = inner.find(']')?;
-    let n: u32 = inner[..close].parse().ok()?;
-    Some((n, &inner[close + 1..]))
-}
-
-fn parse_stage_name(s: &str) -> Option<OpName> {
-    let rest = s.strip_prefix("stage")?;
-    let digits = rest.find(|c: char| !c.is_ascii_digit())?;
-    let stage: u16 = rest[..digits].parse().ok()?;
-    let rest = rest[digits..].strip_prefix('.')?;
-    if rest == "optimizer" {
-        return Some(OpName::StageOptimizer { stage });
-    }
-    if let Some(kind) = rest.strip_prefix("param.") {
-        return Some(OpName::StageParam {
-            stage,
-            kind: kind.parse().ok()?,
-        });
-    }
-    if let Some(kind) = rest.strip_prefix("grad.") {
-        return Some(OpName::StageGrad {
-            stage,
-            kind: kind.parse().ok()?,
-        });
-    }
-    type SendCtor = fn(u16, u32) -> OpName;
-    let sends: [(&str, SendCtor); 3] = [
-        ("send_act", |stage, mb| OpName::StageSendAct { stage, mb }),
-        ("send_tok", |stage, mb| OpName::StageSendTok { stage, mb }),
-        ("send_grad", |stage, mb| OpName::StageSendGrad { stage, mb }),
-    ];
-    for (prefix, ctor) in sends {
-        if let Some(tail) = rest.strip_prefix(prefix) {
-            let (mb, tail) = parse_index(tail)?;
-            if !tail.is_empty() {
-                return None;
-            }
-            return Some(ctor(stage, mb));
-        }
-    }
-    for (prefix, dir) in [
-        ("fwd", PassDir::Fwd),
-        ("bwd", PassDir::Bwd),
-        ("dec", PassDir::Dec),
-    ] {
-        if let Some(tail) = rest.strip_prefix(prefix) {
-            let (mb, tail) = parse_index(tail)?;
-            if tail.is_empty() {
-                return Some(OpName::StagePass { stage, dir, mb });
-            }
-            let kind = tail.strip_prefix('.')?.parse().ok()?;
-            return Some(OpName::StagePassColl {
-                stage,
-                dir,
-                mb,
-                kind,
-            });
-        }
-    }
-    None
-}
-
-fn parse_decode_name(s: &str) -> Option<OpName> {
-    let tail = s.strip_prefix("dec")?;
-    let (step, tail) = parse_index(tail)?;
-    let (inst, tail) = match parse_index(tail) {
-        Some((i, t)) => (Some(i), t),
-        None => (None, tail),
-    };
-    let label = tail.strip_prefix('.')?;
-    if label.is_empty() {
-        return None;
-    }
-    Some(OpName::DecodeFlat {
-        step,
-        inst,
-        label: intern_label(label),
-    })
-}
-
-fn parse_flat_name(s: &str) -> Option<OpName> {
-    for (prefix, dir) in [("fwd", PassDir::Fwd), ("bwd", PassDir::Bwd)] {
-        if let Some(tail) = s.strip_prefix(prefix) {
-            let (inst, tail) = match parse_index(tail) {
-                Some((i, t)) => (Some(i), t),
-                None => (None, tail),
-            };
-            let label = tail.strip_prefix('.')?;
-            if label.is_empty() {
-                return None;
-            }
-            return Some(OpName::Flat {
-                dir,
-                inst,
-                label: intern_label(label),
-            });
-        }
-    }
-    None
-}
-
-impl std::str::FromStr for OpName {
-    type Err = std::convert::Infallible;
-
-    /// Parses a rendered op name back into its structured form; anything
-    /// unrecognized becomes [`OpName::Custom`], so parsing is total.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "update.optimizer" {
-            return Ok(OpName::UpdateOptimizer);
-        }
-        Ok(parse_stage_name(s)
-            .or_else(|| parse_decode_name(s))
-            .or_else(|| parse_flat_name(s))
-            .unwrap_or_else(|| OpName::custom(s)))
-    }
-}
-
-impl Serialize for OpName {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for OpName {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => Ok(s.parse().expect("OpName parsing is total")),
-            _ => Err(serde::Error::msg("expected string op name")),
         }
     }
 }
@@ -697,21 +554,8 @@ impl PartialEq<Deps> for Vec<OpId> {
     }
 }
 
-impl Serialize for Deps {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for Deps {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ids: Vec<OpId> = Deserialize::from_value(v)?;
-        Ok(Deps::from(ids))
-    }
-}
-
 /// One event on a stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceOp {
     /// Structured display name, e.g. `"fwd.embedding_tables.a2a"`.
     pub name: OpName,
@@ -729,7 +573,7 @@ pub struct TraceOp {
 
 /// A per-device execution trace: ops in issue order (which is also a
 /// topological order of the dependency graph).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     ops: Vec<TraceOp>,
 }
@@ -954,42 +798,74 @@ mod tests {
     }
 
     #[test]
-    fn op_name_round_trips_through_strings() {
+    fn op_names_render_their_display_forms() {
         use madmax_parallel::CollectiveKind as Ck;
         let names = [
-            OpName::flat(PassDir::Fwd, None, "embedding_tables.a2a"),
-            OpName::flat(PassDir::Bwd, Some(95), "blocks"),
-            OpName::UpdateOptimizer,
-            OpName::StageParam {
-                stage: 0,
-                kind: Ck::AllGather,
-            },
-            OpName::StagePass {
-                stage: 2,
-                dir: PassDir::Fwd,
-                mb: 7,
-            },
-            OpName::StagePassColl {
-                stage: 1,
-                dir: PassDir::Bwd,
-                mb: 0,
-                kind: Ck::AllToAll,
-            },
-            OpName::StageSendAct { stage: 0, mb: 4 },
-            OpName::StageSendTok { stage: 2, mb: 47 },
-            OpName::StageSendGrad { stage: 3, mb: 11 },
-            OpName::StageGrad {
-                stage: 5,
-                kind: Ck::ReduceScatter,
-            },
-            OpName::StageOptimizer { stage: 7 },
-            OpName::decode(0, None, "word_embedding.lookup"),
-            OpName::decode(63, Some(12), "transformer_blocks.tp_ar"),
-            OpName::custom("op17"),
+            (
+                OpName::flat(PassDir::Fwd, None, "embedding_tables.a2a"),
+                "fwd.embedding_tables.a2a",
+            ),
+            (
+                OpName::flat(PassDir::Bwd, Some(95), "blocks"),
+                "bwd[95].blocks",
+            ),
+            (OpName::UpdateOptimizer, "update.optimizer"),
+            (
+                OpName::StageParam {
+                    stage: 0,
+                    kind: Ck::AllGather,
+                },
+                "stage0.param.AllGather",
+            ),
+            (
+                OpName::StagePass {
+                    stage: 2,
+                    dir: PassDir::Fwd,
+                    mb: 7,
+                },
+                "stage2.fwd[7]",
+            ),
+            (
+                OpName::StagePassColl {
+                    stage: 1,
+                    dir: PassDir::Bwd,
+                    mb: 0,
+                    kind: Ck::AllToAll,
+                },
+                "stage1.bwd[0].All2All",
+            ),
+            (
+                OpName::StageSendAct { stage: 0, mb: 4 },
+                "stage0.send_act[4]",
+            ),
+            (
+                OpName::StageSendTok { stage: 2, mb: 47 },
+                "stage2.send_tok[47]",
+            ),
+            (
+                OpName::StageSendGrad { stage: 3, mb: 11 },
+                "stage3.send_grad[11]",
+            ),
+            (
+                OpName::StageGrad {
+                    stage: 5,
+                    kind: Ck::ReduceScatter,
+                },
+                "stage5.grad.ReduceScatter",
+            ),
+            (OpName::StageOptimizer { stage: 7 }, "stage7.optimizer"),
+            (
+                OpName::decode(0, None, "word_embedding.lookup"),
+                "dec[0].word_embedding.lookup",
+            ),
+            (
+                OpName::decode(63, Some(12), "transformer_blocks.tp_ar"),
+                "dec[63][12].transformer_blocks.tp_ar",
+            ),
+            (OpName::custom("op17"), "op17"),
         ];
-        for name in names {
-            let parsed: OpName = name.to_string().parse().unwrap();
-            assert_eq!(parsed, name, "{name}");
+        for (name, rendered) in names {
+            assert_eq!(name.to_string(), rendered);
         }
     }
 
@@ -1043,12 +919,6 @@ mod tests {
         // Spilled and inline forms of the same list are equal.
         let spilled = Deps::Spilled(vec![OpId(1), OpId(2)]);
         assert_eq!(spilled, Deps::from(vec![OpId(1), OpId(2)]));
-        // Serde round trip preserves equality regardless of representation.
-        let mut grown = Deps::from(vec![OpId(3), OpId(3)]);
-        grown.sort_dedup();
-        let json = serde_json::to_string(&grown).unwrap();
-        let back: Deps = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, grown);
     }
 
     #[test]

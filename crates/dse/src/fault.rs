@@ -23,6 +23,8 @@
 //! goodput incumbent nor the fault-free incumbent is not simulated: it
 //! comes back with no error, no iteration time and no points.
 
+use std::cmp::Ordering;
+
 use madmax_engine::{EngineError, EngineScratch, FaultSpec, GoodputReport, Scenario};
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
@@ -187,7 +189,8 @@ impl Explorer<'_> {
     /// simulation, not k.
     ///
     /// Ranking: highest [`GoodputCandidate::score`] — effective
-    /// iterations/second at the best swept checkpoint interval.
+    /// iterations/second at the best swept checkpoint interval — with ties
+    /// broken by the higher fault-free throughput.
     /// [`GoodputSearchOutcome::fault_free_best`] records what a
     /// fault-blind ranking would have picked, so
     /// [`GoodputSearchOutcome::plan_flip`] exposes divergence directly.
@@ -272,16 +275,20 @@ impl Explorer<'_> {
         // The last maximum wins (`Iterator::max_by`); `any_success`
         // guarantees a candidate to rank, and the first wave a simulated
         // one.
-        let ranked = |key: fn(&GoodputCandidate) -> f64| {
+        let ranked = |order: fn(&[f64; 2], &[f64; 2]) -> Ordering| {
             candidates
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| !c.points.is_empty())
-                .max_by(|(_, a), (_, b)| key(a).total_cmp(&key(b)))
+                .max_by(|(_, a), (_, b)| order(&scores(&a.points), &scores(&b.points)))
                 .map_or(0, |(i, _)| i)
         };
-        let best_candidate = ranked(GoodputCandidate::score);
-        let fault_free_best = ranked(|c| c.points.first().map_or(0.0, |p| p.fault_free_throughput));
+        // Equal effective throughputs (all 0 once the goodput fraction
+        // underflows at segments hundreds of MTBFs long) fall back to the
+        // fault-free throughput. Pruning stays exact: a pruned candidate
+        // scores strictly below both incumbents, so it ties with neither.
+        let best_candidate = ranked(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+        let fault_free_best = ranked(|a, b| a[1].total_cmp(&b[1]));
         telemetry.goodput_evals = evaluated as u64;
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(GoodputSearchOutcome {

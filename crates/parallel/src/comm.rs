@@ -40,22 +40,6 @@ impl std::fmt::Display for CollectiveKind {
     }
 }
 
-impl std::str::FromStr for CollectiveKind {
-    type Err = ();
-
-    /// Parses the display form (`"AllReduce"`, `"All2All"`, `"P2P"`, ...).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "AllReduce" => Ok(CollectiveKind::AllReduce),
-            "AllGather" => Ok(CollectiveKind::AllGather),
-            "ReduceScatter" => Ok(CollectiveKind::ReduceScatter),
-            "All2All" => Ok(CollectiveKind::AllToAll),
-            "P2P" => Ok(CollectiveKind::PointToPoint),
-            _ => Err(()),
-        }
-    }
-}
-
 /// How a communication call interacts with the compute stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Urgency {

@@ -53,7 +53,9 @@
 //! max-plus recurrence: every decode op's duration is `base + rate·tok`
 //! (the `rate` term is KV-cache stretch), and each token's starts are
 //! maxima over the previous token's finishes. [`run_pipelined_cached`]
-//! therefore hands long decodes to `madmax_core::steady`: only the
+//! therefore hands long decodes, through the evaluator both engines
+//! share (`madmax_core::evaluate_priced`), to `madmax_core::steady`:
+//! only the
 //! prefill plus a short explicit transient is assembled as a real trace;
 //! the remaining tokens advance on exact integer grid arithmetic, and a
 //! certified quadratic fast-forward jumps whole constant-binding regimes

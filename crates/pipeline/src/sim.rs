@@ -5,7 +5,10 @@
 //! [`run_pipelined_cached`] is the engine's only evaluator. The unified
 //! `madmax_engine::Scenario` front door prices the [`PipelineCostTable`]
 //! (one plan for a single run, every candidate for a search) and
-//! dispatches flat plans to the flat engine instead.
+//! dispatches flat plans to the flat engine instead. Like the flat
+//! engine, it keeps only its feasibility checks and its trace assembly:
+//! both engines call [`madmax_core::evaluate_priced`] for the closed-form
+//! gate, scheduling, the report, the serve stats and the decode tail.
 //!
 //! Serve workloads pipeline the decode stream itself: the prompt's
 //! prefill runs as a forward-only pipeline, then every decode step flows
@@ -15,19 +18,17 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule this engine assembles is cross-checked by
-//! `madmax_core::debug_check_schedule` in debug builds (causality,
-//! per-stream exclusivity, non-negative durations, makespan
-//! consistency). A memo hit returns a report whose schedule was already
-//! checked when it was produced. Release builds skip the check entirely;
-//! the full rule set (stage adjacency, 1F1B in-flight bound, GPipe bubble
-//! floor) lives in `madmax-verify`.
+//! Every schedule this engine assembles is cross-checked by the shared
+//! evaluator in debug builds (causality, per-stream exclusivity,
+//! non-negative durations, makespan consistency). A memo hit returns a
+//! report whose schedule was already checked when it was produced.
+//! Release builds skip the check entirely; the full rule set (stage
+//! adjacency, 1F1B in-flight bound, GPipe bubble floor) lives in
+//! `madmax-verify`.
 
 use madmax_parallel::{Plan, PlanError};
 
-use madmax_core::{
-    decode_tail_from, schedule_into, serve_stats_from, EngineScratch, IterationReport, Trace,
-};
+use madmax_core::{evaluate_priced, EngineScratch, IterationReport};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
 use crate::table::{PipelineCostTable, PricedPipelineRef};
@@ -50,12 +51,12 @@ use crate::table::{PipelineCostTable, PricedPipelineRef};
 ///   the table is evaluated once — by whichever worker gets there first —
 ///   and every later candidate at that entry (the GPipe/1F1B pair of a
 ///   sweep) returns the memoized report;
-/// - serve candidates go through the closed-form gate
-///   [`madmax_core::steady::closed_form_serve`], which `analytic_serve`
-///   can switch off: only the prefill and a short transient token prefix
-///   are assembled, the remaining tokens advance in exact integer
-///   arithmetic, and the synthesized report is byte-identical to full
-///   simulation (automatic fallback when the exactness conditions fail).
+/// - serve candidates go through the closed-form gate of
+///   [`madmax_core::evaluate_priced`], which `analytic_serve` can switch
+///   off: only the prefill and a short transient token prefix are
+///   assembled, the remaining tokens advance in exact integer arithmetic,
+///   and the synthesized report is byte-identical to full simulation
+///   (automatic fallback when the exactness conditions fail).
 ///
 /// A serve run leaves its [`madmax_core::DecodeTail`] in
 /// `scratch.decode_tail`; the report memo stores the tail with the
@@ -81,7 +82,6 @@ pub fn run_pipelined_cached(
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> Result<IterationReport, PlanError> {
-    scratch.decode_tail = None;
     let priced = table.priced_for(plan)?;
     let Some(memo) = priced.memo else {
         return Ok(evaluate(table, &priced, scratch, analytic_serve));
@@ -101,73 +101,40 @@ pub fn run_pipelined_cached(
     Ok(report.clone())
 }
 
-/// Evaluates one priced candidate: through the closed-form gate, else by
-/// full assembly and simulation.
+/// Evaluates one priced candidate on the shared evaluator, assembling the
+/// serve trace (decode tokens capped as asked) or the training/prefill
+/// pipeline trace.
 fn evaluate(
     table: &PipelineCostTable,
     priced: &PricedPipelineRef,
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> IterationReport {
-    let model = table.report_model();
     let dims = table.serve_dims();
-    let serve_trace = |tokens: usize, trace: &mut Trace| {
-        let (decode, dims) = priced
-            .decode
-            .zip(dims)
-            .expect("serve dims imply decode costs");
-        build_serve_trace_into(
-            priced.primary,
-            decode,
-            &priced.cfg,
-            tokens,
-            dims.prompt_len,
-            trace,
-        );
-    };
-    if let Some(report) = madmax_core::steady::closed_form_serve(
-        analytic_serve,
+    evaluate_priced(
+        table.report_model(),
+        priced.memory,
         dims,
+        analytic_serve,
         table.analytic_counters(),
-        model,
-        priced.memory,
         scratch,
-        serve_trace,
-    ) {
-        return report;
-    }
-    match dims {
-        Some(d) => serve_trace(d.decode_len, &mut scratch.trace),
-        None => build_pipeline_trace_into(
-            priced.primary,
-            &priced.cfg,
-            table.workload().has_backward(),
-            &mut scratch.trace,
-        ),
-    }
-    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
-    if cfg!(debug_assertions) {
-        madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
-    }
-    let mut report = IterationReport::from_schedule_in(
-        &scratch.trace,
-        &scratch.sched,
-        model,
-        priced.memory,
-        &mut scratch.report,
-    );
-    report.serve = dims.map(|d| {
-        serve_stats_from(
-            &scratch.trace,
-            &scratch.sched,
-            d.prompt_len,
-            d.decode_len,
-            d.decode_batch,
-        )
-    });
-    scratch.decode_tail =
-        dims.and_then(|d| decode_tail_from(&scratch.trace, &scratch.sched, d.decode_len));
-    report
+        |max_decode_tokens, trace| match dims {
+            Some(d) => build_serve_trace_into(
+                priced.primary,
+                priced.decode.expect("serve dims imply decode costs"),
+                &priced.cfg,
+                max_decode_tokens.min(d.decode_len),
+                d.prompt_len,
+                trace,
+            ),
+            None => build_pipeline_trace_into(
+                priced.primary,
+                &priced.cfg,
+                table.workload().has_backward(),
+                trace,
+            ),
+        },
+    )
 }
 
 #[cfg(test)]

@@ -41,9 +41,9 @@
 //!
 //! The verifier is *producer-independent*: it re-derives every invariant
 //! from the IR values alone, trusting neither the trace builders nor the
-//! scheduler. The engines additionally run a cheap subset of the
-//! schedule rules under `debug_assertions`
-//! (`madmax_core::sim::debug_check_schedule`); this crate is the full
+//! scheduler. The engines' shared evaluator
+//! (`madmax_core::evaluate_priced`) additionally runs a cheap subset of
+//! the schedule rules under `debug_assertions`; this crate is the full
 //! rule set for tests, CI, `madmax --verify`, and the explorer's
 //! winner-verification option.
 //!

@@ -404,6 +404,41 @@ fn cli_keeps_goodput_exact_at_huge_mtbfs() {
 }
 
 #[test]
+fn cli_breaks_zero_goodput_ties_by_fault_free_throughput() {
+    // At MTBF 1 s a 1800 s checkpoint segment is ~1800 MTBFs long: every
+    // candidate's goodput underflows to 0, so the goodput ranking must fall
+    // back to the fault-free throughput instead of picking the last
+    // feasible plan and reporting a plan flip.
+    let out = madmax(&[
+        "search",
+        "--model",
+        "llama2",
+        "--system",
+        "llama",
+        "--mtbf",
+        "1",
+        "--checkpoint-interval",
+        "1800",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let plan_of = |prefix: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line: {stdout}"))
+            .trim()
+            .to_owned()
+    };
+    assert_eq!(
+        plan_of("goodput-best:"),
+        plan_of("latency-best:"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("no plan flip"), "{stdout}");
+}
+
+#[test]
 fn cli_load_search_writes_reconciling_telemetry() {
     let path =
         std::env::temp_dir().join(format!("madmax-load-telemetry-{}.json", std::process::id()));

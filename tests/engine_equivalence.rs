@@ -18,6 +18,8 @@
 //!   pipeline `PipelineCostTable` — reproduce `Scenario::run` exactly
 //!   (success and error shapes), across the model zoo, both pipeline
 //!   schedules, training and serve workloads, with one shared scratch;
+//! - the closed-form gate's hit/miss counters follow one contract in
+//!   both engines, for training, prefill-only and serve runs;
 //! - a shared `PipelineCostTable` reused across randomized
 //!   `(microbatches, schedule, decode batch)` candidates matches fresh
 //!   pricing (property test);
@@ -341,16 +343,22 @@ fn analytic_serve_toggle_is_report_invisible_across_the_zoo() {
     // closed-form steady-state decode path; flipping it must never change
     // a report, for any model in the zoo, flat or pipelined, under either
     // pipeline schedule. The analytic counters prove both sides ran the
-    // path they claim: the `on` table synthesizes exactly one report per
-    // evaluation whenever the model decodes and the schedule fits the
-    // exact grid range (LLM-MoE's multi-thousand-second serve spans
-    // exceed it and legitimately fall back), the `off` table none.
+    // path they claim, in one contract for both engines: the `on` table
+    // synthesizes exactly one report per evaluation whenever the model
+    // decodes and the schedule fits the exact grid range (LLM-MoE's
+    // multi-thousand-second serve spans exceed it and legitimately fall
+    // back, one miss), the `off` table records exactly one miss per serve
+    // evaluation, and training, prefill-only and failed runs record
+    // neither a hit nor a miss.
     let mut scratch = EngineScratch::new();
-    let workload = Workload::serve(ServeConfig::new(256, 64));
+    let workloads = [
+        Workload::pretrain(),
+        Workload::inference(),
+        Workload::serve(ServeConfig::new(256, 64)),
+    ];
     for id in ModelId::ALL {
         let model = id.build();
         let sys = system_for(id);
-        let decodes = workload.decode_model(&model).is_some();
         let base = Plan::fsdp_baseline(&model);
         let mut plans = vec![base.clone()];
         for schedule in [PipelineSchedule::GPipe, PipelineSchedule::OneFOneB] {
@@ -362,9 +370,14 @@ fn analytic_serve_toggle_is_report_invisible_across_the_zoo() {
             piped.options.ignore_memory_limits = true;
             plans.push(piped);
         }
-        for plan in &plans {
+        for (workload, plan) in workloads
+            .iter()
+            .flat_map(|w| plans.iter().map(move |p| (w, p)))
+        {
+            let ctx = format!("{id} {workload} {}", plan.summary());
+            let decodes = workload.decode_model(&model).is_some();
             let on = Scenario::new(&model, &sys)
-                .workload_ref(&workload)
+                .workload_ref(workload)
                 .plan_ref(plan);
             let on_table = on.price_plans(std::slice::from_ref(plan));
             let on_pp = on.price_pipeline_plans(std::slice::from_ref(plan));
@@ -373,7 +386,7 @@ fn analytic_serve_toggle_is_report_invisible_across_the_zoo() {
                 .pipeline_costs(&on_pp)
                 .run_in(&mut scratch);
             let off = Scenario::new(&model, &sys)
-                .workload_ref(&workload)
+                .workload_ref(workload)
                 .plan_ref(plan)
                 .analytic_serve(false);
             let off_table = off.price_plans(std::slice::from_ref(plan));
@@ -382,28 +395,36 @@ fn analytic_serve_toggle_is_report_invisible_across_the_zoo() {
                 .costs(&off_table)
                 .pipeline_costs(&off_pp)
                 .run_in(&mut scratch);
+            // (hits, misses) of the closed-form gate, over both engines.
+            let on_gate = [on_table.analytic_stats(), on_pp.analytic_stats()];
+            let off_gate = [off_table.analytic_stats(), off_pp.analytic_stats()];
+            let sum = |g: [madmax_core::CacheStats; 2]| {
+                (g[0].hits + g[1].hits, g[0].misses + g[1].misses)
+            };
             match (fast, full) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "{id} {}", plan.summary());
+                    assert_eq!(a, b, "{ctx}");
                     let in_range = madmax_core::steady::fits_grid_range(b.iteration_time)
                         && madmax_core::steady::fits_grid_range(b.serialized_time);
-                    let synthesized = on_table.analytic_stats().hits + on_pp.analytic_stats().hits;
+                    let closed = decodes && in_range;
                     assert_eq!(
-                        synthesized,
-                        u64::from(decodes && in_range),
-                        "{id} {}: analytic path engagement",
-                        plan.summary()
+                        sum(on_gate),
+                        (u64::from(closed), u64::from(decodes && !closed)),
+                        "{ctx}: analytic path engagement"
+                    );
+                    assert_eq!(
+                        sum(off_gate),
+                        (0, u64::from(decodes)),
+                        "{ctx}: opted-out gate"
                     );
                 }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{id} {}: errors differ", plan.summary()),
-                (a, b) => panic!("{id} {}: divergent outcomes {a:?} vs {b:?}", plan.summary()),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{ctx}: errors differ");
+                    assert_eq!(sum(on_gate), (0, 0), "{ctx}: failed run reached the gate");
+                    assert_eq!(sum(off_gate), (0, 0), "{ctx}: failed run reached the gate");
+                }
+                (a, b) => panic!("{ctx}: divergent outcomes {a:?} vs {b:?}"),
             }
-            assert_eq!(
-                off_table.analytic_stats().hits + off_pp.analytic_stats().hits,
-                0,
-                "{id} {}: opted-out table synthesized a report",
-                plan.summary()
-            );
         }
     }
 }

@@ -258,10 +258,11 @@ proptest! {
 
     /// The pruned goodput search against an exhaustive reference: every
     /// candidate through `Scenario::run` and `goodput_points`, ranked by
-    /// the last maximum. The spaces are Llama2's flat strategies, or its
-    /// transformer strategies with pipelines of depth {1, 2, 4, 8} at {8,
-    /// 16} microbatches; the fault process has a drawn MTBF and recovery
-    /// and either an interval ladder or the Young/Daly interval.
+    /// the last maximum (goodput ties broken by fault-free throughput).
+    /// The spaces are Llama2's flat strategies, or its transformer
+    /// strategies with pipelines of depth {1, 2, 4, 8} at {8, 16}
+    /// microbatches; the fault process has a drawn MTBF and recovery and
+    /// either an interval ladder or the Young/Daly interval.
     #[test]
     fn pruned_goodput_search_matches_the_exhaustive_reference(
         log_mtbf in 1.5f64..5.5,
@@ -398,13 +399,13 @@ fn exhaustive_goodput(
 }
 
 /// The index of the last feasible candidate with the highest `key` of its
-/// simulated points.
-fn last_max(reference: &[Reference], key: impl Fn(&[GoodputReport]) -> f64) -> usize {
+/// simulated points, compared lexicographically.
+fn last_max(reference: &[Reference], key: impl Fn(&[GoodputReport]) -> [f64; 2]) -> usize {
     reference
         .iter()
         .enumerate()
         .filter_map(|(i, r)| Some((i, key(&r.result.as_ref().ok()?.1))))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .max_by(|(_, a), (_, b)| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])))
         .expect("a feasible candidate")
         .0
 }
@@ -426,8 +427,9 @@ fn check_against_reference(
             })
             .collect()
     };
-    let best = last_max(reference, |p| scores(p)[0]);
-    let fault_free = last_max(reference, |p| scores(p)[1]);
+    // Goodput ties break on the fault-free throughput.
+    let best = last_max(reference, scores);
+    let fault_free = last_max(reference, |p| [scores(p)[1], 0.0]);
     if (outcome.best_candidate, outcome.fault_free_best) != (best, fault_free) {
         return Err(format!(
             "winners ({}, {}) but the reference picks ({best}, {fault_free})",
