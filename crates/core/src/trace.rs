@@ -19,8 +19,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use madmax_hw::units::Seconds;
 use madmax_model::LayerClass;
 use madmax_parallel::CollectiveKind;
@@ -31,7 +29,7 @@ use madmax_parallel::CollectiveKind;
 /// device). Pipeline-parallel traces are *multi-stream*: each stage `s`
 /// contributes its own compute and communication streams, representing one
 /// device of that stage's group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StreamId {
     /// SMs + HBM: GEMMs, embedding lookups, optimizer updates.
     Compute,
@@ -96,7 +94,7 @@ impl StreamId {
 }
 
 /// Iteration phase an op belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Forward pass (training forward, or the serve prefill).
     Forward,
@@ -109,7 +107,7 @@ pub enum Phase {
 }
 
 /// What an op does, for breakdown accounting (Figs. 4, 7, 20).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Matrix compute (MLP/transformer/MoE/interaction).
     Gemm {
@@ -128,7 +126,7 @@ pub enum OpKind {
 }
 
 /// Index of an op within its [`Trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 /// Direction tag of a flat-trace or stage-trace pass.
