@@ -8,8 +8,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use serde::{Deserialize, Serialize};
-
 use madmax_dse::{Explorer, ParetoPoint};
 use madmax_engine::{EngineError, Scenario};
 use madmax_hw::units::BytesPerSec;
@@ -18,7 +16,7 @@ use madmax_model::ModelArch;
 use madmax_parallel::{Plan, Workload};
 
 /// A rentable multi-GPU cloud instance type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudInstance {
     /// Instance name, e.g. `"p4d.24xlarge"`.
     pub name: String,

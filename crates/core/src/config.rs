@@ -2,12 +2,12 @@
 //! JSON files for: 1) model architecture ..., 2) distributed system
 //! specifications ..., and 3) task and parallelization strategy".
 //!
-//! Every spec type in the workspace derives serde, so configs round-trip
-//! losslessly; this module adds the file-level glue. Experiment specs
-//! written before the `Workload` redesign (a `"task"` field holding a
-//! legacy `Task` variant) still parse: the legacy variant names are mapped
-//! onto workloads here, even though the in-code `Task` shim itself has
-//! been removed.
+//! These three files are the workspace's only JSON inputs besides the
+//! JSONL request traces, so only the types they reach derive
+//! `Deserialize`; `Serialize` is kept for `madmax config`, which writes
+//! them. This module adds the file-level glue. An experiment spec must
+//! carry a `"workload"`: the pre-`Workload` `"task"` schema is gone and
+//! fails to parse.
 
 use std::fs;
 use std::path::Path;
@@ -20,7 +20,7 @@ use madmax_parallel::{Plan, Workload};
 
 /// Workload + parallelization strategy, the third of the paper's three
 /// JSON inputs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentSpec {
     /// The workload to simulate (pre-training / fine-tuning / serving).
     pub workload: Workload,
@@ -28,56 +28,8 @@ pub struct ExperimentSpec {
     pub plan: Plan,
 }
 
-/// Maps a pre-`Workload` `"task"` value (`"Pretraining"`, `"Inference"`,
-/// or `{"Finetuning": {"trainable": [...]}}`) onto a [`Workload`]. The
-/// in-code `Task` enum is gone; this keeps the on-disk schema loading.
-fn workload_from_legacy_task(v: &serde::Value) -> Result<Workload, serde::Error> {
-    if let serde::Value::Str(s) = v {
-        return match s.as_str() {
-            "Pretraining" => Ok(Workload::pretrain()),
-            "Inference" => Ok(Workload::inference()),
-            other => Err(serde::Error::msg(format!("unknown legacy task {other}"))),
-        };
-    }
-    let map = v
-        .as_map()
-        .ok_or_else(|| serde::Error::msg("expected string or map for legacy task"))?;
-    let payload = map
-        .iter()
-        .find(|(key, _)| key == "Finetuning")
-        .map(|(_, val)| val)
-        .ok_or_else(|| serde::Error::msg("unknown legacy task variant"))?;
-    let fields = payload
-        .as_map()
-        .ok_or_else(|| serde::Error::msg("expected map for Finetuning"))?;
-    let trainable = serde::field(fields, "trainable")?;
-    Ok(Workload::Finetune {
-        trainable: Deserialize::from_value(trainable)?,
-    })
-}
-
-impl Deserialize for ExperimentSpec {
-    /// Accepts the current schema (`"workload"`) and the pre-`Workload`
-    /// schema (`"task"` with a legacy `Task` variant).
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::msg("expected map for ExperimentSpec"))?;
-        let field = |k: &str| map.iter().find(|(key, _)| key == k).map(|(_, val)| val);
-        let workload = match (field("workload"), field("task")) {
-            (Some(w), _) => Workload::from_value(w)?,
-            (None, Some(t)) => workload_from_legacy_task(t)?,
-            (None, None) => return Err(serde::Error::msg("missing field workload")),
-        };
-        let plan = field("plan")
-            .ok_or_else(|| serde::Error::msg("missing field plan"))
-            .and_then(Plan::from_value)?;
-        Ok(Self { workload, plan })
-    }
-}
-
 /// A fully-specified simulation loaded from configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SimulationConfig {
     /// Model architecture.
     pub model: ModelArch,
@@ -153,16 +105,6 @@ impl SimulationConfig {
         Ok(serde_json::from_str(json)?)
     }
 
-    /// Serializes to pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Parse`] if serialization fails (it cannot for
-    /// well-formed specs).
-    pub fn to_json(&self) -> Result<String, ConfigError> {
-        Ok(serde_json::to_string_pretty(self)?)
-    }
-
     /// Writes the three JSON files to a directory
     /// (`model.json`, `system.json`, `experiment.json`).
     ///
@@ -207,10 +149,21 @@ mod tests {
         }
     }
 
+    /// The single document [`SimulationConfig::from_json`] reads, built
+    /// from the parts [`SimulationConfig::write_split`] writes.
+    fn to_json(cfg: &SimulationConfig) -> String {
+        format!(
+            "{{\"model\": {}, \"system\": {}, \"experiment\": {}}}",
+            serde_json::to_string_pretty(&cfg.model).unwrap(),
+            serde_json::to_string_pretty(&cfg.system).unwrap(),
+            serde_json::to_string_pretty(&cfg.experiment).unwrap(),
+        )
+    }
+
     #[test]
     fn json_round_trip() {
         let cfg = sample();
-        let js = cfg.to_json().unwrap();
+        let js = to_json(&cfg);
         let back = SimulationConfig::from_json(&js).unwrap();
         assert_eq!(cfg, back);
     }
@@ -236,31 +189,13 @@ mod tests {
         // key entirely; `Option` fields must default to `None` (real-serde
         // behavior, preserved by the vendored stub).
         let cfg = sample();
-        let js = cfg.to_json().unwrap();
+        let js = to_json(&cfg);
         assert!(js.contains("\"pipeline\": null"), "{js}");
         let stripped = js.replace("\"pipeline\": null,", "");
         assert!(!stripped.contains("pipeline"));
         let back = SimulationConfig::from_json(&stripped).unwrap();
         assert_eq!(back.experiment.plan.pipeline, None);
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn legacy_task_field_still_parses() {
-        // Configs emitted before the Workload redesign carry
-        // `"task": "Pretraining"` (or a Finetuning/Inference variant);
-        // they must keep loading, mapped through the deprecated-Task
-        // shim.
-        let cfg = sample();
-        let js = cfg.to_json().unwrap();
-        let legacy = js.replace("\"workload\": \"Pretrain\"", "\"task\": \"Pretraining\"");
-        assert_ne!(js, legacy, "substitution must have applied");
-        let back = SimulationConfig::from_json(&legacy).unwrap();
-        assert_eq!(back, cfg);
-        // Legacy inference maps onto the prefill-only serve workload.
-        let legacy_infer = js.replace("\"workload\": \"Pretrain\"", "\"task\": \"Inference\"");
-        let back = SimulationConfig::from_json(&legacy_infer).unwrap();
-        assert_eq!(back.experiment.workload, Workload::inference());
     }
 
     #[test]
@@ -273,7 +208,7 @@ mod tests {
     #[test]
     fn loaded_config_is_runnable() {
         let cfg = sample();
-        let js = cfg.to_json().unwrap();
+        let js = to_json(&cfg);
         let cfg = SimulationConfig::from_json(&js).unwrap();
         let plan = &cfg.experiment.plan;
         let mut table = crate::CostTable::new(

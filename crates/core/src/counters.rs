@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Monotonic hit/miss tally for one cache (price table, memo, ...).
 ///
@@ -73,7 +73,7 @@ impl Clone for CacheCounters {
 
 /// A point-in-time snapshot of a [`CacheCounters`] pair: plain
 /// serializable data for telemetry reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Events that reused cached work.
     pub hits: u64,
@@ -138,8 +138,7 @@ mod tests {
     fn stats_serde_round_trip() {
         let s = CacheStats { hits: 7, misses: 3 };
         let js = serde_json::to_string(&s).unwrap();
-        let back: CacheStats = serde_json::from_str(&js).unwrap();
-        assert_eq!(s, back);
+        assert_eq!(js, r#"{"hits":7,"misses":3}"#);
     }
 
     #[test]

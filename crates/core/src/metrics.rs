@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use madmax_hw::units::Seconds;
 use madmax_model::{BatchUnit, LayerClass, ModelArch};
@@ -15,7 +15,7 @@ use crate::trace::{OpKind, Phase, StreamId, Trace};
 
 /// Serve-mode metrics of one iteration: the latency split between the
 /// prompt's prefill and the autoregressive decode stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ServeStats {
     /// Prompt length (tokens per sequence).
     pub prompt_len: usize,
@@ -114,7 +114,7 @@ pub(crate) fn decode_tail_from(
 }
 
 /// Everything MAD-Max reports about one training/inference iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IterationReport {
     /// Overlapped (wall-clock) iteration time: the schedule makespan.
     pub iteration_time: Seconds,

@@ -11,14 +11,12 @@
 //! ([`schedule_into`] / [`EngineScratch`]) so the design-space-exploration
 //! hot path reuses one allocation set across candidates.
 
-use serde::{Deserialize, Serialize};
-
 use madmax_hw::units::Seconds;
 
 use crate::trace::{StreamId, Trace};
 
 /// Start/finish times of one op after scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpWindow {
     /// Time the op begins executing.
     pub start: Seconds,
@@ -27,7 +25,7 @@ pub struct OpWindow {
 }
 
 /// The scheduled timeline of a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     /// Per-op windows, parallel to `trace.ops()`.
     pub windows: Vec<OpWindow>,

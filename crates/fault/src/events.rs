@@ -10,12 +10,11 @@
 
 use madmax_core::steady::{grid_units_round, MAX_UNITS};
 use madmax_hw::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::FaultSpec;
 
 /// What a fault event does to the deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A device loss: in-flight serving work on the lost slots is
     /// interrupted and capacity is degraded until recovery.
@@ -29,7 +28,7 @@ pub enum FaultKind {
 }
 
 /// One materialized fault: a grid-time window and its effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Window start, grid units.
     pub at: i64,

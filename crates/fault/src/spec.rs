@@ -1,10 +1,8 @@
 //! Fault-process and retry-policy configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// A planned maintenance window: a fixed span during which part of the
 /// fleet's capacity is drained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceWindow {
     /// Window start, seconds.
     pub start: f64,
@@ -22,7 +20,7 @@ pub struct MaintenanceWindow {
 /// `mtbf` and `transient_mtbf` are *fleet-level* mean times between
 /// failures in seconds (at cluster scale, per-device MTBFs of weeks
 /// compress to fleet MTBFs of hours).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Mean time between fatal faults, seconds. `None` disables the
     /// fatal stream.
@@ -179,7 +177,7 @@ impl FaultSpec {
 }
 
 /// What happens to in-flight serving requests interrupted by a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Interruptions a request survives before it is dropped: the
     /// `max_retries + 1`-th interruption fails the request.

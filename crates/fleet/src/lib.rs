@@ -16,8 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use madmax_core::IterationReport;
 use madmax_engine::{EngineError, Scenario};
 use madmax_hw::catalog;
@@ -26,7 +24,7 @@ use madmax_model::{LayerClass, ModelArch, ModelId};
 use madmax_parallel::{CollectiveKind, HierStrategy, Plan, Strategy, Workload};
 
 /// Which side of Fig. 4 a job aggregates into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadFamily {
     /// Recommendation-model training.
     Dlrm,
@@ -47,7 +45,7 @@ impl std::fmt::Display for WorkloadFamily {
 /// fleet-level shares the paper reports (compute + exposed communication
 /// remain >82% of cycles; the remainder splits between exposed memcpy and
 /// idle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostOverhead {
     /// Host-device copies not hidden behind compute (input batches,
     /// checkpoint staging).
@@ -212,7 +210,7 @@ pub fn default_fleet() -> Vec<FleetJob> {
 }
 
 /// Fig. 4a cycle categories, as fractions summing to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CycleShares {
     /// Device computation or memory lookups.
     pub compute: f64,

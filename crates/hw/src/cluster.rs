@@ -40,7 +40,7 @@ impl std::fmt::Display for FabricKind {
 /// The paper's collective models pick bandwidths by level: All2All is bound
 /// by the *slowest* level it spans, AllReduce mixes both levels
 /// (Section IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommLevel {
     /// Within a node (e.g. NVLink).
     IntraNode,

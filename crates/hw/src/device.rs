@@ -101,7 +101,7 @@ impl DeviceSpec {
 }
 
 /// Multiplicative scaling factors for a [`DeviceSpec`] (Fig. 19 study).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceScaling {
     /// Factor applied to all peak FLOPS rates.
     pub compute: f64,

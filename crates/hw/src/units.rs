@@ -28,7 +28,6 @@ macro_rules! unit_newtype {
     ($(#[$meta:meta])* $name:ident, $unit:expr) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
         pub struct $name(f64);
 
         impl $name {

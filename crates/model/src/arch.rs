@@ -181,7 +181,7 @@ impl ModelArch {
 
 /// Aggregate per-model statistics: the quantities of the paper's Table II
 /// and Fig. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelStats {
     /// Total parameters.
     pub params_total: f64,

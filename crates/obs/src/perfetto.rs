@@ -38,7 +38,7 @@ use std::io::Write;
 use std::path::Path;
 
 use madmax_core::{OpKind, Schedule, StreamId, Trace, TraceOp};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Process id of the simulated schedule's events.
 pub const SIMULATION_PID: u64 = 0;
@@ -113,52 +113,6 @@ impl Serialize for TraceEvent {
             m.push(("args".to_owned(), Value::Map(self.args.clone())));
         }
         Value::Map(m)
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::msg("expected event object"))?;
-        let text = |key: &str| -> Result<String, serde::Error> {
-            String::from_value(serde::field(m, key)?)
-        };
-        let opt_text = |key: &str| serde::field_opt(m, key).map(String::from_value).transpose();
-        let opt_num = |key: &str| -> Result<Option<f64>, serde::Error> {
-            serde::field_opt(m, key)
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| serde::Error::msg("expected number"))
-                })
-                .transpose()
-        };
-        let num = |key: &str| -> Result<u64, serde::Error> {
-            serde::field(m, key)?
-                .as_u64()
-                .ok_or_else(|| serde::Error::msg("expected unsigned integer"))
-        };
-        Ok(TraceEvent {
-            name: text("name")?,
-            cat: opt_text("cat")?,
-            ph: text("ph")?,
-            ts: opt_num("ts")?,
-            dur: opt_num("dur")?,
-            pid: num("pid")?,
-            tid: num("tid")?,
-            id: serde::field_opt(m, "id")
-                .map(|v| v.as_u64().ok_or_else(|| serde::Error::msg("expected id")))
-                .transpose()?,
-            bp: opt_text("bp")?,
-            args: serde::field_opt(m, "args")
-                .map(|v| {
-                    v.as_map()
-                        .cloned()
-                        .ok_or_else(|| serde::Error::msg("expected args object"))
-                })
-                .transpose()?
-                .unwrap_or_default(),
-        })
     }
 }
 
@@ -353,23 +307,6 @@ impl ChromeTrace {
     }
 }
 
-impl Serialize for ChromeTrace {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![("traceEvents".to_owned(), self.events.to_value())])
-    }
-}
-
-impl Deserialize for ChromeTrace {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::msg("expected trace object"))?;
-        Ok(ChromeTrace {
-            events: Vec::from_value(serde::field(m, "traceEvents")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,9 +314,9 @@ mod tests {
     #[test]
     fn empty_trace_is_valid_json() {
         let t = ChromeTrace::new();
-        let js = t.to_json_string();
-        let back: ChromeTrace = serde_json::from_str(&js).unwrap();
-        assert_eq!(t, back);
+        let js = serde_json::parse_value(&t.to_json_string()).unwrap();
+        let events = serde::field(js.as_map().unwrap(), "traceEvents").unwrap();
+        assert_eq!(events.as_seq().map(Vec::len), Some(0));
     }
 
     #[test]

@@ -18,13 +18,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::load::{LoadTelemetry, RequestEvent};
 use crate::telemetry::SearchTelemetry;
 
 /// How one candidate's evaluation resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CandidateOutcome {
     /// Produced an iteration report.
     Ok,
@@ -37,7 +37,7 @@ pub enum CandidateOutcome {
 }
 
 /// One candidate-completed event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CandidateEvent {
     /// Candidate index within the evaluation batch (stable across thread
     /// counts: it is the plan's position, not completion order).
@@ -258,8 +258,10 @@ mod tests {
             iteration_ms: None,
         };
         let js = serde_json::to_string(&ev).unwrap();
-        let back: CandidateEvent = serde_json::from_str(&js).unwrap();
-        assert_eq!(ev, back);
+        assert_eq!(
+            js,
+            r#"{"index":3,"total":24,"outcome":"OutOfMemory","eval_us":812.5,"iteration_ms":null}"#
+        );
     }
 
     #[test]

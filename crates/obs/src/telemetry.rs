@@ -17,10 +17,10 @@
 use std::sync::Mutex;
 
 use madmax_core::counters::CacheStats;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Wall-clock and throughput of one worker thread of the pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct WorkerStats {
     /// Worker index (0-based; a single-threaded run has one worker 0).
     pub worker: usize,
@@ -33,7 +33,7 @@ pub struct WorkerStats {
 /// A log2-bucketed histogram of per-candidate evaluation latencies in
 /// microseconds: bucket `i` counts evaluations with
 /// `2^i <= latency_us < 2^(i+1)` (bucket 0 covers everything below 2µs).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct LatencyHistogram {
     /// Per-bucket counts (index = floor(log2(latency_us)), clamped to 0).
     pub buckets: Vec<u64>,
@@ -79,7 +79,7 @@ impl LatencyHistogram {
 
 /// Everything one search run reports about itself. See the module docs
 /// for who fills which field.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SearchTelemetry {
     /// Candidates considered (including ones the explorer resolved
     /// without a fresh evaluation, e.g. baseline-identical plans).
@@ -95,7 +95,6 @@ pub struct SearchTelemetry {
     /// first wave of the most promising candidates. Counted in `ok`; their
     /// progress events carry no `iteration_ms`. The same at any thread
     /// count; zero for every other search.
-    #[serde(default)]
     pub pruned: u64,
     /// Candidates rejected for device memory.
     pub oom: u64,
@@ -118,7 +117,6 @@ pub struct SearchTelemetry {
     /// synthesized analytically by `madmax_core::steady`, one miss per
     /// serve candidate simulated in full), summed over the flat and
     /// pipeline tables.
-    #[serde(default)]
     pub steady_analytic: CacheStats,
     /// Per-worker wall-clock and throughput, ordered by worker index.
     pub workers: Vec<WorkerStats>,
@@ -135,10 +133,8 @@ pub struct SearchTelemetry {
     pub verify_warnings: u64,
     /// Closed-form goodput evaluations executed (zero outside
     /// failure-aware searches).
-    #[serde(default)]
     pub goodput_evals: u64,
     /// Fault events materialized or injected into simulations.
-    #[serde(default)]
     pub fault_events: u64,
 }
 
@@ -362,9 +358,22 @@ mod tests {
             ..Default::default()
         };
         t.eval_latency.record(100.0);
-        let js = serde_json::to_string(&t).unwrap();
-        let back: SearchTelemetry = serde_json::from_str(&js).unwrap();
-        assert_eq!(t, back);
+        let js = serde_json::parse_value(&serde_json::to_string(&t).unwrap()).unwrap();
+        let m = js.as_map().unwrap();
+        let field = |k: &str| serde::field(m, k).unwrap();
+        assert_eq!(field("candidates").as_u64(), Some(10));
+        assert_eq!(field("ok").as_u64(), Some(8));
+        assert_eq!(field("wall_ms").as_f64(), Some(12.5));
+        let flat = field("flat_cache").as_map().unwrap();
+        assert_eq!(serde::field(flat, "hits").unwrap().as_u64(), Some(36));
+        assert_eq!(serde::field(flat, "misses").unwrap().as_u64(), Some(4));
+        let latency = field("eval_latency").as_map().unwrap();
+        assert_eq!(serde::field(latency, "count").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            serde::field(latency, "max_us").unwrap().as_f64(),
+            Some(100.0)
+        );
+        assert_eq!(field("workers").as_seq().map(Vec::len), Some(0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! parallelization strategy (Section IV-C: "Generating
 //! Parallelization-Specific Streams").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use madmax_hw::units::ByteCount;
 use madmax_hw::ClusterSpec;
@@ -13,7 +13,7 @@ use crate::strategy::{CommScope, HierStrategy, Strategy, StrategyLevel};
 use crate::workload::Workload;
 
 /// Collective communication primitives modeled by MAD-Max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum CollectiveKind {
     /// Reduce + broadcast (DDP weight gradients, TP partial sums).
     AllReduce,
@@ -41,7 +41,7 @@ impl std::fmt::Display for CollectiveKind {
 }
 
 /// How a communication call interacts with the compute stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Urgency {
     /// The next compute op depends on the result (e.g. embedding All2All
     /// before feature interaction, TP partial-sum AllReduce).
@@ -57,7 +57,7 @@ pub enum Urgency {
 /// Whether a collective runs before or after its layer's compute op in
 /// the stream (e.g. FSDP gathers parameters *before* compute; TP reduces
 /// partial sums *after*; MoE dispatches before and combines after).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommPosition {
     /// Must complete before the layer's compute starts.
     BeforeCompute,
@@ -66,7 +66,7 @@ pub enum CommPosition {
 }
 
 /// One required collective, per layer instance, per iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommReq {
     /// Which primitive.
     pub collective: CollectiveKind,
@@ -87,7 +87,7 @@ pub struct CommReq {
 }
 
 /// All collectives one layer group requires, split by pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerCommPlan {
     /// Forward-pass collectives (per layer instance).
     pub forward: Vec<CommReq>,

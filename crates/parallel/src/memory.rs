@@ -23,7 +23,7 @@
 //!   ([`check_memory`], `CostTable::memory_for` and the pipeline engine's
 //!   worst-stage fold all end in it).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use madmax_hw::units::ByteCount;
 use madmax_hw::ClusterSpec;
@@ -35,7 +35,7 @@ use crate::strategy::{HierStrategy, Strategy};
 use crate::workload::Workload;
 
 /// Per-device memory footprint, itemized.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct MemoryBreakdown {
     /// Sharded/replicated parameter bytes.
     pub params: ByteCount,

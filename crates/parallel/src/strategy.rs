@@ -63,7 +63,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// The scope over which a single strategy level communicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommScope {
     /// The whole machine as one flat group: collectives span the slowest
     /// (inter-node) links when the system is multi-node.

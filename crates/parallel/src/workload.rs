@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use madmax_model::{LayerClass, ModelArch};
 
 /// One execution phase of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadPhase {
     /// One training iteration: forward + backward + optimizer update.
     FwdBwd,

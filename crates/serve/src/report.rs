@@ -7,13 +7,13 @@
 
 use madmax_core::steady::grid_seconds;
 use madmax_hw::units::Seconds;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::LoadTrace;
 
 /// Latency summary of one metric across requests (nearest-rank
 /// percentiles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Percentiles {
     /// Median.
     pub p50: Seconds,
@@ -53,7 +53,7 @@ impl Percentiles {
 }
 
 /// Per-request outcome row of a [`LoadReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RequestOutcome {
     /// Request id (arrival order).
     pub id: u32,
@@ -75,16 +75,14 @@ pub struct RequestOutcome {
     /// Times the request was evicted.
     pub evictions: u32,
     /// Fault interruptions the request survived.
-    #[serde(default)]
     pub retries: u32,
     /// Whether the request was dropped by a fault (retry budget
     /// exhausted or timeout exceeded).
-    #[serde(default)]
     pub failed: bool,
 }
 
 /// Aggregate report of one load run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LoadReport {
     /// Requests that arrived (including rejected ones).
     pub arrivals: usize,
@@ -99,14 +97,11 @@ pub struct LoadReport {
     /// Requests still decoding when the run ended.
     pub in_flight_at_end: usize,
     /// Requests dropped by faults (retry budget exhausted or timeout).
-    #[serde(default)]
     pub failed: usize,
     /// Total fault-interruption retries across requests.
-    #[serde(default)]
     pub retries: u64,
     /// Fraction of the makespan with no fault window open (capacity
     /// whole, no slowdown): `1.0` for fault-free runs.
-    #[serde(default)]
     pub availability: f64,
     /// Total evictions across requests.
     pub evictions: u64,

@@ -11,10 +11,9 @@
 //! even though every request-visible timestamp is byte-identical.
 
 use madmax_fault::FaultKind;
-use serde::{Deserialize, Serialize};
 
 /// Why a request was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The admission queue was at capacity when the request arrived.
     QueueFull,
@@ -24,7 +23,7 @@ pub enum RejectReason {
 }
 
 /// Lifecycle record of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Request id (arrival order).
     pub id: u32,
@@ -46,16 +45,14 @@ pub struct RequestRecord {
     pub evictions: u32,
     /// Fault interruptions this request survived (each consumed one
     /// retry of the run's [`RetryPolicy`](madmax_fault::RetryPolicy)).
-    #[serde(default)]
     pub retries: u32,
     /// When the request was dropped by a fault (retry budget exhausted
     /// or timeout exceeded), if it failed.
-    #[serde(default)]
     pub failed: Option<i64>,
 }
 
 /// One prefill execution (initial admission or eviction-recompute).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefillRun {
     /// The request being prefilled.
     pub request: u32,
@@ -71,7 +68,7 @@ pub struct PrefillRun {
 }
 
 /// One in-flight sequence of a decode run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepSeq {
     /// The request.
     pub request: u32,
@@ -80,7 +77,7 @@ pub struct StepSeq {
 }
 
 /// A run of consecutive decode steps over a stable in-flight set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepRun {
     /// Start time, grid units.
     pub start: i64,
@@ -98,7 +95,7 @@ pub struct StepRun {
 
 /// A KV-block residency interval: one request's blocks, from prefill
 /// start until release (completion or eviction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidencySpan {
     /// The request holding the blocks.
     pub request: u32,
@@ -115,7 +112,7 @@ pub struct ResidencySpan {
 /// deployment actually spent degraded (clock overshoot past the event
 /// time is possible when the event lands inside an atomic prefill), plus
 /// the in-flight requests the window interrupted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpan {
     /// When the simulator applied the event, grid units.
     pub start: i64,
@@ -133,7 +130,7 @@ pub struct FaultSpan {
 }
 
 /// The complete integer-time ledger of one load run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTrace {
     /// Per-request lifecycle records, indexed by id.
     pub records: Vec<RequestRecord>,
@@ -156,14 +153,11 @@ pub struct LoadTrace {
     /// End of the run, grid units.
     pub end: i64,
     /// Fault windows the run applied, in application order.
-    #[serde(default)]
     pub faults: Vec<FaultSpan>,
     /// The retry budget in force, when the run had fault events.
-    #[serde(default)]
     pub retry_limit: Option<u32>,
     /// Decode slots the deployment was priced for (0 in traces predating
     /// the fault ledger).
-    #[serde(default)]
     pub slots: usize,
 }
 
