@@ -20,6 +20,12 @@
 //!        --arrival-rate 0.05,0.2,1 --slo-ttft-p99 30   # SLO goodput search
 //! ```
 //!
+//! `simulate --config-dir DIR` reads the scenario (model, system, plan and
+//! workload) from `DIR`'s three JSON files instead of the scenario flags
+//! (`--model`, `--system`, `--task`, `--prompt`, `--decode`,
+//! `--decode-batch`, `--kv` and the strategy flags), which it rejects.
+//! The load, fault and output flags below apply to either scenario.
+//!
 //! Continuous-batching load flags (simulate and search, serve task):
 //!
 //! - `--arrival-rate R` — seeded Poisson arrivals at `R` requests/second
@@ -93,6 +99,7 @@ use std::process::ExitCode;
 
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::steady::grid_units_round;
+use madmax_core::{Schedule, Trace};
 use madmax_dse::{Explorer, FaultAxes, LoadAxes, SearchSpace};
 use madmax_engine::{FaultSpec, RetryPolicy, Scenario, SimMode};
 use madmax_fault::{format_secs, materialize_faults, replay_goodput};
@@ -104,6 +111,7 @@ use madmax_obs::{
 };
 use madmax_parallel::{HierStrategy, LoadSpec, Plan, ServeConfig, Workload};
 use madmax_serve::parse_request_jsonl;
+use madmax_verify::VerifyReport;
 
 fn models() -> BTreeMap<&'static str, ModelId> {
     BTreeMap::from([
@@ -135,13 +143,11 @@ fn systems() -> BTreeMap<&'static str, fn() -> ClusterSpec> {
 /// Flags that take no value (presence alone means `true`).
 const BOOL_FLAGS: &[&str] = &["verify", "eviction"];
 
-/// Flags that take a value. Together with [`BOOL_FLAGS`] these are every
-/// flag any subcommand reads; anything else is a typo and an error.
-const VALUE_FLAGS: &[&str] = &[
-    // scenario
+/// The flags that define a scenario; `simulate --config-dir` replaces
+/// all of them.
+const SCENARIO_FLAGS: &[&str] = &[
     "model",
     "system",
-    "config-dir",
     "task",
     "prompt",
     "decode",
@@ -151,6 +157,13 @@ const VALUE_FLAGS: &[&str] = &[
     "dense",
     "transformer",
     "moe",
+];
+
+/// The other flags that take a value. Together with [`SCENARIO_FLAGS`]
+/// and [`BOOL_FLAGS`] these are every flag any subcommand reads; anything
+/// else is a typo and an error.
+const VALUE_FLAGS: &[&str] = &[
+    "config-dir",
     // load
     "arrival-rate",
     "arrival-count",
@@ -198,7 +211,7 @@ impl Args {
                 flags.insert(key.to_owned(), "true".to_owned());
                 continue;
             }
-            if !VALUE_FLAGS.contains(&key) {
+            if !VALUE_FLAGS.contains(&key) && !SCENARIO_FLAGS.contains(&key) {
                 return Err(format!("unknown flag `{a}`"));
             }
             let value = it
@@ -643,6 +656,37 @@ fn lookup_system(args: &Args) -> Result<ClusterSpec, String> {
         .ok_or_else(|| format!("unknown system `{name}` (see `madmax list`)"))
 }
 
+/// The scenario `simulate` runs: the three JSON files of `--config-dir`,
+/// else the scenario flags. Scenario flags next to `--config-dir` are an
+/// error rather than silently ignored.
+fn load_scenario(args: &Args) -> Result<(ModelArch, ClusterSpec, Plan, Workload), String> {
+    let Some(dir) = args.get("config-dir") else {
+        let model = lookup_model(args)?;
+        let system = lookup_system(args)?;
+        let workload = parse_workload(args)?;
+        let plan = build_plan(&model, args)?;
+        return Ok((model, system, plan, workload));
+    };
+    if let Some(flag) = SCENARIO_FLAGS.iter().find(|f| args.get(f).is_some()) {
+        return Err(format!(
+            "--{flag} conflicts with --config-dir, whose files define the scenario"
+        ));
+    }
+    let dir = std::path::Path::new(dir);
+    let cfg = SimulationConfig::from_json_files(
+        dir.join("model.json"),
+        dir.join("system.json"),
+        dir.join("experiment.json"),
+    )
+    .map_err(|e| e.to_string())?;
+    Ok((
+        cfg.model,
+        cfg.system,
+        cfg.experiment.plan,
+        cfg.experiment.workload,
+    ))
+}
+
 fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
     let mut plan = Plan::fsdp_baseline(model);
     for (flag, class) in [
@@ -659,45 +703,34 @@ fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
     Ok(plan)
 }
 
-/// Exports a scenario's schedule as Chrome trace-event JSON.
-fn emit_trace(
+/// Runs the scenario once for its engine-produced trace and schedule, the
+/// input of both `--emit-trace` and `--verify`.
+fn run_traced(
     model: &ModelArch,
     system: &ClusterSpec,
     plan: &Plan,
     workload: &Workload,
-    path: &str,
-) -> Result<(), String> {
+) -> Result<(Trace, Schedule), String> {
     let (_, trace, sched) = Scenario::new(model, system)
-        .plan(plan.clone())
-        .workload(workload.clone())
+        .plan_ref(plan)
+        .workload_ref(workload)
         .run_with_trace()
         .map_err(|e| e.to_string())?;
-    ChromeTrace::from_schedule(&trace, &sched)
+    Ok((trace, sched))
+}
+
+/// Writes a schedule as Chrome trace-event JSON.
+fn write_trace(trace: &Trace, sched: &Schedule, path: &str) -> Result<(), String> {
+    ChromeTrace::from_schedule(trace, sched)
         .write(path)
         .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
     eprintln!("trace written to {path} (open at https://ui.perfetto.dev)");
     Ok(())
 }
 
-/// Runs the full `madmax-verify` rule set on the scenario's
-/// engine-produced trace and schedule.
-fn verify_scenario(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-) -> Result<madmax_verify::VerifyReport, String> {
-    let (_, trace, sched) = Scenario::new(model, system)
-        .plan(plan.clone())
-        .workload(workload.clone())
-        .run_with_trace()
-        .map_err(|e| e.to_string())?;
-    Ok(madmax_verify::Verifier::for_plan(plan, workload).verify(&trace, &sched))
-}
-
 /// Prints a verification report (diagnostics plus the critical-path
 /// analysis) and turns error-severity findings into a CLI failure.
-fn finish_verify(report: &madmax_verify::VerifyReport) -> Result<(), String> {
+fn finish_verify(report: &VerifyReport) -> Result<(), String> {
     for d in &report.diagnostics {
         println!("  {d}");
     }
@@ -808,44 +841,7 @@ fn run() -> Result<(), String> {
         }
         "simulate" => {
             let args = Args::parse(rest)?;
-            if let Some(dir) = args.get("config-dir") {
-                let dir = std::path::Path::new(dir);
-                let cfg = SimulationConfig::from_json_files(
-                    dir.join("model.json"),
-                    dir.join("system.json"),
-                    dir.join("experiment.json"),
-                )
-                .map_err(|e| e.to_string())?;
-                print_report(
-                    &cfg.model,
-                    &cfg.system,
-                    &cfg.experiment.plan,
-                    &cfg.experiment.workload,
-                )?;
-                if let Some(path) = args.get("emit-trace") {
-                    emit_trace(
-                        &cfg.model,
-                        &cfg.system,
-                        &cfg.experiment.plan,
-                        &cfg.experiment.workload,
-                        path,
-                    )?;
-                }
-                if args.is_set("verify") {
-                    let report = verify_scenario(
-                        &cfg.model,
-                        &cfg.system,
-                        &cfg.experiment.plan,
-                        &cfg.experiment.workload,
-                    )?;
-                    finish_verify(&report)?;
-                }
-                return Ok(());
-            }
-            let model = lookup_model(&args)?;
-            let system = lookup_system(&args)?;
-            let workload = parse_workload(&args)?;
-            let plan = build_plan(&model, &args)?;
+            let (model, system, plan, workload) = load_scenario(&args)?;
             let fault = parse_fault_spec(&args)?;
             if let Some(spec) = parse_load_spec(&args)? {
                 return run_load_simulation(
@@ -862,12 +858,17 @@ fn run() -> Result<(), String> {
                 return run_goodput(&model, &system, &plan, &workload, fault, &args);
             }
             print_report(&model, &system, &plan, &workload)?;
-            if let Some(path) = args.get("emit-trace") {
-                emit_trace(&model, &system, &plan, &workload, path)?;
-            }
-            if args.is_set("verify") {
-                let report = verify_scenario(&model, &system, &plan, &workload)?;
-                finish_verify(&report)?;
+            let emit = args.get("emit-trace");
+            if emit.is_some() || args.is_set("verify") {
+                let (trace, sched) = run_traced(&model, &system, &plan, &workload)?;
+                if let Some(path) = emit {
+                    write_trace(&trace, &sched, path)?;
+                }
+                if args.is_set("verify") {
+                    let report =
+                        madmax_verify::Verifier::for_plan(&plan, &workload).verify(&trace, &sched);
+                    finish_verify(&report)?;
+                }
             }
             Ok(())
         }
@@ -981,7 +982,8 @@ fn run() -> Result<(), String> {
             println!("evaluated {} plans ({} OOM)", r.evaluated, r.oom);
             report_telemetry(&r.telemetry, args.get("telemetry"))?;
             if let Some(path) = args.get("emit-trace") {
-                emit_trace(&model, &system, &r.best_plan, &r.best_workload, path)?;
+                let (trace, sched) = run_traced(&model, &system, &r.best_plan, &r.best_workload)?;
+                write_trace(&trace, &sched, path)?;
             }
             println!(
                 "baseline:  {:.3} ms/iter",
@@ -1001,95 +1003,89 @@ fn run() -> Result<(), String> {
         "verify" => {
             let args = Args::parse(rest)?;
             let only = args.get("only");
-            let mut failed = 0usize;
-            let mut ran = 0usize;
+            let (mut ran, mut failed) = (0usize, 0usize);
+            // Verifies the scenario `name` unless `--only` filters it out:
+            // `verify` returns its report and the summary printed after
+            // the error and warning counts.
+            let mut check =
+                |name: &str, verify: &mut dyn FnMut() -> Result<(VerifyReport, String), String>| {
+                    if only.is_some_and(|pat| !name.contains(pat)) {
+                        return Ok::<(), String>(());
+                    }
+                    ran += 1;
+                    let (report, summary) = verify()?;
+                    println!(
+                        "{name:<28} {:>2} errors {:>2} warnings  {summary}",
+                        report.error_count(),
+                        report.warning_count()
+                    );
+                    for d in &report.diagnostics {
+                        println!("    {d}");
+                    }
+                    if !report.is_clean() {
+                        failed += 1;
+                    }
+                    Ok(())
+                };
             for sc in madmax_bench::verify_corpus() {
-                if only.is_some_and(|pat| !sc.name.contains(pat)) {
-                    continue;
-                }
-                ran += 1;
-                let report = verify_scenario(&sc.model, &sc.system, &sc.plan, &sc.workload)?;
-                let cp = report.critical_path.as_ref().map_or_else(
-                    || "-".to_owned(),
-                    |c| format!("{:.3} ms", c.lower_bound.as_ms()),
-                );
-                println!(
-                    "{:<28} {:>2} errors {:>2} warnings  critical path {}",
-                    sc.name,
-                    report.error_count(),
-                    report.warning_count(),
-                    cp
-                );
-                for d in &report.diagnostics {
-                    println!("    {d}");
-                }
-                if !report.is_clean() {
-                    failed += 1;
-                }
+                check(&sc.name, &mut || {
+                    let (trace, sched) = run_traced(&sc.model, &sc.system, &sc.plan, &sc.workload)?;
+                    let report = madmax_verify::Verifier::for_plan(&sc.plan, &sc.workload)
+                        .verify(&trace, &sched);
+                    let cp = report.critical_path.as_ref().map_or_else(
+                        || "-".to_owned(),
+                        |c| format!("{:.3} ms", c.lower_bound.as_ms()),
+                    );
+                    Ok((report, format!("critical path {cp}")))
+                })?;
             }
             // The fault-injection corpus: materialized fault streams
             // through the fault-aware load simulator, checked by the
             // fault-ledger rules (plus the rest of the load rule set).
             for fs in madmax_bench::fault_corpus() {
-                if only.is_some_and(|pat| !fs.name.contains(pat)) {
-                    continue;
-                }
-                ran += 1;
-                let scenario = Scenario::new(&fs.model, &fs.system)
-                    .plan_ref(&fs.plan)
-                    .workload_ref(&fs.workload);
-                let costs = scenario.price_load(&fs.load).map_err(|e| e.to_string())?;
-                let events =
-                    materialize_faults(&fs.fault, fs.horizon_units).map_err(|e| e.to_string())?;
-                let outcome = scenario
-                    .serve_load_faulty(&fs.load, &costs, SimMode::Event, &events, &fs.retry, None)
-                    .map_err(|e| e.to_string())?;
-                let report = madmax_verify::verify_load(&outcome.trace);
-                println!(
-                    "{:<28} {:>2} errors {:>2} warnings  {} fault windows",
-                    fs.name,
-                    report.error_count(),
-                    report.warning_count(),
-                    outcome.trace.faults.len()
-                );
-                for d in &report.diagnostics {
-                    println!("    {d}");
-                }
-                if !report.is_clean() {
-                    failed += 1;
-                }
+                check(&fs.name, &mut || {
+                    let scenario = Scenario::new(&fs.model, &fs.system)
+                        .plan_ref(&fs.plan)
+                        .workload_ref(&fs.workload);
+                    let costs = scenario.price_load(&fs.load).map_err(|e| e.to_string())?;
+                    let events = materialize_faults(&fs.fault, fs.horizon_units)
+                        .map_err(|e| e.to_string())?;
+                    let outcome = scenario
+                        .serve_load_faulty(
+                            &fs.load,
+                            &costs,
+                            SimMode::Event,
+                            &events,
+                            &fs.retry,
+                            None,
+                        )
+                        .map_err(|e| e.to_string())?;
+                    let windows = outcome.trace.faults.len();
+                    Ok((
+                        madmax_verify::verify_load(&outcome.trace),
+                        format!("{windows} fault windows"),
+                    ))
+                })?;
             }
             // Closed-form goodput reports under the goodput-bound rule.
             for (name, mtbf) in [
                 ("goodput/llama2@3600", 3600.0),
                 ("goodput/llama2@600", 600.0),
             ] {
-                if only.is_some_and(|pat| !name.contains(pat)) {
-                    continue;
-                }
-                ran += 1;
-                let model = ModelId::Llama2.build();
-                let system = catalog::llama_llm_system();
-                let plan = Plan::fsdp_baseline(&model);
-                let outcome = Scenario::new(&model, &system)
-                    .plan_ref(&plan)
-                    .workload(Workload::pretrain())
-                    .goodput(&FaultSpec::fatal(mtbf, 60.0, 7))
-                    .map_err(|e| e.to_string())?;
-                let report = madmax_verify::verify_goodput(&outcome.goodput);
-                println!(
-                    "{:<28} {:>2} errors {:>2} warnings  goodput {:.2}%",
-                    name,
-                    report.error_count(),
-                    report.warning_count(),
-                    outcome.goodput.goodput_fraction * 100.0
-                );
-                for d in &report.diagnostics {
-                    println!("    {d}");
-                }
-                if !report.is_clean() {
-                    failed += 1;
-                }
+                check(name, &mut || {
+                    let model = ModelId::Llama2.build();
+                    let system = catalog::llama_llm_system();
+                    let plan = Plan::fsdp_baseline(&model);
+                    let outcome = Scenario::new(&model, &system)
+                        .plan_ref(&plan)
+                        .workload(Workload::pretrain())
+                        .goodput(&FaultSpec::fatal(mtbf, 60.0, 7))
+                        .map_err(|e| e.to_string())?;
+                    Ok((
+                        madmax_verify::verify_goodput(&outcome.goodput),
+                        format!("goodput {:.2}%", outcome.goodput.goodput_fraction * 100.0),
+                    ))
+                })?;
             }
             if ran == 0 {
                 return Err("no corpus scenario matches --only filter".to_owned());

@@ -1,103 +1,124 @@
-//! Runs every table/figure experiment and persists results under
-//! `results/`. DSE-heavy experiments fan out over all available cores, and
-//! the telemetry layer's [`ElapsedSummary`] prints a per-figure
-//! elapsed-time table at the end so hot-path regressions are visible
-//! straight from the tier-1 artifact run. Per-search telemetry (outcome
-//! counters, cache hit rates) lands in `results/telemetry.json`.
+//! `run_all` — the figure runner. It runs the experiments of the registry
+//! ([`madmax_bench::experiments::ALL`]), prints each report and persists
+//! it as `results/<name>.txt`:
+//!
+//! ```text
+//! run_all [NAME ...] [--threads N] [--progress N] [--telemetry PATH] [--verify]
+//! run_all                                  # every table and figure
+//! run_all fig10_pretraining_speedup --threads 1
+//! ```
+//!
+//! With no names it runs every experiment in registry order, else the
+//! named ones in the order given; an unknown name prints the usage with
+//! every registry name and exits 2. DSE-heavy experiments fan out over
+//! `--threads` workers (default: all cores); their reports are identical
+//! at any thread count. The telemetry layer's [`ElapsedSummary`] prints a
+//! per-experiment elapsed-time table to stderr at the end, so hot-path
+//! regressions are visible straight from the artifact run. Per-search
+//! telemetry (outcome counters, cache hit rates) lands in `--telemetry
+//! PATH`, else in `results/telemetry.json`.
 
-use madmax_bench::{emit, experiments as e, SearchHooks};
-use madmax_obs::{ElapsedSummary, TelemetrySpool};
+use std::path::PathBuf;
 
-type Experiment<'a> = (&'static str, Box<dyn Fn() -> String + 'a>);
+use madmax_bench::experiments::{self, Experiment};
+use madmax_bench::{emit, SearchHooks};
+use madmax_obs::{ElapsedSummary, ProgressSink, StderrTicker, TelemetrySpool};
 
-fn main() {
-    let threads = madmax_bench::default_threads();
-    let spool = TelemetrySpool::new();
-    let hooks = SearchHooks {
-        threads,
-        sink: None,
-        spool: Some(&spool),
+/// Parsed command line.
+struct Cli {
+    experiments: Vec<&'static Experiment>,
+    threads: usize,
+    progress: Option<StderrTicker>,
+    telemetry: Option<PathBuf>,
+    verify: bool,
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: run_all [NAME ...] [--threads N] [--progress N] [--telemetry PATH] [--verify]\n\
+         \x20 NAME              run only the named experiments (default: all)\n\
+         \x20 --threads N       explorer worker-pool size (default: all cores)\n\
+         \x20 --progress N      print a progress line every N candidates\n\
+         \x20 --telemetry PATH  write per-search telemetry JSON to PATH\n\
+         \x20                   (default: results/telemetry.json)\n\
+         \x20 --verify          verify each search's winner schedule\n\
+         experiments:"
+    );
+    for e in experiments::ALL {
+        eprintln!("  {}", e.name);
+    }
+    std::process::exit(2);
+}
+
+/// Parses the process arguments, exiting with the usage on a malformed
+/// or unknown flag or an unknown experiment name.
+fn parse_args() -> Cli {
+    let mut cli = Cli {
+        experiments: Vec::new(),
+        threads: madmax_bench::default_threads(),
+        progress: None,
+        telemetry: None,
         verify: false,
     };
-    let h = &hooks;
-    let runs: Vec<Experiment> = vec![
-        ("table1_validation", Box::new(e::tables::table1)),
-        ("table2_model_suite", Box::new(e::tables::table2)),
-        ("table3_systems", Box::new(e::tables::table3)),
-        ("table4_hw_specs", Box::new(e::tables::table4)),
-        (
-            "fig01_pareto_frontier",
-            Box::new(|| {
-                e::hardware_figs::fig16(
-                    "Fig. 1: Resource-performance pareto frontier (cloud DLRM-A)",
-                )
-            }),
-        ),
-        (
-            "fig03_model_characterization",
-            Box::new(e::characterization::fig03),
-        ),
-        (
-            "fig04_fleet_characterization",
-            Box::new(e::characterization::fig04),
-        ),
-        ("fig06_sample_streams", Box::new(e::validation_figs::fig06)),
-        ("fig07_dlrm_validation", Box::new(e::validation_figs::fig07)),
-        ("fig08_vit_validation", Box::new(e::validation_figs::fig08)),
-        ("fig09_fsdp_prefetch", Box::new(e::validation_figs::fig09)),
-        (
-            "fig10_pretraining_speedup",
-            Box::new(move || e::strategy_figs::fig10(h)),
-        ),
-        (
-            "fig11_dlrm_strategy_sweep",
-            Box::new(e::strategy_figs::fig11),
-        ),
-        ("fig12_dlrm_variants", Box::new(e::strategy_figs::fig12)),
-        ("fig13_variant_pareto", Box::new(e::strategy_figs::fig13)),
-        ("fig14_task_diversity", Box::new(e::strategy_figs::fig14)),
-        ("fig15_context_length", Box::new(e::strategy_figs::fig15)),
-        (
-            "fig16_cloud_instances",
-            Box::new(|| {
-                e::hardware_figs::fig16(
-                    "Fig. 16: Cloud instance configurations and workload mappings",
-                )
-            }),
-        ),
-        ("fig17_gpu_generations", Box::new(e::hardware_figs::fig17)),
-        (
-            "fig18_commodity_hardware",
-            Box::new(move || e::hardware_figs::fig18(h)),
-        ),
-        ("fig19_hardware_scaling", Box::new(e::hardware_figs::fig19)),
-        (
-            "fig20_execution_breakdown",
-            Box::new(e::hardware_figs::fig20),
-        ),
-        (
-            "fig_pipeline_schedules",
-            Box::new(move || e::pipeline_figs::fig_pipeline_schedules(h)),
-        ),
-        ("fig_serve", Box::new(move || e::serve_figs::fig_serve(h))),
-        (
-            "fig_serve_load",
-            Box::new(move || e::serve_load_figs::fig_serve_load(h)),
-        ),
-        ("fig_fault", Box::new(move || e::fault_figs::fig_fault(h))),
-        ("ablations", Box::new(e::ablations::run)),
-    ];
+    let mut it = std::env::args().skip(1);
+    while let Some(a) = it.next() {
+        if a == "--verify" {
+            cli.verify = true;
+            continue;
+        }
+        if !a.starts_with("--") {
+            let Some(e) = experiments::find(&a) else {
+                eprintln!("run_all: unknown experiment `{a}`");
+                usage()
+            };
+            cli.experiments.push(e);
+            continue;
+        }
+        let Some(v) = it.next() else { usage() };
+        match a.as_str() {
+            "--threads" => match v.parse::<usize>() {
+                Ok(n) => cli.threads = n.max(1),
+                Err(_) => usage(),
+            },
+            "--progress" => match v.parse::<u64>() {
+                Ok(n) => cli.progress = Some(StderrTicker::every(n)),
+                Err(_) => usage(),
+            },
+            "--telemetry" => cli.telemetry = Some(PathBuf::from(v)),
+            _ => usage(),
+        }
+    }
+    if cli.experiments.is_empty() {
+        cli.experiments = experiments::ALL.iter().collect();
+    }
+    cli
+}
+
+fn main() {
+    let cli = parse_args();
+    let spool = TelemetrySpool::new();
+    let hooks = SearchHooks {
+        threads: cli.threads,
+        sink: cli.progress.as_ref().map(|t| t as &dyn ProgressSink),
+        spool: Some(&spool),
+        verify: cli.verify,
+    };
     let mut summary = ElapsedSummary::new();
-    for (name, f) in runs {
-        eprintln!(">>> {name}");
-        let report = summary.run(name, f);
-        emit(name, &report);
+    for e in &cli.experiments {
+        eprintln!(">>> {}", e.name);
+        let report = summary.run(e.name, || (e.run)(&hooks));
+        emit(e.name, &report);
     }
 
-    eprintln!("\n=== elapsed per experiment ===");
+    eprintln!(
+        "\n=== elapsed per experiment ({} thread(s)) ===",
+        cli.threads
+    );
     eprint!("{}", summary.table());
 
-    let telemetry_path = madmax_bench::results_dir().join("telemetry.json");
+    let telemetry_path = cli
+        .telemetry
+        .unwrap_or_else(|| madmax_bench::results_dir().join("telemetry.json"));
     match spool.write(&telemetry_path) {
         Ok(()) => eprintln!("search telemetry written to {}", telemetry_path.display()),
         Err(err) => eprintln!("cannot write search telemetry: {err}"),

@@ -1,18 +1,13 @@
-//! Shared command-line plumbing for the DSE-heavy bench binaries: one
-//! flag parser (`--threads`, `--progress`, `--telemetry`, `--emit-trace`)
-//! instead of per-bin ad-hoc parsing, and one elapsed-time/telemetry
-//! epilogue instead of per-bin `eprintln!` timers.
+//! The observability context of an experiment's searches.
 //!
 //! An experiment function takes a [`SearchHooks`] and threads it into
 //! every `Explorer` it builds (via [`SearchHooks::attach`]) plus a
-//! [`SearchHooks::record`] call per finished search; the binary wraps the
-//! function with [`BenchCli::run`], which owns the progress sink and the
-//! telemetry spool and handles the flag-driven outputs.
-
-use std::path::PathBuf;
+//! [`SearchHooks::record`] call per finished search. `run_all` parses the
+//! flags (`--threads`, `--progress`, `--telemetry`, `--verify`), owns the
+//! progress sink and the telemetry spool, and lends them out as hooks.
 
 use madmax_dse::Explorer;
-use madmax_obs::{ProgressSink, SearchTelemetry, StderrTicker, TelemetrySpool};
+use madmax_obs::{ProgressSink, SearchTelemetry, TelemetrySpool};
 
 /// Borrowed observability context an experiment threads into its
 /// explorers. `Copy`, so call sites pass it around freely.
@@ -61,99 +56,5 @@ impl<'a> SearchHooks<'a> {
         if let Some(spool) = self.spool {
             spool.record(name, telemetry);
         }
-    }
-}
-
-/// Parsed common flags of a DSE-heavy bench binary.
-#[derive(Debug)]
-pub struct BenchCli {
-    name: &'static str,
-    threads: usize,
-    progress: Option<StderrTicker>,
-    telemetry_path: Option<PathBuf>,
-    spool: TelemetrySpool,
-    verify: bool,
-}
-
-impl BenchCli {
-    /// Parses the process arguments. Exits with a usage message on a
-    /// malformed or unknown flag, so binaries stay misuse-proof.
-    pub fn from_args(name: &'static str) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let usage = || -> ! {
-            eprintln!(
-                "usage: {name} [--threads N] [--progress N] [--telemetry PATH] [--verify]\n\
-                 \x20 --threads N       explorer worker-pool size (default: all cores)\n\
-                 \x20 --progress N      print a progress line every N candidates\n\
-                 \x20 --telemetry PATH  write per-search telemetry JSON to PATH\n\
-                 \x20 --verify          verify each search's winner schedule"
-            );
-            std::process::exit(2);
-        };
-        let mut cli = Self {
-            name,
-            threads: crate::default_threads(),
-            progress: None,
-            telemetry_path: None,
-            spool: TelemetrySpool::new(),
-            verify: false,
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--verify" {
-                cli.verify = true;
-                continue;
-            }
-            let Some(v) = it.next() else { usage() };
-            match a.as_str() {
-                "--threads" => match v.parse::<usize>() {
-                    Ok(n) => cli.threads = n.max(1),
-                    Err(_) => usage(),
-                },
-                "--progress" => match v.parse::<u64>() {
-                    Ok(n) => cli.progress = Some(StderrTicker::every(n)),
-                    Err(_) => usage(),
-                },
-                "--telemetry" => cli.telemetry_path = Some(PathBuf::from(v)),
-                _ => usage(),
-            }
-        }
-        cli
-    }
-
-    /// The parsed worker-pool size.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The hooks to thread into the experiment's searches.
-    pub fn hooks(&self) -> SearchHooks<'_> {
-        SearchHooks {
-            threads: self.threads,
-            sink: self.progress.as_ref().map(|t| t as &dyn ProgressSink),
-            spool: Some(&self.spool),
-            verify: self.verify,
-        }
-    }
-
-    /// Runs the experiment with this CLI's hooks, prints the standard
-    /// elapsed epilogue to stderr, and writes the telemetry file when
-    /// `--telemetry` was given. Returns the experiment's report.
-    pub fn run(&self, experiment: impl FnOnce(&SearchHooks) -> String) -> String {
-        let started = std::time::Instant::now();
-        let report = experiment(&self.hooks());
-        eprintln!(
-            "{}: {:.1} ms on {} thread(s)",
-            self.name,
-            started.elapsed().as_secs_f64() * 1e3,
-            self.threads
-        );
-        if let Some(path) = &self.telemetry_path {
-            match self.spool.write(path) {
-                Ok(()) => eprintln!("{}: telemetry written to {}", self.name, path.display()),
-                Err(e) => eprintln!("{}: cannot write telemetry: {e}", self.name),
-            }
-        }
-        report
     }
 }

@@ -11,20 +11,6 @@ use madmax_model::{DlrmVariant, ModelId};
 use madmax_parallel::{Plan, Workload};
 use madmax_report::{heading, render_timeline, stacked_bars, Segment, Table, TimelineOp};
 
-/// Fig. 6's scenario (DLRM-A-Transformer inference on ZionEX under the
-/// FSDP baseline) exported as a Chrome trace — the `--emit-trace` payload
-/// of the `fig06_sample_streams` bin.
-pub fn fig06_chrome_trace() -> madmax_obs::ChromeTrace {
-    let model = madmax_model::dlrm::dlrm_a(DlrmVariant::Transformer);
-    let sys = catalog::zionex_dlrm_system();
-    let (_, trace, sched) = Scenario::new(&model, &sys)
-        .plan(Plan::fsdp_baseline(&model))
-        .workload(Workload::inference())
-        .run_with_trace()
-        .expect("baseline mapping is feasible");
-    madmax_obs::ChromeTrace::from_schedule(&trace, &sched)
-}
-
 /// Fig. 6: generated compute/communication streams for the forward pass of
 /// the DLRM-Transformer example, with the exposed All2All visible.
 pub fn fig06() -> String {

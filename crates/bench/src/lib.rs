@@ -1,11 +1,12 @@
 //! # madmax-bench
 //!
-//! The MAD-Max experiment harness: one module (and one runnable binary)
-//! per table and figure of the paper's evaluation. Each experiment's
-//! `run()` returns the rendered report; binaries print it and persist a
-//! copy under `results/`. `run_all` executes everything and ends with a
-//! per-experiment elapsed-time summary, so hot-path regressions are
-//! visible straight from the tier-1 artifact run.
+//! The MAD-Max experiment harness: one module per table and figure of the
+//! paper's evaluation, listed once in the registry
+//! [`experiments::ALL`]. Each experiment returns the rendered report; the
+//! one figure runner, `run_all [NAME ...]`, prints it and persists a copy
+//! under `results/`, and ends with a per-experiment elapsed-time summary,
+//! so hot-path regressions are visible straight from the artifact run.
+//! The other binary, `madmax`, is the command-line driver of the model.
 //!
 //! ## Tracking explorer performance
 //!
@@ -31,7 +32,7 @@ pub mod cli;
 pub mod corpus;
 pub mod experiments;
 
-pub use cli::{BenchCli, SearchHooks};
+pub use cli::SearchHooks;
 pub use corpus::{fault_corpus, verify_corpus, FaultScenario, VerifyScenario};
 
 use std::fs;

@@ -46,6 +46,9 @@ pub enum ConfigError {
     Io(std::io::Error),
     /// Malformed JSON or schema mismatch.
     Parse(serde_json::Error),
+    /// Well-formed JSON whose values describe no simulable model or
+    /// system (see `ModelArch::validate` and `ClusterSpec::validate`).
+    Invalid(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -53,6 +56,7 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::Io(e) => write!(f, "config I/O error: {e}"),
             ConfigError::Parse(e) => write!(f, "config parse error: {e}"),
+            ConfigError::Invalid(e) => write!(f, "invalid config: {e}"),
         }
     }
 }
@@ -62,6 +66,7 @@ impl std::error::Error for ConfigError {
         match self {
             ConfigError::Io(e) => Some(e),
             ConfigError::Parse(e) => Some(e),
+            ConfigError::Invalid(_) => None,
         }
     }
 }
@@ -83,26 +88,42 @@ impl SimulationConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for missing files or schema mismatches.
+    /// Returns [`ConfigError`] for missing files, schema mismatches or
+    /// invalid values.
     pub fn from_json_files(
         model: impl AsRef<Path>,
         system: impl AsRef<Path>,
         experiment: impl AsRef<Path>,
     ) -> Result<Self, ConfigError> {
-        Ok(Self {
+        Self {
             model: serde_json::from_str(&fs::read_to_string(model)?)?,
             system: serde_json::from_str(&fs::read_to_string(system)?)?,
             experiment: serde_json::from_str(&fs::read_to_string(experiment)?)?,
-        })
+        }
+        .validated()
     }
 
     /// Parses a single combined JSON document.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Parse`] on malformed input.
+    /// Returns [`ConfigError::Parse`] on malformed input and
+    /// [`ConfigError::Invalid`] on invalid values.
     pub fn from_json(json: &str) -> Result<Self, ConfigError> {
-        Ok(serde_json::from_str(json)?)
+        serde_json::from_str::<Self>(json)?.validated()
+    }
+
+    /// Applies the model and system checks the asserting constructors
+    /// apply, so a hand-edited file fails to load instead of simulating
+    /// nonsense.
+    fn validated(self) -> Result<Self, ConfigError> {
+        self.model
+            .validate()
+            .map_err(|e| ConfigError::Invalid(format!("model: {e}")))?;
+        self.system
+            .validate()
+            .map_err(|e| ConfigError::Invalid(format!("system: {e}")))?;
+        Ok(self)
     }
 
     /// Writes the three JSON files to a directory

@@ -139,9 +139,8 @@ impl ClusterSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `devices_per_node` or `num_nodes` is zero, or if the
-    /// utilization factors are out of range — these are programming errors
-    /// in a spec definition, not runtime conditions.
+    /// Panics if [`ClusterSpec::validate`] rejects the spec — these are
+    /// programming errors in a spec definition, not runtime conditions.
     pub fn new(
         name: impl Into<String>,
         device: DeviceSpec,
@@ -150,28 +149,65 @@ impl ClusterSpec {
         intra_fabric: FabricKind,
         inter_fabric: FabricKind,
     ) -> Self {
-        assert!(devices_per_node > 0, "devices_per_node must be positive");
-        assert!(num_nodes > 0, "num_nodes must be positive");
-        let utilization = Utilization::default();
-        utilization.validate().expect("default utilization valid");
-        Self {
+        let spec = Self {
             name: name.into(),
             device,
             devices_per_node,
             num_nodes,
             intra_fabric,
             inter_fabric,
-            utilization,
-        }
+            utilization: Utilization::default(),
+        };
+        spec.validate().unwrap_or_else(|e| panic!("{e}"));
+        spec
     }
 
     /// Replaces the node count (builder-style), e.g. to compare 8- vs
     /// 128-GPU deployments of the same platform (Fig. 7).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ClusterSpec::validate`] rejects the result.
     #[must_use]
     pub fn with_num_nodes(mut self, num_nodes: usize) -> Self {
-        assert!(num_nodes > 0, "num_nodes must be positive");
         self.num_nodes = num_nodes;
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// Checks that the spec describes a simulable system: positive node
+    /// and per-node device counts, a device whose HBM capacity, HBM and
+    /// link bandwidths and peak rates are finite and positive, and
+    /// utilization factors in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.devices_per_node == 0 {
+            return Err("devices_per_node must be positive".to_owned());
+        }
+        if self.num_nodes == 0 {
+            return Err("num_nodes must be positive".to_owned());
+        }
+        let d = &self.device;
+        for (field, v) in [
+            ("hbm_capacity", d.hbm_capacity.value()),
+            ("hbm_bw", d.hbm_bw.value()),
+            ("intra_node_bw", d.intra_node_bw.value()),
+            ("inter_node_bw", d.inter_node_bw.value()),
+            ("peak.fp32", d.peak.fp32.value()),
+            ("peak.tf32", d.peak.tf32.value()),
+            ("peak.fp16", d.peak.fp16.value()),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!(
+                    "device `{}`: {field} = {v} must be finite and positive",
+                    d.name
+                ));
+            }
+        }
+        self.utilization.validate()
     }
 
     /// Total number of accelerators.

@@ -74,19 +74,37 @@ impl LayerGroup {
     ///
     /// # Panics
     ///
-    /// Panics if `repeat` is zero.
+    /// Panics if [`LayerGroup::validate`] rejects the group.
     pub fn repeated(
         name: impl Into<String>,
         class: LayerClass,
         kind: LayerKind,
         repeat: usize,
     ) -> Self {
-        assert!(repeat > 0, "layer group repeat must be positive");
-        Self {
+        let group = Self {
             name: name.into(),
             class,
             kind,
             repeat,
+        };
+        group.validate().unwrap_or_else(|e| panic!("{e}"));
+        group
+    }
+
+    /// Checks a positive `repeat` and, for MLP and MoE layers, the widths
+    /// and the expert activation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.repeat == 0 {
+            return Err("layer group repeat must be positive".to_owned());
+        }
+        match &self.kind {
+            LayerKind::Mlp(m) => m.validate(),
+            LayerKind::Moe(m) => m.validate(),
+            _ => Ok(()),
         }
     }
 
@@ -128,6 +146,19 @@ pub struct ModelArch {
 }
 
 impl ModelArch {
+    /// Checks every layer group (see [`LayerGroup::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first offending group's name and violation.
+    pub fn validate(&self) -> Result<(), String> {
+        for g in &self.groups {
+            g.validate()
+                .map_err(|e| format!("layer group `{}`: {e}", g.name))?;
+        }
+        Ok(())
+    }
+
     /// Iterates over groups of a given class.
     pub fn groups_of(&self, class: LayerClass) -> impl Iterator<Item = &LayerGroup> {
         self.groups.iter().filter(move |g| g.class == class)

@@ -24,15 +24,26 @@ impl MlpSpec {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two widths are given or any width is zero.
+    /// Panics if [`MlpSpec::validate`] rejects the widths.
     pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        let dims = dims.into();
-        assert!(
-            dims.len() >= 2,
-            "an MLP needs at least input and output widths"
-        );
-        assert!(dims.iter().all(|&d| d > 0), "zero-width MLP layer");
-        Self { dims }
+        let mlp = Self { dims: dims.into() };
+        mlp.validate().unwrap_or_else(|e| panic!("{e}"));
+        mlp
+    }
+
+    /// Checks for at least two widths, none of them zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.dims.len() < 2 {
+            return Err("an MLP needs at least input and output widths".to_owned());
+        }
+        if self.dims.contains(&0) {
+            return Err("zero-width MLP layer".to_owned());
+        }
+        Ok(())
     }
 
     /// Weight parameters (biases are counted as one per output unit).
@@ -271,17 +282,31 @@ impl MoeSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `active_experts` is zero or exceeds `num_experts`.
+    /// Panics if [`MoeSpec::validate`] rejects the layer.
     pub fn new(num_experts: usize, active_experts: usize, expert: MlpSpec) -> Self {
-        assert!(
-            active_experts > 0 && active_experts <= num_experts,
-            "invalid expert activation"
-        );
-        Self {
+        let moe = Self {
             num_experts,
             active_experts,
             expert,
+        };
+        moe.validate().unwrap_or_else(|e| panic!("{e}"));
+        moe
+    }
+
+    /// Checks that between one and `num_experts` experts fire and that
+    /// the expert is a valid MLP.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.active_experts == 0 || self.active_experts > self.num_experts {
+            return Err(format!(
+                "invalid expert activation: {} of {} experts",
+                self.active_experts, self.num_experts
+            ));
         }
+        self.expert.validate()
     }
 
     /// Total parameters across all experts.

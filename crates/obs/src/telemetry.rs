@@ -214,8 +214,9 @@ impl SearchTelemetry {
 }
 
 /// A named collection of telemetry reports, accumulated across the
-/// searches of one experiment run (thread-safe: the fig bins record from
-/// wherever the experiment executes) and written as one JSON document.
+/// searches of one experiment run (thread-safe: `run_all`'s experiments
+/// record from wherever their searches execute) and written as one JSON
+/// document.
 #[derive(Debug, Default)]
 pub struct TelemetrySpool {
     entries: Mutex<Vec<(String, SearchTelemetry)>>,

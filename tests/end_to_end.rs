@@ -138,6 +138,54 @@ fn malformed_inputs_are_errors_not_panics() {
         );
         assert!(msg.contains(expected), "{case}: {msg}");
     }
+    // Well-formed JSON with values no model or system can have.
+    let hbm_bw = "\"hbm_bw\": 1935000000000";
+    let invalid_cases = [
+        (
+            "negative bandwidth",
+            edit(hbm_bw, "\"hbm_bw\": -5"),
+            "hbm_bw = -5 ",
+        ),
+        (
+            "zero bandwidth",
+            edit(hbm_bw, "\"hbm_bw\": 0"),
+            "hbm_bw = 0 ",
+        ),
+        (
+            "infinite bandwidth",
+            edit(hbm_bw, "\"hbm_bw\": 1e999"),
+            "hbm_bw = inf ",
+        ),
+        (
+            "zero utilization",
+            edit("\"compute\": 0.7", "\"compute\": 0"),
+            "`compute` = 0 outside (0, 1]",
+        ),
+        (
+            "zero repeat",
+            edit("\"repeat\": 80", "\"repeat\": 0"),
+            "repeat must be positive",
+        ),
+        (
+            "zero nodes",
+            edit("\"num_nodes\": 256", "\"num_nodes\": 0"),
+            "num_nodes must be positive",
+        ),
+        (
+            "zero devices per node",
+            edit("\"devices_per_node\": 8", "\"devices_per_node\": 0"),
+            "devices_per_node must be positive",
+        ),
+    ];
+    for (case, input, expected) in &invalid_cases {
+        let err = SimulationConfig::from_json(input).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            matches!(err, madmax_core::config::ConfigError::Invalid(_)),
+            "{case}: {msg}"
+        );
+        assert!(msg.contains(expected), "{case}: {msg}");
+    }
     let line = r#"{"arrival": 0.5, "prompt_len": 12, "decode_len": 4}"#;
     assert_eq!(madmax_serve::parse_request_jsonl(line).unwrap().len(), 1);
     let trace_cases = [
@@ -442,6 +490,60 @@ fn json_configs_with_zero_decode_batch_or_prompt_are_rejected() {
         assert!(!out.status.success(), "{stderr}");
         assert!(stderr.contains(field), "{stderr}");
     }
+}
+
+#[test]
+fn cli_config_dir_takes_the_flag_dispatch_and_rejects_scenario_flags() {
+    let dir = std::env::temp_dir().join(format!("madmax-config-dir-{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    let serve = "--model llama2 --system llama --task serve --prompt 256 --decode 16 \
+                 --decode-batch 8";
+    let mut config = vec!["config", "--out", d];
+    config.extend(serve.split_whitespace());
+    assert!(madmax(&config).status.success());
+    // Load, fault and output flags apply to the scenario of the files
+    // exactly as to the one of the flags.
+    let load = "--arrival-rate 0.1 --arrival-count 8 --mtbf 600 --recovery 5";
+    let mut from_dir = vec!["simulate", "--config-dir", d];
+    from_dir.extend(load.split_whitespace());
+    let mut from_flags = vec!["simulate"];
+    from_flags.extend(serve.split_whitespace().chain(load.split_whitespace()));
+    let (from_dir, from_flags) = (madmax(&from_dir), madmax(&from_flags));
+    let stdout = String::from_utf8_lossy(&from_dir.stdout);
+    assert!(from_dir.status.success(), "{stdout}");
+    assert!(stdout.contains("faults:"), "{stdout}");
+    assert_eq!(from_dir.stdout, from_flags.stdout);
+    // A scenario flag next to the files is an error, not ignored.
+    for flag in [
+        ["--model", "gpt-3"],
+        ["--task", "pretraining"],
+        ["--decode", "8"],
+        ["--dense", "(TP, DDP)"],
+    ] {
+        let mut args = vec!["simulate", "--config-dir", d, "--mtbf", "600"];
+        args.extend(flag);
+        let out = madmax(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("{} conflicts with --config-dir", flag[0])),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?}: nothing runs");
+    }
+    // So is a value no system can have.
+    let system = std::fs::read_to_string(dir.join("system.json")).unwrap();
+    let edited = system.replace("\"hbm_bw\": 1935000000000", "\"hbm_bw\": -5");
+    assert_ne!(edited, system, "substitution must have applied");
+    std::fs::write(dir.join("system.json"), edited).unwrap();
+    let out = madmax(&["simulate", "--config-dir", d]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("invalid config: system: device `A100-80GB`: hbm_bw = -5 "),
+        "{stderr}"
+    );
 }
 
 #[test]
