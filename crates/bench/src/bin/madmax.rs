@@ -20,13 +20,46 @@
 //!        --arrival-rate 0.05,0.2,1 --slo-ttft-p99 30   # SLO goodput search
 //! ```
 //!
-//! `simulate --config-dir DIR` reads the scenario (model, system, plan and
-//! workload) from `DIR`'s three JSON files instead of the scenario flags
-//! (`--model`, `--system`, `--task`, `--prompt`, `--decode`,
-//! `--decode-batch`, `--kv` and the strategy flags), which it rejects.
-//! The load, fault and output flags below apply to either scenario.
+//! # Flags
 //!
-//! Continuous-batching load flags (simulate and search, serve task):
+//! A flag's value is the next argument unless that argument starts with
+//! `--`. The switches `--verify`, `--eviction`, `--unconstrained` and
+//! `--kv` take an optional `true` or `false`: absent gives the default
+//! (on for `--kv`, off for the others) and a bare switch turns it on.
+//! Each command reads all of its flags before it runs anything, and a
+//! flag it does not read is an error naming the flag and the command,
+//! e.g. "unknown flag `--emit-trace` for `madmax search --mtbf`": a typo,
+//! a flag of another command and a flag of another mode all fail the
+//! same way. The flags each command and mode reads:
+//!
+//! - `list`: none.
+//! - `verify`: `--only`.
+//! - `config`: the scenario flags (`--system` defaults to `zionex`) and
+//!   `--out DIR`.
+//! - `simulate`: the scenario flags, or `--config-dir DIR` in their
+//!   place, and `--verify`; then, by mode,
+//!   - plain report: `--emit-trace`;
+//!   - goodput (`--mtbf`, no arrival process): the fault flags and
+//!     `--checkpoint-interval`;
+//!   - load run (an arrival process): the load flags, `--slo-ttft-p99`,
+//!     `--progress` and `--emit-trace`; with `--mtbf` also the fault
+//!     flags, `--slots-lost`, the retry flags and `--fault-horizon`.
+//! - `search`: the scenario flags other than the strategy flags,
+//!   `--unconstrained`, `--threads`, `--progress` and `--telemetry`;
+//!   then, by mode,
+//!   - plan search: `--emit-trace` and `--verify`;
+//!   - goodput search (`--mtbf`): the fault flags and
+//!     `--checkpoint-interval`;
+//!   - load search (an arrival process): the load flags and
+//!     `--slo-ttft-p99`.
+//!
+//! The scenario flags are `--model`, `--system`, `--task` (with `--task
+//! serve` also `--prompt`, `--decode`, `--decode-batch` and `--kv`) and
+//! the strategy flags `--embedding`, `--dense`, `--transformer` and
+//! `--moe`. `simulate --config-dir DIR` reads the scenario (model,
+//! system, plan and workload) from `DIR`'s three JSON files instead.
+//!
+//! Continuous-batching load flags (serve task):
 //!
 //! - `--arrival-rate R` — seeded Poisson arrivals at `R` requests/second
 //!   (`search` accepts a comma-separated rate ladder and sweeps it);
@@ -42,13 +75,13 @@
 //! - `--slo-ttft-p99 S` — p99 time-to-first-token SLO in seconds:
 //!   `simulate` reports goodput under it, `search` ranks candidates by
 //!   throughput subject to it.
-//! - With `--progress N`, request completions tick on stderr; with
-//!   `--verify`, the load trace runs the `request-lifecycle` and
-//!   `paged-kv-residency` rules; with `--emit-trace PATH`, per-request
-//!   Perfetto tracks (queue wait, KV residency, engine timeline) are
-//!   exported.
+//! - In a `simulate` load run, with `--progress N` request completions
+//!   tick on stderr; with `--verify`, the load trace runs the
+//!   `request-lifecycle` and `paged-kv-residency` rules; with
+//!   `--emit-trace PATH`, per-request Perfetto tracks (queue wait, KV
+//!   residency, engine timeline) are exported.
 //!
-//! Fault-injection flags (active with `--mtbf`):
+//! Fault-injection flags:
 //!
 //! - `--mtbf S` — fleet mean time between fatal faults, seconds. On a
 //!   `simulate` with an arrival process, fatal faults drop in-flight
@@ -62,30 +95,33 @@
 //!   proves it can beat neither the goodput nor the latency winner: the
 //!   `goodput evaluations` it prints count the simulated candidates'
 //!   points only, and `--telemetry` reports the skipped ones as `pruned`.
-//! - `--checkpoint-interval S` — seconds of useful work between
-//!   checkpoint writes (default: the Young/Daly optimum; `search`
-//!   accepts a comma ladder and sweeps it per candidate).
 //! - `--recovery S` — capacity-recovery time per fatal fault (default
-//!   30); `--slots-lost N` — serving slots lost per fault (default 1).
-//! - `--retry N` — fault-retry budget per request (default 3), with
-//!   `--retry-backoff S` / `--retry-timeout S`.
-//! - `--fault-seed S` — fault-stream PRNG seed (default 7);
+//!   30); `--fault-seed S` — fault-stream PRNG seed (default 7).
+//! - `--checkpoint-interval S` (goodput) — seconds of useful work
+//!   between checkpoint writes (default: the Young/Daly optimum; `search`
+//!   accepts a comma ladder and sweeps it per candidate).
+//! - Load run only: `--slots-lost N` — serving slots lost per fault
+//!   (default 1); `--retry N` — fault-retry budget per request (default
+//!   3), with `--retry-backoff S` / `--retry-timeout S`;
 //!   `--fault-horizon S` — materialization horizon (default: the load
 //!   horizon, else 4 MTBFs).
 //!
 //! Observability flags:
 //!
-//! - `--emit-trace PATH` (simulate, search): write the simulated schedule
-//!   as Chrome trace-event JSON — open it at <https://ui.perfetto.dev>.
-//!   `search` exports its winner's schedule, byte for byte the file
-//!   `simulate` writes for that plan. The search's own wall time is in
-//!   `--telemetry`; perfbench (`perfbench/`) times it layer by layer.
-//! - `--telemetry PATH` (search, in plan, goodput and load mode): write
-//!   the search's [`madmax_obs::SearchTelemetry`] (outcome counters,
-//!   cache hit rates, per-worker throughput, latency histogram) as JSON.
-//! - `--progress N` (search): print a progress line every N candidates.
-//! - `--verify` (simulate, search): run the full `madmax-verify` rule
-//!   set on the produced (simulate) or winning (search) schedule; any
+//! - `--emit-trace PATH` (plain `simulate`, `simulate` load run, plan
+//!   `search`): write the simulated schedule as Chrome trace-event JSON —
+//!   open it at <https://ui.perfetto.dev>. `search` exports its winner's
+//!   schedule, byte for byte the file `simulate` writes for that plan.
+//!   The search's own wall time is in `--telemetry`; perfbench
+//!   (`perfbench/`) times it layer by layer.
+//! - `--telemetry PATH` (`search`, every mode): write the search's
+//!   [`madmax_obs::SearchTelemetry`] (outcome counters, cache hit rates,
+//!   per-worker throughput, latency histogram) as JSON.
+//! - `--progress N` (`search`, `simulate` load run): print a progress
+//!   line every N candidates or completed requests.
+//! - `--verify` (`simulate`, plan `search`): run the full `madmax-verify`
+//!   rule set on the produced (simulate) or winning (search) schedule, or
+//!   the goodput and load rules on a goodput or load run; any
 //!   error-severity diagnostic fails the command.
 //!
 //! The `verify` subcommand sweeps the whole built-in corpus
@@ -94,8 +130,10 @@
 //! if any scenario draws an error — this is CI's schedule-integrity
 //! gate. `--only SUBSTR` restricts it to matching scenario names.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::steady::grid_units_round;
@@ -140,196 +178,150 @@ fn systems() -> BTreeMap<&'static str, fn() -> ClusterSpec> {
     ])
 }
 
-/// Flags that take no value (presence alone means `true`).
-const BOOL_FLAGS: &[&str] = &["verify", "eviction"];
+/// One `--name [value]` of the command line.
+struct Flag {
+    name: String,
+    /// The next argument, unless it starts with `--`.
+    value: Option<String>,
+    /// Whether a lookup has asked for this flag.
+    read: Cell<bool>,
+}
 
-/// The flags that define a scenario; `simulate --config-dir` replaces
-/// all of them.
-const SCENARIO_FLAGS: &[&str] = &[
-    "model",
-    "system",
-    "task",
-    "prompt",
-    "decode",
-    "decode-batch",
-    "kv",
-    "embedding",
-    "dense",
-    "transformer",
-    "moe",
-];
-
-/// The other flags that take a value. Together with [`SCENARIO_FLAGS`]
-/// and [`BOOL_FLAGS`] these are every flag any subcommand reads; anything
-/// else is a typo and an error.
-const VALUE_FLAGS: &[&str] = &[
-    "config-dir",
-    // load
-    "arrival-rate",
-    "arrival-count",
-    "arrival-seed",
-    "arrival-trace",
-    "burst-on",
-    "burst-off",
-    "kv-blocks",
-    "queue-cap",
-    "horizon",
-    "slo-ttft-p99",
-    // faults
-    "mtbf",
-    "checkpoint-interval",
-    "recovery",
-    "slots-lost",
-    "retry",
-    "retry-backoff",
-    "retry-timeout",
-    "fault-seed",
-    "fault-horizon",
-    // search, output and the other subcommands
-    "threads",
-    "unconstrained",
-    "progress",
-    "telemetry",
-    "emit-trace",
-    "only",
-    "out",
-];
-
+/// The flags of one command line. Every lookup marks the flag it asks
+/// for as read, and [`Args::finish`] rejects the first flag none asked
+/// for, so a command accepts exactly the flags it reads.
 struct Args {
-    flags: BTreeMap<String, String>,
+    flags: Vec<Flag>,
 }
 
 impl Args {
     fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut flags = BTreeMap::new();
-        let mut it = argv.iter();
+        let mut flags = Vec::new();
+        let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
-            let Some(key) = a.strip_prefix("--") else {
+            let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
-            if BOOL_FLAGS.contains(&key) {
-                flags.insert(key.to_owned(), "true".to_owned());
-                continue;
-            }
-            if !VALUE_FLAGS.contains(&key) && !SCENARIO_FLAGS.contains(&key) {
-                return Err(format!("unknown flag `{a}`"));
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?
-                .clone();
-            flags.insert(key.to_owned(), value);
+            flags.push(Flag {
+                name: name.to_owned(),
+                value: it.next_if(|v| !v.starts_with("--")).cloned(),
+                read: Cell::new(false),
+            });
         }
         Ok(Self { flags })
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+    /// Marks `key` read and returns its last occurrence: `None` when
+    /// absent, `Some(None)` when given without a value.
+    fn lookup(&self, key: &str) -> Option<Option<&str>> {
+        let mut last = None;
+        for flag in self.flags.iter().filter(|f| f.name == key) {
+            flag.read.set(true);
+            last = Some(flag.value.as_deref());
+        }
+        last
     }
 
-    fn is_set(&self, key: &str) -> bool {
-        self.get(key) == Some("true")
+    /// The value of `key`, `None` when absent.
+    fn value(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.lookup(key) {
+            Some(None) => Err(format!("flag --{key} needs a value")),
+            found => Ok(found.flatten()),
+        }
+    }
+
+    /// A switch: `default` when absent, on when bare, else `true` or
+    /// `false`.
+    fn switch(&self, key: &str, default: bool) -> Result<bool, String> {
+        match self.lookup(key) {
+            None => Ok(default),
+            Some(None | Some("true")) => Ok(true),
+            Some(Some("false")) => Ok(false),
+            Some(Some(other)) => Err(format!("--{key} expects true or false, got `{other}`")),
+        }
+    }
+
+    /// A number, `None` when absent.
+    fn num<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.value(key)?
+            .map(|v| v.parse().map_err(|_| format!("--{key} expects a number")))
+            .transpose()
+    }
+
+    /// A comma-separated list of numbers (e.g. `--arrival-rate
+    /// 0.05,0.2,1`), `None` when absent.
+    fn list<T: FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
+        self.value(key)?
+            .map(|v| {
+                v.split(',')
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .map_err(|_| format!("--{key}: `{s}` is not a number"))
+                    })
+                    .collect()
+            })
+            .transpose()
+    }
+
+    /// Rejects the first flag no lookup read. The error names it and the
+    /// command, `madmax COMMAND` followed by those of the mode-selecting
+    /// flags `modes` that were given.
+    fn finish(&self, command: &str, modes: &[&str]) -> Result<(), String> {
+        let Some(unread) = self.flags.iter().find(|f| !f.read.get()) else {
+            return Ok(());
+        };
+        let mut command = format!("madmax {command}");
+        for mode in modes {
+            if self.flags.iter().any(|f| f.name == *mode) {
+                command += &format!(" --{mode}");
+            }
+        }
+        Err(format!("unknown flag `--{}` for `{command}`", unread.name))
     }
 }
 
 /// Parses `--task` (plus the serve flags `--prompt`, `--decode`,
 /// `--decode-batch`, `--kv`) into a [`Workload`].
 fn parse_workload(args: &Args) -> Result<Workload, String> {
-    let parse_flag = |key: &str| -> Result<Option<usize>, String> {
-        args.get(key)
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("--{key} expects a number"))
-            })
-            .transpose()
-    };
-    match args.get("task").unwrap_or("pretraining") {
+    match args.value("task")?.unwrap_or("pretraining") {
         "pretraining" | "pretrain" | "train" => Ok(Workload::pretrain()),
         "inference" | "infer" => Ok(Workload::inference()),
         "finetune-dense" | "finetune-mlp" => Ok(Workload::finetune_only(LayerClass::Dense)),
         "finetune-embedding" | "finetune-emb" => Ok(Workload::finetune_only(LayerClass::Embedding)),
-        "serve" => {
-            let kv_cache = parse_bool(args, "kv", true)?;
-            let cfg = ServeConfig {
-                prompt_len: parse_flag("prompt")?,
-                decode_len: parse_flag("decode")?.unwrap_or(0),
-                decode_batch: parse_flag("decode-batch")?,
-                kv_cache,
-            };
-            Ok(Workload::serve(cfg))
-        }
+        "serve" => Ok(Workload::serve(ServeConfig {
+            kv_cache: args.switch("kv", true)?,
+            prompt_len: args.num("prompt")?,
+            decode_len: args.num("decode")?.unwrap_or(0),
+            decode_batch: args.num("decode-batch")?,
+        })),
         other => Err(format!("unknown task `{other}`")),
     }
 }
 
-/// Parses an optional `true`/`false` flag, `default` when absent.
-fn parse_bool(args: &Args, key: &str, default: bool) -> Result<bool, String> {
-    match args.get(key) {
-        None => Ok(default),
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        Some(other) => Err(format!("--{key} expects true or false, got `{other}`")),
-    }
-}
-
-/// Parses an optional numeric flag.
-fn parse_num<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<T>, String> {
-    args.get(key)
-        .map(|v| {
-            v.parse::<T>()
-                .map_err(|_| format!("--{key} expects a number"))
-        })
-        .transpose()
-}
-
-/// Parses `--arrival-rate`: one rate for `simulate`, a comma-separated
-/// ladder for `search` (e.g. `--arrival-rate 0.05,0.2,1`).
-fn parse_rates(args: &Args) -> Result<Option<Vec<f64>>, String> {
-    args.get("arrival-rate")
-        .map(|v| {
-            v.split(',')
-                .map(|r| {
-                    r.trim()
-                        .parse::<f64>()
-                        .map_err(|_| format!("--arrival-rate: `{r}` is not a number"))
-                })
-                .collect::<Result<Vec<f64>, String>>()
-        })
-        .transpose()
-}
-
 /// Parses the continuous-batching load flags into a [`LoadSpec`], when
 /// any arrival process is requested. `--arrival-rate R` (with
-/// `--arrival-count` / `--arrival-seed`) builds a seeded Poisson stream;
-/// `--arrival-trace PATH` reads a JSONL request trace (one
-/// `{"arrival": s, "prompt_len": n, "decode_len": m}` object per line).
-/// `--kv-blocks`, `--queue-cap`, `--eviction`, and `--horizon` shape the
-/// paged KV budget and admission queue of either process.
+/// `--arrival-count`, `--arrival-seed` and `--burst-on`/`--burst-off`)
+/// builds a seeded Poisson stream; `--arrival-trace PATH` reads a JSONL
+/// request trace (one `{"arrival": s, "prompt_len": n, "decode_len": m}`
+/// object per line). `--kv-blocks`, `--queue-cap`, `--eviction`, and
+/// `--horizon` shape the paged KV budget and admission queue of either
+/// process.
 fn parse_load_spec(args: &Args) -> Result<Option<LoadSpec>, String> {
-    let rates = parse_rates(args)?;
-    let burst = match (
-        parse_num::<f64>(args, "burst-on")?,
-        parse_num::<f64>(args, "burst-off")?,
+    let mut spec = match (
+        args.list::<f64>("arrival-rate")?,
+        args.value("arrival-trace")?,
     ) {
-        (Some(on), Some(off)) => Some((on, off)),
-        (None, None) => None,
-        _ => return Err("--burst-on and --burst-off must be given together".to_owned()),
-    };
-    if burst.is_some() && rates.is_none() {
-        return Err(
-            "--burst-on/--burst-off modulate a Poisson stream; add --arrival-rate".to_owned(),
-        );
-    }
-    let mut spec = match (&rates, args.get("arrival-trace")) {
         (Some(_), Some(_)) => {
             return Err("--arrival-rate and --arrival-trace are mutually exclusive".to_owned());
         }
         (Some(rates), None) => {
-            let count = parse_num::<usize>(args, "arrival-count")?.unwrap_or(64);
-            let seed = parse_num::<u64>(args, "arrival-seed")?.unwrap_or(42);
-            match burst {
-                Some((on, off)) => LoadSpec::bursty(rates[0], on, off, count, seed),
-                None => LoadSpec::poisson(rates[0], count, seed),
+            let count = args.num("arrival-count")?.unwrap_or(64);
+            let seed = args.num("arrival-seed")?.unwrap_or(42);
+            match (args.num("burst-on")?, args.num("burst-off")?) {
+                (Some(on), Some(off)) => LoadSpec::bursty(rates[0], on, off, count, seed),
+                (None, None) => LoadSpec::poisson(rates[0], count, seed),
+                _ => return Err("--burst-on and --burst-off must be given together".to_owned()),
             }
         }
         (None, Some(path)) => {
@@ -339,16 +331,14 @@ fn parse_load_spec(args: &Args) -> Result<Option<LoadSpec>, String> {
         }
         (None, None) => return Ok(None),
     };
-    if let Some(blocks) = parse_num::<u64>(args, "kv-blocks")? {
+    if let Some(blocks) = args.num("kv-blocks")? {
         spec = spec.with_kv_blocks(blocks);
     }
-    if let Some(cap) = parse_num::<usize>(args, "queue-cap")? {
+    if let Some(cap) = args.num("queue-cap")? {
         spec = spec.with_queue_capacity(cap);
     }
-    if args.is_set("eviction") {
-        spec = spec.with_eviction(true);
-    }
-    if let Some(h) = parse_num::<f64>(args, "horizon")? {
+    spec = spec.with_eviction(args.switch("eviction", false)?);
+    if let Some(h) = args.num("horizon")? {
         spec = spec.with_horizon(h);
     }
     Ok(Some(spec))
@@ -356,7 +346,7 @@ fn parse_load_spec(args: &Args) -> Result<Option<LoadSpec>, String> {
 
 /// Parses `--slo-ttft-p99` (seconds, finite and positive).
 fn parse_slo(args: &Args) -> Result<Option<Seconds>, String> {
-    match parse_num::<f64>(args, "slo-ttft-p99")? {
+    match args.num::<f64>("slo-ttft-p99")? {
         Some(slo) if !(slo.is_finite() && slo > 0.0) => {
             Err(format!("--slo-ttft-p99: {slo} must be finite and positive"))
         }
@@ -364,108 +354,86 @@ fn parse_slo(args: &Args) -> Result<Option<Seconds>, String> {
     }
 }
 
-/// Parses `--checkpoint-interval`: one interval for `simulate`, a
-/// comma-separated grid for `search` (e.g.
-/// `--checkpoint-interval 60,300,1800`). Empty when the flag is absent.
-fn parse_intervals(args: &Args) -> Result<Vec<f64>, String> {
-    args.get("checkpoint-interval").map_or(Ok(Vec::new()), |v| {
-        v.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("--checkpoint-interval: `{s}` is not a number"))
-            })
-            .collect()
-    })
-}
-
-/// Parses the fault-injection flags into a [`FaultSpec`], when `--mtbf`
-/// requests one. The checkpoint interval is left to the caller
-/// (`simulate` applies a single `--checkpoint-interval`; `search`
-/// sweeps the comma ladder through [`FaultAxes`]).
+/// Parses `--mtbf` (with `--recovery` and `--fault-seed`) into a
+/// [`FaultSpec`], when given. Each mode reads its own further fault
+/// flags: the goodput paths the checkpoint interval, a load run
+/// [`parse_load_faults`].
 fn parse_fault_spec(args: &Args) -> Result<Option<FaultSpec>, String> {
-    let Some(mtbf) = parse_num::<f64>(args, "mtbf")? else {
-        for flag in [
-            "checkpoint-interval",
-            "recovery",
-            "slots-lost",
-            "retry",
-            "retry-backoff",
-            "retry-timeout",
-            "fault-seed",
-            "fault-horizon",
-        ] {
-            if args.get(flag).is_some() {
-                return Err(format!("--{flag} needs --mtbf"));
-            }
-        }
+    let Some(mtbf) = args.num::<f64>("mtbf")? else {
         return Ok(None);
     };
-    let recovery = parse_num::<f64>(args, "recovery")?.unwrap_or(30.0);
-    let seed = parse_num::<u64>(args, "fault-seed")?.unwrap_or(7);
-    let mut spec = FaultSpec::fatal(mtbf, recovery, seed);
-    if let Some(n) = parse_num::<usize>(args, "slots-lost")? {
-        spec = spec.with_slots_lost(n);
-    }
+    let recovery = args.num("recovery")?.unwrap_or(30.0);
+    let seed = args.num("fault-seed")?.unwrap_or(7);
+    let spec = FaultSpec::fatal(mtbf, recovery, seed);
     spec.validate()?;
     Ok(Some(spec))
 }
 
-/// Parses the retry flags into a [`RetryPolicy`].
-fn parse_retry(args: &Args) -> Result<RetryPolicy, String> {
-    let mut policy = match parse_num::<u32>(args, "retry")? {
+/// The faults of a `simulate` load run: `fault` with `--slots-lost`, the
+/// fault-stream horizon in grid units (`--fault-horizon`) and the retry
+/// policy (`--retry`, `--retry-backoff`, `--retry-timeout`).
+fn parse_load_faults(
+    args: &Args,
+    fault: FaultSpec,
+    spec: &LoadSpec,
+) -> Result<(FaultSpec, i64, RetryPolicy), String> {
+    let fault = match args.num("slots-lost")? {
+        Some(n) => fault.with_slots_lost(n),
+        None => fault,
+    };
+    // Cover the whole run: the load horizon when set, else four MTBFs
+    // (capped to the exact grid's ~16384 s range).
+    let horizon_secs = match args.num::<f64>("fault-horizon")? {
+        Some(h) => h,
+        None => spec
+            .horizon
+            .unwrap_or_else(|| (4.0 * fault.mtbf.unwrap_or(f64::INFINITY)).min(16_000.0)),
+    };
+    let horizon = grid_units_round(Seconds::new(horizon_secs))
+        .ok_or_else(|| format!("fault horizon {horizon_secs} s beyond the exact grid"))?;
+    let mut retry = match args.num("retry")? {
         Some(n) => RetryPolicy::retries(n),
         None => RetryPolicy::default(),
     };
-    if let Some(backoff) = parse_num::<f64>(args, "retry-backoff")? {
-        policy = policy.with_backoff(backoff);
+    if let Some(backoff) = args.num("retry-backoff")? {
+        retry = retry.with_backoff(backoff);
     }
-    if let Some(timeout) = parse_num::<f64>(args, "retry-timeout")? {
-        policy = policy.with_timeout(timeout);
+    if let Some(timeout) = args.num("retry-timeout")? {
+        retry = retry.with_timeout(timeout);
     }
-    policy.validate()?;
-    Ok(policy)
+    retry.validate()?;
+    Ok((fault, horizon, retry))
 }
 
 /// `simulate` with an arrival process: run the continuous-batching load
-/// simulator instead of the one-wave report. With a [`FaultSpec`]
-/// (`--mtbf`), the stream runs through the fault-aware simulator:
-/// fatal faults interrupt in-flight requests (requeued per the retry
-/// policy) and degrade capacity until recovery.
+/// simulator instead of the one-wave report. With faults (`--mtbf`: the
+/// spec, its horizon in grid units and the retry policy), the stream
+/// runs through the fault-aware simulator: fatal faults interrupt
+/// in-flight requests (requeued per the retry policy) and degrade
+/// capacity until recovery.
 fn run_load_simulation(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
+    cfg: &SimulationConfig,
     spec: &LoadSpec,
-    fault: Option<&FaultSpec>,
-    args: &Args,
+    fault: Option<&(FaultSpec, i64, RetryPolicy)>,
+    slo: Option<Seconds>,
+    ticker: Option<&StderrTicker>,
+    emit: Option<&str>,
+    verify: bool,
 ) -> Result<(), String> {
+    let (model, system, plan, workload) = parts(cfg);
     let scenario = Scenario::new(model, system)
         .plan_ref(plan)
         .workload_ref(workload);
-    let slo = parse_slo(args)?;
     let costs = scenario.price_load(spec).map_err(|e| e.to_string())?;
-    let ticker = parse_num::<u64>(args, "progress")?.map(StderrTicker::every);
     let (events, retry) = match fault {
-        Some(f) => {
-            // Cover the whole run: the load horizon when set, else four
-            // MTBFs (capped to the exact grid's ~16384 s range).
-            let horizon_secs = match parse_num::<f64>(args, "fault-horizon")? {
-                Some(h) => h,
-                None => spec
-                    .horizon
-                    .unwrap_or_else(|| (4.0 * f.mtbf.unwrap_or(f64::INFINITY)).min(16_000.0)),
-            };
-            let horizon = grid_units_round(Seconds::new(horizon_secs))
-                .ok_or_else(|| format!("fault horizon {horizon_secs} s beyond the exact grid"))?;
-            let events = materialize_faults(f, horizon).map_err(|e| e.to_string())?;
-            (events, parse_retry(args)?)
-        }
+        Some((f, horizon, retry)) => (
+            materialize_faults(f, *horizon).map_err(|e| e.to_string())?,
+            *retry,
+        ),
         None => (Vec::new(), RetryPolicy::default()),
     };
     let started = std::time::Instant::now();
-    let mut hook = ticker.as_ref().map(|t| forward_to_sink(t));
+    let mut hook = ticker.map(|t| forward_to_sink(t));
     let outcome = scenario
         .serve_load_faulty(
             spec,
@@ -481,7 +449,7 @@ fn run_load_simulation(
         SimMode::Event,
         started.elapsed().as_secs_f64() * 1e3,
     );
-    if let Some(t) = &ticker {
+    if let Some(t) = ticker {
         t.load_finished(&telemetry);
     }
     let r = &outcome.report;
@@ -551,13 +519,13 @@ fn run_load_simulation(
     if let Some(total) = outcome.trace.total_blocks {
         println!("kv blocks:       peak {} of {total}", r.peak_kv_blocks);
     }
-    if let Some(path) = args.get("emit-trace") {
+    if let Some(path) = emit {
         ChromeTrace::from_load_trace(&outcome.trace)
             .write(path)
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("trace written to {path} (open at https://ui.perfetto.dev)");
     }
-    if args.is_set("verify") {
+    if verify {
         finish_verify(&madmax_verify::verify_load(&outcome.trace))?;
     }
     Ok(())
@@ -567,29 +535,12 @@ fn run_load_simulation(
 /// checkpoint/restart goodput evaluation — checkpoint costs priced from
 /// the plan's memory breakdown, the closed-form Young/Daly expected
 /// goodput, and a seeded discrete-event replay cross-check.
-fn run_goodput(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    fault: &FaultSpec,
-    args: &Args,
-) -> Result<(), String> {
-    let intervals = parse_intervals(args)?;
-    let fault = match intervals.as_slice() {
-        [] => fault.clone(),
-        [one] => fault.clone().with_checkpoint_interval(*one),
-        _ => {
-            return Err(
-                "simulate takes a single --checkpoint-interval; pass a comma ladder to search"
-                    .to_owned(),
-            )
-        }
-    };
+fn run_goodput(cfg: &SimulationConfig, fault: &FaultSpec, verify: bool) -> Result<(), String> {
+    let (model, system, plan, workload) = parts(cfg);
     let outcome = Scenario::new(model, system)
         .plan_ref(plan)
         .workload_ref(workload)
-        .goodput(&fault)
+        .goodput(fault)
         .map_err(|e| e.to_string())?;
     let g = &outcome.goodput;
     println!("workload:        {} ({workload})", model.name);
@@ -634,57 +585,72 @@ fn run_goodput(
         ),
         Err(why) => println!("replay check:    skipped, not replayable: {why}"),
     }
-    if args.is_set("verify") {
+    if verify {
         finish_verify(&madmax_verify::verify_goodput(g))?;
     }
     Ok(())
 }
 
+/// A scenario's model, system, plan and workload.
+fn parts(cfg: &SimulationConfig) -> (&ModelArch, &ClusterSpec, &Plan, &Workload) {
+    (
+        &cfg.model,
+        &cfg.system,
+        &cfg.experiment.plan,
+        &cfg.experiment.workload,
+    )
+}
+
 fn lookup_model(args: &Args) -> Result<ModelArch, String> {
-    let name = args.get("model").ok_or("missing --model")?;
+    let name = args.value("model")?.ok_or("missing --model")?;
     models()
         .get(name)
         .map(|id| id.build())
         .ok_or_else(|| format!("unknown model `{name}` (see `madmax list`)"))
 }
 
-fn lookup_system(args: &Args) -> Result<ClusterSpec, String> {
-    let name = args.get("system").ok_or("missing --system")?;
-    systems()
-        .get(name)
-        .map(|f| f())
-        .ok_or_else(|| format!("unknown system `{name}` (see `madmax list`)"))
+/// The system `--system` names, else `default` when there is one.
+fn lookup_system(args: &Args, default: Option<fn() -> ClusterSpec>) -> Result<ClusterSpec, String> {
+    match (args.value("system")?, default) {
+        (Some(name), _) => systems()
+            .get(name)
+            .map(|f| f())
+            .ok_or_else(|| format!("unknown system `{name}` (see `madmax list`)")),
+        (None, Some(default)) => Ok(default()),
+        (None, None) => Err("missing --system".to_owned()),
+    }
+}
+
+/// The scenario of the scenario flags; `default_system` stands in for
+/// an absent `--system`, when there is one.
+fn parse_scenario(
+    args: &Args,
+    default_system: Option<fn() -> ClusterSpec>,
+) -> Result<SimulationConfig, String> {
+    let model = lookup_model(args)?;
+    let system = lookup_system(args, default_system)?;
+    let workload = parse_workload(args)?;
+    let plan = build_plan(&model, args)?;
+    Ok(SimulationConfig {
+        model,
+        system,
+        experiment: ExperimentSpec { workload, plan },
+    })
 }
 
 /// The scenario `simulate` runs: the three JSON files of `--config-dir`,
-/// else the scenario flags. Scenario flags next to `--config-dir` are an
-/// error rather than silently ignored.
-fn load_scenario(args: &Args) -> Result<(ModelArch, ClusterSpec, Plan, Workload), String> {
-    let Some(dir) = args.get("config-dir") else {
-        let model = lookup_model(args)?;
-        let system = lookup_system(args)?;
-        let workload = parse_workload(args)?;
-        let plan = build_plan(&model, args)?;
-        return Ok((model, system, plan, workload));
+/// else the scenario flags.
+fn load_scenario(args: &Args) -> Result<SimulationConfig, String> {
+    let Some(dir) = args.value("config-dir")? else {
+        return parse_scenario(args, None);
     };
-    if let Some(flag) = SCENARIO_FLAGS.iter().find(|f| args.get(f).is_some()) {
-        return Err(format!(
-            "--{flag} conflicts with --config-dir, whose files define the scenario"
-        ));
-    }
     let dir = std::path::Path::new(dir);
-    let cfg = SimulationConfig::from_json_files(
+    SimulationConfig::from_json_files(
         dir.join("model.json"),
         dir.join("system.json"),
         dir.join("experiment.json"),
     )
-    .map_err(|e| e.to_string())?;
-    Ok((
-        cfg.model,
-        cfg.system,
-        cfg.experiment.plan,
-        cfg.experiment.workload,
-    ))
+    .map_err(|e| e.to_string())
 }
 
 fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
@@ -695,7 +661,7 @@ fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
         ("transformer", LayerClass::Transformer),
         ("moe", LayerClass::Moe),
     ] {
-        if let Some(notation) = args.get(flag) {
+        if let Some(notation) = args.value(flag)? {
             let strategy: HierStrategy = notation.parse().map_err(|e| format!("{e}"))?;
             plan = plan.with_strategy(class, strategy);
         }
@@ -768,15 +734,11 @@ fn report_telemetry(telemetry: &SearchTelemetry, path: Option<&str>) -> Result<(
     Ok(())
 }
 
-fn print_report(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-) -> Result<(), String> {
+fn print_report(cfg: &SimulationConfig) -> Result<(), String> {
+    let (model, system, plan, workload) = parts(cfg);
     let report = Scenario::new(model, system)
-        .plan(plan.clone())
-        .workload(workload.clone())
+        .plan_ref(plan)
+        .workload_ref(workload)
         .run()
         .map_err(|e| e.to_string())?;
     println!("workload:        {} ({workload})", model.name);
@@ -817,13 +779,286 @@ fn print_report(
     Ok(())
 }
 
+/// `madmax simulate`: one scenario as a plain report, a goodput
+/// evaluation (`--mtbf`) or a load run (an arrival process).
+fn simulate(args: &Args) -> Result<(), String> {
+    const MODES: &[&str] = &["config-dir", "arrival-rate", "arrival-trace", "mtbf"];
+    let cfg = load_scenario(args)?;
+    let verify = args.switch("verify", false)?;
+    let fault = parse_fault_spec(args)?;
+    match (parse_load_spec(args)?, fault) {
+        (Some(spec), fault) => {
+            let fault = fault
+                .map(|f| parse_load_faults(args, f, &spec))
+                .transpose()?;
+            let slo = parse_slo(args)?;
+            let ticker = args.num("progress")?.map(StderrTicker::every);
+            let emit = args.value("emit-trace")?;
+            args.finish("simulate", MODES)?;
+            run_load_simulation(
+                &cfg,
+                &spec,
+                fault.as_ref(),
+                slo,
+                ticker.as_ref(),
+                emit,
+                verify,
+            )
+        }
+        (None, Some(fault)) => {
+            let fault =
+                match args.list("checkpoint-interval")?.as_deref() {
+                    None => fault,
+                    Some([one]) => fault.with_checkpoint_interval(*one),
+                    Some(_) => return Err(
+                        "simulate takes a single --checkpoint-interval; pass a comma ladder to \
+                         search"
+                            .to_owned(),
+                    ),
+                };
+            args.finish("simulate", MODES)?;
+            run_goodput(&cfg, &fault, verify)
+        }
+        (None, None) => {
+            let emit = args.value("emit-trace")?;
+            args.finish("simulate", MODES)?;
+            print_report(&cfg)?;
+            if emit.is_some() || verify {
+                let (model, system, plan, workload) = parts(&cfg);
+                let (trace, sched) = run_traced(model, system, plan, workload)?;
+                if let Some(path) = emit {
+                    write_trace(&trace, &sched, path)?;
+                }
+                if verify {
+                    let report =
+                        madmax_verify::Verifier::for_plan(plan, workload).verify(&trace, &sched);
+                    finish_verify(&report)?;
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
+/// `madmax search`: the strategy search, ranked by iteration latency, by
+/// goodput (`--mtbf`) or by SLO-bounded throughput (an arrival process).
+fn search(args: &Args) -> Result<(), String> {
+    let model = lookup_model(args)?;
+    let system = lookup_system(args, None)?;
+    let mut space = SearchSpace::strategies();
+    space.ignore_memory_limits = args.switch("unconstrained", false)?;
+    let ticker = args.num("progress")?.map(StderrTicker::every);
+    let telemetry = args.value("telemetry")?;
+    let mut explorer = Explorer::new(&model, &system)
+        .workload(parse_workload(args)?)
+        .space(space);
+    if let Some(t) = ticker.as_ref() {
+        explorer = explorer.progress(t);
+    }
+    if let Some(n) = args.num("threads")? {
+        explorer = explorer.threads(n);
+    }
+    if let Some(fault) = parse_fault_spec(args)? {
+        let mut axes = FaultAxes::new(fault);
+        if let Some(intervals) = args.list("checkpoint-interval")? {
+            axes = axes.with_intervals(intervals);
+        }
+        args.finish("search", &["mtbf"])?;
+        let r = explorer.explore_goodput(&axes).map_err(|e| e.to_string())?;
+        println!(
+            "goodput search: {} candidates | {} goodput evaluations",
+            r.candidates.len(),
+            r.evaluated
+        );
+        report_telemetry(&r.telemetry, telemetry)?;
+        let best = r.best();
+        println!("goodput-best: {}", best.plan.summary());
+        if let Some(i) = best.best_point {
+            let p = &best.points[i];
+            println!(
+                "best point:   interval {} s -> {:.2}% goodput, {:.4} iter/s \
+                 effective (MTBF {} s)",
+                format_secs(p.interval),
+                p.goodput_fraction * 100.0,
+                p.effective_throughput,
+                format_secs(p.mtbf)
+            );
+        }
+        println!("latency-best: {}", r.fault_free().plan.summary());
+        if r.plan_flip() {
+            println!(
+                "plan flip: the goodput-optimal plan diverges from the \
+                 latency-optimal one at this MTBF"
+            );
+        } else {
+            println!("no plan flip: latency-optimal stays goodput-optimal at this MTBF");
+        }
+        return Ok(());
+    }
+    if let Some(spec) = parse_load_spec(args)? {
+        let mut axes = LoadAxes::new(spec, args.list("arrival-rate")?.unwrap_or_default());
+        if let Some(slo) = parse_slo(args)? {
+            axes = axes.with_slo_ttft_p99(slo);
+        }
+        args.finish("search", &["arrival-rate", "arrival-trace"])?;
+        let r = explorer.explore_load(&axes).map_err(|e| e.to_string())?;
+        println!(
+            "load search: {} candidates | {} load simulations",
+            r.candidates.len(),
+            r.evaluated
+        );
+        report_telemetry(&r.telemetry, telemetry)?;
+        let best = r.best();
+        println!("best plan: {}", best.plan.summary());
+        match best.best_point {
+            Some(i) => {
+                let p = &best.points[i];
+                println!(
+                    "best point: {:.3} req/s -> {:.1} tokens/s, p99 TTFT {:.1} ms",
+                    p.rate,
+                    p.report.tokens_per_sec,
+                    p.report.ttft.map_or(f64::NAN, |t| t.p99.as_ms())
+                );
+            }
+            None => {
+                println!("no rate meets the SLO; showing the lowest-tail-latency candidate");
+            }
+        }
+        println!("frontier:  rate req/s   tokens/s   p99 TTFT s");
+        for (rate, tput, p99) in r.frontier() {
+            println!("           {rate:>10.3} {tput:>10.1} {p99:>12.3}");
+        }
+        return Ok(());
+    }
+    let verify = args.switch("verify", false)?;
+    let emit = args.value("emit-trace")?;
+    args.finish("search", &[])?;
+    let r = explorer
+        .verify_winner(verify)
+        .explore()
+        .map_err(|e| e.to_string())?;
+    println!("evaluated {} plans ({} OOM)", r.evaluated, r.oom);
+    report_telemetry(&r.telemetry, telemetry)?;
+    if let Some(path) = emit {
+        let (trace, sched) = run_traced(&model, &system, &r.best_plan, &r.best_workload)?;
+        write_trace(&trace, &sched, path)?;
+    }
+    println!(
+        "baseline:  {:.3} ms/iter",
+        r.baseline.iteration_time.as_ms()
+    );
+    println!(
+        "best:      {:.3} ms/iter ({:.2}x) with {}",
+        r.best.iteration_time.as_ms(),
+        r.speedup(),
+        r.winning_strategies()
+    );
+    if let Some(report) = &r.verify {
+        finish_verify(report)?;
+    }
+    Ok(())
+}
+
+/// `madmax verify`: the corpus sweep, filtered by `--only`.
+fn verify(args: &Args) -> Result<(), String> {
+    let only = args.value("only")?;
+    args.finish("verify", &[])?;
+    let (mut ran, mut failed) = (0usize, 0usize);
+    // Verifies the scenario `name` unless `--only` filters it out:
+    // `verify` returns its report and the summary printed after the
+    // error and warning counts.
+    let mut check =
+        |name: &str, verify: &mut dyn FnMut() -> Result<(VerifyReport, String), String>| {
+            if only.is_some_and(|pat| !name.contains(pat)) {
+                return Ok::<(), String>(());
+            }
+            ran += 1;
+            let (report, summary) = verify()?;
+            println!(
+                "{name:<28} {:>2} errors {:>2} warnings  {summary}",
+                report.error_count(),
+                report.warning_count()
+            );
+            for d in &report.diagnostics {
+                println!("    {d}");
+            }
+            if !report.is_clean() {
+                failed += 1;
+            }
+            Ok(())
+        };
+    for sc in madmax_bench::verify_corpus() {
+        check(&sc.name, &mut || {
+            let (trace, sched) = run_traced(&sc.model, &sc.system, &sc.plan, &sc.workload)?;
+            let report =
+                madmax_verify::Verifier::for_plan(&sc.plan, &sc.workload).verify(&trace, &sched);
+            let cp = report.critical_path.as_ref().map_or_else(
+                || "-".to_owned(),
+                |c| format!("{:.3} ms", c.lower_bound.as_ms()),
+            );
+            Ok((report, format!("critical path {cp}")))
+        })?;
+    }
+    // The fault-injection corpus: materialized fault streams through the
+    // fault-aware load simulator, checked by the fault-ledger rules (plus
+    // the rest of the load rule set).
+    for fs in madmax_bench::fault_corpus() {
+        check(&fs.name, &mut || {
+            let scenario = Scenario::new(&fs.model, &fs.system)
+                .plan_ref(&fs.plan)
+                .workload_ref(&fs.workload);
+            let costs = scenario.price_load(&fs.load).map_err(|e| e.to_string())?;
+            let events =
+                materialize_faults(&fs.fault, fs.horizon_units).map_err(|e| e.to_string())?;
+            let outcome = scenario
+                .serve_load_faulty(&fs.load, &costs, SimMode::Event, &events, &fs.retry, None)
+                .map_err(|e| e.to_string())?;
+            let windows = outcome.trace.faults.len();
+            Ok((
+                madmax_verify::verify_load(&outcome.trace),
+                format!("{windows} fault windows"),
+            ))
+        })?;
+    }
+    // Closed-form goodput reports under the goodput-bound rule.
+    for (name, mtbf) in [
+        ("goodput/llama2@3600", 3600.0),
+        ("goodput/llama2@600", 600.0),
+    ] {
+        check(name, &mut || {
+            let model = ModelId::Llama2.build();
+            let system = catalog::llama_llm_system();
+            let plan = Plan::fsdp_baseline(&model);
+            let outcome = Scenario::new(&model, &system)
+                .plan_ref(&plan)
+                .workload(Workload::pretrain())
+                .goodput(&FaultSpec::fatal(mtbf, 60.0, 7))
+                .map_err(|e| e.to_string())?;
+            Ok((
+                madmax_verify::verify_goodput(&outcome.goodput),
+                format!("goodput {:.2}%", outcome.goodput.goodput_fraction * 100.0),
+            ))
+        })?;
+    }
+    if ran == 0 {
+        return Err("no corpus scenario matches --only filter".to_owned());
+    }
+    if failed > 0 {
+        return Err(format!("{failed} of {ran} scenarios failed verification"));
+    }
+    println!("all {ran} scenarios verified clean");
+    Ok(())
+}
+
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("usage: madmax <list|simulate|search|verify|config> [flags]".to_owned());
     };
+    let args = Args::parse(rest)?;
     match cmd.as_str() {
         "list" => {
+            args.finish("list", &[])?;
             println!("models:");
             for (name, id) in models() {
                 let s = id.build().stats();
@@ -839,281 +1074,14 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        "simulate" => {
-            let args = Args::parse(rest)?;
-            let (model, system, plan, workload) = load_scenario(&args)?;
-            let fault = parse_fault_spec(&args)?;
-            if let Some(spec) = parse_load_spec(&args)? {
-                return run_load_simulation(
-                    &model,
-                    &system,
-                    &plan,
-                    &workload,
-                    &spec,
-                    fault.as_ref(),
-                    &args,
-                );
-            }
-            if let Some(fault) = &fault {
-                return run_goodput(&model, &system, &plan, &workload, fault, &args);
-            }
-            print_report(&model, &system, &plan, &workload)?;
-            let emit = args.get("emit-trace");
-            if emit.is_some() || args.is_set("verify") {
-                let (trace, sched) = run_traced(&model, &system, &plan, &workload)?;
-                if let Some(path) = emit {
-                    write_trace(&trace, &sched, path)?;
-                }
-                if args.is_set("verify") {
-                    let report =
-                        madmax_verify::Verifier::for_plan(&plan, &workload).verify(&trace, &sched);
-                    finish_verify(&report)?;
-                }
-            }
-            Ok(())
-        }
-        "search" => {
-            let args = Args::parse(rest)?;
-            let model = lookup_model(&args)?;
-            let system = lookup_system(&args)?;
-            let workload = parse_workload(&args)?;
-            let mut space = SearchSpace::strategies();
-            space.ignore_memory_limits = parse_bool(&args, "unconstrained", false)?;
-            let ticker = args
-                .get("progress")
-                .map(|n| {
-                    n.parse::<u64>()
-                        .map(StderrTicker::every)
-                        .map_err(|_| "--progress expects a number")
-                })
-                .transpose()?;
-            let mut explorer = Explorer::new(&model, &system)
-                .workload(workload)
-                .space(space)
-                .verify_winner(args.is_set("verify"));
-            if let Some(t) = ticker.as_ref() {
-                explorer = explorer.progress(t);
-            }
-            if let Some(n) = args.get("threads") {
-                let n: usize = n.parse().map_err(|_| "--threads expects a number")?;
-                explorer = explorer.threads(n);
-            }
-            if let Some(fault) = parse_fault_spec(&args)? {
-                if parse_load_spec(&args)?.is_some() {
-                    return Err(
-                        "goodput search takes no arrival process; drop the load flags or \
-                         run `simulate` for a fault-aware load simulation"
-                            .to_owned(),
-                    );
-                }
-                let mut axes = FaultAxes::new(fault);
-                let intervals = parse_intervals(&args)?;
-                if !intervals.is_empty() {
-                    axes = axes.with_intervals(intervals);
-                }
-                let r = explorer.explore_goodput(&axes).map_err(|e| e.to_string())?;
-                println!(
-                    "goodput search: {} candidates | {} goodput evaluations",
-                    r.candidates.len(),
-                    r.evaluated
-                );
-                report_telemetry(&r.telemetry, args.get("telemetry"))?;
-                let best = r.best();
-                println!("goodput-best: {}", best.plan.summary());
-                if let Some(i) = best.best_point {
-                    let p = &best.points[i];
-                    println!(
-                        "best point:   interval {} s -> {:.2}% goodput, {:.4} iter/s \
-                         effective (MTBF {} s)",
-                        format_secs(p.interval),
-                        p.goodput_fraction * 100.0,
-                        p.effective_throughput,
-                        format_secs(p.mtbf)
-                    );
-                }
-                println!("latency-best: {}", r.fault_free().plan.summary());
-                if r.plan_flip() {
-                    println!(
-                        "plan flip: the goodput-optimal plan diverges from the \
-                         latency-optimal one at this MTBF"
-                    );
-                } else {
-                    println!("no plan flip: latency-optimal stays goodput-optimal at this MTBF");
-                }
-                return Ok(());
-            }
-            if let Some(spec) = parse_load_spec(&args)? {
-                let mut axes = LoadAxes::new(spec, parse_rates(&args)?.unwrap_or_default());
-                if let Some(slo) = parse_slo(&args)? {
-                    axes = axes.with_slo_ttft_p99(slo);
-                }
-                let r = explorer.explore_load(&axes).map_err(|e| e.to_string())?;
-                println!(
-                    "load search: {} candidates | {} load simulations",
-                    r.candidates.len(),
-                    r.evaluated
-                );
-                report_telemetry(&r.telemetry, args.get("telemetry"))?;
-                let best = r.best();
-                println!("best plan: {}", best.plan.summary());
-                match best.best_point {
-                    Some(i) => {
-                        let p = &best.points[i];
-                        println!(
-                            "best point: {:.3} req/s -> {:.1} tokens/s, p99 TTFT {:.1} ms",
-                            p.rate,
-                            p.report.tokens_per_sec,
-                            p.report.ttft.map_or(f64::NAN, |t| t.p99.as_ms())
-                        );
-                    }
-                    None => {
-                        println!(
-                            "no rate meets the SLO; showing the lowest-tail-latency candidate"
-                        );
-                    }
-                }
-                println!("frontier:  rate req/s   tokens/s   p99 TTFT s");
-                for (rate, tput, p99) in r.frontier() {
-                    println!("           {rate:>10.3} {tput:>10.1} {p99:>12.3}");
-                }
-                return Ok(());
-            }
-            let r = explorer.explore().map_err(|e| e.to_string())?;
-            println!("evaluated {} plans ({} OOM)", r.evaluated, r.oom);
-            report_telemetry(&r.telemetry, args.get("telemetry"))?;
-            if let Some(path) = args.get("emit-trace") {
-                let (trace, sched) = run_traced(&model, &system, &r.best_plan, &r.best_workload)?;
-                write_trace(&trace, &sched, path)?;
-            }
-            println!(
-                "baseline:  {:.3} ms/iter",
-                r.baseline.iteration_time.as_ms()
-            );
-            println!(
-                "best:      {:.3} ms/iter ({:.2}x) with {}",
-                r.best.iteration_time.as_ms(),
-                r.speedup(),
-                r.winning_strategies()
-            );
-            if let Some(report) = &r.verify {
-                finish_verify(report)?;
-            }
-            Ok(())
-        }
-        "verify" => {
-            let args = Args::parse(rest)?;
-            let only = args.get("only");
-            let (mut ran, mut failed) = (0usize, 0usize);
-            // Verifies the scenario `name` unless `--only` filters it out:
-            // `verify` returns its report and the summary printed after
-            // the error and warning counts.
-            let mut check =
-                |name: &str, verify: &mut dyn FnMut() -> Result<(VerifyReport, String), String>| {
-                    if only.is_some_and(|pat| !name.contains(pat)) {
-                        return Ok::<(), String>(());
-                    }
-                    ran += 1;
-                    let (report, summary) = verify()?;
-                    println!(
-                        "{name:<28} {:>2} errors {:>2} warnings  {summary}",
-                        report.error_count(),
-                        report.warning_count()
-                    );
-                    for d in &report.diagnostics {
-                        println!("    {d}");
-                    }
-                    if !report.is_clean() {
-                        failed += 1;
-                    }
-                    Ok(())
-                };
-            for sc in madmax_bench::verify_corpus() {
-                check(&sc.name, &mut || {
-                    let (trace, sched) = run_traced(&sc.model, &sc.system, &sc.plan, &sc.workload)?;
-                    let report = madmax_verify::Verifier::for_plan(&sc.plan, &sc.workload)
-                        .verify(&trace, &sched);
-                    let cp = report.critical_path.as_ref().map_or_else(
-                        || "-".to_owned(),
-                        |c| format!("{:.3} ms", c.lower_bound.as_ms()),
-                    );
-                    Ok((report, format!("critical path {cp}")))
-                })?;
-            }
-            // The fault-injection corpus: materialized fault streams
-            // through the fault-aware load simulator, checked by the
-            // fault-ledger rules (plus the rest of the load rule set).
-            for fs in madmax_bench::fault_corpus() {
-                check(&fs.name, &mut || {
-                    let scenario = Scenario::new(&fs.model, &fs.system)
-                        .plan_ref(&fs.plan)
-                        .workload_ref(&fs.workload);
-                    let costs = scenario.price_load(&fs.load).map_err(|e| e.to_string())?;
-                    let events = materialize_faults(&fs.fault, fs.horizon_units)
-                        .map_err(|e| e.to_string())?;
-                    let outcome = scenario
-                        .serve_load_faulty(
-                            &fs.load,
-                            &costs,
-                            SimMode::Event,
-                            &events,
-                            &fs.retry,
-                            None,
-                        )
-                        .map_err(|e| e.to_string())?;
-                    let windows = outcome.trace.faults.len();
-                    Ok((
-                        madmax_verify::verify_load(&outcome.trace),
-                        format!("{windows} fault windows"),
-                    ))
-                })?;
-            }
-            // Closed-form goodput reports under the goodput-bound rule.
-            for (name, mtbf) in [
-                ("goodput/llama2@3600", 3600.0),
-                ("goodput/llama2@600", 600.0),
-            ] {
-                check(name, &mut || {
-                    let model = ModelId::Llama2.build();
-                    let system = catalog::llama_llm_system();
-                    let plan = Plan::fsdp_baseline(&model);
-                    let outcome = Scenario::new(&model, &system)
-                        .plan_ref(&plan)
-                        .workload(Workload::pretrain())
-                        .goodput(&FaultSpec::fatal(mtbf, 60.0, 7))
-                        .map_err(|e| e.to_string())?;
-                    Ok((
-                        madmax_verify::verify_goodput(&outcome.goodput),
-                        format!("goodput {:.2}%", outcome.goodput.goodput_fraction * 100.0),
-                    ))
-                })?;
-            }
-            if ran == 0 {
-                return Err("no corpus scenario matches --only filter".to_owned());
-            }
-            if failed > 0 {
-                return Err(format!("{failed} of {ran} scenarios failed verification"));
-            }
-            println!("all {ran} scenarios verified clean");
-            Ok(())
-        }
+        "simulate" => simulate(&args),
+        "search" => search(&args),
+        "verify" => verify(&args),
         "config" => {
-            let args = Args::parse(rest)?;
-            let model = lookup_model(&args)?;
-            let system = args
-                .get("system")
-                .map(|_| lookup_system(&args))
-                .transpose()?
-                .unwrap_or_else(catalog::zionex_dlrm_system);
-            let out = args.get("out").ok_or("missing --out <dir>")?;
-            let plan = build_plan(&model, &args)?;
-            let workload = parse_workload(&args)?;
-            SimulationConfig {
-                model,
-                system,
-                experiment: ExperimentSpec { workload, plan },
-            }
-            .write_split(out)
-            .map_err(|e| e.to_string())?;
+            let cfg = parse_scenario(&args, Some(catalog::zionex_dlrm_system))?;
+            let out = args.value("out")?.ok_or("missing --out <dir>")?;
+            args.finish("config", &[])?;
+            cfg.write_split(out).map_err(|e| e.to_string())?;
             println!("wrote model.json / system.json / experiment.json to {out}");
             Ok(())
         }

@@ -41,7 +41,8 @@ fn usage() -> ! {
          \x20 --progress N      print a progress line every N candidates\n\
          \x20 --telemetry PATH  write per-search telemetry JSON to PATH\n\
          \x20                   (default: results/telemetry.json)\n\
-         \x20 --verify          verify each search's winner schedule\n\
+         \x20 --verify          verify each plan search's winner schedule\n\
+         \x20                   (goodput and load searches verify nothing)\n\
          experiments:"
     );
     for e in experiments::ALL {

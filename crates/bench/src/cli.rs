@@ -19,25 +19,26 @@ pub struct SearchHooks<'a> {
     pub sink: Option<&'a dyn ProgressSink>,
     /// Telemetry spool collecting every search's counters, when set.
     pub spool: Option<&'a TelemetrySpool>,
-    /// Verify each search's winner schedule with `madmax-verify`
-    /// (`--verify`); violation counts land in the recorded telemetry.
+    /// Verify the winner schedule of each plan search (`Explorer::explore`)
+    /// with `madmax-verify` (`--verify`); violation counts land in the
+    /// recorded telemetry. The goodput and load searches verify nothing.
     pub verify: bool,
 }
 
-impl<'a> SearchHooks<'a> {
-    /// Hooks with no sink and no spool: plain threaded search.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            sink: None,
-            spool: None,
-            verify: false,
-        }
-    }
+/// Two-thread hooks with no sink, no spool and no verification, for the
+/// experiments' tests.
+#[cfg(test)]
+pub(crate) const TEST_HOOKS: SearchHooks<'static> = SearchHooks {
+    threads: 2,
+    sink: None,
+    spool: None,
+    verify: false,
+};
 
+impl<'a> SearchHooks<'a> {
     /// Applies the hooks to an explorer under construction: sizes its
     /// pool, attaches the progress sink, and enables winner verification
-    /// when `--verify` was given.
+    /// (which only `Explorer::explore` performs) when `--verify` was given.
     #[must_use]
     pub fn attach<'m>(&self, explorer: Explorer<'m>) -> Explorer<'m>
     where

@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn report_renders_grids_flip_and_fault_table() {
-        let s = fig_fault(&crate::SearchHooks::with_threads(2));
+        let s = fig_fault(&crate::cli::TEST_HOOKS);
         assert!(s.contains("Young/Daly"), "{s}");
         assert!(s.contains("replay cross-check"), "{s}");
         assert!(s.contains("<- flip"), "{s}");

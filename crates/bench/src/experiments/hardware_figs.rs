@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn fig18_covers_all_platforms() {
-        let s = fig18(&crate::SearchHooks::with_threads(2));
+        let s = fig18(&crate::cli::TEST_HOOKS);
         for p in ["MI250X", "MI300X", "Gaudi2"] {
             assert!(s.contains(p), "missing {p}");
         }

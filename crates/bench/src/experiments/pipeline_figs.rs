@@ -122,7 +122,7 @@ pub fn fig_pipeline_schedules(hooks: &crate::SearchHooks) -> String {
 mod tests {
     #[test]
     fn schedule_grid_renders_for_all_models() {
-        let s = super::fig_pipeline_schedules(&crate::SearchHooks::with_threads(2));
+        let s = super::fig_pipeline_schedules(&crate::cli::TEST_HOOKS);
         for name in ["LLaMA", "GPT-3"] {
             assert!(s.contains(name), "missing {name}");
         }

@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn report_renders_ttft_tpot_columns() {
-        let s = fig_serve(&crate::SearchHooks::with_threads(2));
+        let s = fig_serve(&crate::cli::TEST_HOOKS);
         assert!(s.contains("TTFT pp1") && s.contains("TPOT pp8"));
         assert!(s.contains("Serve-mode DSE"));
         assert!(s.contains("pipelined decode beats pp=1: yes"));

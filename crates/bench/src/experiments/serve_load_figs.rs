@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn report_renders_sweep_and_frontier() {
-        let s = fig_serve_load(&crate::SearchHooks::with_threads(2));
+        let s = fig_serve_load(&crate::cli::TEST_HOOKS);
         assert!(s.contains("TTFT p99"), "{s}");
         assert!(s.contains("SLO goodput search"), "{s}");
         assert!(s.contains("frontier:"), "{s}");

@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn fig10_covers_suite() {
-        let s = fig10(&crate::SearchHooks::with_threads(2));
+        let s = fig10(&crate::cli::TEST_HOOKS);
         for id in ModelId::ALL {
             assert!(s.contains(&id.to_string()), "missing {id}");
         }

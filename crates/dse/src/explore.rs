@@ -308,7 +308,9 @@ impl<'a> Explorer<'a> {
     /// its error/warning counts feed
     /// [`SearchTelemetry::verify_errors`] /
     /// [`SearchTelemetry::verify_warnings`]. One extra one-shot engine
-    /// run; the per-candidate hot path is untouched.
+    /// run; the per-candidate hot path is untouched. Only
+    /// [`Explorer::explore`] reads this: `explore_goodput` and
+    /// `explore_load` verify nothing.
     #[must_use]
     pub fn verify_winner(mut self, on: bool) -> Self {
         self.verify_winner = on;

@@ -63,10 +63,6 @@
 //! no error, no iteration time and no goodput points, and the winners and
 //! the plan flip are those of simulating every candidate. The load search
 //! returns every candidate's result, so it never prunes.
-//!
-//! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
-//! been removed after their deprecation release; `Explorer` over the
-//! matching `SearchSpace` is the single search API.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -82,8 +78,7 @@ pub use explore::{Explorer, PipelineAxes, SearchOutcome, SearchSpace, ServeAxes}
 pub use fault::{FaultAxes, GoodputCandidate, GoodputSearchOutcome};
 pub use load::{LoadAxes, LoadCandidate, LoadPoint, LoadSearchOutcome};
 pub use madmax_obs::{
-    CandidateEvent, CandidateOutcome, JsonlSink, NullSink, ProgressSink, SearchTelemetry,
-    StderrTicker,
+    CandidateEvent, CandidateOutcome, NullSink, ProgressSink, SearchTelemetry, StderrTicker,
 };
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use scaling::{scaling_study, ScalingAxis, ScalingPoint};

@@ -17,8 +17,7 @@
 //!   per-worker throughput, and an evaluation-latency histogram,
 //!   populated by `madmax_dse::Explorer` on every search.
 //! - [`progress`] — the [`ProgressSink`] trait: live candidate-completed
-//!   events from a running search (no-op default, stderr ticker, JSONL
-//!   writer), the groundwork for a resident DSE service.
+//!   events from a running search (no-op default and stderr ticker).
 //! - [`load`] — continuous-batching load-run observability: per-request
 //!   completion events bridged from `madmax_serve`'s completion
 //!   callback, [`LoadTelemetry`] counters, and Perfetto export of a
@@ -50,7 +49,6 @@ pub use load::{forward_to_sink, LoadTelemetry, RequestEvent};
 pub use madmax_core::counters::CacheStats;
 pub use perfetto::{ChromeTrace, TraceEvent};
 pub use progress::{
-    CandidateEvent, CandidateOutcome, ElapsedSummary, JsonlSink, NullSink, ProgressSink,
-    StderrTicker,
+    CandidateEvent, CandidateOutcome, ElapsedSummary, NullSink, ProgressSink, StderrTicker,
 };
 pub use telemetry::{LatencyHistogram, SearchTelemetry, TelemetrySpool, WorkerStats};

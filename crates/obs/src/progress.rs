@@ -7,24 +7,15 @@
 //! pool joins. Sinks must therefore be `Send + Sync` and treat event
 //! *order* as nondeterministic under multi-threaded search (the event
 //! set, and every per-event payload, is deterministic).
-//!
-//! This is the groundwork for the ROADMAP's resident DSE-service
-//! direction: a service wraps a streaming channel in a `ProgressSink`
-//! the same way [`JsonlSink`] wraps a file.
 
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use serde::{Serialize, Value};
 
 use crate::load::{LoadTelemetry, RequestEvent};
 use crate::telemetry::SearchTelemetry;
 
 /// How one candidate's evaluation resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateOutcome {
     /// Produced an iteration report.
     Ok,
@@ -37,7 +28,7 @@ pub enum CandidateOutcome {
 }
 
 /// One candidate-completed event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateEvent {
     /// Candidate index within the evaluation batch (stable across thread
     /// counts: it is the plan's position, not completion order).
@@ -137,56 +128,6 @@ impl ProgressSink for StderrTicker {
     }
 }
 
-/// Streams events as JSON Lines: one `{"candidate": ...}` object per
-/// completion, one `{"finished": ...}` object per batch.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: Mutex<std::io::BufWriter<std::fs::File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncates) the JSONL file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure creating the file.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self {
-            out: Mutex::new(std::io::BufWriter::new(file)),
-        })
-    }
-
-    fn write_line(&self, key: &str, value: Value) {
-        let line = serde_json::to_string(&Value::Map(vec![(key.to_owned(), value)]))
-            .expect("event serializes");
-        let mut out = self.out.lock().unwrap();
-        // Telemetry must never take the search down: drop the line on
-        // I/O failure instead of panicking mid-pool.
-        let _ = writeln!(out, "{line}");
-    }
-}
-
-impl ProgressSink for JsonlSink {
-    fn candidate_completed(&self, event: &CandidateEvent) {
-        self.write_line("candidate", event.to_value());
-    }
-
-    fn search_finished(&self, telemetry: &SearchTelemetry) {
-        self.write_line("finished", telemetry.to_value());
-        let _ = self.out.lock().unwrap().flush();
-    }
-
-    fn request_completed(&self, event: &RequestEvent) {
-        self.write_line("request", event.to_value());
-    }
-
-    fn load_finished(&self, telemetry: &LoadTelemetry) {
-        self.write_line("load", telemetry.to_value());
-        let _ = self.out.lock().unwrap().flush();
-    }
-}
-
 /// Per-experiment elapsed-time accounting for multi-experiment runners
 /// (`run_all`): record each experiment's wall-clock, then print one
 /// aligned summary table.
@@ -249,22 +190,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn candidate_event_serde_round_trip() {
-        let ev = CandidateEvent {
-            index: 3,
-            total: 24,
-            outcome: CandidateOutcome::OutOfMemory,
-            eval_us: 812.5,
-            iteration_ms: None,
-        };
-        let js = serde_json::to_string(&ev).unwrap();
-        assert_eq!(
-            js,
-            r#"{"index":3,"total":24,"outcome":"OutOfMemory","eval_us":812.5,"iteration_ms":null}"#
-        );
-    }
-
-    #[test]
     fn null_sink_is_object_safe_and_silent() {
         let sink: &dyn ProgressSink = &NullSink;
         sink.candidate_completed(&CandidateEvent {
@@ -286,28 +211,5 @@ mod tests {
         assert_eq!(s.rows().len(), 2);
         let table = s.table();
         assert!(table.contains("one") && table.contains("total"));
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parsable_lines() {
-        let dir = std::env::temp_dir().join("madmax-obs-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("sink-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.candidate_completed(&CandidateEvent {
-            index: 0,
-            total: 2,
-            outcome: CandidateOutcome::Ok,
-            eval_us: 5.0,
-            iteration_ms: Some(1.25),
-        });
-        sink.search_finished(&SearchTelemetry::default());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            serde_json::parse_value(line).unwrap();
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -526,7 +526,10 @@ fn cli_config_dir_takes_the_flag_dispatch_and_rejects_scenario_flags() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{stderr}");
         assert!(
-            stderr.contains(&format!("{} conflicts with --config-dir", flag[0])),
+            stderr.contains(&format!(
+                "unknown flag `{}` for `madmax simulate --config-dir --mtbf`",
+                flag[0]
+            )),
             "{stderr}"
         );
         assert!(out.stdout.is_empty(), "{flag:?}: nothing runs");
@@ -748,6 +751,100 @@ fn cli_rejects_unknown_flags() {
         );
         assert!(out.stdout.is_empty(), "nothing runs on a typo");
     }
+}
+
+#[test]
+fn cli_rejects_flags_the_command_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("madmax-unread-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (file, out_dir) = (dir.join("f.json"), dir.join("cfg"));
+    let (f, d) = (file.to_str().unwrap(), out_dir.to_str().unwrap());
+    let llama = "--model llama2 --system llama";
+    let serve = "--task serve --prompt 256 --decode 16 --decode-batch 8 \
+                 --arrival-rate 0.1 --arrival-count 8";
+    // Each command drops a flag at the parent of this rule: another
+    // mode's, another command's, or one no command reads.
+    for (command, flag) in [
+        (
+            format!("search {llama} --mtbf 600 --emit-trace F"),
+            "--emit-trace",
+        ),
+        (
+            format!("search --config-dir /nonexistent {llama}"),
+            "--config-dir",
+        ),
+        ("list --bogus".to_owned(), "--bogus"),
+        (format!("search {llama} --dense (TP,DDP)"), "--dense"),
+        (
+            format!("simulate {llama} --mtbf 600 --emit-trace F"),
+            "--emit-trace",
+        ),
+        (
+            format!("simulate {llama} --threads 2 --telemetry F --progress 5"),
+            "--threads",
+        ),
+        (
+            format!("simulate {llama} {serve} --mtbf 600 --checkpoint-interval 60"),
+            "--checkpoint-interval",
+        ),
+        (
+            format!("search {llama} {serve} --emit-trace F --verify"),
+            "--emit-trace",
+        ),
+        ("verify --only golden --model llama2".to_owned(), "--model"),
+        (
+            "config --model llama2 --out D --threads 3 --mtbf 5".to_owned(),
+            "--threads",
+        ),
+    ] {
+        let args: Vec<&str> = command
+            .split_whitespace()
+            .map(|a| match a {
+                "F" => f,
+                "D" => d,
+                a => a,
+            })
+            .collect();
+        let out = madmax(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command}: nothing runs");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}` for `madmax ")),
+            "{command}: {stderr}"
+        );
+        assert!(
+            !file.exists() && !out_dir.exists(),
+            "{command} wrote a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A switch is on when bare or `true`, off when absent or `false`.
+    let stdout = |args: &str| {
+        let out = madmax(&args.split_whitespace().collect::<Vec<_>>());
+        assert!(out.status.success(), "{args}");
+        out.stdout
+    };
+    let simulate = format!("simulate {llama}");
+    let verified = stdout(&format!("{simulate} --verify"));
+    assert!(String::from_utf8_lossy(&verified).contains("verify:"));
+    assert_eq!(verified, stdout(&format!("{simulate} --verify true")));
+    assert_eq!(
+        stdout(&simulate),
+        stdout(&format!("{simulate} --verify false"))
+    );
+    let search = "search --model dlrm-a --system zionex --unconstrained";
+    let telemetry_free = |out: Vec<u8>| -> String {
+        String::from_utf8_lossy(&out)
+            .lines()
+            .filter(|l| !l.starts_with("telemetry:"))
+            .collect()
+    };
+    assert_eq!(
+        telemetry_free(stdout(search)),
+        telemetry_free(stdout(&format!("{search} true")))
+    );
 }
 
 #[test]
