@@ -23,9 +23,10 @@
 //! # Flags
 //!
 //! A flag's value is the next argument unless that argument starts with
-//! `--`. The switches `--verify`, `--eviction`, `--unconstrained` and
-//! `--kv` take an optional `true` or `false`: absent gives the default
-//! (on for `--kv`, off for the others) and a bare switch turns it on.
+//! `--`, and a flag given twice is an error. The switches `--verify`,
+//! `--eviction`, `--unconstrained` and `--kv` take an optional `true` or
+//! `false`: absent gives the default (on for `--kv`, off for the others)
+//! and a bare switch turns it on.
 //! Each command reads all of its flags before it runs anything, and a
 //! flag it does not read is an error naming the flag and the command,
 //! e.g. "unknown flag `--emit-trace` for `madmax search --mtbf`": a typo,
@@ -62,7 +63,8 @@
 //! Continuous-batching load flags (serve task):
 //!
 //! - `--arrival-rate R` — seeded Poisson arrivals at `R` requests/second
-//!   (`search` accepts a comma-separated rate ladder and sweeps it);
+//!   (`search` accepts a comma-separated rate ladder and sweeps it;
+//!   `simulate` takes a single rate);
 //!   `--arrival-count N` / `--arrival-seed S` shape the stream.
 //! - `--arrival-trace PATH` — JSONL request trace instead of Poisson,
 //!   one `{"arrival": s, "prompt_len": n, "decode_len": m}` per line.
@@ -202,6 +204,9 @@ impl Args {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
+            if flags.iter().any(|f: &Flag| f.name == name) {
+                return Err(format!("flag --{name} given more than once"));
+            }
             flags.push(Flag {
                 name: name.to_owned(),
                 value: it.next_if(|v| !v.starts_with("--")).cloned(),
@@ -211,15 +216,12 @@ impl Args {
         Ok(Self { flags })
     }
 
-    /// Marks `key` read and returns its last occurrence: `None` when
-    /// absent, `Some(None)` when given without a value.
+    /// Marks `key` read and returns it: `None` when absent, `Some(None)`
+    /// when given without a value.
     fn lookup(&self, key: &str) -> Option<Option<&str>> {
-        let mut last = None;
-        for flag in self.flags.iter().filter(|f| f.name == key) {
-            flag.read.set(true);
-            last = Some(flag.value.as_deref());
-        }
-        last
+        let flag = self.flags.iter().find(|f| f.name == key)?;
+        flag.read.set(true);
+        Some(flag.value.as_deref())
     }
 
     /// The value of `key`, `None` when absent.
@@ -788,6 +790,15 @@ fn simulate(args: &Args) -> Result<(), String> {
     let fault = parse_fault_spec(args)?;
     match (parse_load_spec(args)?, fault) {
         (Some(spec), fault) => {
+            if args
+                .list::<f64>("arrival-rate")?
+                .is_some_and(|r| r.len() > 1)
+            {
+                return Err(
+                    "simulate takes a single --arrival-rate; pass a comma ladder to search"
+                        .to_owned(),
+                );
+            }
             let fault = fault
                 .map(|f| parse_load_faults(args, f, &spec))
                 .transpose()?;

@@ -68,7 +68,7 @@ pub use compute::UtilizationModel;
 pub use costs::{CostTable, GroupPrice, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{DecodeTail, IterationReport, ReportScratch, ServeStats};
-pub use perf::{evaluate_priced, run_flat_cached};
+pub use perf::{evaluate_priced, flat_ttft_cached, prefill_ttft, run_flat_cached};
 pub use sim::{
     merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule, StreamTable,
 };

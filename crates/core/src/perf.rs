@@ -9,7 +9,9 @@
 //! its report: the closed-form serve gate ([`crate::steady`]), else full
 //! assembly, scheduling and the report sweep, plus the serve stats and the
 //! decode tail. An engine keeps only its feasibility checks and its trace
-//! assembly, which it hands over as a closure.
+//! assembly, which it hands over as a closure. The same closure feeds
+//! [`prefill_ttft`], which schedules a serve candidate's prefill alone for
+//! its time to first token ([`flat_ttft_cached`] for the flat engine).
 //!
 //! Serve workloads run their prefill and decode phases through the same
 //! trace machinery: the prefill is the familiar forward-only pass (over
@@ -19,12 +21,13 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule [`evaluate_priced`] assembles is cross-checked in debug
-//! builds (causality, per-stream exclusivity, non-negative durations,
-//! makespan consistency). Release builds skip the check entirely; the
-//! full structural rule set with non-panicking diagnostics is
-//! `madmax-verify`.
+//! Every schedule [`evaluate_priced`] and [`prefill_ttft`] assemble is
+//! cross-checked in debug builds (causality, per-stream exclusivity,
+//! non-negative durations, makespan consistency). Release builds skip the
+//! check entirely; the full structural rule set with non-panicking
+//! diagnostics is `madmax-verify`.
 
+use madmax_hw::units::Seconds;
 use madmax_model::ModelArch;
 use madmax_parallel::{MemoryBreakdown, Plan, PlanError};
 
@@ -84,8 +87,40 @@ pub fn run_flat_cached(
         analytic_serve,
         table.analytic_counters(),
         scratch,
-        |max_decode_tokens, trace| table.assemble_capped_into(plan, trace, max_decode_tokens),
+        assembler(table, plan),
     ))
+}
+
+/// The time to first token [`run_flat_cached`] would report for `plan`,
+/// from its prefill alone ([`prefill_ttft`]), after the same feasibility
+/// checks; `None` for workloads without decode steps. Neither the
+/// closed-form counters nor `scratch.decode_tail` record it.
+///
+/// # Errors
+///
+/// Same conditions as [`run_flat_cached`].
+///
+/// # Panics
+///
+/// Same conditions as [`run_flat_cached`].
+pub fn flat_ttft_cached(
+    table: &CostTable,
+    plan: &Plan,
+    scratch: &mut EngineScratch,
+) -> Result<Option<Seconds>, PlanError> {
+    reject_pipelined(plan)?;
+    table.memory_for(plan)?;
+    Ok(prefill_ttft(
+        table.serve_dims(),
+        scratch,
+        assembler(table, plan),
+    ))
+}
+
+/// The flat engine's trace assembly for the shared evaluator: `plan`'s
+/// trace from `table`, its decode loop capped at the given token count.
+fn assembler<'t>(table: &'t CostTable<'t>, plan: &'t Plan) -> impl Fn(usize, &mut Trace) + 't {
+    move |max_decode_tokens, trace| table.assemble_capped_into(plan, trace, max_decode_tokens)
 }
 
 /// Evaluates a priced, feasible candidate into its report: the one step
@@ -149,6 +184,32 @@ pub fn evaluate_priced(
         scratch.decode_tail = decode_tail_from(&scratch.trace, &scratch.sched, d.decode_len);
     }
     report
+}
+
+/// The time to first token of a priced, feasible serve candidate, from
+/// its prefill alone: `assemble` (as for [`evaluate_priced`]) builds the
+/// trace with a decode cap of 0, which is scheduled and, in debug builds,
+/// cross-checked; its makespan is the TTFT. `None` when `dims` is `None`
+/// (no decode steps).
+///
+/// Bit-identical to the [`crate::ServeStats::ttft`] of the full report:
+/// both define TTFT as the latest finish among the non-decode ops, which
+/// form the trace's prefix, and the in-order list scheduler never lets a
+/// later op move an earlier one. It never reads or records a cached
+/// report, and leaves `scratch.decode_tail` empty.
+pub fn prefill_ttft(
+    dims: Option<ServeDims>,
+    scratch: &mut EngineScratch,
+    assemble: impl Fn(usize, &mut Trace),
+) -> Option<Seconds> {
+    scratch.decode_tail = None;
+    dims?;
+    assemble(0, &mut scratch.trace);
+    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
+    if cfg!(debug_assertions) {
+        debug_check_schedule(&scratch.trace, &scratch.sched);
+    }
+    Some(scratch.sched.makespan)
 }
 
 #[cfg(test)]

@@ -112,8 +112,8 @@ pub fn schedule_into(trace: &Trace, sched: &mut Schedule, streams: &mut StreamTa
 /// one O(ops) pass with no allocation beyond a stream-slot table.
 ///
 /// This is the engines' `debug_assertions` contract: the evaluator both
-/// engines share ([`crate::evaluate_priced`]) runs it after every fresh
-/// assembly (memo hits are exempt — their schedule was checked when it
+/// engines share ([`crate::evaluate_priced`]) and [`crate::prefill_ttft`]
+/// run it after every fresh assembly (memo hits are exempt — their schedule was checked when it
 /// was first produced), so a scheduler or builder regression panics in
 /// debug test runs instead of silently skewing reports. Release builds never pay for it. The full
 /// rule set — pipeline structure, bubble floors, critical-path analysis,

@@ -6,7 +6,7 @@
 //! it only checks for feasibility, then one synchronized serve wave per
 //! decode ladder (a prompt and a batch), whose decode tail gives the
 //! makespans of its last three decode lengths, and the prefill-slope
-//! wave. Across the candidate plans of one load search only a few
+//! anchor, of which only the prefill is scheduled for its TTFT. Across the candidate plans of one load search only a few
 //! distinct shapes occur: the list depends on the plan only through its
 //! low-batch anchor. [`LoadProbeTables`] prices one flat [`CostTable`]
 //! and one [`PipelineCostTable`] per shape, each for the plans that use

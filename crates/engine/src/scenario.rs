@@ -2,6 +2,7 @@
 //! simulation of any [`Workload`].
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 use madmax_core::collective::{CollectiveModel, HierarchicalNccl};
 use madmax_core::compute::UtilizationModel;
@@ -392,6 +393,31 @@ impl<'a> Scenario<'a> {
         })
     }
 
+    /// The time to first token [`Scenario::run_in`] would report
+    /// ([`madmax_core::ServeStats::ttft`]), bit for bit, from the serve
+    /// wave's prefill alone: the same workload and feasibility checks
+    /// against the same tables, then only the prefill is assembled and
+    /// scheduled ([`madmax_core::prefill_ttft`]). `None` for workloads
+    /// without decode steps. It never reads or fills the pipeline report
+    /// memo, and no closed-form counter records it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Scenario::run`].
+    pub fn ttft_in(&self, scratch: &mut EngineScratch) -> Result<Option<Seconds>, EngineError> {
+        self.check_workload()?;
+        self.with_plan(|plan| {
+            let ttft = if Self::is_pipelined(plan) {
+                let table = self.pipeline_table(plan);
+                madmax_pipeline::pipelined_ttft_cached(&table, plan, scratch)
+            } else {
+                let table = self.flat_table(plan);
+                madmax_core::flat_ttft_cached(&table, plan, scratch)
+            };
+            ttft.map_err(EngineError::from)
+        })
+    }
+
     /// A sound lower bound on the iteration time [`Scenario::run_in`]
     /// reports, computed from the priced tables without assembling or
     /// scheduling a trace: the busiest stream's summed op durations
@@ -568,12 +594,13 @@ impl<'a> Scenario<'a> {
     /// against the attached [`Scenario::load_probes`] tables or a
     /// one-plan table: the worst-case shape only through the feasibility
     /// half of [`Scenario::lower_bound`] (same tables, same errors as a
-    /// run), every other shape as one [`Scenario::run_in`] of a
-    /// synchronized serve wave, whose decode tail
+    /// run), the prefill-slope anchor through [`Scenario::ttft_in`] (its
+    /// prefill alone), and every other shape as one [`Scenario::run_in`]
+    /// of a synchronized serve wave, whose decode tail
     /// ([`madmax_core::DecodeTail`]) yields the makespans of its last
-    /// three decode lengths. A flat plan costs three engine runs and a
-    /// pipelined plan whose low-batch anchor is the slot count two, each
-    /// plus the check.
+    /// three decode lengths. A flat plan costs two engine runs and a
+    /// pipelined plan whose low-batch anchor is the slot count one, each
+    /// plus the check and one prefill schedule.
     ///
     /// The in-flight slot count is `spec.slots`, defaulting to the serve
     /// config's decode batch.
@@ -584,11 +611,12 @@ impl<'a> Scenario<'a> {
     /// workload; probe failures as in [`Scenario::run`].
     pub fn price_load(&self, spec: &LoadSpec) -> Result<StepCostModel, EngineError> {
         let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
-        let mut scratch = EngineScratch::new();
+        let scratch = RefCell::new(EngineScratch::new());
         self.with_plan(|plan| {
             let feasible = |cfg| self.probe(plan, cfg).with_feasible(|_, _, _| (), |_, _| ());
             let probe = |cfg| {
-                let report = self.probe(plan, cfg).run_in(&mut scratch)?;
+                let scratch = &mut *scratch.borrow_mut();
+                let report = self.probe(plan, cfg).run_in(scratch)?;
                 Ok(ProbeRun {
                     ttft: report.serve.expect("probes are serve runs").ttft,
                     tail: scratch
@@ -596,7 +624,11 @@ impl<'a> Scenario<'a> {
                         .expect("probes decode 48 tokens or more"),
                 })
             };
-            StepCostModel::price(plan, serve, slots, &arrivals, feasible, probe)
+            let ttft = |cfg| {
+                let ttft = self.probe(plan, cfg).ttft_in(&mut scratch.borrow_mut())?;
+                Ok(ttft.expect("probes are serve runs"))
+            };
+            StepCostModel::price(plan, serve, slots, &arrivals, feasible, probe, ttft)
         })
     }
 

@@ -125,7 +125,7 @@ pub use partition::{partition_model, Stage, StageUnit};
 pub use schedule::{
     build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into, busy_lower_bound,
 };
-pub use sim::run_pipelined_cached;
+pub use sim::{pipelined_ttft_cached, run_pipelined_cached};
 pub use table::{PipelineCostTable, PricedPipelineRef, ReportMemo};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`

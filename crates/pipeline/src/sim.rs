@@ -8,7 +8,9 @@
 //! dispatches flat plans to the flat engine instead. Like the flat
 //! engine, it keeps only its feasibility checks and its trace assembly:
 //! both engines call [`madmax_core::evaluate_priced`] for the closed-form
-//! gate, scheduling, the report, the serve stats and the decode tail.
+//! gate, scheduling, the report, the serve stats and the decode tail, and
+//! [`madmax_core::prefill_ttft`] for a serve candidate's TTFT from its
+//! prefill alone ([`pipelined_ttft_cached`]).
 //!
 //! Serve workloads pipeline the decode stream itself: the prompt's
 //! prefill runs as a forward-only pipeline, then every decode step flows
@@ -26,9 +28,10 @@
 //! adjacency, 1F1B in-flight bound, GPipe bubble floor) lives in
 //! `madmax-verify`.
 
+use madmax_hw::units::Seconds;
 use madmax_parallel::{Plan, PlanError};
 
-use madmax_core::{evaluate_priced, EngineScratch, IterationReport};
+use madmax_core::{evaluate_priced, prefill_ttft, EngineScratch, IterationReport, Trace};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
 use crate::table::{PipelineCostTable, PricedPipelineRef};
@@ -101,40 +104,75 @@ pub fn run_pipelined_cached(
     Ok(report.clone())
 }
 
-/// Evaluates one priced candidate on the shared evaluator, assembling the
-/// serve trace (decode tokens capped as asked) or the training/prefill
-/// pipeline trace.
+/// The time to first token [`run_pipelined_cached`] would report for
+/// `plan`, from its prefill alone ([`madmax_core::prefill_ttft`]), after
+/// the same feasibility checks; `None` for workloads without decode
+/// steps. It bypasses the report memo: a prefill-only result is never
+/// stored or served as a report. Neither the closed-form counters nor
+/// `scratch.decode_tail` record it.
+///
+/// # Errors
+///
+/// Same conditions as [`run_pipelined_cached`].
+///
+/// # Panics
+///
+/// Same conditions as [`run_pipelined_cached`].
+pub fn pipelined_ttft_cached(
+    table: &PipelineCostTable,
+    plan: &Plan,
+    scratch: &mut EngineScratch,
+) -> Result<Option<Seconds>, PlanError> {
+    let priced = table.priced_for(plan)?;
+    Ok(prefill_ttft(
+        table.serve_dims(),
+        scratch,
+        assembler(table, &priced),
+    ))
+}
+
+/// Evaluates one priced candidate on the shared evaluator.
 fn evaluate(
     table: &PipelineCostTable,
     priced: &PricedPipelineRef,
     scratch: &mut EngineScratch,
     analytic_serve: bool,
 ) -> IterationReport {
-    let dims = table.serve_dims();
     evaluate_priced(
         table.report_model(),
         priced.memory,
-        dims,
+        table.serve_dims(),
         analytic_serve,
         table.analytic_counters(),
         scratch,
-        |max_decode_tokens, trace| match dims {
-            Some(d) => build_serve_trace_into(
-                priced.primary,
-                priced.decode.expect("serve dims imply decode costs"),
-                &priced.cfg,
-                max_decode_tokens.min(d.decode_len),
-                d.prompt_len,
-                trace,
-            ),
-            None => build_pipeline_trace_into(
-                priced.primary,
-                &priced.cfg,
-                table.workload().has_backward(),
-                trace,
-            ),
-        },
+        assembler(table, priced),
     )
+}
+
+/// The pipeline engine's trace assembly for the shared evaluator: the
+/// serve trace (decode tokens capped as asked) or the training/prefill
+/// pipeline trace of one priced candidate.
+fn assembler<'t>(
+    table: &'t PipelineCostTable<'t>,
+    priced: &'t PricedPipelineRef<'t>,
+) -> impl Fn(usize, &mut Trace) + 't {
+    let dims = table.serve_dims();
+    move |max_decode_tokens, trace| match dims {
+        Some(d) => build_serve_trace_into(
+            priced.primary,
+            priced.decode.expect("serve dims imply decode costs"),
+            &priced.cfg,
+            max_decode_tokens.min(d.decode_len),
+            d.prompt_len,
+            trace,
+        ),
+        None => build_pipeline_trace_into(
+            priced.primary,
+            &priced.cfg,
+            table.workload().has_backward(),
+            trace,
+        ),
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! The engines guarantee (`madmax_core::steady`) that serve iteration
 //! times are exact multiples of the `2^-38` s duration grid and that
 //! decode-step durations are affine in the KV-cache position.
-//! [`StepCostModel::price`] therefore recovers per-step costs from a few
-//! engine runs — O(transient) each through the closed form — by finite
-//! differences:
+//! [`StepCostModel::price`] therefore recovers per-step costs from one
+//! or two engine runs — O(transient) each through the closed form — and
+//! one prefill schedule, by finite differences:
 //!
 //! - `F(d)` = iteration time at decode length `d`: the first difference
 //!   `F(d+1) - F(d)` is the cost of one decode step, the second
@@ -22,7 +22,9 @@
 //!   the per-sequence term from the base;
 //! - TTFT at the low-batch anchor prices a single request's prefill,
 //!   probed at two context lengths to fit the affine `prefill(ctx)` used
-//!   for admission and eviction-recompute;
+//!   for admission and eviction-recompute: the low-batch decode run's own
+//!   TTFT, and the TTFT of the prefill-slope anchor, which only its
+//!   prefill determines, so the engines schedule that prefill alone;
 //! - the worst case (`slots` sequences at the longest prompt and decode)
 //!   is only checked for feasibility, never run.
 //!
@@ -183,13 +185,15 @@ impl StepCostModel {
     ///    F(48), F(49) and F(50);
     /// 3. one 49-token run at the plan's low-batch anchor `b_lo`, whose
     ///    tail gives F(48) and F(49) there (only when `b_lo != slots`);
-    /// 4. the prefill-slope run at the longest context, for its TTFT.
+    /// 4. the prefill-slope anchor at the longest context, of which only
+    ///    the TTFT is read: its prefill alone is scheduled, never its
+    ///    decode.
     ///
-    /// A flat plan (`b_lo = 1`) thus costs three engine runs and a
-    /// pipelined one with `b_lo == slots` two, each plus one feasibility
-    /// check. `price` stops at the first failing shape, so it may use only
-    /// a prefix of this list. Empty when `price` fails before probing
-    /// (zero `slots`, no arrivals).
+    /// A flat plan (`b_lo = 1`) thus costs two engine runs and a
+    /// pipelined one with `b_lo == slots` one, each plus one feasibility
+    /// check and one prefill schedule. `price` stops at the first failing
+    /// shape, so it may use only a prefix of this list. Empty when `price`
+    /// fails before probing (zero `slots`, no arrivals).
     ///
     /// Pricing several plans against one request set probes few distinct
     /// shapes (the list depends on the plan only through `b_lo`), so a
@@ -213,12 +217,14 @@ impl StepCostModel {
     /// anchors and the worst-case feasibility check).
     ///
     /// `feasible` checks that `plan` can run one synchronized serve wave
-    /// of the given shape, and `probe` runs it
-    /// (`madmax_engine::Scenario::price_load` passes the engine's
-    /// feasibility check and evaluator); their errors pass through
-    /// unchanged. They are called with the shapes of
-    /// [`StepCostModel::probe_shapes`], in order (`feasible` with the
-    /// first, `probe` with the rest), until one fails.
+    /// of the given shape, `probe` runs it, and `ttft` reports the time to
+    /// first token that run would report, after the same feasibility
+    /// checks (`madmax_engine::Scenario::price_load` passes the engine's
+    /// feasibility check, its evaluator, and its prefill-only schedule);
+    /// their errors pass through unchanged. They are called with the
+    /// shapes of [`StepCostModel::probe_shapes`], in order (`feasible` with
+    /// the first, `ttft` with the last, `probe` with the rest), until one
+    /// fails.
     ///
     /// Each run reports the makespans after its last three decode tokens
     /// ([`ProbeRun::tail`]), so one run per decode ladder — a prompt and
@@ -239,6 +245,7 @@ impl StepCostModel {
         arrivals: &[ArrivalEvent],
         feasible: impl FnOnce(ServeConfig) -> Result<(), E>,
         mut probe: impl FnMut(ServeConfig) -> Result<ProbeRun, E>,
+        ttft: impl FnOnce(ServeConfig) -> Result<Seconds, E>,
     ) -> Result<Self, E> {
         if slots == 0 {
             return Err(LoadError::Spec("slots must be >= 1".to_owned()).into());
@@ -293,7 +300,7 @@ impl StepCostModel {
 
         // Prefill slope: the second anchor sits at the largest context a
         // recomputed prefill can see (prompt + generated tokens).
-        let ttft_hi = units(probe(next())?.ttft, "ttft")?;
+        let ttft_hi = units(ttft(next())?, "ttft")?;
         debug_assert!(shapes.next().is_none(), "every probe shape was used");
         let ctx_hi = anchors.ctx_hi();
         let span = (ctx_hi - p_lo) as i64;
@@ -418,14 +425,18 @@ mod tests {
         Ok(())
     }
 
+    fn prefill(cfg: ServeConfig) -> Result<Seconds, LoadError> {
+        Ok(grid_seconds(makespan(&cfg, 0)))
+    }
+
     #[test]
     fn priced_models_predict_probe_differences() {
         let model = ModelId::Llama2.build();
         let plan = Plan::fsdp_baseline(&model);
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let slots = 8usize;
-        let m =
-            StepCostModel::price(&plan, &serve, slots, &arrivals(256, 64, 4), fits, wave).unwrap();
+        let reqs = arrivals(256, 64, 4);
+        let m = StepCostModel::price(&plan, &serve, slots, &reqs, fits, wave, prefill).unwrap();
         // Every coefficient of an exactly affine engine is recovered.
         assert_eq!((m.prefill_base, m.prefill_slope), PREFILL);
         assert_eq!((m.step_base, m.step_seq, m.step_rate), STEP);
@@ -445,14 +456,22 @@ mod tests {
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
         let serve = ServeConfig::new(128, 32).with_decode_batch(4);
         // A pipelined plan is never probed below its microbatch count.
-        let probe = |cfg: ServeConfig| {
+        let above_microbatches = |cfg: &ServeConfig| {
             assert!(
                 cfg.decode_batch.unwrap() >= 4,
                 "probed below the microbatches"
             );
+        };
+        let probe = |cfg: ServeConfig| {
+            above_microbatches(&cfg);
             wave(cfg)
         };
-        let m = StepCostModel::price(&plan, &serve, 4, &arrivals(128, 32, 2), fits, probe).unwrap();
+        let ttft = |cfg: ServeConfig| {
+            above_microbatches(&cfg);
+            prefill(cfg)
+        };
+        let m = StepCostModel::price(&plan, &serve, 4, &arrivals(128, 32, 2), fits, probe, ttft)
+            .unwrap();
         let short = m.prefill_units(128).unwrap();
         let long = m.prefill_units(160).unwrap();
         assert!(long >= short);
@@ -464,45 +483,57 @@ mod tests {
         let model = ModelId::Llama2.build();
         let flat = Plan::fsdp_baseline(&model);
         // (plan, slots, shapes used, engine runs among them): the first
-        // shape is only checked for feasibility.
+        // shape is only checked for feasibility, and only the TTFT of the
+        // last is read.
         let cases = [
             // Flat: b_lo = 1 < slots.
-            (flat.clone(), 8usize, 4usize, 3usize),
+            (flat.clone(), 8usize, 4usize, 2usize),
             // Pipelined below the slots: b_lo = microbatches = 2.
             (
                 flat.clone().with_pipeline(PipelineConfig::gpipe(4, 2)),
                 8,
                 4,
-                3,
+                2,
             ),
             // Pipelined at or above the slots: b_lo == slots.
             (
                 flat.clone().with_pipeline(PipelineConfig::gpipe(4, 8)),
                 8,
                 3,
-                2,
+                1,
             ),
-            (flat.with_pipeline(PipelineConfig::gpipe(4, 16)), 8, 3, 2),
+            (flat.with_pipeline(PipelineConfig::gpipe(4, 16)), 8, 3, 1),
         ];
         let serve = ServeConfig::new(256, 64).with_decode_batch(8);
         let mut reqs = arrivals(256, 64, 3);
         reqs[1].prompt_len = 96;
         reqs[2].decode_len = 80;
         for (plan, slots, count, runs) in cases {
+            // Every call, tagged 'f'easibility, 'r'un or 't'tft.
             let seen = RefCell::new(Vec::new());
             let checked = |cfg: ServeConfig| {
-                seen.borrow_mut().push(cfg);
+                seen.borrow_mut().push(('f', cfg));
                 fits(cfg)
             };
             let probe = |cfg: ServeConfig| {
-                seen.borrow_mut().push(cfg);
+                seen.borrow_mut().push(('r', cfg));
                 wave(cfg)
             };
-            StepCostModel::price(&plan, &serve, slots, &reqs, checked, probe).unwrap();
+            let ttft = |cfg: ServeConfig| {
+                seen.borrow_mut().push(('t', cfg));
+                prefill(cfg)
+            };
+            StepCostModel::price(&plan, &serve, slots, &reqs, checked, probe, ttft).unwrap();
             let shapes = StepCostModel::probe_shapes(&plan, &serve, slots, &reqs);
-            assert_eq!(seen.into_inner(), shapes, "{}", plan.summary());
+            let (calls, seen): (String, Vec<_>) = seen.into_inner().into_iter().unzip();
+            assert_eq!(seen, shapes, "{}", plan.summary());
             assert_eq!(shapes.len(), count, "{}", plan.summary());
-            assert_eq!(shapes.len() - 1, runs, "{}", plan.summary());
+            assert_eq!(
+                calls,
+                format!("f{}t", "r".repeat(runs)),
+                "{}",
+                plan.summary()
+            );
             // The worst case covers the longest prompt and decode.
             assert_eq!(shapes[0].prompt_len, Some(256));
             assert_eq!(shapes[0].decode_len, 80);
@@ -544,7 +575,11 @@ mod tests {
                 wave(cfg)
             }
         };
-        let err = StepCostModel::price(&plan, &serve, 8, &reqs, checked, probe).unwrap_err();
+        let no_ttft = |cfg: ServeConfig| -> Result<Seconds, LoadError> {
+            panic!("{cfg:?} priced after a failed run")
+        };
+        let err =
+            StepCostModel::price(&plan, &serve, 8, &reqs, checked, probe, no_ttft).unwrap_err();
         assert!(err.to_string().contains("probe failed"), "{err}");
         assert_eq!(seen.into_inner(), shapes[..3]);
     }
@@ -564,8 +599,12 @@ mod tests {
         let no_run = |cfg: ServeConfig| -> Result<ProbeRun, LoadError> {
             panic!("{cfg:?} ran after a failed feasibility check")
         };
+        let no_ttft = |cfg: ServeConfig| -> Result<Seconds, LoadError> {
+            panic!("{cfg:?} priced after a failed feasibility check")
+        };
         let reqs = arrivals(4096, 2_000_000, 1);
-        let err = StepCostModel::price(&plan, &serve, 1 << 14, &reqs, oom, no_run).unwrap_err();
+        let err =
+            StepCostModel::price(&plan, &serve, 1 << 14, &reqs, oom, no_run, no_ttft).unwrap_err();
         assert!(err.is_oom(), "{err}");
     }
 }

@@ -15,10 +15,10 @@
 //! grid, and their closed-form steady-state path (`madmax_core::steady`)
 //! guarantees decode-step durations form exact affine series in the
 //! KV-cache position. [`StepCostModel::price`] extracts that affine
-//! structure from two or three engine runs (first/second differences of
+//! structure from one or two engine runs (first/second differences of
 //! consecutive decode lengths, read off each run's decode tail, at the
-//! low-batch anchor and at `slots` in-flight sequences) into integer
-//! grid-unit coefficients:
+//! low-batch anchor and at `slots` in-flight sequences) and one
+//! prefill-only schedule into integer grid-unit coefficients:
 //!
 //! ```text
 //! prefill(ctx)   = prefill_base + prefill_slope * ctx

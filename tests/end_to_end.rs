@@ -402,14 +402,17 @@ fn madmax(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn cli_rejects_zero_decode_batch_and_prompt() {
-    for (flag, value, field) in [
-        ("--decode-batch", "0", "decode_batch"),
-        ("--prompt", "0", "prompt_len"),
+    // The zero value replaces the serve shape's own (a flag may be given
+    // only once).
+    for (shape, flag, field) in [
+        ("--prompt 512 --decode 16", "--decode-batch", "decode_batch"),
+        ("--decode 16", "--prompt", "prompt_len"),
     ] {
+        let value = "0";
         let mut args = vec![
-            "simulate", "--model", "llama2", "--system", "llama", "--task", "serve", "--prompt",
-            "512", "--decode", "16",
+            "simulate", "--model", "llama2", "--system", "llama", "--task", "serve",
         ];
+        args.extend(shape.split_whitespace());
         args.extend([flag, value]);
         let out = madmax(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -845,6 +848,38 @@ fn cli_rejects_flags_the_command_does_not_read() {
         telemetry_free(stdout(search)),
         telemetry_free(stdout(&format!("{search} true")))
     );
+}
+
+#[test]
+fn cli_rejects_a_simulate_rate_ladder_and_repeated_flags() {
+    let llama = "--model llama2 --system llama";
+    let serve = "--task serve --prompt 256 --decode 16 --decode-batch 8 --arrival-count 8";
+    // Each ran only one of its values before: `simulate` the first rate
+    // of the ladder, a repeated flag its last copy.
+    for (command, message) in [
+        (
+            format!("simulate {llama} {serve} --arrival-rate 0.1,5"),
+            "simulate takes a single --arrival-rate; pass a comma ladder to search",
+        ),
+        (
+            "simulate --model gpt-3 --model llama2 --system llama".to_owned(),
+            "flag --model given more than once",
+        ),
+        (
+            format!("simulate {llama} {serve} --arrival-rate 0.1 --arrival-rate 0.5"),
+            "flag --arrival-rate given more than once",
+        ),
+        (
+            format!("search {llama} {serve} --arrival-rate 0.1 --arrival-rate 0.5,1"),
+            "flag --arrival-rate given more than once",
+        ),
+    ] {
+        let out = madmax(&command.split_whitespace().collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command}: nothing runs");
+        assert!(stderr.contains(message), "{command}: {stderr}");
+    }
 }
 
 #[test]

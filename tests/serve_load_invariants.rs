@@ -27,7 +27,9 @@
 //!   (`EngineScratch::decode_tail`) is the iteration time of a separate
 //!   run at that decode length, bit for bit, in both engines, through the
 //!   closed form and full simulation, and through the pipeline report
-//!   memo; its TTFT is theirs too;
+//!   memo; its TTFT is theirs too, and so is the TTFT scheduled from the
+//!   prefill alone (`Scenario::ttft_in`), error for error, without
+//!   touching the memo;
 //! - **An independent cost-model oracle**: `Scenario::price_load`, which
 //!   prices one run per decode ladder, equals `StepCostModel::price` fed
 //!   one separate engine run per decode length, field for field.
@@ -39,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use madmax_core::EngineScratch;
+use madmax_core::{EngineScratch, FlatWorstLink};
 use madmax_dse::{
     CandidateEvent, Explorer, LoadAxes, LoadSearchOutcome, PipelineAxes, ProgressSink, SearchSpace,
     SearchTelemetry,
@@ -252,15 +254,17 @@ proptest! {
         let workload = serve(decode);
         // Each plan's run on the tables a search would attach, with the
         // tail it leaves in the scratch.
+        // The prefill-only TTFT goes first, through the same scratch.
         let mut runs = Vec::new();
         if depth == 1 {
             let mut scratch = EngineScratch::new();
-            let report = Scenario::new(&model, &sys)
+            let scenario = Scenario::new(&model, &sys)
                 .workload_ref(&workload)
                 .plan_ref(&flat)
-                .analytic_serve(analytic)
-                .run_in(&mut scratch);
-            runs.push((flat.clone(), report, scratch.decode_tail));
+                .analytic_serve(analytic);
+            let ttft = scenario.ttft_in(&mut scratch);
+            let report = scenario.run_in(&mut scratch);
+            runs.push((flat.clone(), ttft, report, scratch.decode_tail));
         } else {
             let siblings = [
                 flat.clone().with_pipeline(PipelineConfig::gpipe(depth, microbatches)),
@@ -271,20 +275,22 @@ proptest! {
                 .price_pipeline_plans(&siblings);
             for plan in siblings {
                 let mut scratch = EngineScratch::new();
-                let report = Scenario::new(&model, &sys)
+                let scenario = Scenario::new(&model, &sys)
                     .workload_ref(&workload)
                     .plan_ref(&plan)
                     .pipeline_costs(&table)
-                    .analytic_serve(analytic)
-                    .run_in(&mut scratch);
-                runs.push((plan, report, scratch.decode_tail));
+                    .analytic_serve(analytic);
+                let ttft = scenario.ttft_in(&mut scratch);
+                let report = scenario.run_in(&mut scratch);
+                runs.push((plan, ttft, report, scratch.decode_tail));
             }
             // A feasible second sibling comes out of the first one's memo
-            // entry.
-            let hits = u64::from(runs[0].1.is_ok());
+            // entry, and the prefill-only TTFTs neither read nor fill it.
+            let hits = u64::from(runs[0].2.is_ok());
             prop_assert_eq!(table.memo_stats().hits, hits);
+            prop_assert_eq!(table.memo_stats().total(), 2 * hits);
         }
-        for (plan, report, tail) in runs {
+        for (plan, ttft, report, tail) in runs {
             let alone = |d: usize| {
                 Scenario::new(&model, &sys)
                     .workload(serve(d))
@@ -293,11 +299,19 @@ proptest! {
                     .run()
             };
             let Ok(report) = report else {
-                prop_assert_eq!(report.unwrap_err(), alone(decode).unwrap_err());
+                let err = alone(decode).unwrap_err();
+                prop_assert_eq!(&ttft.unwrap_err(), &err);
+                prop_assert_eq!(report.unwrap_err(), err);
                 continue;
             };
             let tail = tail.expect("a serve run of at least three tokens has a tail");
+            let ttft_alone = ttft.unwrap().expect("a serve run has a TTFT");
             let ttft = report.serve.unwrap().ttft;
+            prop_assert_eq!(
+                ttft_alone.as_secs().to_bits(),
+                ttft.as_secs().to_bits(),
+                "{} {:?} prefill-only TTFT analytic {}", plan.summary(), id, analytic
+            );
             for (i, f) in tail.iter().enumerate() {
                 let d = decode - 2 + i;
                 let separate = alone(d).unwrap();
@@ -517,10 +531,11 @@ fn probe_tables_priced_for_another_plan_fall_back() {
     // ladders and the prefill-slope anchor), flat tables only.
     assert_eq!((tables.shape_count(), tables.table_count()), (4, 4));
     // Only an equal plan probes the shared tables (each engine run counts
-    // one serve evaluation; the worst case is only checked, not run); the
-    // pipelined plan and the unpriced strategy fall back.
+    // one serve evaluation; the worst case is only checked, and the
+    // prefill-slope anchor only schedules its prefill); the pipelined plan
+    // and the unpriced strategy fall back.
     let equal = flat.clone();
-    for (plan, shared_probes) in [(&equal, 3), (&piped, 0), (&other, 0)] {
+    for (plan, shared_probes) in [(&equal, 2), (&piped, 0), (&other, 0)] {
         let alone = Scenario::new(&model, &sys)
             .workload_ref(&workload)
             .plan_ref(plan);
@@ -531,6 +546,32 @@ fn probe_tables_priced_for_another_plan_fall_back() {
         let probed = tables.analytic_stats().total() - before;
         assert_eq!(probed, shared_probes, "{}", plan.summary());
     }
+    // Every probe of a covered plan reads the shared tables, the
+    // prefill-only one included: tables priced under another collective
+    // model make that visible, as each probe falling back to one-plan
+    // tables would price this scenario's model instead.
+    let worst_link = Scenario::new(&model, &sys)
+        .workload_ref(&workload)
+        .collectives(&FlatWorstLink);
+    let tables = worst_link
+        .price_load_probes(&spec, std::slice::from_ref(&flat))
+        .unwrap();
+    let alone = || {
+        Scenario::new(&model, &sys)
+            .workload_ref(&workload)
+            .plan_ref(&flat)
+    };
+    let shared = alone().load_probes(&tables).price_load(&spec).unwrap();
+    assert_eq!(
+        shared,
+        worst_link.plan_ref(&flat).price_load(&spec).unwrap()
+    );
+    // The two collective models give one slope but different prefill
+    // costs, so a prefill-slope anchor priced under the other model
+    // alone would move the slope.
+    let nccl = alone().price_load(&spec).unwrap();
+    assert_eq!(shared.prefill_slope, nccl.prefill_slope);
+    assert_ne!(shared.prefill_base, nccl.prefill_base);
 }
 
 #[test]
@@ -574,9 +615,11 @@ fn load_search_on_shared_probe_tables_matches_one_plan_pricing() {
 }
 
 /// The cost model `StepCostModel::price` builds from one separate engine
-/// run per decode length, an oracle independent of decode tails: the
-/// worst-case shape is run and its report thrown away, and each probe
-/// shape of `L` tokens runs at `L − 2`, `L − 1` and `L` tokens.
+/// run per decode length, an oracle independent of decode tails and of
+/// prefill-only schedules: the worst-case shape is run and its report
+/// thrown away, each probe shape of `L` tokens runs at `L − 2`, `L − 1`
+/// and `L` tokens, and the prefill-slope anchor's TTFT is that of its
+/// full run.
 fn price_one_run_per_length(
     scenario: impl Fn(ServeConfig) -> Result<madmax_core::IterationReport, EngineError>,
     plan: &Plan,
@@ -606,6 +649,7 @@ fn price_one_run_per_length(
                 tail: [f0.iteration_time, f1.iteration_time, last.iteration_time],
             })
         },
+        |cfg| Ok(scenario(cfg)?.serve.unwrap().ttft),
     )
 }
 
