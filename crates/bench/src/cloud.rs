@@ -1,12 +1,7 @@
-//! # madmax-cloud
-//!
 //! Public-cloud deployment studies (Insight 7, Figs. 1 and 16): a catalog
 //! of GPU cloud instances, aggregate GPU-hour accounting normalized to A100
 //! peak FLOPS, and the instance-count x instance-type x strategy sweep that
 //! produces the resource/performance Pareto frontiers.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 use madmax_dse::{Explorer, ParetoPoint};
 use madmax_engine::{EngineError, Scenario};
@@ -133,8 +128,6 @@ pub struct CloudPoint {
     pub elapsed_hours: f64,
     /// Aggregate GPU-hours normalized to A100 peak FLOPS.
     pub norm_gpu_hours: f64,
-    /// Winning plan summary.
-    pub plan: String,
 }
 
 /// Evaluates `model` training on `instances` boxes of `inst`, with either
@@ -151,17 +144,15 @@ pub fn evaluate(
     optimized: bool,
 ) -> Result<CloudPoint, EngineError> {
     let cluster = inst.cluster(instances);
-    let (report, plan) = if optimized {
-        let r = Explorer::new(model, &cluster)
+    let report = if optimized {
+        Explorer::new(model, &cluster)
             .workload(Workload::pretrain())
-            .explore()?;
-        (r.best.clone(), r.best_plan.summary())
+            .explore()?
+            .best
     } else {
-        let plan = Plan::fsdp_baseline(model);
-        (
-            Scenario::new(model, &cluster).plan(plan.clone()).run()?,
-            plan.summary(),
-        )
+        Scenario::new(model, &cluster)
+            .plan(Plan::fsdp_baseline(model))
+            .run()?
     };
     let samples_per_sec = report.samples_per_sec();
     let elapsed_hours = 1e9 / samples_per_sec / 3600.0;
@@ -174,7 +165,6 @@ pub fn evaluate(
         optimized,
         elapsed_hours,
         norm_gpu_hours,
-        plan,
     })
 }
 

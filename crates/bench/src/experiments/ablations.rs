@@ -2,13 +2,13 @@
 //! hierarchical vs flat collective models, FSDP prefetching, slowest-link
 //! All2All, and constant vs workload-dependent compute utilization.
 
+use crate::report::{heading, Table};
 use madmax_core::{FlatWorstLink, UtilizationModel};
 use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::vit::{vit, VIT_FAMILY};
 use madmax_model::ModelId;
 use madmax_parallel::Plan;
-use madmax_report::{heading, Table};
 
 /// Runs every ablation and renders a combined report.
 pub fn run() -> String {

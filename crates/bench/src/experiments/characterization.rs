@@ -1,11 +1,11 @@
 //! Experiments regenerating Fig. 3 (individual model characterization) and
 //! Fig. 4 (fleet-wide communication characterization).
 
-use madmax_fleet::{characterize, default_fleet};
+use crate::fleet::{characterize, default_fleet};
+use crate::report::{bar_chart, heading, stacked_bars, Bar, Segment, Table};
 use madmax_hw::units::{human_bytes, human_flops, human_params};
 use madmax_model::zoo::characterization_suite;
 use madmax_model::BatchUnit;
-use madmax_report::{bar_chart, heading, stacked_bars, Bar, Segment, Table};
 
 /// Fig. 3: capacity, compute, and sparse-lookup-bandwidth requirements of
 /// six real-world models, spanning orders of magnitude.

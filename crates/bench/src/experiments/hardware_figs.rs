@@ -3,14 +3,14 @@
 //! Fig. 18 (commodity hardware), Fig. 19 (scaling study), and Fig. 20
 //! (execution breakdowns under scaling).
 
-use madmax_cloud::{frontier, sweep as cloud_sweep};
+use crate::cloud::{frontier, sweep as cloud_sweep};
+use crate::report::{bar_chart, heading, stacked_bars, Bar, Segment, Table};
 use madmax_core::IterationReport;
 use madmax_dse::{scaling_study, Explorer, ScalingAxis};
 use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{LayerClass, ModelId};
 use madmax_parallel::{HierStrategy, Plan, Strategy, Workload};
-use madmax_report::{bar_chart, heading, stacked_bars, Bar, Segment, Table};
 
 /// Figs. 1 and 16: training time vs normalized aggregate GPU-hours across
 /// cloud instances, default FSDP vs MAD-Max-optimized mappings.

@@ -1,6 +1,7 @@
 //! Experiments regenerating the parallelization-strategy figures:
 //! Figs. 10-15.
 
+use crate::report::{bar_chart, heading, Bar, Table};
 use madmax_dse::{
     best_point, pareto_frontier, sweep_class, Explorer, ParetoPoint, SearchSpace, SweepPoint,
 };
@@ -8,7 +9,6 @@ use madmax_engine::Scenario;
 use madmax_hw::catalog;
 use madmax_model::{DlrmVariant, LayerClass, ModelId};
 use madmax_parallel::{memory_per_device, HierStrategy, Plan, Strategy, Workload};
-use madmax_report::{bar_chart, heading, Bar, Table};
 
 fn system_for(id: ModelId) -> madmax_hw::ClusterSpec {
     if id.is_dlrm() {

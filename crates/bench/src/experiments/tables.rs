@@ -1,11 +1,11 @@
 //! Experiments regenerating the paper's Tables I-IV.
 
+use crate::report::{heading, Table};
 use madmax_core::validation;
 use madmax_hw::catalog;
 use madmax_hw::units::{human_bytes, human_flops, human_params};
 use madmax_hw::CommLevel;
 use madmax_model::{BatchUnit, ModelId};
-use madmax_report::{heading, Table};
 
 /// Table I: validation of first-order execution metrics against measured
 /// production runs, with both the paper model's and our predictions.

@@ -2,6 +2,7 @@
 //! streams), Fig. 7 (DLRM-A serialized/overlapped validation), Fig. 8 (ViT
 //! MFU validation), and Fig. 9 (FSDP prefetch overlap).
 
+use crate::report::{heading, render_timeline, stacked_bars, Segment, Table, TimelineOp};
 use madmax_core::validation::{accuracy_pct, reference};
 use madmax_core::{StreamId, UtilizationModel};
 use madmax_engine::Scenario;
@@ -9,7 +10,6 @@ use madmax_hw::catalog;
 use madmax_model::vit::{vit, VIT_FAMILY};
 use madmax_model::{DlrmVariant, ModelId};
 use madmax_parallel::{Plan, Workload};
-use madmax_report::{heading, render_timeline, stacked_bars, Segment, Table, TimelineOp};
 
 /// Fig. 6: generated compute/communication streams for the forward pass of
 /// the DLRM-Transformer example, with the exposed All2All visible.

@@ -1,18 +1,13 @@
-//! # madmax-fleet
-//!
 //! Fleet-wide training characterization substrate (Section III-B, Fig. 4).
 //!
 //! The paper characterizes Meta's production fleet over an extended period;
-//! those traces are internal, so this crate *synthesizes* a fleet: a
+//! those traces are internal, so this module *synthesizes* a fleet: a
 //! weighted mix of recommendation- and language-model training jobs, each
 //! simulated with the MAD-Max performance model, plus a calibrated
 //! host-side overhead model for the two cycle categories the device
 //! simulator cannot produce (exposed host-device memcpy and GPU idle from
 //! data ingestion / kernel-launch gaps). See DESIGN.md section 3 for why
 //! this substitution preserves the figure's derived quantities.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 use std::collections::BTreeMap;
 
@@ -376,6 +371,29 @@ mod tests {
                 .copied()
                 .unwrap_or(0.0);
         assert!(ring_llm > 0.8, "LLM ring-collective share {ring_llm:.2}");
+    }
+
+    #[test]
+    fn abstract_claim_exposed_communication_share() {
+        // Abstract: 14-32% of *all* GPU hours are exposed communication — a
+        // fleet-wide weighted share.
+        let c = characterize(&default_fleet()).unwrap();
+        let mut fleet_exposed = 0.0;
+        let mut total_weight = 0.0;
+        for (fam, agg) in &c.families {
+            assert!(
+                (0.02..0.45).contains(&agg.cycles.exposed_comm),
+                "{fam} exposed-comm share {:.2}",
+                agg.cycles.exposed_comm
+            );
+            fleet_exposed += agg.cycles.exposed_comm * agg.weight;
+            total_weight += agg.weight;
+        }
+        fleet_exposed /= total_weight;
+        assert!(
+            (0.14..=0.32).contains(&fleet_exposed),
+            "fleet-wide exposed-comm share {fleet_exposed:.3} outside the paper's 14-32% band"
+        );
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! so hot-path regressions are visible straight from the artifact run.
 //! The other binary, `madmax`, is the command-line driver of the model.
 //!
+//! Three private modules serve only the experiments: `cloud` (the cloud
+//! instance catalog and sweep of Figs. 1 and 16), `fleet` (the synthetic
+//! fleet characterization of Fig. 4) and `report` (the plain-text tables,
+//! bar charts and timelines every report is rendered with).
+//!
 //! ## Tracking explorer performance
 //!
 //! The standalone `perfbench/` package is the one timing tool. It runs
@@ -29,8 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+mod cloud;
 pub mod corpus;
 pub mod experiments;
+mod fleet;
+mod report;
 
 pub use cli::SearchHooks;
 pub use corpus::{fault_corpus, verify_corpus, FaultScenario, VerifyScenario};

@@ -34,12 +34,6 @@ impl Bar {
 
 /// Renders a horizontal bar chart scaled to `width` characters at the
 /// maximum value.
-///
-/// ```
-/// use madmax_report::chart::{bar_chart, Bar};
-/// let out = bar_chart(&[Bar::new("FSDP", 1.0), Bar::new("(TP, DDP)", 2.0)], 20, "x");
-/// assert!(out.contains("(TP, DDP)"));
-/// ```
 pub fn bar_chart(bars: &[Bar], width: usize, unit: &str) -> String {
     let max = bars.iter().map(|b| b.value).fold(0.0_f64, f64::max);
     let label_w = bars
@@ -143,6 +137,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].matches('#').count(), 5);
         assert_eq!(lines[1].matches('#').count(), 10);
+        assert!(lines[1].starts_with("bb"), "{out}");
     }
 
     #[test]

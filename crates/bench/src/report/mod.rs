@@ -1,19 +1,14 @@
-//! # madmax-report
-//!
 //! Plain-text reporting utilities for the MAD-Max experiment harness:
 //! aligned tables (paper tables), horizontal/stacked bar charts (paper
 //! figures), and two-stream ASCII timelines (Fig. 6). Everything renders
 //! to `String` so experiment binaries can both print and persist results.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-pub mod chart;
-pub mod table;
-pub mod timeline;
+mod chart;
+mod table;
+mod timeline;
 
 pub use chart::{bar_chart, stacked_bars, Bar, Segment};
-pub use table::{Align, Table};
+pub use table::Table;
 pub use timeline::{render as render_timeline, TimelineOp};
 
 /// Formats a heading banner used by every experiment binary.

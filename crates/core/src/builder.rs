@@ -69,11 +69,11 @@ mod tests {
         let a2a_op = &trace.ops()[a2a];
         assert_eq!(a2a_op.deps, vec![OpId(lookup)]);
         // Bottom MLP does not depend on the A2A...
-        assert!(!trace.ops()[bottom].deps.contains(&OpId(a2a)));
+        assert!(!trace.ops()[bottom].deps.as_slice().contains(&OpId(a2a)));
         // ...but the interaction does, plus the bottom MLP.
         let ideps = &trace.ops()[interaction].deps;
-        assert!(ideps.contains(&OpId(a2a)), "{ideps:?}");
-        assert!(ideps.contains(&OpId(bottom)), "{ideps:?}");
+        assert!(ideps.as_slice().contains(&OpId(a2a)), "{ideps:?}");
+        assert!(ideps.as_slice().contains(&OpId(bottom)), "{ideps:?}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl UtilizationModel {
 
     /// Effective utilization for a layer invocation of `flops` on a device
     /// whose constant factor is `base`.
-    pub fn utilization(&self, base: f64, flops: FlopCount) -> f64 {
+    pub(crate) fn utilization(&self, base: f64, flops: FlopCount) -> f64 {
         match *self {
             UtilizationModel::Constant => base,
             UtilizationModel::WorkloadDependent {
@@ -67,7 +67,7 @@ impl UtilizationModel {
 /// per-sample FLOPs for *every* strategy: data parallelism splits samples,
 /// tensor parallelism splits each matmul over a proportionally larger
 /// group batch — the two factors cancel.
-pub fn device_flops_fwd(
+pub(crate) fn device_flops_fwd(
     group: &LayerGroup,
     model: &ModelArch,
     _cluster: &ClusterSpec,

@@ -7,8 +7,8 @@
 //! duration and every collective's hierarchical cost-model invocation —
 //! yet across a design-space search almost all of it is shared: candidates
 //! differ only in which [`HierStrategy`] each layer class uses. The table
-//! therefore caches, per layer group and per
-//! [`madmax_parallel::WorkloadPhase`]:
+//! therefore caches, per layer group and per workload phase (training
+//! iteration, prefill, decode):
 //!
 //! - strategy-independent compute durations (forward GEMM/lookup time,
 //!   backward time with the recompute factor applied, single-token decode
@@ -368,7 +368,7 @@ impl<'a> CostTable<'a> {
 
     /// The serve-stream dimensions of the workload's decode phase, or
     /// `None` without decode steps.
-    pub fn serve_dims(&self) -> Option<crate::steady::ServeDims> {
+    pub(crate) fn serve_dims(&self) -> Option<crate::steady::ServeDims> {
         let dec = self.decode.as_ref()?;
         Some(crate::steady::ServeDims {
             prompt_len: dec.prompt_len,

@@ -69,16 +69,12 @@ pub use costs::{CostTable, GroupPrice, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{DecodeTail, IterationReport, ReportScratch, ServeStats};
 pub use perf::{evaluate_priced, flat_ttft_cached, prefill_ttft, run_flat_cached};
-pub use sim::{
-    merged_into, schedule, schedule_into, EngineScratch, OpWindow, Schedule, StreamTable,
-};
+pub use sim::{schedule, schedule_into, EngineScratch, OpWindow, Schedule, StreamTable};
 pub use steady::{
     affine_series_units, decode_compute_duration, first_series_crossing, grid_seconds,
     grid_total_seconds, grid_units, grid_units_round, quantize, ServeDims, SteadyScratch,
 };
-pub use trace::{
-    intern_label, Deps, OpId, OpKind, OpName, PassDir, Phase, StreamId, Trace, TraceOp,
-};
+pub use trace::{Deps, OpId, OpKind, OpName, PassDir, Phase, StreamId, Trace, TraceOp};
 
 #[cfg(test)]
 mod cross_module_tests {

@@ -33,7 +33,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Output tokens produced per iteration (`decode_batch * decode_len`).
-    pub fn output_tokens_per_iteration(&self) -> f64 {
+    pub(crate) fn output_tokens_per_iteration(&self) -> f64 {
         (self.decode_batch * self.decode_len) as f64
     }
 }
@@ -640,20 +640,6 @@ impl IterationReport {
     pub fn speedup_over(&self, baseline: &IterationReport) -> f64 {
         baseline.iteration_time / self.iteration_time
     }
-
-    /// Serialized-time fraction spent in a collective.
-    pub fn comm_share(&self, kind: CollectiveKind) -> f64 {
-        let t = self
-            .comm_by_collective
-            .get(&kind)
-            .copied()
-            .unwrap_or(Seconds::ZERO);
-        if self.comm_time.is_zero() {
-            0.0
-        } else {
-            t / self.comm_time
-        }
-    }
 }
 
 #[cfg(test)]
@@ -754,7 +740,7 @@ mod tests {
         assert!((r.exposed_comm.as_ms() - 6.0).abs() < 1e-9);
         assert!((r.exposed_fraction() - 1.0).abs() < 1e-9);
         assert_eq!(r.overlap_fraction(), 0.0);
-        assert!((r.comm_share(CollectiveKind::AllToAll) - 1.0).abs() < 1e-9);
+        assert!((r.comm_by_collective[&CollectiveKind::AllToAll].as_ms() - 6.0).abs() < 1e-9);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct Schedule {
 
 /// Dense per-stream availability table, indexed by [`StreamId::slot`].
 /// Missing slots read as `t = 0`; the table grows on first write to a
-/// stage's slot triple and keeps its capacity across [`StreamTable::reset`]
+/// stage's slot triple and keeps its capacity across `StreamTable::reset`
 /// calls.
 #[derive(Debug, Clone, Default)]
 pub struct StreamTable {
@@ -45,7 +45,7 @@ pub struct StreamTable {
 impl StreamTable {
     /// Time at which `stream` is free to start its next op.
     #[inline]
-    pub fn available(&self, stream: StreamId) -> Seconds {
+    pub(crate) fn available(&self, stream: StreamId) -> Seconds {
         self.avail
             .get(stream.slot())
             .copied()
@@ -54,7 +54,7 @@ impl StreamTable {
 
     /// Marks `stream` busy until `t`.
     #[inline]
-    pub fn occupy_until(&mut self, stream: StreamId, t: Seconds) {
+    pub(crate) fn occupy_until(&mut self, stream: StreamId, t: Seconds) {
         let slot = stream.slot();
         if slot >= self.avail.len() {
             self.avail.resize(slot + 1, Seconds::ZERO);
@@ -63,7 +63,7 @@ impl StreamTable {
     }
 
     /// Clears every slot (keeping capacity) for the next trace.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.avail.clear();
     }
 }
@@ -211,7 +211,7 @@ impl EngineScratch {
 /// union written into a caller-owned buffer (cleared first, capacity
 /// retained). Inputs out of order are not detected; callers pass
 /// per-stream busy intervals, which are in issue order.
-pub fn merged_into(sorted: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
+pub(crate) fn merged_into(sorted: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
     out.clear();
     for &(s, e) in sorted {
         match out.last_mut() {

@@ -138,7 +138,7 @@ use crate::trace::{OpKind, Phase, StreamId, Trace};
 /// Grid resolution: durations are multiples of `2^-GRID_BITS` seconds.
 /// 38 bits (~3.6 ps) keeps per-op rounding far below modeling accuracy
 /// while the exact range `2^(52-38)` s covers every in-tree serve span.
-pub const GRID_BITS: u32 = 38;
+pub(crate) const GRID_BITS: u32 = 38;
 
 /// Largest exactly-safe magnitude in grid units: below `2^52` units every
 /// value (and every pairwise sum) stays exactly representable in `f64`.

@@ -154,7 +154,7 @@ impl std::fmt::Display for PassDir {
 /// Structured op name, rendered to a display string on demand.
 ///
 /// Creating an `OpName` never allocates — or touches a refcount — on the
-/// evaluation hot path: flat ops copy an interned [`intern_label`]
+/// evaluation hot path: flat ops copy an interned `intern_label`
 /// `&'static str` label (priced once per search by the cost table), and
 /// stage ops carry their coordinates inline. The rendered
 /// forms reproduce the historical string names exactly, e.g.
@@ -266,7 +266,7 @@ pub enum OpName {
 /// *distinct* labels would grow the registry for the process lifetime;
 /// engine-generated traces only ever carry the bounded label set priced
 /// from the model.
-pub fn intern_label(s: &str) -> &'static str {
+pub(crate) fn intern_label(s: &str) -> &'static str {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
     static LABELS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
@@ -354,9 +354,9 @@ impl std::fmt::Display for OpName {
 }
 
 /// Maximum dependencies stored without a heap allocation.
-pub const INLINE_DEPS: usize = 2;
+pub(crate) const INLINE_DEPS: usize = 2;
 
-/// Dependency list of one op: up to [`INLINE_DEPS`] ids inline, spilling
+/// Dependency list of one op: up to `INLINE_DEPS` ids inline, spilling
 /// to a `Vec` only for wide join points (feature interaction consuming
 /// many embedding outputs, the optimizer consuming every gradient).
 ///
@@ -372,7 +372,7 @@ pub enum Deps {
         /// Dependency ids (`..len` are valid).
         ids: [OpId; INLINE_DEPS],
     },
-    /// More than [`INLINE_DEPS`] dependencies.
+    /// More than `INLINE_DEPS` dependencies.
     Spilled(Vec<OpId>),
 }
 
@@ -408,12 +408,12 @@ impl Deps {
     }
 
     /// Number of dependencies.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_slice().len()
     }
 
     /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -422,16 +422,11 @@ impl Deps {
         self.as_slice().iter()
     }
 
-    /// Whether `id` is a dependency.
-    pub fn contains(&self, id: &OpId) -> bool {
-        self.as_slice().contains(id)
-    }
-
     /// Inserts a dependency at its sorted position, spilling to the heap
-    /// past [`INLINE_DEPS`].
+    /// past `INLINE_DEPS`.
     ///
     /// Insertion (rather than appending) keeps a sorted list sorted, so a
-    /// push after [`Deps::sort_dedup`] cannot silently break the sorted
+    /// push after `Deps::sort_dedup` cannot silently break the sorted
     /// invariant the scheduler and verifier rely on. Duplicates are still
     /// allowed (they land adjacent); `sort_dedup` removes them. Ascending
     /// pushes — the builders' common case — insert at the tail, so this
@@ -469,7 +464,7 @@ impl Deps {
     }
 
     /// Removes all dependencies (keeps any spilled capacity).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match self {
             Deps::Inline { len, .. } => *len = 0,
             Deps::Spilled(v) => v.clear(),
@@ -477,14 +472,14 @@ impl Deps {
     }
 
     /// Appends every dependency of `other`.
-    pub fn extend_from(&mut self, other: &Deps) {
+    pub(crate) fn extend_from(&mut self, other: &Deps) {
         for &id in other.as_slice() {
             self.push(id);
         }
     }
 
     /// Sorts and deduplicates the list in place.
-    pub fn sort_dedup(&mut self) {
+    pub(crate) fn sort_dedup(&mut self) {
         match self {
             Deps::Inline { len, ids } => {
                 let n = *len as usize;
@@ -880,7 +875,6 @@ mod tests {
         assert!(matches!(d, Deps::Spilled(_)));
         d.sort_dedup();
         assert_eq!(d.as_slice(), &[OpId(1), OpId(2), OpId(3)]);
-        assert!(d.contains(&OpId(2)));
         assert_eq!(d, vec![OpId(1), OpId(2), OpId(3)]);
     }
 

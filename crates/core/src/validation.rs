@@ -83,15 +83,15 @@ pub mod reference {
     /// The paper's own model prediction: DLRM-A serialized time (ms).
     pub const PAPER_DLRM_A_SERIALIZED_MS: f64 = 65.30;
     /// Paper-model % exposed for DLRM-A.
-    pub const PAPER_DLRM_A_EXPOSED_PCT: f64 = 75.46;
+    pub(crate) const PAPER_DLRM_A_EXPOSED_PCT: f64 = 75.46;
     /// Paper-model DLRM-A throughput.
-    pub const PAPER_DLRM_A_MQPS: f64 = 1.21;
+    pub(crate) const PAPER_DLRM_A_MQPS: f64 = 1.21;
     /// Paper-model DLRM-B throughput.
-    pub const PAPER_DLRM_B_MQPS: f64 = 3.06;
+    pub(crate) const PAPER_DLRM_B_MQPS: f64 = 3.06;
     /// Paper-model LLaMA GPU-hours.
-    pub const PAPER_LLAMA_GPU_HOURS: f64 = 863_397.0;
+    pub(crate) const PAPER_LLAMA_GPU_HOURS: f64 = 863_397.0;
     /// Paper-model LLaMA days.
-    pub const PAPER_LLAMA_DAYS: f64 = 19.21;
+    pub(crate) const PAPER_LLAMA_DAYS: f64 = 19.21;
     /// Fig. 9: observed communication overlap of the prefetch-optimized
     /// FSDP LLaMA run (%), vs the paper model's 93%.
     pub const FSDP_PREFETCH_OVERLAP_OBSERVED_PCT: f64 = 98.0;

@@ -81,7 +81,7 @@ impl PipelineAxes {
     /// can actually be split into (exactly the depths
     /// `madmax_pipeline`'s `stage_cluster` accepts), a standard microbatch
     /// ladder, and both schedules.
-    pub fn default_for(cluster: &ClusterSpec) -> Self {
+    pub(crate) fn default_for(cluster: &ClusterSpec) -> Self {
         let stages = [1usize, 2, 4, 8]
             .into_iter()
             .filter(|&p| p == 1 || madmax_pipeline::cost::stage_cluster(cluster, p).is_ok())

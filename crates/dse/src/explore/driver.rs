@@ -310,7 +310,7 @@ impl Explorer<'_> {
     ///
     /// This is the search hot path: when every plan shares one set of
     /// options (always true for [`Explorer::candidates`]), one
-    /// [`madmax_engine::CostTable`] is priced up front and shared
+    /// [`madmax_core::CostTable`] is priced up front and shared
     /// read-only across the workers, and each worker recycles one
     /// [`EngineScratch`] (trace arena, schedule, stream table) across the
     /// candidates it evaluates — so per-candidate work is assembly and

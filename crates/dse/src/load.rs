@@ -146,7 +146,7 @@ pub struct LoadCandidate {
 impl LoadCandidate {
     /// The candidate's score: completed tokens/second at its best
     /// feasible point (0 when nothing met the SLO).
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.best_point
             .map_or(0.0, |i| self.points[i].report.tokens_per_sec)
     }
@@ -201,11 +201,6 @@ impl LoadSearchOutcome {
         &self.candidates[self.best_candidate]
     }
 
-    /// The winner's best feasible throughput, completed tokens/second.
-    pub fn best_tokens_per_sec(&self) -> f64 {
-        self.best().score()
-    }
-
     /// The winner's latency-vs-throughput frontier: one
     /// `(rate, tokens_per_sec, ttft_p99_seconds)` row per swept rate
     /// that produced a first token.
@@ -239,7 +234,7 @@ impl Explorer<'_> {
     /// the worst-case context, unmappable pipeline, a clock beyond the
     /// grid, ...) stay in the outcome with their error.
     ///
-    /// Ranking: highest [`LoadCandidate::score`] — throughput at the
+    /// Ranking: highest `LoadCandidate::score` — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
     /// rate, the search falls back to the lowest achieved p99 TTFT so a
     /// winner (and its frontier) still comes back. Results are identical
@@ -366,7 +361,7 @@ mod tests {
         assert_eq!(best.points.len(), 2);
         assert!(best.points[0].feasible && !best.points[1].feasible);
         assert_eq!(best.best_point, Some(0), "SLO overrides raw throughput");
-        assert!(r.best_tokens_per_sec() > 0.0);
+        assert!(r.best().score() > 0.0);
         let frontier = r.frontier();
         assert_eq!(frontier.len(), 2);
         assert!(
@@ -393,7 +388,7 @@ mod tests {
         let a = axes(&[100.0, 400.0], 1e-12); // nothing can meet this
         let r = explorer.explore_load(&a).unwrap();
         assert!(r.best().best_point.is_none());
-        assert!(r.best_tokens_per_sec() == 0.0);
+        assert!(r.best().score() == 0.0);
         assert!(!r.frontier().is_empty(), "frontier still reported");
     }
 
@@ -444,7 +439,7 @@ mod tests {
         assert_eq!(overflowed.len(), 1, "{:?}", r.candidates);
         assert!(overflowed[0].points.is_empty());
         assert!(r.best().error.is_none());
-        assert!(r.best_tokens_per_sec() > 0.0);
+        assert!(r.best().score() > 0.0);
         let t = &r.telemetry;
         assert!(t.reconciles(), "{t:?}");
         assert_eq!(t.candidates, r.candidates.len() as u64);

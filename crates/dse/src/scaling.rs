@@ -29,7 +29,7 @@ pub enum ScalingAxis {
 
 impl ScalingAxis {
     /// The six axes in the paper's presentation order.
-    pub const ALL_AXES: [ScalingAxis; 6] = [
+    pub(crate) const ALL_AXES: [ScalingAxis; 6] = [
         ScalingAxis::Compute,
         ScalingAxis::MemCapacity,
         ScalingAxis::MemBandwidth,

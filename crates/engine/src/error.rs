@@ -60,7 +60,7 @@ impl EngineError {
 
     /// The underlying [`PlanError`] for callers interoperating with the
     /// pre-`Scenario` APIs.
-    pub fn into_plan_error(self) -> PlanError {
+    pub(crate) fn into_plan_error(self) -> PlanError {
         match self {
             EngineError::OutOfMemory { required, usable } => {
                 PlanError::OutOfMemory { required, usable }

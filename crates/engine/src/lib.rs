@@ -62,9 +62,9 @@ pub use scenario::{GoodputOutcome, Scenario};
 // Re-exported so engine consumers (the explorer, benches) can name the
 // fast-path types without a direct `madmax-core` / `madmax-pipeline`
 // dependency.
-pub use madmax_core::{CostTable, EngineScratch};
+pub use madmax_core::EngineScratch;
 pub use madmax_pipeline::PipelineCostTable;
-// Likewise for the continuous-batching load path (`Scenario::serve_load`)
+// Likewise for the continuous-batching load path (`Scenario::serve_load_priced`)
 // and the failure-aware goodput path (`Scenario::goodput`,
 // `Scenario::serve_load_faulty`).
 pub use madmax_fault::{

@@ -242,7 +242,7 @@ impl<'a> Scenario<'a> {
 
     /// The plan this scenario will execute (the configured one, or the
     /// FSDP baseline).
-    pub fn effective_plan(&self) -> Plan {
+    pub(crate) fn effective_plan(&self) -> Plan {
         match &self.plan {
             Some(p) => p.clone().into_owned(),
             None => Plan::fsdp_baseline(self.model),
@@ -708,21 +708,11 @@ impl<'a> Scenario<'a> {
     }
 
     /// Runs the continuous-batching load simulator against this
-    /// scenario's plan: prices the per-step cost model, then executes
-    /// `spec`'s arrival stream with in-flight batching in event mode.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::price_load`].
-    pub fn serve_load(&self, spec: &LoadSpec) -> Result<LoadOutcome, EngineError> {
-        let costs = self.price_load(spec)?;
-        self.serve_load_priced(spec, &costs, SimMode::Event, None)
-    }
-
-    /// [`Scenario::serve_load`] with an explicit mode, a reusable
-    /// pre-priced cost model (see [`Scenario::price_load`]), and an
-    /// optional per-request completion callback (bridge it to a
-    /// `ProgressSink` with `madmax_obs::load::forward_to_sink`).
+    /// scenario's plan: executes `spec`'s arrival stream with in-flight
+    /// batching in `mode`, on a reusable pre-priced cost model (see
+    /// [`Scenario::price_load`]), with an optional per-request completion
+    /// callback (bridge it to a `ProgressSink` with
+    /// `madmax_obs::load::forward_to_sink`).
     ///
     /// # Errors
     ///
@@ -858,7 +848,7 @@ mod tests {
     use madmax_core::FlatWorstLink;
     use madmax_hw::catalog;
     use madmax_model::{LayerClass, ModelId};
-    use madmax_parallel::{HierStrategy, PipelineConfig, ServeConfig, Strategy};
+    use madmax_parallel::{HierStrategy, PipelineConfig, PlanError, ServeConfig, Strategy};
 
     #[test]
     fn defaults_run_the_fsdp_baseline() {
@@ -891,11 +881,38 @@ mod tests {
 
     #[test]
     fn unmappable_pipeline_maps_to_the_unified_error() {
+        // Every plan the engines cannot map is an `InvalidPlan` error, not
+        // a panic: a depth that cannot split the 256 nodes, a depth beyond
+        // the model's layer instances, zero microbatches or more than the
+        // batch, and a strategy its layer class cannot take.
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system();
-        let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(7, 8));
-        let err = Scenario::new(&model, &sys).plan(plan).run().unwrap_err();
-        assert!(err.is_unmappable_pipeline(), "{err}");
+        let base = Plan::fsdp_baseline(&model);
+        let pipelined = |p, m| base.clone().with_pipeline(PipelineConfig::gpipe(p, m));
+        let batch = model.global_batch;
+        for (plan, reason) in [
+            (pipelined(7, 8), "cannot be split into 7 equal stage groups"),
+            (pipelined(128, 8), "layer instances but 128 stages"),
+            (pipelined(8, 0), "0 microbatches"),
+            (pipelined(8, batch + 1), "microbatches for a global batch"),
+        ] {
+            let err = Scenario::new(&model, &sys).plan(plan).run().unwrap_err();
+            assert!(err.is_unmappable_pipeline(), "{err}");
+            assert!(err.to_string().contains(reason), "{err}");
+        }
+        let tp_embedding = |plan: Plan| {
+            plan.with_strategy(LayerClass::Embedding, HierStrategy::flat(Strategy::Tp))
+        };
+        for plan in [tp_embedding(base.clone()), tp_embedding(pipelined(8, 16))] {
+            let err = Scenario::new(&model, &sys).plan(plan).run().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::InvalidPlan(PlanError::InvalidStrategy { .. })
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1060,19 +1077,16 @@ mod tests {
         let scenario = Scenario::new(&model, &sys).workload(Workload::serve(
             ServeConfig::new(256, 32).with_decode_batch(4),
         ));
-        let out = scenario.serve_load(&spec).unwrap();
+        let costs = scenario.price_load(&spec).unwrap();
+        let out = scenario
+            .serve_load_priced(&spec, &costs, SimMode::Event, None)
+            .unwrap();
         assert_eq!(out.report.arrivals, 12);
         assert_eq!(out.report.completed + out.report.rejected, 12);
         assert!(out.report.ttft.is_some());
         assert!(out.report.tokens_per_sec > 0.0);
 
-        // A pre-priced cost model reproduces the same outcome, and the
-        // per-token reference agrees byte for byte.
-        let costs = scenario.price_load(&spec).unwrap();
-        let again = scenario
-            .serve_load_priced(&spec, &costs, SimMode::Event, None)
-            .unwrap();
-        assert_eq!(again.report, out.report);
+        // The per-token reference agrees byte for byte.
         let naive = scenario
             .serve_load_priced(&spec, &costs, SimMode::PerToken, None)
             .unwrap();
@@ -1084,7 +1098,7 @@ mod tests {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let spec = madmax_parallel::LoadSpec::poisson(100.0, 4, 1);
-        let err = Scenario::new(&model, &sys).serve_load(&spec).unwrap_err();
+        let err = Scenario::new(&model, &sys).price_load(&spec).unwrap_err();
         assert!(matches!(err, EngineError::InvalidLoad { .. }), "{err}");
     }
 

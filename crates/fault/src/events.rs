@@ -265,9 +265,10 @@ mod tests {
         )
         .unwrap();
         let alone = materialize_faults(
-            &FaultSpec::none()
-                .with_transients(4.0, 0.5, 150)
-                .with_seed(3),
+            &FaultSpec {
+                seed: 3,
+                ..FaultSpec::none().with_transients(4.0, 0.5, 150)
+            },
             h,
         )
         .unwrap();

@@ -165,7 +165,7 @@ fn uniform_01(state: &mut u64) -> f64 {
 /// A segment retries until a failure-free draw, which takes
 /// `e^{(interval + write) / mtbf}` draws on average, so a span many MTBFs
 /// long cannot be replayed in bounded time.
-pub const MAX_REPLAY_DRAWS: u64 = 50_000_000;
+pub(crate) const MAX_REPLAY_DRAWS: u64 = 50_000_000;
 
 /// Formats a time in seconds with four significant digits: fixed-point
 /// from 1 ms to 10^6 s (`3600`, `48.30`, `0.005000`), scientific outside
@@ -193,7 +193,7 @@ pub fn format_secs(secs: f64) -> String {
 /// # Errors
 ///
 /// Returns why the process is not replayable when the replay would need
-/// more than [`MAX_REPLAY_DRAWS`] draws — expectedly, judged up front
+/// more than `MAX_REPLAY_DRAWS` draws — expectedly, judged up front
 /// from the segment span and MTBF, or actually, counted as it runs.
 pub fn replay_goodput(
     write: f64,

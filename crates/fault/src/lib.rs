@@ -41,6 +41,6 @@ mod spec;
 pub use events::{materialize_faults, FaultError, FaultEvent, FaultKind};
 pub use goodput::{
     expected_goodput, format_secs, replay_goodput, young_daly_interval, CheckpointModel,
-    GoodputReport, MAX_REPLAY_DRAWS,
+    GoodputReport,
 };
 pub use spec::{FaultSpec, MaintenanceWindow, RetryPolicy};

@@ -110,13 +110,6 @@ impl FaultSpec {
         self
     }
 
-    /// Sets the PRNG seed for the stochastic streams.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validates the spec.
     ///
     /// # Errors
@@ -168,11 +161,6 @@ impl FaultSpec {
             }
         }
         Ok(())
-    }
-
-    /// Whether the spec produces any fault events at all.
-    pub fn is_active(&self) -> bool {
-        self.mtbf.is_some() || self.transient_mtbf.is_some() || !self.maintenance.is_empty()
     }
 }
 
@@ -277,19 +265,5 @@ mod tests {
             .with_timeout(0.0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn activity_reflects_configured_streams() {
-        assert!(!FaultSpec::none().is_active());
-        assert!(FaultSpec::fatal(10.0, 1.0, 1).is_active());
-        assert!(FaultSpec::none().with_transients(5.0, 1.0, 120).is_active());
-        assert!(FaultSpec::none()
-            .with_maintenance(MaintenanceWindow {
-                start: 1.0,
-                duration: 2.0,
-                slots_lost: 1,
-            })
-            .is_active());
     }
 }

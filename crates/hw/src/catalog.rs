@@ -60,7 +60,7 @@ pub fn h100() -> DeviceSpec {
 
 /// H100 in a SuperPOD: NVLink replaces the scale-out fabric for up to 256
 /// GPUs, giving ~4.5x the DGX H100's inter-node bandwidth (Table IV row 3).
-pub fn h100_superpod() -> DeviceSpec {
+pub(crate) fn h100_superpod() -> DeviceSpec {
     let mut d = h100();
     d.name = "H100-SuperPOD".to_owned();
     d.inter_node_bw = BytesPerSec::from_gbps(1800.0); // 1.8 Tbps
@@ -68,7 +68,7 @@ pub fn h100_superpod() -> DeviceSpec {
 }
 
 /// AMD Instinct MI250X (Table IV row 4).
-pub fn mi250x() -> DeviceSpec {
+pub(crate) fn mi250x() -> DeviceSpec {
     DeviceSpec::new(
         "MI250X",
         peak(47.9, 96.0, 383.0),
@@ -80,7 +80,7 @@ pub fn mi250x() -> DeviceSpec {
 }
 
 /// AMD Instinct MI300X (Table IV row 5).
-pub fn mi300x() -> DeviceSpec {
+pub(crate) fn mi300x() -> DeviceSpec {
     DeviceSpec::new(
         "MI300X",
         peak(163.4, 654.0, 1307.0),
@@ -92,7 +92,7 @@ pub fn mi300x() -> DeviceSpec {
 }
 
 /// Intel Gaudi2 (Table IV row 6); scale-up is 21x100 GbE RoCE ports.
-pub fn gaudi2() -> DeviceSpec {
+pub(crate) fn gaudi2() -> DeviceSpec {
     DeviceSpec::new(
         "Gaudi2",
         peak(100.0, 200.0, 400.0),
@@ -378,6 +378,6 @@ mod tests {
     fn v100_spec() {
         let v = v100(16.0);
         assert_eq!(v.hbm_capacity.as_gb(), 16.0);
-        assert_eq!(v.peak.fp16.as_tflops(), 125.0);
+        assert_eq!(v.peak.fp16, FlopsPerSec::from_tflops(125.0));
     }
 }

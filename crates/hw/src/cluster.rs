@@ -92,7 +92,7 @@ impl Utilization {
     /// # Errors
     ///
     /// Returns a description of the first out-of-range factor.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("compute", self.compute),
             ("hbm", self.hbm),
@@ -215,15 +215,6 @@ impl ClusterSpec {
         self.devices_per_node * self.num_nodes
     }
 
-    /// Size of the communication group at a hierarchy level: all devices of
-    /// a node intra-node, the number of nodes inter-node.
-    pub fn group_size(&self, level: CommLevel) -> usize {
-        match level {
-            CommLevel::IntraNode => self.devices_per_node,
-            CommLevel::InterNode => self.num_nodes,
-        }
-    }
-
     /// Raw per-device unidirectional bandwidth of a hierarchy level.
     pub fn link_bw(&self, level: CommLevel) -> BytesPerSec {
         match level {
@@ -263,11 +254,6 @@ impl ClusterSpec {
             ..self.clone()
         }
     }
-
-    /// Whether the whole system is a single node (no inter-node traffic).
-    pub fn is_single_node(&self) -> bool {
-        self.num_nodes == 1
-    }
 }
 
 /// A borrowed cluster, for cost tables priced on the caller's system (a
@@ -292,7 +278,7 @@ mod tests {
                 fp16: FlopsPerSec::from_tflops(312.0),
             },
             ByteCount::from_gb(40.0),
-            BytesPerSec::from_tb(1.555),
+            BytesPerSec::from_gb(1555.0),
             BytesPerSec::from_gb(300.0),
             BytesPerSec::from_gbps(200.0),
         );
@@ -310,10 +296,7 @@ mod tests {
     fn totals_and_groups() {
         let c = toy_cluster();
         assert_eq!(c.total_devices(), 128);
-        assert_eq!(c.group_size(CommLevel::IntraNode), 8);
-        assert_eq!(c.group_size(CommLevel::InterNode), 16);
-        assert!(!c.is_single_node());
-        assert!(c.with_num_nodes(1).is_single_node());
+        assert_eq!(c.with_num_nodes(1).total_devices(), 8);
     }
 
     #[test]

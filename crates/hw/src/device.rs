@@ -61,7 +61,7 @@ impl DeviceSpec {
     /// Creates a new device spec.
     ///
     /// Prefer the constructors in [`crate::catalog`] for real hardware.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         peak: PeakFlops,
         hbm_capacity: ByteCount,
@@ -84,7 +84,7 @@ impl DeviceSpec {
     /// memory capacity/bandwidth, and interconnect bandwidths are improved
     /// separately or concurrently.
     #[must_use]
-    pub fn scaled(&self, s: &DeviceScaling) -> Self {
+    pub(crate) fn scaled(&self, s: &DeviceScaling) -> Self {
         Self {
             name: format!("{}{}", self.name, s.suffix()),
             peak: PeakFlops {
@@ -207,7 +207,7 @@ mod tests {
                 fp16: FlopsPerSec::from_tflops(200.0),
             },
             ByteCount::from_gb(40.0),
-            BytesPerSec::from_tb(1.5),
+            BytesPerSec::from_gb(1500.0),
             BytesPerSec::from_gb(300.0),
             BytesPerSec::from_gbps(200.0),
         )
@@ -216,17 +216,17 @@ mod tests {
     #[test]
     fn rate_per_dtype() {
         let d = toy();
-        assert_eq!(d.peak.rate(DType::Fp32).as_tflops(), 10.0);
-        assert_eq!(d.peak.rate(DType::Tf32).as_tflops(), 100.0);
-        assert_eq!(d.peak.rate(DType::Fp16).as_tflops(), 200.0);
-        assert_eq!(d.peak.rate(DType::Bf16).as_tflops(), 200.0);
+        assert_eq!(d.peak.rate(DType::Fp32), FlopsPerSec::from_tflops(10.0));
+        assert_eq!(d.peak.rate(DType::Tf32), FlopsPerSec::from_tflops(100.0));
+        assert_eq!(d.peak.rate(DType::Fp16), FlopsPerSec::from_tflops(200.0));
+        assert_eq!(d.peak.rate(DType::Bf16), FlopsPerSec::from_tflops(200.0));
     }
 
     #[test]
     fn scaling_applies_independently() {
         let d = toy();
         let s = d.scaled(&DeviceScaling::compute_only(10.0));
-        assert_eq!(s.peak.tf32.as_tflops(), 1000.0);
+        assert_eq!(s.peak.tf32, FlopsPerSec::from_tflops(1000.0));
         assert_eq!(s.hbm_capacity, d.hbm_capacity);
         assert_eq!(s.inter_node_bw, d.inter_node_bw);
 
@@ -239,7 +239,7 @@ mod tests {
     fn scaling_all_is_uniform() {
         let d = toy();
         let s = d.scaled(&DeviceScaling::all(10.0));
-        assert_eq!(s.peak.fp32.as_tflops(), 100.0);
+        assert_eq!(s.peak.fp32, FlopsPerSec::from_tflops(100.0));
         assert_eq!(s.hbm_capacity.as_gb(), 400.0);
         assert!((s.hbm_bw.as_tb() - 15.0).abs() < 1e-9);
         assert_eq!(s.intra_node_bw.as_gb(), 3000.0);

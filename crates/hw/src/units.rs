@@ -12,10 +12,10 @@
 //! ```
 //! use madmax_hw::units::{ByteCount, BytesPerSec};
 //!
-//! let bytes = ByteCount::from_mib(256.0);
-//! let bw = BytesPerSec::from_gb(25.0); // a 200 Gbps NIC
+//! let bytes = ByteCount::from_gb(50.0);
+//! let bw = BytesPerSec::from_gbps(200.0); // 25 GB/s
 //! let t = bytes / bw;
-//! assert!((t.as_secs() - 256.0 * 1024.0 * 1024.0 / 25e9).abs() < 1e-12);
+//! assert!((t.as_secs() - 2.0).abs() < 1e-12);
 //! ```
 
 use std::fmt;
@@ -169,11 +169,6 @@ impl FlopCount {
         Self(v * 1e9)
     }
 
-    /// Constructs from tera-FLOPs (1e12).
-    pub fn from_tflops(v: f64) -> Self {
-        Self(v * 1e12)
-    }
-
     /// Value expressed in giga-FLOPs.
     pub fn as_gflops(self) -> f64 {
         self.0 / 1e9
@@ -181,19 +176,9 @@ impl FlopCount {
 }
 
 impl ByteCount {
-    /// Constructs from mebibytes (1024^2 B).
-    pub fn from_mib(v: f64) -> Self {
-        Self(v * MIB)
-    }
-
     /// Constructs from decimal gigabytes (1e9 B), the unit of GPU data sheets.
     pub fn from_gb(v: f64) -> Self {
         Self(v * 1e9)
-    }
-
-    /// Constructs from decimal terabytes (1e12 B).
-    pub fn from_tb(v: f64) -> Self {
-        Self(v * 1e12)
     }
 
     /// Value in mebibytes.
@@ -256,13 +241,8 @@ impl Seconds {
 
 impl FlopsPerSec {
     /// Constructs from teraFLOP/s.
-    pub fn from_tflops(v: f64) -> Self {
+    pub(crate) fn from_tflops(v: f64) -> Self {
         Self(v * 1e12)
-    }
-
-    /// Value in teraFLOP/s.
-    pub fn as_tflops(self) -> f64 {
-        self.0 / 1e12
     }
 
     /// Value in petaFLOP/s.
@@ -273,13 +253,8 @@ impl FlopsPerSec {
 
 impl BytesPerSec {
     /// Constructs from decimal GB/s (NVLink-style spec values).
-    pub fn from_gb(v: f64) -> Self {
+    pub(crate) fn from_gb(v: f64) -> Self {
         Self(v * 1e9)
-    }
-
-    /// Constructs from decimal TB/s (HBM-style spec values).
-    pub fn from_tb(v: f64) -> Self {
-        Self(v * 1e12)
     }
 
     /// Constructs from gigabits/s (NIC-style spec values).
@@ -396,7 +371,7 @@ mod tests {
 
     #[test]
     fn flops_over_rate_is_seconds() {
-        let t = FlopCount::from_tflops(312.0) / FlopsPerSec::from_tflops(156.0);
+        let t = FlopCount::new(312e12) / FlopsPerSec::from_tflops(156.0);
         assert!((t.as_secs() - 2.0).abs() < 1e-12);
     }
 

@@ -74,7 +74,7 @@ impl LayerGroup {
     ///
     /// # Panics
     ///
-    /// Panics if [`LayerGroup::validate`] rejects the group.
+    /// Panics if `LayerGroup::validate` rejects the group.
     pub fn repeated(
         name: impl Into<String>,
         class: LayerClass,
@@ -97,7 +97,7 @@ impl LayerGroup {
     /// # Errors
     ///
     /// Returns a description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.repeat == 0 {
             return Err("layer group repeat must be positive".to_owned());
         }
@@ -109,7 +109,7 @@ impl LayerGroup {
     }
 
     /// Parameters across all instances.
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         self.kind.params() * self.repeat as f64
     }
 }
@@ -146,7 +146,7 @@ pub struct ModelArch {
 }
 
 impl ModelArch {
-    /// Checks every layer group (see [`LayerGroup::validate`]).
+    /// Checks every layer group (see `LayerGroup::validate`).
     ///
     /// # Errors
     ///
@@ -261,16 +261,6 @@ impl ModelStats {
             emb / self.params_total
         }
     }
-
-    /// Parameters outside embeddings ("compute" parameters).
-    pub fn dense_params(&self) -> f64 {
-        self.params_total
-            - self
-                .params_by_class
-                .get(&LayerClass::Embedding)
-                .copied()
-                .unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +305,6 @@ mod tests {
             (s.params_total - (4.0 * 1000.0 * 8.0 + (8 * 16 + 16 + 16 + 1) as f64)).abs() < 1e-9
         );
         assert!(s.embedding_param_fraction() > 0.99);
-        assert!(s.dense_params() > 0.0);
         assert_eq!(s.lookup_bytes_per_sample.value(), 4.0 * 2.0 * 8.0 * 4.0);
     }
 

@@ -39,11 +39,11 @@ impl std::fmt::Display for DlrmVariant {
 }
 
 /// Down-sampled sequence length of the transformer interaction variants.
-pub const DLRM_TRANSFORMER_SEQ: usize = 80;
+pub(crate) const DLRM_TRANSFORMER_SEQ: usize = 80;
 /// Experts per MoE layer (2 active) for all MoE variants.
-pub const DLRM_MOE_EXPERTS: usize = 16;
+pub(crate) const DLRM_MOE_EXPERTS: usize = 16;
 /// Active experts per sample.
-pub const DLRM_MOE_ACTIVE: usize = 2;
+pub(crate) const DLRM_MOE_ACTIVE: usize = 2;
 
 fn interaction_transformer() -> LayerKind {
     LayerKind::TransformerBlock(TransformerBlockSpec {
@@ -146,7 +146,7 @@ pub fn dlrm_a(variant: DlrmVariant) -> ModelArch {
 /// 8192 x 4 B); the embedding configuration here is calibrated against the
 /// published 3.4 MQPS Table I validation point instead (~12 MB/sample,
 /// roughly half of DLRM-A's per-sample lookup traffic).
-pub fn dlrm_b(variant: DlrmVariant) -> ModelArch {
+pub(crate) fn dlrm_b(variant: DlrmVariant) -> ModelArch {
     let (tables, rows) = match variant {
         // 366 x 7.1M x 128 = 332.6B params; 366 * 64 * 128 * 4B = 12.0 MB.
         DlrmVariant::Base | DlrmVariant::Moe => (366, 7.1e6),

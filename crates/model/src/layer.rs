@@ -25,7 +25,7 @@ impl MlpSpec {
     /// # Panics
     ///
     /// Panics if [`MlpSpec::validate`] rejects the widths.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
+    pub(crate) fn new(dims: impl Into<Vec<usize>>) -> Self {
         let mlp = Self { dims: dims.into() };
         mlp.validate().unwrap_or_else(|e| panic!("{e}"));
         mlp
@@ -36,7 +36,7 @@ impl MlpSpec {
     /// # Errors
     ///
     /// Returns a description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.dims.len() < 2 {
             return Err("an MLP needs at least input and output widths".to_owned());
         }
@@ -47,7 +47,7 @@ impl MlpSpec {
     }
 
     /// Weight parameters (biases are counted as one per output unit).
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         self.dims
             .windows(2)
             .map(|w| (w[0] * w[1] + w[1]) as f64)
@@ -55,7 +55,7 @@ impl MlpSpec {
     }
 
     /// Forward FLOPs for one sample: 2 multiply-accumulates per weight.
-    pub fn flops_fwd_per_sample(&self) -> f64 {
+    pub(crate) fn flops_fwd_per_sample(&self) -> f64 {
         self.dims
             .windows(2)
             .map(|w| 2.0 * (w[0] * w[1]) as f64)
@@ -63,7 +63,7 @@ impl MlpSpec {
     }
 
     /// Bytes of intermediate activations retained per sample for backward.
-    pub fn activation_bytes_per_sample(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn activation_bytes_per_sample(&self, act_dtype: DType) -> f64 {
         let elems: usize = self.dims[1..].iter().sum();
         elems as f64 * f64::from(act_dtype.size_bytes())
     }
@@ -74,7 +74,7 @@ impl MlpSpec {
     }
 
     /// Input width.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.dims[0]
     }
 }
@@ -97,13 +97,13 @@ pub struct EmbeddingBagSpec {
 
 impl EmbeddingBagSpec {
     /// Total embedding parameters.
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         self.num_tables as f64 * self.rows_per_table * self.dim as f64
     }
 
     /// Bytes fetched from HBM per sample across all tables — the paper's
     /// "Lookup bytes" quantity.
-    pub fn lookup_bytes_per_sample(&self) -> f64 {
+    pub(crate) fn lookup_bytes_per_sample(&self) -> f64 {
         self.num_tables as f64
             * self.avg_lookups_per_table
             * self.dim as f64
@@ -130,12 +130,12 @@ pub struct TokenEmbeddingSpec {
 
 impl TokenEmbeddingSpec {
     /// Total parameters.
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         self.vocab as f64 * self.dim as f64
     }
 
     /// Bytes looked up per token.
-    pub fn lookup_bytes_per_token(&self) -> f64 {
+    pub(crate) fn lookup_bytes_per_token(&self) -> f64 {
         self.dim as f64 * f64::from(self.dtype.size_bytes())
     }
 }
@@ -151,7 +151,7 @@ pub struct InteractionSpec {
 
 impl InteractionSpec {
     /// Forward FLOPs per sample (2 per multiply-accumulate over all pairs).
-    pub fn flops_fwd_per_sample(&self) -> f64 {
+    pub(crate) fn flops_fwd_per_sample(&self) -> f64 {
         let f = self.num_features as f64;
         2.0 * f * f * self.dim as f64
     }
@@ -212,7 +212,7 @@ pub struct TransformerBlockSpec {
 
 impl TransformerBlockSpec {
     /// Linear-layer parameters of one block (QKVO + FFN + layer norms).
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         let h = self.hidden as f64;
         let kv = self.kv_dim as f64;
         let ff = self.ffn_hidden as f64;
@@ -233,7 +233,7 @@ impl TransformerBlockSpec {
     /// Forward FLOPs per *token*: `2 * params` for the linear layers plus
     /// `4 * seq * hidden` for the attention score/value matmuls (the term
     /// that makes compute grow with context length, Fig. 15).
-    pub fn flops_fwd_per_token(&self, model_context: usize) -> f64 {
+    pub(crate) fn flops_fwd_per_token(&self, model_context: usize) -> f64 {
         let s = self.seq_len(model_context) as f64;
         2.0 * self.params() + 4.0 * s * self.hidden as f64
     }
@@ -241,26 +241,26 @@ impl TransformerBlockSpec {
     /// Bytes of activations retained per token for backward when full
     /// activations are kept (no checkpointing); a standard first-order
     /// estimate of ~16 hidden-sized tensors per block.
-    pub fn activation_bytes_per_token_full(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn activation_bytes_per_token_full(&self, act_dtype: DType) -> f64 {
         16.0 * self.hidden as f64 * f64::from(act_dtype.size_bytes())
     }
 
     /// Bytes retained per token with activation checkpointing (block inputs
     /// only).
-    pub fn activation_bytes_per_token_checkpointed(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn activation_bytes_per_token_checkpointed(&self, act_dtype: DType) -> f64 {
         2.0 * self.hidden as f64 * f64::from(act_dtype.size_bytes())
     }
 
     /// Bytes all-reduced per token by tensor parallelism in the forward
     /// pass (two partial-sum reductions per block, Megatron-style).
-    pub fn tp_allreduce_bytes_per_token(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn tp_allreduce_bytes_per_token(&self, act_dtype: DType) -> f64 {
         2.0 * self.hidden as f64 * f64::from(act_dtype.size_bytes())
     }
 
     /// KV-cache bytes per cached token per sequence: one key and one value
     /// row of `kv_dim` each (grouped-query attention caches the shared KV
     /// heads only, which is what makes GQA serve-friendly).
-    pub fn kv_cache_bytes_per_token(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn kv_cache_bytes_per_token(&self, act_dtype: DType) -> f64 {
         2.0 * self.kv_dim as f64 * f64::from(act_dtype.size_bytes())
     }
 }
@@ -283,7 +283,7 @@ impl MoeSpec {
     /// # Panics
     ///
     /// Panics if [`MoeSpec::validate`] rejects the layer.
-    pub fn new(num_experts: usize, active_experts: usize, expert: MlpSpec) -> Self {
+    pub(crate) fn new(num_experts: usize, active_experts: usize, expert: MlpSpec) -> Self {
         let moe = Self {
             num_experts,
             active_experts,
@@ -299,7 +299,7 @@ impl MoeSpec {
     /// # Errors
     ///
     /// Returns a description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.active_experts == 0 || self.active_experts > self.num_experts {
             return Err(format!(
                 "invalid expert activation: {} of {} experts",
@@ -310,19 +310,19 @@ impl MoeSpec {
     }
 
     /// Total parameters across all experts.
-    pub fn params(&self) -> f64 {
+    pub(crate) fn params(&self) -> f64 {
         self.num_experts as f64 * self.expert.params()
     }
 
     /// Forward FLOPs per sample: only active experts compute, so FLOPs grow
     /// slower than capacity (Section II-A).
-    pub fn flops_fwd_per_sample(&self) -> f64 {
+    pub(crate) fn flops_fwd_per_sample(&self) -> f64 {
         self.active_experts as f64 * self.expert.flops_fwd_per_sample()
     }
 
     /// Bytes each sample contributes to the expert-dispatch All2All (input
     /// routed to each active expert), one direction.
-    pub fn dispatch_bytes_per_sample(&self, act_dtype: DType) -> f64 {
+    pub(crate) fn dispatch_bytes_per_sample(&self, act_dtype: DType) -> f64 {
         self.active_experts as f64 * self.expert.in_dim() as f64 * f64::from(act_dtype.size_bytes())
     }
 }

@@ -65,7 +65,7 @@ fn llm_arch(
 
 /// GPT-3 175B [Brown et al. 2020]: 96 layers, hidden 12288, 2K context,
 /// 350 GFLOPs/token, ~4M-token global batches.
-pub fn gpt3_175b() -> ModelArch {
+pub(crate) fn gpt3_175b() -> ModelArch {
     llm_arch(
         "GPT-3 175B",
         50_257,
@@ -82,7 +82,7 @@ pub fn gpt3_175b() -> ModelArch {
 
 /// LLaMA-65B [Touvron et al. 2023]: 80 layers, hidden 8192, SwiGLU FFN of
 /// 22016, 2K context, 4M-token batches.
-pub fn llama_65b() -> ModelArch {
+pub(crate) fn llama_65b() -> ModelArch {
     llm_arch(
         "LLaMA-65B",
         32_000,
@@ -99,7 +99,7 @@ pub fn llama_65b() -> ModelArch {
 
 /// LLaMA-2 70B [Touvron et al. 2023]: grouped-query attention (8 KV heads),
 /// FFN 28672, 4K context, 4M-token batches.
-pub fn llama2_70b() -> ModelArch {
+pub(crate) fn llama2_70b() -> ModelArch {
     llm_arch(
         "LLaMA2-70B",
         32_000,
@@ -116,7 +116,7 @@ pub fn llama2_70b() -> ModelArch {
 
 /// The hypothetical 1.8T-parameter LLM-MoE of Table II: GPT-3-scale
 /// attention with the FFN replaced by 16 experts (2 active), 8K context.
-pub fn llm_moe_1_8t() -> ModelArch {
+pub(crate) fn llm_moe_1_8t() -> ModelArch {
     let hidden = 12_288;
     let layers = 90;
     // An "attention-only" transformer block: FFN width 0 is invalid, so we

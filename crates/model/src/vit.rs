@@ -62,7 +62,7 @@ pub const VIT_FAMILY: [VitConfig; 5] = [
 ];
 
 /// Patch tokens per image: 224x224 input, 16x16 patches, plus `[CLS]`.
-pub const VIT_SEQ_LEN: usize = 197;
+pub(crate) const VIT_SEQ_LEN: usize = 197;
 
 /// Builds a ViT encoder as a token-based model: patches play the role of
 /// tokens and the patch-projection layer plays the embedding role.

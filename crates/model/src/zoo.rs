@@ -91,11 +91,6 @@ impl std::fmt::Display for ModelId {
     }
 }
 
-/// Builds the full Table II suite in column order.
-pub fn full_suite() -> Vec<ModelArch> {
-    ModelId::ALL.iter().map(|id| id.build()).collect()
-}
-
 /// The six models characterized in Fig. 3 (DLRM-A/B/C stand-ins plus the
 /// three public LLMs). DLRM-C is represented by the DLRM-B transformer
 /// variant, the closest published configuration.
@@ -116,7 +111,7 @@ mod tests {
 
     #[test]
     fn suite_is_complete_and_distinct() {
-        let suite = full_suite();
+        let suite: Vec<ModelArch> = ModelId::ALL.iter().map(|id| id.build()).collect();
         assert_eq!(suite.len(), 10);
         let mut names: Vec<&str> = suite.iter().map(|m| m.name.as_str()).collect();
         names.sort_unstable();

@@ -46,7 +46,6 @@ pub mod progress;
 pub mod telemetry;
 
 pub use load::{forward_to_sink, LoadTelemetry, RequestEvent};
-pub use madmax_core::counters::CacheStats;
 pub use perfetto::{ChromeTrace, TraceEvent};
 pub use progress::{
     CandidateEvent, CandidateOutcome, ElapsedSummary, NullSink, ProgressSink, StderrTicker,

@@ -18,7 +18,7 @@ use crate::progress::ProgressSink;
 /// Process id of load-simulator events in exported traces (the simulated
 /// schedule is pid 0; pid 1 stays unused so exported files keep their
 /// bytes).
-pub const LOAD_PID: u64 = 2;
+pub(crate) const LOAD_PID: u64 = 2;
 
 /// Request tracks exported to Perfetto before the exporter stops adding
 /// per-request detail (the engine and queue tracks are always complete).
@@ -111,7 +111,7 @@ impl LoadTelemetry {
     }
 
     /// One-line human summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{} mode: {}/{} completed ({} rejected, {} evictions), \
              {:.1} tok/s, {} steps in {} runs, {:.1} ms wall",
@@ -166,7 +166,7 @@ impl ChromeTrace {
     /// every prefill and decode run, a queue-depth counter, and one
     /// track per request (capped at 64) with its queue wait and KV
     /// residency spans.
-    pub fn add_load_trace(&mut self, trace: &LoadTrace) {
+    pub(crate) fn add_load_trace(&mut self, trace: &LoadTrace) {
         let meta = |name: &str, tid: u64, value: String| {
             TraceEvent::meta(
                 name,

@@ -16,7 +16,7 @@
 //!   start) — same-stream deps are implicit in track order and would
 //!   only add noise.
 //!
-//! The simulated schedule is process [`SIMULATION_PID`]; a load run's
+//! The simulated schedule is process `SIMULATION_PID`; a load run's
 //! request timeline is a process of its own (see [`crate::load`]). The
 //! explorer's own wall time is not in these files: perfbench's `--trace 1`
 //! spans and [`crate::SearchTelemetry`] measure it.
@@ -41,7 +41,7 @@ use madmax_core::{OpKind, Schedule, StreamId, Trace, TraceOp};
 use serde::{Serialize, Value};
 
 /// Process id of the simulated schedule's events.
-pub const SIMULATION_PID: u64 = 0;
+pub(crate) const SIMULATION_PID: u64 = 0;
 
 /// One trace event, covering the subset of the format this exporter
 /// emits: metadata (`M`), complete durations (`X`), and flow arrows
@@ -153,7 +153,7 @@ pub struct ChromeTrace {
 
 impl ChromeTrace {
     /// An empty trace file.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -181,7 +181,7 @@ impl ChromeTrace {
     ///
     /// Panics when `sched` does not cover `trace` (fewer windows than
     /// ops) — the pair must come from one scheduling run.
-    pub fn add_schedule(&mut self, trace: &Trace, sched: &Schedule) {
+    pub(crate) fn add_schedule(&mut self, trace: &Trace, sched: &Schedule) {
         let ops = trace.ops();
         assert!(
             sched.windows.len() >= ops.len(),

@@ -150,13 +150,8 @@ impl ElapsedSummary {
         out
     }
 
-    /// The recorded `(name, elapsed)` rows, in execution order.
-    pub fn rows(&self) -> &[(String, Duration)] {
-        &self.rows
-    }
-
     /// Total elapsed across every recorded row.
-    pub fn total(&self) -> Duration {
+    pub(crate) fn total(&self) -> Duration {
         self.rows.iter().map(|(_, d)| *d).sum()
     }
 
@@ -208,7 +203,7 @@ mod tests {
         let v = s.run("one", || 42);
         assert_eq!(v, 42);
         s.run("two", || ());
-        assert_eq!(s.rows().len(), 2);
+        assert_eq!(s.rows.len(), 2);
         let table = s.table();
         assert!(table.contains("one") && table.contains("total"));
     }

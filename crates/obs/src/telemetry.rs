@@ -58,11 +58,6 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(latency_us);
     }
 
-    /// Mean latency in microseconds (`None` before any record).
-    pub fn mean_us(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.total_us / self.count as f64)
-    }
-
     /// Accumulates another histogram into this one.
     pub fn absorb(&mut self, other: &LatencyHistogram) {
         if self.buckets.len() < other.buckets.len() {
@@ -245,12 +240,12 @@ impl TelemetrySpool {
     /// # Panics
     ///
     /// Panics if the spool's lock was poisoned.
-    pub fn entries(&self) -> Vec<(String, SearchTelemetry)> {
+    pub(crate) fn entries(&self) -> Vec<(String, SearchTelemetry)> {
         self.entries.lock().unwrap().clone()
     }
 
     /// Renders the spool as a JSON array of `{name, telemetry}` objects.
-    pub fn to_json_string(&self) -> String {
+    pub(crate) fn to_json_string(&self) -> String {
         let entries = self.entries();
         let seq: Vec<Value> = entries
             .iter()
@@ -288,7 +283,7 @@ mod tests {
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[1], 1);
         assert_eq!(h.buckets[9], 1);
-        assert!((h.mean_us().unwrap() - 1003.5 / 3.0).abs() < 1e-9);
+        assert!((h.total_us - 1003.5).abs() < 1e-9);
         assert_eq!(h.max_us, 1000.0);
     }
 

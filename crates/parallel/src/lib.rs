@@ -9,23 +9,23 @@
 //! # Workloads and phases
 //!
 //! What a model executes is a [`Workload`]: [`Workload::pretrain`],
-//! [`Workload::finetune`], or [`Workload::serve`]. Each workload is a
-//! sequence of [`WorkloadPhase`]s with distinct FLOP, bytes-moved, and
-//! memory semantics:
+//! [`Workload::finetune_only`], or [`Workload::serve`]. Each workload is
+//! a sequence of phases with distinct FLOP, bytes-moved, and memory
+//! semantics:
 //!
-//! - [`WorkloadPhase::FwdBwd`] — one training iteration: forward compute,
+//! - forward + backward — one training iteration: forward compute,
 //!   backward at 2-3x the forward FLOPs, retained activations, gradient
 //!   and optimizer-state memory, parameter + gradient collectives.
-//! - [`WorkloadPhase::Prefill`] — a compute-bound forward pass over the
-//!   prompt ([`ServeConfig::prompt_len`] tokens): forward FLOPs and
-//!   activation collectives only, a transient working set, and — when
+//! - prefill — a compute-bound forward pass over the prompt
+//!   ([`ServeConfig::prompt_len`] tokens): forward FLOPs and activation
+//!   collectives only, a transient working set, and — when
 //!   [`ServeConfig::kv_cache`] is on — the prompt's keys/values written
 //!   into the cache.
-//! - [`WorkloadPhase::Decode`] — one autoregressive step: a single-token
-//!   forward pass per sequence whose attention *reads the whole KV-cache*,
-//!   making the phase bandwidth-bound; the cache grows by one token per
-//!   step and its maximum footprint ([`ServeConfig::max_kv_len`]) is part
-//!   of the OOM check.
+//! - decode — one autoregressive step: a single-token forward pass per
+//!   sequence whose attention *reads the whole KV-cache*, making the
+//!   phase bandwidth-bound; the cache grows by one token per step and its
+//!   maximum footprint ([`ServeConfig::max_kv_len`]) is part of the OOM
+//!   check.
 //!
 //! The legacy flat `Task` enum has been removed after its deprecation
 //! release; `Workload` is the only task description (the old
@@ -64,12 +64,12 @@ pub mod strategy;
 pub mod workload;
 
 pub use comm::{derive_layer_comm, CollectiveKind, CommPosition, CommReq, LayerCommPlan, Urgency};
-pub use load::{ArrivalSpec, LoadSpec, RequestSpec, DEFAULT_BLOCK_TOKENS};
+pub use load::{ArrivalSpec, LoadSpec, RequestSpec};
 pub use memory::{
     check_hbm, check_memory, group_memory, memory_per_device, GroupMemory, MemoryBreakdown,
 };
 pub use plan::{
     MemoryConfig, OptimizerKind, PipelineConfig, PipelineSchedule, Plan, PlanError, PlanOptions,
 };
-pub use strategy::{CommScope, HierStrategy, Strategy, StrategyLevel};
-pub use workload::{ServeConfig, Workload, WorkloadPhase};
+pub use strategy::{CommScope, HierStrategy, Strategy};
+pub use workload::{ServeConfig, Workload};

@@ -104,7 +104,7 @@ pub struct LoadSpec {
 }
 
 /// Default paging granularity, tokens per block.
-pub const DEFAULT_BLOCK_TOKENS: usize = 16;
+pub(crate) const DEFAULT_BLOCK_TOKENS: usize = 16;
 
 impl LoadSpec {
     /// A Poisson request stream at `rate` requests/second, truncated

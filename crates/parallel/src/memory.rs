@@ -435,7 +435,10 @@ mod tests {
             &model,
             &sys,
             &plan,
-            &Workload::serve(ServeConfig::new(1024, 256).without_kv_cache()),
+            &Workload::serve(ServeConfig {
+                kv_cache: false,
+                ..ServeConfig::new(1024, 256)
+            }),
         );
         assert!(with.kv_cache > ByteCount::ZERO);
         assert_eq!(without.kv_cache, ByteCount::ZERO);

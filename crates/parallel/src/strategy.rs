@@ -29,12 +29,12 @@ impl Strategy {
     }
 
     /// Whether this strategy splits the matrix compute itself.
-    pub fn shards_compute(self) -> bool {
+    pub(crate) fn shards_compute(self) -> bool {
         matches!(self, Strategy::Tp)
     }
 
     /// Short paper notation.
-    pub fn abbrev(self) -> &'static str {
+    pub(crate) fn abbrev(self) -> &'static str {
         match self {
             Strategy::Ddp => "DDP",
             Strategy::Fsdp => "FSDP",
@@ -47,7 +47,7 @@ impl Strategy {
     ///
     /// Sharding (MP) applies to embedding tables and expert parallelism;
     /// TP applies to matrix-compute layers; DDP/FSDP apply everywhere.
-    pub fn allowed_for(self, class: LayerClass) -> bool {
+    pub(crate) fn allowed_for(self, class: LayerClass) -> bool {
         match self {
             Strategy::Ddp | Strategy::Fsdp => true,
             Strategy::Tp => !matches!(class, LayerClass::Embedding),
@@ -100,7 +100,7 @@ pub enum HierStrategy {
 
 /// One level of an expanded hierarchical strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrategyLevel {
+pub(crate) struct StrategyLevel {
     /// The strategy applied at this level.
     pub strategy: Strategy,
     /// Devices in this level's communication group.
@@ -122,7 +122,7 @@ impl HierStrategy {
 
     /// Expands into concrete levels for a cluster. Flat strategies become a
     /// single global group; degenerate levels (group size 1) are dropped.
-    pub fn levels(&self, cluster: &ClusterSpec) -> Vec<StrategyLevel> {
+    pub(crate) fn levels(&self, cluster: &ClusterSpec) -> Vec<StrategyLevel> {
         match *self {
             HierStrategy::Flat(strategy) => {
                 let p = cluster.total_devices();

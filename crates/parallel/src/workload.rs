@@ -1,14 +1,13 @@
 //! The [`Workload`] API: a structured description of *what* a model
 //! executes — pre-training, fine-tuning, or serving — with per-phase
-//! ([`WorkloadPhase`]) FLOP, bytes-moved, and memory semantics.
+//! FLOP, bytes-moved, and memory semantics.
 //!
 //! `Workload` replaces the flat `Task` enum. Training workloads run one
-//! [`WorkloadPhase::FwdBwd`] iteration (forward + backward + update).
-//! Serving ([`Workload::serve`]) is described by a [`ServeConfig`] and
-//! runs a compute-bound [`WorkloadPhase::Prefill`] over the prompt
-//! followed by `decode_len` bandwidth-bound [`WorkloadPhase::Decode`]
-//! steps, each generating one token per sequence while reading a KV-cache
-//! that grows with every generated token.
+//! forward + backward + update iteration. Serving ([`Workload::serve`]) is
+//! described by a [`ServeConfig`] and runs a compute-bound prefill over
+//! the prompt followed by `decode_len` bandwidth-bound decode steps, each
+//! generating one token per sequence while reading a KV-cache that grows
+//! with every generated token.
 //!
 //! The legacy `Task::Inference` shape survives as [`Workload::inference`]:
 //! a prefill-only serve workload — same effective model, no KV-cache, no
@@ -21,29 +20,6 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use madmax_model::{LayerClass, ModelArch};
-
-/// One execution phase of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum WorkloadPhase {
-    /// One training iteration: forward + backward + optimizer update.
-    FwdBwd,
-    /// Compute-bound forward pass over the whole prompt (produces the
-    /// first output token).
-    Prefill,
-    /// One autoregressive decode step: a single-token forward pass per
-    /// sequence, bandwidth-bound by the KV-cache read.
-    Decode,
-}
-
-impl std::fmt::Display for WorkloadPhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            WorkloadPhase::FwdBwd => "fwd+bwd",
-            WorkloadPhase::Prefill => "prefill",
-            WorkloadPhase::Decode => "decode",
-        })
-    }
-}
 
 /// Configuration of a serving workload: prompt processing plus token-level
 /// autoregressive decoding.
@@ -67,7 +43,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Prompt-only serving with the model's own context and batch — the
     /// exact shape of the legacy forward-only inference task.
-    pub fn prefill_only() -> Self {
+    pub(crate) fn prefill_only() -> Self {
         Self {
             prompt_len: None,
             decode_len: 0,
@@ -91,13 +67,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_decode_batch(mut self, batch: usize) -> Self {
         self.decode_batch = Some(batch);
-        self
-    }
-
-    /// Disables KV-cache modeling (idealized, compute-only decode).
-    #[must_use]
-    pub fn without_kv_cache(mut self) -> Self {
-        self.kv_cache = false;
         self
     }
 
@@ -165,7 +134,7 @@ impl Workload {
     }
 
     /// Fine-tuning the listed layer classes.
-    pub fn finetune(classes: impl IntoIterator<Item = LayerClass>) -> Self {
+    pub(crate) fn finetune(classes: impl IntoIterator<Item = LayerClass>) -> Self {
         Workload::Finetune {
             trainable: classes.into_iter().collect(),
         }
@@ -196,17 +165,6 @@ impl Workload {
         }
     }
 
-    /// The phases this workload executes, in order.
-    pub fn phases(&self) -> &'static [WorkloadPhase] {
-        match self {
-            Workload::Pretrain | Workload::Finetune { .. } => &[WorkloadPhase::FwdBwd],
-            Workload::Serve(cfg) if cfg.decode_len > 0 => {
-                &[WorkloadPhase::Prefill, WorkloadPhase::Decode]
-            }
-            Workload::Serve(_) => &[WorkloadPhase::Prefill],
-        }
-    }
-
     /// Whether a backward pass exists at all.
     pub fn has_backward(&self) -> bool {
         !matches!(self, Workload::Serve(_))
@@ -219,12 +177,6 @@ impl Workload {
             Workload::Finetune { trainable } => trainable.contains(&class),
             Workload::Serve(_) => false,
         }
-    }
-
-    /// Whether activations of `class` layers must be retained for
-    /// backward.
-    pub fn retains_activations(&self, class: LayerClass) -> bool {
-        self.trains(class)
     }
 
     /// The model as this workload's primary phase executes it: serving
@@ -262,7 +214,7 @@ impl Workload {
     }
 
     /// Short display label.
-    pub fn label(&self) -> Cow<'static, str> {
+    pub(crate) fn label(&self) -> Cow<'static, str> {
         match self {
             Workload::Pretrain => Cow::Borrowed("pre-training"),
             Workload::Finetune { trainable } => {
@@ -293,23 +245,18 @@ mod tests {
             assert!(Workload::pretrain().trains(c));
         }
         assert!(Workload::pretrain().has_backward());
-        assert_eq!(Workload::pretrain().phases(), &[WorkloadPhase::FwdBwd]);
     }
 
     #[test]
     fn serve_trains_nothing_and_phases_split() {
         let prefill = Workload::inference();
         assert!(!prefill.has_backward());
-        assert_eq!(prefill.phases(), &[WorkloadPhase::Prefill]);
         for c in LayerClass::ALL {
             assert!(!prefill.trains(c));
-            assert!(!prefill.retains_activations(c));
         }
+        assert!(!prefill.serve_config().unwrap().has_decode());
         let serve = Workload::serve(ServeConfig::new(512, 64));
-        assert_eq!(
-            serve.phases(),
-            &[WorkloadPhase::Prefill, WorkloadPhase::Decode]
-        );
+        assert!(serve.serve_config().unwrap().has_decode());
     }
 
     #[test]
@@ -381,6 +328,5 @@ mod tests {
         assert_eq!(cfg.effective_batch(&model), 8);
         assert_eq!(cfg.max_kv_len(100), Some(128));
         assert_eq!(ServeConfig::new(1, usize::MAX).max_kv_len(1), None);
-        assert!(!ServeConfig::new(1, 1).without_kv_cache().kv_cache);
     }
 }

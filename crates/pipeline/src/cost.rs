@@ -94,7 +94,7 @@ pub fn stage_cluster(cluster: &ClusterSpec, p: usize) -> Result<Cow<'_, ClusterS
 /// The interconnect level inter-stage P2P transfers cross: stage groups
 /// occupy whole node blocks on multi-node systems, so boundaries cross the
 /// scale-out fabric; on a single node they stay on the scale-up fabric.
-pub fn p2p_level(cluster: &ClusterSpec) -> CommLevel {
+pub(crate) fn p2p_level(cluster: &ClusterSpec) -> CommLevel {
     if cluster.num_nodes > 1 {
         CommLevel::InterNode
     } else {
@@ -104,7 +104,11 @@ pub fn p2p_level(cluster: &ClusterSpec) -> CommLevel {
 
 /// Output activation bytes per sample at a layer's boundary (what a
 /// pipeline stage ships to its successor if the stage ends here).
-pub fn boundary_bytes_per_sample(kind: &LayerKind, tokens: usize, act_dtype: DType) -> ByteCount {
+pub(crate) fn boundary_bytes_per_sample(
+    kind: &LayerKind,
+    tokens: usize,
+    act_dtype: DType,
+) -> ByteCount {
     let bytes = f64::from(act_dtype.size_bytes());
     let b = match kind {
         LayerKind::Mlp(m) => m.out_dim() as f64 * bytes,
@@ -156,7 +160,7 @@ pub(crate) fn p2p_time(
 
 /// Builds the sub-`ModelArch` one stage executes (used for memory and
 /// optimizer accounting).
-pub fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch {
+pub(crate) fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch {
     let groups = stage
         .units
         .iter()
@@ -175,7 +179,7 @@ pub fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch 
 
 /// The error a pipeline candidate reports for a microbatch count that is
 /// zero or exceeds the global batch.
-pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), PlanError> {
+pub(crate) fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), PlanError> {
     if microbatches == 0 || microbatches > model.global_batch {
         return Err(PlanError::InvalidPipeline {
             reason: format!(
@@ -188,7 +192,7 @@ pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), P
 }
 
 /// Builds every stage's sub-[`ModelArch`] (see [`stage_model`]).
-pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
+pub(crate) fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
     stages
         .iter()
         .enumerate()

@@ -16,7 +16,7 @@
 //!
 //! Serve workloads (`madmax_parallel::Workload::serve`) pipeline the
 //! decode stream itself — each decode step is one microbatch unit flowing
-//! through the stages ([`build_serve_trace_into`]) — so pipeline
+//! through the stages (`build_serve_trace_into`) — so pipeline
 //! parallelism hides inter-stage latency across the generated tokens.
 //!
 //! # The two-phase engine: price, then assemble
@@ -119,14 +119,10 @@ pub mod schedule;
 pub mod sim;
 pub mod table;
 
-pub use cost::{stage_cluster, stage_models, StageCosts};
-pub use memory::fold_pipeline_memory;
-pub use partition::{partition_model, Stage, StageUnit};
-pub use schedule::{
-    build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into, busy_lower_bound,
-};
+pub use cost::{stage_cluster, StageCosts};
+pub use schedule::{build_pipeline_trace, busy_lower_bound};
 pub use sim::{pipelined_ttft_cached, run_pipelined_cached};
-pub use table::{PipelineCostTable, PricedPipelineRef, ReportMemo};
+pub use table::{PipelineCostTable, PricedPipelineRef};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`
 /// microbatches: `(p - 1) / (m + p - 1)` (delegates to

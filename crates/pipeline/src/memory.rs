@@ -21,7 +21,7 @@ use madmax_parallel::{check_hbm, MemoryBreakdown, PipelineSchedule, Plan, PlanEr
 ///
 /// [`PlanError::OutOfMemory`] when the worst stage exceeds usable HBM and
 /// the plan does not ignore memory limits.
-pub fn fold_pipeline_memory(
+pub(crate) fn fold_pipeline_memory(
     per_stage: &[MemoryBreakdown],
     microbatches: usize,
     schedule: PipelineSchedule,

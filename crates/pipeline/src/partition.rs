@@ -9,7 +9,7 @@ use madmax_parallel::PlanError;
 
 /// A contiguous run of instances of one layer group assigned to a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageUnit {
+pub(crate) struct StageUnit {
     /// Index into `model.groups`.
     pub group: usize,
     /// Number of consecutive instances of that group in this stage.
@@ -18,16 +18,9 @@ pub struct StageUnit {
 
 /// One pipeline stage: an ordered list of layer-group runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stage {
+pub(crate) struct Stage {
     /// The stage's layers in execution order.
     pub units: Vec<StageUnit>,
-}
-
-impl Stage {
-    /// Total layer instances in the stage.
-    pub fn num_layers(&self) -> usize {
-        self.units.iter().map(|u| u.instances).sum()
-    }
 }
 
 /// Per-instance execution-time weight used for balancing: forward compute
@@ -50,7 +43,7 @@ fn instance_weight(model: &ModelArch, cluster: &ClusterSpec, group: usize) -> f6
 ///
 /// Returns [`PlanError::InvalidPipeline`] when the model has fewer layer
 /// instances than requested stages, or `p` is zero.
-pub fn partition_model(
+pub(crate) fn partition_model(
     model: &ModelArch,
     cluster: &ClusterSpec,
     p: usize,
@@ -143,7 +136,11 @@ mod tests {
         for p in [2usize, 4, 8] {
             let stages = partition_model(&model, &sys, p).unwrap();
             assert_eq!(stages.len(), p);
-            let total: usize = stages.iter().map(Stage::num_layers).sum();
+            let total: usize = stages
+                .iter()
+                .flat_map(|s| &s.units)
+                .map(|u| u.instances)
+                .sum();
             let expect: usize = model.groups.iter().map(|g| g.repeat).sum();
             assert_eq!(total, expect, "p={p}");
             // Contiguity: group indices never decrease across stages.

@@ -111,7 +111,7 @@ pub fn build_pipeline_trace(costs: &[StageCosts], cfg: &PipelineConfig, train: b
 /// # Panics
 ///
 /// Same conditions as [`build_pipeline_trace`].
-pub fn build_pipeline_trace_into(
+pub(crate) fn build_pipeline_trace_into(
     costs: &[StageCosts],
     cfg: &PipelineConfig,
     train: bool,
@@ -121,9 +121,9 @@ pub fn build_pipeline_trace_into(
 }
 
 /// A sound lower bound on the makespan of the trace
-/// [`build_pipeline_trace_into`] builds for `(costs, cfg, train)`, or,
+/// `build_pipeline_trace_into` builds for `(costs, cfg, train)`, or,
 /// with `decode` set to the decode-phase stage costs and the serve
-/// dimensions, of the trace [`build_serve_trace_into`] builds for the
+/// dimensions, of the trace `build_serve_trace_into` builds for the
 /// same prefill.
 ///
 /// Without decode steps it is the largest per-stage stream bound. Each
@@ -539,7 +539,7 @@ fn build_main_into(
 /// Panics if `prefill` and `decode` disagree on the stage count, or on
 /// [`build_pipeline_trace`]'s conditions.
 #[allow(clippy::too_many_arguments)] // engine-internal plumbing
-pub fn build_serve_trace_into(
+pub(crate) fn build_serve_trace_into(
     prefill: &[StageCosts],
     decode: &[StageCosts],
     cfg: &PipelineConfig,

@@ -15,7 +15,7 @@
 //! Serve workloads pipeline the decode stream itself: the prompt's
 //! prefill runs as a forward-only pipeline, then every decode step flows
 //! through the stages as one microbatch unit
-//! (see [`crate::schedule::build_serve_trace_into`]), so pipeline
+//! (see `crate::schedule::build_serve_trace_into`), so pipeline
 //! parallelism hides inter-stage latency across the token stream.
 //!
 //! # Debug-assertions contract

@@ -15,7 +15,7 @@
 //! - the raw per-stage **memory footprints** depend on `(p, strategy
 //!   assignment)`; the `(microbatches, schedule)` axes only scale 1F1B's
 //!   in-flight activation bound in the final fold
-//!   ([`crate::fold_pipeline_memory`]);
+//!   (`memory::fold_pipeline_memory`);
 //! - every **layer group's price** under one strategy depends only on
 //!   `(p, microbatches)`: a `madmax_core::CostTable` priced on the stage
 //!   sub-cluster at one microbatch's local batch, `(global_batch / m) /
@@ -136,7 +136,7 @@ pub struct PricedPipelineRef<'t> {
 
 /// One entry's memoized report and its [`DecodeTail`] (`None` unless a
 /// serve run of at least three decode tokens).
-pub type ReportMemo = OnceLock<(IterationReport, Option<DecodeTail>)>;
+pub(crate) type ReportMemo = OnceLock<(IterationReport, Option<DecodeTail>)>;
 
 /// Shared, read-only cost cache for the pipeline engine (see the module
 /// docs for the sharing contract).
@@ -270,7 +270,7 @@ impl<'a> PipelineCostTable<'a> {
     /// [`PipelineCostTable::model`] unless the workload overrides the
     /// context length or batch (serve prompt/batch). Reports are built
     /// against this model.
-    pub fn report_model(&self) -> &ModelArch {
+    pub(crate) fn report_model(&self) -> &ModelArch {
         self.eff.as_deref().unwrap_or(self.model)
     }
 

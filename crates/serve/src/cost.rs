@@ -605,6 +605,9 @@ mod tests {
         let reqs = arrivals(4096, 2_000_000, 1);
         let err =
             StepCostModel::price(&plan, &serve, 1 << 14, &reqs, oom, no_run, no_ttft).unwrap_err();
-        assert!(err.is_oom(), "{err}");
+        assert!(
+            matches!(err, LoadError::Plan(PlanError::OutOfMemory { .. })),
+            "{err}"
+        );
     }
 }

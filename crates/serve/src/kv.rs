@@ -9,7 +9,7 @@
 
 /// Paged KV-cache accounting for one load run.
 #[derive(Debug, Clone)]
-pub struct KvPager {
+pub(crate) struct KvPager {
     /// Tokens per block.
     block_tokens: usize,
     /// Total budget in blocks; `None` is unpaged (unbounded).
@@ -22,7 +22,7 @@ pub struct KvPager {
 
 impl KvPager {
     /// A pager with `total` blocks of `block_tokens` tokens each.
-    pub fn new(block_tokens: usize, total: Option<u64>) -> Self {
+    pub(crate) fn new(block_tokens: usize, total: Option<u64>) -> Self {
         assert!(block_tokens >= 1, "block_tokens must be >= 1");
         Self {
             block_tokens,
@@ -33,12 +33,12 @@ impl KvPager {
     }
 
     /// Blocks needed to hold `tokens` cache entries.
-    pub fn blocks_for(&self, tokens: u64) -> u64 {
+    pub(crate) fn blocks_for(&self, tokens: u64) -> u64 {
         tokens.div_ceil(self.block_tokens as u64)
     }
 
     /// Blocks currently free, or `u64::MAX` when unpaged.
-    pub fn free(&self) -> u64 {
+    pub(crate) fn free(&self) -> u64 {
         match self.total {
             Some(t) => t - self.used,
             None => u64::MAX,
@@ -46,7 +46,7 @@ impl KvPager {
     }
 
     /// Allocates `blocks` if the budget allows, returning whether it did.
-    pub fn try_alloc(&mut self, blocks: u64) -> bool {
+    pub(crate) fn try_alloc(&mut self, blocks: u64) -> bool {
         if self.free() < blocks {
             return false;
         }
@@ -56,29 +56,24 @@ impl KvPager {
     }
 
     /// Releases `blocks` back to the budget.
-    pub fn release(&mut self, blocks: u64) {
+    pub(crate) fn release(&mut self, blocks: u64) {
         debug_assert!(blocks <= self.used, "releasing more blocks than held");
         self.used -= blocks;
     }
 
     /// Blocks currently allocated.
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
     /// High-water mark of allocated blocks.
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.peak
     }
 
     /// The budget, if paged.
-    pub fn total(&self) -> Option<u64> {
+    pub(crate) fn total(&self) -> Option<u64> {
         self.total
-    }
-
-    /// Tokens per block.
-    pub fn block_tokens(&self) -> usize {
-        self.block_tokens
     }
 }
 

@@ -45,9 +45,9 @@
 //!
 //! ## Entry points
 //!
-//! Most callers go through `madmax_engine::Scenario::serve_load`; the
-//! crate-level [`simulate_load`] is the direct path when you already hold
-//! a priced [`StepCostModel`]. See `crates/serve/README.md` for a
+//! Most callers go through `madmax_engine::Scenario::serve_load_priced`;
+//! the crate-level [`simulate_load`] is the direct path when you already
+//! hold a priced [`StepCostModel`]. See `crates/serve/README.md` for a
 //! walkthrough.
 
 #![warn(missing_docs)]
@@ -108,13 +108,5 @@ impl std::error::Error for LoadError {
 impl From<PlanError> for LoadError {
     fn from(e: PlanError) -> Self {
         LoadError::Plan(e)
-    }
-}
-
-impl LoadError {
-    /// Whether the candidate failed for memory capacity (the OOM bars of
-    /// load sweeps).
-    pub fn is_oom(&self) -> bool {
-        matches!(self, LoadError::Plan(PlanError::OutOfMemory { .. }))
     }
 }

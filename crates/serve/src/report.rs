@@ -127,7 +127,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Derives the report from a run's trace.
-    pub fn from_trace(trace: &LoadTrace) -> Self {
+    pub(crate) fn from_trace(trace: &LoadTrace) -> Self {
         let mut ttfts = Vec::new();
         let mut tpots = Vec::new();
         let mut requests = Vec::with_capacity(trace.records.len());

@@ -164,7 +164,7 @@ pub struct LoadTrace {
 impl LoadTrace {
     /// Decode steps executed for `request` across all runs it
     /// participated in.
-    pub fn steps_of(&self, request: u32) -> i64 {
+    pub(crate) fn steps_of(&self, request: u32) -> i64 {
         self.runs
             .iter()
             .filter(|r| r.participants.iter().any(|p| p.request == request))

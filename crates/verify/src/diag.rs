@@ -29,14 +29,6 @@ impl std::fmt::Display for Severity {
 /// See `crates/verify/README.md` for the full catalog with examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Plan lint: parallel degrees / pipeline depth must divide the
-    /// cluster along its node hierarchy.
-    PlanDegree,
-    /// Plan lint: pipeline depth and microbatch counts are in bounds for
-    /// the model and batch.
-    PlanPipeline,
-    /// Plan lint: serve-config sanity (non-zero prompt/batch, KV flags).
-    PlanServe,
     /// Trace: dependencies point strictly backward (`dep < op`), so the
     /// dependency graph is acyclic by construction.
     DepOrder,
@@ -110,11 +102,8 @@ pub enum RuleId {
 impl RuleId {
     /// Stable kebab-case code, used in rendered diagnostics and the
     /// README catalog.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
-            RuleId::PlanDegree => "plan-degree",
-            RuleId::PlanPipeline => "plan-pipeline",
-            RuleId::PlanServe => "plan-serve",
             RuleId::DepOrder => "dep-order",
             RuleId::DepSorted => "dep-sorted",
             RuleId::StreamMismatch => "stream-mismatch",
@@ -134,14 +123,6 @@ impl RuleId {
             RuleId::GoodputBound => "goodput-bound",
             RuleId::CriticalPath => "critical-path",
             RuleId::StreamSlack => "stream-slack",
-        }
-    }
-
-    /// The severity diagnostics of this rule default to.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            RuleId::StreamSlack => Severity::Warn,
-            _ => Severity::Error,
         }
     }
 }
@@ -194,7 +175,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// An error-severity diagnostic.
-    pub fn error(rule: RuleId, location: Location, message: impl Into<String>) -> Self {
+    pub(crate) fn error(rule: RuleId, location: Location, message: impl Into<String>) -> Self {
         Diagnostic {
             rule,
             severity: Severity::Error,
@@ -204,7 +185,7 @@ impl Diagnostic {
     }
 
     /// A warn-severity diagnostic.
-    pub fn warn(rule: RuleId, location: Location, message: impl Into<String>) -> Self {
+    pub(crate) fn warn(rule: RuleId, location: Location, message: impl Into<String>) -> Self {
         Diagnostic {
             rule,
             severity: Severity::Warn,
@@ -247,12 +228,12 @@ pub struct VerifyReport {
 
 impl VerifyReport {
     /// An empty (clean) report.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a finding.
-    pub fn push(&mut self, d: Diagnostic) {
+    pub(crate) fn push(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);
     }
 
@@ -285,15 +266,6 @@ impl VerifyReport {
     /// Findings citing `rule`.
     pub fn of(&self, rule: RuleId) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(move |d| d.rule == rule)
-    }
-
-    /// Folds another report's findings into this one (critical path keeps
-    /// the first analysis seen).
-    pub fn merge(&mut self, other: VerifyReport) {
-        self.diagnostics.extend(other.diagnostics);
-        if self.critical_path.is_none() {
-            self.critical_path = other.critical_path;
-        }
     }
 }
 
@@ -341,12 +313,6 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("error[causality] op 3"), "{s}");
         assert!(s.contains("warn[stream-slack]"), "{s}");
-    }
-
-    #[test]
-    fn default_severities() {
-        assert_eq!(RuleId::StreamSlack.default_severity(), Severity::Warn);
-        assert_eq!(RuleId::DepOrder.default_severity(), Severity::Error);
         assert_eq!(RuleId::BubbleFloor.code(), "bubble-floor");
     }
 }

@@ -4,26 +4,21 @@
 //! three IR layers, producing structured [`Diagnostic`]s instead of
 //! panics:
 //!
-//! 1. **Plan lints** ([`lint_plan`]) — pure static checks on a
-//!    [`madmax_parallel::Plan`]: parallel degrees and pipeline depth
-//!    divide the cluster, depth/microbatch bounds, serve-config sanity.
-//!    No cost table, partitioner, or memory model runs, so a search can
-//!    reject candidates before pricing.
-//! 2. **Trace well-formedness** ([`Verifier::verify_trace`]) —
+//! 1. **Trace well-formedness** ([`Verifier::verify_trace`]) —
 //!    dependencies acyclic and backward-pointing, sorted and deduped;
 //!    stream/name/kind agreement; phase consistency (no backward ops in
 //!    serve traces); decode steps chained on the previous token; and the
 //!    structural pipeline rules (cross-stage edges only through
 //!    adjacent-stage P2P handoffs).
-//! 3. **Schedule legality + analysis** ([`Verifier::verify`]) —
+//! 2. **Schedule legality + analysis** ([`Verifier::verify`]) —
 //!    causality, per-stream window exclusivity (an independent check of
 //!    the dense `StreamTable` scheduler), non-negative durations,
 //!    makespan consistency; the 1F1B in-flight bound and the GPipe
-//!    analytic bubble floor; plus the [`critical_path`] analyzer, whose
+//!    analytic bubble floor; plus the `critical_path` analyzer, whose
 //!    longest dependency chain is a makespan lower bound and whose
 //!    per-stream slack findings surface scheduling inefficiency as
 //!    warnings.
-//! 4. **Load-trace rules** ([`verify_load`]) — request-lifecycle
+//! 3. **Load-trace rules** ([`verify_load`]) — request-lifecycle
 //!    causality and paged-KV residency over the continuous-batching
 //!    simulator's integer ledger (`madmax_serve::LoadTrace`): arrival ≤
 //!    admission < first token ≤ completion, rejected requests never run,
@@ -34,7 +29,7 @@
 //!    reconcile with retry/failure accounting, retries respect the policy
 //!    ceiling, and decode runs inside capacity-loss windows respect the
 //!    degraded slot count.
-//! 5. **Goodput rules** ([`verify_goodput`]) — internal consistency of a
+//! 4. **Goodput rules** ([`verify_goodput`]) — internal consistency of a
 //!    closed-form failure-aware goodput evaluation: the goodput fraction
 //!    is in (0, 1] and effective throughput reconciles with (and never
 //!    exceeds) the fault-free throughput.
@@ -53,13 +48,12 @@
 //! use madmax_hw::catalog;
 //! use madmax_model::ModelId;
 //! use madmax_parallel::{Plan, Workload};
-//! use madmax_verify::{lint_plan, Verifier};
+//! use madmax_verify::Verifier;
 //!
 //! let model = ModelId::DlrmA.build();
 //! let system = catalog::zionex_dlrm_system();
 //! let plan = Plan::fsdp_baseline(&model);
 //! let workload = Workload::pretrain();
-//! assert!(lint_plan(&model, &system, &plan, &workload).is_clean());
 //!
 //! let (_, trace, sched) = madmax_engine::Scenario::new(&model, &system)
 //!     .plan_ref(&plan)
@@ -78,15 +72,12 @@
 mod diag;
 mod fault;
 mod load;
-mod plan;
 mod sched;
 mod trace;
 
 pub use diag::{CriticalPath, Diagnostic, Location, RuleId, Severity, VerifyReport};
 pub use fault::verify_goodput;
 pub use load::verify_load;
-pub use plan::lint_plan;
-pub use sched::critical_path;
 
 use madmax_core::{Schedule, Trace};
 use madmax_parallel::{PipelineConfig, Plan, Workload};
@@ -103,11 +94,6 @@ pub struct Verifier {
 }
 
 impl Verifier {
-    /// A context-free verifier (structural rules only).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The full context for traces produced by running `plan` under
     /// `workload`.
     pub fn for_plan(plan: &Plan, workload: &Workload) -> Self {
@@ -115,13 +101,6 @@ impl Verifier {
             pipeline: plan.pipeline.filter(|c| c.is_pipelined()),
             workload: Some(workload.clone()),
         }
-    }
-
-    /// Adds the pipeline configuration the trace was built for.
-    #[must_use]
-    pub fn with_pipeline(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = cfg.is_pipelined().then_some(cfg);
-        self
     }
 
     /// Runs the trace well-formedness pass alone (no schedule required).
@@ -201,7 +180,7 @@ mod tests {
         ));
         t.push(gemm(2.0, Deps::one(b)));
         let s = schedule(&t);
-        let r = Verifier::new().verify(&t, &s);
+        let r = Verifier::default().verify(&t, &s);
         assert!(r.is_clean(), "{r}");
         let cp = r.critical_path.unwrap();
         assert_eq!(cp.ops, 3);
@@ -218,7 +197,7 @@ mod tests {
         // Deps::push now insert-sorts, so force an unsorted list through
         // the order-preserving From<Vec> path.
         t.push(gemm(1.0, Deps::from(vec![b, a])));
-        let r = Verifier::new().verify_trace(&t);
+        let r = Verifier::default().verify_trace(&t);
         assert!(r.has(RuleId::DepSorted), "{r}");
     }
 
@@ -251,7 +230,7 @@ mod tests {
             1.0,
             Deps::none(),
         ));
-        let r = Verifier::new().verify_trace(&t);
+        let r = Verifier::default().verify_trace(&t);
         assert_eq!(r.of(RuleId::StreamMismatch).count(), 2, "{r}");
     }
 
@@ -279,7 +258,7 @@ mod tests {
             Deps::one(a),
         ));
         // Inferred from the decode op even without workload context.
-        let r = Verifier::new().verify_trace(&t);
+        let r = Verifier::default().verify_trace(&t);
         assert!(r.has(RuleId::PhaseMismatch), "{r}");
     }
 
@@ -307,7 +286,7 @@ mod tests {
             1.0,
             Deps::none(),
         ));
-        let r = Verifier::new().verify_trace(&t);
+        let r = Verifier::default().verify_trace(&t);
         assert!(r.has(RuleId::DecodeChain), "{r}");
     }
 
@@ -322,7 +301,7 @@ mod tests {
         s.windows[1].start = Seconds::new(0.25);
         s.windows[1].finish = Seconds::new(1.25);
         s.makespan = Seconds::new(1.25);
-        let r = Verifier::new().verify(&t, &s);
+        let r = Verifier::default().verify(&t, &s);
         assert!(r.has(RuleId::Causality), "{r}");
         assert!(r.has(RuleId::StreamOverlap), "{r}");
     }
@@ -333,13 +312,13 @@ mod tests {
         t.push(gemm(1.0, Deps::none()));
         let mut s = schedule(&t);
         s.makespan = Seconds::new(9.0);
-        let r = Verifier::new().verify(&t, &s);
+        let r = Verifier::default().verify(&t, &s);
         assert!(r.has(RuleId::Makespan), "{r}");
         // Critical path exceeding the (shrunk) makespan is its own rule.
         let mut s2 = schedule(&t);
         s2.windows[0].finish = Seconds::new(0.25);
         s2.makespan = Seconds::new(0.25);
-        let r2 = Verifier::new().verify(&t, &s2);
+        let r2 = Verifier::default().verify(&t, &s2);
         assert!(r2.has(RuleId::Duration), "{r2}");
         assert!(r2.has(RuleId::CriticalPath), "{r2}");
     }

@@ -18,7 +18,7 @@ const SLACK_WARN_FRACTION: f64 = 0.75;
 /// Computes the longest dependency chain of `trace`: its total duration
 /// is a makespan lower bound for any legal schedule, independent of how
 /// ops are packed onto streams.
-pub fn critical_path(trace: &Trace) -> CriticalPath {
+pub(crate) fn critical_path(trace: &Trace) -> CriticalPath {
     let ops = trace.ops();
     let mut finish_at = vec![0.0f64; ops.len()];
     let mut chain_len = vec![0usize; ops.len()];

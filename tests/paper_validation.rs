@@ -62,29 +62,6 @@ fn llama_cost_projections_track_touvron_et_al() {
 }
 
 #[test]
-fn abstract_claim_exposed_communication_share() {
-    // Abstract: 14-32% of *all* GPU hours are exposed communication — a
-    // fleet-wide weighted share.
-    let c = madmax_fleet::characterize(&madmax_fleet::default_fleet()).unwrap();
-    let mut fleet_exposed = 0.0;
-    let mut total_weight = 0.0;
-    for (fam, agg) in &c.families {
-        assert!(
-            (0.02..0.45).contains(&agg.cycles.exposed_comm),
-            "{fam} exposed-comm share {:.2}",
-            agg.cycles.exposed_comm
-        );
-        fleet_exposed += agg.cycles.exposed_comm * agg.weight;
-        total_weight += agg.weight;
-    }
-    fleet_exposed /= total_weight;
-    assert!(
-        (0.14..=0.32).contains(&fleet_exposed),
-        "fleet-wide exposed-comm share {fleet_exposed:.3} outside the paper's 14-32% band"
-    );
-}
-
-#[test]
 fn abstract_claim_pretraining_gains_exist_for_dlrms() {
     // Abstract: up to 2.24x pre-training throughput improvement. Our suite
     // maximum must be >= 2x and the suite average positive.
