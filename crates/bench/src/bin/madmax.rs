@@ -118,7 +118,8 @@
 //!   (`perfbench/`) times it layer by layer.
 //! - `--telemetry PATH` (`search`, every mode): write the search's
 //!   [`madmax_obs::SearchTelemetry`] (outcome counters, cache hit rates,
-//!   per-worker throughput, latency histogram) as JSON.
+//!   per-worker throughput, latency histogram, driver phase times) as
+//!   JSON.
 //! - `--progress N` (`search`, `simulate` load run): print a progress
 //!   line every N candidates or completed requests.
 //! - `--verify` (`simulate`, plan `search`): run the full `madmax-verify`

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md §8:
+//! Ablation studies of the performance model's design choices:
 //! hierarchical vs flat collective models, FSDP prefetching, slowest-link
 //! All2All, and constant vs workload-dependent compute utilization.
 

@@ -125,7 +125,7 @@ pub fn fig04() -> String {
         "\nO3: compute + exposed communication dominate observable cycles.\n\
          O4: LLM jobs overlap more communication than DLRM jobs; DLRM traffic\n\
          is All2All-heavy while LLM traffic is ring-collective-heavy.\n\
-         (Fleet composition is synthetic; see DESIGN.md section 3.)\n",
+         (Fleet composition is synthetic; see crates/bench/src/fleet.rs.)\n",
     );
     out
 }

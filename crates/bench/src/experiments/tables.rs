@@ -88,7 +88,7 @@ pub fn table2() -> String {
          DLRM-A MoE 957M FLOPs; DLRM-B 332B/60M; DLRM-B Transformer 333B/2.1B;\n\
          DLRM-B MoE 90M FLOPs; GPT-3 175B/350B/49.2KB; LLaMA 65.2B/130.4B/32.8KB;\n\
          LLaMA2 70B/140B; LLM-MoE 1.8T/550B. DLRM-B lookup volumes are calibrated\n\
-         against the Table I throughput validation (see DESIGN.md).\n",
+         against the Table I throughput validation (see crates/model/src/dlrm.rs).\n",
     );
     out
 }
@@ -164,7 +164,7 @@ pub fn table4() -> String {
     out.push_str(
         "\nDatasheet columns reproduce the paper's Table IV verbatim; the last\n\
          column shows the per-device unidirectional values the cost models use\n\
-         (see DESIGN.md for the bandwidth conventions and documented typos).\n",
+         (bandwidth conventions and documented typos: crates/hw/src/catalog.rs).\n",
     );
     out
 }

@@ -6,8 +6,11 @@
 //! simulated with the MAD-Max performance model, plus a calibrated
 //! host-side overhead model for the two cycle categories the device
 //! simulator cannot produce (exposed host-device memcpy and GPU idle from
-//! data ingestion / kernel-launch gaps). See DESIGN.md section 3 for why
-//! this substitution preserves the figure's derived quantities.
+//! data ingestion / kernel-launch gaps). The figure's derived quantities
+//! are per-family cycle shares: the compute and communication shares come
+//! from simulating each job, the memcpy and idle shares from
+//! [`HostOverhead`], calibrated to the fleet-level shares the paper
+//! reports, so a synthetic mix reproduces them without the fleet traces.
 
 use std::collections::BTreeMap;
 

@@ -137,7 +137,7 @@ impl CollectiveModel for HierarchicalNccl {
 /// Ablation model: every collective is bound by the slowest link spanned,
 /// with no hierarchical decomposition. Overestimates ring collectives on
 /// multi-node systems; useful for quantifying what the hierarchical model
-/// buys (DESIGN.md section 8).
+/// buys (`run_all ablations`, study 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlatWorstLink;
 

@@ -693,6 +693,11 @@ impl<'a> CostTable<'a> {
     /// compute as an arithmetic series over the steps), falling back to
     /// the issue-order walk when a total leaves the grid's exact range.
     ///
+    /// The walk costs O(decode steps × layer groups), not O(ops): the
+    /// `repeat` instances of a group issue the same durations on each
+    /// stream, and one exact repeated addition adds them all (see
+    /// `busy_in_issue_order`).
+    ///
     /// # Panics
     ///
     /// Same conditions as [`CostTable::assemble_into`].
@@ -710,6 +715,18 @@ impl<'a> CostTable<'a> {
     /// [`CostTable::busy_lower_bound`] by walking the ops of
     /// [`CostTable::assemble_into`] stream by stream, without emitting
     /// them.
+    ///
+    /// Streams are independent sums, so the walk visits each layer group
+    /// once per sweep (per decode step for the decode sweeps) and adds the
+    /// group's `repeat` instances to each stream with one
+    /// [`add_repeated`] call: bit for bit the per-op `+=` sequence, even
+    /// past `2^53` grid units where those sums round, at a cost that grows
+    /// with the binades the sum crosses rather than with `repeat`. (Inside
+    /// one binade every pass after the first adds the same increment: a
+    /// round-half-even tie always leaves an even multiple of the ulp, so a
+    /// pass's end parity does not depend on its start.) The
+    /// strategy lookups, the emitted comm sequences and the decode groups'
+    /// step-invariant terms are resolved once per walk.
     fn busy_in_issue_order(&self, plan: &Plan) -> Seconds {
         // Serve traces are quantized onto the duration grid once
         // assembled; other traces keep their priced durations.
@@ -719,42 +736,61 @@ impl<'a> CostTable<'a> {
             |d| d
         };
         let mut busy = StreamBusy::default();
-        busy.add_forward_sweep(&self.groups, plan, emitted, |g, _| g.fwd_compute);
+        let mut comm = Vec::new();
+        for g in &self.groups {
+            let sc = g.costs_for(plan.strategy_for(g.class));
+            fill_comm_sequence(&mut comm, &sc.forward, emitted);
+            busy.add_instances(g.repeat, emitted(g.fwd_compute), &comm, &[]);
+        }
         let forward_emitted = self.groups.iter().any(|g| g.repeat > 0);
         if self.workload.has_backward() && forward_emitted {
+            let mut grad = Vec::new();
             for g in self.groups.iter().rev().filter(|g| g.trains) {
                 let sc = g.costs_for(plan.strategy_for(g.class));
-                for _ in 0..g.repeat {
-                    if g.is_embedding {
-                        busy.add_grad_comm(&sc.grad, emitted);
-                        busy.compute += emitted(g.fwd_compute);
-                        continue;
-                    }
-                    busy.add_comm(&sc.backward, CommPosition::BeforeCompute, emitted);
-                    busy.compute += emitted(g.bwd_compute);
-                    busy.add_comm(&sc.backward, CommPosition::AfterCompute, emitted);
-                    busy.add_grad_comm(&sc.grad, emitted);
+                grad.clear();
+                grad.extend(sc.grad.iter().map(|c| emitted(c.duration).as_secs()));
+                if g.is_embedding {
+                    busy.add_instances(g.repeat, emitted(g.fwd_compute), &[], &grad);
+                } else {
+                    fill_comm_sequence(&mut comm, &sc.backward, emitted);
+                    busy.add_instances(g.repeat, emitted(g.bwd_compute), &comm, &grad);
                 }
             }
             let opt_dur = optimizer_time(self.report_model(), &self.cluster, plan, &self.workload);
             if opt_dur > Seconds::ZERO {
-                busy.compute += emitted(opt_dur);
+                busy.add_instances(1, emitted(opt_dur), &[], &[]);
             }
         }
         if let Some(dec) = &self.decode {
-            let kv_start = dec.prompt_len as f64;
-            for step in 0..dec.decode_len {
-                busy.add_forward_sweep(&dec.groups, plan, emitted, |g, sc| {
-                    crate::steady::decode_compute_duration(
+            // Per group, what every step shares: the repeat, the comm
+            // sequence, and the compute series, step `t` computing for
+            // `first + per_token * t` (`decode_compute_duration`, bit for
+            // bit).
+            let groups: Vec<(usize, Vec<f64>, Seconds, Seconds)> = dec
+                .groups
+                .iter()
+                .map(|g| {
+                    let sc = g.costs_for(plan.strategy_for(g.class));
+                    let mut comm = Vec::new();
+                    fill_comm_sequence(&mut comm, &sc.forward, emitted);
+                    let first = crate::steady::decode_compute_duration(
                         g.fwd_compute,
                         sc.kv_read_per_token,
-                        kv_start,
-                        step as u32,
-                    )
-                });
+                        dec.prompt_len as f64,
+                        0,
+                    );
+                    let per_token = crate::steady::quantize(sc.kv_read_per_token);
+                    (g.repeat, comm, first, per_token)
+                })
+                .collect();
+            for step in 0..dec.decode_len {
+                for (repeat, comm, first, per_token) in &groups {
+                    let compute = *first + *per_token * step as f64;
+                    busy.add_instances(*repeat, emitted(compute), comm, &[]);
+                }
             }
         }
-        busy.compute.max(busy.comm).max(busy.grad)
+        Seconds::new(busy.compute.max(busy.comm).max(busy.grad))
     }
 
     /// [`CostTable::busy_lower_bound`] of a serve trace with decode steps
@@ -1140,51 +1176,85 @@ struct DecodeCtx {
 /// order (see [`CostTable::busy_lower_bound`]).
 #[derive(Debug, Default)]
 struct StreamBusy {
-    compute: Seconds,
-    comm: Seconds,
-    grad: Seconds,
+    compute: f64,
+    comm: f64,
+    grad: f64,
 }
 
 impl StreamBusy {
-    /// Adds the collectives of `comms` at `position` to the comm stream.
-    fn add_comm(
-        &mut self,
-        comms: &[PricedComm],
-        position: CommPosition,
-        emitted: fn(Seconds) -> Seconds,
-    ) {
-        for c in comms.iter().filter(|c| c.position == position) {
-            self.comm += emitted(c.duration);
-        }
+    /// Adds `repeat` consecutive layer instances, each issuing `compute`
+    /// on the compute stream, the `comm` sequence on the comm stream and
+    /// the `grad` sequence on the gradient-comm stream.
+    fn add_instances(&mut self, repeat: usize, compute: Seconds, comm: &[f64], grad: &[f64]) {
+        let times = repeat as u64;
+        self.compute = add_repeated(self.compute, &[compute.as_secs()], times);
+        self.comm = add_repeated(self.comm, comm, times);
+        self.grad = add_repeated(self.grad, grad, times);
     }
+}
 
-    /// Adds weight-gradient collectives to the gradient-comm stream.
-    fn add_grad_comm(&mut self, comms: &[PricedComm], emitted: fn(Seconds) -> Seconds) {
-        for c in comms {
-            self.grad += emitted(c.duration);
-        }
+/// Refills `out` with one layer instance's comm-stream durations as
+/// emitted, in issue order: the collectives of `comms` before the
+/// compute, then those after it.
+fn fill_comm_sequence(out: &mut Vec<f64>, comms: &[PricedComm], emitted: fn(Seconds) -> Seconds) {
+    out.clear();
+    for position in [CommPosition::BeforeCompute, CommPosition::AfterCompute] {
+        out.extend(
+            comms
+                .iter()
+                .filter(|c| c.position == position)
+                .map(|c| emitted(c.duration).as_secs()),
+        );
     }
+}
 
-    /// Adds one forward sweep over `groups` (the training/prefill forward
-    /// pass or one decode step), `compute_of` giving each group's compute
-    /// duration, as `CostTable::assemble_forward` issues it.
-    fn add_forward_sweep(
-        &mut self,
-        groups: &[GroupCosts],
-        plan: &Plan,
-        emitted: fn(Seconds) -> Seconds,
-        compute_of: impl Fn(&GroupCosts, &StrategyCosts) -> Seconds,
-    ) {
-        for g in groups {
-            let sc = g.costs_for(plan.strategy_for(g.class));
-            let compute = emitted(compute_of(g, sc));
-            for _ in 0..g.repeat {
-                self.add_comm(&sc.forward, CommPosition::BeforeCompute, emitted);
-                self.compute += compute;
-                self.add_comm(&sc.forward, CommPosition::AfterCompute, emitted);
-            }
+/// `times` passes of sequential `+=` over `block`, starting from `sum`:
+/// bit for bit what the loop returns when every value is finite and
+/// non-negative, at a cost that grows with the binades the sum crosses
+/// rather than with `times`.
+///
+/// While every partial sum stays in one binade, each is a multiple of
+/// the binade's ulp `u`, so adding `b` adds `b` rounded to a multiple of
+/// `u` whatever the sum, except at a tie (`b mod u == u/2`), which
+/// round-half-even settles on the even multiple. A pass without ties
+/// therefore adds the same increment from any start, and a pass with one
+/// ends on the same parity from any start. Either way, once one whole
+/// pass has run inside the binade, every further pass inside it adds the
+/// same increment as the next one: those passes are added at once, as
+/// an exact integer step of the significand, up to the last one that
+/// still ends inside the binade. A pass that adds nothing is a fixed
+/// point, so every later pass adds nothing too.
+fn add_repeated(mut sum: f64, block: &[f64], mut times: u64) -> f64 {
+    const SIGNIFICAND: u64 = (1 << 52) - 1;
+    debug_assert!(
+        sum >= 0.0 && block.iter().all(|b| b.is_finite() && *b >= 0.0),
+        "add_repeated takes finite non-negative values: {sum} + {block:?}"
+    );
+    // The start of the previous pass, once one has run.
+    let mut before: Option<f64> = None;
+    while times > 0 {
+        let start = sum;
+        for &b in block {
+            sum += b;
         }
+        times -= 1;
+        if sum == start {
+            return sum;
+        }
+        // For non-negative finite values, the bits above the significand
+        // are the biased exponent: equal bits, one binade.
+        if let Some(prev) = before.filter(|p| p.to_bits() >> 52 == sum.to_bits() >> 52) {
+            debug_assert!(prev <= start && start < sum);
+            // `prev -> start` ran inside the binade, so `start` has the
+            // steady parity and `start -> sum` adds the steady increment.
+            let (bits, step) = (sum.to_bits(), sum.to_bits() - start.to_bits());
+            let passes = times.min((SIGNIFICAND - (bits & SIGNIFICAND)) / step);
+            sum = f64::from_bits(bits + passes * step);
+            times -= passes;
+        }
+        before = Some(start);
     }
+    sum
 }
 
 #[cfg(test)]
@@ -1357,6 +1427,69 @@ mod tests {
         let mut other = base;
         other.options.activation_checkpointing = !other.options.activation_checkpointing;
         table.ensure_plan(&other);
+    }
+
+    /// `times` passes of `+=` over `block`, one op at a time.
+    fn add_naively(mut sum: f64, block: &[f64], times: u64) -> f64 {
+        for _ in 0..times {
+            for &b in block {
+                sum += b;
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn add_repeated_matches_the_naive_loop() {
+        // Seeded cases on a 2^-38 grid like the serve traces': sums from
+        // 0 to 2^56 units (past 2^53 the ulp is 2, 4 or 8 units, so odd
+        // unit counts tie, and a few units fall below half an ulp), blocks
+        // of 1-4 durations up to 2^47 units, and up to 2,000 passes, enough
+        // to cross binades.
+        struct XorShift(u64);
+        impl XorShift {
+            fn below(&mut self, n: u64) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0 % n
+            }
+        }
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        let unit = 2f64.powi(-38);
+        for case in 0..100_000 {
+            let sum = match rng.below(5) {
+                0 => 0,
+                1 => (1 << 53) - rng.below(1 << 12),
+                _ => {
+                    let bits = rng.below(57);
+                    rng.below(1 << bits)
+                }
+            } as f64
+                * unit;
+            let block: Vec<f64> = (0..=rng.below(4))
+                .map(|_| {
+                    let units = match rng.below(4) {
+                        0 => rng.below(9),
+                        1 => 2 * rng.below(1 << 20) + 1,
+                        _ => {
+                            let bits = 1 + rng.below(47);
+                            rng.below(1 << bits) | rng.below(2)
+                        }
+                    };
+                    units as f64 * unit
+                })
+                .collect();
+            let times = match rng.below(8) {
+                0 => rng.below(2_000),
+                _ => rng.below(100),
+            };
+            assert_eq!(
+                add_repeated(sum, &block, times).to_bits(),
+                add_naively(sum, &block, times).to_bits(),
+                "case {case}: {sum:e} + {times} x {block:?}"
+            );
+        }
     }
 
     #[test]

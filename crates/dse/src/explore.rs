@@ -756,6 +756,26 @@ mod tests {
     }
 
     #[test]
+    fn phase_times_split_the_search_wall_time() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let workload = Workload::serve(ServeConfig::new(512, 64));
+        let explorer = Explorer::new(&model, &sys)
+            .workload(workload.clone())
+            .space(SearchSpace::strategies().with_serve(ServeAxes::batches([64, 256])));
+        let t = explorer.explore().unwrap().telemetry;
+        assert!(t.pruned > 0, "the search must prune: {t:?}");
+        let phases = [t.price_ms, t.bound_ms, t.first_wave_ms, t.rest_ms];
+        assert!(phases.iter().all(|&ms| ms >= 0.0), "{t:?}");
+        assert!(phases.iter().sum::<f64>() <= t.wall_ms, "{t:?}");
+        assert!(t.bound_ms > 0.0, "{t:?}");
+        // Without pruning every step runs in the rest of the pool.
+        let (_, t) = explorer.evaluate_with_telemetry(&workload, &explorer.candidates());
+        assert_eq!((t.bound_ms, t.first_wave_ms), (0.0, 0.0), "{t:?}");
+        assert!(t.rest_ms > 0.0, "{t:?}");
+    }
+
+    #[test]
     fn pipeline_search_reports_memo_and_pipeline_cache_stats() {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();

@@ -438,6 +438,19 @@ impl Explorer<'_> {
         };
         let sink: &dyn ProgressSink = self.progress.unwrap_or(&NULL_SINK);
         let total = plans.len();
+        // Wall time per driver phase: each `lap` returns the milliseconds
+        // since the previous one (the first, since the batch started).
+        let mut last = started;
+        let mut lap = || {
+            let now = Instant::now();
+            let ms = (now - last).as_secs_f64() * 1e3;
+            last = now;
+            ms
+        };
+        let mut telemetry = SearchTelemetry {
+            price_ms: lap(),
+            ..SearchTelemetry::default()
+        };
         let candidate = |i: usize| {
             let mut s = Scenario::new(self.model, self.system)
                 .plan_ref(&plans[i])
@@ -496,9 +509,12 @@ impl Explorer<'_> {
         let mut slots: Vec<Option<Result<T, EngineError>>> = plans.iter().map(|_| None).collect();
         let mut pruned = 0;
         match &objective.prune {
-            None => run_pool(&mut pool, &all, &mut slots, &|i, worker| {
-                step(i, 0.0, worker)
-            }),
+            None => {
+                run_pool(&mut pool, &all, &mut slots, &|i, worker| {
+                    step(i, 0.0, worker)
+                });
+                telemetry.rest_ms = lap();
+            }
             Some(prune) => {
                 // Every candidate's optimistic scores, once; infeasible
                 // candidates resolve here.
@@ -521,12 +537,14 @@ impl Explorer<'_> {
                     bound_us.push(us);
                     *slot = bound.err().map(Err);
                 }
+                telemetry.bound_ms = lap();
                 // The fixed first wave sets the incumbent; the rest is
                 // pruned against it or simulated.
                 let wave = first_wave(&optimistic);
                 run_pool(&mut pool, &wave, &mut slots, &|i, worker| {
                     step(i, bound_us[i], worker)
                 });
+                telemetry.first_wave_ms = lap();
                 let incumbent = wave
                     .iter()
                     .filter_map(|&i| slots[i].as_ref()?.as_ref().ok().and_then(prune.score))
@@ -542,6 +560,7 @@ impl Explorer<'_> {
                         step(i, bound_us[i], worker)
                     }
                 });
+                telemetry.rest_ms = lap();
             }
         }
         let results: Vec<Result<T, EngineError>> = slots
@@ -549,7 +568,6 @@ impl Explorer<'_> {
             .map(|r| r.expect("every candidate resolved"))
             .collect();
 
-        let mut telemetry = SearchTelemetry::default();
         for worker in pool {
             telemetry.eval_latency.absorb(&worker.latency);
             telemetry.workers.push(worker.stats);

@@ -8,7 +8,8 @@
 //! (38.4 TB/s aggregate over 128 A100s = 300 GB/s/GPU) and Table IV
 //! (A100 600 GB/s) mutually consistent. Three Table IV inter-node entries
 //! are interpreted as Gbps NIC rates ("1.8TBps" SuperPOD = 1.8 Tbps,
-//! "400GBps" MI300X = 400 Gbps, "300GBps" Gaudi2 = 300 Gbps); see DESIGN.md.
+//! "400GBps" MI300X = 400 Gbps, "300GBps" Gaudi2 = 300 Gbps). Each
+//! constructor below notes the datasheet figure next to its conversion.
 
 use crate::cluster::{ClusterSpec, FabricKind};
 use crate::device::{DeviceSpec, PeakFlops};

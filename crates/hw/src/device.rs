@@ -33,8 +33,8 @@ impl PeakFlops {
 /// All interconnect bandwidths stored here are **per-device,
 /// unidirectional** values, which is the quantity the collective bandwidth
 /// model consumes. Catalog constructors convert vendor figures (which quote
-/// NVLink-class links bidirectionally) once, at construction time; see
-/// `DESIGN.md` section 3 for the convention.
+/// NVLink-class links bidirectionally) once, at construction time; the
+/// [`crate::catalog`] module docs state the convention.
 ///
 /// ```
 /// use madmax_hw::catalog;

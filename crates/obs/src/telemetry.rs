@@ -12,7 +12,9 @@
 //!   atomic counters ([`madmax_core::CacheCounters`]), taken after the
 //!   worker pool joins;
 //! - **worker stats** and the **latency histogram** are accumulated
-//!   worker-locally (no contention) and merged at join.
+//!   worker-locally (no contention) and merged at join;
+//! - **phase times** (table pricing, the bound pass, the first wave, the
+//!   rest of the pool) are the driver's own wall-clock laps.
 
 use std::sync::Mutex;
 
@@ -119,6 +121,20 @@ pub struct SearchTelemetry {
     pub eval_latency: LatencyHistogram,
     /// End-to-end wall-clock of the search, in milliseconds.
     pub wall_ms: f64,
+    /// Wall-clock the driver spent pricing the shared tables (flat,
+    /// pipeline or load-probe) before any candidate ran, in milliseconds.
+    pub price_ms: f64,
+    /// Wall-clock of the branch-and-bound's bound pass (every
+    /// candidate's optimistic scores), in milliseconds; zero for an
+    /// objective that does not prune.
+    pub bound_ms: f64,
+    /// Wall-clock of the branch-and-bound's first wave, in milliseconds;
+    /// zero for an objective that does not prune.
+    pub first_wave_ms: f64,
+    /// Wall-clock of the rest of the pool (every candidate of an
+    /// objective that does not prune), in milliseconds. The four phases
+    /// add up to at most `wall_ms`.
+    pub rest_ms: f64,
     /// Error-severity diagnostics the verifier found on winner schedules
     /// (zero unless the explorer's verify option is on; any nonzero value
     /// means an engine invariant broke).
@@ -166,6 +182,10 @@ impl SearchTelemetry {
         self.workers.sort_by_key(|w| w.worker);
         self.eval_latency.absorb(&other.eval_latency);
         self.wall_ms += other.wall_ms;
+        self.price_ms += other.price_ms;
+        self.bound_ms += other.bound_ms;
+        self.first_wave_ms += other.first_wave_ms;
+        self.rest_ms += other.rest_ms;
         self.verify_errors += other.verify_errors;
         self.verify_warnings += other.verify_warnings;
         self.goodput_evals += other.goodput_evals;
@@ -204,6 +224,10 @@ impl SearchTelemetry {
                 self.goodput_evals, self.fault_events
             ));
         }
+        line.push_str(&format!(
+            "; phases: price {:.1} ms, bound {:.1} ms, first wave {:.1} ms, rest {:.1} ms",
+            self.price_ms, self.bound_ms, self.first_wave_ms, self.rest_ms
+        ));
         line
     }
 }
@@ -320,9 +344,16 @@ mod tests {
             verify_warnings: 3,
             goodput_evals: 2,
             fault_events: 5,
+            bound_ms: 0.5,
+            rest_ms: 2.0,
             ..Default::default()
         };
+        a.bound_ms = 1.0;
         a.absorb(&b);
+        assert_eq!((a.bound_ms, a.rest_ms), (1.5, 2.0));
+        assert!(a
+            .summary()
+            .ends_with("; phases: price 0.0 ms, bound 1.5 ms, first wave 0.0 ms, rest 2.0 ms"));
         assert_eq!(a.candidates, 6);
         assert!(a.reconciles());
         assert_eq!(a.workers.len(), 2);

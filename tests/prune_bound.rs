@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use madmax_core::steady::{fits_grid_range, MIN_ANALYTIC_DECODE};
+use madmax_core::steady::{fits_grid_range, grid_seconds, MIN_ANALYTIC_DECODE};
 use madmax_core::{IterationReport, StreamId, Trace};
 use madmax_dse::{
     CandidateEvent, CandidateOutcome, Explorer, PipelineAxes, ProgressSink, SearchSpace,
@@ -468,4 +468,25 @@ fn decode_1024_bounds_match_full_simulation() {
     };
     assert!(check_bounds(&case) > 0);
     assert!(check_winner(&case) > 0, "the (DDP, FSDP) plan is prunable");
+    // Past 2^53 grid units the walk's `f64` stream sums round, so its
+    // bit-for-bit agreement above is exercised only when some flat plan's
+    // busiest stream gets there. `check_bounds` pins a flat bound to its
+    // busiest stream within 1e-12; the 1e-9 slack covers that.
+    let rounding = Seconds::new(grid_seconds(1 << 53).as_secs() * (1.0 + 1e-9));
+    let workload = &case.variants()[0];
+    assert!(
+        case.explorer()
+            .candidates()
+            .iter()
+            .filter(|plan| plan.pipeline_stages() == 1)
+            .filter_map(|plan| {
+                Scenario::new(&case.model, &case.system)
+                    .plan_ref(plan)
+                    .workload_ref(workload)
+                    .lower_bound()
+                    .ok()?
+            })
+            .any(|bound| bound >= rounding),
+        "no flat plan's busiest stream reaches 2^53 grid units"
+    );
 }
