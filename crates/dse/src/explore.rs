@@ -276,9 +276,9 @@ impl SearchOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Explorer<'a> {
-    model: &'a ModelArch,
+    pub(crate) model: &'a ModelArch,
     system: &'a ClusterSpec,
-    workload: Workload,
+    pub(crate) workload: Workload,
     space: SearchSpace,
     threads: Option<NonZeroUsize>,
     progress: Option<&'a dyn ProgressSink>,

@@ -13,18 +13,21 @@
 //! enumeration order, so every objective is deterministic at any thread
 //! count.
 //!
-//! An objective may also prune ([`Prune`]): [`Explorer::explore`] and
-//! [`Explorer::explore_goodput`] run each variant as an exact, best-first
-//! branch-and-bound over a fixed-width score vector, one score for
-//! `explore` (tokens/s or reciprocal iteration time) and two for the
-//! goodput search (the best effective throughput and the fault-free
-//! throughput, the two rankings it reports). The driver computes every
+//! An objective may also prune ([`Prune`]): every search objective runs
+//! each variant as an exact, best-first branch-and-bound over a
+//! fixed-width score vector, one score for `explore` (tokens/s or
+//! reciprocal iteration time), and two each for the goodput search (the
+//! best effective throughput and the fault-free throughput) and the load
+//! search (the best SLO-feasible throughput and the reciprocal of the
+//! lowest p99 TTFT), the rankings they report. The driver computes every
 //! candidate's optimistic scores once (upper bounds on the scores its
-//! simulation can reach, from `Scenario::lower_bound`: the busiest
-//! stream's summed op durations, and for a pipelined training or
-//! forward-only plan each stage's compute stream from microbatch 0's fill
-//! chain through its last pass's drain chain; infeasible candidates
-//! resolve there with their error), simulates a fixed first wave, the
+//! step can reach: from `Scenario::lower_bound`, the busiest stream's
+//! summed op durations, and for a pipelined training or forward-only plan
+//! each stage's compute stream from microbatch 0's fill chain through its
+//! last pass's drain chain; for the load search, from a floor on every
+//! prefill and a queueing recursion over the arrivals,
+//! `madmax_serve::load_bound`; infeasible candidates resolve there with
+//! their error), simulates a fixed first wave, the
 //! union over the dimensions of the [`FIRST_WAVE`] candidates with the
 //! best optimistic score on that dimension (ties to the earlier
 //! candidate), and takes the incumbent per dimension: the best score

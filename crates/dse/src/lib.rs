@@ -61,8 +61,20 @@
 //! each score, the incumbent is kept per score, and a candidate is skipped
 //! only when it cannot strictly beat either incumbent: it comes back with
 //! no error, no iteration time and no goodput points, and the winners and
-//! the plan flip are those of simulating every candidate. The load search
-//! returns every candidate's result, so it never prunes.
+//! the plan flip are those of simulating every candidate.
+//!
+//! [`Explorer::explore_load`] runs it on its two rankings: the best
+//! SLO-feasible throughput and the reciprocal of the lowest p99 TTFT. Its
+//! bound needs no cost model: one prefill-only schedule at the low-batch
+//! probe anchor floors every request's prefill
+//! (`Scenario::load_prefill_floor`), and a FIFO queueing recursion over
+//! the sweep's arrivals turns the floor into the earliest first token of
+//! every request and the earliest end of the run
+//! (`madmax_serve::load_bound`). The engine runs one action at a time
+//! and fresh admissions keep arrival order, so no simulation beats it.
+//! A pruned candidate is never priced or simulated: it comes back with no
+//! error and no points, and the winner and its frontier are those of
+//! simulating every candidate.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -12,14 +12,23 @@
 //! candidate's score is the best feasible throughput, and the winner's
 //! rate sweep is the latency-vs-throughput frontier (the serving
 //! counterpart of the paper's iteration-time sweeps).
+//!
+//! The search is an exact branch-and-bound on the driver's two-score
+//! pruning. Before a candidate is priced, one prefill-only schedule
+//! (`Scenario::load_prefill_floor`) floors every request's prefill, and a
+//! FIFO queueing recursion over the sweep's arrivals
+//! ([`madmax_serve::load_bound`]) turns that floor into upper bounds on
+//! the candidate's two rankings: its best SLO-feasible throughput and the
+//! reciprocal of its lowest p99 TTFT. Only the candidates that could still
+//! beat the first wave on either ranking are priced and simulated.
 
 use madmax_engine::{EngineError, EngineScratch, Scenario, SimMode};
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{ArrivalSpec, LoadSpec, Plan, Workload};
-use madmax_serve::LoadReport;
+use madmax_serve::{load_bound, materialize_arrivals, ArrivalEvent, LoadReport};
 
-use crate::explore::{Evaluated, Explorer, Objective, Pricing};
+use crate::explore::{Evaluated, Explorer, Objective, Pricing, Prune};
 
 /// The load dimensions of a search: a base [`LoadSpec`] (queue, paging,
 /// horizon knobs), the arrival rates to sweep, and the TTFT SLO.
@@ -134,7 +143,7 @@ pub struct LoadCandidate {
     /// The workload variant it served.
     pub workload: Workload,
     /// One point per swept rate, in rate order. Empty when the candidate
-    /// failed to price or simulate.
+    /// failed to price or simulate, or was pruned.
     pub points: Vec<LoadPoint>,
     /// Index into [`LoadCandidate::points`] of the best feasible point
     /// (highest throughput meeting the SLO), if any.
@@ -227,18 +236,39 @@ impl Explorer<'_> {
     /// prices its load-probe tables ([`Scenario::price_load_probes`]): one
     /// flat and one pipeline cost table per distinct probe shape, covering
     /// the candidates that probe it, dropped once the variant is done.
-    /// Each candidate's step then prices one per-step cost model, its
-    /// engine probes evaluated against those shared tables (byte-identical
-    /// to one-plan tables per probe), and simulates every arrival rate in
-    /// event mode. Candidates whose pricing or simulation fails (OOM at
-    /// the worst-case context, unmappable pipeline, a clock beyond the
-    /// grid, ...) stay in the outcome with their error.
+    /// Each simulated candidate's step then prices one per-step cost
+    /// model, its engine probes evaluated against those shared tables
+    /// (byte-identical to one-plan tables per probe), and simulates every
+    /// arrival rate in event mode. Candidates whose pricing or simulation
+    /// fails (OOM at the worst-case context, unmappable pipeline, a clock
+    /// beyond the grid, ...) stay in the outcome with their error.
     ///
     /// Ranking: highest `LoadCandidate::score` — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
     /// rate, the search falls back to the lowest achieved p99 TTFT so a
-    /// winner (and its frontier) still comes back. Results are identical
-    /// at any thread count.
+    /// winner (and its frontier) still comes back.
+    ///
+    /// The search is an exact branch-and-bound with two scores per
+    /// candidate, the two rankings: the best SLO-feasible throughput and
+    /// the reciprocal of the lowest p99 TTFT. A candidate's optimistic
+    /// scores come from a floor on its prefills
+    /// ([`Scenario::load_prefill_floor`], which also resolves OOM
+    /// candidates with `price_load`'s error) and a FIFO queueing
+    /// recursion over every sweep point's arrivals, materialized once per
+    /// search ([`madmax_serve::load_bound`]): no simulation reports more
+    /// tokens/s or a lower p99 TTFT. Specs that can reject or cut off a
+    /// request (a horizon, a queue capacity, a request over the KV budget)
+    /// leave every candidate unbounded. Per workload variant the four best
+    /// candidates on each score are simulated first; every other candidate
+    /// whose optimistic scores lie strictly below both incumbents is
+    /// pruned. A pruned [`LoadCandidate`] has no error, no points and no
+    /// best point; it counts `ok` and in [`SearchTelemetry::pruned`].
+    /// Since nothing is pruned unless some candidate meets the SLO, and a
+    /// pruned candidate scores strictly below the winner, `best_candidate`
+    /// and its points are those of simulating every candidate. A pruned
+    /// candidate whose pricing or simulation would have failed comes back
+    /// without its error. Results, pruned set included, are identical at
+    /// any thread count.
     ///
     /// # Errors
     ///
@@ -254,7 +284,27 @@ impl Explorer<'_> {
         axes.validate()?;
         let started = std::time::Instant::now();
         let sweep = axes.sweep();
-        let (driven, mut telemetry) = self.drive(&Objective::<_, _, 1> {
+        // Every sweep point's arrivals, materialized once for the bounds
+        // (workload variants differ only in decode batch, which no
+        // arrival depends on); `None` leaves every candidate unbounded,
+        // and its step reports the error.
+        let arrivals: Option<Vec<Vec<ArrivalEvent>>> =
+            self.workload.serve_config().and_then(|serve| {
+                sweep
+                    .iter()
+                    .map(|(_, spec)| materialize_arrivals(&spec.arrivals, serve, self.model).ok())
+                    .collect()
+            });
+        let optimistic = |s: &Scenario<'_>| -> Result<Option<[f64; 2]>, EngineError> {
+            let floor = s.load_prefill_floor(&sweep[0].1)?;
+            Ok(floor
+                .zip(arrivals.as_deref())
+                .and_then(|(floor, arrivals)| {
+                    load_bound(arrivals, &axes.spec, floor, axes.slo_ttft_p99)
+                }))
+        };
+        let scored = |points: &Vec<LoadPoint>| (!points.is_empty()).then(|| scores(points));
+        let (driven, mut telemetry) = self.drive(&Objective {
             pricing: Pricing::LoadProbes(&sweep[0].1),
             known: None,
             step: |s: &Scenario<'_>, _: &mut EngineScratch| {
@@ -277,7 +327,12 @@ impl Explorer<'_> {
                     .collect()
             },
             iteration_ms: |_: &Vec<LoadPoint>| None,
-            prune: None,
+            prune: Some(Prune {
+                optimistic: &optimistic,
+                score: &scored,
+                pruned: Vec::new,
+                floor: [f64::NEG_INFINITY; 2],
+            }),
         });
         let candidates: Vec<LoadCandidate> = driven
             .any_success(|| EngineError::InvalidLoad {
@@ -302,7 +357,7 @@ impl Explorer<'_> {
                     .iter()
                     .enumerate()
                     .filter(|(_, c)| !c.points.is_empty())
-                    .min_by(|(_, a), (_, b)| min_ttft(a).total_cmp(&min_ttft(b)))
+                    .min_by(|(_, a), (_, b)| min_ttft(&a.points).total_cmp(&min_ttft(&b.points)))
             })
             .map_or(0, |(i, _)| i);
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -316,13 +371,26 @@ impl Explorer<'_> {
     }
 }
 
-/// A candidate's lowest achieved p99 TTFT across its sweep (infinite
-/// when nothing produced a first token).
-fn min_ttft(c: &LoadCandidate) -> f64 {
-    c.points
+/// A sweep's lowest achieved p99 TTFT (infinite when nothing produced a
+/// first token).
+fn min_ttft(points: &[LoadPoint]) -> f64 {
+    points
         .iter()
         .filter_map(|p| p.report.ttft.map(|t| t.p99.as_secs()))
         .fold(f64::INFINITY, f64::min)
+}
+
+/// A simulated sweep's two branch-and-bound scores, the two rankings of
+/// [`Explorer::explore_load`]: its [`LoadCandidate::score`] (the best
+/// SLO-feasible tokens/s, 0 when no point is feasible) and the reciprocal
+/// of its lowest p99 TTFT, in the arithmetic of [`load_bound`].
+fn scores(points: &[LoadPoint]) -> [f64; 2] {
+    let best = points
+        .iter()
+        .filter(|p| p.feasible)
+        .map(|p| p.report.tokens_per_sec)
+        .fold(0.0, f64::max);
+    [best, 1.0 / min_ttft(points)]
 }
 
 #[cfg(test)]
@@ -419,15 +487,20 @@ mod tests {
         // 400 requests of 2048-token prompts at 50 req/s: the
         // (DDP, FSDP) transformer mapping falls so far behind that its
         // simulated clock leaves the 2^52-unit grid. That candidate
-        // carries its error; the others still rank.
+        // carries its error; the others still rank. A queue that holds
+        // every request never rejects one, so the runs are those of an
+        // unbounded queue, but no load bound holds under a queue
+        // capacity: every candidate is simulated, the failing one too
+        // (its bound would prune it).
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
+        let spec = LoadSpec::poisson(50.0, 400, 42).with_queue_capacity(400);
         let r = Explorer::new(&model, &sys)
             .workload(Workload::serve(
                 ServeConfig::new(2048, 64).with_decode_batch(8),
             ))
             .space(SearchSpace::strategies().with_classes(vec![LayerClass::Transformer]))
-            .explore_load(&LoadAxes::new(LoadSpec::poisson(50.0, 400, 42), [50.0]))
+            .explore_load(&LoadAxes::new(spec, [50.0]))
             .unwrap();
         let overflowed: Vec<_> = r
             .candidates

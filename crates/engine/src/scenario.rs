@@ -6,6 +6,7 @@ use std::cell::RefCell;
 
 use madmax_core::collective::{CollectiveModel, HierarchicalNccl};
 use madmax_core::compute::UtilizationModel;
+use madmax_core::steady::grid_units;
 use madmax_core::{CostTable, EngineScratch, IterationReport, Schedule, Trace};
 use madmax_fault::{
     expected_goodput, young_daly_interval, CheckpointModel, FaultEvent, FaultSpec, GoodputReport,
@@ -629,6 +630,43 @@ impl<'a> Scenario<'a> {
                 Ok(ttft.expect("probes are serve runs"))
             };
             StepCostModel::price(plan, serve, slots, &arrivals, feasible, probe, ttft)
+        })
+    }
+
+    /// A floor on every request's prefill under this scenario's plan, in
+    /// grid units, read without pricing the load cost model: the TTFT that
+    /// [`Scenario::price_load`] fits as `prefill_units(p_lo)` at the
+    /// shortest prompt `p_lo`, which its non-negative prefill slope keeps
+    /// at or below every request's prefill. A load search bounds a
+    /// candidate from it ([`madmax_serve::load_bound`]) before deciding to
+    /// price and simulate it.
+    ///
+    /// It runs `price_load`'s first steps: the same inputs, then the same
+    /// worst-case feasibility check against the same tables, with the same
+    /// errors. It then schedules the prefill alone ([`Scenario::ttft_in`])
+    /// of the low-batch anchor
+    /// ([`StepCostModel::prefill_floor_shapes`]), against the attached
+    /// [`Scenario::load_probes`] tables when they cover the plan.
+    /// `Ok(None)` when anything after the feasibility check fails: then
+    /// `price_load` reports its own error.
+    ///
+    /// # Errors
+    ///
+    /// The errors `price_load` reports up to its feasibility check:
+    /// [`EngineError::InvalidLoad`] for invalid specs or a non-serve
+    /// workload, OOM or an unmappable pipeline at the worst-case shape.
+    pub fn load_prefill_floor(&self, spec: &LoadSpec) -> Result<Option<i64>, EngineError> {
+        let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
+        self.with_plan(|plan| {
+            let Some([worst, anchor]) =
+                StepCostModel::prefill_floor_shapes(plan, serve, slots, &arrivals)
+            else {
+                return Ok(None);
+            };
+            self.probe(plan, worst)
+                .with_feasible(|_, _, _| (), |_, _| ())?;
+            let ttft = self.probe(plan, anchor).ttft_in(&mut EngineScratch::new());
+            Ok(ttft.ok().flatten().and_then(grid_units))
         })
     }
 

@@ -136,6 +136,18 @@ impl Anchors {
         self.p_hi.saturating_add(self.d_max)
     }
 
+    /// Index into [`Anchors::shapes`] of the run whose TTFT prices a
+    /// request's prefill at `p_lo` (`prefill_units(p_lo)`): the batch =
+    /// `slots` run when the low-batch anchor is the slot count, else the
+    /// batch = `b_lo` run.
+    fn low_batch_shape(&self, slots: usize) -> usize {
+        if self.b_lo == slots {
+            1
+        } else {
+            2
+        }
+    }
+
     /// The probe shapes, in the order [`StepCostModel::price`] uses them.
     fn shapes(&self, serve: &ServeConfig, slots: usize) -> Vec<ServeConfig> {
         let cfg = |prompt: usize, decode: usize, batch: usize| ServeConfig {
@@ -211,6 +223,25 @@ impl StepCostModel {
         }
     }
 
+    /// The two probe shapes that bound every request's prefill from
+    /// below without pricing the whole model: the worst-case shape
+    /// (`probe_shapes[0]`, only checked for feasibility) and the low-batch
+    /// anchor, the run whose TTFT [`StepCostModel::price`] reads as
+    /// `prefill_units(p_lo)` at the shortest prompt `p_lo`. Since the
+    /// fitted prefill slope is never negative, that TTFT, in grid units,
+    /// is at most the prefill of every request in `arrivals`. `None` when
+    /// `price` fails before probing (zero `slots`, no arrivals).
+    pub fn prefill_floor_shapes(
+        plan: &Plan,
+        serve: &ServeConfig,
+        slots: usize,
+        arrivals: &[ArrivalEvent],
+    ) -> Option<[ServeConfig; 2]> {
+        let anchors = Anchors::new(plan, slots, arrivals).filter(|_| slots > 0)?;
+        let shapes = anchors.shapes(serve, slots);
+        Some([shapes[0], shapes[anchors.low_batch_shape(slots)]])
+    }
+
     /// Prices a step cost model for `plan` serving `serve`-shaped
     /// requests with up to `slots` in flight, against the request shapes
     /// in `arrivals` (their prompt/decode extremes pick the probe
@@ -254,6 +285,7 @@ impl StepCostModel {
             return Err(LoadError::Spec("no arrivals to price against".to_owned()).into());
         };
         let Anchors { p_lo, b_lo, .. } = anchors;
+        let low_batch_shape = anchors.low_batch_shape(slots);
         let mut shapes = anchors.shapes(serve, slots).into_iter();
         let mut next = || shapes.next().expect("one probe shape per anchor");
 
@@ -282,7 +314,7 @@ impl StepCostModel {
         // Batch = b_lo: separates the per-sequence term, and its TTFT
         // prices a request's prefill. At b_lo == slots the batch = slots
         // run already is this one.
-        let (p_one, ttft_lo) = if slots == b_lo {
+        let (p_one, ttft_lo) = if low_batch_shape == 1 {
             (f2 - f1, units(cap.ttft, "ttft")?)
         } else {
             let low = probe(next())?;

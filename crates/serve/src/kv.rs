@@ -37,6 +37,12 @@ impl KvPager {
         tokens.div_ceil(self.block_tokens as u64)
     }
 
+    /// Whether a request caching `tokens` entries at worst can ever be
+    /// admitted: its blocks fit the whole budget (always, when unpaged).
+    pub(crate) fn fits_alone(&self, tokens: u64) -> bool {
+        self.total.is_none_or(|t| self.blocks_for(tokens) <= t)
+    }
+
     /// Blocks currently free, or `u64::MAX` when unpaged.
     pub(crate) fn free(&self) -> u64 {
         match self.total {

@@ -47,8 +47,10 @@
 //!
 //! Most callers go through `madmax_engine::Scenario::serve_load_priced`;
 //! the crate-level [`simulate_load`] is the direct path when you already
-//! hold a priced [`StepCostModel`]. See `crates/serve/README.md` for a
-//! walkthrough.
+//! hold a priced [`StepCostModel`]. [`load_bound`] bounds what a sweep
+//! of simulations can report from a floor on every prefill, without a
+//! cost model; the load search prunes with it. See
+//! `crates/serve/README.md` for a walkthrough.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -63,7 +65,7 @@ pub mod trace;
 pub use arrival::{materialize_arrivals, parse_request_jsonl, ArrivalEvent};
 pub use cost::{ProbeRun, StepCostModel};
 pub use report::{LoadReport, Percentiles, RequestOutcome};
-pub use sim::{simulate_load, simulate_load_faulty, LoadOutcome, SimCounters, SimMode};
+pub use sim::{load_bound, simulate_load, simulate_load_faulty, LoadOutcome, SimCounters, SimMode};
 pub use trace::{
     FaultSpan, LoadTrace, PrefillRun, RejectReason, RequestRecord, ResidencySpan, StepRun, StepSeq,
 };

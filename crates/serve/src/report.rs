@@ -37,9 +37,7 @@ impl Percentiles {
         }
         samples.sort_unstable();
         let n = samples.len();
-        // Nearest-rank: the smallest sample with at least q*n samples at
-        // or below it.
-        let rank = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        let rank = |q: f64| nearest_rank(&samples, q);
         let sum: i128 = samples.iter().map(|s| i128::from(*s)).sum();
         Some(Percentiles {
             p50: grid_seconds(rank(0.50)),
@@ -50,6 +48,15 @@ impl Percentiles {
             count: n,
         })
     }
+}
+
+/// The nearest-rank `q`-quantile of non-empty `sorted` samples: the
+/// smallest sample with at least `q * n` samples at or below it. It is
+/// monotone in every sample, so quantiles of per-sample lower bounds bound
+/// the quantiles of the samples.
+pub(crate) fn nearest_rank(sorted: &[i64], q: f64) -> i64 {
+    let n = sorted.len();
+    sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
 
 /// Per-request outcome row of a [`LoadReport`].

@@ -40,11 +40,26 @@
 //! over prompt + generated tokens on re-admission). The watermark
 //! guarantees at least one decode step between a request's admission and
 //! any eviction, so every episode makes progress and the run terminates.
+//!
+//! ## The load bound
+//!
+//! [`load_bound`] bounds what a fault-free simulation can report without
+//! running it, from the arrivals and a floor on every request's prefill.
+//! The engine runs one action at a time, and ingests an arrival only once
+//! `now` reaches it. Fresh admissions leave the queue in arrival order: an
+//! evicted request re-enters at the front, which only delays later ones,
+//! and only a fresh admission stamps a first token. So request `i`'s first
+//! token comes no earlier than `L_i = max(L_{i-1}, a_i) + floor` (a FIFO
+//! queueing, or Lindley, recursion), its TTFT is at least `L_i - a_i`, and
+//! the run ends no earlier than `L_last + 1`: the last request still owes
+//! a decode step of at least one grid unit. When nothing can be rejected
+//! or cut off, every request completes, so the output token count is
+//! exact, and the nearest-rank p99 is monotone in every sample.
 
 use std::collections::VecDeque;
 
 use madmax_core::steady::{
-    affine_series_units, first_series_crossing, grid_units_round, MAX_UNITS,
+    affine_series_units, first_series_crossing, grid_seconds, grid_units_round, MAX_UNITS,
 };
 use madmax_fault::{FaultEvent, FaultKind, RetryPolicy};
 use madmax_hw::units::Seconds;
@@ -54,7 +69,7 @@ use madmax_parallel::{LoadSpec, ServeConfig};
 use crate::arrival::{materialize_arrivals, ArrivalEvent};
 use crate::cost::StepCostModel;
 use crate::kv::KvPager;
-use crate::report::LoadReport;
+use crate::report::{nearest_rank, LoadReport};
 use crate::trace::{
     FaultSpan, LoadTrace, PrefillRun, RejectReason, RequestRecord, ResidencySpan, StepRun, StepSeq,
 };
@@ -190,11 +205,7 @@ impl Sim<'_, '_> {
             self.next_arrival += 1;
             changed = true;
             let worst = a.prompt_len as u64 + a.decode_len as u64;
-            if self
-                .pager
-                .total()
-                .is_some_and(|t| self.pager.blocks_for(worst) > t)
-            {
+            if !self.pager.fits_alone(worst) {
                 self.trace.records[id as usize].rejected = Some(RejectReason::Infeasible);
                 continue;
             }
@@ -771,6 +782,64 @@ pub fn simulate_load_faulty(
     })
 }
 
+/// Optimistic scores of a load sweep that has not been simulated:
+/// `sweep` holds each sweep point's materialized arrivals, all simulated
+/// under `spec`'s queue, paging and horizon knobs by a deployment whose
+/// every prefill costs at least `floor` grid units. Returns `[tokens/s,
+/// 1 / p99 TTFT s]`: the highest tokens/s among the points whose p99 TTFT
+/// could meet `slo` (0 when none can), and the reciprocal of the lowest
+/// p99 TTFT of any point. No fault-free [`simulate_load`] of a point
+/// reports more tokens/s, or a lower p99 TTFT (see the module docs), and
+/// a point whose simulated p99 meets `slo` counts here too. Both scores
+/// use the report's own arithmetic, so the bound holds bit for bit.
+///
+/// `None` (no bound) when a request could be rejected or cut off, so that
+/// not every request completes: under a `horizon`, a `queue_capacity`,
+/// or a request whose worst-case blocks exceed `kv_blocks`; also for an
+/// empty point, a request with no decode step ([`materialize_arrivals`]
+/// makes none) or a zero `block_tokens`.
+pub fn load_bound(
+    sweep: &[Vec<ArrivalEvent>],
+    spec: &LoadSpec,
+    floor: i64,
+    slo: Option<Seconds>,
+) -> Option<[f64; 2]> {
+    if spec.horizon.is_some() || spec.queue_capacity.is_some() || spec.block_tokens == 0 {
+        return None;
+    }
+    let pager = KvPager::new(spec.block_tokens, spec.kv_blocks);
+    let (mut best, mut lowest_p99) = (0.0f64, f64::INFINITY);
+    let mut ttfts = Vec::new();
+    for arrivals in sweep {
+        ttfts.clear();
+        // `first` is L_i, the earliest first token of request i.
+        let (mut first, mut tokens) = (i64::MIN, 0u64);
+        for a in arrivals {
+            let worst = (a.prompt_len as u64).checked_add(a.decode_len as u64)?;
+            if a.decode_len == 0 || !pager.fits_alone(worst) {
+                return None;
+            }
+            first = first.max(a.at).saturating_add(floor);
+            ttfts.push(first - a.at);
+            tokens = tokens.checked_add(1)?.checked_add(a.decode_len as u64)?;
+        }
+        if ttfts.is_empty() {
+            return None;
+        }
+        ttfts.sort_unstable();
+        let p99 = grid_seconds(nearest_rank(&ttfts, 0.99));
+        lowest_p99 = lowest_p99.min(p99.as_secs());
+        // The report's own arithmetic: `LoadReport::meets_ttft_slo` and
+        // `LoadReport::tokens_per_sec` (the run ends at least one grid
+        // unit in, so its makespan is positive).
+        if slo.is_none_or(|slo| p99 <= slo) {
+            let end = grid_seconds(first.saturating_add(1));
+            best = best.max(tokens as f64 / end.as_secs());
+        }
+    }
+    Some([best, 1.0 / lowest_p99])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,5 +1165,205 @@ mod tests {
             .report,
             lazy.report
         );
+    }
+
+    /// One seeded draw of the bound property test (xorshift64).
+    fn draw(state: &mut u64, lo: u64, hi: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        lo + *state % (hi - lo + 1)
+    }
+
+    /// A generated load case: a cost model, a base spec, the rates it is
+    /// swept at (empty for a trace) and an SLO.
+    struct BoundCase {
+        costs: StepCostModel,
+        serve: ServeConfig,
+        spec: LoadSpec,
+        rates: Vec<f64>,
+        slo: Option<Seconds>,
+    }
+
+    fn bound_case(state: &mut u64) -> BoundCase {
+        let slots = draw(state, 1, 8) as usize;
+        let costs = StepCostModel {
+            prefill_base: draw(state, 10_000_000, 50_000_000_000) as i64,
+            prefill_slope: draw(state, 0, 10_000_000) as i64,
+            step_base: draw(state, 1_000_000, 10_000_000_000) as i64,
+            step_seq: draw(state, 0, 100_000_000) as i64,
+            step_rate: draw(state, 0, 100_000) as i64,
+            slots,
+        };
+        let serve = ServeConfig::new(draw(state, 8, 512) as usize, draw(state, 1, 48) as usize);
+        // The most tokens any request caches.
+        let mut worst = (serve.prompt_len.unwrap() + serve.decode_len) as u64;
+        let count = draw(state, 1, 40) as usize;
+        let rate = draw(state, 1, 400) as f64 / 20.0;
+        let (arrivals, rates) = match draw(state, 0, 2) {
+            0 => (
+                madmax_parallel::ArrivalSpec::Poisson {
+                    rate,
+                    count,
+                    seed: draw(state, 0, u64::MAX - 1),
+                },
+                vec![rate, rate * 4.0],
+            ),
+            1 => (
+                madmax_parallel::ArrivalSpec::Bursty {
+                    rate,
+                    on_secs: draw(state, 1, 20) as f64 / 4.0,
+                    off_secs: draw(state, 1, 20) as f64 / 4.0,
+                    count,
+                    seed: draw(state, 0, u64::MAX - 1),
+                },
+                vec![rate, rate * 4.0],
+            ),
+            _ => {
+                // Mixed prompt and decode lengths, as a JSONL trace.
+                let mut at = 0.0;
+                worst = 0;
+                let lines: String = (0..count)
+                    .map(|_| {
+                        at += draw(state, 0, 2_000) as f64 / 1_000.0;
+                        let (prompt, decode) = (draw(state, 1, 512), draw(state, 1, 48));
+                        worst = worst.max(prompt + decode);
+                        format!(
+                            "{{\"arrival\": {at}, \"prompt_len\": {prompt}, \"decode_len\": {decode}}}\n"
+                        )
+                    })
+                    .collect();
+                let requests = crate::parse_request_jsonl(&lines).unwrap();
+                (madmax_parallel::ArrivalSpec::Trace { requests }, Vec::new())
+            }
+        };
+        let mut spec = LoadSpec::trace(Vec::new()).with_slots(slots);
+        spec.arrivals = arrivals;
+        // Unpaged, or a budget every request fits alone, between one and
+        // `slots` worst-case requests, with eviction on or off.
+        match draw(state, 0, 2) {
+            0 => {}
+            paged => {
+                let one = worst.div_ceil(spec.block_tokens as u64);
+                let blocks = draw(state, one, one * slots as u64);
+                spec = spec.with_kv_blocks(blocks).with_eviction(paged == 2);
+            }
+        }
+        let slo = (draw(state, 0, 3) > 0).then(|| Seconds::new(draw(state, 1, 400) as f64 / 100.0));
+        BoundCase {
+            costs,
+            serve,
+            spec,
+            rates,
+            slo,
+        }
+    }
+
+    impl BoundCase {
+        /// The sweep: the spec at every rate (a trace as-is).
+        fn sweep(&self) -> Vec<LoadSpec> {
+            if self.rates.is_empty() {
+                return vec![self.spec.clone()];
+            }
+            self.rates
+                .iter()
+                .map(|&r| {
+                    let mut spec = self.spec.clone();
+                    if let madmax_parallel::ArrivalSpec::Poisson { rate, .. }
+                    | madmax_parallel::ArrivalSpec::Bursty { rate, .. } = &mut spec.arrivals
+                    {
+                        *rate = r;
+                    }
+                    spec
+                })
+                .collect()
+        }
+
+        fn arrivals(&self) -> Vec<Vec<ArrivalEvent>> {
+            self.sweep()
+                .iter()
+                .map(|spec| {
+                    materialize_arrivals(&spec.arrivals, &self.serve, &toy_model()).unwrap()
+                })
+                .collect()
+        }
+
+        /// The prefill floor: the model's prefill at the shortest prompt.
+        fn floor(&self, arrivals: &[Vec<ArrivalEvent>]) -> i64 {
+            let p_lo = arrivals
+                .iter()
+                .flatten()
+                .map(|a| a.prompt_len)
+                .min()
+                .unwrap();
+            self.costs.prefill_units(p_lo as u64).unwrap()
+        }
+    }
+
+    #[test]
+    fn the_load_bound_is_never_beaten_by_a_simulation() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut evictions, mut infeasible) = (0u64, 0usize);
+        for case in 0..300 {
+            let c = bound_case(&mut state);
+            let arrivals = c.arrivals();
+            let floor = c.floor(&arrivals);
+            let [tps, inv_p99] = load_bound(&arrivals, &c.spec, floor, c.slo)
+                .unwrap_or_else(|| panic!("case {case}: {:?} unbounded", c.spec));
+            for mode in [SimMode::Event, SimMode::PerToken] {
+                let (mut best, mut lowest) = (0.0f64, f64::INFINITY);
+                for spec in c.sweep() {
+                    let out =
+                        simulate_load(&spec, &c.serve, &toy_model(), &c.costs, mode, None).unwrap();
+                    assert_eq!(out.report.completed, out.report.arrivals, "case {case}");
+                    evictions += out.counters.evictions;
+                    let p99 = out.report.ttft.unwrap().p99;
+                    lowest = lowest.min(p99.as_secs());
+                    if c.slo.is_none_or(|slo| out.report.meets_ttft_slo(slo)) {
+                        best = best.max(out.report.tokens_per_sec);
+                    } else {
+                        infeasible += 1;
+                    }
+                }
+                assert!(best <= tps, "case {case} {mode:?}: {best} > {tps}");
+                assert!(
+                    1.0 / lowest <= inv_p99,
+                    "case {case} {mode:?}: p99 {lowest}"
+                );
+            }
+        }
+        // The cases reach evictions and SLO misses.
+        assert!(evictions > 0 && infeasible > 0, "{evictions} {infeasible}");
+    }
+
+    #[test]
+    fn the_load_bound_declines_specs_that_can_drop_a_request() {
+        let arrivals = vec![vec![ArrivalEvent {
+            at: 0,
+            prompt_len: 16,
+            decode_len: 8,
+        }]];
+        let spec = trace_spec(1, 0.0);
+        assert!(load_bound(&arrivals, &spec, 116, None).is_some());
+        for dropping in [
+            spec.clone().with_horizon(1.0),
+            spec.clone().with_queue_capacity(64),
+            // 24 tokens need two 16-token blocks.
+            spec.clone().with_kv_blocks(1),
+        ] {
+            assert_eq!(
+                load_bound(&arrivals, &dropping, 116, None),
+                None,
+                "{dropping:?}"
+            );
+        }
+        assert!(load_bound(&arrivals, &spec.clone().with_kv_blocks(2), 116, None).is_some());
+        // A request that never decodes could end the run at its first
+        // token.
+        let no_decode = vec![vec![ArrivalEvent {
+            decode_len: 0,
+            ..arrivals[0][0]
+        }]];
+        assert_eq!(load_bound(&no_decode, &spec, 116, None), None);
     }
 }

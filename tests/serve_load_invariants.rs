@@ -19,6 +19,14 @@
 //!   returns the same candidates, errors and reports at any thread
 //!   count, with reconciling telemetry and one progress event per
 //!   candidate, and its closed-form probes match full simulation;
+//! - **Exact pruning**: on generated load spaces the pruned load search
+//!   returns the winner, the winner's points and the frontier of an
+//!   oracle that prices and simulates every candidate, every pruned
+//!   candidate scores strictly below the best on both rankings, and the
+//!   pruned set is the same at 1 and 4 threads; the prefill floor the
+//!   bound reads (`Scenario::load_prefill_floor`) is the priced model's
+//!   prefill at the shortest prompt, bit for bit, or `price_load`'s
+//!   error;
 //! - **Shared probe tables**: pricing a plan's step cost model against
 //!   the load-probe tables shared across a search's plans
 //!   (`Scenario::price_load_probes`) is byte-identical to pricing it on
@@ -751,4 +759,317 @@ fn a_trace_request_overflowing_the_kv_cache_is_rejected() {
         assert!(matches!(err, EngineError::InvalidLoad { .. }), "{err}");
         assert!(err.to_string().contains("overflows"), "{err}");
     }
+}
+
+/// One candidate of the every-candidate oracle: its points (rate,
+/// feasibility, report), or its pricing or simulation error.
+type OraclePoints = Result<Vec<(f64, bool, madmax_serve::LoadReport)>, EngineError>;
+
+/// The load search as it ran before it pruned: every (workload variant,
+/// plan) candidate prices its cost model and simulates every sweep point.
+fn load_oracle(
+    model: &madmax_model::ModelArch,
+    sys: &madmax_hw::ClusterSpec,
+    explorer: &Explorer<'_>,
+    variants: &[Workload],
+    axes: &LoadAxes,
+) -> Vec<OraclePoints> {
+    let trace = matches!(
+        axes.spec.arrivals,
+        madmax_parallel::ArrivalSpec::Trace { .. }
+    );
+    let sweep: Vec<(f64, LoadSpec)> = if trace {
+        vec![(0.0, axes.spec.clone())]
+    } else {
+        axes.rates
+            .iter()
+            .map(|&rate| {
+                let mut spec = axes.spec.clone();
+                if let madmax_parallel::ArrivalSpec::Poisson { rate: r, .. }
+                | madmax_parallel::ArrivalSpec::Bursty { rate: r, .. } = &mut spec.arrivals
+                {
+                    *r = rate;
+                }
+                (rate, spec)
+            })
+            .collect()
+    };
+    let mut out = Vec::new();
+    for workload in variants {
+        for plan in explorer.candidates() {
+            let s = Scenario::new(model, sys)
+                .plan_ref(&plan)
+                .workload_ref(workload);
+            out.push(s.price_load(&sweep[0].1).and_then(|costs| {
+                sweep
+                    .iter()
+                    .map(|(rate, spec)| {
+                        let report = s
+                            .serve_load_priced(spec, &costs, SimMode::Event, None)?
+                            .report;
+                        let feasible = axes
+                            .slo_ttft_p99
+                            .is_none_or(|slo| report.meets_ttft_slo(slo));
+                        Ok((*rate, feasible, report))
+                    })
+                    .collect()
+            }));
+        }
+    }
+    out
+}
+
+/// An oracle candidate's two rankings: the best SLO-feasible tokens/s (0
+/// when none) and the reciprocal of its lowest p99 TTFT (0 without one).
+fn oracle_scores(points: &[(f64, bool, madmax_serve::LoadReport)]) -> [f64; 2] {
+    let best = points
+        .iter()
+        .filter(|p| p.1)
+        .map(|p| p.2.tokens_per_sec)
+        .fold(0.0, f64::max);
+    let lowest = points
+        .iter()
+        .filter_map(|p| p.2.ttft.map(|t| t.p99.as_secs()))
+        .fold(f64::INFINITY, f64::min);
+    [best, 1.0 / lowest]
+}
+
+/// The search's winner as the oracle ranks: the last best score among
+/// candidates with a feasible point, else the first lowest p99 TTFT.
+fn oracle_winner(oracle: &[OraclePoints]) -> usize {
+    let scored: Vec<(usize, [f64; 2], bool)> = oracle
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            let points = r.as_ref().ok()?;
+            Some((i, oracle_scores(points), points.iter().any(|p| p.1)))
+        })
+        .collect();
+    scored
+        .iter()
+        .filter(|c| c.2)
+        .max_by(|a, b| a.1[0].total_cmp(&b.1[0]))
+        .or_else(|| {
+            scored
+                .iter()
+                .min_by(|a, b| (1.0 / a.1[1]).total_cmp(&(1.0 / b.1[1])))
+        })
+        .map(|c| c.0)
+        .expect("some candidate simulates")
+}
+
+/// A generated load space: a Llama2 serve workload (with decode-batch
+/// variants or without), the transformer strategies × a pipeline axis,
+/// and a Poisson, bursty or mixed-length trace sweep, optionally paged,
+/// under an SLO or none.
+fn generated_load_space(seed: u64) -> (ServeConfig, SearchSpace, LoadAxes) {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut draw = |lo: u64, hi: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        lo + state % (hi - lo + 1)
+    };
+    let serve = ServeConfig::new(128 * draw(1, 2) as usize, 16 * draw(1, 4) as usize)
+        .with_decode_batch(4 * draw(1, 2) as usize);
+    let mut space = SearchSpace::strategies()
+        .with_classes(vec![LayerClass::Transformer])
+        .with_pipeline(PipelineAxes {
+            stages: vec![1, 2 * draw(1, 2) as usize],
+            microbatches: vec![2 * draw(1, 4) as usize],
+            schedules: vec![PipelineSchedule::GPipe],
+        });
+    if draw(0, 1) == 1 {
+        space = space.with_serve(madmax_dse::ServeAxes::batches([4, 8]));
+    }
+    let count = draw(4, 12) as usize;
+    let rates = vec![0.01 * draw(1, 10) as f64, 0.1 * draw(1, 10) as f64];
+    let mut spec = match seed % 3 {
+        0 => LoadSpec::poisson(rates[0], count, draw(1, 1000)),
+        1 => LoadSpec::bursty(rates[0], 20.0, 10.0, count, draw(1, 1000)),
+        _ => {
+            let mut at = 0.0;
+            let lines: String = (0..count)
+                .map(|_| {
+                    at += draw(0, 4000) as f64 / 1000.0;
+                    format!(
+                        "{{\"arrival\": {at}, \"prompt_len\": {}, \"decode_len\": {}}}\n",
+                        draw(32, 320),
+                        draw(4, 72)
+                    )
+                })
+                .collect();
+            LoadSpec::trace(parse_request_jsonl(&lines).unwrap())
+        }
+    };
+    if draw(0, 1) == 1 {
+        spec = spec
+            .with_kv_blocks(draw(64, 256))
+            .with_eviction(draw(0, 1) == 1);
+    }
+    let mut axes = LoadAxes::new(spec, rates);
+    if draw(0, 3) > 0 {
+        axes = axes.with_slo_ttft_p99(Seconds::new(draw(2, 120) as f64));
+    }
+    (serve, space, axes)
+}
+
+#[test]
+fn pruned_load_search_matches_the_every_candidate_oracle() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let mut cases: Vec<_> = (1..=6).map(generated_load_space).collect();
+    // Nothing meets a microsecond SLO: the search ranks by the lowest
+    // tail latency, and nothing can be pruned.
+    let (serve, space, axes) = generated_load_space(7);
+    cases.push((serve, space, axes.with_slo_ttft_p99(Seconds::new(1e-6))));
+    let mut pruned_total = 0;
+    for (case, (serve, space, axes)) in cases.into_iter().enumerate() {
+        let explorer = |threads| {
+            Explorer::new(&model, &sys)
+                .workload(Workload::serve(serve))
+                .space(space.clone())
+                .threads(threads)
+        };
+        let one = explorer(1).explore_load(&axes).unwrap();
+        let four = explorer(4).explore_load(&axes).unwrap();
+        assert_same_search(&one, &four);
+        assert_eq!(one.telemetry.pruned, four.telemetry.pruned, "case {case}");
+        assert!(one.telemetry.reconciles(), "case {case}");
+
+        let variants: Vec<Workload> = match &space.serve {
+            Some(axes) => axes
+                .decode_batch
+                .iter()
+                .map(|&b| Workload::serve(serve.with_decode_batch(b)))
+                .collect(),
+            None => vec![Workload::serve(serve)],
+        };
+        let oracle = load_oracle(&model, &sys, &explorer(1), &variants, &axes);
+        assert_eq!(oracle.len(), one.candidates.len(), "case {case}");
+        let winner = oracle_winner(&oracle);
+        assert_eq!(one.best_candidate, winner, "case {case}");
+        let best = oracle
+            .iter()
+            .filter_map(|r| r.as_ref().ok().map(|p| oracle_scores(p)))
+            .fold([f64::NEG_INFINITY; 2], |a, s| {
+                [a[0].max(s[0]), a[1].max(s[1])]
+            });
+        let nothing_feasible = oracle
+            .iter()
+            .filter_map(|r| r.as_ref().ok())
+            .all(|p| p.iter().all(|p| !p.1));
+        let mut pruned = 0;
+        for (i, (c, o)) in one.candidates.iter().zip(&oracle).enumerate() {
+            if c.error.is_none() && c.points.is_empty() {
+                // Pruned: on both rankings, strictly below the best
+                // candidate's (a candidate the oracle fails has none).
+                pruned += 1;
+                if let Ok(points) = o {
+                    let s = oracle_scores(points);
+                    assert!(
+                        s[0] < best[0] && s[1] < best[1],
+                        "case {case} #{i}: {s:?} {best:?}"
+                    );
+                }
+                continue;
+            }
+            // Simulated or failed: exactly the oracle's result.
+            match o {
+                Err(e) => assert_eq!(c.error.as_ref(), Some(e), "case {case} #{i}"),
+                Ok(points) => {
+                    assert!(c.error.is_none(), "case {case} #{i}");
+                    assert_eq!(c.points.len(), points.len());
+                    for (p, (rate, feasible, report)) in c.points.iter().zip(points) {
+                        assert_eq!(p.rate.to_bits(), rate.to_bits());
+                        assert_eq!(p.feasible, *feasible);
+                        assert_eq!(
+                            serde_json::to_string(&p.report).unwrap(),
+                            serde_json::to_string(report).unwrap(),
+                            "case {case} #{i}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(pruned, one.telemetry.pruned, "case {case}");
+        if nothing_feasible {
+            assert_eq!(pruned, 0, "case {case}: nothing to prune against");
+            assert!(one.best().best_point.is_none(), "case {case}");
+        }
+        assert!(!one.frontier().is_empty(), "case {case}");
+        assert_eq!(
+            one.evaluated,
+            one.candidates.iter().map(|c| c.points.len()).sum::<usize>()
+        );
+        pruned_total += pruned;
+    }
+    assert!(pruned_total > 0, "the generated spaces prune");
+}
+
+#[test]
+fn the_prefill_floor_is_the_priced_prefill_at_the_shortest_prompt() {
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let serve = ServeConfig::new(256, 64).with_decode_batch(8);
+    let workload = Workload::serve(serve);
+    // The probe-table plan set: flat plans and pp {2, 4, 8} with
+    // microbatches below (4) and above (16) the 8 decode slots.
+    let explorer = Explorer::new(&model, &sys).space(
+        SearchSpace::strategies()
+            .with_classes(vec![LayerClass::Transformer])
+            .with_pipeline(PipelineAxes {
+                stages: vec![1, 2, 4, 8],
+                microbatches: vec![4, 16],
+                schedules: vec![PipelineSchedule::GPipe],
+            }),
+    );
+    let mut plans = explorer.candidates();
+    let keep: Vec<_> =
+        plans
+            .iter()
+            .map(|p| p.assignments.clone())
+            .fold(Vec::new(), |mut seen, a| {
+                if !seen.contains(&a) && seen.len() < 3 {
+                    seen.push(a);
+                }
+                seen
+            });
+    plans.retain(|p| keep.contains(&p.assignments));
+    let (mut floors, mut errors) = (0, 0);
+    for spec in probe_specs() {
+        let p_lo = materialize_arrivals(&spec.arrivals, &serve, &model)
+            .unwrap()
+            .iter()
+            .map(|a| a.prompt_len)
+            .min()
+            .unwrap();
+        let scenario = Scenario::new(&model, &sys).workload_ref(&workload);
+        let tables = scenario.price_load_probes(&spec, &plans).unwrap();
+        for plan in &plans {
+            let alone = || {
+                Scenario::new(&model, &sys)
+                    .workload_ref(&workload)
+                    .plan_ref(plan)
+            };
+            for s in [alone(), alone().load_probes(&tables)] {
+                let floor = s.load_prefill_floor(&spec);
+                match s.price_load(&spec) {
+                    Ok(costs) => {
+                        let priced = costs.prefill_units(p_lo as u64).unwrap();
+                        assert_eq!(floor, Ok(Some(priced)), "{}", plan.summary());
+                        floors += 1;
+                    }
+                    // A floor fails exactly as pricing does.
+                    Err(e) => {
+                        if let Err(f) = floor {
+                            assert_eq!(f, e, "{}", plan.summary());
+                        }
+                        errors += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(floors > 0 && errors > 0, "{floors} {errors}");
 }
