@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use madmax_core::IterationReport;
 use madmax_engine::{EngineError, EngineScratch, Scenario};
+use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_obs::{ProgressSink, SearchTelemetry};
@@ -433,9 +434,14 @@ impl<'a> Explorer<'a> {
     /// baseline, the earlier variants and that wave; every other
     /// candidate whose bound proves it cannot be strictly better than the
     /// incumbent is skipped instead of simulated (see
-    /// [`SearchOutcome::evaluated`]). The winner, its report and every
-    /// outcome counter are those of simulating every candidate, and the
-    /// skipped set is the same at any thread count.
+    /// [`SearchOutcome::evaluated`]). Pipelined candidates of a training
+    /// or forward-only variant are bounded a family at a time first (one
+    /// depth, microbatch count, schedule and strategy of the model's
+    /// dominant class; [`Scenario::family_lower_bound`]), and a family
+    /// that cannot beat the incumbent is skipped whole
+    /// ([`SearchTelemetry::family_pruned`]). The winner, its report and
+    /// every outcome counter are those of simulating every candidate, and
+    /// the skipped set is the same at any thread count.
     ///
     /// # Errors
     ///
@@ -480,16 +486,21 @@ impl<'a> Explorer<'a> {
                 1.0 / r.iteration_time.as_secs()
             }
         };
-        let optimistic = |s: &Scenario<'_>| -> Result<Option<[f64; 1]>, EngineError> {
-            Ok(s.lower_bound()?.and_then(|bound| {
-                if serve_ranked {
-                    s.serve_tokens_per_iteration()
-                        .map(|tokens| [tokens / bound.as_secs()])
-                } else {
-                    Some([1.0 / bound.as_secs()])
-                }
-            }))
+        let bounded = |s: &Scenario<'_>, bound: Seconds| {
+            if serve_ranked {
+                s.serve_tokens_per_iteration()
+                    .map(|tokens| [tokens / bound.as_secs()])
+            } else {
+                Some([1.0 / bound.as_secs()])
+            }
         };
+        let optimistic = |s: &Scenario<'_>| -> Result<Option<[f64; 1]>, EngineError> {
+            Ok(s.lower_bound()?.and_then(|bound| bounded(s, bound)))
+        };
+        // A family floor is at most every member's bound, so its score
+        // is at least every member's.
+        let family =
+            |s: &Scenario<'_>, members: &[&Plan]| bounded(s, s.family_lower_bound(members)?);
         let scored = |r: &Option<IterationReport>| r.as_ref().map(|r| [rank(r)]);
         // The baseline combo re-appears among the candidates; the driver
         // counts it `ok` instead of simulating it again. A pruned
@@ -506,6 +517,7 @@ impl<'a> Explorer<'a> {
                 score: &scored,
                 pruned: || None,
                 floor: [rank(&baseline)],
+                family: Some(&family),
             }),
         });
 
@@ -834,6 +846,7 @@ mod tests {
         struct CountingSink {
             events: AtomicU64,
             ok: AtomicU64,
+            simulated: AtomicU64,
             unsimulated: Mutex<Vec<usize>>,
             finished: AtomicU64,
         }
@@ -843,6 +856,8 @@ mod tests {
                 if event.outcome == CandidateOutcome::Ok {
                     if event.iteration_ms.is_none() {
                         self.unsimulated.lock().unwrap().push(event.index);
+                    } else {
+                        self.simulated.fetch_add(1, Ordering::Relaxed);
                     }
                     self.ok.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -885,6 +900,10 @@ mod tests {
             let unsimulated = sink.unsimulated.into_inner().unwrap();
             assert_eq!(unsimulated.len() as u64, r.telemetry.pruned);
             assert_eq!(r.telemetry.pruned, quiet.telemetry.pruned);
+            // Every other `ok` event is a simulation.
+            let simulated = sink.simulated.load(Ordering::Relaxed);
+            assert_eq!(simulated, r.telemetry.simulated);
+            assert_eq!(r.telemetry.simulated, quiet.telemetry.simulated);
             for i in unsimulated {
                 let report = Scenario::new(&model, &sys)
                     .plan_ref(&evaluated[i])

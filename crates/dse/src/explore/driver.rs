@@ -44,7 +44,32 @@
 //! pruned counts are the same at any thread count. Pruned candidates
 //! count as `ok` and in [`SearchTelemetry::pruned`], and their progress
 //! events carry no iteration time.
+//!
+//! An objective may also bound **families** ([`Prune::family`];
+//! `explore` does, the goodput and load searches do not). For a variant
+//! without decode steps whose tables the driver prices, its pipelined
+//! candidates are grouped by depth, microbatch count, schedule and the
+//! strategy of the model's dominant class
+//! (`madmax_pipeline::family_class`); the driver's pipeline tables leave
+//! every key's stage costs unsummed until first use
+//! (`Scenario::price_pipeline_deferred`).
+//! The bound pass then bounds every other candidate as above, checks
+//! only the feasibility of a family member (`Scenario::check_feasible`,
+//! the same errors as its bound), and scores each family once from its
+//! feasible members (`Scenario::family_lower_bound`), a score no member's
+//! optimistic score exceeds on any dimension. Best first, a family is
+//! expanded, its members bounded one by one, while its score reaches on
+//! some dimension that dimension's [`FIRST_WAVE`]-th best bounded score
+//! (ties included: a tied member may be the earlier candidate); when none
+//! is left, no unbounded member can enter the wave, so the wave is the
+//! one of bounding every candidate. After the wave, a family whose score
+//! cannot beat the incumbent has every member pruned
+//! ([`SearchTelemetry::family_pruned`]): each member would have been
+//! pruned on its own bound, which is no better. The other families are
+//! expanded and their members take the rule above, so the pruned set and
+//! every result are exactly those of bounding every candidate.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -54,7 +79,7 @@ use madmax_obs::{
     CandidateEvent, CandidateOutcome, LatencyHistogram, NullSink, ProgressSink, SearchTelemetry,
     WorkerStats,
 };
-use madmax_parallel::{LoadSpec, Plan, Workload};
+use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
 
 use super::Explorer;
 
@@ -154,6 +179,71 @@ fn first_wave<const N: usize>(optimistic: &[Option<[f64; N]>]) -> Vec<usize> {
     wave
 }
 
+/// Records the bound-pass results of candidates `jobs` (taken from
+/// `bounds`): their optimistic scores and the time spent bounding them,
+/// and the errors that resolve them in `slots`.
+fn record<T, const N: usize>(
+    jobs: &[usize],
+    mut bounds: Vec<Option<(Bounded<N>, f64)>>,
+    optimistic: &mut [Option<[f64; N]>],
+    bound_us: &mut [f64],
+    slots: &mut [Option<Result<T, EngineError>>],
+) {
+    for &i in jobs {
+        let (bound, us) = bounds[i].take().expect("every job was bounded");
+        optimistic[i] = bound.as_ref().ok().copied().flatten();
+        bound_us[i] += us;
+        slots[i] = bound.err().map(Err);
+    }
+}
+
+/// A family of the best-first pass that could still place a member in
+/// the first wave: one not yet `expanded` whose score on some dimension
+/// reaches that dimension's [`FIRST_WAVE`]-th best bounded score (any
+/// score, while fewer are bounded; an unscored family always). Since a
+/// member never scores above its family, once none is left the wave of
+/// the bounded candidates is the wave of all of them, ties included.
+/// Dimension by dimension, the family with the best score on it, ties to
+/// the earlier family.
+fn wave_contender<const N: usize>(
+    families: &[Option<[f64; N]>],
+    expanded: &[bool],
+    optimistic: &[Option<[f64; N]>],
+) -> Option<usize> {
+    (0..N).find_map(|d| {
+        let mut bounded: Vec<f64> = optimistic.iter().flatten().map(|o| o[d]).collect();
+        bounded.sort_by(|a, b| b.total_cmp(a));
+        let threshold = bounded
+            .get(FIRST_WAVE - 1)
+            .copied()
+            .unwrap_or(f64::NEG_INFINITY);
+        let (f, score) = families
+            .iter()
+            .enumerate()
+            .filter(|&(f, _)| !expanded[f])
+            .map(|(f, s)| (f, s.map_or(f64::INFINITY, |s| s[d])))
+            .reduce(|best, c| if c.1 > best.1 { c } else { best })?;
+        (score >= threshold).then_some(f)
+    })
+}
+
+/// The best-first pass before the first wave: while a family not yet
+/// `expanded` could place a member in the wave ([`wave_contender`]), marks
+/// it expanded and bounds its members with `expand`, which records their
+/// scores in `optimistic`. Afterwards [`first_wave`] of `optimistic` is
+/// the wave of every candidate bounded on its own.
+fn expand_for_wave<const N: usize>(
+    families: &[Option<[f64; N]>],
+    expanded: &mut [bool],
+    optimistic: &mut [Option<[f64; N]>],
+    mut expand: impl FnMut(usize, &mut [Option<[f64; N]>]),
+) {
+    while let Some(f) = wave_contender(families, expanded, optimistic) {
+        expanded[f] = true;
+        expand(f, optimistic);
+    }
+}
+
 /// Whether optimistic scores `o` prove a candidate cannot strictly beat
 /// `incumbent` on any dimension (the pruning rule, with [`PRUNE_MARGIN`]).
 fn cannot_win<const N: usize>(o: &[f64; N], incumbent: &[f64; N]) -> bool {
@@ -173,7 +263,7 @@ fn raise<const N: usize>(incumbent: [f64; N], scores: [f64; N]) -> [f64; N] {
 /// candidate then prices one-plan tables of its own.
 pub(crate) enum Pricing<'o> {
     /// The variant's own flat and pipeline cost tables
-    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`]):
+    /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_deferred`]):
     /// the step evaluates the candidate's own workload.
     Variant,
     /// The load-probe tables of the variant's plans for this spec
@@ -223,7 +313,18 @@ pub(crate) struct Prune<'o, T, const N: usize> {
     /// The scores to beat before the first variant runs (the baseline's,
     /// or `-inf` without one).
     pub(crate) floor: [f64; N],
+    /// A family's optimistic scores, from a scenario of one member and
+    /// the family's feasible members (see the module docs): no member's
+    /// `optimistic` scores are higher on any dimension. `None` from the
+    /// hook leaves the family's members to be bounded one by one; `None`
+    /// here bounds every candidate on its own. Consulted only for
+    /// variants without a decode phase whose tables the driver prices.
+    pub(crate) family: Option<&'o Family<'o, N>>,
 }
+
+/// A family score hook ([`Prune::family`]).
+pub(crate) type Family<'o, const N: usize> =
+    dyn Fn(&Scenario<'_>, &[&Plan]) -> Option<[f64; N]> + Sync + 'o;
 
 /// One evaluated candidate.
 #[derive(Debug)]
@@ -425,11 +526,21 @@ impl Explorer<'_> {
         let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
         let variant_tables = uniform_options && matches!(objective.pricing, Pricing::Variant);
         let table = variant_tables.then(|| scenario.price_plans(plans));
-        let has_pipelined = plans
-            .iter()
-            .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined()));
+        let pipelined = |i: usize| plans[i].pipeline.is_some_and(|c| c.is_pipelined());
+        let has_pipelined = (0..plans.len()).any(pipelined);
+        // The family pass: the hook and the class whose strategy keys a
+        // family, for a variant without a decode phase whose pipeline
+        // table is priced here. The table's keys' stages are summed on
+        // first use, so a family ruled out as a whole never sums them.
+        let decodes = workload.serve_config().is_some_and(ServeConfig::has_decode);
+        let families = objective
+            .prune
+            .as_ref()
+            .and_then(|p| p.family)
+            .filter(|_| variant_tables && has_pipelined && !decodes)
+            .zip(madmax_pipeline::family_class(self.model));
         let pipeline_table =
-            (variant_tables && has_pipelined).then(|| scenario.price_pipeline_plans(plans));
+            (variant_tables && has_pipelined).then(|| scenario.price_pipeline_deferred(plans));
         // A spec the probe tables cannot be priced for fails every
         // candidate's `price_load` with the same error, which the
         // candidates then report themselves.
@@ -510,36 +621,97 @@ impl Explorer<'_> {
             .collect();
         let all: Vec<usize> = (0..plans.len()).collect();
         let mut slots: Vec<Option<Result<T, EngineError>>> = plans.iter().map(|_| None).collect();
-        let mut pruned = 0;
         match &objective.prune {
             None => {
                 run_pool(&mut pool, &all, &mut slots, &|i, worker| {
                     step(i, 0.0, worker)
                 });
+                telemetry.simulated = all.len() as u64;
                 telemetry.rest_ms = lap();
             }
             Some(prune) => {
                 // Every candidate's optimistic scores, once; infeasible
-                // candidates resolve here.
-                let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
-                run_pool(&mut pool, &all, &mut bounds, &|i, worker: &mut Worker| {
+                // candidates resolve here. A family member only has its
+                // feasibility checked: its bound waits for its family's.
+                let member = |i: usize| families.is_some() && pipelined(i);
+                let bound = |i: usize, worker: &mut Worker, alone: bool| {
                     let t0 = Instant::now();
-                    let bound = (prune.optimistic)(&candidate(i));
+                    let bound = match alone {
+                        true => (prune.optimistic)(&candidate(i)),
+                        false => candidate(i).check_feasible().map(|()| None),
+                    };
                     let us = t0.elapsed().as_secs_f64() * 1e6;
                     worker.stats.busy_ms += us / 1e3;
                     if bound.is_err() {
                         resolve(i, classify(&bound), None, us, worker);
                     }
                     (bound, us)
+                };
+                let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
+                run_pool(&mut pool, &all, &mut bounds, &|i, worker: &mut Worker| {
+                    bound(i, worker, !member(i))
                 });
-                let mut optimistic = Vec::with_capacity(plans.len());
-                let mut bound_us = Vec::with_capacity(plans.len());
-                for (slot, bound) in slots.iter_mut().zip(bounds) {
-                    let (bound, us) = bound.expect("every candidate was bounded");
-                    optimistic.push(bound.as_ref().ok().copied().flatten());
-                    bound_us.push(us);
-                    *slot = bound.err().map(Err);
+                let mut optimistic = vec![None; plans.len()];
+                let mut bound_us = vec![0.0; plans.len()];
+                record(&all, bounds, &mut optimistic, &mut bound_us, &mut slots);
+                // The feasible family members, by family (in order of
+                // their first members), and every family's scores.
+                let mut members: Vec<Vec<usize>> = Vec::new();
+                if let Some((_, class)) = families {
+                    let mut index = HashMap::new();
+                    for i in (0..plans.len()).filter(|&i| member(i) && slots[i].is_none()) {
+                        let key = (plans[i].pipeline, plans[i].strategy_for(class));
+                        let f = *index.entry(key).or_insert_with(|| {
+                            members.push(Vec::new());
+                            members.len() - 1
+                        });
+                        members[f].push(i);
+                    }
                 }
+                let ids: Vec<usize> = (0..members.len()).collect();
+                let mut family_scores = ids.iter().map(|_| None).collect::<Vec<_>>();
+                if let Some((hook, _)) = families {
+                    run_pool(
+                        &mut pool,
+                        &ids,
+                        &mut family_scores,
+                        &|f, worker: &mut Worker| {
+                            let t0 = Instant::now();
+                            let plans: Vec<&Plan> = members[f].iter().map(|&i| &plans[i]).collect();
+                            let score = hook(&candidate(members[f][0]), &plans);
+                            worker.stats.busy_ms += t0.elapsed().as_secs_f64() * 1e3;
+                            score
+                        },
+                    );
+                }
+                let family_scores: Vec<Option<[f64; N]>> = family_scores
+                    .into_iter()
+                    .map(|s| s.expect("every family was scored"))
+                    .collect();
+                // Bounds the members of families `fams` on their own (their
+                // keys' stages are summed here, on first use).
+                let expand = |fams: &[usize], pool: &mut [Worker]| {
+                    let jobs: Vec<usize> =
+                        fams.iter().flat_map(|&f| &members[f]).copied().collect();
+                    let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
+                    run_pool(pool, &jobs, &mut bounds, &|i, worker: &mut Worker| {
+                        bound(i, worker, true)
+                    });
+                    (jobs, bounds)
+                };
+                // Best-first: the best family while one can place a
+                // member in the first wave; the wave is then the one of
+                // every candidate bounded on its own.
+                let mut expanded = vec![false; members.len()];
+                expand_for_wave(
+                    &family_scores,
+                    &mut expanded,
+                    &mut optimistic,
+                    |f, optimistic| {
+                        let (jobs, bounds) = expand(&[f], &mut pool);
+                        record(&jobs, bounds, optimistic, &mut bound_us, &mut slots);
+                    },
+                );
                 telemetry.bound_ms = lap();
                 // The fixed first wave sets the incumbent; the rest is
                 // pruned against it or simulated.
@@ -552,9 +724,29 @@ impl Explorer<'_> {
                     .iter()
                     .filter_map(|&i| slots[i].as_ref()?.as_ref().ok().and_then(prune.score))
                     .fold(incumbent, raise);
-                let prunable = |i: usize| optimistic[i].is_some_and(|o| cannot_win(&o, &incumbent));
+                // A family that cannot win resolves every member pruned;
+                // the others are bounded member by member.
+                let mut family_pruned = vec![false; plans.len()];
+                let mut survivors = Vec::new();
+                for f in ids.into_iter().filter(|&f| !expanded[f]) {
+                    match family_scores[f] {
+                        Some(o) if cannot_win(&o, &incumbent) => {
+                            for &i in &members[f] {
+                                family_pruned[i] = true;
+                            }
+                        }
+                        _ => survivors.push(f),
+                    }
+                }
+                let (jobs, bounds) = expand(&survivors, &mut pool);
+                record(&jobs, bounds, &mut optimistic, &mut bound_us, &mut slots);
+                let prunable = |i: usize| {
+                    family_pruned[i] || optimistic[i].is_some_and(|o| cannot_win(&o, &incumbent))
+                };
                 let rest: Vec<usize> = all.into_iter().filter(|&i| slots[i].is_none()).collect();
-                pruned = rest.iter().filter(|&&i| prunable(i)).count() as u64;
+                telemetry.pruned = rest.iter().filter(|&&i| prunable(i)).count() as u64;
+                telemetry.family_pruned = family_pruned.iter().filter(|&&p| p).count() as u64;
+                telemetry.simulated = (wave.len() + rest.len()) as u64 - telemetry.pruned;
                 run_pool(&mut pool, &rest, &mut slots, &|i, worker: &mut Worker| {
                     if prunable(i) {
                         resolve(i, CandidateOutcome::Ok, None, bound_us[i], worker);
@@ -576,7 +768,6 @@ impl Explorer<'_> {
             telemetry.workers.push(worker.stats);
         }
         telemetry.candidates = results.len() as u64;
-        telemetry.pruned = pruned;
         for result in &results {
             match classify(result) {
                 CandidateOutcome::Ok => telemetry.ok += 1,
@@ -692,6 +883,119 @@ mod tests {
         let aligned: Vec<Option<[f64; 2]>> =
             (0..6).map(|i| Some([f64::from(i), f64::from(i)])).collect();
         assert_eq!(first_wave(&aligned), vec![2, 3, 4, 5]);
+    }
+
+    /// The wave the best-first pass finds: candidates `family[i] ==
+    /// None` are bounded on their own, the others wait in their family
+    /// (`families[f]` its score, `None` for an unscored one) until
+    /// [`expand_for_wave`] expands it.
+    fn best_first_wave<const N: usize>(
+        full: &[Option<[f64; N]>],
+        family: &[Option<usize>],
+        families: &[Option<[f64; N]>],
+    ) -> Vec<usize> {
+        let mut optimistic: Vec<Option<[f64; N]>> = full
+            .iter()
+            .zip(family)
+            .map(|(o, f)| if f.is_some() { None } else { *o })
+            .collect();
+        let mut expanded = vec![false; families.len()];
+        expand_for_wave(families, &mut expanded, &mut optimistic, |f, optimistic| {
+            for (i, _) in family.iter().enumerate().filter(|(_, m)| **m == Some(f)) {
+                optimistic[i] = full[i];
+            }
+        });
+        first_wave(&optimistic)
+    }
+
+    #[test]
+    fn best_first_expansion_ties_across_families() {
+        // Four candidates bounded on their own put the wave's threshold
+        // at 5. Family 0 ties it, and its member 0 ties the flat 5s with
+        // an earlier index: it must be expanded and joins the wave.
+        // Family 1 ties as well; its member 5 is expanded but too late to
+        // join.
+        let full = [
+            Some([5.0]),
+            Some([5.0]),
+            Some([5.0]),
+            Some([5.0]),
+            Some([9.0]),
+            Some([5.0]),
+        ];
+        let family = [Some(0), None, None, None, None, Some(1)];
+        let families = [Some([5.0]), Some([5.0])];
+        assert_eq!(first_wave(&full), vec![0, 1, 2, 4]);
+        assert_eq!(best_first_wave(&full, &family, &families), vec![0, 1, 2, 4]);
+        // A family below the threshold stays unexpanded.
+        let mut expanded = [false, false];
+        let mut optimistic = [
+            None,
+            Some([5.0]),
+            Some([5.0]),
+            Some([5.0]),
+            Some([9.0]),
+            None,
+        ];
+        expand_for_wave(&[Some([4.9]); 2], &mut expanded, &mut optimistic, |_, _| {
+            panic!("no family can join the wave")
+        });
+    }
+
+    #[test]
+    fn best_first_expansion_returns_the_fully_bounded_wave() {
+        // Seeded lists with heavy ties: candidates in families or on
+        // their own, family scores at or above their members' best, some
+        // families unscored, on one and two dimensions.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 0..60 {
+            let n_families = 1 + (next() % 6) as usize;
+            let full1: Vec<Option<[f64; 1]>> = (0..len)
+                .map(|_| (!next().is_multiple_of(7)).then(|| [(next() % 5) as f64]))
+                .collect();
+            let full2: Vec<Option<[f64; 2]>> = full1
+                .iter()
+                .map(|o| o.map(|[a]| [a, (next() % 4) as f64]))
+                .collect();
+            let family: Vec<Option<usize>> = (0..len)
+                .map(|_| match next() % 3 {
+                    0 => None,
+                    _ => Some((next() % n_families as u64) as usize),
+                })
+                .collect();
+            let mut scores = |full: &[Option<[f64; 2]>], d: usize, f: usize| -> Option<f64> {
+                if next().is_multiple_of(9) {
+                    return None; // unscored: bounded at once
+                }
+                let best = (0..len)
+                    .filter(|&i| family[i] == Some(f))
+                    .filter_map(|i| full[i].map(|o| o[d]))
+                    .fold(0.0, f64::max);
+                Some(best + (next() % 2) as f64)
+            };
+            let families1: Vec<Option<[f64; 1]>> = (0..n_families)
+                .map(|f| scores(&full2, 0, f).map(|s| [s]))
+                .collect();
+            assert_eq!(
+                best_first_wave(&full1, &family, &families1),
+                first_wave(&full1),
+                "{full1:?} {family:?} {families1:?}"
+            );
+            let families2: Vec<Option<[f64; 2]>> = (0..n_families)
+                .map(|f| Some([scores(&full2, 0, f)?, scores(&full2, 1, f)?]))
+                .collect();
+            assert_eq!(
+                best_first_wave(&full2, &family, &families2),
+                first_wave(&full2),
+                "{full2:?} {family:?} {families2:?}"
+            );
+        }
     }
 
     #[test]

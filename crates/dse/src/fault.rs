@@ -261,6 +261,7 @@ impl Explorer<'_> {
                 score: &scored,
                 pruned: || None,
                 floor: [f64::NEG_INFINITY; 2],
+                family: None,
             }),
         });
         let candidates: Vec<GoodputCandidate> = driven

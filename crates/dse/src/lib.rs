@@ -49,6 +49,23 @@
 //! thread count. Skipped candidates count as `ok` and in
 //! [`SearchTelemetry::pruned`].
 //!
+//! Pipelined candidates of a variant without decode steps are bounded by
+//! family first. A family shares the depth, the microbatch count, the
+//! schedule and the strategy of the model's dominant class (the one with
+//! the most layer instances, `madmax_pipeline::family_class`); one
+//! fill/drain walk over per-stage floor costs
+//! (`Scenario::family_lower_bound`: each comm piece the cheapest among
+//! the members' strategies, deflated by 1e-11 against rounding) bounds
+//! every member at once. Members only have their feasibility checked
+//! (`Scenario::check_feasible`) until their family is expanded. Best
+//! first, the driver expands a family while its score reaches the wave's
+//! fourth-best bounded score, so the wave is exactly the one of bounding
+//! every candidate. After the wave, a family that cannot beat the
+//! incumbent is pruned whole without its members' stage costs ever being
+//! summed ([`SearchTelemetry::family_pruned`]); the others are bounded
+//! member by member. A member never scores above its family, so the
+//! pruned set is the one of bounding every candidate.
+//!
 //! [`Explorer::explore_goodput`] runs the same branch-and-bound on two
 //! scores at once: the best effective (goodput-weighted) throughput and
 //! the fault-free throughput, whose winners are the goodput pick and the

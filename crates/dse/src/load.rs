@@ -332,6 +332,7 @@ impl Explorer<'_> {
                 score: &scored,
                 pruned: Vec::new,
                 floor: [f64::NEG_INFINITY; 2],
+                family: None,
             }),
         });
         let candidates: Vec<LoadCandidate> = driven

@@ -16,8 +16,9 @@
 //! [`PipelineCostTable::covers`]).
 
 use madmax_core::{CacheStats, CostTable};
-use madmax_parallel::{Plan, ServeConfig, Workload};
+use madmax_parallel::{LoadSpec, Plan, ServeConfig, Workload};
 use madmax_pipeline::PipelineCostTable;
+use madmax_serve::ArrivalEvent;
 
 /// Engine cost tables for the load probes of a list of plans, shared
 /// read-only across the threads pricing them. Built by
@@ -26,7 +27,14 @@ use madmax_pipeline::PipelineCostTable;
 #[derive(Debug)]
 pub struct LoadProbeTables<'a> {
     shapes: Vec<ProbeShape<'a>>,
+    /// What the tables were priced against; a probe of an equal spec and
+    /// config reuses its arrivals and slot count.
+    inputs: LoadInputs,
 }
+
+/// A load spec and serve config, the spec's materialized arrivals and the
+/// in-flight slot count.
+pub(crate) type LoadInputs = (LoadSpec, ServeConfig, Vec<ArrivalEvent>, usize);
 
 /// One shape's flat and pipeline tables, each priced only when a plan
 /// probing the shape needs it.
@@ -44,17 +52,19 @@ pub(crate) struct ProbeShape<'a> {
 }
 
 impl<'a> LoadProbeTables<'a> {
-    /// Prices the tables: `shapes_of` lists the probe shapes of one plan,
-    /// and `price` prices the flat and pipeline tables of one shape's
+    /// Prices the tables of `plans` for the load `inputs`: `shapes_of`
+    /// lists the probe shapes of one plan (given the arrivals), and
+    /// `price` prices the flat and pipeline tables of one shape's
     /// workload for the plans that probe it.
     pub(crate) fn new(
         plans: &[Plan],
-        shapes_of: impl Fn(&Plan) -> Vec<ServeConfig>,
+        inputs: LoadInputs,
+        shapes_of: impl Fn(&Plan, &[ArrivalEvent]) -> Vec<ServeConfig>,
         price: impl Fn(&Workload, &[&Plan]) -> Tables<'a>,
     ) -> Self {
         let mut keyed: Vec<(ServeConfig, Vec<&Plan>)> = Vec::new();
         for plan in plans {
-            for cfg in shapes_of(plan) {
+            for cfg in shapes_of(plan, &inputs.2) {
                 match keyed.iter_mut().find(|(c, _)| *c == cfg) {
                     Some((_, probing)) => probing.push(plan),
                     None => keyed.push((cfg, vec![plan])),
@@ -73,7 +83,18 @@ impl<'a> LoadProbeTables<'a> {
                 }
             })
             .collect();
-        Self { shapes }
+        Self { shapes, inputs }
+    }
+
+    /// The materialized arrivals and slot count of `spec` on `serve`,
+    /// when the tables were priced for an equal spec and config.
+    pub(crate) fn inputs_for(
+        &self,
+        spec: &LoadSpec,
+        serve: &ServeConfig,
+    ) -> Option<(&[ArrivalEvent], usize)> {
+        let (priced, priced_serve, arrivals, slots) = &self.inputs;
+        (priced == spec && priced_serve == serve).then_some((arrivals.as_slice(), *slots))
     }
 
     /// The tables of shape `cfg`, when priced.

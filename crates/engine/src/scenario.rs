@@ -15,8 +15,8 @@ use madmax_fault::{
 use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
-use madmax_parallel::{LoadSpec, MemoryBreakdown, Plan, ServeConfig, Workload};
-use madmax_pipeline::{PipelineCostTable, PricedPipelineRef};
+use madmax_parallel::{LoadSpec, MemoryBreakdown, Plan, PlanError, ServeConfig, Workload};
+use madmax_pipeline::PipelineCostTable;
 use madmax_serve::{LoadOutcome, ProbeRun, SimMode, StepCostModel};
 
 use crate::error::EngineError;
@@ -298,17 +298,36 @@ impl<'a> Scenario<'a> {
 
     /// Prices one [`PipelineCostTable`] covering every pipelined plan in
     /// `plans` (flat plans are skipped — they are [`Scenario::price_plans`]'
-    /// business). The table inherits this scenario's model, system,
-    /// workload, and cost models, and is `Sync`: build it once per search
-    /// and share it read-only across worker threads.
+    /// business), every feasible plan's stage costs summed. The table
+    /// inherits this scenario's model, system, workload, and cost models,
+    /// and is `Sync`: build it once per search and share it read-only
+    /// across worker threads.
     ///
     /// All plans must share the same pricing-relevant options; this is
     /// asserted.
     pub fn price_pipeline_plans(&self, plans: &[Plan]) -> PipelineCostTable<'a> {
+        let table = self.price_pipeline(plans.iter());
+        for plan in plans {
+            // Sums the key's stage costs; error-shaped plans just report.
+            let _ = table.priced_for(plan);
+        }
+        table
+    }
+
+    /// [`Scenario::price_pipeline_plans`] with every key's stage costs
+    /// deferred to the first candidate priced against it
+    /// ([`PipelineCostTable::ensure_plan_deferred`]): a search that rules
+    /// whole families out by [`Scenario::family_lower_bound`] never sums
+    /// their stages. Evaluations against it are byte-identical to ones
+    /// against the fully priced table.
+    ///
+    /// All plans must share the same pricing-relevant options; this is
+    /// asserted.
+    pub fn price_pipeline_deferred(&self, plans: &[Plan]) -> PipelineCostTable<'a> {
         self.price_pipeline(plans.iter())
     }
 
-    /// [`Scenario::price_pipeline_plans`] over any plan sequence.
+    /// [`Scenario::price_pipeline_deferred`] over any plan sequence.
     fn price_pipeline<'p>(&self, plans: impl Iterator<Item = &'p Plan>) -> PipelineCostTable<'a> {
         let mut plans = plans.peekable();
         let options = plans
@@ -323,7 +342,7 @@ impl<'a> Scenario<'a> {
             self.utilization,
         );
         for plan in plans.filter(|p| Self::is_pipelined(p)) {
-            table.ensure_plan(plan);
+            table.ensure_plan_deferred(plan);
         }
         table
     }
@@ -428,14 +447,17 @@ impl<'a> Scenario<'a> {
     /// ([`madmax_pipeline::busy_lower_bound`]): its first forward waits for
     /// microbatch 0's forward chain through the earlier stages, and its
     /// last pass for the gradient (or activation) chain that follows it.
-    /// Searches use it to skip candidates that provably cannot win. `None`
-    /// only for a pipelined serve plan with decode steps whose busiest
-    /// stream total leaves the duration grid's exact range (flat serve
-    /// plans then sum in issue order instead).
+    /// Searches use it to skip candidates that provably cannot win, and
+    /// bound whole families of pipelined candidates at once first
+    /// ([`Scenario::family_lower_bound`], never above any member's bound).
+    /// `None` only for a pipelined serve plan with decode steps whose
+    /// busiest stream total leaves the duration grid's exact range (flat
+    /// serve plans then sum in issue order instead).
     ///
     /// It runs the workload check and the memory/pipeline feasibility
-    /// check first, against the same tables as [`Scenario::run_in`], so
-    /// every plan `run_in` rejects is rejected here with the same error.
+    /// check first ([`Scenario::check_feasible`]), against the same tables
+    /// as [`Scenario::run_in`], so every plan `run_in` rejects is rejected
+    /// here with the same error.
     ///
     /// # Errors
     ///
@@ -458,14 +480,15 @@ impl<'a> Scenario<'a> {
     ) -> Result<Option<(Seconds, MemoryBreakdown)>, EngineError> {
         self.with_feasible(
             |table, plan, memory| Some((table.busy_lower_bound(plan), memory)),
-            |table, priced| {
+            |table, plan| {
+                let priced = table.priced_for(plan)?;
                 let bound = madmax_pipeline::busy_lower_bound(
                     priced.primary,
                     &priced.cfg,
                     table.workload().has_backward(),
                     priced.decode.zip(table.serve_dims()),
-                )?;
-                Some((bound, priced.memory))
+                );
+                Ok(bound.map(|bound| (bound, priced.memory)))
             },
         )
     }
@@ -473,22 +496,55 @@ impl<'a> Scenario<'a> {
     /// The feasibility half of [`Scenario::lower_bound`]: the workload
     /// check, then the plan resolved against the tables
     /// [`Scenario::run_in`] would use (the flat memory fold and HBM gate,
-    /// or the pipeline table's partition, memory and microbatch checks).
-    /// A feasible plan is handed to `flat` (with its memory breakdown) or
-    /// `pipelined` with its resolved table. Every plan `run_in` rejects is
-    /// rejected here with the same error, and without assembling or
-    /// scheduling anything.
+    /// or the pipeline table's partition, memory and microbatch checks),
+    /// without reading a pipelined plan's stage costs. Every plan `run_in`
+    /// rejects is rejected here with the same error.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Scenario::run`].
+    pub fn check_feasible(&self) -> Result<(), EngineError> {
+        self.with_feasible(|_, _, _| (), |table, plan| table.check(plan).map(|_| ()))
+    }
+
+    /// A lower bound on [`Scenario::lower_bound`] of every plan in
+    /// `members` on this scenario's workload, computed once for all of
+    /// them ([`PipelineCostTable::family_lower_bound`]): the fill/drain
+    /// walk of per-stage floor costs, each comm piece the cheapest among
+    /// the members' strategies, deflated so that rounding never lifts it
+    /// above a member's bound, bit for bit. The members must be feasible
+    /// pipelined plans ([`Scenario::check_feasible`]) sharing one depth,
+    /// microbatch count and schedule; a search passes a family, which
+    /// also shares the strategy of [`madmax_pipeline::family_class`].
+    /// Reads the attached [`Scenario::pipeline_costs`] table (it must
+    /// have registered every member), or prices one for the members.
+    /// `None` for workloads with decode steps, infeasible or mixed
+    /// members, and walks too long for the deflation to cover.
+    pub fn family_lower_bound(&self, members: &[&Plan]) -> Option<Seconds> {
+        self.check_workload().ok()?;
+        match self.pipeline_costs {
+            Some(table) => table.family_lower_bound(members),
+            None => self
+                .price_pipeline(members.iter().copied())
+                .family_lower_bound(members),
+        }
+    }
+
+    /// Runs the workload check, then resolves the plan against the tables
+    /// [`Scenario::run_in`] would use: a flat plan's memory fold and HBM
+    /// gate, handing a feasible one to `flat` with its memory breakdown,
+    /// or `pipelined` with its resolved table, which runs the pipeline
+    /// table's checks itself. Nothing is assembled or scheduled.
     fn with_feasible<R>(
         &self,
         flat: impl FnOnce(&CostTable<'a>, &Plan, MemoryBreakdown) -> R,
-        pipelined: impl FnOnce(&PipelineCostTable<'a>, &PricedPipelineRef<'_>) -> R,
+        pipelined: impl FnOnce(&PipelineCostTable<'a>, &Plan) -> Result<R, PlanError>,
     ) -> Result<R, EngineError> {
         self.check_workload()?;
         self.with_plan(|plan| {
             if Self::is_pipelined(plan) {
                 let table = self.pipeline_table(plan);
-                let priced = table.priced_for(plan)?;
-                Ok(pipelined(&table, &priced))
+                Ok(pipelined(&table, plan)?)
             } else {
                 let table = self.flat_table(plan);
                 let memory = table.memory_for(plan)?;
@@ -536,7 +592,7 @@ impl<'a> Scenario<'a> {
                 );
                 Table::Attached(table)
             }
-            None => Table::Priced(self.price_pipeline_plans(std::slice::from_ref(plan))),
+            None => Table::Priced(self.price_pipeline_deferred(std::slice::from_ref(plan))),
         }
     }
 
@@ -614,7 +670,7 @@ impl<'a> Scenario<'a> {
         let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
         let scratch = RefCell::new(EngineScratch::new());
         self.with_plan(|plan| {
-            let feasible = |cfg| self.probe(plan, cfg).with_feasible(|_, _, _| (), |_, _| ());
+            let feasible = |cfg| self.probe(plan, cfg).check_feasible();
             let probe = |cfg| {
                 let scratch = &mut *scratch.borrow_mut();
                 let report = self.probe(plan, cfg).run_in(scratch)?;
@@ -663,8 +719,7 @@ impl<'a> Scenario<'a> {
             else {
                 return Ok(None);
             };
-            self.probe(plan, worst)
-                .with_feasible(|_, _, _| (), |_, _| ())?;
+            self.probe(plan, worst).check_feasible()?;
             let ttft = self.probe(plan, anchor).ttft_in(&mut EngineScratch::new());
             Ok(ttft.ok().flatten().and_then(grid_units))
         })
@@ -685,19 +740,26 @@ impl<'a> Scenario<'a> {
     }
 
     /// What [`Scenario::price_load`] prices against: the serve config,
-    /// `spec`'s materialized arrivals, and the in-flight slot count.
+    /// `spec`'s materialized arrivals, and the in-flight slot count. The
+    /// spec is validated on every call; the arrivals and slots come from
+    /// the attached [`Scenario::load_probes`] tables when they were priced
+    /// for an equal spec and serve config, and are materialized here
+    /// otherwise.
     fn load_probe_inputs(
         &self,
         spec: &LoadSpec,
-    ) -> Result<(&ServeConfig, Vec<madmax_serve::ArrivalEvent>, usize), EngineError> {
+    ) -> Result<(&ServeConfig, Cow<'_, [madmax_serve::ArrivalEvent]>, usize), EngineError> {
         let serve = self.load_serve_config()?;
         spec.validate()
             .map_err(|reason| EngineError::InvalidLoad { reason })?;
+        if let Some((arrivals, slots)) = self.load_probes.and_then(|t| t.inputs_for(spec, serve)) {
+            return Ok((serve, Cow::Borrowed(arrivals), slots));
+        }
         let arrivals = madmax_serve::materialize_arrivals(&spec.arrivals, serve, self.model)?;
         let slots = spec
             .slots
             .unwrap_or_else(|| serve.effective_batch(self.model));
-        Ok((serve, arrivals, slots))
+        Ok((serve, Cow::Owned(arrivals), slots))
     }
 
     /// Prices the load-probe tables of `plans` for `spec` on this
@@ -725,9 +787,11 @@ impl<'a> Scenario<'a> {
         plans: &[Plan],
     ) -> Result<LoadProbeTables<'a>, EngineError> {
         let (serve, arrivals, slots) = self.load_probe_inputs(spec)?;
+        let inputs = (spec.clone(), *serve, arrivals.into_owned(), slots);
         Ok(LoadProbeTables::new(
             plans,
-            |plan| StepCostModel::probe_shapes(plan, serve, slots, &arrivals),
+            inputs,
+            |plan, arrivals| StepCostModel::probe_shapes(plan, serve, slots, arrivals),
             |workload, covered| {
                 let probe = Scenario::new(self.model, self.system)
                     .workload(workload.clone())

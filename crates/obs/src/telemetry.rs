@@ -93,6 +93,18 @@ pub struct SearchTelemetry {
     /// progress events carry no `iteration_ms`. The same at any thread
     /// count; zero for every other search.
     pub pruned: u64,
+    /// The [`SearchTelemetry::pruned`] candidates `Explorer::explore`
+    /// resolved by a family bound: pipelined candidates sharing a depth,
+    /// microbatch count, schedule and dominant-class strategy, ruled out
+    /// together by one floor on their bounds before any member's stages
+    /// were summed or walked. A subset of `pruned`; the same at any
+    /// thread count.
+    pub family_pruned: u64,
+    /// Candidates the search's step ran on (simulated, or for the load
+    /// search priced and simulated): every candidate that was neither
+    /// pruned, ruled out by its feasibility check, nor resolved without a
+    /// fresh evaluation. The same at any thread count.
+    pub simulated: u64,
     /// Candidates rejected for device memory.
     pub oom: u64,
     /// Candidates whose pipeline depth cannot partition the model or map
@@ -103,8 +115,10 @@ pub struct SearchTelemetry {
     /// Flat `CostTable` price-vs-reuse snapshot (one event per
     /// (candidate, layer class) ensured).
     pub flat_cache: CacheStats,
-    /// `PipelineCostTable` price-vs-reuse snapshot (one event per
-    /// priceable pipelined candidate ensured).
+    /// `PipelineCostTable` price-vs-reuse snapshot: one hit per feasible
+    /// pipelined candidate whose (depth, assignment, microbatches) key was
+    /// already registered, one miss per key whose stage costs were summed
+    /// (a family pruned whole sums none).
     pub pipeline_cache: CacheStats,
     /// Shared report-memo snapshot (one event per pipelined evaluation of
     /// a workload without a backward pass; hits are reports served
@@ -151,9 +165,13 @@ pub struct SearchTelemetry {
 
 impl SearchTelemetry {
     /// Whether the outcome counters reconcile with the candidate count
-    /// (`candidates == ok + oom + unmappable + invalid`).
+    /// (`candidates == ok + oom + unmappable + invalid`), family-pruned
+    /// candidates are among the pruned ones, and no candidate is both
+    /// pruned and simulated (`simulated + pruned <= candidates`).
     pub fn reconciles(&self) -> bool {
         self.candidates == self.ok + self.oom + self.unmappable + self.invalid
+            && self.family_pruned <= self.pruned
+            && self.simulated + self.pruned <= self.candidates
     }
 
     /// Accumulates another run's telemetry (e.g. one workload variant of
@@ -163,6 +181,8 @@ impl SearchTelemetry {
         self.candidates += other.candidates;
         self.ok += other.ok;
         self.pruned += other.pruned;
+        self.family_pruned += other.family_pruned;
+        self.simulated += other.simulated;
         self.oom += other.oom;
         self.unmappable += other.unmappable;
         self.invalid += other.invalid;
@@ -199,12 +219,15 @@ impl SearchTelemetry {
             None => "-".to_owned(),
         };
         let mut line = format!(
-            "{} candidates in {:.0} ms ({} ok of which {} pruned, {} oom, {} unmappable, {} invalid); \
+            "{} candidates in {:.0} ms ({} ok of which {} pruned ({} by a family bound), \
+             {} simulated, {} oom, {} unmappable, {} invalid); \
              cache hit rates: flat {}, pipeline {}, memo {}",
             self.candidates,
             self.wall_ms,
             self.ok,
             self.pruned,
+            self.family_pruned,
+            self.simulated,
             self.oom,
             self.unmappable,
             self.invalid,
@@ -317,6 +340,7 @@ mod tests {
             candidates: 4,
             ok: 3,
             pruned: 1,
+            simulated: 2,
             oom: 1,
             workers: vec![WorkerStats {
                 worker: 0,
@@ -329,6 +353,7 @@ mod tests {
             candidates: 2,
             ok: 2,
             pruned: 2,
+            family_pruned: 1,
             workers: vec![
                 WorkerStats {
                     worker: 0,
@@ -363,7 +388,22 @@ mod tests {
         assert_eq!(a.goodput_evals, 2);
         assert_eq!(a.fault_events, 5);
         assert_eq!(a.pruned, 3);
-        assert!(a.summary().contains("5 ok of which 3 pruned"));
+        assert_eq!((a.family_pruned, a.simulated), (1, 2));
+        assert!(a
+            .summary()
+            .contains("5 ok of which 3 pruned (1 by a family bound), 2 simulated"));
+        // A family-pruned candidate is a pruned one, and a pruned
+        // candidate is not simulated.
+        assert!(!SearchTelemetry {
+            family_pruned: 4,
+            ..a.clone()
+        }
+        .reconciles());
+        assert!(!SearchTelemetry {
+            simulated: 4,
+            ..a.clone()
+        }
+        .reconciles());
         assert!(a.summary().contains("verify: 0 errors, 3 warnings"));
         assert!(a.summary().contains("2 goodput evals, 5 fault events"));
         assert!(!SearchTelemetry::default().summary().contains("verify:"));
@@ -382,6 +422,9 @@ mod tests {
                 misses: 4,
             },
             wall_ms: 12.5,
+            pruned: 3,
+            family_pruned: 2,
+            simulated: 5,
             ..Default::default()
         };
         t.eval_latency.record(100.0);
@@ -391,6 +434,9 @@ mod tests {
         assert_eq!(field("candidates").as_u64(), Some(10));
         assert_eq!(field("ok").as_u64(), Some(8));
         assert_eq!(field("wall_ms").as_f64(), Some(12.5));
+        assert_eq!(field("pruned").as_u64(), Some(3));
+        assert_eq!(field("family_pruned").as_u64(), Some(2));
+        assert_eq!(field("simulated").as_u64(), Some(5));
         let flat = field("flat_cache").as_map().unwrap();
         assert_eq!(serde::field(flat, "hits").unwrap().as_u64(), Some(36));
         assert_eq!(serde::field(flat, "misses").unwrap().as_u64(), Some(4));

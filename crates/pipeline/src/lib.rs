@@ -29,7 +29,9 @@
 //!    key, the balanced stage partition and stage sub-cluster (per
 //!    depth), the per-stage sub-models and raw memory footprints (per
 //!    depth × strategy assignment), and the per-stage [`StageCosts`] of
-//!    every workload phase (per depth × assignment × microbatch count).
+//!    every workload phase (per depth × assignment × microbatch count,
+//!    summed when a candidate of the key is first priced, so a search
+//!    that bounds a whole family of candidates away never sums them).
 //!    The layers are priced by one model only, `madmax_core::CostTable`:
 //!    the table keeps one flat table per (depth, microbatch count), priced
 //!    on the stage sub-cluster at one microbatch's local batch, and a
@@ -74,9 +76,10 @@
 //!
 //! **PipelineCostTable sharing contract**: a single run prices a
 //! one-plan table; `madmax-dse` builds one table per search
-//! (`PipelineCostTable::ensure_plan` for every candidate, before spawning
-//! workers) and shares it read-only (`&PipelineCostTable` is `Sync`)
-//! across the worker pool. A table is priced for one `(model, cluster,
+//! (`PipelineCostTable::ensure_plan_deferred` for every candidate, before
+//! spawning workers) and shares it read-only (`&PipelineCostTable` is
+//! `Sync`; a key's stage costs are summed once, by the first worker that
+//! prices it) across the worker pool. A table is priced for one `(model, cluster,
 //! workload)` combination and one set of pricing-relevant plan options
 //! (asserted), and a shared table produces reports byte-identical to a
 //! one-plan table's — error shapes included.
@@ -122,7 +125,7 @@ pub mod table;
 pub use cost::{stage_cluster, StageCosts};
 pub use schedule::{build_pipeline_trace, busy_lower_bound};
 pub use sim::{pipelined_ttft_cached, run_pipelined_cached};
-pub use table::{PipelineCostTable, PricedPipelineRef};
+pub use table::{family_class, PipelineCostTable, PricedPipelineRef};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`
 /// microbatches: `(p - 1) / (m + p - 1)` (delegates to

@@ -26,10 +26,22 @@
 //!   fwd+bwd, or serve prefill + decode) depend on `(p, assignment,
 //!   microbatches)`. Each is a sum, in unit order, of the flat table's
 //!   per-instance entries times the unit's instances, plus the
-//!   pipeline's own terms: the inter-stage P2P sends, the optimizer step
-//!   and the dominant-class and lookup tags. The **schedule** axis only
-//!   reorders trace assembly, and for serve workloads does not even do
-//!   that (the decode stream is schedule-independent).
+//!   pipeline's own terms: the inter-stage P2P sends (priced once per
+//!   `(p, microbatches)`), the optimizer step (once per `(p,
+//!   assignment)`) and the dominant-class and lookup tags. The
+//!   **schedule** axis only reorders trace assembly, and for serve
+//!   workloads does not even do that (the decode stream is
+//!   schedule-independent).
+//!
+//! Assignments are looked up by a packed code of their strategies, with
+//! no allocation. A key's stage costs are summed the first time a
+//! candidate of it is priced: [`PipelineCostTable::ensure_plan`] does
+//! that at once, [`PipelineCostTable::ensure_plan_deferred`] leaves it to
+//! the first [`PipelineCostTable::priced_for`], so a search that rules a
+//! whole family of candidates out with
+//! [`PipelineCostTable::family_lower_bound`] only checks their
+//! feasibility ([`PipelineCostTable::check`]) and never sums their
+//! stages.
 //!
 //! The table memoizes every level, so a candidate evaluation through
 //! [`crate::run_pipelined_cached`] assembles cached [`StageCosts`] into a
@@ -43,10 +55,13 @@
 //! `(model, cluster, workload)` combination and one set of
 //! pricing-relevant [`PlanOptions`] (everything except
 //! `ignore_memory_limits`, which only gates the feasibility check and is
-//! read per plan). [`PipelineCostTable::ensure_plan`] must be called for
-//! every candidate before evaluation; the table is then shared read-only
-//! across worker threads (it is `Sync`). Assembling a plan whose depth,
-//! assignment, or microbatch count was never priced panics; error-shaped
+//! read per plan). [`PipelineCostTable::ensure_plan`] (or
+//! [`PipelineCostTable::ensure_plan_deferred`]) must be called for every
+//! candidate before evaluation; the table is then shared read-only
+//! across worker threads (it is `Sync`; deferred stage costs are summed
+//! once, by whichever thread prices the key first). Assembling a plan
+//! whose depth, assignment, or microbatch count was never registered
+//! panics; error-shaped
 //! candidates (invalid strategies, unmappable depths, OOM folds, bad
 //! microbatch counts) are *not* priced and instead report their error at
 //! evaluation time.
@@ -63,8 +78,8 @@ use madmax_hw::units::Seconds;
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_parallel::{
-    memory_per_device, HierStrategy, MemoryBreakdown, PipelineConfig, Plan, PlanError, PlanOptions,
-    Urgency, Workload,
+    memory_per_device, CollectiveKind, HierStrategy, MemoryBreakdown, PipelineConfig, Plan,
+    PlanError, PlanOptions, Strategy, Urgency, Workload,
 };
 
 use crate::cost::{
@@ -73,6 +88,7 @@ use crate::cost::{
 };
 use crate::memory::fold_pipeline_memory;
 use crate::partition::{partition_model, Stage};
+use crate::schedule::busy_lower_bound;
 
 /// Every strategy-independent context of one depth `p`.
 #[derive(Debug)]
@@ -82,35 +98,74 @@ struct DepthEntry<'a> {
     sub: ClusterSpec,
     /// Primary-phase per-stage sub-models (memory and optimizer).
     sub_models: Vec<ModelArch>,
-    /// The flat table of each priced microbatch count: every layer
-    /// group's costs on the sub-cluster at one microbatch's local batch,
-    /// per strategy and phase.
-    flat: Vec<(usize, CostTable<'a>)>,
-    /// Per-assignment costs, keyed by the strategies of the model's
-    /// classes in first-appearance order.
-    assignments: Vec<(Vec<HierStrategy>, AssignEntry)>,
+    /// The flat table and the inter-stage sends of each priced
+    /// microbatch count.
+    flat: Vec<FlatEntry<'a>>,
+    /// Per-assignment costs, sorted by assignment code
+    /// ([`PipelineCostTable::assign_code`]).
+    assignments: Vec<(u32, AssignEntry)>,
 }
+
+/// The strategy-independent costs of one `(depth, microbatches)` pair.
+#[derive(Debug)]
+struct FlatEntry<'a> {
+    microbatches: usize,
+    /// Every layer group's costs on the sub-cluster at one microbatch's
+    /// local batch, per strategy and phase.
+    table: CostTable<'a>,
+    /// Each stage's activation send to the next stage, per microbatch
+    /// (one entry per stage but the last): the primary phase, then the
+    /// decode phase (empty without one). A stage's gradient send is its
+    /// predecessor's activation send.
+    sends: [Vec<Seconds>; 2],
+    /// The inputs of family floors: per (class, strategy) registered at
+    /// this entry, each stage's comm pieces under it
+    /// ([`PipelineCostTable::class_pieces`]).
+    pieces: Vec<ClassPieces>,
+}
+
+/// One (class, strategy)'s comm pieces and summed entry count per stage.
+type ClassPieces = (LayerClass, HierStrategy, Vec<([Seconds; 4], usize)>);
 
 /// Costs of one `(depth, strategy assignment)` pair.
 #[derive(Debug)]
 struct AssignEntry {
     /// Raw (schedule-independent) per-stage memory footprints.
     per_stage_memory: Vec<MemoryBreakdown>,
-    /// Priced stage costs per microbatch count.
+    /// Per-stage optimizer step (the same in every phase and at every
+    /// microbatch count); empty until a feasible candidate needs it.
+    optimizer: Vec<Seconds>,
+    /// The phase costs of each registered microbatch count.
     by_m: Vec<(usize, PhaseCosts)>,
 }
 
-/// The priced stages of every workload phase for one
-/// `(depth, assignment, microbatches)` key.
+/// One `(depth, assignment, microbatches)` key: its stage costs, summed
+/// on first use, and its report memo.
 #[derive(Debug)]
 struct PhaseCosts {
-    primary: Vec<StageCosts>,
-    decode: Option<Vec<StageCosts>>,
+    stages: OnceLock<Stages>,
     /// The report of every candidate at this key, with its decode tail,
     /// for workloads without a backward pass: their traces do not depend
     /// on the schedule, so the GPipe/1F1B pair of a search shares it. Set
     /// by the first worker to evaluate the key.
     report: ReportMemo,
+}
+
+/// The priced stages of every workload phase of one key.
+#[derive(Debug)]
+struct Stages {
+    primary: Vec<StageCosts>,
+    decode: Option<Vec<StageCosts>>,
+}
+
+/// One candidate located in the table: its key's entries and its memory
+/// fold.
+struct Located<'t> {
+    depth: &'t DepthEntry<'t>,
+    assign: &'t AssignEntry,
+    phase: &'t PhaseCosts,
+    cfg: PipelineConfig,
+    memory: MemoryBreakdown,
 }
 
 /// Everything [`crate::run_pipelined_cached`] needs to assemble one
@@ -138,6 +193,20 @@ pub struct PricedPipelineRef<'t> {
 /// serve run of at least three decode tokens).
 pub(crate) type ReportMemo = OnceLock<(IterationReport, Option<DecodeTail>)>;
 
+/// Relative amount by which [`PipelineCostTable::family_lower_bound`]
+/// deflates the fill/drain walk of its floor costs, so that rounding can
+/// never lift the floor above a member's own walk (see that method).
+/// Far below the search's 1e-9 pruning margin.
+pub(crate) const FLOOR_DEFLATION: f64 = 1e-11;
+
+/// The longest chain of floating additions behind a floor or a member's
+/// walk for which [`FLOOR_DEFLATION`] covers the rounding:
+/// `2.01 · FLOOR_MAX_DEPTH · 2^-53 < FLOOR_DEFLATION`.
+const FLOOR_MAX_DEPTH: usize = 40_000;
+
+/// Collective kinds a [`StageCosts`] comm list can hold, one entry each.
+const COLLECTIVE_KINDS: usize = 5;
+
 /// Shared, read-only cost cache for the pipeline engine (see the module
 /// docs for the sharing contract).
 #[derive(Debug)]
@@ -160,9 +229,9 @@ pub struct PipelineCostTable<'a> {
     /// assignment-key dimensions).
     classes: Vec<LayerClass>,
     depths: Vec<(usize, Result<DepthEntry<'a>, PlanError>)>,
-    /// Price-vs-reuse telemetry: one hit per `ensure_plan` candidate whose
-    /// `(depth, assignment, microbatches)` key was already priced, one
-    /// miss per fresh phase-cost entry.
+    /// Price-vs-reuse telemetry: one hit per registered candidate whose
+    /// `(depth, assignment, microbatches)` key already had an entry, one
+    /// miss per key whose stage costs are summed.
     counters: CacheCounters,
     /// Report-memo telemetry, bumped by `run_pipelined_cached` for
     /// workloads without a backward pass.
@@ -173,10 +242,42 @@ pub struct PipelineCostTable<'a> {
     analytic_counters: CacheCounters,
 }
 
+/// The layer class whose strategy, with the depth, the microbatch count
+/// and the schedule, keys a family of pipelined candidates
+/// ([`PipelineCostTable::family_lower_bound`]): the class with the most
+/// layer instances in `model`, ties to the first to appear. For an LLM it
+/// is the transformer blocks.
+pub fn family_class(model: &ModelArch) -> Option<LayerClass> {
+    let mut counts: Vec<(LayerClass, usize)> = Vec::new();
+    for g in &model.groups {
+        match counts.iter_mut().find(|(c, _)| *c == g.class) {
+            Some((_, n)) => *n += g.repeat,
+            None => counts.push((g.class, g.repeat)),
+        }
+    }
+    // `max_by_key` keeps the last maximum; reversing keeps the first.
+    counts
+        .into_iter()
+        .rev()
+        .max_by_key(|&(_, n)| n)
+        .map(|(c, _)| c)
+}
+
+/// A strategy's code, below 20: its position among the flat strategies,
+/// or four plus its two-level pair's.
+fn strategy_code(s: HierStrategy) -> u32 {
+    let base = |s: Strategy| s as u32;
+    match s {
+        HierStrategy::Flat(s) => base(s),
+        HierStrategy::TwoLevel { intra, inter } => 4 + 4 * base(intra) + base(inter),
+    }
+}
+
 impl<'a> PipelineCostTable<'a> {
     /// Creates an empty table for one `(model, cluster, workload)`
-    /// pricing context; call [`PipelineCostTable::ensure_plan`] with every
-    /// candidate to fill it.
+    /// pricing context; call [`PipelineCostTable::ensure_plan`] (or
+    /// [`PipelineCostTable::ensure_plan_deferred`]) with every candidate
+    /// to fill it.
     pub fn new(
         model: &'a ModelArch,
         cluster: &'a ClusterSpec,
@@ -224,11 +325,12 @@ impl<'a> PipelineCostTable<'a> {
         }
     }
 
-    /// Snapshot of the price-vs-reuse counters:
-    /// [`PipelineCostTable::ensure_plan`] records one hit per candidate
-    /// whose `(depth, assignment, microbatches)` key was already priced
-    /// and one miss per fresh phase-cost entry (error-shaped candidates,
-    /// which are never priced, count as neither).
+    /// Snapshot of the price-vs-reuse counters: registering a candidate
+    /// ([`PipelineCostTable::ensure_plan`] or
+    /// [`PipelineCostTable::ensure_plan_deferred`]) records one hit when
+    /// its `(depth, assignment, microbatches)` key already had an entry,
+    /// and summing a key's stage costs records one miss (error-shaped
+    /// candidates, which are never priced, count as neither).
     pub fn stats(&self) -> CacheStats {
         self.counters.snapshot()
     }
@@ -296,35 +398,57 @@ impl<'a> PipelineCostTable<'a> {
         })
     }
 
-    /// The strategies `plan` assigns to the model's classes, in the
-    /// table's canonical class order.
-    fn assign_key(&self, plan: &Plan) -> Vec<HierStrategy> {
-        self.classes.iter().map(|&c| plan.strategy_for(c)).collect()
+    /// The code of the strategies `plan` assigns to the model's classes,
+    /// in the table's canonical class order: base-20 digits of
+    /// [`strategy_code`], one per class (four classes fit in a `u32`).
+    fn assign_code(&self, plan: &Plan) -> u32 {
+        self.classes.iter().rev().fold(0, |code, &c| {
+            code * 20 + strategy_code(plan.strategy_for(c))
+        })
     }
 
     /// Prices (once) everything `plan`'s candidate needs: the depth's
     /// partition and sub-cluster/sub-models, the assignment's per-stage
-    /// memory, and the per-phase stage costs at the plan's microbatch
-    /// count. Safe to call with every candidate of a search;
-    /// already-priced keys and non-pipelined or error-shaped candidates
-    /// (which re-derive their exact error at evaluation time) are skipped.
+    /// memory and optimizer step, and the per-phase stage costs at the
+    /// plan's microbatch count. Safe to call with every candidate of a
+    /// search; already-priced keys and non-pipelined or error-shaped
+    /// candidates (which re-derive their exact error at evaluation time)
+    /// are skipped.
     ///
     /// # Panics
     ///
     /// Panics when `plan`'s pricing-relevant options diverge from the
     /// table's (see the module docs).
     pub fn ensure_plan(&mut self, plan: &Plan) {
+        if self.ensure_plan_deferred(plan) {
+            let _ = self.priced_for(plan);
+        }
+    }
+
+    /// [`PipelineCostTable::ensure_plan`] without summing the stage
+    /// costs: everything `plan`'s feasibility check
+    /// ([`PipelineCostTable::check`]) and its family's floor
+    /// ([`PipelineCostTable::family_lower_bound`]) read is priced, and
+    /// the plan's `(depth, assignment, microbatches)` key is registered;
+    /// its stage costs are summed the first time a candidate of the key
+    /// is priced ([`PipelineCostTable::priced_for`]), by whichever thread
+    /// gets there first. Returns whether the key was registered (the
+    /// candidate is pipelined and feasible).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PipelineCostTable::ensure_plan`].
+    pub fn ensure_plan_deferred(&mut self, plan: &Plan) -> bool {
         assert!(
             self.options.prices_like(&plan.options),
             "plan options diverge from the pipeline cost table's pricing context"
         );
         let Some(cfg) = plan.pipeline.filter(|c| c.is_pipelined()) else {
-            return; // flat plans are the flat CostTable's business
+            return false; // flat plans are the flat CostTable's business
         };
-        let key = self.assign_key(plan);
         let primary: &ModelArch = self.eff.as_deref().unwrap_or(self.model);
         if plan.validate_strategies(primary).is_err() {
-            return;
+            return false;
         }
 
         let di = match self.depths.iter().position(|(p, _)| *p == cfg.stages) {
@@ -335,96 +459,148 @@ impl<'a> PipelineCostTable<'a> {
                 self.depths.len() - 1
             }
         };
-        let workload = &self.workload;
-        let Ok(entry) = &mut self.depths[di].1 else {
-            return; // unmappable depth; candidates reproduce the error
+        let Ok(depth) = &self.depths[di].1 else {
+            return false; // unmappable depth; candidates reproduce the error
         };
-        let ai = match entry.assignments.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                let per_stage_memory = entry
+        let code = self.assign_code(plan);
+        let ai = match depth.assignments.binary_search_by_key(&code, |(c, _)| *c) {
+            Ok(i) => i,
+            Err(i) => {
+                let per_stage_memory = depth
                     .sub_models
                     .iter()
-                    .map(|m| memory_per_device(m, &entry.sub, plan, workload))
+                    .map(|m| memory_per_device(m, &depth.sub, plan, &self.workload))
                     .collect();
-                entry.assignments.push((
-                    key,
-                    AssignEntry {
-                        per_stage_memory,
-                        by_m: Vec::new(),
-                    },
-                ));
-                entry.assignments.len() - 1
+                let assign = AssignEntry {
+                    per_stage_memory,
+                    optimizer: Vec::new(),
+                    by_m: Vec::new(),
+                };
+                self.depth_mut(di).assignments.insert(i, (code, assign));
+                i
             }
         };
-        let Ok(entry) = &self.depths[di].1 else {
-            return;
-        };
-        let ae = &entry.assignments[ai].1;
-
+        let depth = self.depth(di);
+        let assign = &depth.assignments[ai].1;
         // Infeasible candidates are never priced: `priced_for` reports
         // their error first.
-        if self.feasible(&ae.per_stage_memory, cfg, plan).is_err() {
-            return;
+        if self.feasible(&assign.per_stage_memory, cfg, plan).is_err() {
+            return false;
         }
-        if ae.by_m.iter().any(|(m, _)| *m == cfg.microbatches) {
-            self.counters.hit();
-            return;
-        }
-
         let m = cfg.microbatches;
-        let Ok(entry) = &mut self.depths[di].1 else {
-            return;
-        };
-        let fi = match entry.flat.iter().position(|(fm, _)| *fm == m) {
+        if assign.by_m.iter().any(|(bm, _)| *bm == m) {
+            self.counters.hit();
+            return true;
+        }
+        let fi = match depth.flat.iter().position(|f| f.microbatches == m) {
             Some(i) => i,
             None => {
-                let table = CostTable::new(
-                    self.model,
-                    Cow::Owned(entry.sub.clone()),
-                    self.workload.clone(),
-                    self.options,
-                    self.collectives,
-                    self.utilization,
-                    m,
-                );
-                entry.flat.push((m, table));
-                entry.flat.len() - 1
+                let fresh = self.flat_entry(depth, m);
+                let depth = self.depth_mut(di);
+                depth.flat.push(fresh);
+                depth.flat.len() - 1
             }
         };
-        entry.flat[fi].1.ensure_plan(plan);
-        let Ok(entry) = &self.depths[di].1 else {
-            return;
-        };
-        let flat = &entry.flat[fi].1;
-        let primary = self.sum_stages(entry, flat, plan, false);
-        let decode = self
-            .decode_model
-            .is_some()
-            .then(|| self.sum_stages(entry, flat, plan, true));
-        self.counters.miss();
-        let Ok(entry) = &mut self.depths[di].1 else {
-            return;
-        };
-        entry.assignments[ai].1.by_m.push((
+        self.depth_mut(di).flat[fi].table.ensure_plan(plan);
+        // The optimizer step of the assignment and the floor inputs of
+        // the plan's strategies, once each (a workload with a decode
+        // phase has no family floors).
+        let depth = self.depth(di);
+        let optimizer: Option<Vec<Seconds>> =
+            depth.assignments[ai].1.optimizer.is_empty().then(|| {
+                let step = |sub_model| optimizer_time(sub_model, &depth.sub, plan, &self.workload);
+                depth.sub_models.iter().map(step).collect()
+            });
+        let flat = &depth.flat[fi];
+        let pieces: Vec<ClassPieces> = self
+            .classes
+            .iter()
+            .filter(|_| self.decode_model.is_none())
+            .map(|&class| (class, plan.strategy_for(class)))
+            .filter(|&(c, st)| !flat.pieces.iter().any(|p| (p.0, p.1) == (c, st)))
+            .map(|(class, st)| {
+                let per_stage = depth.stages.iter();
+                let per_stage = per_stage.map(|stage| self.class_pieces(stage, flat, class, st));
+                (class, st, per_stage.collect())
+            })
+            .collect();
+        let depth = self.depth_mut(di);
+        depth.flat[fi].pieces.extend(pieces);
+        let assign = &mut depth.assignments[ai].1;
+        if let Some(optimizer) = optimizer {
+            assign.optimizer = optimizer;
+        }
+        assign.by_m.push((
             m,
             PhaseCosts {
-                primary,
-                decode,
+                stages: OnceLock::new(),
                 report: OnceLock::new(),
             },
         ));
+        true
+    }
+
+    /// The entry of depth index `di`, which is mappable.
+    fn depth(&self, di: usize) -> &DepthEntry<'a> {
+        self.depths[di].1.as_ref().expect("a mappable depth")
+    }
+
+    /// [`PipelineCostTable::depth`], mutably.
+    fn depth_mut(&mut self, di: usize) -> &mut DepthEntry<'a> {
+        self.depths[di].1.as_mut().expect("a mappable depth")
+    }
+
+    /// A fresh `(depth, microbatches)` entry: an empty flat table on the
+    /// stage sub-cluster and every stage's inter-stage sends.
+    fn flat_entry(&self, depth: &DepthEntry, m: usize) -> FlatEntry<'a> {
+        let table = CostTable::new(
+            self.model,
+            Cow::Owned(depth.sub.clone()),
+            self.workload.clone(),
+            self.options,
+            self.collectives,
+            self.utilization,
+            m,
+        );
+        // A stage ships its last layer's output activations forward, and
+        // the same-sized gradient of its input backward during training.
+        let sends = |model: &ModelArch, local_micro: f64| -> Vec<Seconds> {
+            let p = depth.stages.len();
+            depth.stages[..p - 1]
+                .iter()
+                .map(|stage| {
+                    let last = stage.units.last().expect("stages are non-empty");
+                    let kind = &model.groups[last.group].kind;
+                    let bytes =
+                        boundary_bytes_per_sample(kind, model.context_length, model.compute_dtype);
+                    p2p_time(bytes * local_micro, self.cluster, self.collectives)
+                })
+                .collect()
+        };
+        let primary = sends(self.report_model(), table.local_batch(false));
+        let decode = match self.decode_model.as_deref() {
+            Some(dm) => sends(dm, table.local_batch(true)),
+            None => Vec::new(),
+        };
+        FlatEntry {
+            microbatches: m,
+            table,
+            sends: [primary, decode],
+            pieces: Vec::new(),
+        }
     }
 
     /// One phase's per-stage costs of `plan`, summed from `flat`, the
-    /// depth's flat table at the plan's microbatch count: each stage unit
+    /// depth's flat entry at the plan's microbatch count: each stage unit
     /// adds its group's cached per-instance entry times its instances, in
-    /// unit order. Only the inter-stage P2P sends, the optimizer and the
-    /// dominant-class and lookup tags are priced here.
+    /// unit order. The inter-stage sends and the optimizer step come from
+    /// their caches; only the dominant-class and lookup tags are derived
+    /// here.
     fn sum_stages(
         &self,
         depth: &DepthEntry,
-        flat: &CostTable,
+        flat: &FlatEntry,
+        optimizer: &[Seconds],
         plan: &Plan,
         decode: bool,
     ) -> Vec<StageCosts> {
@@ -434,15 +610,7 @@ impl<'a> PipelineCostTable<'a> {
             self.report_model()
         };
         let p = depth.stages.len();
-        let local_micro = flat.local_batch(decode);
-        // A stage ships its last layer's output activations forward, and
-        // the same-sized gradient of its input backward during training.
-        let boundary = |stage: &Stage| {
-            let last = stage.units.last().expect("stages are non-empty");
-            let kind = &model.groups[last.group].kind;
-            boundary_bytes_per_sample(kind, model.context_length, model.compute_dtype) * local_micro
-        };
-        let p2p = |stage: &Stage| p2p_time(boundary(stage), self.cluster, self.collectives);
+        let sends = &flat.sends[usize::from(decode)];
         let mut out = Vec::with_capacity(p);
         for (si, stage) in depth.stages.iter().enumerate() {
             let mut costs = StageCosts {
@@ -454,7 +622,7 @@ impl<'a> PipelineCostTable<'a> {
                 send_bwd: Seconds::ZERO,
                 param_comm: Vec::new(),
                 grad_comm: Vec::new(),
-                optimizer: optimizer_time(&depth.sub_models[si], &depth.sub, plan, &self.workload),
+                optimizer: optimizer[si],
                 dominant_class: LayerClass::Dense,
                 lookup_dominated: false,
                 kv_read_per_token: Seconds::ZERO,
@@ -463,7 +631,9 @@ impl<'a> PipelineCostTable<'a> {
             let mut lookup_secs = 0.0;
             for unit in &stage.units {
                 let class = model.groups[unit.group].class;
-                let price = flat.group_price(unit.group, plan.strategy_for(class), decode);
+                let price = flat
+                    .table
+                    .group_price(unit.group, plan.strategy_for(class), decode);
                 let reps = unit.instances as f64;
                 let fwd = price.forward * reps;
                 costs.fwd_compute += fwd;
@@ -496,10 +666,10 @@ impl<'a> PipelineCostTable<'a> {
                 }
             }
             if si + 1 < p {
-                costs.send_fwd = p2p(stage);
+                costs.send_fwd = sends[si];
             }
             if si > 0 && self.workload.has_backward() {
-                costs.send_bwd = p2p(&depth.stages[si - 1]);
+                costs.send_bwd = sends[si - 1];
             }
             class_weight.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
             if let Some(&(c, w)) = class_weight.first() {
@@ -560,7 +730,8 @@ impl<'a> PipelineCostTable<'a> {
     /// plus the candidate's memory fold — or the candidate's error, checked
     /// in a fixed order (no active pipeline config, invalid strategies,
     /// then unmappable partition/sub-cluster, then the memory fold incl.
-    /// OOM, then microbatch bounds per phase).
+    /// OOM, then microbatch bounds per phase). The key's stage costs are
+    /// summed here if no candidate summed them yet.
     ///
     /// # Errors
     ///
@@ -569,9 +740,55 @@ impl<'a> PipelineCostTable<'a> {
     /// # Panics
     ///
     /// Panics when the candidate's (depth, assignment, microbatches) key
-    /// was not priced via [`PipelineCostTable::ensure_plan`]; debug builds
-    /// also assert that `plan`'s options match the pricing context.
+    /// was not registered via [`PipelineCostTable::ensure_plan`] or
+    /// [`PipelineCostTable::ensure_plan_deferred`]; debug builds also
+    /// assert that `plan`'s options match the pricing context.
     pub fn priced_for(&self, plan: &Plan) -> Result<PricedPipelineRef<'_>, PlanError> {
+        let located = self.located(plan)?;
+        let stages = located.phase.stages.get_or_init(|| {
+            self.counters.miss();
+            let flat = located
+                .depth
+                .flat
+                .iter()
+                .find(|f| f.microbatches == located.cfg.microbatches)
+                .expect("a registered key has its flat entry");
+            let optimizer = &located.assign.optimizer;
+            Stages {
+                primary: self.sum_stages(located.depth, flat, optimizer, plan, false),
+                decode: self
+                    .decode_model
+                    .is_some()
+                    .then(|| self.sum_stages(located.depth, flat, optimizer, plan, true)),
+            }
+        });
+        Ok(PricedPipelineRef {
+            primary: &stages.primary,
+            decode: stages.decode.as_deref(),
+            cfg: located.cfg,
+            memory: located.memory,
+            memo: (!self.workload.has_backward()).then_some(&located.phase.report),
+        })
+    }
+
+    /// The feasibility half of [`PipelineCostTable::priced_for`]: the
+    /// same checks in the same order with the same errors, and the
+    /// candidate's worst-stage memory breakdown, without reading or
+    /// summing its stage costs.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PipelineCostTable::priced_for`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PipelineCostTable::priced_for`].
+    pub fn check(&self, plan: &Plan) -> Result<MemoryBreakdown, PlanError> {
+        Ok(self.located(plan)?.memory)
+    }
+
+    /// [`PipelineCostTable::resolve`], panicking on a missing key.
+    fn located(&self, plan: &Plan) -> Result<Located<'_>, PlanError> {
         self.resolve(plan).unwrap_or_else(|missing| {
             panic!(
                 "pipeline cost table has no entry for {missing}; \
@@ -588,9 +805,10 @@ impl<'a> PipelineCostTable<'a> {
         self.options.prices_like(&plan.options) && self.resolve(plan).is_ok()
     }
 
-    /// [`PipelineCostTable::priced_for`], with `Err` naming the key
-    /// [`PipelineCostTable::ensure_plan`] never priced.
-    fn resolve(&self, plan: &Plan) -> Result<Result<PricedPipelineRef<'_>, PlanError>, String> {
+    /// Locates `plan`'s key and folds its memory (see
+    /// [`PipelineCostTable::priced_for`] for the order of the checks),
+    /// with `Err` naming the key the table never registered.
+    fn resolve(&self, plan: &Plan) -> Result<Result<Located<'_>, PlanError>, String> {
         debug_assert!(
             self.options.prices_like(&plan.options),
             "plan options diverge from the pipeline cost table's pricing context"
@@ -607,29 +825,231 @@ impl<'a> PipelineCostTable<'a> {
         let Some((_, depth)) = self.depths.iter().find(|(p, _)| *p == cfg.stages) else {
             return Err(format!("depth {}", cfg.stages));
         };
-        let entry = match depth {
-            Ok(entry) => entry,
+        let depth = match depth {
+            Ok(depth) => depth,
             Err(e) => return Ok(Err(e.clone())),
         };
-        let key = self.assign_key(plan);
-        let Some((_, ae)) = entry.assignments.iter().find(|(k, _)| *k == key) else {
+        let Some(assign) = self.assignment(depth, plan) else {
             return Err(plan.summary());
         };
-        let memory = match self.feasible(&ae.per_stage_memory, cfg, plan) {
+        let memory = match self.feasible(&assign.per_stage_memory, cfg, plan) {
             Ok(memory) => memory,
             Err(e) => return Ok(Err(e)),
         };
-        let Some((_, pc)) = ae.by_m.iter().find(|(m, _)| *m == cfg.microbatches) else {
+        let Some((_, phase)) = assign.by_m.iter().find(|(m, _)| *m == cfg.microbatches) else {
             return Err(format!("{} microbatches", cfg.microbatches));
         };
-        Ok(Ok(PricedPipelineRef {
-            primary: &pc.primary,
-            decode: pc.decode.as_deref(),
+        Ok(Ok(Located {
+            depth,
+            assign,
+            phase,
             cfg,
             memory,
-            memo: (!self.workload.has_backward()).then_some(&pc.report),
         }))
     }
+
+    /// `plan`'s assignment entry at `depth`, if one was priced.
+    fn assignment<'t>(&self, depth: &'t DepthEntry, plan: &Plan) -> Option<&'t AssignEntry> {
+        let code = self.assign_code(plan);
+        let i = depth
+            .assignments
+            .binary_search_by_key(&code, |(c, _)| *c)
+            .ok()?;
+        Some(&depth.assignments[i].1)
+    }
+
+    /// A lower bound on [`crate::busy_lower_bound`] of every candidate in
+    /// `members`, computed once for all of them: the fill/drain walk of
+    /// per-stage floor costs. The members must share one pipeline config
+    /// (depth, microbatches, schedule) and be feasible, registered
+    /// candidates; a search passes one family, the candidates that also
+    /// share the strategy of the [`family_class`]. `None` for workloads
+    /// with a decode phase (their bound is the grid-unit one), for an
+    /// empty, mixed or unregistered member list, and for a walk too long
+    /// for the deflation to cover.
+    ///
+    /// The floor of a stage takes, from the depth's flat table at the
+    /// family's microbatch count:
+    ///
+    /// - the forward and backward compute, which no strategy changes,
+    ///   summed as a member sums them;
+    /// - per comm piece (blocking forward and backward collectives,
+    ///   parameter gathers, weight-gradient collectives), the sum over the
+    ///   model's classes of the cheapest strategy's contribution among the
+    ///   members' strategies for the class, as one list entry;
+    /// - the inter-stage sends, which depend only on the depth and the
+    ///   microbatch count, and the cheapest member's optimizer step.
+    ///
+    /// **Soundness.** The walk combines non-negative durations with `+`
+    /// and `max` only, so in exact arithmetic it is monotone and
+    /// positively homogeneous in them. Each floor piece is, exactly, at
+    /// most the member's own (the per-class minima of the same per-unit
+    /// products the member sums), so the exact floor walk is at most the
+    /// exact member walk. In `f64`, every sum of non-negative terms is
+    /// within a factor `(1 ± 2^-53)^d` of its exact value, `d` the longest
+    /// chain of additions behind it; the longest chain of the floor's and
+    /// a member's walk, piece sums included, is at most
+    /// `(2m + 2p + 2)(5 + 2) + units + comms + classes + 2` for `p`
+    /// stages, `m` microbatches, the five collective kinds a comm list can
+    /// hold and the largest stage's units and comm entries. Below
+    /// `FLOOR_MAX_DEPTH` the two computed walks therefore differ from
+    /// their exact order by less than `2.01 · d · 2^-53 < 1e-11` relative,
+    /// and deflating the floor by `FLOOR_DEFLATION` (1e-11) keeps it at
+    /// or below every member's computed walk, bit for bit. Longer walks
+    /// get no floor.
+    pub fn family_lower_bound(&self, members: &[&Plan]) -> Option<Seconds> {
+        if self.decode_model.is_some() {
+            return None;
+        }
+        let first = *members.first()?;
+        let cfg = first.pipeline.filter(|c| c.is_pipelined())?;
+        let depth = self
+            .depths
+            .iter()
+            .find(|(p, _)| *p == cfg.stages)?
+            .1
+            .as_ref()
+            .ok()?;
+        let flat = depth
+            .flat
+            .iter()
+            .find(|f| f.microbatches == cfg.microbatches)?;
+        // Each class's pieces under the members' strategies, and each
+        // stage's cheapest optimizer step.
+        let mut options: Vec<Vec<&ClassPieces>> = vec![Vec::new(); self.classes.len()];
+        let mut optimizer = vec![Seconds::new(f64::INFINITY); depth.stages.len()];
+        for &plan in members {
+            let assign = self.assignment(depth, plan)?;
+            let registered = assign.by_m.iter().any(|(m, _)| *m == cfg.microbatches);
+            if plan.pipeline != Some(cfg) || !registered || assign.optimizer.is_empty() {
+                return None;
+            }
+            for (seen, &class) in options.iter_mut().zip(&self.classes) {
+                let s = plan.strategy_for(class);
+                if !seen.iter().any(|p| p.1 == s) {
+                    seen.push(flat.pieces.iter().find(|p| (p.0, p.1) == (class, s))?);
+                }
+            }
+            for (floor, &step) in optimizer.iter_mut().zip(&assign.optimizer) {
+                *floor = floor.min(step);
+            }
+        }
+        let model = self.report_model();
+        let p = depth.stages.len();
+        let sends = &flat.sends[0];
+        let mut chain = 0;
+        let mut floor = Vec::with_capacity(p);
+        for (si, stage) in depth.stages.iter().enumerate() {
+            let (mut fwd_compute, mut bwd_compute) = (Seconds::ZERO, Seconds::ZERO);
+            for unit in &stage.units {
+                let class = model.groups[unit.group].class;
+                let price = flat
+                    .table
+                    .group_price(unit.group, first.strategy_for(class), false);
+                let reps = unit.instances as f64;
+                fwd_compute += price.forward * reps;
+                bwd_compute += price.backward * reps;
+            }
+            let mut pieces = [Seconds::ZERO; 4];
+            let mut terms = stage.units.len() + self.classes.len();
+            for class_options in &options {
+                let mut cheapest = [Seconds::new(f64::INFINITY); 4];
+                let mut most = 0;
+                for (_, _, per_stage) in class_options {
+                    let (class_pieces, n) = per_stage[si];
+                    for (c, x) in cheapest.iter_mut().zip(class_pieces) {
+                        *c = c.min(x);
+                    }
+                    most = most.max(n);
+                }
+                for (piece, c) in pieces.iter_mut().zip(cheapest) {
+                    *piece += c;
+                }
+                terms += most;
+            }
+            chain = chain.max(terms);
+            let entry = |t: Seconds| match t.is_zero() {
+                true => Vec::new(),
+                false => vec![(CollectiveKind::AllReduce, t)],
+            };
+            floor.push(StageCosts {
+                fwd_compute,
+                bwd_compute,
+                fwd_comm: entry(pieces[0]),
+                bwd_comm: entry(pieces[1]),
+                send_fwd: if si + 1 < p { sends[si] } else { Seconds::ZERO },
+                send_bwd: if si > 0 && self.workload.has_backward() {
+                    sends[si - 1]
+                } else {
+                    Seconds::ZERO
+                },
+                param_comm: entry(pieces[2]),
+                grad_comm: entry(pieces[3]),
+                optimizer: optimizer[si],
+                dominant_class: LayerClass::Dense,
+                lookup_dominated: false,
+                kv_read_per_token: Seconds::ZERO,
+            });
+        }
+        deflated_walk(&floor, &cfg, self.workload.has_backward(), chain)
+    }
+
+    /// The comm pieces class `class`'s units in `stage` add to a stage's
+    /// costs under strategy `s` (blocking forward, blocking backward,
+    /// parameter gathers, weight gradients; each the sum of the units'
+    /// per-instance durations times their instances), and how many
+    /// entries were summed.
+    fn class_pieces(
+        &self,
+        stage: &Stage,
+        flat: &FlatEntry,
+        class: LayerClass,
+        s: HierStrategy,
+    ) -> ([Seconds; 4], usize) {
+        let model = self.report_model();
+        let mut pieces = [Seconds::ZERO; 4];
+        let mut n = 0;
+        for unit in stage
+            .units
+            .iter()
+            .filter(|u| model.groups[u.group].class == class)
+        {
+            let costs = flat.table.group_price(unit.group, s, false).costs;
+            let reps = unit.instances as f64;
+            for (comms, blocking) in [(&costs.forward, 0), (&costs.backward, 1)] {
+                for c in comms {
+                    let piece = if c.urgency == Urgency::Prefetchable {
+                        2
+                    } else {
+                        blocking
+                    };
+                    pieces[piece] += c.duration * reps;
+                }
+            }
+            for c in &costs.grad {
+                pieces[3] += c.duration * reps;
+            }
+            n += costs.forward.len() + costs.backward.len() + costs.grad.len();
+        }
+        (pieces, n)
+    }
+}
+
+/// The fill/drain walk of floor costs `floor` deflated by
+/// [`FLOOR_DEFLATION`] (see [`PipelineCostTable::family_lower_bound`]),
+/// where `terms` is the most duration terms any stage's pieces sum; `None`
+/// when the longest chain of additions could exceed `FLOOR_MAX_DEPTH`.
+pub(crate) fn deflated_walk(
+    floor: &[StageCosts],
+    cfg: &PipelineConfig,
+    train: bool,
+    terms: usize,
+) -> Option<Seconds> {
+    let chain = (2 * cfg.microbatches + 2 * floor.len() + 2) * (COLLECTIVE_KINDS + 2) + terms + 2;
+    if chain > FLOOR_MAX_DEPTH {
+        return None;
+    }
+    Some(busy_lower_bound(floor, cfg, train, None)? * (1.0 - FLOOR_DEFLATION))
 }
 
 #[cfg(test)]
@@ -989,7 +1409,8 @@ pub(crate) mod tests {
             assert_eq!(table.stats().misses as usize, strategies * 3);
             assert_eq!(table.stats().hits as usize, strategies * 3);
             for (p, depth) in &table.depths {
-                for (m, flat) in &depth.as_ref().unwrap().flat {
+                for entry in &depth.as_ref().unwrap().flat {
+                    let (m, flat) = (&entry.microbatches, &entry.table);
                     let mut pairs = Vec::new();
                     for plan in plans.iter().filter(|pl| {
                         pl.pipeline
@@ -1086,6 +1507,141 @@ pub(crate) mod tests {
         let mut diverged = plan;
         diverged.options.activation_checkpointing = !diverged.options.activation_checkpointing;
         assert!(!table.covers(&diverged));
+    }
+
+    #[test]
+    fn deflation_covers_a_floor_that_rounds_above_its_member() {
+        // A forward-only stage whose two blocking collectives each add
+        // half an ulp of its 1 s compute: chained in issue order both
+        // round away, so the member's walk is 1 s; collapsed into one
+        // floor entry they add a full ulp. The deflation takes the floor
+        // back below the member.
+        let half_ulp = Seconds::new(f64::EPSILON / 2.0);
+        let stage = |fwd_comm| StageCosts {
+            fwd_compute: Seconds::new(1.0),
+            bwd_compute: Seconds::ZERO,
+            fwd_comm,
+            bwd_comm: Vec::new(),
+            send_fwd: Seconds::ZERO,
+            send_bwd: Seconds::ZERO,
+            param_comm: Vec::new(),
+            grad_comm: Vec::new(),
+            optimizer: Seconds::ZERO,
+            dominant_class: LayerClass::Dense,
+            lookup_dominated: false,
+            kv_read_per_token: Seconds::ZERO,
+        };
+        let member = [stage(vec![
+            (CollectiveKind::AllReduce, half_ulp),
+            (CollectiveKind::AllToAll, half_ulp),
+        ])];
+        let floor = [stage(vec![(
+            CollectiveKind::AllReduce,
+            half_ulp + half_ulp,
+        )])];
+        let cfg = PipelineConfig::gpipe(1, 1);
+        let walk = |costs: &[StageCosts]| busy_lower_bound(costs, &cfg, false, None).unwrap();
+        assert_eq!(walk(&member), Seconds::new(1.0));
+        assert!(
+            walk(&floor) > walk(&member),
+            "the undeflated floor rounds above"
+        );
+        assert!(deflated_walk(&floor, &cfg, false, 4).unwrap() <= walk(&member));
+        // Walks too long for the deflation get no floor.
+        let long = PipelineConfig::gpipe(1, FLOOR_MAX_DEPTH);
+        assert!(deflated_walk(&floor, &long, false, 4).is_none());
+    }
+
+    #[test]
+    fn family_floors_stay_below_every_member_and_track_the_best() {
+        // Llama2's families, keyed on the transformer strategy, over every
+        // embedding strategy: the floor never exceeds a member's walk, bit
+        // for bit, and is within the deflation of the best member's
+        // whenever one member is cheapest on every piece.
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        assert_eq!(family_class(&model), Some(LayerClass::Transformer));
+        let mut base = Plan::fsdp_baseline(&model);
+        base.options.ignore_memory_limits = true;
+        for workload in [Workload::pretrain(), Workload::inference()] {
+            let mut table = table_for(&model, &sys, workload.clone(), base.options);
+            let (mut families, mut tight) = (0, 0);
+            for transformer in HierStrategy::enumerate_for(LayerClass::Transformer) {
+                for cfg in [
+                    PipelineConfig::one_f_one_b(4, 2),
+                    PipelineConfig::gpipe(8, 16),
+                ] {
+                    let members: Vec<Plan> = HierStrategy::enumerate_for(LayerClass::Embedding)
+                        .into_iter()
+                        .map(|embedding| {
+                            base.clone()
+                                .with_strategy(LayerClass::Transformer, transformer)
+                                .with_strategy(LayerClass::Embedding, embedding)
+                                .with_pipeline(cfg)
+                        })
+                        .collect();
+                    for plan in &members {
+                        assert!(table.ensure_plan_deferred(plan));
+                    }
+                    let refs: Vec<&Plan> = members.iter().collect();
+                    let floor = table.family_lower_bound(&refs).unwrap();
+                    let train = workload.has_backward();
+                    let walks: Vec<Seconds> = members
+                        .iter()
+                        .map(|plan| {
+                            let priced = table.priced_for(plan).unwrap();
+                            busy_lower_bound(priced.primary, &cfg, train, None).unwrap()
+                        })
+                        .collect();
+                    let best = walks.iter().copied().fold(walks[0], Seconds::min);
+                    assert!(walks.iter().all(|&w| floor <= w), "{floor} vs {walks:?}");
+                    families += 1;
+                    if floor.as_secs() >= best.as_secs() * (1.0 - 2.0 * FLOOR_DEFLATION) {
+                        tight += 1;
+                    }
+                }
+            }
+            // Most families' floor is their best member's walk.
+            assert!(
+                tight * 2 > families,
+                "{workload}: {tight} of {families} tight"
+            );
+        }
+        // Members may mix every class's strategies. On a system whose HBM
+        // is so slow that the optimizer step binds, the floor takes the
+        // sharded (FSDP) member's step, not the replicated (DDP) one's.
+        let slow = sys.scaled(&madmax_hw::DeviceScaling {
+            mem_bw: 1e-3,
+            ..madmax_hw::DeviceScaling::IDENTITY
+        });
+        let mut table = table_for(&model, &slow, Workload::pretrain(), base.options);
+        let cfg = PipelineConfig::gpipe(4, 8);
+        let members: Vec<Plan> = [Strategy::Fsdp, Strategy::Ddp]
+            .map(|s| {
+                let transformer = HierStrategy::flat(s);
+                base.clone()
+                    .with_strategy(LayerClass::Transformer, transformer)
+                    .with_pipeline(cfg)
+            })
+            .to_vec();
+        for plan in &members {
+            assert!(table.ensure_plan_deferred(plan));
+        }
+        let walks: Vec<Seconds> = members
+            .iter()
+            .map(|plan| {
+                let priced = table.priced_for(plan).unwrap();
+                busy_lower_bound(priced.primary, &cfg, true, None).unwrap()
+            })
+            .collect();
+        assert!(walks[0] < walks[1], "{walks:?}");
+        let refs: Vec<&Plan> = members.iter().collect();
+        assert!(table.family_lower_bound(&refs).unwrap() <= walks[0]);
+        // A member list that is empty, mixed or unregistered has no floor.
+        let table = table_for(&model, &sys, Workload::pretrain(), base.options);
+        assert!(table.family_lower_bound(&[]).is_none());
+        let plan = base.with_pipeline(PipelineConfig::gpipe(8, 16));
+        assert!(table.family_lower_bound(&[&plan]).is_none());
     }
 
     #[test]

@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .explore()?;
     println!("\nJoint (pp, mb, schedule) search with 8x slower scale-out links:");
     println!(
-        "  evaluated:  {} configurations ({} pruned by the bound, {} OOM)",
-        search.evaluated, search.telemetry.pruned, search.oom
+        "  evaluated:  {} configurations ({} pruned by the bound, {} of them by a family bound, {} OOM)",
+        search.evaluated, search.telemetry.pruned, search.telemetry.family_pruned, search.oom
     );
     println!("  winner:     {}", search.best_plan.summary());
     println!(

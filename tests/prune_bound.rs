@@ -25,7 +25,17 @@
 //!
 //! A pinned pre-training search over every depth, microbatch count and
 //! schedule checks that the fill and drain let `explore` prune most of
-//! its pipelined candidates.
+//! its pipelined candidates, some of them a whole family at a time.
+//!
+//! A second sweep (training and forward-only Llama2, GPT-3 and DLRM-A
+//! variants at depths 2–8, microbatch counts below and above the depth,
+//! both schedules) checks that `Scenario::family_lower_bound` is sound:
+//! for each family of feasible pipelined candidates (one depth,
+//! microbatch count, schedule and strategy of the model's dominant class)
+//! the floor is at most every member's `lower_bound`, bit for bit, hence
+//! its score at least theirs, and at most their simulated iteration
+//! times; and that `Scenario::check_feasible` fails exactly when
+//! `lower_bound` does, with its error.
 //!
 //! Every failure message names the scenario's seed.
 
@@ -33,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use madmax_core::steady::{fits_grid_range, grid_seconds, MIN_ANALYTIC_DECODE};
-use madmax_core::{IterationReport, StreamId, Trace};
+use madmax_core::{EngineScratch, IterationReport, StreamId, Trace};
 use madmax_dse::{
     CandidateEvent, CandidateOutcome, Explorer, PipelineAxes, ProgressSink, SearchSpace,
     SearchTelemetry, ServeAxes,
@@ -321,8 +331,9 @@ fn predicted_pruned(
 /// baseline, then every candidate in enumeration order replacing the best
 /// only when strictly better), every pruned candidate scoring strictly
 /// below the winner, and exactly [`predicted_pruned`]'s pruned set.
-/// Returns the number of candidates pruned.
-fn check_winner(case: &Case) -> u64 {
+/// Returns the number of candidates pruned and how many of them a family
+/// bound pruned (the same at both thread counts).
+fn check_winner(case: &Case) -> (u64, u64) {
     let ctx = case.context(&case.workload);
     let variants = case.variants();
     let explorer = case.explorer();
@@ -365,6 +376,7 @@ fn check_winner(case: &Case) -> u64 {
         .filter(|&i| plans[i] != base_plan)
         .collect();
 
+    let mut family_pruned = None;
     for threads in [1, 4] {
         let ctx = format!("{ctx} at {threads} threads");
         let sink = PrunedSink::default();
@@ -383,6 +395,13 @@ fn check_winner(case: &Case) -> u64 {
         );
         let t = &outcome.telemetry;
         assert!(t.reconciles(), "{ctx}: {t:?}");
+        // Infeasible candidates resolve with their own errors.
+        let failed = |oom: bool| {
+            let errors = results.iter().flatten().filter_map(|r| r.as_ref().err());
+            errors.filter(|e| e.is_oom() == oom).count() as u64
+        };
+        assert_eq!(t.oom, failed(true), "{ctx}");
+        assert_eq!(t.unmappable + t.invalid, failed(false), "{ctx}");
         let mut pruned: Vec<(usize, usize)> = sink
             .pruned
             .into_inner()
@@ -404,8 +423,105 @@ fn check_winner(case: &Case) -> u64 {
         }
         // The same pruned set at every thread count: the predicted one.
         assert_eq!(pruned, predicted, "{ctx}");
+        assert_eq!(
+            *family_pruned.get_or_insert(t.family_pruned),
+            t.family_pruned,
+            "{ctx}"
+        );
     }
-    predicted.len() as u64
+    (predicted.len() as u64, family_pruned.unwrap_or(0))
+}
+
+/// Checks every family of `case`'s feasible pipelined candidates (see
+/// the module docs); returns how many families it checked and how many
+/// pipelined candidates were infeasible.
+fn check_families(case: &Case) -> (usize, usize) {
+    let class = madmax_pipeline::family_class(&case.model).expect("the model has layers");
+    let (mut checked, mut infeasible) = (0, 0);
+    for workload in case.variants() {
+        let ctx = case.context(&workload);
+        let candidates = case.explorer().candidates();
+        // The tables a search shares: every key's stages are summed on
+        // first use, as in `explore`.
+        let alone = |plan| {
+            Scenario::new(&case.model, &case.system)
+                .plan_ref(plan)
+                .workload_ref(&workload)
+        };
+        let table = alone(&candidates[0]).price_pipeline_deferred(&candidates);
+        let scenario = |plan| alone(plan).pipeline_costs(&table);
+        let mut families: Vec<(_, Vec<&Plan>)> = Vec::new();
+        for plan in candidates.iter().filter(|p| p.pipeline_stages() > 1) {
+            if let Err(e) = scenario(plan).check_feasible() {
+                assert_eq!(alone(plan).lower_bound().unwrap_err(), e, "{ctx}");
+                infeasible += 1;
+                continue;
+            }
+            let key = (plan.pipeline, plan.strategy_for(class));
+            match families.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(plan),
+                None => families.push((key, vec![plan])),
+            }
+        }
+        let mut scratch = EngineScratch::new();
+        for (f, (_, members)) in families.iter().enumerate() {
+            let ctx = format!("{ctx}, family of {}", members[0].summary());
+            let floor = scenario(members[0])
+                .family_lower_bound(members)
+                .unwrap_or_else(|| panic!("{ctx}: no floor"));
+            if f == 0 {
+                // A scenario without tables prices its own.
+                assert_eq!(alone(members[0]).family_lower_bound(members), Some(floor));
+            }
+            for plan in members {
+                let s = scenario(plan);
+                let bound = s
+                    .lower_bound()
+                    .unwrap()
+                    .expect("training plans are bounded");
+                assert!(
+                    floor <= bound && 1.0 / floor.as_secs() >= 1.0 / bound.as_secs(),
+                    "{ctx}: floor {floor} above {}'s bound {bound}",
+                    plan.summary()
+                );
+                let simulated = s.run_in(&mut scratch).unwrap().iteration_time;
+                assert!(floor <= simulated, "{ctx}: floor {floor} above {simulated}");
+            }
+            checked += 1;
+        }
+    }
+    (checked, infeasible)
+}
+
+/// Training and forward-only searches for `seed` over every class's
+/// strategies and depths 2–8, with microbatch counts below and above the
+/// depth, on drawn Llama2, GPT-3 and DLRM-A systems. Training keeps the
+/// memory limits (so some members are ruled out as OOM); forward-only
+/// searches lift them, so more strategies meet in one family.
+fn family_cases(seed: u64) -> Vec<Case> {
+    let mut rng = Rng(seed);
+    let mut out = Vec::new();
+    for id in [ModelId::Llama2, ModelId::Gpt3, ModelId::DlrmA] {
+        for workload in [Workload::pretrain(), Workload::inference()] {
+            let deep = 2 << rng.below(3);
+            let space = SearchSpace::strategies().with_pipeline(PipelineAxes {
+                stages: vec![2, deep],
+                microbatches: vec![1 + rng.below(deep), 8 << rng.below(2)],
+                schedules: vec![PipelineSchedule::GPipe, PipelineSchedule::OneFOneB],
+            });
+            out.push(Case {
+                seed,
+                model: id.build(),
+                system: system_for(id, &mut rng, 2.0, 4.0),
+                space: match workload.has_backward() {
+                    true => space,
+                    false => space.unconstrained(),
+                },
+                workload,
+            });
+        }
+    }
+    out
 }
 
 #[test]
@@ -414,7 +530,7 @@ fn bounds_are_sound_and_pruning_keeps_the_winner() {
     for seed in [3, 29] {
         for case in cases(seed) {
             bounded += check_bounds(&case);
-            pruned += check_winner(&case);
+            pruned += check_winner(&case).0;
         }
     }
     assert!(bounded > 100, "only {bounded} candidates were bounded");
@@ -438,9 +554,28 @@ fn pipelined_training_prunes_past_the_bubble() {
         }),
     };
     // Of 2,112 feasible candidates the busiest-stream bound alone prunes
-    // 1,140; with the fill and drain charged, 2,076.
-    let pruned = check_winner(&case);
+    // 1,140; with the fill and drain charged, 2,076. Whole families of
+    // pipelined candidates go before any member is bounded.
+    let (pruned, family_pruned) = check_winner(&case);
     assert!(pruned >= 2_000, "only {pruned} candidates pruned");
+    assert!(family_pruned > 0, "no family was pruned");
+}
+
+#[test]
+fn family_floors_are_sound() {
+    let (mut checked, mut infeasible) = (0, 0);
+    for seed in [5, 17] {
+        for case in family_cases(seed) {
+            let (c, i) = check_families(&case);
+            checked += c;
+            infeasible += i;
+        }
+    }
+    assert!(checked > 100, "only {checked} families checked");
+    assert!(
+        infeasible > 0,
+        "no member was ruled out by its feasibility check"
+    );
 }
 
 #[test]
@@ -467,7 +602,10 @@ fn decode_1024_bounds_match_full_simulation() {
             }),
     };
     assert!(check_bounds(&case) > 0);
-    assert!(check_winner(&case) > 0, "the (DDP, FSDP) plan is prunable");
+    assert!(
+        check_winner(&case).0 > 0,
+        "the (DDP, FSDP) plan is prunable"
+    );
     // Past 2^53 grid units the walk's `f64` stream sums round, so its
     // bit-for-bit agreement above is exercised only when some flat plan's
     // busiest stream gets there. `check_bounds` pins a flat bound to its
