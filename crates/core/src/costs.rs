@@ -517,21 +517,40 @@ impl<'a> CostTable<'a> {
         strategy: HierStrategy,
         decode: bool,
     ) -> GroupPrice<'_> {
-        let g = if decode {
-            &self.decode.as_ref().expect("decode phase priced").groups[group]
-        } else {
-            &self.groups[group]
-        };
+        let (forward, backward) = self.group_compute(group, decode);
+        let g = self.phase_group(group, decode);
+        GroupPrice {
+            forward,
+            backward,
+            lookup: g.is_embedding,
+            costs: g.costs_for(strategy),
+        }
+    }
+
+    /// The forward and backward compute of one instance of layer group
+    /// `group`, which no strategy changes: [`CostTable::group_price`]'s
+    /// `forward` and `backward`, readable before any strategy is priced.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `decode` is set without a decode phase.
+    pub fn group_compute(&self, group: usize, decode: bool) -> (Seconds, Seconds) {
+        let g = self.phase_group(group, decode);
         let backward = match (self.workload.has_backward() && g.trains, g.is_embedding) {
             (false, _) => Seconds::ZERO,
             (true, true) => g.fwd_compute,
             (true, false) => g.bwd_compute,
         };
-        GroupPrice {
-            forward: g.fwd_compute,
-            backward,
-            lookup: g.is_embedding,
-            costs: g.costs_for(strategy),
+        (g.fwd_compute, backward)
+    }
+
+    /// Layer group `group`'s costs in the decode phase with `decode`, in
+    /// the primary phase otherwise.
+    fn phase_group(&self, group: usize, decode: bool) -> &GroupCosts {
+        if decode {
+            &self.decode.as_ref().expect("decode phase priced").groups[group]
+        } else {
+            &self.groups[group]
         }
     }
 

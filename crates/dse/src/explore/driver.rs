@@ -22,9 +22,10 @@
 //! lowest p99 TTFT), the rankings they report. The driver computes every
 //! candidate's optimistic scores once (upper bounds on the scores its
 //! step can reach: from `Scenario::lower_bound`, the busiest stream's
-//! summed op durations, and for a pipelined training or forward-only plan
-//! each stage's compute stream from microbatch 0's fill chain through its
-//! last pass's drain chain; for the load search, from a floor on every
+//! summed op durations, and for a pipelined plan each stage's compute
+//! stream from microbatch 0's fill chain through its last pass's drain
+//! chain, with decode steps from its prefill's fill through its last
+//! decode unit's drain; for the load search, from a floor on every
 //! prefill and a queueing recursion over the arrivals,
 //! `madmax_serve::load_bound`; infeasible candidates resolve there with
 //! their error), simulates a fixed first wave, the
@@ -747,6 +748,10 @@ impl Explorer<'_> {
                 telemetry.pruned = rest.iter().filter(|&&i| prunable(i)).count() as u64;
                 telemetry.family_pruned = family_pruned.iter().filter(|&&p| p).count() as u64;
                 telemetry.simulated = (wave.len() + rest.len()) as u64 - telemetry.pruned;
+                telemetry.unbounded = rest
+                    .iter()
+                    .filter(|&&i| !family_pruned[i] && optimistic[i].is_none())
+                    .count() as u64;
                 run_pool(&mut pool, &rest, &mut slots, &|i, worker: &mut Worker| {
                     if prunable(i) {
                         resolve(i, CandidateOutcome::Ok, None, bound_us[i], worker);

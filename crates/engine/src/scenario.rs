@@ -442,11 +442,13 @@ impl<'a> Scenario<'a> {
     /// reports, computed from the priced tables without assembling or
     /// scheduling a trace: the busiest stream's summed op durations
     /// ([`CostTable::busy_lower_bound`]; streams run one op at a time in
-    /// issue order). A pipelined training or forward-only plan also
-    /// charges each stage's compute stream its fill and drain
-    /// ([`madmax_pipeline::busy_lower_bound`]): its first forward waits for
-    /// microbatch 0's forward chain through the earlier stages, and its
-    /// last pass for the gradient (or activation) chain that follows it.
+    /// issue order). A pipelined plan also charges each stage's compute
+    /// stream its fill and drain ([`madmax_pipeline::busy_lower_bound`]):
+    /// its first forward waits for microbatch 0's forward chain through
+    /// the earlier stages, and its last pass for the gradient (or
+    /// activation) chain that follows it; with decode steps, its first
+    /// decode unit also waits for group 0's prefill through every stage,
+    /// and its last one leaves that step's decode chain to the last stage.
     /// Searches use it to skip candidates that provably cannot win, and
     /// bound whole families of pipelined candidates at once first
     /// ([`Scenario::family_lower_bound`], never above any member's bound).

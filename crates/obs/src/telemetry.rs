@@ -105,6 +105,13 @@ pub struct SearchTelemetry {
     /// pruned, ruled out by its feasibility check, nor resolved without a
     /// fresh evaluation. The same at any thread count.
     pub simulated: u64,
+    /// The [`SearchTelemetry::simulated`] candidates of a pruning search
+    /// that had no bound (`Scenario::lower_bound` returned `Ok(None)`: a
+    /// pipelined serve plan whose busiest stream leaves the duration
+    /// grid's exact range), so the branch-and-bound could never skip
+    /// them. A subset of `simulated`; zero for a search that does not
+    /// prune. The same at any thread count.
+    pub unbounded: u64,
     /// Candidates rejected for device memory.
     pub oom: u64,
     /// Candidates whose pipeline depth cannot partition the model or map
@@ -166,11 +173,13 @@ pub struct SearchTelemetry {
 impl SearchTelemetry {
     /// Whether the outcome counters reconcile with the candidate count
     /// (`candidates == ok + oom + unmappable + invalid`), family-pruned
-    /// candidates are among the pruned ones, and no candidate is both
-    /// pruned and simulated (`simulated + pruned <= candidates`).
+    /// candidates are among the pruned ones, unbounded candidates among
+    /// the simulated ones, and no candidate is both pruned and simulated
+    /// (`simulated + pruned <= candidates`).
     pub fn reconciles(&self) -> bool {
         self.candidates == self.ok + self.oom + self.unmappable + self.invalid
             && self.family_pruned <= self.pruned
+            && self.unbounded <= self.simulated
             && self.simulated + self.pruned <= self.candidates
     }
 
@@ -183,6 +192,7 @@ impl SearchTelemetry {
         self.pruned += other.pruned;
         self.family_pruned += other.family_pruned;
         self.simulated += other.simulated;
+        self.unbounded += other.unbounded;
         self.oom += other.oom;
         self.unmappable += other.unmappable;
         self.invalid += other.invalid;
@@ -220,7 +230,7 @@ impl SearchTelemetry {
         };
         let mut line = format!(
             "{} candidates in {:.0} ms ({} ok of which {} pruned ({} by a family bound), \
-             {} simulated, {} oom, {} unmappable, {} invalid); \
+             {} simulated ({} without a bound), {} oom, {} unmappable, {} invalid); \
              cache hit rates: flat {}, pipeline {}, memo {}",
             self.candidates,
             self.wall_ms,
@@ -228,6 +238,7 @@ impl SearchTelemetry {
             self.pruned,
             self.family_pruned,
             self.simulated,
+            self.unbounded,
             self.oom,
             self.unmappable,
             self.invalid,
@@ -354,6 +365,7 @@ mod tests {
             ok: 2,
             pruned: 2,
             family_pruned: 1,
+            unbounded: 1,
             workers: vec![
                 WorkerStats {
                     worker: 0,
@@ -388,10 +400,10 @@ mod tests {
         assert_eq!(a.goodput_evals, 2);
         assert_eq!(a.fault_events, 5);
         assert_eq!(a.pruned, 3);
-        assert_eq!((a.family_pruned, a.simulated), (1, 2));
-        assert!(a
-            .summary()
-            .contains("5 ok of which 3 pruned (1 by a family bound), 2 simulated"));
+        assert_eq!((a.family_pruned, a.simulated, a.unbounded), (1, 2, 1));
+        assert!(a.summary().contains(
+            "5 ok of which 3 pruned (1 by a family bound), 2 simulated (1 without a bound)"
+        ));
         // A family-pruned candidate is a pruned one, and a pruned
         // candidate is not simulated.
         assert!(!SearchTelemetry {
@@ -401,6 +413,12 @@ mod tests {
         .reconciles());
         assert!(!SearchTelemetry {
             simulated: 4,
+            ..a.clone()
+        }
+        .reconciles());
+        // An unbounded candidate is a simulated one.
+        assert!(!SearchTelemetry {
+            unbounded: 3,
             ..a.clone()
         }
         .reconciles());
@@ -425,6 +443,7 @@ mod tests {
             pruned: 3,
             family_pruned: 2,
             simulated: 5,
+            unbounded: 1,
             ..Default::default()
         };
         t.eval_latency.record(100.0);
@@ -437,6 +456,7 @@ mod tests {
         assert_eq!(field("pruned").as_u64(), Some(3));
         assert_eq!(field("family_pruned").as_u64(), Some(2));
         assert_eq!(field("simulated").as_u64(), Some(5));
+        assert_eq!(field("unbounded").as_u64(), Some(1));
         let flat = field("flat_cache").as_map().unwrap();
         assert_eq!(serde::field(flat, "hits").unwrap().as_u64(), Some(36));
         assert_eq!(serde::field(flat, "misses").unwrap().as_u64(), Some(4));

@@ -156,10 +156,16 @@ pub(crate) fn build_pipeline_trace_into(
 ///
 /// Serve traces with decode steps live on the duration grid
 /// (`madmax_core::steady`), where sums are exact in any order: their
-/// busiest stream total is computed in grid units instead, the
-/// KV-stretched decode compute as an arithmetic series over the steps,
-/// with no fill or drain term, and there is no bound (`None`) when a
-/// duration or a stream total leaves the grid's exact range.
+/// bound is computed in grid units instead, the KV-stretched decode
+/// compute as an arithmetic series over the steps. It is the busiest
+/// stream total or, if larger, a stage's compute stream with its fill
+/// and drain: its prefill passes wait for microbatch 0's prefill chain
+/// (or its parameter gathers), its first decode unit for group 0's
+/// prefill through every stage and its step-0 decode chain back to the
+/// stage, and its last decode unit leaves the step's decode chain up to
+/// the last stage behind. There is no bound (`None`) when a duration or
+/// a stream total leaves the grid's exact range; when only a fill and
+/// drain term does, the bound is the busiest stream total alone.
 pub fn busy_lower_bound(
     costs: &[StageCosts],
     cfg: &PipelineConfig,
@@ -256,10 +262,36 @@ fn forward_drain(costs: &[StageCosts], s: usize, mut t: Seconds) -> Seconds {
 }
 
 /// [`busy_lower_bound`] of a serve trace with decode steps, in exact grid
-/// units: per stage, `m` prefill waves and `m * decode_len` decode units
-/// on the compute and comm streams (the gradient-comm streams stay
-/// empty). `None` when a duration or a stream total leaves the grid's
-/// exact range.
+/// units: the largest of every stage's stream totals (`m` prefill passes
+/// and `m·T` decode units on the compute and comm streams, `T` decode
+/// steps; the gradient-comm streams stay empty) and, for every stage `s`,
+/// its compute stream's fill and drain term
+///
+/// `max(head_s + m·prefill_s, done + reach_s) + m·Σ_t decode_s(t) + drain_s`.
+///
+/// The stream runs its `m` prefill passes, then its `m·T` decode units
+/// (step by step, group by group), one at a time in issue order:
+///
+/// - `head_s` is when its first prefill pass can start, microbatch 0's
+///   prefill chain through the earlier stages (`fill`) or the stage's
+///   parameter gathers, whichever ends later;
+/// - `done` is when group 0's prefill leaves the last stage, collectives
+///   included, the op its first decode unit waits on, and `reach_s` that
+///   unit's step-0 decode chain through the earlier stages;
+/// - `drain_s` is the chain after the last unit, `(T − 1, m − 1)`: its
+///   collectives and send, then each later stage's step-`T − 1` decode
+///   compute, collectives and send.
+///
+/// Each term is a chain of ops the schedule runs in that order, and grid
+/// sums are exact, so each is at most the makespan bit for bit. With `L`
+/// the sum of all `p` step-`T − 1` hops and `L_s` that of the hops before
+/// stage `s`, `drain_s = L − L_s − last_s` for the stage's last decode
+/// compute `last_s`. `done` and `L` are known only after the last stage,
+/// so one pass keeps the two stage maxima they add to and the term is
+/// assembled at the end, without a per-stage buffer.
+///
+/// `None` when a duration or a stream total leaves the grid's exact
+/// range; the busiest stream alone when only a fill and drain term does.
 fn serve_busy_in_grid_units(
     prefill: &[StageCosts],
     decode: &[StageCosts],
@@ -267,26 +299,34 @@ fn serve_busy_in_grid_units(
     dims: ServeDims,
 ) -> Option<Seconds> {
     let units = |d: Seconds| grid_units(quantize(d));
+    let chain_units = |comm: &[(CollectiveKind, Seconds)]| {
+        comm.iter()
+            .try_fold(0, |sum, &(_, d)| Some(sum + i128::from(units(d)?)))
+    };
     let p = prefill.len();
     let waves = cfg.microbatches as i128;
     let steps = dims.decode_len as i128;
     let mut busiest = 0i128;
+    // The fill chain to the current stage, the step-0 decode chain to it
+    // (`reach_s`), the step-`T − 1` hops before it (`L_s`), and the two
+    // stage maxima of the fill and drain terms (see above).
+    let (mut fill, mut reach, mut hops) = (0i128, 0i128, 0i128);
+    let (mut prefill_led, mut decode_led) = (i128::MIN, i128::MIN);
     for (s, (pre, dec)) in prefill.iter().zip(decode).enumerate() {
-        // One wave's comm-stream ops: its blocking collectives, then the
-        // activation send to the next stage.
-        let wave_comm = |c: &StageCosts| -> Option<i128> {
-            let mut sum = if s + 1 < p { units(c.send_fwd)? } else { 0 };
-            for &(_, d) in &c.fwd_comm {
-                sum += units(d)?;
-            }
-            Some(i128::from(sum))
+        let send = |c: &StageCosts| match s + 1 < p {
+            true => units(c.send_fwd).map(i128::from),
+            false => Some(0),
         };
-        let mut comm = waves * (wave_comm(pre)? + steps * wave_comm(dec)?);
-        for &(_, d) in &pre.param_comm {
-            comm += i128::from(units(d)?);
-        }
+        // One pass's comm-stream ops: its blocking collectives, then the
+        // activation send to the next stage.
+        let (pre_hop, dec_hop) = (
+            chain_units(&pre.fwd_comm)? + send(pre)?,
+            chain_units(&dec.fwd_comm)? + send(dec)?,
+        );
+        let param = chain_units(&pre.param_comm)?;
+        let comm = waves * (pre_hop + steps * dec_hop) + param;
         // Step `t` computes for `first + per_token * t` units
-        // (`decode_compute_duration`'s exact series), once per wave.
+        // (`decode_compute_duration`'s exact series), once per group.
         let first = units(decode_compute_duration(
             dec.fwd_compute,
             dec.kv_read_per_token,
@@ -295,10 +335,28 @@ fn serve_busy_in_grid_units(
         ))?;
         let per_token = units(dec.kv_read_per_token)?;
         let series = affine_series_units(first, per_token, 0, dims.decode_len as i64)?;
-        let compute = waves * i128::from(units(pre.fwd_compute)? + series);
-        busiest = busiest.max(compute).max(comm);
+        let pre_compute = i128::from(units(pre.fwd_compute)?);
+        let decode_compute = waves * i128::from(series);
+        busiest = busiest.max(waves * pre_compute + decode_compute).max(comm);
+
+        let head = fill.max(param);
+        let (first, last) = (
+            i128::from(first),
+            i128::from(first) + i128::from(per_token) * (steps - 1),
+        );
+        let decode_span = decode_compute - hops - last;
+        prefill_led = prefill_led.max(head + waves * pre_compute + decode_span);
+        decode_led = decode_led.max(reach + decode_span);
+        fill = head + pre_compute + pre_hop;
+        reach += first + dec_hop;
+        hops += last + dec_hop;
     }
-    grid_total_seconds(busiest)
+    // After the last stage (which sends nothing) `fill` is `done` and
+    // `hops` is `L`.
+    let fill_drain = (steps > 0).then(|| prefill_led.max(fill + decode_led) + hops);
+    fill_drain
+        .and_then(|t| grid_total_seconds(busiest.max(t)))
+        .or_else(|| grid_total_seconds(busiest))
 }
 
 /// The shared schedule expansion behind [`build_pipeline_trace_into`] and
@@ -808,19 +866,34 @@ mod tests {
         assert!(wave_cost(3) > wave_cost(0));
     }
 
+    /// The serve trace of `(prefill, decode, cfg)` over `dims`: its
+    /// busiest stream's summed op durations and its makespan.
+    fn serve_busiest_and_makespan(
+        prefill: &[StageCosts],
+        decode: &[StageCosts],
+        cfg: &PipelineConfig,
+        dims: ServeDims,
+    ) -> (Seconds, Seconds) {
+        let mut trace = Trace::new();
+        build_serve_trace_into(
+            prefill,
+            decode,
+            cfg,
+            dims.decode_len,
+            dims.prompt_len,
+            &mut trace,
+        );
+        let mut sums = std::collections::HashMap::new();
+        for op in trace.ops() {
+            *sums.entry(op.stream).or_insert(Seconds::ZERO) += op.duration;
+        }
+        let busiest = sums.into_values().fold(Seconds::ZERO, Seconds::max);
+        (busiest, schedule(&trace).makespan)
+    }
+
     #[test]
-    fn serve_bound_is_the_busiest_stream_of_the_serve_trace() {
+    fn serve_bound_lies_between_the_busiest_stream_and_the_makespan() {
         let prefill = uniform_costs(3, Seconds::new(1.0), Seconds::ZERO, Seconds::new(0.1));
-        let busiest = |decode: &[StageCosts], cfg: &PipelineConfig| {
-            let mut trace = Trace::new();
-            build_serve_trace_into(&prefill, decode, cfg, 40, 64, &mut trace);
-            let mut sums = std::collections::HashMap::new();
-            for op in trace.ops() {
-                *sums.entry(op.stream).or_insert(Seconds::ZERO) += op.duration;
-            }
-            let busiest = sums.into_values().fold(Seconds::ZERO, Seconds::max);
-            (busiest, schedule(&trace).makespan)
-        };
         let dims = ServeDims {
             prompt_len: 64,
             decode_len: 40,
@@ -842,9 +915,16 @@ mod tests {
             ] {
                 let bound = busy_lower_bound(&prefill, &cfg, false, Some((&decode, dims)))
                     .expect("in the grid's range");
-                let (busiest, makespan) = busiest(&decode, &cfg);
-                assert_eq!(bound, busiest, "send {send}, kv {kv}, {cfg:?}");
-                assert!(bound <= makespan);
+                let (busiest, makespan) = serve_busiest_and_makespan(&prefill, &decode, &cfg, dims);
+                let ctx = format!("send {send}, kv {kv}, {cfg:?}");
+                assert!(busiest <= bound, "{ctx}: {busiest} vs {bound}");
+                assert!(bound <= makespan, "{ctx}: {bound} vs {makespan}");
+                // With cheap sends the compute streams bind, and the last
+                // stage's prefill waits for two earlier stages: its fill
+                // and drain charge more than any stream's total.
+                if send < 0.1 {
+                    assert!(busiest < bound, "{ctx}: {busiest} vs {bound}");
+                }
             }
         }
         // A stream total past the grid's exact range has no bound.
@@ -853,6 +933,169 @@ mod tests {
         assert_eq!(
             busy_lower_bound(&prefill, &cfg, false, Some((&huge, dims))),
             None
+        );
+    }
+
+    #[test]
+    fn serve_bound_keeps_the_busiest_stream_when_only_the_fill_leaves_the_grid() {
+        // 2^52 grid units are 16,384 s. Each stage's streams total
+        // 6,000 s of prefill and 2 × 150 s of decode, well inside the
+        // range, but the last stage's prefill starts after two earlier
+        // ones: the fill and drain term reaches ~18,000 s, past it.
+        let dims = ServeDims {
+            prompt_len: 64,
+            decode_len: 2,
+            decode_batch: 1,
+        };
+        let cfg = PipelineConfig::gpipe(3, 1);
+        let decode = uniform_costs(3, Seconds::new(150.0), Seconds::ZERO, Seconds::ZERO);
+        for (prefill_s, fill_binds) in [(6_000.0, false), (5_000.0, true)] {
+            let prefill = uniform_costs(3, Seconds::new(prefill_s), Seconds::ZERO, Seconds::ZERO);
+            let bound = busy_lower_bound(&prefill, &cfg, false, Some((&decode, dims)))
+                .expect("the busiest stream is in range");
+            let (busiest, makespan) = serve_busiest_and_makespan(&prefill, &decode, &cfg, dims);
+            assert!(bound <= makespan, "{prefill_s}: {bound} vs {makespan}");
+            if fill_binds {
+                assert!(busiest < bound, "{prefill_s}: {busiest} vs {bound}");
+            } else {
+                assert_eq!(bound, busiest, "{prefill_s}");
+                assert_eq!(bound.as_secs(), 6_300.0);
+            }
+        }
+    }
+
+    /// The fill and drain term of every stage, straight from its
+    /// definition in [`serve_busy_in_grid_units`] (heads forward, drains
+    /// summed per stage), in grid units.
+    fn fill_drain_by_definition(
+        prefill: &[StageCosts],
+        decode: &[StageCosts],
+        m: i128,
+        dims: ServeDims,
+    ) -> i128 {
+        let u = |d: Seconds| i128::from(grid_units(quantize(d)).unwrap());
+        let p = prefill.len();
+        let comm = |c: &StageCosts| c.fwd_comm.iter().map(|&(_, d)| u(d)).sum::<i128>();
+        let send = |c: &StageCosts, s: usize| if s + 1 < p { u(c.send_fwd) } else { 0 };
+        let step = |s: usize, t: usize| {
+            let c = &decode[s];
+            let d = decode_compute_duration(
+                c.fwd_compute,
+                c.kv_read_per_token,
+                dims.prompt_len as f64,
+                t as u32,
+            );
+            u(d)
+        };
+        let t_last = dims.decode_len - 1;
+        let mut heads = Vec::new();
+        let mut fill = 0;
+        for (s, c) in prefill.iter().enumerate() {
+            let param = c.param_comm.iter().map(|&(_, d)| u(d)).sum::<i128>();
+            let head = fill.max(param);
+            heads.push(head);
+            fill = head + u(c.fwd_compute) + comm(c) + send(c, s);
+        }
+        let done = fill;
+        (0..p)
+            .map(|s| {
+                let reach: i128 = (0..s)
+                    .map(|k| step(k, 0) + comm(&decode[k]) + send(&decode[k], k))
+                    .sum();
+                let busy: i128 = (0..dims.decode_len).map(|t| m * step(s, t)).sum();
+                let drain = comm(&decode[s])
+                    + send(&decode[s], s)
+                    + (s + 1..p)
+                        .map(|k| step(k, t_last) + comm(&decode[k]) + send(&decode[k], k))
+                        .sum::<i128>();
+                (heads[s] + m * u(prefill[s].fwd_compute)).max(done + reach) + busy + drain
+            })
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn generated_serve_bounds_are_sound_and_charge_fill_and_drain() {
+        // splitmix64 over uneven stages: p 2–8, microbatch groups below
+        // and above p, 2–1024 decode steps, KV growth on and off, TP
+        // collectives on every pass and FSDP parameter gathers.
+        let mut state = 0x5EED_5E4Fu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut fill_binds = 0;
+        for case in 0..48 {
+            let p = 2 + (unit() * 7.0) as usize;
+            let m = match case % 2 {
+                0 => 1 + (unit() * (p - 1) as f64) as usize,
+                _ => p + 1 + (unit() * 12.0) as usize,
+            };
+            let decode_len = match case % 6 {
+                0 => 2,
+                1 => 1024.min(8192 / m),
+                _ => 2 + (unit() * 254.0) as usize,
+            };
+            let dims = ServeDims {
+                prompt_len: 64 + (unit() * 960.0) as usize,
+                decode_len,
+                decode_batch: m,
+            };
+            let (tp, fsdp, kv) = (case % 3 != 0, case % 4 < 2, case % 5 < 3);
+            let mut stage = |scale: f64, decode: bool| StageCosts {
+                fwd_compute: Seconds::new(scale * (0.2 + unit())),
+                fwd_comm: match tp {
+                    true => vec![(
+                        CollectiveKind::AllReduce,
+                        Seconds::new(scale * 0.3 * unit()),
+                    )],
+                    false => Vec::new(),
+                },
+                send_fwd: Seconds::new(scale * 0.2 * unit()),
+                param_comm: match fsdp && !decode {
+                    true => vec![(CollectiveKind::AllGather, Seconds::new(4.0 * unit()))],
+                    false => Vec::new(),
+                },
+                kv_read_per_token: Seconds::new(match kv && decode {
+                    true => 1e-4 * unit(),
+                    false => 0.0,
+                }),
+                ..uniform_costs(1, Seconds::ZERO, Seconds::ZERO, Seconds::ZERO)[0].clone()
+            };
+            let prefill: Vec<StageCosts> = (0..p).map(|_| stage(1.0, false)).collect();
+            let decode: Vec<StageCosts> = (0..p).map(|_| stage(0.05, true)).collect();
+            let cfg = match case % 2 {
+                0 => PipelineConfig::gpipe(p, m),
+                _ => PipelineConfig::one_f_one_b(p, m),
+            };
+            let ctx = format!("case {case}: p {p}, m {m}, {dims:?}, tp {tp}, fsdp {fsdp}, kv {kv}");
+            let bound = busy_lower_bound(&prefill, &cfg, false, Some((&decode, dims)))
+                .unwrap_or_else(|| panic!("{ctx}: no bound"));
+            let (busiest, makespan) = serve_busiest_and_makespan(&prefill, &decode, &cfg, dims);
+            assert!(
+                busiest <= bound,
+                "{ctx}: bound {bound} below busiest {busiest}"
+            );
+            assert!(
+                bound <= makespan,
+                "{ctx}: bound {bound} above makespan {makespan}"
+            );
+            let by_definition = fill_drain_by_definition(&prefill, &decode, m as i128, dims);
+            let want = grid_total_seconds(by_definition)
+                .expect("in range")
+                .max(busiest);
+            assert_eq!(bound, want, "{ctx}");
+            if busiest < bound {
+                fill_binds += 1;
+            }
+        }
+        assert!(
+            fill_binds > 24,
+            "the fill and drain bound {fill_binds} of 48 cases"
         );
     }
 

@@ -118,6 +118,11 @@ struct FlatEntry<'a> {
     /// decode phase (empty without one). A stage's gradient send is its
     /// predecessor's activation send.
     sends: [Vec<Seconds>; 2],
+    /// Each stage's primary-phase forward and backward compute per
+    /// microbatch, which no strategy changes, summed in unit order as a
+    /// member's stage costs sum it: the compute of every family floor at
+    /// this entry.
+    compute: Vec<(Seconds, Seconds)>,
     /// The inputs of family floors: per (class, strategy) registered at
     /// this entry, each stage's comm pieces under it
     /// ([`PipelineCostTable::class_pieces`]).
@@ -582,10 +587,25 @@ impl<'a> PipelineCostTable<'a> {
             Some(dm) => sends(dm, table.local_batch(true)),
             None => Vec::new(),
         };
+        let compute = depth
+            .stages
+            .iter()
+            .map(|stage| {
+                let (mut fwd, mut bwd) = (Seconds::ZERO, Seconds::ZERO);
+                for unit in &stage.units {
+                    let (f, b) = table.group_compute(unit.group, false);
+                    let reps = unit.instances as f64;
+                    fwd += f * reps;
+                    bwd += b * reps;
+                }
+                (fwd, bwd)
+            })
+            .collect();
         FlatEntry {
             microbatches: m,
             table,
             sends: [primary, decode],
+            compute,
             pieces: Vec::new(),
         }
     }
@@ -872,7 +892,7 @@ impl<'a> PipelineCostTable<'a> {
     /// family's microbatch count:
     ///
     /// - the forward and backward compute, which no strategy changes,
-    ///   summed as a member sums them;
+    ///   summed once per entry as a member sums them;
     /// - per comm piece (blocking forward and backward collectives,
     ///   parameter gathers, weight-gradient collectives), the sum over the
     ///   model's classes of the cheapest strategy's contribution among the
@@ -934,22 +954,12 @@ impl<'a> PipelineCostTable<'a> {
                 *floor = floor.min(step);
             }
         }
-        let model = self.report_model();
         let p = depth.stages.len();
         let sends = &flat.sends[0];
         let mut chain = 0;
         let mut floor = Vec::with_capacity(p);
         for (si, stage) in depth.stages.iter().enumerate() {
-            let (mut fwd_compute, mut bwd_compute) = (Seconds::ZERO, Seconds::ZERO);
-            for unit in &stage.units {
-                let class = model.groups[unit.group].class;
-                let price = flat
-                    .table
-                    .group_price(unit.group, first.strategy_for(class), false);
-                let reps = unit.instances as f64;
-                fwd_compute += price.forward * reps;
-                bwd_compute += price.backward * reps;
-            }
+            let (fwd_compute, bwd_compute) = flat.compute[si];
             let mut pieces = [Seconds::ZERO; 4];
             let mut terms = stage.units.len() + self.classes.len();
             for class_options in &options {

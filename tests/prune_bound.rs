@@ -7,12 +7,13 @@
 //!
 //! - `Scenario::lower_bound` is sound: never above the fully simulated
 //!   iteration time, bit for bit;
-//! - for flat plans and pipelined decodes it is exactly the busiest
-//!   stream's summed op durations of the trace the engine builds for the
-//!   candidate; for other pipelined plans it is at least that, since it
-//!   also charges each stage's compute stream its fill (microbatch 0's
-//!   forward chain to the stage's first op) and drain (the chain after
-//!   its last pass);
+//! - for flat plans it is exactly the busiest stream's summed op
+//!   durations of the trace the engine builds for the candidate; for
+//!   pipelined plans it is at least that, since it also charges each
+//!   stage's compute stream its fill (microbatch 0's forward chain to the
+//!   stage's first op; with decode steps, also group 0's prefill and
+//!   step-0 chain to its first decode unit) and drain (the chain after
+//!   its last pass or decode unit);
 //! - it fails exactly when `run` does, with `run`'s own error (so the
 //!   same outcome class), and only pipelined serve plans whose busiest
 //!   stream leaves the duration grid's exact range go without a bound;
@@ -25,7 +26,10 @@
 //!
 //! A pinned pre-training search over every depth, microbatch count and
 //! schedule checks that the fill and drain let `explore` prune most of
-//! its pipelined candidates, some of them a whole family at a time.
+//! its pipelined candidates, some of them a whole family at a time. A
+//! pinned decode-1024 serve search over the same axes, at two seeds,
+//! checks that they let it simulate only its first wave, and a pipelined
+//! decode past the grid's exact range is counted as unbounded.
 //!
 //! A second sweep (training and forward-only Llama2, GPT-3 and DLRM-A
 //! variants at depths 2–8, microbatch counts below and above the depth,
@@ -223,7 +227,7 @@ fn check_bounds(case: &Case) -> usize {
                         full.iteration_time
                     );
                     let busiest = busiest_stream(&trace);
-                    if plan.pipeline_stages() > 1 && !decodes {
+                    if plan.pipeline_stages() > 1 {
                         // The pipeline's fill and drain on top of it.
                         assert!(
                             bound >= busiest,
@@ -331,9 +335,10 @@ fn predicted_pruned(
 /// baseline, then every candidate in enumeration order replacing the best
 /// only when strictly better), every pruned candidate scoring strictly
 /// below the winner, and exactly [`predicted_pruned`]'s pruned set.
-/// Returns the number of candidates pruned and how many of them a family
-/// bound pruned (the same at both thread counts).
-fn check_winner(case: &Case) -> (u64, u64) {
+/// Returns the number of candidates pruned and the telemetry of the
+/// 1-thread search (its pruned, family-pruned, simulated and unbounded
+/// counts are the same at both thread counts).
+fn check_winner(case: &Case) -> (u64, SearchTelemetry) {
     let ctx = case.context(&case.workload);
     let variants = case.variants();
     let explorer = case.explorer();
@@ -376,7 +381,7 @@ fn check_winner(case: &Case) -> (u64, u64) {
         .filter(|&i| plans[i] != base_plan)
         .collect();
 
-    let mut family_pruned = None;
+    let mut first: Option<SearchTelemetry> = None;
     for threads in [1, 4] {
         let ctx = format!("{ctx} at {threads} threads");
         let sink = PrunedSink::default();
@@ -423,13 +428,14 @@ fn check_winner(case: &Case) -> (u64, u64) {
         }
         // The same pruned set at every thread count: the predicted one.
         assert_eq!(pruned, predicted, "{ctx}");
-        assert_eq!(
-            *family_pruned.get_or_insert(t.family_pruned),
-            t.family_pruned,
-            "{ctx}"
-        );
+        let counts = |t: &SearchTelemetry| (t.family_pruned, t.simulated, t.unbounded);
+        let first = first.get_or_insert_with(|| t.clone());
+        assert_eq!(counts(first), counts(t), "{ctx}");
     }
-    (predicted.len() as u64, family_pruned.unwrap_or(0))
+    (
+        predicted.len() as u64,
+        first.expect("two thread counts ran"),
+    )
 }
 
 /// Checks every family of `case`'s feasible pipelined candidates (see
@@ -556,9 +562,9 @@ fn pipelined_training_prunes_past_the_bubble() {
     // Of 2,112 feasible candidates the busiest-stream bound alone prunes
     // 1,140; with the fill and drain charged, 2,076. Whole families of
     // pipelined candidates go before any member is bounded.
-    let (pruned, family_pruned) = check_winner(&case);
+    let (pruned, t) = check_winner(&case);
     assert!(pruned >= 2_000, "only {pruned} candidates pruned");
-    assert!(family_pruned > 0, "no family was pruned");
+    assert!(t.family_pruned > 0, "no family was pruned");
 }
 
 #[test]
@@ -627,4 +633,75 @@ fn decode_1024_bounds_match_full_simulation() {
             .any(|bound| bound >= rounding),
         "no flat plan's busiest stream reaches 2^53 grid units"
     );
+}
+
+/// A `serve_search`-shaped search: Llama2 decoding 1,024 tokens at
+/// batches 256 and 512 on scale-out links slowed 4–16×, over every
+/// transformer strategy and pp {1, 2, 4, 8} × mb {8, 16} × both
+/// schedules.
+fn serve_search_case(seed: u64) -> Case {
+    let mut rng = Rng(seed);
+    Case {
+        seed,
+        model: ModelId::Llama2.build(),
+        system: catalog::llama_llm_system()
+            .scaled(&DeviceScaling::inter_bw_only(rng.uniform(1.0 / 16.0, 0.25))),
+        workload: Workload::serve(ServeConfig::new(512 + rng.below(513), 1024)),
+        space: SearchSpace::strategies()
+            .with_classes(vec![LayerClass::Transformer])
+            .with_serve(ServeAxes::batches([256, 512]))
+            .with_pipeline(PipelineAxes {
+                stages: vec![1, 2, 4, 8],
+                microbatches: vec![8, 16],
+                schedules: vec![PipelineSchedule::GPipe, PipelineSchedule::OneFOneB],
+            }),
+    }
+}
+
+#[test]
+fn pipelined_serve_search_simulates_only_its_first_wave() {
+    // Every candidate after the first wave, pipelined decodes included,
+    // loses to the wave's incumbent on its bound: the search simulates
+    // two decode-batch variants × a first wave of four, and the pruned
+    // set is the oracle's at 1 and 4 threads (`check_winner`).
+    for seed in [7, 501] {
+        let case = serve_search_case(seed);
+        let (pruned, t) = check_winner(&case);
+        assert_eq!(t.simulated, 2 * 4, "seed {seed}: {t:?}");
+        assert_eq!(t.unbounded, 0, "seed {seed}");
+        assert!(pruned > 250, "seed {seed}: only {pruned} pruned");
+    }
+}
+
+#[test]
+fn a_pipelined_decode_past_the_grid_counts_as_unbounded() {
+    // On devices 10^6× slower the pp=8 FSDP decode's compute streams
+    // total past 2^52 grid units (16,384 s): it has no bound, so the
+    // search simulates it and names it. The flat baseline is the known
+    // plan and runs outside the pool.
+    let case = Case {
+        seed: 0,
+        model: ModelId::Llama2.build(),
+        system: catalog::llama_llm_system().scaled(&DeviceScaling {
+            compute: 1e-6,
+            ..DeviceScaling::IDENTITY
+        }),
+        workload: Workload::serve(ServeConfig::new(128, 8)),
+        space: SearchSpace {
+            pipeline: Some(PipelineAxes {
+                stages: vec![1, 8],
+                microbatches: vec![8],
+                schedules: vec![PipelineSchedule::GPipe],
+            }),
+            ..SearchSpace::default()
+        },
+    };
+    let piped = &case.explorer().candidates()[1];
+    let scenario = Scenario::new(&case.model, &case.system)
+        .plan_ref(piped)
+        .workload_ref(&case.workload);
+    assert_eq!(scenario.lower_bound(), Ok(None), "{}", piped.summary());
+    let t = case.explorer().explore().unwrap().telemetry;
+    assert_eq!((t.simulated, t.unbounded), (1, 1), "{t:?}");
+    assert!(t.reconciles(), "{t:?}");
 }
