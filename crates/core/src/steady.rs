@@ -44,16 +44,16 @@
 //! state is reconstructed by polynomial evaluation, and the drain-edge
 //! flush (the last token's communication has no later compute to hide
 //! behind) runs on that reconstructed state exactly as it would after
-//! stepping. A failed certificate — e.g. while the pipeline-fill
-//! transient is still settling — just moves the attempt point and keeps
-//! stepping, which is exact regardless. When the binding genuinely
-//! changes partway through the range (two timestamp quadratics with
-//! slightly different KV-stretch rates crossing), the failing comparison
-//! localizes its breakpoint by binary search and the evaluator takes a
-//! *partial* jump to just short of it, re-fits, and jumps the next
-//! regime — so piecewise-quadratic schedules with many crossings still
-//! collapse into a handful of jumps, and per-search wall clock becomes
-//! (near-)independent of `decode_len` whenever certificates land.
+//! stepping. A certified jump always reaches the last token, so
+//! per-search wall clock becomes (near-)independent of `decode_len`
+//! whenever a certificate lands. A failed certificate — e.g. while the
+//! pipeline-fill transient is still settling — just moves the attempt
+//! point (with exponential backoff) and keeps stepping, which is exact
+//! regardless. That includes a binding that genuinely changes partway
+//! through the range (two timestamp quadratics with slightly different
+//! KV-stretch rates crossing): there is no partial jump to just short of
+//! the crossing, so such a schedule steps up to it, and a later attempt
+//! past it may still jump the rest.
 //!
 //! A run also reports its [`crate::metrics::DecodeTail`], the makespans
 //! after `L − 2`, `L − 1` and `L` tokens: read off the live state when
@@ -295,8 +295,7 @@ pub fn affine_series_units(c: i64, r: i64, start: i64, n: i64) -> Option<i64> {
 /// when even `max_n` steps stay short (or the series leaves the exact
 /// range first). Requires non-negative step costs over the whole range so
 /// the cumulative total is monotone — the binary search that localizes
-/// arrival/horizon crossings for the event layer, mirroring how partial
-/// jumps chain across regime changes inside the closed form.
+/// arrival/horizon crossings for the event layer.
 pub fn first_series_crossing(c: i64, r: i64, start: i64, max_n: i64, target: i64) -> Option<i64> {
     if max_n < 1 {
         return None;
@@ -778,74 +777,6 @@ fn dominant_min(x: Quad, y: Quad, hi: i128) -> Option<Quad> {
     }
 }
 
-/// Smallest horizon still worth certifying: below this many tokens the
-/// fit/certify overhead exceeds just stepping them.
-const MIN_JUMP: i128 = 4;
-
-/// Shrinks the certification horizon to the longest prefix `[0, p]` on
-/// which `ok` still holds; fails the certificate (`None`) when that
-/// prefix is shorter than [`MIN_JUMP`] tokens.
-///
-/// Called when a comparison that must stay constant across the jump
-/// range flips inside it. `ok` is prefix-closed (a comparison constant
-/// over `[0, p]` is constant over every shorter prefix) and `ok(0)`
-/// always holds (any order is constant on a single point), so a binary
-/// search pins the exact breakpoint. Restricting the horizon to stop
-/// just short of it lets the *same* certification pass continue — every
-/// comparison already certified holds a fortiori on the sub-range — so
-/// one attempt lands the maximal partial jump over the current
-/// constant-binding regime instead of discarding its work.
-fn shrink(hi: &mut i128, ok: impl Fn(i128) -> bool) -> Option<()> {
-    let (mut good, mut bad) = (0i128, *hi);
-    while bad - good > 1 {
-        let mid = good + (bad - good) / 2;
-        if ok(mid) {
-            good = mid;
-        } else {
-            bad = mid;
-        }
-    }
-    if good + 1 < MIN_JUMP {
-        return None;
-    }
-    *hi = good;
-    Some(())
-}
-
-/// [`cmp_ge`] over a shrinkable horizon: a flip inside the range
-/// restricts `hi` to just short of the breakpoint instead of failing.
-fn cmp_ge_over(x: Quad, y: Quad, hi: &mut i128) -> Option<bool> {
-    match cmp_ge(x, y, *hi) {
-        Some(v) => Some(v),
-        None => {
-            shrink(hi, |p| cmp_ge(x, y, p).is_some())?;
-            cmp_ge(x, y, *hi)
-        }
-    }
-}
-
-/// [`dominant_max`] over a shrinkable horizon.
-fn dominant_max_over(x: Quad, y: Quad, hi: &mut i128) -> Option<Quad> {
-    match dominant_max(x, y, *hi) {
-        Some(q) => Some(q),
-        None => {
-            shrink(hi, |p| dominant_max(x, y, p).is_some())?;
-            dominant_max(x, y, *hi)
-        }
-    }
-}
-
-/// [`dominant_min`] over a shrinkable horizon.
-fn dominant_min_over(x: Quad, y: Quad, hi: &mut i128) -> Option<Quad> {
-    match dominant_min(x, y, *hi) {
-        Some(q) => Some(q),
-        None => {
-            shrink(hi, |p| dominant_min(x, y, p).is_some())?;
-            dominant_min(x, y, *hi)
-        }
-    }
-}
-
 /// One full recurrence state — previous-token finishes, per-slot
 /// availability, and the per-device exposure queues — captured after a
 /// token step. Three consecutive snapshots fit the jump quadratics.
@@ -889,12 +820,12 @@ fn sym_expose(
     cs: Quad,
     cf: Quad,
     kind: u8,
-    hi: &mut i128,
+    hi: i128,
     exposed: &mut [Quad; 5],
     touched: &mut [bool; 5],
 ) -> Option<()> {
     while let Some(&(_, wf)) = cw.front() {
-        if cmp_ge_over(cs, wf, hi)? {
+        if cmp_ge(cs, wf, hi)? {
             cw.pop_front();
         } else {
             break;
@@ -903,12 +834,12 @@ fn sym_expose(
     let one = Quad { a: 1, b: 0, c: 0 };
     let mut inter = Quad::ZERO;
     for &(ws, wf) in cw.iter() {
-        let lo = dominant_max_over(cs, ws, hi)?;
-        let top = dominant_min_over(cf, wf, hi)?;
-        if cmp_ge_over(top, lo.add(one), hi)? {
+        let lo = dominant_max(cs, ws, hi)?;
+        let top = dominant_min(cf, wf, hi)?;
+        if cmp_ge(top, lo.add(one), hi)? {
             inter = inter.add(top.sub(lo));
         }
-        if cmp_ge_over(wf, cf.add(one), hi)? {
+        if cmp_ge(wf, cf.add(one), hi)? {
             break;
         }
     }
@@ -922,7 +853,7 @@ fn sym_expose(
 fn sym_finalize_ready(
     dev: &mut SymDev,
     savail: &[Quad],
-    hi: &mut i128,
+    hi: i128,
     exposed: &mut [Quad; 5],
     touched: &mut [bool; 5],
 ) -> Option<()> {
@@ -931,7 +862,7 @@ fn sym_finalize_ready(
         .copied()
         .unwrap_or(Quad::ZERO);
     while let Some(&(cs, cf, kind)) = dev.pending.front() {
-        if cmp_ge_over(ca, cf, hi)? {
+        if cmp_ge(ca, cf, hi)? {
             dev.pending.pop_front();
             sym_expose(&mut dev.cw, cs, cf, kind, hi, exposed, touched)?;
         } else {
@@ -943,15 +874,13 @@ fn sym_finalize_ready(
 
 /// Outcome of a jump attempt at a token boundary.
 enum JumpOutcome {
-    /// State and totals were fast-forwarded by this many tokens — the
-    /// whole range asked for, or the longest certifiable prefix of it
-    /// when a binding change sits inside (a *partial* jump). The fits of
-    /// the stream availabilities come along: `fits[slot].eval(u)` is the
-    /// slot's availability after `u` jumped tokens, exactly, for every
-    /// `u` up to the jump length.
-    Jumped(i64, Vec<Quad>),
-    /// The certificate failed with no certifiable prefix worth jumping;
-    /// explicit stepping continues (still exact).
+    /// State and totals were fast-forwarded over the whole range asked
+    /// for. The fits of the stream availabilities come along:
+    /// `fits[slot].eval(u)` is the slot's availability after `u` jumped
+    /// tokens, exactly, for every `u` up to the jump length.
+    Jumped(Vec<Quad>),
+    /// The certificate failed somewhere in the range; explicit stepping
+    /// continues (still exact).
     NotCertified,
     /// The certified horizon leaves the exact grid range, exactly as the
     /// explicit loop's per-token guard would: fall back to full
@@ -959,8 +888,8 @@ enum JumpOutcome {
     OutOfRange,
 }
 
-/// Attempts to fast-forward up to `n` tokens from `tok0` in closed
-/// form, returning how many tokens were actually jumped.
+/// Attempts to fast-forward all `n` remaining tokens from `tok0` in
+/// closed form.
 ///
 /// `snaps` holds the states after tokens `tok0 − 3`, `tok0 − 2`, and
 /// `tok0 − 1` (the live state). Each state component is fitted to the
@@ -974,11 +903,11 @@ enum JumpOutcome {
 /// live state makes the quadratics exact for the whole range: totals
 /// advance by closed-form series sums and the final state (including the
 /// exposure queues the drain-edge flush needs) is reconstructed by
-/// evaluation at the certified horizon. A comparison that flips inside
-/// the range does not fail the attempt: the horizon shrinks to just
-/// short of the breakpoint ([`shrink`]) and certification continues, so
-/// one attempt lands the maximal partial jump over the current
-/// constant-binding regime.
+/// evaluation at the certified horizon. A comparison that flips anywhere
+/// inside the range fails the attempt: there is no partial jump to just
+/// short of the breakpoint, so a schedule whose binding changes
+/// mid-decode steps up to its crossing (the caller's backoff sets when
+/// it tries again).
 #[allow(clippy::too_many_arguments)]
 fn certify_and_jump(
     tpl: &[TplOp],
@@ -1052,7 +981,7 @@ fn certify_and_jump(
     }
 
     // ---- One symbolic token step over u ∈ [0, n − 1] ----
-    let mut hi = i128::from(n) - 1;
+    let hi = i128::from(n) - 1;
     let mut savail = savail0.clone();
     let mut scur = vec![Quad::ZERO; k];
     let mut exposed = [Quad::ZERO; 5];
@@ -1065,7 +994,7 @@ fn certify_and_jump(
                 TplDep::Same(s) => scur[s as usize],
                 TplDep::Prev(p) => sprev[p as usize],
             };
-            let Some(m) = dominant_max_over(start, f, &mut hi) else {
+            let Some(m) = dominant_max(start, f, hi) else {
                 return JumpOutcome::NotCertified;
             };
             start = m;
@@ -1086,7 +1015,7 @@ fn certify_and_jump(
         }
     }
     for dev in &mut sdevs {
-        if sym_finalize_ready(dev, &savail, &mut hi, &mut exposed, &mut etouched).is_none() {
+        if sym_finalize_ready(dev, &savail, hi, &mut exposed, &mut etouched).is_none() {
             return JumpOutcome::NotCertified;
         }
     }
@@ -1119,7 +1048,7 @@ fn certify_and_jump(
     }
 
     // ---- Range checks before committing anything ----
-    let ni = hi + 1;
+    let ni = i128::from(n);
     let mut dur_sums = Vec::with_capacity(tpl.len());
     let mut added: i128 = 0;
     for op in tpl {
@@ -1208,7 +1137,7 @@ fn certify_and_jump(
         dev.pending.clear();
         dev.pending.extend(fpending[d].iter().copied());
     }
-    JumpOutcome::Jumped(ni as i64, savail0)
+    JumpOutcome::Jumped(savail0)
 }
 
 /// The closed-form gate of [`crate::evaluate_priced`], the evaluator
@@ -1386,14 +1315,9 @@ fn evaluate_serve_prefix(
             tail[t - tail_from] = avail.iter().copied().max().unwrap_or(0);
         }
         if t == attempt_at && snaps.len() == 3 {
-            // One attempt certifies the longest jumpable prefix of the
-            // remaining range: a binding change inside it shrinks the
-            // certificate's own horizon to just short of the crossing,
-            // landing a partial jump over the current constant-binding
-            // regime; after three re-fit steps the next attempt covers
-            // the next regime.
+            // One attempt certifies a jump over every remaining token;
+            // a binding change anywhere in the range fails it.
             let n = (dims.decode_len - t) as i64;
-            let mut jumped = 0i64;
             if n >= 4 {
                 match certify_and_jump(
                     tpl,
@@ -1406,32 +1330,19 @@ fn evaluate_serve_prefix(
                     stage_busy,
                     &mut totals,
                 ) {
-                    JumpOutcome::Jumped(m, fits) => {
-                        jumped = m;
-                        let landed = t + m as usize;
-                        for d in (t + 1).max(tail_from)..landed {
+                    JumpOutcome::Jumped(fits) => {
+                        for d in (t + 1).max(tail_from)..dims.decode_len {
                             let u = (d - t) as i128;
                             let peak = fits.iter().map(|q| q.eval(u)).max().unwrap_or(0);
                             tail[d - tail_from] = peak as i64;
                         }
+                        break;
                     }
                     JumpOutcome::NotCertified => {}
                     JumpOutcome::OutOfRange => return None,
                 }
             }
             snaps.clear();
-            if jumped > 0 {
-                // A real jump proves the schedule is still piecewise
-                // quadratic; forgive earlier failures so a long tail of
-                // regimes keeps jumping. Tiny hops don't vouch for the
-                // shape, so they leave the backoff where it is.
-                if jumped >= 16 {
-                    fails = 0;
-                }
-                t += jumped as usize;
-                attempt_at = t + 3;
-                continue;
-            }
             // Exponential backoff instead of giving up: a pipeline-fill
             // transient certifies after a few more steps, while a
             // genuinely aperiodic shape costs only O(log decode_len)

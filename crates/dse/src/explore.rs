@@ -426,14 +426,15 @@ impl<'a> Explorer<'a> {
     /// The baseline itself is always part of the outcome, so a feasible
     /// baseline guarantees a result and `speedup() >= 1`.
     ///
-    /// The search is an exact, best-first branch-and-bound. The baseline
-    /// is simulated first. Per workload variant, every candidate's
-    /// iteration-time lower bound ([`Scenario::lower_bound`]) gives an
-    /// optimistic score, and the four most promising candidates are
-    /// simulated as a fixed first wave. The incumbent is the best of the
-    /// baseline, the earlier variants and that wave; every other
-    /// candidate whose bound proves it cannot be strictly better than the
-    /// incumbent is skipped instead of simulated (see
+    /// The search is an exact, best-first branch-and-bound. Per workload
+    /// variant, every candidate's iteration-time lower bound
+    /// ([`Scenario::lower_bound`]) gives an optimistic score, and the four
+    /// most promising candidates are simulated as a fixed first wave; the
+    /// first variant's wave also simulates the baseline, a candidate of
+    /// that variant, on top of those four. The incumbent is the best of
+    /// the earlier variants and that wave; every other candidate whose
+    /// bound proves it cannot be strictly better than the incumbent is
+    /// skipped instead of simulated (see
     /// [`SearchOutcome::evaluated`]). Pipelined candidates of a training
     /// or forward-only variant are bounded a family at a time first (one
     /// depth, microbatch count, schedule and strategy of the model's
@@ -445,8 +446,8 @@ impl<'a> Explorer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the baseline's error if even the flat FSDP baseline is
-    /// infeasible.
+    /// Returns the baseline's error, the one [`Scenario::run`] returns
+    /// for it, if even the flat FSDP baseline is infeasible.
     ///
     /// # Panics
     ///
@@ -456,11 +457,6 @@ impl<'a> Explorer<'a> {
     pub fn explore(&self) -> Result<SearchOutcome, EngineError> {
         let started = Instant::now();
         let base_plan = self.base_plan();
-        let base_workload = self.workload_variants().swap_remove(0);
-        let baseline = Scenario::new(self.model, self.system)
-            .plan_ref(&base_plan)
-            .workload_ref(&base_workload)
-            .run()?;
         // The first best wins: the baseline, then candidates in
         // enumeration order, each replacing it only when strictly better.
         let serve_ranked = self.space.serve.is_some() && self.workload.serve_config().is_some();
@@ -502,12 +498,10 @@ impl<'a> Explorer<'a> {
         let family =
             |s: &Scenario<'_>, members: &[&Plan]| bounded(s, s.family_lower_bound(members)?);
         let scored = |r: &Option<IterationReport>| r.as_ref().map(|r| [rank(r)]);
-        // The baseline combo re-appears among the candidates; the driver
-        // counts it `ok` instead of simulating it again. A pruned
+        // The first variant's wave simulates the baseline. A pruned
         // candidate stays `ok` but is not simulated (`None`).
-        let (driven, mut telemetry) = self.drive(&Objective {
+        let objective = Objective {
             pricing: Pricing::Variant,
-            known: Some((&base_workload, &base_plan)),
             step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch).map(Some),
             iteration_ms: |r: &Option<IterationReport>| {
                 r.as_ref().map(|r| r.iteration_time.as_ms())
@@ -516,10 +510,20 @@ impl<'a> Explorer<'a> {
                 optimistic: &optimistic,
                 score: &scored,
                 pruned: || None,
-                floor: [rank(&baseline)],
                 family: Some(&family),
             }),
-        });
+        };
+        let (driven, mut telemetry) = self.drive(Some(&base_plan), &objective);
+        let baseline = match driven
+            .first_variant(&base_plan)
+            .expect("a first-variant candidate")
+        {
+            Ok(report) => report
+                .clone()
+                .expect("the first wave simulates the baseline"),
+            Err(e) => return Err(e.clone()),
+        };
+        let base_workload = self.workload_variants().swap_remove(0);
 
         let (best_plan, best_workload, best) = driven
             .into_candidates()
@@ -546,8 +550,8 @@ impl<'a> Explorer<'a> {
             None
         };
 
-        // End-to-end search wall-clock (including the baseline run),
-        // not the sum of per-variant batch times.
+        // End-to-end search wall-clock (including the ranking and the
+        // winner's verification), not the sum of per-variant batch times.
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(SearchOutcome {
             best_plan,
@@ -645,6 +649,60 @@ mod tests {
         assert_eq!(r.evaluated, 24);
         assert!(r.oom > 0, "replication-heavy combos must OOM: {r:?}");
         assert!(r.best.iteration_time <= r.baseline.iteration_time);
+    }
+
+    #[test]
+    fn a_space_that_omits_the_baseline_still_reports_it() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let base_plan = Plan::fsdp_baseline(&model);
+        let baseline = Scenario::new(&model, &sys)
+            .plan_ref(&base_plan)
+            .run()
+            .unwrap();
+        // Pipeline axes without depth 1: the flat baseline is appended to
+        // the candidates, simulated and counted.
+        let space = SearchSpace::default().with_pipeline(PipelineAxes {
+            stages: vec![8],
+            microbatches: vec![16],
+            schedules: vec![PipelineSchedule::GPipe],
+        });
+        let explorer = Explorer::new(&model, &sys).space(space);
+        assert_eq!(explorer.candidates().len(), 1);
+        let r = explorer.explore().unwrap();
+        assert_eq!(r.baseline, baseline);
+        assert_eq!(r.evaluated, 2);
+        assert!(r.telemetry.reconciles(), "{:?}", r.telemetry);
+        assert!(r.telemetry.simulated >= 1, "{:?}", r.telemetry);
+        // Llama2 has no MoE layers: every candidate's MoE strategy is
+        // moot, so each ties with the baseline, which is enumerated
+        // nowhere and wins the tie.
+        let explorer = Explorer::new(&model, &sys)
+            .space(SearchSpace::strategies().with_classes(vec![LayerClass::Moe]));
+        let candidates = explorer.candidates();
+        assert!(candidates.len() > 1 && !candidates.contains(&base_plan));
+        let reports = explorer.evaluate(&candidates);
+        assert!(reports.iter().all(|r| r.as_ref() == Ok(&baseline)));
+        let r = explorer.explore().unwrap();
+        assert_eq!(r.best_plan, base_plan);
+        assert_eq!(r.best, baseline);
+        assert_eq!(r.evaluated, candidates.len() + 1);
+        assert_eq!(r.telemetry.ok, r.evaluated as u64);
+    }
+
+    #[test]
+    fn an_infeasible_baseline_fails_the_search_with_its_own_error() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system().scaled(&DeviceScaling {
+            mem_capacity: 1e-3,
+            ..DeviceScaling::IDENTITY
+        });
+        let error = Scenario::new(&model, &sys)
+            .plan(Plan::fsdp_baseline(&model))
+            .run()
+            .unwrap_err();
+        assert!(error.is_oom(), "{error:?}");
+        assert_eq!(Explorer::new(&model, &sys).explore().unwrap_err(), error);
     }
 
     #[test]
@@ -876,11 +934,8 @@ mod tests {
         let sys = catalog::zionex_dlrm_system();
         let quiet = Explorer::new(&model, &sys).threads(1).explore().unwrap();
         assert!(quiet.telemetry.pruned > 0, "{:?}", quiet.telemetry);
-        // Event indices are positions in the candidate list minus the
-        // baseline duplicate, which the driver resolves without an event.
-        let mut evaluated = Explorer::new(&model, &sys).candidates();
-        let baseline_plan = Plan::fsdp_baseline(&model);
-        evaluated.retain(|p| *p != baseline_plan);
+        // Event indices are positions in the candidate list.
+        let evaluated = Explorer::new(&model, &sys).candidates();
         for threads in [1, 4] {
             let sink = CountingSink::default();
             let r = Explorer::new(&model, &sys)
@@ -888,12 +943,11 @@ mod tests {
                 .progress(&sink)
                 .explore()
                 .unwrap();
-            // One event per freshly-evaluated candidate (the baseline
-            // duplicate is resolved from its cached report, sink-free).
+            // One event per candidate, the baseline included.
             let fired = sink.events.load(Ordering::Relaxed);
             assert_eq!(fired, r.telemetry.eval_latency.count);
-            assert_eq!(fired, r.evaluated as u64 - 1);
-            assert_eq!(sink.ok.load(Ordering::Relaxed), r.telemetry.ok - 1);
+            assert_eq!(fired, r.evaluated as u64);
+            assert_eq!(sink.ok.load(Ordering::Relaxed), r.telemetry.ok);
             assert_eq!(sink.finished.load(Ordering::Relaxed), 1);
             // `ok` events carry no iteration time exactly for the pruned
             // candidates, each of which provably loses to the winner.

@@ -32,8 +32,11 @@
 //! union over the dimensions of the [`FIRST_WAVE`] candidates with the
 //! best optimistic score on that dimension (ties to the earlier
 //! candidate), and takes the incumbent per dimension: the best score
-//! among the floor (the baseline's, for `explore`), every earlier variant
-//! and this wave. Every remaining candidate whose optimistic scores
+//! among every earlier variant and this wave. For `explore`, the first
+//! variant's wave also simulates the baseline, an ordinary candidate of
+//! that variant whose bound takes no part in the wave's selection, so the
+//! wave's picks are the same with or without it. Every remaining
+//! candidate whose optimistic scores
 //! cannot strictly beat the incumbent on *any* dimension
 //! ([`PRUNE_MARGIN`]) is pruned; the rest are simulated on the pool. A
 //! pruned candidate scores strictly below the incumbent on every
@@ -278,11 +281,6 @@ pub(crate) enum Pricing<'o> {
 pub(crate) struct Objective<'o, T, F, const N: usize> {
     /// The tables to price per workload variant.
     pub(crate) pricing: Pricing<'o>,
-    /// A (workload, plan) combination the objective already evaluated
-    /// itself (the explorer's baseline). Candidates matching it count as
-    /// `ok` but are neither evaluated, returned, nor reported to the
-    /// progress sink.
-    pub(crate) known: Option<(&'o Workload, &'o Plan)>,
     /// The per-candidate step, handed the candidate's scenario and the
     /// worker's recycled scratch.
     pub(crate) step: F,
@@ -311,9 +309,6 @@ pub(crate) struct Prune<'o, T, const N: usize> {
     /// The result a pruned candidate resolves to; its progress event
     /// carries no iteration time.
     pub(crate) pruned: fn() -> T,
-    /// The scores to beat before the first variant runs (the baseline's,
-    /// or `-inf` without one).
-    pub(crate) floor: [f64; N],
     /// A family's optimistic scores, from a scenario of one member and
     /// the family's feasible members (see the module docs): no member's
     /// `optimistic` scores are higher on any dimension. `None` from the
@@ -326,6 +321,13 @@ pub(crate) struct Prune<'o, T, const N: usize> {
 /// A family score hook ([`Prune::family`]).
 pub(crate) type Family<'o, const N: usize> =
     dyn Fn(&Scenario<'_>, &[&Plan]) -> Option<[f64; N]> + Sync + 'o;
+
+/// Whether two plans of one explorer are the same candidate. Candidates
+/// inherit the baseline's options, so comparing assignments and pipeline
+/// suffices.
+fn same_candidate(a: &Plan, b: &Plan) -> bool {
+    a.assignments == b.assignments && a.pipeline == b.pipeline
+}
 
 /// One evaluated candidate.
 #[derive(Debug)]
@@ -375,6 +377,14 @@ impl<T> Driven<T> {
             .next()
             .and_then(|c| c.result.err())
             .unwrap_or_else(empty))
+    }
+
+    /// The result of `plan` in the first workload variant, if that
+    /// variant has it among its candidates.
+    pub(crate) fn first_variant(&self, plan: &Plan) -> Option<&Result<T, EngineError>> {
+        let batch = self.batches.first()?;
+        let i = batch.plans.iter().position(|p| same_candidate(p, plan))?;
+        Some(&batch.results[i])
     }
 
     /// Every evaluated candidate, in enumeration order.
@@ -430,18 +440,22 @@ impl Explorer<'_> {
             plans,
             &Objective::<_, _, 1> {
                 pricing: Pricing::Variant,
-                known: None,
                 step: |s: &Scenario<'_>, scratch: &mut EngineScratch| s.run_in(scratch),
                 iteration_ms: |r: &IterationReport| Some(r.iteration_time.as_ms()),
                 prune: None,
             },
             [f64::NEG_INFINITY],
+            None,
         )
     }
 
     /// Runs an objective over every workload variant × candidate plan of
     /// the space, returning the candidates and the telemetry merged
-    /// across variants.
+    /// across variants. A `baseline` plan is a candidate of the first
+    /// variant (appended when the space does not enumerate it) that a
+    /// pruning objective simulates in that variant's first wave, on top
+    /// of the wave's picks: [`Driven::first_variant`] then always holds
+    /// its report or its error.
     ///
     /// # Panics
     ///
@@ -449,6 +463,7 @@ impl Explorer<'_> {
     /// [`Workload::Serve`] — the axis would otherwise be silently ignored.
     pub(crate) fn drive<T, F, const N: usize>(
         &self,
+        baseline: Option<&Plan>,
         objective: &Objective<'_, T, F, N>,
     ) -> (Driven<T>, SearchTelemetry)
     where
@@ -465,33 +480,26 @@ impl Explorer<'_> {
             batches: Vec::new(),
         };
         let mut telemetry = SearchTelemetry::default();
-        let mut incumbent = objective
-            .prune
-            .as_ref()
-            .map_or([f64::NEG_INFINITY; N], |p| p.floor);
-        for workload in self.workload_variants() {
+        let mut incumbent = [f64::NEG_INFINITY; N];
+        for (v, workload) in self.workload_variants().into_iter().enumerate() {
             let mut plans = self.candidates();
-            let enumerated = plans.len();
-            // Candidates inherit the baseline's options, so comparing
-            // assignments and pipeline suffices.
-            if let Some((known_workload, known)) = objective.known {
-                if workload == *known_workload {
-                    plans.retain(|p| {
-                        p.assignments != known.assignments || p.pipeline != known.pipeline
-                    });
-                }
-            }
-            let (results, mut batch) =
-                self.evaluate_pooled(&workload, &plans, objective, incumbent);
+            let seed = baseline.filter(|_| v == 0).map(|base| {
+                plans
+                    .iter()
+                    .position(|p| same_candidate(p, base))
+                    .unwrap_or_else(|| {
+                        plans.push(base.clone());
+                        plans.len() - 1
+                    })
+            });
+            let (results, batch) =
+                self.evaluate_pooled(&workload, &plans, objective, incumbent, seed);
             if let Some(prune) = &objective.prune {
                 incumbent = results
                     .iter()
                     .filter_map(|r| (prune.score)(r.as_ref().ok()?))
                     .fold(incumbent, raise);
             }
-            let resolved = (enumerated - plans.len()) as u64;
-            batch.candidates += resolved;
-            batch.ok += resolved;
             telemetry.absorb(&batch);
             driven.batches.push(Batch {
                 workload,
@@ -506,14 +514,16 @@ impl Explorer<'_> {
     /// order, with the batch's telemetry (see
     /// [`Explorer::evaluate_with_telemetry`]): by the objective's step, or,
     /// when it prunes, by the branch-and-bound of the module docs against
-    /// `incumbent`, the best scores of the earlier variants.
-    /// `objective.known` is the caller's to apply.
+    /// `incumbent`, the best scores of the earlier variants. A pruning
+    /// objective also simulates plan `seed` in the first wave, outside
+    /// the wave's selection.
     fn evaluate_pooled<T, F, const N: usize>(
         &self,
         workload: &Workload,
         plans: &[Plan],
         objective: &Objective<'_, T, F, N>,
         incumbent: [f64; N],
+        seed: Option<usize>,
     ) -> (Vec<Result<T, EngineError>>, SearchTelemetry)
     where
         T: Send,
@@ -634,6 +644,8 @@ impl Explorer<'_> {
                 // Every candidate's optimistic scores, once; infeasible
                 // candidates resolve here. A family member only has its
                 // feasibility checked: its bound waits for its family's.
+                // So has the seed, which the wave simulates whatever its
+                // bound, and which therefore takes no wave slot.
                 let member = |i: usize| families.is_some() && pipelined(i);
                 let bound = |i: usize, worker: &mut Worker, alone: bool| {
                     let t0 = Instant::now();
@@ -650,7 +662,7 @@ impl Explorer<'_> {
                 };
                 let mut bounds = plans.iter().map(|_| None).collect::<Vec<_>>();
                 run_pool(&mut pool, &all, &mut bounds, &|i, worker: &mut Worker| {
-                    bound(i, worker, !member(i))
+                    bound(i, worker, !member(i) && seed != Some(i))
                 });
                 let mut optimistic = vec![None; plans.len()];
                 let mut bound_us = vec![0.0; plans.len()];
@@ -714,9 +726,15 @@ impl Explorer<'_> {
                     },
                 );
                 telemetry.bound_ms = lap();
-                // The fixed first wave sets the incumbent; the rest is
-                // pruned against it or simulated.
-                let wave = first_wave(&optimistic);
+                // The fixed first wave, joined by a feasible seed, sets
+                // the incumbent; the rest is pruned against it or
+                // simulated.
+                let mut wave = first_wave(&optimistic);
+                if let Some(i) = seed.filter(|&i| slots[i].is_none()) {
+                    if let Err(at) = wave.binary_search(&i) {
+                        wave.insert(at, i);
+                    }
+                }
                 run_pool(&mut pool, &wave, &mut slots, &|i, worker| {
                     step(i, bound_us[i], worker)
                 });

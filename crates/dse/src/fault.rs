@@ -244,9 +244,8 @@ impl Explorer<'_> {
         let scored = |r: &Option<(Seconds, Vec<GoodputReport>)>| {
             r.as_ref().map(|(_, points)| scores(points))
         };
-        let (driven, mut telemetry) = self.drive(&Objective {
+        let objective = Objective {
             pricing: Pricing::Variant,
-            known: None,
             step: |s: &Scenario<'_>, scratch: &mut EngineScratch| {
                 let report = s.run_in(scratch)?;
                 let (_, points) =
@@ -260,10 +259,10 @@ impl Explorer<'_> {
                 optimistic: &optimistic,
                 score: &scored,
                 pruned: || None,
-                floor: [f64::NEG_INFINITY; 2],
                 family: None,
             }),
-        });
+        };
+        let (driven, mut telemetry) = self.drive(None, &objective);
         let candidates: Vec<GoodputCandidate> = driven
             .any_success(|| EngineError::InvalidFault {
                 reason: "the search space is empty".to_owned(),

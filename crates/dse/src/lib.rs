@@ -25,19 +25,19 @@
 //! step, the tables it needs and its ranking, so results are identical
 //! at any thread count.
 //!
-//! [`Explorer::explore`] is an exact, best-first branch-and-bound. It
-//! simulates the FSDP baseline before the pool starts. Per workload
-//! variant the driver then asks each candidate once for
+//! [`Explorer::explore`] is an exact, best-first branch-and-bound. Per
+//! workload variant the driver asks each candidate once for
 //! `Scenario::lower_bound` (read off the priced tables: the busiest
 //! stream's summed op durations, and for a pipelined training or
 //! forward-only plan each stage's compute stream with its fill and drain)
 //! and turns it into an optimistic score:
 //! `tokens per iteration / bound` when ranking serve tokens/s, else
 //! `1 / bound`. It simulates a fixed first wave, the four best optimistic
-//! scores (ties to the earlier candidate), and skips the simulation of
-//! every other candidate whose optimistic score cannot strictly beat the
-//! incumbent, the best score of the baseline, the earlier variants and
-//! that wave (with a 1e-9 relative float margin). Every stream runs one
+//! scores (ties to the earlier candidate), plus the FSDP baseline in the
+//! first variant, and skips the simulation of every other candidate
+//! whose optimistic score cannot strictly beat the incumbent, the best
+//! score of the earlier variants and that wave (with a 1e-9 relative
+//! float margin). Every stream runs one
 //! op at a time in issue order, so no schedule beats its busiest stream;
 //! a pipeline stage's first forward also waits for microbatch 0's
 //! forward chain through the earlier stages (the fill), and its last

@@ -304,9 +304,8 @@ impl Explorer<'_> {
                 }))
         };
         let scored = |points: &Vec<LoadPoint>| (!points.is_empty()).then(|| scores(points));
-        let (driven, mut telemetry) = self.drive(&Objective {
+        let objective = Objective {
             pricing: Pricing::LoadProbes(&sweep[0].1),
-            known: None,
             step: |s: &Scenario<'_>, _: &mut EngineScratch| {
                 // Request shapes are rate-independent, so one cost
                 // model serves the whole sweep.
@@ -331,10 +330,10 @@ impl Explorer<'_> {
                 optimistic: &optimistic,
                 score: &scored,
                 pruned: Vec::new,
-                floor: [f64::NEG_INFINITY; 2],
                 family: None,
             }),
-        });
+        };
+        let (driven, mut telemetry) = self.drive(None, &objective);
         let candidates: Vec<LoadCandidate> = driven
             .any_success(|| EngineError::InvalidLoad {
                 reason: "the search space is empty".to_owned(),

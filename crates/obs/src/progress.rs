@@ -74,7 +74,9 @@ impl ProgressSink for NullSink {
 }
 
 /// Prints a progress line to stderr every `every` completions, plus a
-/// summary line when the search finishes.
+/// summary line when the search finishes. Counts restart with each
+/// evaluation batch and each load simulation, so a batch's last line
+/// reads `N/N`.
 #[derive(Debug)]
 pub struct StderrTicker {
     every: u64,
@@ -92,24 +94,40 @@ impl StderrTicker {
             ok: AtomicU64::new(0),
         }
     }
-}
 
-impl ProgressSink for StderrTicker {
-    fn candidate_completed(&self, event: &CandidateEvent) {
+    /// Counts one completed candidate and returns the progress line to
+    /// print, if this completion is due one.
+    fn tick(&self, event: &CandidateEvent) -> Option<String> {
         if event.outcome == CandidateOutcome::Ok {
             self.ok.fetch_add(1, Ordering::Relaxed);
         }
         let seen = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
-        if seen.is_multiple_of(self.every) || seen as usize == event.total {
-            eprintln!(
+        (seen.is_multiple_of(self.every) || seen as usize == event.total).then(|| {
+            format!(
                 "[search] {seen}/{} candidates evaluated ({} ok)",
                 event.total,
                 self.ok.load(Ordering::Relaxed)
-            );
+            )
+        })
+    }
+
+    /// Restarts the counts. Called after a batch's pool joins or a load
+    /// simulation ends, so no event races it.
+    fn restart(&self) {
+        self.seen.store(0, Ordering::Relaxed);
+        self.ok.store(0, Ordering::Relaxed);
+    }
+}
+
+impl ProgressSink for StderrTicker {
+    fn candidate_completed(&self, event: &CandidateEvent) {
+        if let Some(line) = self.tick(event) {
+            eprintln!("{line}");
         }
     }
 
     fn search_finished(&self, telemetry: &SearchTelemetry) {
+        self.restart();
         eprintln!("[search] {}", telemetry.summary());
     }
 
@@ -124,6 +142,7 @@ impl ProgressSink for StderrTicker {
     }
 
     fn load_finished(&self, telemetry: &LoadTelemetry) {
+        self.restart();
         eprintln!("[load] {}", telemetry.summary());
     }
 }
@@ -195,6 +214,35 @@ mod tests {
             iteration_ms: Some(10.0),
         });
         sink.search_finished(&SearchTelemetry::default());
+    }
+
+    #[test]
+    fn ticker_counts_restart_with_each_batch() {
+        let ticker = StderrTicker::every(100);
+        for _ in 0..2 {
+            let lines: Vec<String> = (0..156)
+                .filter_map(|index| {
+                    ticker.tick(&CandidateEvent {
+                        index,
+                        total: 156,
+                        outcome: match index % 3 {
+                            0 => CandidateOutcome::OutOfMemory,
+                            _ => CandidateOutcome::Ok,
+                        },
+                        eval_us: 1.0,
+                        iteration_ms: None,
+                    })
+                })
+                .collect();
+            assert_eq!(
+                lines,
+                [
+                    "[search] 100/156 candidates evaluated (66 ok)",
+                    "[search] 156/156 candidates evaluated (104 ok)",
+                ]
+            );
+            ticker.search_finished(&SearchTelemetry::default());
+        }
     }
 
     #[test]

@@ -78,8 +78,7 @@ impl LatencyHistogram {
 /// for who fills which field.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SearchTelemetry {
-    /// Candidates considered (including ones the explorer resolved
-    /// without a fresh evaluation, e.g. baseline-identical plans).
+    /// Candidates considered, the baseline included.
     pub candidates: u64,
     /// Candidates that passed every feasibility check: the ones that
     /// produced a report plus the [`SearchTelemetry::pruned`] ones.
@@ -88,8 +87,9 @@ pub struct SearchTelemetry {
     /// `Explorer::explore_goodput` skipped without simulating because
     /// their iteration-time lower bound proves they cannot beat the
     /// incumbent (for the goodput search, neither of its two incumbents):
-    /// the best of the baseline, the earlier workload variants and a fixed
-    /// first wave of the most promising candidates. Counted in `ok`; their
+    /// the best of the earlier workload variants and a fixed first wave
+    /// of the most promising candidates (plus, for `Explorer::explore`,
+    /// the baseline). Counted in `ok`; their
     /// progress events carry no `iteration_ms`. The same at any thread
     /// count; zero for every other search.
     pub pruned: u64,
@@ -102,8 +102,8 @@ pub struct SearchTelemetry {
     pub family_pruned: u64,
     /// Candidates the search's step ran on (simulated, or for the load
     /// search priced and simulated): every candidate that was neither
-    /// pruned, ruled out by its feasibility check, nor resolved without a
-    /// fresh evaluation. The same at any thread count.
+    /// pruned nor ruled out by its feasibility check, `Explorer::explore`'s
+    /// baseline included. The same at any thread count.
     pub simulated: u64,
     /// The [`SearchTelemetry::simulated`] candidates of a pruning search
     /// that had no bound (`Scenario::lower_bound` returned `Ok(None)`: a
